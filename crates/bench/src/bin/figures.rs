@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick]
-//!                         [--check] [--tickless] [--check-perf] [--csv DIR]
+//!                         [--check] [--check-perf] [--csv DIR]
 //! ```
 //!
 //! Experiment names are listed by [`usage`], generated from the one
@@ -12,8 +12,7 @@
 //! EXPERIMENTS.md (`fig1a` … `fig13`, `fairness`, `sa_stats`), the extras
 //! (`io_latency`, `ablate_strict_co`, `stacking_baseline`,
 //! `ablate_pingpong`, `ablate_idle_first`, `ablate_sa_delay`,
-//! `ablate_pull`, `ablate_slice`, `ablate_pv_spin`, `chaos`,
-//! `fork_smoke` — also reachable as the `--fork-smoke` flag), `perf`
+//! `ablate_pull`, `ablate_slice`, `ablate_pv_spin`, `chaos`), `perf`
 //! (engine self-benchmark; writes BENCH_runner.json), `fleet` (the
 //! datacenter-scale fleet campaign; `--smoke` shrinks it for CI), and
 //! `serving` (the open-loop latency-SLO serving campaign; `--smoke`
@@ -25,9 +24,6 @@
 //! ([`irs_core::check`]) for every simulated run: each system validates
 //! scheduler invariants after every event and panics with a trace dump on
 //! the first violation. Tables are identical with and without it.
-//! `--tickless` arms tickless fast-forward for every run: quiescent timer
-//! ticks are elided and replayed in closed form instead of dispatched.
-//! Tables are identical with and without it — it only changes wall-clock.
 //! `--hosts N` rescales the fleet campaign to an `N`-host fleet (tenant
 //! load scales along); its history phase is `fleet-scale` and its
 //! `--check-perf` gate ratchets *effective* events/sec (logical volume
@@ -36,12 +32,12 @@
 //! disabled and asserts the SLO tables are bit-identical (no history,
 //! no ratchet — it is a correctness gate).
 //! `--check-perf` turns `perf` into a regression gate: exit non-zero if
-//! the combined speedup (ticked sequential over tickless parallel) falls
-//! below its noise-band floor (0.85 — the true ratio is ~1.0 on 1-core
-//! boxes), the queue micro-benchmark drops below its absolute floor,
-//! or any phase regresses past the ratchet tolerance against the best
-//! matching `BENCH_history.jsonl` record (same phase / tickless flag /
-//! worker count / host core count). Each `perf` invocation appends one
+//! the speedup (ticked sequential over parallel) falls below its
+//! noise-band floor (0.85 — the true ratio is ~1.0 on 1-core boxes), the
+//! queue micro-benchmark drops below its absolute floor, or any phase
+//! regresses past the ratchet tolerance against the best matching
+//! `BENCH_history.jsonl` record (same phase / worker count / host core
+//! count). Each `perf` invocation appends one
 //! line per measured phase to `BENCH_history.jsonl` for trend tracking;
 //! `fleet` and `serving` append one record per campaign (phases `fleet`
 //! / `fleet-smoke` / `serving` / `serving-smoke`) and `--check-perf`
@@ -57,7 +53,7 @@ use std::time::Instant;
 /// Every experiment name the dispatcher understands, in presentation
 /// order, tagged with whether the `core` alias includes it (`all` takes
 /// the whole list). The single source for [`usage`] and alias expansion.
-const EXPERIMENTS: [(&str, bool); 27] = [
+const EXPERIMENTS: [(&str, bool); 26] = [
     ("fig1a", true),
     ("fig1b", true),
     ("fig2", true),
@@ -82,7 +78,6 @@ const EXPERIMENTS: [(&str, bool); 27] = [
     ("ablate_slice", false),
     ("ablate_pv_spin", false),
     ("chaos", false),
-    ("fork_smoke", false),
     ("fleet", false),
     ("serving", false),
 ];
@@ -97,7 +92,7 @@ fn usage() -> ! {
             .join(" ")
     };
     eprintln!(
-        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--tickless] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
+        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
          experiments:\n\
          \u{20} {}\n\
          \u{20} {}\n\
@@ -156,7 +151,6 @@ fn run_experiment(exp: &str, opts: Opts) -> Vec<Table> {
         "ablate_pv_spin" => vec![irs_bench::ablations::ablate_pv_spin(opts)],
         "io_latency" => vec![irs_bench::io_latency::io_latency(opts)],
         "chaos" => vec![irs_bench::chaos::chaos(opts)],
-        "fork_smoke" => vec![irs_bench::fork_smoke::fork_smoke(opts)],
         "ablate_strict_co" => vec![irs_bench::ablations::ablate_strict_co(opts)],
         other => {
             eprintln!("unknown experiment: {other}");
@@ -229,7 +223,6 @@ fn main() {
                 irs_core::parallel::set_default_jobs(opts.jobs);
             }
             "--check" => irs_core::check::set_check_enabled(true),
-            "--tickless" => irs_core::set_tickless_enabled(true),
             "--check-perf" => check_perf = true,
             // Shrinks the fleet campaign to its CI variant.
             "--smoke" => smoke = true,
@@ -240,9 +233,6 @@ fn main() {
             }
             // Incremental-vs-full bit-identity gate for the fleet.
             "--parity" => parity = true,
-            // Flag alias so CI scripts read as "run the smoke" rather
-            // than an experiment name; equivalent to `fork_smoke`.
-            "--fork-smoke" => experiments.push("fork_smoke".to_string()),
             "--csv" => {
                 csv_dir = Some(it.next().unwrap_or_else(|| usage()));
             }

@@ -209,11 +209,10 @@ pub fn history_line(
 ) -> String {
     format!(
         "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
-         \"tickless\": {}, \"jobs\": {jobs}, \"cores\": {cores}, \"hosts\": {}, \
+         \"jobs\": {jobs}, \"cores\": {cores}, \"hosts\": {}, \
          \"events_per_sec\": {:.0}, \"effective_events_per_sec\": {:.0}, \
          \"fork_warmup_saved\": {}, \"runs_elided\": {}, \"host_runs\": {}}}\n",
         phase(o),
-        irs_core::tickless_enabled(),
         o.hosts,
         events_per_sec(o),
         effective_events_per_sec(o),
@@ -224,11 +223,12 @@ pub fn history_line(
 }
 
 /// The fleet side of `--check-perf`: ratchets the campaign's throughput
-/// against the best matching history record (same phase, tickless flag,
-/// worker count, host core count — and fleet size, for records new
-/// enough to carry one). The `fleet` / `fleet-smoke` phases ratchet
-/// *executed* events/sec (engine speed, comparable across the
-/// incremental transition); `fleet-scale` ratchets *effective*
+/// against the best matching history record (same phase, worker count,
+/// host core count — and fleet size, for records new enough to carry
+/// one — skipping records that ran with event elision, see
+/// [`crate::perf::dispatched_every_event`]). The `fleet` / `fleet-smoke`
+/// phases ratchet *executed* events/sec (engine speed, comparable across
+/// the incremental transition); `fleet-scale` ratchets *effective*
 /// events/sec and additionally enforces the deterministic
 /// [`SCALE_MIN_ELISION`]× incrementality floor.
 pub fn check_fleet_perf(
@@ -238,7 +238,6 @@ pub fn check_fleet_perf(
     cores: usize,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    let tickless = irs_core::tickless_enabled();
     let scale = phase(o) == "fleet-scale";
     let (metric, current) = if scale {
         ("effective_events_per_sec", effective_events_per_sec(o))
@@ -260,7 +259,7 @@ pub fn check_fleet_perf(
         .lines()
         .filter(|l| {
             json_str_field(l, "phase").as_deref() == Some(phase(o))
-                && crate::perf::json_bool_field(l, "tickless") == Some(tickless)
+                && crate::perf::dispatched_every_event(l)
                 && json_usize_field(l, "jobs") == Some(jobs)
                 && json_usize_field(l, "cores") == Some(cores)
                 // Old records carry no hosts field; they predate --hosts
@@ -276,7 +275,7 @@ pub fn check_fleet_perf(
     if best.is_finite() && current < RATCHET_FRAC * best {
         failures.push(format!(
             "{} phase ratchet: {current:.0} {metric} is below {:.0}% of the best \
-             matching record ({best:.0}; tickless={tickless}, jobs={jobs}, cores={cores})",
+             matching record ({best:.0}; jobs={jobs}, cores={cores})",
             phase(o),
             RATCHET_FRAC * 100.0,
         ));
@@ -341,9 +340,9 @@ mod tests {
     #[test]
     fn fleet_ratchet_matches_config_and_fires() {
         let o = outcome(false, false);
-        let good = "{\"phase\": \"fleet\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
+        let good = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
         assert!(check_fleet_perf(&o, good, 2, 4).is_empty());
-        let fast = "{\"phase\": \"fleet\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
+        let fast = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
         let failures = check_fleet_perf(&o, fast, 2, 4);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("fleet phase ratchet"));
@@ -357,7 +356,7 @@ mod tests {
     #[test]
     fn hosts_aware_matching_skips_other_sizes() {
         let o = outcome(false, false); // 120 hosts
-        let other_size = "{\"phase\": \"fleet\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 99999999}\n";
+        let other_size = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 99999999}\n";
         assert!(check_fleet_perf(&o, other_size, 2, 4).is_empty());
         let same_size = other_size.replace("\"hosts\": 1000", "\"hosts\": 120");
         assert_eq!(check_fleet_perf(&o, &same_size, 2, 4).len(), 1);
@@ -377,7 +376,7 @@ mod tests {
         // effective (not executed) throughput.
         o.report.events_elided = 50_000;
         o.report.events = 55_000; // executed 4000; 55000 ≥ 5×4000
-        let fast = "{\"phase\": \"fleet-scale\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 999999999}\n";
+        let fast = "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 999999999}\n";
         let failures = check_fleet_perf(&o, fast, 2, 4);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("fleet-scale phase ratchet"));

@@ -23,7 +23,6 @@ pub mod fig8;
 pub mod fig10_11;
 pub mod fig12_13;
 pub mod fleet;
-pub mod fork_smoke;
 pub mod io_latency;
 pub mod perf;
 pub mod serving;

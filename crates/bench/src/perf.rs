@@ -1,30 +1,26 @@
 //! `figures perf` — self-benchmark and regression gate of the simulation
 //! engine.
 //!
-//! Runs a fixed mix of scenarios four times over the same grid:
+//! Runs a fixed mix of scenarios three times over the same grid:
 //!
-//! 1. **ticked sequential** — `jobs = 1`, tickless off: the baseline cost
-//!    of dispatching every event;
-//! 2. **tickless sequential** — `jobs = 1`, tickless fast-forward on: what
-//!    event elision alone buys;
-//! 3. **tickless parallel** — `opts.jobs` workers on the persistent pool,
-//!    tickless on: the configuration `figures --tickless --jobs N` runs;
-//! 4. **forked** — tickless parallel again, but the grid's repeated cells
-//!    share one warmup each: every distinct `(scenario, seed)` runs to a
-//!    fixed virtual time once, is snapshotted, and the repeats resume from
-//!    the [`irs_core::Snapshot`] instead of re-simulating the prefix.
+//! 1. **ticked sequential** — `jobs = 1`: the baseline cost of
+//!    dispatching every event;
+//! 2. **parallel** — `opts.jobs` workers on the persistent pool: the
+//!    configuration `figures --jobs N` runs;
+//! 3. **forked** — parallel again, but the grid's repeated cells share
+//!    one warmup each: every distinct `(scenario, seed)` runs to a fixed
+//!    virtual time once, is snapshotted, and the repeats resume from the
+//!    [`irs_core::Snapshot`] instead of re-simulating the prefix.
 //!
-//! The engine is deterministic, tickless is a pure wall-clock
-//! optimisation, and snapshot forking is bit-exact, so all four passes
-//! must produce bit-identical results — the harness asserts it (`Debug`
-//! rendering, which is shortest-roundtrip for every float) before
-//! reporting. The headline `speedup` is ticked-sequential over
-//! tickless-parallel: the combined win of both engine optimisations,
-//! which is also what the `--check-perf` regression gate holds at
-//! ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes cannot promise
-//! thread-level scaling — the true ratio there sits at ~1.0 — but
-//! elision + pool must never make the engine *materially slower* than
-//! the naive baseline).
+//! The engine is deterministic and snapshot forking is bit-exact, so all
+//! three passes must produce bit-identical results — the harness asserts
+//! it (`Debug` rendering, which is shortest-roundtrip for every float)
+//! before reporting. The headline `speedup` is sequential over parallel:
+//! what the worker pool buys, which is also what the `--check-perf`
+//! regression gate holds at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes
+//! cannot promise thread-level scaling — the true ratio there sits at
+//! ~1.0 — but the pool must never make the engine *materially slower*
+//! than the sequential baseline).
 //!
 //! An untimed warm-up pass runs first and doubles as a probe: the mix is
 //! repeated enough times that each timed pass lasts at least
@@ -40,7 +36,7 @@
 //! used to fail on commits that touched no engine code at all.
 //!
 //! The report serializes to `BENCH_runner.json` (per-phase walls,
-//! speedups, `tickless_events_saved`, `fork_warmup_saved`);
+//! speedups, `fork_warmup_saved`);
 //! `scripts/verify.sh` fills in the trailing `verify_wall_s` field.
 //! `figures perf` also appends one line per invocation to
 //! `BENCH_history.jsonl` for trend tracking.
@@ -55,25 +51,19 @@ use std::time::Instant;
 pub struct PerfReport {
     /// Independent simulation runs in the timed grid.
     pub runs: usize,
-    /// Discrete events processed across the grid (identical in all three
-    /// passes — elided events still count).
+    /// Discrete events processed across the grid (identical in every
+    /// pass: a forked branch's count includes its shared warmup prefix).
     pub events: u64,
     /// Wall-clock of the ticked sequential pass, seconds.
     pub ticked_wall_s: f64,
-    /// Wall-clock of the tickless sequential pass, seconds.
-    pub tickless_wall_s: f64,
-    /// Wall-clock of the tickless parallel pass, seconds.
+    /// Wall-clock of the parallel pass, seconds.
     pub parallel_wall_s: f64,
-    /// Wall-clock of the forked pass (tickless parallel with per-cell
-    /// shared warmups), seconds. Excludes the warmup/snapshot prologue —
-    /// that is the cost the sharing pays once, not per branch.
+    /// Wall-clock of the forked pass (parallel with per-cell shared
+    /// warmups), seconds. Excludes the warmup/snapshot prologue — that is
+    /// the cost the sharing pays once, not per branch.
     pub forked_wall_s: f64,
     /// Worker count the parallel and forked passes ran with.
     pub parallel_jobs: usize,
-    /// Events elided by tickless fast-forward across the grid (counted
-    /// during the tickless sequential pass; the parallel pass elides the
-    /// same events).
-    pub tickless_events_saved: u64,
     /// Events the forked pass avoided re-executing: per distinct cell,
     /// warmup events × (repeats − 1). Zero when the grid has no repeats
     /// (nothing to share).
@@ -90,32 +80,19 @@ impl PerfReport {
         self.events as f64 / self.ticked_wall_s.max(1e-9)
     }
 
-    /// Tickless parallel throughput in simulation events per second.
+    /// Parallel throughput in simulation events per second.
     pub fn parallel_events_per_sec(&self) -> f64 {
         self.events as f64 / self.parallel_wall_s.max(1e-9)
     }
 
-    /// What tickless fast-forward alone buys: ticked over tickless
-    /// wall-clock, both sequential.
-    pub fn tickless_speedup(&self) -> f64 {
-        self.ticked_wall_s / self.tickless_wall_s.max(1e-9)
-    }
-
-    /// What the worker pool alone buys: tickless sequential over tickless
-    /// parallel wall-clock.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.tickless_wall_s / self.parallel_wall_s.max(1e-9)
-    }
-
-    /// The headline: ticked sequential over tickless parallel — the
-    /// combined benefit of elision and the pool, and what `--check-perf`
-    /// gates on.
+    /// The headline: ticked sequential over parallel wall-clock — what
+    /// the worker pool buys, and what `--check-perf` gates on.
     pub fn speedup(&self) -> f64 {
         self.ticked_wall_s / self.parallel_wall_s.max(1e-9)
     }
 
     /// What warmup sharing buys on top of the parallel configuration:
-    /// tickless parallel over forked wall-clock.
+    /// parallel over forked wall-clock.
     pub fn forked_speedup(&self) -> f64 {
         self.parallel_wall_s / self.forked_wall_s.max(1e-9)
     }
@@ -127,21 +104,14 @@ impl PerfReport {
         self.events as f64 / self.forked_wall_s.max(1e-9)
     }
 
-    /// Fraction of all events the tickless passes elided.
-    pub fn saved_frac(&self) -> f64 {
-        self.tickless_events_saved as f64 / (self.events.max(1)) as f64
-    }
-
     /// The `BENCH_runner.json` payload. `verify_wall_s` is emitted null;
     /// `scripts/verify.sh` substitutes the measured value.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"runs\": {},\n  \"events\": {},\n  \"ticked_wall_s\": {:.6},\n  \
-             \"tickless_wall_s\": {:.6},\n  \"parallel_wall_s\": {:.6},\n  \
+             \"parallel_wall_s\": {:.6},\n  \
              \"forked_wall_s\": {:.6},\n  \"parallel_jobs\": {},\n  \"speedup\": {:.3},\n  \
-             \"tickless_speedup\": {:.3},\n  \"parallel_speedup\": {:.3},\n  \
              \"forked_speedup\": {:.3},\n  \
-             \"tickless_events_saved\": {},\n  \"tickless_saved_frac\": {:.4},\n  \
              \"fork_warmup_saved\": {},\n  \
              \"ticked_events_per_sec\": {:.0},\n  \"parallel_events_per_sec\": {:.0},\n  \
              \"forked_events_per_sec\": {:.0},\n  \
@@ -149,16 +119,11 @@ impl PerfReport {
             self.runs,
             self.events,
             self.ticked_wall_s,
-            self.tickless_wall_s,
             self.parallel_wall_s,
             self.forked_wall_s,
             self.parallel_jobs,
             self.speedup(),
-            self.tickless_speedup(),
-            self.parallel_speedup(),
             self.forked_speedup(),
-            self.tickless_events_saved,
-            self.saved_frac(),
             self.fork_warmup_saved,
             self.ticked_events_per_sec(),
             self.parallel_events_per_sec(),
@@ -168,39 +133,33 @@ impl PerfReport {
     }
 
     /// The `BENCH_history.jsonl` records for one invocation: one line per
-    /// measured phase, each self-describing via `phase` / `tickless` /
-    /// `jobs` / `cores` / `timestamp`. Earlier history lines carried only
-    /// the parallel-phase throughput, which made two entries for the same
-    /// commit (e.g. a ticked and a tickless invocation) indistinguishable;
-    /// `--check-perf` ratchets each phase against matching records only.
+    /// measured phase, each self-describing via `phase` / `jobs` / `cores`
+    /// / `timestamp`; `--check-perf` ratchets each phase against matching
+    /// records only.
     /// `cores` is the recording host's core count ([`host_cores`]): a
     /// throughput measured on a multi-core box must never become the
     /// ratchet baseline for a 1-core container, or vice versa.
     pub fn to_history_lines(&self, commit: &str, timestamp: u64, cores: usize) -> String {
-        let head = |phase: &str, tickless: bool, jobs: usize| {
+        let head = |phase: &str, jobs: usize| {
             format!(
                 "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \
-                 \"phase\": \"{phase}\", \"tickless\": {tickless}, \"jobs\": {jobs}, \
-                 \"cores\": {cores}"
+                 \"phase\": \"{phase}\", \"jobs\": {jobs}, \"cores\": {cores}"
             )
         };
         format!(
             "{}, \"events_per_sec\": {:.0}}}\n\
-             {}, \"events_per_sec\": {:.0}}}\n\
              {}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}\n\
              {}, \"events_per_sec\": {:.0}, \"fork_warmup_saved\": {}}}\n\
              {}, \"ops_per_sec\": {:.0}}}\n",
-            head("ticked", false, 1),
+            head("ticked", 1),
             self.ticked_events_per_sec(),
-            head("tickless", true, 1),
-            self.events as f64 / self.tickless_wall_s.max(1e-9),
-            head("parallel", true, self.parallel_jobs),
+            head("parallel", self.parallel_jobs),
             self.parallel_events_per_sec(),
             self.speedup(),
-            head("forked", true, self.parallel_jobs),
+            head("forked", self.parallel_jobs),
             self.forked_events_per_sec(),
             self.fork_warmup_saved,
-            head("queue", false, 1),
+            head("queue", 1),
             self.queue_ops_per_sec,
         )
     }
@@ -210,16 +169,16 @@ impl PerfReport {
     /// `BENCH_history.jsonl` content (pre-append), used to *ratchet*: each
     /// phase's current throughput must stay above [`RATCHET_FRAC`] of the
     /// best history record with the **matching configuration** (same
-    /// phase, tickless flag, worker count, and host core count) — records
-    /// from other configurations, legacy lines without a `phase` or
-    /// `cores` field, and records whose `tickless` / `jobs` / `cores` /
-    /// metric fields are malformed (a quoted bool, a non-numeric count, a
-    /// truncated line from an interrupted append) are ignored rather than
-    /// matched by accident: a corrupt record must never be able to fail —
-    /// or pass — the gate. The loose fraction absorbs the ±30% wall-clock
-    /// noise of shared CI boxes while still catching structural
-    /// regressions (a heap-class queue would land at ~15% of the wheel's
-    /// ops/s).
+    /// phase, worker count, and host core count, and every event
+    /// dispatched — see [`dispatched_every_event`]) — records from other
+    /// configurations, legacy lines without a `phase` or `cores` field,
+    /// and records whose `jobs` / `cores` / metric fields are malformed (a
+    /// quoted count, a non-numeric value, a truncated line from an
+    /// interrupted append) are ignored rather than matched by accident: a
+    /// corrupt record must never be able to fail — or pass — the gate. The
+    /// loose fraction absorbs the ±30% wall-clock noise of shared CI boxes
+    /// while still catching structural regressions (a heap-class queue
+    /// would land at ~15% of the wheel's ops/s).
     pub fn check_perf(&self, history: &str) -> Vec<String> {
         self.check_perf_at(history, host_cores())
     }
@@ -231,9 +190,8 @@ impl PerfReport {
         let mut failures = Vec::new();
         if self.speedup() < SPEEDUP_FLOOR {
             failures.push(format!(
-                "combined speedup {:.3} < {SPEEDUP_FLOOR} (tickless fast-forward + {} \
-                 workers must not run materially slower than the ticked sequential \
-                 baseline)",
+                "speedup {:.3} < {SPEEDUP_FLOOR} ({} workers must not run materially \
+                 slower than the ticked sequential baseline)",
                 self.speedup(),
                 self.parallel_jobs,
             ));
@@ -245,37 +203,28 @@ impl PerfReport {
                 self.queue_ops_per_sec, QUEUE_OPS_FLOOR,
             ));
         }
-        let phases: [(&str, bool, usize, f64, &str); 5] = [
-            ("ticked", false, 1, self.ticked_events_per_sec(), "events_per_sec"),
-            (
-                "tickless",
-                true,
-                1,
-                self.events as f64 / self.tickless_wall_s.max(1e-9),
-                "events_per_sec",
-            ),
+        let phases: [(&str, usize, f64, &str); 4] = [
+            ("ticked", 1, self.ticked_events_per_sec(), "events_per_sec"),
             (
                 "parallel",
-                true,
                 self.parallel_jobs,
                 self.parallel_events_per_sec(),
                 "events_per_sec",
             ),
             (
                 "forked",
-                true,
                 self.parallel_jobs,
                 self.forked_events_per_sec(),
                 "events_per_sec",
             ),
-            ("queue", false, 1, self.queue_ops_per_sec, "ops_per_sec"),
+            ("queue", 1, self.queue_ops_per_sec, "ops_per_sec"),
         ];
-        for (phase, tickless, jobs, current, metric) in phases {
+        for (phase, jobs, current, metric) in phases {
             let best = history
                 .lines()
                 .filter(|l| {
                     json_str_field(l, "phase").as_deref() == Some(phase)
-                        && json_bool_field(l, "tickless") == Some(tickless)
+                        && dispatched_every_event(l)
                         && json_usize_field(l, "jobs") == Some(jobs)
                         && json_usize_field(l, "cores") == Some(cores)
                 })
@@ -288,7 +237,7 @@ impl PerfReport {
             if best.is_finite() && current < RATCHET_FRAC * best {
                 failures.push(format!(
                     "{phase} phase ratchet: {current:.0} {metric} is below {:.0}% of the \
-                     best matching record ({best:.0}; tickless={tickless}, jobs={jobs})",
+                     best matching record ({best:.0}; jobs={jobs})",
                     RATCHET_FRAC * 100.0,
                 ));
             }
@@ -301,8 +250,7 @@ impl PerfReport {
         format!(
             "engine self-benchmark ({} runs, {} events)\n\
              \u{20} ticked  seq: {:>8.3} s  ({:.0} events/s)\n\
-             \u{20} tickless seq: {:>7.3} s  ({:.2}x, {} events elided = {:.1}%)\n\
-             \u{20} {:>2} workers: {:>8.3} s  ({:.0} events/s, {:.2}x pool, {:.2}x combined)\n\
+             \u{20} {:>2} workers: {:>8.3} s  ({:.0} events/s, {:.2}x over sequential)\n\
              \u{20} forked:      {:>8.3} s  ({:.0} events/s, {:.2}x over parallel, \
              {} warmup events shared)\n\
              \u{20} event queue: {:.2}M ops/s (schedule/cancel/pop churn)\n",
@@ -310,14 +258,9 @@ impl PerfReport {
             self.events,
             self.ticked_wall_s,
             self.ticked_events_per_sec(),
-            self.tickless_wall_s,
-            self.tickless_speedup(),
-            self.tickless_events_saved,
-            100.0 * self.saved_frac(),
             self.parallel_jobs,
             self.parallel_wall_s,
             self.parallel_events_per_sec(),
-            self.parallel_speedup(),
             self.speedup(),
             self.forked_wall_s,
             self.forked_events_per_sec(),
@@ -370,14 +313,13 @@ const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 /// below this fraction of the best matching history record.
 const RATCHET_FRAC: f64 = 0.5;
 
-/// Floor on the combined (ticked-sequential over tickless-parallel)
-/// speedup. On a 1-core CI box the pool's overhead roughly cancels the
-/// elision win, so the *true* ratio sits at ~1.0 and a hard `>= 1.0`
-/// gate is a coin flip — the main historical source of `--check-perf`
-/// false failures. The band absorbs that measurement noise (same idiom
-/// as the chaos campaign's 1.15 degradation margin) while still
-/// catching structural regressions, which land far below it: a broken
-/// elision path or a serialized pool halves throughput, it doesn't
+/// Floor on the sequential-over-parallel speedup. On a 1-core CI box
+/// the pool has no second core to use, so the *true* ratio sits at ~1.0
+/// and a hard `>= 1.0` gate is a coin flip — the main historical source
+/// of `--check-perf` false failures. The band absorbs that measurement
+/// noise (same idiom as the chaos campaign's 1.15 degradation margin)
+/// while still catching structural regressions, which land far below
+/// it: a serialized or thrashing pool halves throughput, it doesn't
 /// shave 10%. The per-phase history ratchet and the queue floor remain
 /// the precise instruments.
 const SPEEDUP_FLOOR: f64 = 0.85;
@@ -420,15 +362,17 @@ pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
     Some(raw.trim_matches('"').to_string())
 }
 
-/// Strictly-parsed JSON boolean: only the bare literals `true` / `false`
-/// count. A quoted `"true"`, a `1`, or a truncated token is `None` — the
-/// ratchet must skip such a record, not guess at it.
-pub(crate) fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    match json_raw_field(line, key)?.as_str() {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
+/// True when a history record measured the engine as it runs today,
+/// dispatching every event: its `tickless` field is absent (current
+/// records) or the bare literal `false`. Older records taken with event
+/// elision on (`"tickless": true`) measured a different engine, and a
+/// malformed flag (a quoted `"true"`, a `1`, a truncated token) is
+/// skipped rather than guessed at, so neither can set a ratchet baseline.
+pub(crate) fn dispatched_every_event(line: &str) -> bool {
+    matches!(
+        json_raw_field(line, "tickless").as_deref(),
+        None | Some("false")
+    )
 }
 
 /// Strictly-parsed JSON unsigned integer: bare ASCII digits only. Rejects
@@ -464,7 +408,7 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 /// refills), well short of any run's completion.
 const FORK_WARMUP: SimTime = SimTime::from_millis(50);
 
-/// Times the grid in all four configurations and returns the combined
+/// Times the grid in all three configurations and returns the combined
 /// report. `opts.seeds` seeds per mix entry; the whole mix is then
 /// repeated (identically — the engine is deterministic) until a timed
 /// pass is expected to take at least [`MIN_TIMED_WALL_S`] and the grid
@@ -494,36 +438,15 @@ pub fn perf(opts: Opts) -> PerfReport {
     let repeat_for_grid = MIN_GRID_RUNS.div_ceil(base_runs);
     let runs = base_runs * repeat_for_wall.max(repeat_for_grid).clamp(1, 4096);
 
-    // Phase 1: ticked sequential (the pre-tickless baseline).
-    irs_core::set_tickless_enabled(false);
-    let _ = irs_core::take_tickless_events_saved();
+    // Phase 1: ticked sequential.
     let (ticked, ticked_wall_s) = best_of(|| parallel::ordered_map(1, runs, job));
     let events: u64 = ticked.iter().map(|r| r.events).sum();
 
-    // Phase 2: tickless sequential — same grid, fast-forward armed. The
-    // elision counter is drained per pass (it is process-global) and the
-    // first pass's reading reported; determinism makes every pass elide
-    // the identical set.
-    irs_core::set_tickless_enabled(true);
-    let mut tickless_events_saved = 0u64;
-    let (tickless, tickless_wall_s) = best_of(|| {
-        let r = parallel::ordered_map(1, runs, job);
-        let saved = irs_core::take_tickless_events_saved();
-        if tickless_events_saved == 0 {
-            tickless_events_saved = saved;
-        }
-        r
-    });
-
-    // Phase 3: tickless parallel on the persistent pool.
+    // Phase 2: parallel on the persistent pool.
     let parallel_jobs = parallel::resolve_jobs(opts.jobs);
-    let (par, parallel_wall_s) = best_of(|| {
-        let r = parallel::ordered_map(parallel_jobs, runs, job);
-        let _ = irs_core::take_tickless_events_saved();
-        r
-    });
+    let (par, parallel_wall_s) = best_of(|| parallel::ordered_map(parallel_jobs, runs, job));
 
-    // Phase 4: forked — each distinct cell runs its warmup prefix once
+    // Phase 3: forked — each distinct cell runs its warmup prefix once
     // (untimed, like the probe: it is paid once per campaign, not per
     // branch), and every grid slot resumes from its cell's snapshot.
     // `job` maps slot i to cell i % base_runs, so slot-for-slot identity
@@ -539,22 +462,14 @@ pub fn perf(opts: Opts) -> PerfReport {
         .map(|s| s.events_processed().saturating_mul(repeats.saturating_sub(1)))
         .sum();
     let (forked, forked_wall_s) = best_of(|| {
-        let r = parallel::ordered_map(parallel_jobs, runs, |i| snaps[i % base_runs].resume().run());
-        let _ = irs_core::take_tickless_events_saved();
-        r
+        parallel::ordered_map(parallel_jobs, runs, |i| snaps[i % base_runs].resume().run())
     });
-    irs_core::set_tickless_enabled(false);
 
     // The determinism contract, asserted over the full result surface:
     // every float, counter, and latency sample must agree across all
-    // four configurations.
+    // three configurations.
     assert_eq!(
         format!("{ticked:?}"),
-        format!("{tickless:?}"),
-        "tickless pass diverged from the ticked baseline"
-    );
-    assert_eq!(
-        format!("{tickless:?}"),
         format!("{par:?}"),
         "parallel pass diverged from sequential"
     );
@@ -568,11 +483,9 @@ pub fn perf(opts: Opts) -> PerfReport {
         runs,
         events,
         ticked_wall_s,
-        tickless_wall_s,
         parallel_wall_s,
         forked_wall_s,
         parallel_jobs,
-        tickless_events_saved,
         fork_warmup_saved,
         queue_ops_per_sec: queue_ops,
     }
@@ -584,8 +497,8 @@ pub fn perf(opts: Opts) -> PerfReport {
 const QUEUE_BENCH_POPULATION: usize = 512;
 
 /// Micro-benchmark of [`EventQueue`]: interleaved schedule / cancel / pop
-/// shaped like the simulator's own timer churn, which the tickless data
-/// pinned down as 83–88% short periodic timers. Every event is armed
+/// shaped like the simulator's own timer churn, measured at 83–88% short
+/// periodic timers. Every event is armed
 /// *relative to the advancing clock*: 85% are ~1 ms beats (`HvTick`,
 /// guest CFS ticks, jittered ±10%), the rest are golden-ratio scattered
 /// over 1 µs..34 ms (PLE windows to slice expiries). Each round also arms
@@ -650,11 +563,9 @@ mod tests {
             runs: 216,
             events: 3456,
             ticked_wall_s: 3.0,
-            tickless_wall_s: 2.0,
             parallel_wall_s: 1.0,
             forked_wall_s: 0.5,
             parallel_jobs: 4,
-            tickless_events_saved: 1000,
             fork_warmup_saved: 2000,
             queue_ops_per_sec: 1e6,
         }
@@ -666,10 +577,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"runs\": 216"));
         assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"tickless_speedup\": 1.500"));
-        assert!(json.contains("\"parallel_speedup\": 2.000"));
         assert!(json.contains("\"forked_speedup\": 2.000"));
-        assert!(json.contains("\"tickless_events_saved\": 1000"));
         assert!(json.contains("\"fork_warmup_saved\": 2000"));
         assert!(json.trim_end().ends_with('}'));
         assert!(json.contains("\"verify_wall_s\": null"));
@@ -684,26 +592,26 @@ mod tests {
     fn history_lines_are_one_json_object_per_phase() {
         let lines = report().to_history_lines("abc1234", 1_700_000_000, 8);
         let parsed: Vec<&str> = lines.lines().collect();
-        assert_eq!(parsed.len(), 5, "one record per measured phase");
+        assert_eq!(parsed.len(), 4, "one record per measured phase");
         for l in &parsed {
             assert!(l.starts_with('{') && l.ends_with('}'));
             assert_eq!(json_str_field(l, "commit").as_deref(), Some("abc1234"));
             assert_eq!(json_raw_field(l, "timestamp").as_deref(), Some("1700000000"));
             assert!(json_str_field(l, "phase").is_some());
-            assert!(json_raw_field(l, "tickless").is_some());
             assert_eq!(json_usize_field(l, "cores"), Some(8));
+            assert!(dispatched_every_event(l));
         }
         // Phase records carry the numbers the ratchet keys on.
         assert!(parsed[0].contains("\"phase\": \"ticked\""));
-        assert!(parsed[0].contains("\"tickless\": false"));
-        assert!(parsed[2].contains("\"phase\": \"parallel\""));
+        assert!(parsed[0].contains("\"jobs\": 1"));
+        assert!(parsed[1].contains("\"phase\": \"parallel\""));
+        assert!(parsed[1].contains("\"jobs\": 4"));
+        assert!(parsed[1].contains("\"speedup\": 3.000"));
+        assert!(parsed[2].contains("\"phase\": \"forked\""));
         assert!(parsed[2].contains("\"jobs\": 4"));
-        assert!(parsed[2].contains("\"speedup\": 3.000"));
-        assert!(parsed[3].contains("\"phase\": \"forked\""));
-        assert!(parsed[3].contains("\"jobs\": 4"));
-        assert!(parsed[3].contains("\"fork_warmup_saved\": 2000"));
-        assert!(parsed[4].contains("\"phase\": \"queue\""));
-        assert!(parsed[4].contains("\"ops_per_sec\": 1000000"));
+        assert!(parsed[2].contains("\"fork_warmup_saved\": 2000"));
+        assert!(parsed[3].contains("\"phase\": \"queue\""));
+        assert!(parsed[3].contains("\"ops_per_sec\": 1000000"));
     }
 
     #[test]
@@ -735,18 +643,33 @@ mod tests {
         // without `cores` must all be ignored.
         let history = "\
             {\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}\n";
+            {\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
+            {\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
+            {\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
+            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}\n";
         let failures = r.check_perf_at(history, 4);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("parallel phase ratchet"));
         // Within tolerance of the matching record -> passes.
-        let close = "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}\n";
+        let close = "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}\n";
         assert!(r.check_perf_at(close, 4).is_empty());
         // The same records never arm the ratchet on a different host.
         assert!(r.check_perf_at(history, 1).is_empty());
+    }
+
+    #[test]
+    fn check_perf_skips_records_taken_with_event_elision() {
+        let mut r = report();
+        r.queue_ops_per_sec = 40.0e6;
+        // Old records carry the retired flag. `false` ran every event, as
+        // the engine does now, so the ticked baseline still arms; `true`
+        // measured elided runs, so the parallel one must not.
+        let history = "\
+            {\"commit\": \"old1\", \"phase\": \"ticked\", \"tickless\": false, \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 99999999}\n\
+            {\"commit\": \"old2\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n";
+        let failures = r.check_perf_at(history, 4);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("ticked phase ratchet"));
     }
 
     #[test]
@@ -759,12 +682,12 @@ mod tests {
         let history = "\
             {\"commit\": \"bad1\", \"phase\": \"parallel\", \"tickless\": \"true\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
             {\"commit\": \"bad2\", \"phase\": \"parallel\", \"tickless\": 1, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad3\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad4\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad5\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad6\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad7\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}\n\
-            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n";
+            {\"commit\": \"bad3\", \"phase\": \"parallel\", \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}\n\
+            {\"commit\": \"bad4\", \"phase\": \"parallel\", \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}\n\
+            {\"commit\": \"bad5\", \"phase\": \"parallel\", \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
+            {\"commit\": \"bad6\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}\n\
+            {\"commit\": \"bad7\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}\n\
+            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n";
         let failures = r.check_perf_at(history, 4);
         assert!(failures.is_empty(), "{failures:?}");
     }
@@ -772,14 +695,11 @@ mod tests {
     #[test]
     fn json_fields_are_anchored_and_strict() {
         // A value containing a key-shaped string must not alias the key.
-        let line = "{\"commit\": \"x \\\"jobs\\\": 99\", \"jobs\": 4, \"tickless\": true}";
+        let line = "{\"commit\": \"x \\\"jobs\\\": 99\", \"jobs\": 4}";
         assert_eq!(json_usize_field(line, "jobs"), Some(4));
-        assert_eq!(json_bool_field(line, "tickless"), Some(true));
         // Substring keys don't alias (`jobs` vs a hypothetical `xjobs`).
         assert_eq!(json_usize_field("{\"xjobs\": 7}", "jobs"), None);
         // Strictness.
-        assert_eq!(json_bool_field("{\"tickless\": \"true\"}", "tickless"), None);
-        assert_eq!(json_bool_field("{\"tickless\": 1}", "tickless"), None);
         assert_eq!(json_usize_field("{\"jobs\": \"4\"}", "jobs"), None);
         assert_eq!(json_usize_field("{\"jobs\": 4.0}", "jobs"), None);
         assert_eq!(json_usize_field("{\"jobs\": }", "jobs"), None);

@@ -186,10 +186,9 @@ pub fn history_line(
 ) -> String {
     format!(
         "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
-         \"tickless\": {}, \"jobs\": {jobs}, \"cores\": {cores}, \
+         \"jobs\": {jobs}, \"cores\": {cores}, \
          \"events_per_sec\": {:.0}, \"runs\": {}, \"requests\": {}}}\n",
         phase(o),
-        irs_core::tickless_enabled(),
         events_per_sec(o),
         o.runs,
         o.requests,
@@ -198,20 +197,20 @@ pub fn history_line(
 
 /// The serving side of `--check-perf`: ratchets the campaign's
 /// events/sec against the best matching history record (same phase,
-/// tickless flag, worker count, and host core count).
+/// worker count, and host core count, skipping records that ran with
+/// event elision — see [`crate::perf::dispatched_every_event`]).
 pub fn check_serving_perf(
     o: &ServingOutcome,
     history: &str,
     jobs: usize,
     cores: usize,
 ) -> Vec<String> {
-    let tickless = irs_core::tickless_enabled();
     let current = events_per_sec(o);
     let best = history
         .lines()
         .filter(|l| {
             json_str_field(l, "phase").as_deref() == Some(phase(o))
-                && crate::perf::json_bool_field(l, "tickless") == Some(tickless)
+                && crate::perf::dispatched_every_event(l)
                 && json_usize_field(l, "jobs") == Some(jobs)
                 && json_usize_field(l, "cores") == Some(cores)
         })
@@ -224,7 +223,7 @@ pub fn check_serving_perf(
     if best.is_finite() && current < RATCHET_FRAC * best {
         vec![format!(
             "{} phase ratchet: {current:.0} events_per_sec is below {:.0}% of the best \
-             matching record ({best:.0}; tickless={tickless}, jobs={jobs}, cores={cores})",
+             matching record ({best:.0}; jobs={jobs}, cores={cores})",
             phase(o),
             RATCHET_FRAC * 100.0,
         )]
@@ -262,9 +261,9 @@ mod tests {
     #[test]
     fn serving_ratchet_matches_config_and_fires() {
         let o = outcome(false);
-        let good = "{\"phase\": \"serving\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
+        let good = "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
         assert!(check_serving_perf(&o, good, 2, 4).is_empty());
-        let fast = "{\"phase\": \"serving\", \"tickless\": false, \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
+        let fast = "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
         let failures = check_serving_perf(&o, fast, 2, 4);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("serving phase ratchet"));

@@ -77,7 +77,4 @@ pub use faults::{FaultConfig, FaultStats};
 pub use results::{RunResult, VmResult};
 pub use scenario::{Scenario, VmScenario};
 pub use strategy::Strategy;
-pub use system::{
-    set_tickless_enabled, take_tickless_events_saved, tickless_enabled, Snapshot, System,
-    SystemConfig,
-};
+pub use system::{Snapshot, System, SystemConfig};

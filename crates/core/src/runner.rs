@@ -87,41 +87,18 @@ pub fn grid_mean_makespans(
         .collect()
 }
 
-/// One warmup, many branches: builds the scenario, runs it to `warmup`
-/// virtual time once, snapshots, and completes `branches` forked copies
-/// through the worker pool (`jobs` as in [`run_seeds_jobs`]; `0` = process
-/// default).
+/// One warmup per group, many branches: group `g` (of
+/// `group_sizes.len()`) is built from `make(g)`, run to `warmup` virtual
+/// time once, snapshotted, and branched into `group_sizes[g]` forked
+/// completions (`jobs` as in [`run_seeds_jobs`]; `0` = process default).
 ///
 /// Every branch is bit-identical to a from-scratch run of the same
 /// `(scenario, cfg)` pair — the [`crate::Snapshot`] determinism contract —
-/// so this is the primitive for campaigns whose grid repeats a cell: pay
-/// the shared warmup prefix once instead of once per repeat. Returns the
-/// per-branch results plus the number of events the sharing avoided
-/// re-executing (`warmup events × (branches − 1)`).
-///
-/// A `warmup` past the run's completion is harmless: the snapshot is then
-/// of the finished state and branches return immediately (still
-/// bit-identical — [`System::run`] re-checks completion before stepping).
-pub fn run_forked(
-    scenario: Scenario,
-    cfg: SystemConfig,
-    warmup: SimTime,
-    branches: usize,
-    jobs: usize,
-) -> (Vec<RunResult>, u64) {
-    let mut sys = System::with_config(scenario, cfg);
-    sys.run_until(warmup);
-    let snap = sys.snapshot();
-    let saved = snap
-        .events_processed()
-        .saturating_mul(branches.saturating_sub(1) as u64);
-    let results = parallel::ordered_map(jobs, branches, |_| snap.resume().run());
-    (results, saved)
-}
-
-/// [`run_forked`] generalized to a whole grid of scenario groups: group
-/// `g` (of `group_sizes.len()`) is warmed up once from `make(g)` and
-/// branched into `group_sizes[g]` forked completions.
+/// so a campaign whose grid repeats a cell pays the shared warmup prefix
+/// once instead of once per repeat. A `warmup` past the run's completion
+/// is harmless: the snapshot is then of the finished state and branches
+/// return immediately ([`System::run`] re-checks completion before
+/// stepping).
 ///
 /// Both the warmups and the branches fan out through the worker pool in
 /// one canonical order each (group-major), so results are bit-identical
@@ -327,7 +304,7 @@ pub struct CachedGrid {
 /// least the cached warmup snapshot). `warmup = None` disables the
 /// snapshot layer: misses run from scratch and only results are cached.
 ///
-/// Keys must be unique within one call, and — like [`run_forked`] — the
+/// Keys must be unique within one call, and — like [`run_forked_grid`] — the
 /// shared-result shortcut is sound because branches of one snapshot are
 /// bit-identical to from-scratch runs: reuse is invisible in the results.
 pub fn run_forked_grid_cached<F>(
@@ -544,16 +521,19 @@ mod tests {
     #[test]
     fn forked_branches_match_scratch() {
         let scratch = quick(3).run();
-        let (branches, saved) = run_forked(
-            quick(3),
-            SystemConfig::default(),
-            SimTime::from_millis(50),
-            3,
+        let (grouped, saved) = run_forked_grid(
             2,
+            SimTime::from_millis(50),
+            &SystemConfig::default(),
+            &[3],
+            |_| quick(3),
         );
+        let [branches] = &grouped[..] else {
+            panic!("one group in, {} groups out", grouped.len());
+        };
         assert_eq!(branches.len(), 3);
         assert!(saved > 0, "a 50 ms warmup must have processed events");
-        for b in &branches {
+        for b in branches {
             assert_eq!(format!("{b:?}"), format!("{scratch:?}"));
         }
     }

@@ -57,15 +57,6 @@ pub struct SystemConfig {
     /// forked from the scenario seed, so a given `(scenario, faults)`
     /// pair is bit-reproducible regardless of checking or parallelism.
     pub faults: Option<crate::faults::FaultConfig>,
-    /// Tickless fast-forward: elide provably no-op events (quiescent
-    /// hypervisor ticks/accounting passes, generation-stale timers) from
-    /// the dispatch loop instead of paying full dispatch for them. Results
-    /// are bit-identical either way — elided events still count toward
-    /// [`RunResult::events`], periodic timers re-arm exactly as their
-    /// handlers would, and fault-stream draws are replayed — so this is a
-    /// pure wall-clock optimisation. Also enabled process-wide by
-    /// [`set_tickless_enabled`] (how `figures --tickless` arms a sweep).
-    pub tickless: bool,
     /// Rolling-checkpoint period for sanitizer replay: when set, the run
     /// takes a [`Snapshot`] every `period` of virtual time, and an
     /// invariant violation re-runs the window from the last checkpoint
@@ -77,37 +68,9 @@ pub struct SystemConfig {
     pub checkpoint_period: Option<SimTime>,
 }
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 /// Fixed salt separating the open-loop arrival streams from the workload
 /// RNG (both are forked from the scenario seed).
 const ARRIVAL_STREAM_SALT: u64 = 0x6f70_656e_5f6c_6f6f; // "open_loo"
-
-/// Process-wide tickless switch (see [`set_tickless_enabled`]).
-static TICKLESS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Events elided by tickless fast-forward, process-wide, since the last
-/// [`take_tickless_events_saved`]. Flushed once per completed run.
-static TICKLESS_SAVED: AtomicU64 = AtomicU64::new(0);
-
-/// Enables or disables tickless fast-forward for every [`System`] built
-/// afterwards, regardless of its [`SystemConfig`] — the same pattern as
-/// [`crate::check::set_check_enabled`], so `figures --tickless` covers a
-/// whole experiment sweep without threading a flag through every call site.
-pub fn set_tickless_enabled(enabled: bool) {
-    TICKLESS_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the process-wide tickless switch is on.
-pub fn tickless_enabled() -> bool {
-    TICKLESS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Returns the number of events elided by tickless fast-forward since the
-/// previous call, resetting the counter (process-wide, across threads).
-pub fn take_tickless_events_saved() -> u64 {
-    TICKLESS_SAVED.swap(0, Ordering::Relaxed)
-}
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -119,7 +82,6 @@ impl Default for SystemConfig {
             pv_spin: None,
             check: false,
             faults: None,
-            tickless: false,
             checkpoint_period: None,
         }
     }
@@ -145,13 +107,6 @@ pub struct System {
     armed_epoch: Option<u64>,
     stopped: bool,
     events_processed: u64,
-    /// Tickless fast-forward armed (config or process-wide switch), and
-    /// not strict co-scheduling (whose rotate epilogue keys off *every*
-    /// processed event, so no event is provably a no-op there).
-    tickless: bool,
-    /// Events elided by fast-forward this run (flushed to the process-wide
-    /// counter on completion; they still count in `events_processed`).
-    elided: u64,
     trace: irs_sim::trace::TraceRing,
     /// Whether any trace ring is armed (guest clocks need syncing).
     trace_on: bool,
@@ -271,8 +226,8 @@ impl System {
             }
             // Arrival processes draw from their own streams, forked from
             // the scenario seed with a fixed per-(vm, arrival) salt:
-            // decorrelated from the workload RNG and untouched by `--jobs`
-            // or tickless, so arrival schedules are bit-reproducible.
+            // decorrelated from the workload RNG and untouched by `--jobs`,
+            // so arrival schedules are bit-reproducible.
             for i in 0..bundle.space.n_arrivals() {
                 let mut parent = SimRng::seed_from(scenario.seed ^ ARRIVAL_STREAM_SALT);
                 let child = parent.fork(((vm_index as u64) << 32) | i as u64);
@@ -350,7 +305,6 @@ impl System {
             let counts: Vec<usize> = domains.iter().map(|d| d.os.n_vcpus()).collect();
             crate::faults::FaultState::new(f, scenario.seed, &counts)
         });
-        let tickless = (cfg.tickless || tickless_enabled()) && !hv.is_gang_mode();
         let mut sys = System {
             cfg,
             strategy,
@@ -364,8 +318,6 @@ impl System {
             armed_epoch: None,
             stopped: false,
             events_processed: 0,
-            tickless,
-            elided: 0,
             trace,
             trace_on: ring_cap > 0,
             checker: None,
@@ -452,10 +404,6 @@ impl System {
     /// order, so branches stay bit-identical to from-scratch runs at any
     /// boundary. Returns `false` once the run is already complete (horizon,
     /// measured workloads done, or queue exhausted).
-    ///
-    /// Under tickless fast-forward the warmup may overshoot `until` by
-    /// whatever the elision loop coalesces; that only moves the (arbitrary)
-    /// snapshot boundary, never the results.
     pub fn run_until(&mut self, until: SimTime) -> bool {
         while !self.stopped && !self.measurement_done() {
             match self.queue.peek_time() {
@@ -485,9 +433,6 @@ impl System {
                 self.last_checkpoint = Some(Box::new(self.snapshot()));
                 self.next_checkpoint_at = self.now + period;
             }
-        }
-        if self.tickless {
-            self.fast_forward();
         }
         let Some((t, ev)) = self.queue.pop() else {
             return false;
@@ -540,89 +485,6 @@ impl System {
             self.checker = Some(checker);
         }
         true
-    }
-
-    /// Tickless fast-forward: drain provably no-op events off the queue
-    /// head without paying full dispatch for them.
-    ///
-    /// Every elided event is one whose handler would return having mutated
-    /// nothing (see [`elidable`]), so the trace sync, gang epilogue, slice
-    /// re-arm scan, and sanitizer pass that `step` wraps around dispatch
-    /// are no-ops too. Bit-identity with the ticked path is preserved by
-    /// construction: elided events still count into `events_processed`,
-    /// self-rearming timers are re-scheduled exactly as their handlers
-    /// would (same times, same queue-insertion order, hence identical
-    /// sequence numbers for everything scheduled afterwards), and the
-    /// fault-stream draws a quiescent `HvTick` would make are replayed so
-    /// the RNG stays in lock-step. `self.now` only advances on arms whose
-    /// replay charges time (the quiet guest tick); for pure discards
-    /// nothing between pops reads it, and the next real event sets it just
-    /// as it would have.
-    fn fast_forward(&mut self) {
-        loop {
-            let hv = &self.hv;
-            let domains = &self.domains;
-            let popped = self.queue.pop_if(|t, ev| elidable(hv, domains, t, ev));
-            let Some((t, ev)) = popped else {
-                return;
-            };
-            self.events_processed += 1;
-            assert!(
-                self.events_processed <= self.cfg.max_events,
-                "event safety valve tripped at {} events (now {})",
-                self.events_processed,
-                self.now
-            );
-            debug_assert!(t >= self.now, "time went backwards");
-            self.elided += 1;
-            match ev {
-                Event::HvTick => {
-                    // A quiescent tick still advances the degradation
-                    // fault stream: the ticked path draws once per
-                    // degraded pCPU unconditionally (and every draw loses
-                    // the `force_preempt` race on an idle machine), so
-                    // replay the draws to keep the RNG in lock-step.
-                    if let Some(f) = self.faults.as_mut() {
-                        let k = f.config().degraded_pcpus.min(self.hv.n_pcpus());
-                        for _ in 0..k {
-                            let _ = f.degrade_hit();
-                        }
-                    }
-                    let next = t + self.hv.config().tick_period;
-                    self.queue.schedule(next, Event::HvTick);
-                }
-                Event::HvAccounting => {
-                    let next = t + self.hv.config().accounting_period;
-                    self.queue.schedule(next, Event::HvAccounting);
-                }
-                // A *live* quiet tick (see `GuestOs::tick_is_quiet`) is the
-                // coalesced-timer catch-up: replay exactly the state
-                // `on_guest_tick` would touch — last-tick stamp, runtime
-                // charge at the tick instant, the per-vCPU steal EWMA fold
-                // (iterated per tick, never closed-form: the 0.5-decay must
-                // hit the same float sequence), the kernel tick count — and
-                // re-arm the next tick under the same generation. The
-                // skipped parts (action dispatch, SA ack, trace sync, slice
-                // re-arm scan, sanitizer pass) are provably empty for a
-                // quiet tick. Stale ticks (generation mismatch) fall through
-                // to the pure-discard arm below.
-                Event::GuestTick { vm, vcpu, gen }
-                    if self.domains[vm].tick_gen[vcpu] == gen =>
-                {
-                    self.now = t; // sync_exec / steal_fold charge to `now`
-                    self.domains[vm].last_tick[vcpu] = t;
-                    self.sync_exec(vm, vcpu);
-                    self.steal_fold(vm);
-                    self.domains[vm].os.note_quiet_tick(vcpu);
-                    let period = self.domains[vm].os.config().tick_period;
-                    self.queue
-                        .schedule(t + period, Event::GuestTick { vm, vcpu, gen });
-                }
-                // Everything else elidable is a one-shot stale timer: its
-                // handler would discard it without re-arming anything.
-                _ => {}
-            }
-        }
     }
 
     /// Current virtual time.
@@ -826,8 +688,6 @@ impl System {
             armed_epoch: self.armed_epoch,
             stopped: self.stopped,
             events_processed: self.events_processed,
-            tickless: self.tickless,
-            elided: self.elided,
             trace: self.trace.clone(),
             trace_on: self.trace_on,
             checking: self.checker.is_some(),
@@ -852,8 +712,8 @@ impl System {
         (0..n).map(|_| snap.resume()).collect()
     }
 
-    /// Events processed so far, including tickless-elided ones (matches
-    /// [`RunResult::events`] at completion).
+    /// Events processed so far (matches [`RunResult::events`] at
+    /// completion).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -1489,9 +1349,7 @@ impl System {
     /// `runstate_epoch` is unchanged, so every state byte is the same) and
     /// `now` is still inside every tracker's quiescent window (so each
     /// recomputed `steal_frac` would be the unchanged `ewma` the cache
-    /// already holds). Trackers are only mutated here and in
-    /// [`steal_fold`](Self::steal_fold), which invalidates the cache when
-    /// it touches one.
+    /// already holds). Trackers are only mutated here.
     pub(crate) fn fill_views(&mut self, vm: usize) {
         let now = self.now;
         let System { hv, domains, .. } = self;
@@ -1523,36 +1381,11 @@ impl System {
         d.views_deadline = horizon;
     }
 
-    /// The state-mutating half of [`fill_views`](Self::fill_views) alone:
-    /// folds the runstate snapshot into each vCPU's steal EWMA without
-    /// rebuilding `view_buf`. Used by the tickless replay, where the view
-    /// consumer (`os.tick`) is provably skipped — every other `view_buf`
-    /// reader refills immediately before reading, so leaving the buffer
-    /// stale here is unobservable, and the EWMA float sequence (the part
-    /// that must stay bit-identical) is the same either way.
-    pub(crate) fn steal_fold(&mut self, vm: usize) {
-        let now = self.now;
-        let System { hv, domains, .. } = self;
-        let d = &mut domains[vm];
-        let mut touched = false;
-        for (tracker, clock) in d.steal.iter_mut().zip(hv.vm_clocks(irs_xen::VmId(vm))) {
-            if !tracker.quiescent_at(now) {
-                let _ = tracker.update(&clock.info(now));
-                touched = true;
-            }
-        }
-        if touched {
-            // The cached views hold pre-fold EWMA values now.
-            d.views_deadline = SimTime::ZERO;
-        }
-    }
-
     // ==================================================================
     // results
     // ==================================================================
 
     fn into_result(self) -> RunResult {
-        TICKLESS_SAVED.fetch_add(self.elided, Ordering::Relaxed);
         let elapsed = self.now;
         let hv = self.hv.stats().clone();
         let faults = self.faults.as_ref().map(|f| f.stats);
@@ -1619,20 +1452,20 @@ const REPLAY_TRACE_CAP: usize = 4096;
 /// running to completion yields a [`RunResult`] (and
 /// [`FaultStats`](crate::faults::FaultStats)) whose Debug rendering is
 /// byte-for-byte identical to a from-scratch run of the same scenario and
-/// config — at any `--jobs N`, tickless or not, checked or not. That holds
-/// because every order-bearing counter is carried over exactly: the event
-/// queue's sequence counter, slab generations and cursor; the workload and
-/// fault RNG positions; per-vCPU/task generation counters; and the
-/// elided-event count (so `RunResult::events` agrees).
+/// config — at any `--jobs N`, checked or not. That holds because every
+/// order-bearing counter is carried over exactly: the event queue's
+/// sequence counter, slab generations and cursor; the workload and fault
+/// RNG positions; per-vCPU/task generation counters; and the
+/// processed-event count (so `RunResult::events` agrees).
 ///
 /// Deliberately *not* carried: trace-ring contents (a resumed system
-/// starts with empty rings of the same configuration), the sanitizer's
+/// starts with empty rings of the same configuration) and the sanitizer's
 /// rolling state (rebuilt at the resume instant via
-/// [`Checker::new`](crate::check::Checker)), and process-wide bench
-/// counters (`take_tickless_events_saved` keeps counting globally).
+/// [`Checker::new`](crate::check::Checker)).
 ///
 /// `Snapshot` is `Send + Sync`: one warmup snapshot can be resumed
-/// concurrently from many worker threads (`irs_core::runner::run_forked`),
+/// concurrently from many worker threads
+/// (`irs_core::runner::run_forked_grid`),
 /// each branch getting its own independent `System`.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -1648,8 +1481,6 @@ pub struct Snapshot {
     armed_epoch: Option<u64>,
     stopped: bool,
     events_processed: u64,
-    tickless: bool,
-    elided: u64,
     /// Ring configuration only — cloning a `TraceRing` drops its records.
     trace: irs_sim::trace::TraceRing,
     trace_on: bool,
@@ -1747,8 +1578,6 @@ impl Snapshot {
             armed_epoch: self.armed_epoch,
             stopped: self.stopped,
             events_processed: self.events_processed,
-            tickless: self.tickless,
-            elided: self.elided,
             trace,
             trace_on,
             checker: None,
@@ -1775,60 +1604,4 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .map(String::as_str)
         .or_else(|| payload.downcast_ref::<&'static str>().copied())
         .unwrap_or("(non-string panic payload)")
-}
-
-/// Is the queue-head event provably a no-op — one whose handler would
-/// return without mutating hypervisor, guest, domain, queue, trace, fault,
-/// or stats state?
-///
-/// Each arm replicates its handler's early-out guard exactly; anything not
-/// listed (or listed but failing its guard) takes the full dispatch path.
-/// Two classes exist:
-///
-/// * **Quiescent periodic passes** — `HvTick`/`HvAccounting` over an idle
-///   machine, proven by [`Hypervisor::tick_is_noop`] /
-///   [`Hypervisor::accounting_is_noop`]. These re-arm in
-///   [`System::fast_forward`] exactly as their handlers would (the
-///   `HvTick` fault draws are replayed there too).
-/// * **Stale one-shot timers** — a generation/activity guard shows the
-///   handler would discard the event. Conspicuously absent:
-///   `SaAckDeliver`, whose *stale* path is the one with side effects
-///   (`stale_acks_discarded` + a trace record), and `SaProcess` on a
-///   live-but-wedged round, which re-schedules itself.
-fn elidable(hv: &Hypervisor, domains: &[Domain], t: SimTime, ev: &Event) -> bool {
-    match *ev {
-        Event::HvTick => hv.tick_is_noop(t),
-        Event::HvAccounting => hv.accounting_is_noop(),
-        Event::SliceExpiry { pcpu, gen } => hv.dispatch_generation(PcpuId(pcpu)) != gen,
-        Event::GuestTick { vm, vcpu, gen } => {
-            // Stale (the vCPU stopped running since it was armed), or live
-            // but *quiet*: the kernel-side tick body would emit no actions
-            // and mutate nothing beyond its tick count. The live case is
-            // not a pure discard — `fast_forward` replays the tick's
-            // accounting (runtime charge, steal EWMA, tick count, re-arm)
-            // in closed form. This is the arm that pays: guest ticks
-            // dominate the event mix on idle-heavy scenarios.
-            domains[vm].tick_gen[vcpu] != gen || domains[vm].os.tick_is_quiet(vcpu)
-        }
-        Event::TaskStep { vm, task, gen } => domains[vm].task_step_gen[task] != gen,
-        Event::SaProcess { vm, vcpu, gen } | Event::SaTimeout { vm, vcpu, gen } => {
-            let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
-            !hv.is_sa_pending(v) || hv.sa_generation(v) != gen
-        }
-        Event::PleWindow { vm, vcpu, gen } => domains[vm].ple_gen[vcpu] != gen,
-        Event::WakeTimer { vm, task } => {
-            domains[vm].task_activity[task] != crate::domain::Activity::Sleeping
-        }
-        Event::GraceExpire { vm, task, gen } => {
-            domains[vm].task_wait_gen[task] != gen
-                || domains[vm].task_activity[task]
-                    != (crate::domain::Activity::GraceSpin { granted: false })
-        }
-        Event::PvSpinExpire { vm, task, gen } => {
-            domains[vm].task_wait_gen[task] != gen
-                || domains[vm].task_activity[task]
-                    != (crate::domain::Activity::SpinWait { granted: false })
-        }
-        _ => false,
-    }
 }

@@ -1,10 +1,10 @@
 //! Snapshot/fork determinism — the headline contract of `System::snapshot`:
 //! a forked branch must be **bit-identical** (Debug-rendered `RunResult` +
 //! `FaultStats`) to a from-scratch run of the same scenario and config, at
-//! any `--jobs N`, tickless or not, checked or not.
+//! any `--jobs N`, checked or not.
 //!
-//! Comparison is by `Debug` rendering, as in `tickless.rs`: `f64` Debug is
-//! shortest-roundtrip, so equal renderings mean every float is bit-equal.
+//! Comparison is by `Debug` rendering: `f64` Debug is shortest-roundtrip,
+//! so equal renderings mean every float is bit-equal.
 
 use irs_core::{parallel, runner, FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
@@ -17,20 +17,21 @@ fn quick(strategy: Strategy, seed: u64) -> Scenario {
 
 /// Scratch-runs the config, then forks two branches off a 40 ms warmup and
 /// completes them through the worker pool at `--jobs 1` and `--jobs 2`;
-/// every branch (and the warmup system itself) must render identically.
-fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>, tickless: bool) {
+/// every branch (and the warmup system itself) must render identically,
+/// and the warmup must be a non-empty shared prefix.
+fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>) {
     let cfg = SystemConfig {
         faults,
-        tickless,
         ..SystemConfig::default()
     };
-    let label = format!("{strategy:?} faults={} tickless={tickless}", cfg.faults.is_some());
+    let label = format!("{strategy:?} faults={:?}", cfg.faults);
     let scratch = System::with_config(quick(strategy, 11), cfg.clone()).run();
     let want = format!("{scratch:?}");
 
     let mut warm = System::with_config(quick(strategy, 11), cfg);
     warm.run_until(SimTime::from_millis(40));
     let snap = warm.snapshot();
+    assert!(snap.events_processed() > 0, "[{label}] shared an empty warmup");
     for jobs in [1usize, 2] {
         let branches = parallel::ordered_map(jobs, 2, |_| snap.resume().run());
         for b in &branches {
@@ -47,12 +48,13 @@ fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>, tickles
     assert_eq!(format!("{warm_result:?}"), want, "[{label}] warmup finish diverged");
 }
 
-/// The acceptance matrix: 4 strategies × fault profiles × tickless on/off.
-/// Each strategy pairs with the no-faults baseline plus a rotating heavy
-/// profile, so every fault family crosses the snapshot boundary somewhere.
+/// The acceptance matrix: 4 strategies × fault profiles. Every strategy
+/// runs clean, under the chatty `ack_chaos` protocol faults, and under the
+/// `everything` stack; each also pairs with a rotating heavy profile, so
+/// every fault family crosses the snapshot boundary somewhere.
 #[test]
-fn fork_matrix_strategies_faults_tickless() {
-    let profiles = [
+fn fork_matrix_strategies_faults() {
+    let rotating = [
         FaultConfig::everything(),
         FaultConfig::wedged_guest(),
         FaultConfig::ack_chaos(),
@@ -65,18 +67,26 @@ fn fork_matrix_strategies_faults_tickless() {
         Strategy::Irs,
     ];
     for (i, strategy) in strategies.into_iter().enumerate() {
-        for tickless in [false, true] {
-            assert_fork_identity(strategy, None, tickless);
-            assert_fork_identity(strategy, Some(profiles[i].clone()), tickless);
+        let mut profiles = vec![
+            None,
+            Some(FaultConfig::ack_chaos()),
+            Some(FaultConfig::everything()),
+        ];
+        let extra = Some(rotating[i].clone());
+        if !profiles.contains(&extra) {
+            profiles.push(extra);
+        }
+        for faults in profiles {
+            assert_fork_identity(strategy, faults);
         }
     }
 }
 
-/// Gang scheduling keeps a `GangRotate` timer permanently in flight and
-/// disables tickless — the snapshot must carry that timer across too.
+/// Gang scheduling keeps a `GangRotate` timer permanently in flight — the
+/// snapshot must carry that timer across too.
 #[test]
 fn fork_under_strict_co() {
-    assert_fork_identity(Strategy::StrictCo, None, false);
+    assert_fork_identity(Strategy::StrictCo, None);
 }
 
 /// Forking a *checked* run rebuilds the sanitizer at the snapshot instant;
@@ -130,21 +140,24 @@ fn snapshot_boundaries_are_arbitrary() {
 
 /// The grid-runner primitive: one shared warmup, branches through the pool.
 #[test]
-fn run_forked_reports_savings_and_identical_branches() {
+fn forked_grid_reports_savings_and_identical_branches() {
     let want = format!(
         "{:?}",
         System::with_config(quick(Strategy::Ple, 2), SystemConfig::default()).run()
     );
-    let (branches, saved) = runner::run_forked(
-        quick(Strategy::Ple, 2),
-        SystemConfig::default(),
-        SimTime::from_millis(40),
-        4,
+    let (grouped, saved) = runner::run_forked_grid(
         2,
+        SimTime::from_millis(40),
+        &SystemConfig::default(),
+        &[4],
+        |_| quick(Strategy::Ple, 2),
     );
+    let [branches] = &grouped[..] else {
+        panic!("one group in, {} groups out", grouped.len());
+    };
     assert_eq!(branches.len(), 4);
     assert!(saved > 0, "warmup sharing must save events");
-    for b in &branches {
+    for b in branches {
         assert_eq!(format!("{b:?}"), want);
     }
 }

@@ -31,24 +31,20 @@ const BATTERY: [(&str, usize, Strategy); 6] = [
     ("swaptions", 2, Strategy::Irs),
 ];
 
-/// Renders the whole battery, checked, ticked and tickless (both must
-/// already agree; the golden pins them against history), plus one
-/// fault-injected run covering the injector paths.
+/// Renders the whole battery, checked, plus one fault-injected run
+/// covering the injector paths.
 fn render() -> String {
     let mut out = String::new();
     let mut emit = |label: &str, bench: &str, n_inter: usize, strategy: Strategy,
                     faults: Option<FaultConfig>| {
-        for tickless in [false, true] {
-            let cfg = SystemConfig {
-                check: true,
-                tickless,
-                faults: faults.clone(),
-                ..SystemConfig::default()
-            };
-            let scenario = Scenario::fig5_style(bench, n_inter, strategy, 42);
-            let result = System::with_config(scenario, cfg).run();
-            out.push_str(&format!("=== {label} tickless={tickless}\n{result:?}\n"));
-        }
+        let cfg = SystemConfig {
+            check: true,
+            faults,
+            ..SystemConfig::default()
+        };
+        let scenario = Scenario::fig5_style(bench, n_inter, strategy, 42);
+        let result = System::with_config(scenario, cfg).run();
+        out.push_str(&format!("=== {label}\n{result:?}\n"));
     };
     for (bench, n_inter, strategy) in BATTERY {
         emit(

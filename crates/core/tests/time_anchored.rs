@@ -2,11 +2,10 @@
 //! (`SleepUntil`/`AlignTo`), gang-epoch safepoints, and open-loop
 //! arrival sources, threaded through the core execution engine.
 //!
-//! Covers the contracts the serving campaign stands on: tickless
-//! equivalence for timer-anchored sleeps, construction-time rejection of
-//! unbalanced gang epochs, forked-vs-scratch bit-identity with epoch and
-//! arrival-process state in the snapshot, and explicit accounting of
-//! requests truncated at the horizon.
+//! Covers the contracts the serving campaign stands on: construction-time
+//! rejection of unbalanced gang epochs, forked-vs-scratch bit-identity
+//! with epoch and arrival-process state in the snapshot, and explicit
+//! accounting of requests truncated at the horizon.
 
 use irs_core::{Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
@@ -87,38 +86,6 @@ fn serving_forked_run_is_bit_identical_to_scratch() {
         format!("{branch:?}"),
         "forked serving run diverged from scratch"
     );
-}
-
-#[test]
-fn time_anchored_sleeps_are_tickless_equivalent() {
-    // SleepUntil + AlignTo drive the WakeTimer path; tickless
-    // fast-forward must treat a live anchored sleep as non-elidable and
-    // produce bit-identical results.
-    let mk = || {
-        let prog = ProgramBuilder::new()
-            .sleep_until_us(1_500)
-            .compute_us(200, 0.0)
-            .forever(|b| b.align_to_us(1_000, 250).compute_us(300, 0.1))
-            .build();
-        let vm = WorkloadBundle::server("anchored", vec![prog], SyncSpace::new(), 0.0, None);
-        Scenario::new(2, Strategy::Irs, 5)
-            .vm(VmScenario::new(vm, 1).pin(vec![irs_xen::PcpuId(0)]).measured())
-            .vm(VmScenario::new(presets::hog::cpu_hogs(2), 2).pin_one_to_one())
-            .horizon(SimTime::from_millis(500))
-    };
-    let cfg = |tickless| SystemConfig {
-        tickless,
-        ..SystemConfig::default()
-    };
-    let ticked = System::with_config(mk(), cfg(false)).run();
-    let tickless = System::with_config(mk(), cfg(true)).run();
-    assert_eq!(
-        format!("{ticked:?}"),
-        format!("{tickless:?}"),
-        "tickless diverged across time-anchored sleeps"
-    );
-    // The anchored VM actually computed (it woke from its anchors).
-    assert!(ticked.measured().useful.as_nanos() > 0);
 }
 
 #[test]

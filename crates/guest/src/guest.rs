@@ -208,29 +208,6 @@ impl GuestOs {
         outcome
     }
 
-    /// True when the next tick on `vcpu` would be *quiet*: no stopper work
-    /// is pending anywhere, no softirq is pending on this vCPU, nothing is
-    /// queued on its runqueue (so the CFS preempt check and the nohz kick
-    /// cannot act), and the tick count it would reach does not land on a
-    /// balance interval. A quiet tick emits no actions and its only state
-    /// change inside the kernel is `tick_counts += 1` — the embedder's
-    /// tickless fast-forward elides the tick event and replays that
-    /// bookkeeping through [`GuestOs::note_quiet_tick`].
-    pub fn tick_is_quiet(&self, vcpu: usize) -> bool {
-        self.stopper_pending.is_empty()
-            && self.softirq_pending[vcpu] == 0
-            && self.rqs[vcpu].nr_queued() == 0
-            && !(self.tick_counts[vcpu] + 1).is_multiple_of(self.cfg.balance_interval_ticks)
-    }
-
-    /// Replays the tick-count bookkeeping of one elided quiet tick (see
-    /// [`GuestOs::tick_is_quiet`]), keeping the balance-interval phase
-    /// bit-identical with a kernel that dispatched the tick for real.
-    pub fn note_quiet_tick(&mut self, vcpu: usize) {
-        debug_assert!(self.tick_is_quiet(vcpu), "tick on v{vcpu} is not quiet");
-        self.tick_counts[vcpu] += 1;
-    }
-
     /// Marks a softirq pending on `vcpu` (interrupt top half).
     pub fn raise_softirq(&mut self, vcpu: usize, s: Softirq) {
         self.softirq_pending[vcpu] |= s.bit();

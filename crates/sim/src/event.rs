@@ -30,8 +30,7 @@
 //! * A sorted **head** vector (descending `(time, seq)`, popped from the
 //!   back) holds every live event at or before the wheel **cursor**. The
 //!   back of the head is kept live at all times, which is what lets
-//!   [`EventQueue::peek_time`] / [`EventQueue::peek`] take `&self` and
-//!   keeps [`EventQueue::pop_if`] race-free.
+//!   [`EventQueue::peek_time`] / [`EventQueue::peek`] take `&self`.
 //!
 //! The cursor only ever moves to the tick of the earliest pending event, so
 //! a wheel slot is drained at most once per entry and cascading moves each
@@ -318,27 +317,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.head.last().map(|e| e.at)
-    }
-
-    /// Conditionally removes the earliest live event: `pred` inspects the
-    /// head as `(time, &payload)` and the head is popped only when it
-    /// returns `true`; otherwise the queue is left untouched and `None` is
-    /// returned (also when empty).
-    ///
-    /// This is the coalesced-timer primitive behind tickless fast-forward:
-    /// a driver loop repeatedly takes the head *only while* it can prove
-    /// the event is a no-op (a quiescent periodic tick, a dead timer
-    /// generation), and stops at the first event that needs real dispatch —
-    /// without the classify-then-pop race a separate `peek`/`pop` pair
-    /// would invite if the predicate and the pop disagreed on the head.
-    pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        // The head back is always live, so the entry the predicate inspects
-        // is exactly the entry `pop` would return.
-        let back = self.head.last()?;
-        if !pred(back.at, &back.payload) {
-            return None;
-        }
-        self.pop()
     }
 
     /// The earliest live event as `(time, &payload)`, without removing it.
@@ -868,34 +846,6 @@ mod tests {
         assert!(q.cancel(dead));
         assert_eq!(q.len(), 2);
         assert_eq!(drain(&mut q), vec![(tick_ns(4100), 0), (tick_ns(4300), 2)]);
-    }
-
-    #[test]
-    fn pop_if_across_slot_flush() {
-        // pop_if must keep seeing the true head as draining crosses from
-        // one slot's batch into the next (and refuse without popping).
-        let mut q = EventQueue::new();
-        for i in 0..4u32 {
-            q.schedule(SimTime::from_nanos(tick_ns(10) + i as u64), i);
-        }
-        for i in 4..8u32 {
-            q.schedule(SimTime::from_nanos(tick_ns(500) + i as u64), i);
-        }
-        // Drain the first slot entirely through pop_if...
-        for i in 0..4u32 {
-            let got = q.pop_if(|t, _| t.as_nanos() < tick_ns(11));
-            assert_eq!(got.map(|(_, p)| p), Some(i));
-        }
-        // ...the next head now comes from a freshly flushed slot: a
-        // rejecting predicate must leave it in place,
-        assert_eq!(q.pop_if(|t, _| t.as_nanos() < tick_ns(11)), None);
-        assert_eq!(q.len(), 4);
-        // and an accepting one must take it in order.
-        for i in 4..8u32 {
-            let got = q.pop_if(|t, _| t.as_nanos() < tick_ns(501));
-            assert_eq!(got.map(|(_, p)| p), Some(i));
-        }
-        assert!(q.is_empty());
     }
 
     #[test]

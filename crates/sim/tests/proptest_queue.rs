@@ -43,19 +43,6 @@ impl ModelQueue {
     fn peek_time(&self) -> Option<u64> {
         self.pending.iter().map(|e| e.0).min()
     }
-
-    /// Reference semantics of the coalesced-timer primitive: inspect the
-    /// head, pop it only if the predicate approves, never touch anything
-    /// but the head.
-    fn pop_if(&mut self, pred: impl FnOnce(u64, u32) -> bool) -> Option<(u64, u32)> {
-        let i = (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))?;
-        let (at, _, payload) = self.pending[i];
-        if !pred(at, payload) {
-            return None;
-        }
-        self.pending.remove(i);
-        Some((at, payload))
-    }
 }
 
 /// One nanosecond-tick of the hierarchical wheel backing the queue
@@ -87,20 +74,19 @@ fn wheel_time_strategy() -> impl Strategy<Value = u64> {
 }
 
 /// One step of the equivalence-test interleaving: `(op, a, b)` where
-/// `op` selects schedule/cancel/pop/peek/pop_if/clear/snapshot/restore
-/// (clear deliberately rare — it appears at 1-in-24 so interleavings
-/// still build up deep queues; snapshot and restore each land at 1-in-12
-/// so a sequence routinely clones mid-cascade and rewinds across it),
-/// `a` picks a schedule time (doubling as the pop_if time bound), and
-/// `b` picks which outstanding handle a cancel targets (doubling as the
-/// pop_if payload parity).
+/// `op` selects schedule/cancel/pop/peek/clear/snapshot/restore (clear
+/// deliberately rare — it appears at 1-in-24 so interleavings still build
+/// up deep queues; snapshot and restore each land at 1-in-12 so a
+/// sequence routinely clones mid-cascade and rewinds across it), `a`
+/// picks a schedule time, and `b` picks which outstanding handle a cancel
+/// targets.
 fn step_strategy() -> impl Strategy<Value = (u8, u64, u8)> {
     (0u8..24, wheel_time_strategy(), 0u8..255).prop_map(|(op, a, b)| {
         let op = match op {
-            19 => 5,
-            20 | 21 => 6,
-            22 | 23 => 7,
-            _ => op % 5,
+            19 => 4,
+            20 | 21 => 5,
+            22 | 23 => 6,
+            _ => op % 4,
         };
         (op, a, b)
     })
@@ -150,18 +136,6 @@ proptest! {
                     prop_assert_eq!(real.peek_time().map(|t| t.as_nanos()), model.peek_time());
                 }
                 4 => {
-                    // The coalesced-timer primitive (tickless fast-forward
-                    // drains no-op head events through this): a predicate
-                    // over both time and payload, so accept and reject
-                    // paths interleave with every other operation.
-                    let parity = u32::from(b) % 2;
-                    let got = real
-                        .pop_if(|t, &p| t.as_nanos() <= a && p % 2 == parity)
-                        .map(|(t, p)| (t.as_nanos(), p));
-                    let want = model.pop_if(|t, p| t <= a && p % 2 == parity);
-                    prop_assert_eq!(got, want);
-                }
-                5 => {
                     // Clear: both queues drop everything. The handle
                     // vectors are deliberately kept — later cancels with
                     // pre-clear handles must report false in both, even
@@ -169,7 +143,7 @@ proptest! {
                     real.clear();
                     model.pending.clear();
                 }
-                6 => {
+                5 => {
                     // Snapshot: clone both queues at an arbitrary instant —
                     // mid-cascade, with overflow pending, with cancelled
                     // corpses still in slots. Overwrites any prior snapshot.
@@ -294,33 +268,6 @@ proptest! {
         }
         expected.sort();
         prop_assert_eq!(got, expected);
-    }
-
-    /// pop_if across a slot flush: a rejecting predicate must leave the
-    /// head untouched even when answering required draining a fresh slot
-    /// (or promoting overflow), and a later accepting pop_if must see the
-    /// exact same head.
-    #[test]
-    fn pop_if_is_stable_across_slot_flush(
-        times in prop::collection::vec(wheel_time_strategy(), 1..60),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expected.sort();
-        for &(t, i) in &expected {
-            // Reject first — forces the head feed (slot drain / overflow
-            // promotion) without consuming.
-            prop_assert_eq!(q.pop_if(|_, _| false), None);
-            prop_assert_eq!(q.peek_time().map(|x| x.as_nanos()), Some(t));
-            // Then accept: must be the identical entry.
-            let got = q.pop_if(|at, &p| at.as_nanos() == t && p == i);
-            prop_assert_eq!(got.map(|(at, p)| (at.as_nanos(), p)), Some((t, i)));
-        }
-        prop_assert!(q.is_empty());
     }
 
     /// peek_time always agrees with the next pop.

@@ -128,67 +128,6 @@ impl Hypervisor {
         out
     }
 
-    /// True when a [`Hypervisor::tick`] at `now` would mutate nothing and
-    /// emit nothing — the quiescence predicate behind tickless fast-forward
-    /// (`irs_core`'s `SystemConfig::tickless`).
-    ///
-    /// The conditions mirror `tick` line by line: no vCPU has unburned
-    /// running time (`burn_baseline` already equals its cumulative running
-    /// time, which cannot advance while nothing is dispatched), every
-    /// priority is exactly what `refresh_priority` would recompute (a held
-    /// BOOST disqualifies: `tick` would expire it), and every pCPU is idle
-    /// with nothing eligible to pick, so the unboost and `preempt_check`
-    /// epilogues cannot act. Callers must not use this under strict
-    /// co-scheduling, where the embedder's gang-rotate epilogue keys off
-    /// every processed event.
-    pub fn tick_is_noop(&self, now: SimTime) -> bool {
-        for vc in &self.vcpus {
-            if vc.clock.info(now).running != vc.burn_baseline {
-                return false;
-            }
-            let derived = if vc.credits > 0 {
-                CreditPriority::Under
-            } else {
-                CreditPriority::Over
-            };
-            if vc.priority != derived {
-                return false;
-            }
-        }
-        self.pcpus_quiescent()
-    }
-
-    /// True when a [`Hypervisor::accounting`] pass would mutate nothing:
-    /// no relaxed-co balancer configured, every VM's active set is empty
-    /// (no vCPU wants CPU or carries a credit debt, so no replenishment
-    /// happens), and every pCPU is idle with nothing to pick. Companion to
-    /// [`Hypervisor::tick_is_noop`]; the same strict-co caveat applies.
-    pub fn accounting_is_noop(&self) -> bool {
-        if self.cfg.relaxed_co.is_some() {
-            return false;
-        }
-        for vc in &self.vcpus {
-            if vc.state().wants_cpu() || vc.credits < 0 {
-                return false;
-            }
-        }
-        self.pcpus_quiescent()
-    }
-
-    /// Every pCPU idle, unfrozen, and with an empty eligible runqueue.
-    fn pcpus_quiescent(&self) -> bool {
-        for p in 0..self.pcpus.len() {
-            let pc = &self.pcpus[p];
-            if pc.current.is_some() || pc.sa_wait.is_some() {
-                return false;
-            }
-            if self.pick_local(PcpuId(p)).is_some() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// If a queued vCPU strictly outranks the runner on `pcpu`, reschedule.
     fn preempt_check(
         &mut self,

@@ -337,14 +337,6 @@ impl Hypervisor {
         })
     }
 
-    /// The raw dispatch generation of `pcpu`, advancing on every context
-    /// switch (including to idle, where [`Hypervisor::dispatch_info`] is
-    /// `None`). A slice-expiry timer armed under a different generation is
-    /// provably stale: [`Hypervisor::slice_expired`] would discard it.
-    pub fn dispatch_generation(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.0].dispatch_gen
-    }
-
     /// Machine-wide dispatch epoch: bumps whenever any pCPU's dispatch
     /// changes. If two reads return the same value, every
     /// [`Hypervisor::dispatch_info`] snapshot is unchanged between them,

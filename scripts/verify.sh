@@ -1,26 +1,31 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, a lint gate, a
-# checked strategy sweep (online invariant sanitizer armed), a
-# parallel-runner smoke test, a tickless equivalence pass (sanitizer
-# armed, fast-forward on), a checked fault-injection chaos smoke, and a
-# snapshot/fork smoke (forked branches bit-identical to from-scratch
-# runs across strategies and fault profiles), a fleet-campaign smoke
-# (16-host datacenter with churn and adversarial tenants; asserts the
-# degradation contract per cell and ratchets its events/sec), a
-# fleet incremental-parity gate (--parity re-runs the smoke campaign
-# with the dirty-host carry-over and snapshot/result cache disabled and
-# asserts bit-identical SLO tables), a 1000-host fleet-scale pass
-# (ratchets *effective* events/sec — logical volume per wall second —
-# and enforces the deterministic >=5x incrementality floor), and a
-# serving-campaign smoke (open-loop latency-SLO service under
-# interference; asserts every cell completed requests, once with the
-# sanitizer armed and once recording/ratcheting its events/sec).
-# Also regenerates BENCH_runner.json (via `figures perf --check-perf`,
-# which fails the build on a combined-speedup regression below 0.85, on a
-# queue-throughput drop below the timer-wheel floor, or on any phase
-# falling past the ratchet tolerance of its best matching
-# BENCH_history.jsonl record) and records the total verification
-# wall-clock in its `verify_wall_s` field.
+# Tier-1 verification in 13 steps:
+#  1. release build of the whole workspace;
+#  2. the full test suite;
+#  3. the clippy lint gate;
+#  4. a checked strategy sweep (online invariant sanitizer armed);
+#  5. a parallel-runner smoke test;
+#  6. a checked fault-injection chaos smoke;
+#  7. a fleet-campaign smoke (16-host datacenter with churn and
+#     adversarial tenants; sanitizer armed, degradation contract per cell);
+#  8. the same fleet smoke recording and ratcheting its events/sec;
+#  9. a fleet incremental-parity gate (--parity re-runs the smoke campaign
+#     with the dirty-host carry-over and snapshot/result cache disabled and
+#     asserts bit-identical SLO tables);
+# 10. a 1000-host fleet-scale pass (ratchets *effective* events/sec —
+#     logical volume per wall second — and enforces the deterministic >=5x
+#     incrementality floor);
+# 11. a serving-campaign smoke (open-loop latency-SLO service under
+#     interference; sanitizer armed, asserts every cell completed requests);
+# 12. the same serving smoke recording and ratcheting its events/sec;
+# 13. `figures perf --check-perf`, which regenerates BENCH_runner.json and
+#     fails the build on a sequential-over-parallel speedup below 0.85, on
+#     a queue-throughput drop below the timer-wheel floor, or on any phase
+#     falling past the ratchet tolerance of its best matching
+#     BENCH_history.jsonl record.
+# The total verification wall-clock is then recorded in BENCH_runner.json's
+# `verify_wall_s` field. Forked-vs-scratch bit-identity is covered by the
+# test suite (crates/core/tests/fork.rs).
 #
 # Usage: scripts/verify.sh   (from the repository root)
 set -euo pipefail
@@ -43,14 +48,8 @@ echo "== figures checked sweep (invariant sanitizer, all strategies) =="
 echo "== figures smoke (parallel fan-out) =="
 ./target/release/figures core --quick --seeds 2 --jobs 2 >/dev/null
 
-echo "== figures tickless sweep (fast-forward on, sanitizer armed) =="
-./target/release/figures core --quick --check --tickless --jobs 2 >/dev/null
-
 echo "== figures chaos (fault-injection campaign, sanitizer armed) =="
 ./target/release/figures chaos --quick --check --jobs 2 >/dev/null
-
-echo "== figures fork smoke (snapshot/fork bit-identity) =="
-./target/release/figures --fork-smoke --quick --jobs 2 >/dev/null
 
 echo "== figures fleet smoke (sanitizer armed, degradation contract) =="
 ./target/release/figures fleet --smoke --check --jobs 2 >/dev/null
