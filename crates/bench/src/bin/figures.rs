@@ -31,21 +31,25 @@
 //! `--parity` re-runs the fleet campaign with the incremental engine
 //! disabled and asserts the SLO tables are bit-identical (no history,
 //! no ratchet — it is a correctness gate).
-//! `--check-perf` turns `perf` into a regression gate: exit non-zero if
-//! the speedup (ticked sequential over parallel) falls below its
-//! noise-band floor (0.85 — the true ratio is ~1.0 on 1-core boxes), the
-//! queue micro-benchmark drops below its absolute floor, or any phase
-//! regresses past the ratchet tolerance against the best matching
-//! `BENCH_history.jsonl` record (same phase / worker count / host core
-//! count). Each `perf` invocation appends one
-//! line per measured phase to `BENCH_history.jsonl` for trend tracking;
-//! `fleet` and `serving` append one record per campaign (phases `fleet`
-//! / `fleet-smoke` / `serving` / `serving-smoke`) and `--check-perf`
-//! ratchets their events/sec the same way — except under `--check`,
-//! where the sanitizer tax makes runs incomparable and the campaigns
-//! neither log nor ratchet.
+//!
+//! `perf`, `fleet` and `serving` each produce history records
+//! ([`irs_bench::perf::PerfRecord`]: `perf` one per phase — `ticked`,
+//! `parallel`, `queue` — the campaigns one each, phases `fleet` /
+//! `fleet-smoke` / `fleet-scale` / `serving` / `serving-smoke`). After
+//! the last experiment they are appended to `BENCH_history.jsonl` in one
+//! go for trend tracking. `--check-perf` turns that step into a
+//! regression gate: exit 1 if any record regresses past the ratchet
+//! tolerance against the best matching history record (same phase /
+//! worker count / host core count), or if a campaign breaks its own
+//! floor — `perf`'s speedup (ticked sequential over parallel) below its
+//! noise band (0.85 — the true ratio is ~1.0 on 1-core boxes) or its
+//! queue micro-benchmark below its absolute floor, and the scale fleet's
+//! incrementality floor. Under `--check` (the sanitizer tax) or
+//! `--parity` (a full re-simulation) throughput is incomparable, so
+//! nothing is appended or ratcheted; the floors still apply.
 
 use irs_bench::fig5_6::Interference;
+use irs_bench::perf::{host_cores, PerfRecord};
 use irs_bench::Opts;
 use irs_metrics::Table;
 use std::time::Instant;
@@ -208,8 +212,13 @@ fn main() {
         match arg.as_str() {
             "--quick" => opts = Opts { seeds: 1, ..opts },
             "--seeds" => {
+                // Every data point is a mean over the seeds: zero has none.
                 let n = it.next().unwrap_or_else(|| usage());
-                opts.seeds = n.parse().unwrap_or_else(|_| usage());
+                opts.seeds = n
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage());
             }
             "--base-seed" => {
                 let n = it.next().unwrap_or_else(|| usage());
@@ -268,6 +277,11 @@ fn main() {
         }
     }
 
+    // Every campaign's history records and floor failures, logged and
+    // gated together after the last experiment.
+    let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
+    let mut records: Vec<PerfRecord> = Vec::new();
+    let mut floor_failures: Vec<String> = Vec::new();
     for exp in queue {
         let start = Instant::now();
         if exp == "perf" {
@@ -277,26 +291,10 @@ fn main() {
                 eprintln!("cannot write BENCH_runner.json: {e}");
                 std::process::exit(1);
             }
-            // Read the trend log *before* appending so the ratchet
-            // compares against prior invocations, not this one.
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&report.to_history_lines(
-                &commit,
-                timestamp,
-                irs_bench::perf::host_cores(),
-            ));
+            records.extend(report.records());
+            floor_failures.extend(report.floor_failures());
             eprintln!("[perf done in {:.1}s]", start.elapsed().as_secs_f64());
             println!();
-            if check_perf {
-                let failures = report.check_perf(&history);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
             continue;
         }
         if exp == "fleet" {
@@ -346,32 +344,9 @@ fn main() {
                 outcome.report.tenants_rejected,
                 if parity { "; incremental parity OK" } else { "" },
             );
-            // Sanitized runs pay the invariant-checking tax and parity
-            // runs pay a full re-simulation, so neither is comparable to
-            // normal records: neither log them nor ratchet against them
-            // (same split as `perf` vs the --check sweeps in
-            // scripts/verify.sh).
-            if irs_core::check::check_enabled() || parity {
-                println!();
-                continue;
-            }
-            let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
-            let cores = irs_bench::perf::host_cores();
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&irs_bench::fleet::history_line(
-                &outcome, &commit, timestamp, jobs, cores,
-            ));
+            records.push(irs_bench::fleet::record(&outcome, jobs));
+            floor_failures.extend(irs_bench::fleet::floor_failures(&outcome));
             println!();
-            if check_perf {
-                let failures = irs_bench::fleet::check_fleet_perf(&outcome, &history, jobs, cores);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
             continue;
         }
         if exp == "serving" {
@@ -392,30 +367,8 @@ fn main() {
                 outcome.events,
                 irs_bench::serving::events_per_sec(&outcome),
             );
-            // Same record/ratchet split as `fleet`: sanitized runs are
-            // incomparable, so they neither log nor ratchet.
-            if irs_core::check::check_enabled() {
-                println!();
-                continue;
-            }
-            let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
-            let cores = irs_bench::perf::host_cores();
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&irs_bench::serving::history_line(
-                &outcome, &commit, timestamp, jobs, cores,
-            ));
+            records.push(irs_bench::serving::record(&outcome, jobs));
             println!();
-            if check_perf {
-                let failures =
-                    irs_bench::serving::check_serving_perf(&outcome, &history, jobs, cores);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
             continue;
         }
         let tables = run_experiment(&exp, opts);
@@ -435,5 +388,36 @@ fn main() {
         }
         eprintln!("[{exp} done in {:.1}s]", start.elapsed().as_secs_f64());
         println!();
+    }
+
+    // Sanitized runs pay the invariant-checking tax and parity runs pay a
+    // full re-simulation, so neither is comparable to normal records:
+    // neither log them nor ratchet against them. The floors are ratios
+    // and counters of the run itself, so they apply either way.
+    let mut failures = Vec::new();
+    if !records.is_empty() && !irs_core::check::check_enabled() && !parity {
+        // Read the trend log *before* appending so the ratchet compares
+        // against prior invocations, not this one.
+        let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
+        let (commit, timestamp) = commit_and_timestamp();
+        let cores = host_cores();
+        append_history(
+            &records
+                .iter()
+                .map(|r| r.to_line(&commit, timestamp, cores))
+                .collect::<String>(),
+        );
+        if check_perf {
+            failures.extend(records.iter().filter_map(|r| r.ratchet(&history, cores)));
+        }
+    }
+    if check_perf {
+        failures.extend(floor_failures);
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("perf regression: {f}");
+        }
+        std::process::exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! `figures fleet` — the datacenter-scale fleet campaign
 //! (`irs_fleet`), sized for the CLI, plus its BENCH_history.jsonl
-//! records and `--check-perf` ratchet.
+//! record and `--check-perf` floor.
 //!
 //! The full campaign runs a 120-host fleet over three churn epochs:
 //! three placement policies × five adversary mixes, plus an overcommit
@@ -17,7 +17,7 @@
 //! re-runs the campaign with incrementality disabled and asserts the
 //! SLO tables are bit-identical.
 
-use crate::perf::{json_raw_field, json_str_field, json_usize_field};
+use crate::perf::PerfRecord;
 use crate::Opts;
 use irs_fleet::{AdversaryMix, CampaignSpec, FleetConfig, FleetReport, PlacementPolicy};
 use std::time::Instant;
@@ -36,9 +36,6 @@ pub struct FleetOutcome {
     /// Whether `--hosts` rescaled the fleet (the `fleet-scale` phase).
     pub scale: bool,
 }
-
-/// Ratchet tolerance for the fleet phases, matching the perf gate's.
-const RATCHET_FRAC: f64 = 0.5;
 
 /// The scale configuration's incrementality floor: the logical event
 /// volume must be at least this multiple of what was actually executed
@@ -186,101 +183,50 @@ pub fn effective_events_per_sec(o: &FleetOutcome) -> f64 {
     o.report.events as f64 / o.wall_s.max(1e-9)
 }
 
-/// History phase name; smoke, full, and scale campaigns ratchet
-/// separately (they simulate different fleets).
-pub fn phase(o: &FleetOutcome) -> &'static str {
-    if o.smoke {
-        "fleet-smoke"
+/// The campaign's BENCH_history.jsonl record, run with `jobs` workers.
+/// Smoke, full, and scale campaigns are separate phases (`fleet-smoke`,
+/// `fleet`, `fleet-scale`: they simulate different fleets), and every
+/// record carries its fleet size. The `fleet` / `fleet-smoke` phases
+/// ratchet *executed* events/sec (engine speed, comparable across the
+/// incremental transition); `fleet-scale` ratchets *effective*
+/// events/sec.
+pub fn record(o: &FleetOutcome, jobs: usize) -> PerfRecord {
+    let (phase, ratchet_on) = if o.smoke {
+        ("fleet-smoke", "events_per_sec")
     } else if o.scale {
-        "fleet-scale"
+        ("fleet-scale", "effective_events_per_sec")
     } else {
-        "fleet"
-    }
-}
-
-/// One BENCH_history.jsonl record for this campaign, shaped like the
-/// perf phases' records so one trend log covers both campaigns.
-pub fn history_line(
-    o: &FleetOutcome,
-    commit: &str,
-    timestamp: u64,
-    jobs: usize,
-    cores: usize,
-) -> String {
-    format!(
-        "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
-         \"jobs\": {jobs}, \"cores\": {cores}, \"hosts\": {}, \
-         \"events_per_sec\": {:.0}, \"effective_events_per_sec\": {:.0}, \
-         \"fork_warmup_saved\": {}, \"runs_elided\": {}, \"host_runs\": {}}}\n",
-        phase(o),
-        o.hosts,
-        events_per_sec(o),
-        effective_events_per_sec(o),
-        o.report.fork_warmup_saved,
-        o.report.runs_elided,
-        o.report.host_runs,
-    )
-}
-
-/// The fleet side of `--check-perf`: ratchets the campaign's throughput
-/// against the best matching history record (same phase, worker count,
-/// host core count — and fleet size, for records new enough to carry
-/// one — skipping records that ran with event elision, see
-/// [`crate::perf::dispatched_every_event`]). The `fleet` / `fleet-smoke`
-/// phases ratchet *executed* events/sec (engine speed, comparable across
-/// the incremental transition); `fleet-scale` ratchets *effective*
-/// events/sec and additionally enforces the deterministic
-/// [`SCALE_MIN_ELISION`]× incrementality floor.
-pub fn check_fleet_perf(
-    o: &FleetOutcome,
-    history: &str,
-    jobs: usize,
-    cores: usize,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let scale = phase(o) == "fleet-scale";
-    let (metric, current) = if scale {
-        ("effective_events_per_sec", effective_events_per_sec(o))
-    } else {
-        ("events_per_sec", events_per_sec(o))
+        ("fleet", "events_per_sec")
     };
-    if scale {
-        let executed = events_executed(o);
-        if o.report.events < SCALE_MIN_ELISION * executed {
-            failures.push(format!(
-                "fleet-scale incrementality floor: logical volume {} is below \
-                 {SCALE_MIN_ELISION}x the {executed} events executed \
-                 (runs_elided={}, hosts_carried={})",
-                o.report.events, o.report.runs_elided, o.report.hosts_carried,
-            ));
-        }
+    PerfRecord {
+        phase,
+        jobs,
+        hosts: Some(o.hosts),
+        fields: vec![
+            ("events_per_sec", events_per_sec(o), 0),
+            ("effective_events_per_sec", effective_events_per_sec(o), 0),
+            ("fork_warmup_saved", o.report.fork_warmup_saved as f64, 0),
+            ("runs_elided", o.report.runs_elided as f64, 0),
+            ("host_runs", o.report.host_runs as f64, 0),
+        ],
+        ratchet_on,
     }
-    let best = history
-        .lines()
-        .filter(|l| {
-            json_str_field(l, "phase").as_deref() == Some(phase(o))
-                && crate::perf::dispatched_every_event(l)
-                && json_usize_field(l, "jobs") == Some(jobs)
-                && json_usize_field(l, "cores") == Some(cores)
-                // Old records carry no hosts field; they predate --hosts
-                // and can only be stock-size campaigns.
-                && json_usize_field(l, "hosts").is_none_or(|h| h == o.hosts)
-        })
-        .filter_map(|l| {
-            json_raw_field(l, metric)
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| v.is_finite() && *v > 0.0)
-        })
-        .fold(f64::NAN, f64::max);
-    if best.is_finite() && current < RATCHET_FRAC * best {
-        failures.push(format!(
-            "{} phase ratchet: {current:.0} {metric} is below {:.0}% of the best \
-             matching record ({best:.0}; jobs={jobs}, cores={cores})",
-            phase(o),
-            RATCHET_FRAC * 100.0,
-        ));
+}
+
+/// The fleet's absolute `--check-perf` floor: a scale campaign's logical
+/// event volume must be at least [`SCALE_MIN_ELISION`]× what it executed
+/// (counter-based, so deterministic). Returns one message per violation.
+pub fn floor_failures(o: &FleetOutcome) -> Vec<String> {
+    let executed = events_executed(o);
+    if !o.scale || o.smoke || o.report.events >= SCALE_MIN_ELISION * executed {
+        return Vec::new();
     }
-    failures
+    vec![format!(
+        "fleet-scale incrementality floor: logical volume {} is below \
+         {SCALE_MIN_ELISION}x the {executed} events executed \
+         (runs_elided={}, hosts_carried={})",
+        o.report.events, o.report.runs_elided, o.report.hosts_carried,
+    )]
 }
 
 #[cfg(test)]
@@ -320,68 +266,64 @@ mod tests {
         assert_eq!(effective_events_per_sec(&o), 7_500.0);
     }
 
+    /// Golden: the fleet phases' lines, byte for byte as the trend log
+    /// has always stored them.
     #[test]
     fn history_line_is_one_self_describing_record() {
-        let l = history_line(&outcome(true, false), "abc1234", 1_700_000_000, 2, 4);
-        assert!(l.ends_with("}\n"));
-        assert_eq!(json_str_field(&l, "phase").as_deref(), Some("fleet-smoke"));
-        assert_eq!(json_usize_field(&l, "jobs"), Some(2));
-        assert_eq!(json_usize_field(&l, "cores"), Some(4));
-        assert_eq!(json_usize_field(&l, "hosts"), Some(16));
-        assert_eq!(json_raw_field(&l, "events_per_sec").as_deref(), Some("5000"));
+        let mut scale = outcome(false, true);
+        scale.hosts = 1000;
+        let line = |o: &FleetOutcome| record(o, 2).to_line("abc1234", 1_700_000_000, 4);
         assert_eq!(
-            json_raw_field(&l, "effective_events_per_sec").as_deref(),
-            Some("7500")
+            line(&outcome(false, false)),
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 120, \"events_per_sec\": 5000, \"effective_events_per_sec\": 7500, \"fork_warmup_saved\": 1000, \"runs_elided\": 10, \"host_runs\": 40}\n"
         );
-        assert_eq!(json_raw_field(&l, "runs_elided").as_deref(), Some("10"));
-        assert_eq!(json_raw_field(&l, "fork_warmup_saved").as_deref(), Some("1000"));
+        assert_eq!(
+            line(&outcome(true, false)),
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"fleet-smoke\", \"jobs\": 2, \"cores\": 4, \"hosts\": 16, \"events_per_sec\": 5000, \"effective_events_per_sec\": 7500, \"fork_warmup_saved\": 1000, \"runs_elided\": 10, \"host_runs\": 40}\n"
+        );
+        assert_eq!(
+            line(&scale),
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 5000, \"effective_events_per_sec\": 7500, \"fork_warmup_saved\": 1000, \"runs_elided\": 10, \"host_runs\": 40}\n"
+        );
     }
 
+    // The fleet ratchet cases are rows of the one ratchet table in
+    // `perf.rs`; these tests run the fleet's groups of it.
     #[test]
     fn fleet_ratchet_matches_config_and_fires() {
-        let o = outcome(false, false);
-        let good = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
-        assert!(check_fleet_perf(&o, good, 2, 4).is_empty());
-        let fast = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
-        let failures = check_fleet_perf(&o, fast, 2, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("fleet phase ratchet"));
-        // Other phase, jobs, or cores: ignored.
-        assert!(check_fleet_perf(&o, fast, 4, 4).is_empty());
-        assert!(check_fleet_perf(&o, fast, 2, 64).is_empty());
-        let smoke_rec = fast.replace("\"fleet\"", "\"fleet-smoke\"");
-        assert!(check_fleet_perf(&o, &smoke_rec, 2, 4).is_empty());
+        crate::perf::tests::assert_ratchet_cases("fleet");
     }
 
     #[test]
     fn hosts_aware_matching_skips_other_sizes() {
-        let o = outcome(false, false); // 120 hosts
-        let other_size = "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 99999999}\n";
-        assert!(check_fleet_perf(&o, other_size, 2, 4).is_empty());
-        let same_size = other_size.replace("\"hosts\": 1000", "\"hosts\": 120");
-        assert_eq!(check_fleet_perf(&o, &same_size, 2, 4).len(), 1);
+        crate::perf::tests::assert_ratchet_cases("hosts");
     }
 
+    /// The scale phase ratchets effective throughput and floors elision.
     #[test]
     fn scale_phase_ratchets_effective_throughput_and_floors_elision() {
+        crate::perf::tests::assert_ratchet_cases("scale");
         let mut o = outcome(false, true);
         o.hosts = 1000;
-        assert_eq!(phase(&o), "fleet-scale");
-        // 15000 logical < 5 × 10000 executed: the elision floor fires
-        // even with no history at all.
-        let failures = check_fleet_perf(&o, "", 2, 4);
+        let rec = record(&o, 2);
+        assert_eq!(
+            (rec.phase, rec.ratchet_on),
+            ("fleet-scale", "effective_events_per_sec")
+        );
+        for o in [outcome(false, false), outcome(true, false)] {
+            assert_eq!(record(&o, 2).ratchet_on, "events_per_sec");
+        }
+        // 15000 logical < 5 × 10000 executed: the elision floor fires,
+        // whatever the history holds.
+        let failures = floor_failures(&o);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("incrementality floor"));
-        // With enough elision the floor passes and the ratchet compares
-        // effective (not executed) throughput.
+        // Only the scale configuration carries the floor.
+        assert!(floor_failures(&outcome(false, false)).is_empty());
+        assert!(floor_failures(&outcome(true, false)).is_empty());
+        // With enough elision the floor passes.
         o.report.events_elided = 50_000;
         o.report.events = 55_000; // executed 4000; 55000 ≥ 5×4000
-        let fast = "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 999999999}\n";
-        let failures = check_fleet_perf(&o, fast, 2, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("fleet-scale phase ratchet"));
-        assert!(failures[0].contains("effective_events_per_sec"));
-        let slow = fast.replace("999999999", "30000");
-        assert!(check_fleet_perf(&o, slow.as_str(), 2, 4).is_empty());
+        assert!(floor_failures(&o).is_empty());
     }
 }

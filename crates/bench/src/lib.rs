@@ -68,7 +68,7 @@ pub fn mean_makespan_ms<F>(opts: Opts, make: F) -> f64
 where
     F: Fn(u64) -> Scenario + Sync,
 {
-    runner::mean_makespan_ms_jobs(opts.base_seed, opts.seeds, opts.jobs, make)
+    runner::grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &[&make])[0]
 }
 
 /// Mean improvement (%) of `strategy` over vanilla for the same scenario
@@ -78,13 +78,11 @@ pub fn improvement_over_vanilla<F>(opts: Opts, strategy: Strategy, make: F) -> f
 where
     F: Fn(Strategy, u64) -> Scenario + Sync,
 {
-    runner::mean_improvement_pct_jobs(
-        opts.base_seed,
-        opts.seeds,
-        opts.jobs,
-        |s| make(Strategy::Vanilla, s),
-        |s| make(strategy, s),
-    )
+    let vanilla = |s| make(Strategy::Vanilla, s);
+    let variant = |s| make(strategy, s);
+    let means =
+        runner::grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &[&vanilla, &variant]);
+    irs_metrics::improvement_pct(means[0], means[1])
 }
 
 /// The strategy columns the paper's grouped bar charts use.

@@ -1,26 +1,24 @@
 //! `figures perf` — self-benchmark and regression gate of the simulation
-//! engine.
+//! engine — and [`PerfRecord`], the one `BENCH_history.jsonl` record
+//! format and ratchet that the perf, fleet and serving campaigns share.
 //!
-//! Runs a fixed mix of scenarios three times over the same grid:
+//! Runs a fixed mix of scenarios twice over the same grid:
 //!
 //! 1. **ticked sequential** — `jobs = 1`: the baseline cost of
 //!    dispatching every event;
 //! 2. **parallel** — `opts.jobs` workers on the persistent pool: the
-//!    configuration `figures --jobs N` runs;
-//! 3. **forked** — parallel again, but the grid's repeated cells share
-//!    one warmup each: every distinct `(scenario, seed)` runs to a fixed
-//!    virtual time once, is snapshotted, and the repeats resume from the
-//!    [`irs_core::Snapshot`] instead of re-simulating the prefix.
+//!    configuration `figures --jobs N` runs.
 //!
-//! The engine is deterministic and snapshot forking is bit-exact, so all
-//! three passes must produce bit-identical results — the harness asserts
-//! it (`Debug` rendering, which is shortest-roundtrip for every float)
-//! before reporting. The headline `speedup` is sequential over parallel:
-//! what the worker pool buys, which is also what the `--check-perf`
-//! regression gate holds at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes
-//! cannot promise thread-level scaling — the true ratio there sits at
-//! ~1.0 — but the pool must never make the engine *materially slower*
-//! than the sequential baseline).
+//! The engine is deterministic, so both passes must produce bit-identical
+//! results — the harness asserts it (`Debug` rendering, which is
+//! shortest-roundtrip for every float) before reporting. (Snapshot-fork
+//! bit-identity on the same mix is pinned by `crates/core/tests/fork.rs`.)
+//! The headline `speedup` is sequential over parallel: what the worker
+//! pool buys, which is also what the `--check-perf` regression gate holds
+//! at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes cannot promise
+//! thread-level scaling — the true ratio there sits at ~1.0 — but the
+//! pool must never make the engine *materially slower* than the
+//! sequential baseline).
 //!
 //! An untimed warm-up pass runs first and doubles as a probe: the mix is
 //! repeated enough times that each timed pass lasts at least
@@ -36,13 +34,14 @@
 //! used to fail on commits that touched no engine code at all.
 //!
 //! The report serializes to `BENCH_runner.json` (per-phase walls,
-//! speedups, `fork_warmup_saved`);
-//! `scripts/verify.sh` fills in the trailing `verify_wall_s` field.
-//! `figures perf` also appends one line per invocation to
-//! `BENCH_history.jsonl` for trend tracking.
+//! speedup, events/sec, queue ops/sec); `scripts/verify.sh` fills in the
+//! trailing `verify_wall_s` field. [`PerfReport::records`] — one per
+//! phase: `ticked`, `parallel`, `queue` — go to `BENCH_history.jsonl`
+//! for trend tracking, and [`PerfReport::floor_failures`] holds the
+//! report's absolute floors.
 
 use crate::Opts;
-use irs_core::{parallel, Scenario, Snapshot, Strategy, System, SystemConfig};
+use irs_core::{parallel, Scenario, Strategy};
 use irs_sim::{EventQueue, SimTime};
 use std::time::Instant;
 
@@ -52,22 +51,14 @@ pub struct PerfReport {
     /// Independent simulation runs in the timed grid.
     pub runs: usize,
     /// Discrete events processed across the grid (identical in every
-    /// pass: a forked branch's count includes its shared warmup prefix).
+    /// pass).
     pub events: u64,
     /// Wall-clock of the ticked sequential pass, seconds.
     pub ticked_wall_s: f64,
     /// Wall-clock of the parallel pass, seconds.
     pub parallel_wall_s: f64,
-    /// Wall-clock of the forked pass (parallel with per-cell shared
-    /// warmups), seconds. Excludes the warmup/snapshot prologue — that is
-    /// the cost the sharing pays once, not per branch.
-    pub forked_wall_s: f64,
-    /// Worker count the parallel and forked passes ran with.
+    /// Worker count the parallel pass ran with.
     pub parallel_jobs: usize,
-    /// Events the forked pass avoided re-executing: per distinct cell,
-    /// warmup events × (repeats − 1). Zero when the grid has no repeats
-    /// (nothing to share).
-    pub fork_warmup_saved: u64,
     /// Event-queue micro-benchmark: schedule/cancel/pop operations per
     /// second under a churn pattern that keeps the slab and tombstone
     /// machinery hot.
@@ -91,102 +82,67 @@ impl PerfReport {
         self.ticked_wall_s / self.parallel_wall_s.max(1e-9)
     }
 
-    /// What warmup sharing buys on top of the parallel configuration:
-    /// parallel over forked wall-clock.
-    pub fn forked_speedup(&self) -> f64 {
-        self.parallel_wall_s / self.forked_wall_s.max(1e-9)
-    }
-
-    /// Forked-pass throughput in simulation events per second. `events`
-    /// counts the full grid (what the pass *delivers*), so sharing the
-    /// warmup prefix shows up here as throughput above the parallel pass.
-    pub fn forked_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.forked_wall_s.max(1e-9)
-    }
-
     /// The `BENCH_runner.json` payload. `verify_wall_s` is emitted null;
     /// `scripts/verify.sh` substitutes the measured value.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"runs\": {},\n  \"events\": {},\n  \"ticked_wall_s\": {:.6},\n  \
-             \"parallel_wall_s\": {:.6},\n  \
-             \"forked_wall_s\": {:.6},\n  \"parallel_jobs\": {},\n  \"speedup\": {:.3},\n  \
-             \"forked_speedup\": {:.3},\n  \
-             \"fork_warmup_saved\": {},\n  \
+             \"parallel_wall_s\": {:.6},\n  \"parallel_jobs\": {},\n  \"speedup\": {:.3},\n  \
              \"ticked_events_per_sec\": {:.0},\n  \"parallel_events_per_sec\": {:.0},\n  \
-             \"forked_events_per_sec\": {:.0},\n  \
              \"queue_ops_per_sec\": {:.0},\n  \"verify_wall_s\": null\n}}\n",
             self.runs,
             self.events,
             self.ticked_wall_s,
             self.parallel_wall_s,
-            self.forked_wall_s,
             self.parallel_jobs,
             self.speedup(),
-            self.forked_speedup(),
-            self.fork_warmup_saved,
             self.ticked_events_per_sec(),
             self.parallel_events_per_sec(),
-            self.forked_events_per_sec(),
             self.queue_ops_per_sec,
         )
     }
 
-    /// The `BENCH_history.jsonl` records for one invocation: one line per
-    /// measured phase, each self-describing via `phase` / `jobs` / `cores`
-    /// / `timestamp`; `--check-perf` ratchets each phase against matching
-    /// records only.
-    /// `cores` is the recording host's core count ([`host_cores`]): a
-    /// throughput measured on a multi-core box must never become the
-    /// ratchet baseline for a 1-core container, or vice versa.
-    pub fn to_history_lines(&self, commit: &str, timestamp: u64, cores: usize) -> String {
-        let head = |phase: &str, jobs: usize| {
-            format!(
-                "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \
-                 \"phase\": \"{phase}\", \"jobs\": {jobs}, \"cores\": {cores}"
-            )
+    /// The `BENCH_history.jsonl` records for one invocation, one per
+    /// measured phase: `ticked` and `queue` at one worker, `parallel` at
+    /// [`parallel_jobs`](Self::parallel_jobs).
+    pub fn records(&self) -> Vec<PerfRecord> {
+        let record = |phase, jobs, fields, ratchet_on| PerfRecord {
+            phase,
+            jobs,
+            hosts: None,
+            fields,
+            ratchet_on,
         };
-        format!(
-            "{}, \"events_per_sec\": {:.0}}}\n\
-             {}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}\n\
-             {}, \"events_per_sec\": {:.0}, \"fork_warmup_saved\": {}}}\n\
-             {}, \"ops_per_sec\": {:.0}}}\n",
-            head("ticked", 1),
-            self.ticked_events_per_sec(),
-            head("parallel", self.parallel_jobs),
-            self.parallel_events_per_sec(),
-            self.speedup(),
-            head("forked", self.parallel_jobs),
-            self.forked_events_per_sec(),
-            self.fork_warmup_saved,
-            head("queue", 1),
-            self.queue_ops_per_sec,
-        )
+        vec![
+            record(
+                "ticked",
+                1,
+                vec![("events_per_sec", self.ticked_events_per_sec(), 0)],
+                "events_per_sec",
+            ),
+            record(
+                "parallel",
+                self.parallel_jobs,
+                vec![
+                    ("events_per_sec", self.parallel_events_per_sec(), 0),
+                    ("speedup", self.speedup(), 3),
+                ],
+                "events_per_sec",
+            ),
+            record(
+                "queue",
+                1,
+                vec![("ops_per_sec", self.queue_ops_per_sec, 0)],
+                "ops_per_sec",
+            ),
+        ]
     }
 
-    /// The `--check-perf` regression gate. Returns one message per
-    /// violated check; empty means the gate passes. `history` is the raw
-    /// `BENCH_history.jsonl` content (pre-append), used to *ratchet*: each
-    /// phase's current throughput must stay above [`RATCHET_FRAC`] of the
-    /// best history record with the **matching configuration** (same
-    /// phase, worker count, and host core count, and every event
-    /// dispatched — see [`dispatched_every_event`]) — records from other
-    /// configurations, legacy lines without a `phase` or `cores` field,
-    /// and records whose `jobs` / `cores` / metric fields are malformed (a
-    /// quoted count, a non-numeric value, a truncated line from an
-    /// interrupted append) are ignored rather than matched by accident: a
-    /// corrupt record must never be able to fail — or pass — the gate. The
-    /// loose fraction absorbs the ±30% wall-clock noise of shared CI boxes
-    /// while still catching structural regressions (a heap-class queue
-    /// would land at ~15% of the wheel's ops/s).
-    pub fn check_perf(&self, history: &str) -> Vec<String> {
-        self.check_perf_at(history, host_cores())
-    }
-
-    /// [`check_perf`](Self::check_perf) against an explicit host core
-    /// count (the testable entry point; production use passes
-    /// [`host_cores`]).
-    pub fn check_perf_at(&self, history: &str, cores: usize) -> Vec<String> {
+    /// The report's absolute `--check-perf` floors, independent of
+    /// history: the speedup stays at or above [`SPEEDUP_FLOOR`] and the
+    /// queue micro-benchmark at or above [`QUEUE_OPS_FLOOR`]. Returns one
+    /// message per violated floor; empty means both hold.
+    pub fn floor_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.speedup() < SPEEDUP_FLOOR {
             failures.push(format!(
@@ -203,45 +159,6 @@ impl PerfReport {
                 self.queue_ops_per_sec, QUEUE_OPS_FLOOR,
             ));
         }
-        let phases: [(&str, usize, f64, &str); 4] = [
-            ("ticked", 1, self.ticked_events_per_sec(), "events_per_sec"),
-            (
-                "parallel",
-                self.parallel_jobs,
-                self.parallel_events_per_sec(),
-                "events_per_sec",
-            ),
-            (
-                "forked",
-                self.parallel_jobs,
-                self.forked_events_per_sec(),
-                "events_per_sec",
-            ),
-            ("queue", 1, self.queue_ops_per_sec, "ops_per_sec"),
-        ];
-        for (phase, jobs, current, metric) in phases {
-            let best = history
-                .lines()
-                .filter(|l| {
-                    json_str_field(l, "phase").as_deref() == Some(phase)
-                        && dispatched_every_event(l)
-                        && json_usize_field(l, "jobs") == Some(jobs)
-                        && json_usize_field(l, "cores") == Some(cores)
-                })
-                .filter_map(|l| {
-                    json_raw_field(l, metric)
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v > 0.0)
-                })
-                .fold(f64::NAN, f64::max);
-            if best.is_finite() && current < RATCHET_FRAC * best {
-                failures.push(format!(
-                    "{phase} phase ratchet: {current:.0} {metric} is below {:.0}% of the \
-                     best matching record ({best:.0}; jobs={jobs})",
-                    RATCHET_FRAC * 100.0,
-                ));
-            }
-        }
         failures
     }
 
@@ -251,8 +168,6 @@ impl PerfReport {
             "engine self-benchmark ({} runs, {} events)\n\
              \u{20} ticked  seq: {:>8.3} s  ({:.0} events/s)\n\
              \u{20} {:>2} workers: {:>8.3} s  ({:.0} events/s, {:.2}x over sequential)\n\
-             \u{20} forked:      {:>8.3} s  ({:.0} events/s, {:.2}x over parallel, \
-             {} warmup events shared)\n\
              \u{20} event queue: {:.2}M ops/s (schedule/cancel/pop churn)\n",
             self.runs,
             self.events,
@@ -262,12 +177,104 @@ impl PerfReport {
             self.parallel_wall_s,
             self.parallel_events_per_sec(),
             self.speedup(),
-            self.forked_wall_s,
-            self.forked_events_per_sec(),
-            self.forked_speedup(),
-            self.fork_warmup_saved,
             self.queue_ops_per_sec / 1e6,
         )
+    }
+}
+
+/// One `BENCH_history.jsonl` record: a measured phase of some campaign,
+/// with the configuration it ran under and its metrics. Every writer of
+/// the trend log goes through [`to_line`](Self::to_line), and every
+/// `--check-perf` ratchet through [`ratchet`](Self::ratchet).
+#[derive(Debug, Clone)]
+pub struct PerfRecord {
+    /// Phase name (`ticked`, `fleet-smoke`, `serving`, …); records only
+    /// ratchet against history lines of the same phase.
+    pub phase: &'static str,
+    /// Worker count the phase ran with.
+    pub jobs: usize,
+    /// Fleet size, for campaigns whose throughput depends on it. `None`
+    /// writes no `hosts` field and matches history lines of any size.
+    pub hosts: Option<usize>,
+    /// Metric fields in line order: key, value, and the decimal places
+    /// written (counts go through `f64`, exact below 2^53).
+    pub fields: Vec<(&'static str, f64, usize)>,
+    /// The key of the field [`ratchet`](Self::ratchet) compares; must name
+    /// one of [`fields`](Self::fields).
+    pub ratchet_on: &'static str,
+}
+
+impl PerfRecord {
+    /// The record as one flat JSON line (with its trailing newline),
+    /// stamped with the commit, unix time, and the recording host's core
+    /// count ([`host_cores`]): a throughput measured on a multi-core box
+    /// must never become the ratchet baseline for a 1-core container, or
+    /// vice versa.
+    pub fn to_line(&self, commit: &str, timestamp: u64, cores: usize) -> String {
+        let mut line = format!(
+            "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
+             \"jobs\": {}, \"cores\": {cores}",
+            self.phase, self.jobs,
+        );
+        if let Some(hosts) = self.hosts {
+            line += &format!(", \"hosts\": {hosts}");
+        }
+        for &(key, value, decimals) in &self.fields {
+            line += &format!(", \"{key}\": {value:.decimals$}");
+        }
+        line + "}\n"
+    }
+
+    /// The `--check-perf` ratchet: `Some(message)` when the ratcheted
+    /// metric is below [`RATCHET_FRAC`] of the best history record with
+    /// the **matching configuration** — same phase, worker count, and
+    /// host core count; the same `hosts` when this record carries one (a
+    /// line without `hosts` predates fleet sizes and still matches); and
+    /// every event dispatched (see [`dispatched_every_event`]). Legacy
+    /// lines without a `phase` or `cores` field, and lines whose `jobs` /
+    /// `cores` / metric fields are malformed (a quoted count, a
+    /// non-numeric value, a truncated line from an interrupted append),
+    /// are ignored rather than matched by accident: a corrupt record must
+    /// never be able to fail — or pass — the gate. `history` is the raw
+    /// trend log as it stood before this invocation appended to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ratchet_on`](Self::ratchet_on) names no field.
+    pub fn ratchet(&self, history: &str, cores: usize) -> Option<String> {
+        let metric = self.ratchet_on;
+        let current = self
+            .fields
+            .iter()
+            .find(|(key, ..)| *key == metric)
+            .map(|&(_, value, _)| value)
+            .unwrap_or_else(|| panic!("{} record has no {metric} field", self.phase));
+        let best = history
+            .lines()
+            .filter(|l| {
+                json_str_field(l, "phase").as_deref() == Some(self.phase)
+                    && dispatched_every_event(l)
+                    && json_usize_field(l, "jobs") == Some(self.jobs)
+                    && json_usize_field(l, "cores") == Some(cores)
+                    && self
+                        .hosts
+                        .is_none_or(|h| json_usize_field(l, "hosts").is_none_or(|x| x == h))
+            })
+            .filter_map(|l| {
+                json_raw_field(l, metric)
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|v| v.is_finite() && *v > 0.0)
+            })
+            .fold(f64::NAN, f64::max);
+        (best.is_finite() && current < RATCHET_FRAC * best).then(|| {
+            format!(
+                "{} phase ratchet: {current:.0} {metric} is below {:.0}% of the best \
+                 matching record ({best:.0}; jobs={}, cores={cores})",
+                self.phase,
+                RATCHET_FRAC * 100.0,
+                self.jobs,
+            )
+        })
     }
 }
 
@@ -309,8 +316,11 @@ const MIN_GRID_RUNS: usize = 200;
 /// heap regression on a fast box stays below it.
 const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 
-/// Ratchet tolerance: a phase fails when its current throughput drops
-/// below this fraction of the best matching history record.
+/// Ratchet tolerance: a record fails when its ratcheted metric drops
+/// below this fraction of the best matching history record. The loose
+/// fraction absorbs the ±30% wall-clock noise of shared CI boxes while
+/// still catching structural regressions (a heap-class queue would land
+/// at ~15% of the wheel's ops/s).
 const RATCHET_FRAC: f64 = 0.5;
 
 /// Floor on the sequential-over-parallel speedup. On a 1-core CI box
@@ -336,12 +346,12 @@ pub fn host_cores() -> usize {
 }
 
 /// Extract the raw (unquoted) value of a top-level `"key": value` pair
-/// from a single-line JSON object. Good enough for the flat records this
-/// module writes; not a general JSON parser. Matches are anchored: the
+/// from a single-line JSON object. Good enough for the flat records
+/// [`PerfRecord::to_line`] writes; not a general JSON parser. Matches are anchored: the
 /// quoted key must sit where a key can sit (line start, or after `{` or
 /// `,`), so a string *value* that happens to contain `"jobs":` cannot
 /// alias the `jobs` field.
-pub(crate) fn json_raw_field(line: &str, key: &str) -> Option<String> {
+fn json_raw_field(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":");
     let mut from = 0;
     while let Some(off) = line[from..].find(&pat) {
@@ -357,7 +367,7 @@ pub(crate) fn json_raw_field(line: &str, key: &str) -> Option<String> {
 }
 
 /// Like [`json_raw_field`] but strips one layer of surrounding quotes.
-pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
+fn json_str_field(line: &str, key: &str) -> Option<String> {
     let raw = json_raw_field(line, key)?;
     Some(raw.trim_matches('"').to_string())
 }
@@ -368,7 +378,7 @@ pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
 /// elision on (`"tickless": true`) measured a different engine, and a
 /// malformed flag (a quoted `"true"`, a `1`, a truncated token) is
 /// skipped rather than guessed at, so neither can set a ratchet baseline.
-pub(crate) fn dispatched_every_event(line: &str) -> bool {
+fn dispatched_every_event(line: &str) -> bool {
     matches!(
         json_raw_field(line, "tickless").as_deref(),
         None | Some("false")
@@ -377,7 +387,7 @@ pub(crate) fn dispatched_every_event(line: &str) -> bool {
 
 /// Strictly-parsed JSON unsigned integer: bare ASCII digits only. Rejects
 /// quoted numbers, signs, floats, and empty tokens.
-pub(crate) fn json_usize_field(line: &str, key: &str) -> Option<usize> {
+fn json_usize_field(line: &str, key: &str) -> Option<usize> {
     let raw = json_raw_field(line, key)?;
     if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -403,31 +413,23 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (out.expect("MEASURE_PASSES >= 1"), best)
 }
 
-/// Virtual-time warmup depth for the forked pass: far enough that the
-/// shared prefix holds real scheduling history (SA round trips, credit
-/// refills), well short of any run's completion.
-const FORK_WARMUP: SimTime = SimTime::from_millis(50);
-
-/// Times the grid in all three configurations and returns the combined
+/// Times the grid in both configurations and returns the combined
 /// report. `opts.seeds` seeds per mix entry; the whole mix is then
 /// repeated (identically — the engine is deterministic) until a timed
 /// pass is expected to take at least [`MIN_TIMED_WALL_S`] and the grid
-/// holds at least [`MIN_GRID_RUNS`] runs. The repetition is what the
-/// forked phase exploits: `runs / base_runs` branches per distinct cell
-/// share one warmup each.
+/// holds at least [`MIN_GRID_RUNS`] runs.
 pub fn perf(opts: Opts) -> PerfReport {
     // Best-of-N for the micro-benchmark too: its loop already runs to a
     // minimum wall, so take the fastest of the repeated windows.
     let queue_ops = (0..MEASURE_PASSES).map(|_| queue_ops_per_sec()).fold(0.0, f64::max);
     let per = opts.seeds.max(1) as usize;
     let base_runs = MIX.len() * per;
-    let cell = |i: usize| {
+    let job = |i: usize| {
         let i = i % base_runs;
         let (bench, n_inter, strategy) = MIX[i / per];
         let seed = opts.base_seed + (i % per) as u64;
-        Scenario::fig5_style(bench, n_inter, strategy, seed)
+        Scenario::fig5_style(bench, n_inter, strategy, seed).run()
     };
-    let job = |i: usize| cell(i).run();
 
     // Warm-up: faults code and allocator arenas in, and its wall-clock
     // sizes the timed passes.
@@ -446,37 +448,12 @@ pub fn perf(opts: Opts) -> PerfReport {
     let parallel_jobs = parallel::resolve_jobs(opts.jobs);
     let (par, parallel_wall_s) = best_of(|| parallel::ordered_map(parallel_jobs, runs, job));
 
-    // Phase 3: forked — each distinct cell runs its warmup prefix once
-    // (untimed, like the probe: it is paid once per campaign, not per
-    // branch), and every grid slot resumes from its cell's snapshot.
-    // `job` maps slot i to cell i % base_runs, so slot-for-slot identity
-    // with the other passes is well-defined.
-    let snaps: Vec<Snapshot> = parallel::ordered_map(parallel_jobs, base_runs, |i| {
-        let mut sys = System::with_config(cell(i), SystemConfig::default());
-        sys.run_until(FORK_WARMUP);
-        sys.snapshot()
-    });
-    let repeats = (runs / base_runs) as u64;
-    let fork_warmup_saved: u64 = snaps
-        .iter()
-        .map(|s| s.events_processed().saturating_mul(repeats.saturating_sub(1)))
-        .sum();
-    let (forked, forked_wall_s) = best_of(|| {
-        parallel::ordered_map(parallel_jobs, runs, |i| snaps[i % base_runs].resume().run())
-    });
-
     // The determinism contract, asserted over the full result surface:
-    // every float, counter, and latency sample must agree across all
-    // three configurations.
+    // every float, counter, and latency sample must agree.
     assert_eq!(
         format!("{ticked:?}"),
         format!("{par:?}"),
         "parallel pass diverged from sequential"
-    );
-    assert_eq!(
-        format!("{par:?}"),
-        format!("{forked:?}"),
-        "forked pass diverged from the parallel pass: snapshot fork broke bit-identity"
     );
 
     PerfReport {
@@ -484,9 +461,7 @@ pub fn perf(opts: Opts) -> PerfReport {
         events,
         ticked_wall_s,
         parallel_wall_s,
-        forked_wall_s,
         parallel_jobs,
-        fork_warmup_saved,
         queue_ops_per_sec: queue_ops,
     }
 }
@@ -555,7 +530,7 @@ fn queue_ops_per_sec() -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn report() -> PerfReport {
@@ -564,9 +539,7 @@ mod tests {
             events: 3456,
             ticked_wall_s: 3.0,
             parallel_wall_s: 1.0,
-            forked_wall_s: 0.5,
             parallel_jobs: 4,
-            fork_warmup_saved: 2000,
             queue_ops_per_sec: 1e6,
         }
     }
@@ -577,48 +550,42 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"runs\": 216"));
         assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"forked_speedup\": 2.000"));
-        assert!(json.contains("\"fork_warmup_saved\": 2000"));
+        assert!(!json.contains("fork"), "the forked phase is gone: {json}");
         assert!(json.trim_end().ends_with('}'));
         assert!(json.contains("\"verify_wall_s\": null"));
         // verify.sh substitutes the trailing field; it must stay last.
         assert!(json.trim_end().ends_with("\"verify_wall_s\": null\n}"));
         assert!((r.speedup() - 3.0).abs() < 1e-9);
-        assert!((r.forked_speedup() - 2.0).abs() < 1e-9);
         assert!((r.ticked_events_per_sec() - 1152.0).abs() < 1e-6);
     }
 
+    /// Golden: the perf phases' lines, byte for byte as the trend log has
+    /// always stored them.
     #[test]
     fn history_lines_are_one_json_object_per_phase() {
-        let lines = report().to_history_lines("abc1234", 1_700_000_000, 8);
-        let parsed: Vec<&str> = lines.lines().collect();
-        assert_eq!(parsed.len(), 4, "one record per measured phase");
-        for l in &parsed {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-            assert_eq!(json_str_field(l, "commit").as_deref(), Some("abc1234"));
-            assert_eq!(json_raw_field(l, "timestamp").as_deref(), Some("1700000000"));
-            assert!(json_str_field(l, "phase").is_some());
-            assert_eq!(json_usize_field(l, "cores"), Some(8));
-            assert!(dispatched_every_event(l));
-        }
-        // Phase records carry the numbers the ratchet keys on.
-        assert!(parsed[0].contains("\"phase\": \"ticked\""));
-        assert!(parsed[0].contains("\"jobs\": 1"));
-        assert!(parsed[1].contains("\"phase\": \"parallel\""));
-        assert!(parsed[1].contains("\"jobs\": 4"));
-        assert!(parsed[1].contains("\"speedup\": 3.000"));
-        assert!(parsed[2].contains("\"phase\": \"forked\""));
-        assert!(parsed[2].contains("\"jobs\": 4"));
-        assert!(parsed[2].contains("\"fork_warmup_saved\": 2000"));
-        assert!(parsed[3].contains("\"phase\": \"queue\""));
-        assert!(parsed[3].contains("\"ops_per_sec\": 1000000"));
+        let records = report().records();
+        let lines: String = records
+            .iter()
+            .map(|r| r.to_line("abc1234", 1_700_000_000, 4))
+            .collect();
+        assert_eq!(
+            lines,
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"ticked\", \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 1152}\n\
+             {\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 3456, \"speedup\": 3.000}\n\
+             {\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"queue\", \"jobs\": 1, \"cores\": 4, \"ops_per_sec\": 1000000}\n"
+        );
+        let metrics: Vec<_> = records.iter().map(|r| r.ratchet_on).collect();
+        assert_eq!(metrics, ["events_per_sec", "events_per_sec", "ops_per_sec"]);
     }
 
     #[test]
     fn check_perf_passes_on_empty_history() {
         let mut r = report();
         r.queue_ops_per_sec = 40.0e6;
-        assert!(r.check_perf("").is_empty());
+        assert!(r.floor_failures().is_empty());
+        for record in r.records() {
+            assert_eq!(record.ratchet("", 4), None, "{}", record.phase);
+        }
     }
 
     #[test]
@@ -626,70 +593,219 @@ mod tests {
         let mut r = report();
         r.queue_ops_per_sec = 1e6; // heap-class number: below the floor
         r.parallel_wall_s = 4.0; // slower than ticked: speedup < 1.0
-        let failures = r.check_perf("");
+        let failures = r.floor_failures();
         assert_eq!(failures.len(), 2);
         assert!(failures.iter().any(|f| f.contains("queue_ops_per_sec")));
         assert!(failures.iter().any(|f| f.contains("speedup")));
     }
 
+    /// A record ratcheting on one metric, shaped like the campaigns' own.
+    fn rec(
+        phase: &'static str,
+        jobs: usize,
+        hosts: Option<usize>,
+        metric: &'static str,
+        value: f64,
+    ) -> PerfRecord {
+        PerfRecord {
+            phase,
+            jobs,
+            hosts,
+            fields: vec![(metric, value, 0)],
+            ratchet_on: metric,
+        }
+    }
+
+    /// Every ratchet case of every campaign, in one table: which history
+    /// lines match a record (phase, jobs, host cores, fleet size, full
+    /// event dispatch, well-formed fields) and when a match fires. Each
+    /// row belongs to a group, and each group is run by one test here or
+    /// beside the campaign it covers.
+    pub(crate) fn assert_ratchet_cases(group: &str) {
+        // Current values: the perf, fleet and serving fixtures'.
+        let ticked = rec("ticked", 1, None, "events_per_sec", 1152.0);
+        let parallel = rec("parallel", 4, None, "events_per_sec", 3456.0);
+        let fleet = rec("fleet", 2, Some(120), "events_per_sec", 5000.0);
+        let scale = rec(
+            "fleet-scale",
+            2,
+            Some(1000),
+            "effective_events_per_sec",
+            27_500.0,
+        );
+        let serving = rec("serving", 2, None, "events_per_sec", 5000.0);
+        // (group, case, record, host cores, history, expected message
+        // fragment; `None` means the ratchet holds).
+        type Case<'a> = (&'a str, &'a str, &'a PerfRecord, usize, &'a str, Option<&'a str>);
+        let cases: &[Case] = &[
+            ("matching", "empty history", &parallel, 4, "", None),
+            ("matching", "matching record 10x faster",
+             &parallel, 4, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
+             Some("parallel phase ratchet: 3456 events_per_sec")),
+            ("matching", "matching record within tolerance",
+             &parallel, 4, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}",
+             None),
+            ("matching", "same records on another host",
+             &parallel, 1, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
+             None),
+            ("matching", "legacy line without phase",
+             &parallel, 4, "{\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
+             None),
+            ("matching", "other worker count",
+             &parallel, 4, "{\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
+             None),
+            ("matching", "other core count",
+             &parallel, 4, "{\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
+             None),
+            ("matching", "legacy line without cores",
+             &parallel, 4, "{\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
+             None),
+            // Old records carry the retired `tickless` flag: `false` ran
+            // every event, as the engine does now, so it arms; `true`
+            // measured elided runs, so it must not.
+            ("elision", "ran every event",
+             &ticked, 4, "{\"commit\": \"old1\", \"phase\": \"ticked\", \"tickless\": false, \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 99999999}",
+             Some("ticked phase ratchet")),
+            ("elision", "taken with event elision",
+             &parallel, 4, "{\"commit\": \"old2\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            // Corrupt in one field each: none may arm the ratchet — the
+            // gate used to false-fail when a mangled line's huge number
+            // slipped in.
+            ("malformed", "bad1 quoted flag",
+             &parallel, 4, "{\"commit\": \"bad1\", \"phase\": \"parallel\", \"tickless\": \"true\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad2 numeric flag",
+             &parallel, 4, "{\"commit\": \"bad2\", \"phase\": \"parallel\", \"tickless\": 1, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad3 quoted jobs",
+             &parallel, 4, "{\"commit\": \"bad3\", \"phase\": \"parallel\", \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad4 word jobs",
+             &parallel, 4, "{\"commit\": \"bad4\", \"phase\": \"parallel\", \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad5 negative jobs",
+             &parallel, 4, "{\"commit\": \"bad5\", \"phase\": \"parallel\", \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad6 quoted cores",
+             &parallel, 4, "{\"commit\": \"bad6\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}",
+             None),
+            ("malformed", "bad7 NaN metric",
+             &parallel, 4, "{\"commit\": \"bad7\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}",
+             None),
+            ("malformed", "bad8 truncated line",
+             &parallel, 4, "{\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":",
+             None),
+            // Fleet: a line without `hosts` predates fleet sizes and
+            // matches; a line with one must name this fleet's size.
+            ("fleet", "fleet within tolerance",
+             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}",
+             None),
+            ("fleet", "fleet record without hosts",
+             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             Some("fleet phase ratchet")),
+            ("fleet", "fleet other worker count",
+             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("fleet", "fleet other core count",
+             &fleet, 64, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("fleet", "fleet smoke phase",
+             &fleet, 4, "{\"phase\": \"fleet-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("hosts", "fleet other size",
+             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 99999999}",
+             None),
+            ("hosts", "fleet same size",
+             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 120, \"events_per_sec\": 99999999}",
+             Some("fleet phase ratchet")),
+            // The scale phase ratchets effective (logical) throughput.
+            ("scale", "scale effective 36x faster",
+             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 999999999}",
+             Some("fleet-scale phase ratchet: 27500 effective_events_per_sec")),
+            ("scale", "scale effective within tolerance",
+             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 30000}",
+             None),
+            ("scale", "scale ignores executed throughput",
+             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 999999999}",
+             None),
+            ("serving", "serving within tolerance",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}",
+             None),
+            ("serving", "serving matching record",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             Some("serving phase ratchet")),
+            ("serving", "serving other worker count",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("serving", "serving other core count",
+             &serving, 64, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            ("serving", "serving smoke phase",
+             &serving, 4, "{\"phase\": \"serving-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
+             None),
+            // A record without `hosts` does not check the field at all.
+            ("hosts", "serving ignores hosts",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"hosts\": 16, \"events_per_sec\": 99999999}",
+             Some("serving phase ratchet")),
+            // The best matching line sets the bar, wherever it sits.
+            ("matching", "best of several matches",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n\
+                           {\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 12000}\n\
+                           {\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 7000}",
+             Some("best matching record (12000;")),
+            ("matching", "non-matching lines around a match",
+             &parallel, 4, "{\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
+                            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n\
+                            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
+             Some("(34560; jobs=4, cores=4)")),
+            ("matching", "zero metric",
+             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 0}",
+             None),
+            ("matching", "other metric only",
+             &ticked, 4, "{\"phase\": \"ticked\", \"jobs\": 1, \"cores\": 4, \"ops_per_sec\": 99999999}",
+             None),
+        ];
+        let groups = [
+            "matching",
+            "elision",
+            "malformed",
+            "fleet",
+            "hosts",
+            "scale",
+            "serving",
+        ];
+        for &(g, case, ..) in cases {
+            assert!(groups.contains(&g), "{case}: no test runs group {g:?}");
+        }
+        let mut ran = 0;
+        for &(_, case, record, cores, history, want) in cases.iter().filter(|c| c.0 == group) {
+            ran += 1;
+            let got = record.ratchet(history, cores);
+            match want {
+                None => assert_eq!(got, None, "{case}"),
+                Some(fragment) => assert!(
+                    got.as_deref().is_some_and(|m| m.contains(fragment)),
+                    "{case}: want a failure containing {fragment:?}, got {got:?}"
+                ),
+            }
+        }
+        assert!(ran > 0, "no ratchet cases in group {group:?}");
+    }
+
     #[test]
     fn check_perf_ratchets_against_matching_config_only() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // Best matching parallel record is 10x the current report's
-        // throughput -> ratchet fires. A same-phase record with a
-        // different job count, one from a host with a different core
-        // count, a legacy line without `phase`, and a legacy line
-        // without `cores` must all be ignored.
-        let history = "\
-            {\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}\n";
-        let failures = r.check_perf_at(history, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("parallel phase ratchet"));
-        // Within tolerance of the matching record -> passes.
-        let close = "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}\n";
-        assert!(r.check_perf_at(close, 4).is_empty());
-        // The same records never arm the ratchet on a different host.
-        assert!(r.check_perf_at(history, 1).is_empty());
+        assert_ratchet_cases("matching");
     }
 
     #[test]
     fn check_perf_skips_records_taken_with_event_elision() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // Old records carry the retired flag. `false` ran every event, as
-        // the engine does now, so the ticked baseline still arms; `true`
-        // measured elided runs, so the parallel one must not.
-        let history = "\
-            {\"commit\": \"old1\", \"phase\": \"ticked\", \"tickless\": false, \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"old2\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n";
-        let failures = r.check_perf_at(history, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("ticked phase ratchet"));
+        assert_ratchet_cases("elision");
     }
 
     #[test]
     fn check_perf_ignores_malformed_records() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // Each record matches the parallel phase on `phase` but is
-        // corrupt in one field. None may arm the ratchet — the gate used
-        // to false-fail when a mangled line's huge number slipped in.
-        let history = "\
-            {\"commit\": \"bad1\", \"phase\": \"parallel\", \"tickless\": \"true\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad2\", \"phase\": \"parallel\", \"tickless\": 1, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad3\", \"phase\": \"parallel\", \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad4\", \"phase\": \"parallel\", \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad5\", \"phase\": \"parallel\", \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad6\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad7\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}\n\
-            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n";
-        let failures = r.check_perf_at(history, 4);
-        assert!(failures.is_empty(), "{failures:?}");
+        assert_ratchet_cases("malformed");
     }
 
     #[test]

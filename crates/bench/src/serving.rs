@@ -1,5 +1,5 @@
 //! `figures serving` — the open-loop latency-SLO serving campaign, plus
-//! its BENCH_history.jsonl records and `--check-perf` ratchet.
+//! its BENCH_history.jsonl record.
 //!
 //! A two-tier request service ([`presets::server::serving_tiers`]) is
 //! driven by deterministic open-loop Poisson arrivals and measured under
@@ -12,7 +12,7 @@
 //! bit-identical for every `--jobs` value. `--smoke` shrinks the grid
 //! and horizon for CI and asserts the same cell contracts.
 
-use crate::perf::{json_raw_field, json_str_field, json_usize_field};
+use crate::perf::PerfRecord;
 use crate::Opts;
 use irs_core::{parallel, RunResult, Scenario, Strategy, VmScenario};
 use irs_metrics::{percentile, Series, Summary, Table};
@@ -27,9 +27,6 @@ pub const SMOKE_HORIZON: SimTime = SimTime::from_secs(2);
 
 /// Offered load as a fraction of the slower tier's capacity.
 pub const OFFERED_LOAD: f64 = 0.6;
-
-/// Ratchet tolerance for the serving phase, matching the perf gate's.
-const RATCHET_FRAC: f64 = 0.5;
 
 /// The two strategy arms, in table-row order.
 const ARMS: [(Strategy, &str); 2] = [(Strategy::Vanilla, "van"), (Strategy::Irs, "irs")];
@@ -165,70 +162,20 @@ pub fn events_per_sec(o: &ServingOutcome) -> f64 {
     o.events as f64 / o.wall_s.max(1e-9)
 }
 
-/// History phase name; smoke and full campaigns ratchet separately
-/// (they simulate different grids).
-pub fn phase(o: &ServingOutcome) -> &'static str {
-    if o.smoke {
-        "serving-smoke"
-    } else {
-        "serving"
-    }
-}
-
-/// One BENCH_history.jsonl record for this campaign, shaped like the
-/// perf and fleet phases' records so one trend log covers all three.
-pub fn history_line(
-    o: &ServingOutcome,
-    commit: &str,
-    timestamp: u64,
-    jobs: usize,
-    cores: usize,
-) -> String {
-    format!(
-        "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
-         \"jobs\": {jobs}, \"cores\": {cores}, \
-         \"events_per_sec\": {:.0}, \"runs\": {}, \"requests\": {}}}\n",
-        phase(o),
-        events_per_sec(o),
-        o.runs,
-        o.requests,
-    )
-}
-
-/// The serving side of `--check-perf`: ratchets the campaign's
-/// events/sec against the best matching history record (same phase,
-/// worker count, and host core count, skipping records that ran with
-/// event elision — see [`crate::perf::dispatched_every_event`]).
-pub fn check_serving_perf(
-    o: &ServingOutcome,
-    history: &str,
-    jobs: usize,
-    cores: usize,
-) -> Vec<String> {
-    let current = events_per_sec(o);
-    let best = history
-        .lines()
-        .filter(|l| {
-            json_str_field(l, "phase").as_deref() == Some(phase(o))
-                && crate::perf::dispatched_every_event(l)
-                && json_usize_field(l, "jobs") == Some(jobs)
-                && json_usize_field(l, "cores") == Some(cores)
-        })
-        .filter_map(|l| {
-            json_raw_field(l, "events_per_sec")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| v.is_finite() && *v > 0.0)
-        })
-        .fold(f64::NAN, f64::max);
-    if best.is_finite() && current < RATCHET_FRAC * best {
-        vec![format!(
-            "{} phase ratchet: {current:.0} events_per_sec is below {:.0}% of the best \
-             matching record ({best:.0}; jobs={jobs}, cores={cores})",
-            phase(o),
-            RATCHET_FRAC * 100.0,
-        )]
-    } else {
-        Vec::new()
+/// The campaign's BENCH_history.jsonl record, run with `jobs` workers;
+/// it ratchets on events/sec. Smoke and full campaigns are separate
+/// phases (`serving-smoke`, `serving`: they simulate different grids).
+pub fn record(o: &ServingOutcome, jobs: usize) -> PerfRecord {
+    PerfRecord {
+        phase: if o.smoke { "serving-smoke" } else { "serving" },
+        jobs,
+        hosts: None,
+        fields: vec![
+            ("events_per_sec", events_per_sec(o), 0),
+            ("runs", o.runs as f64, 0),
+            ("requests", o.requests as f64, 0),
+        ],
+        ratchet_on: "events_per_sec",
     }
 }
 
@@ -247,31 +194,26 @@ mod tests {
         }
     }
 
+    /// Golden: the serving phases' lines, byte for byte as the trend log
+    /// has always stored them.
     #[test]
     fn history_line_is_one_self_describing_record() {
-        let l = history_line(&outcome(true), "abc1234", 1_700_000_000, 2, 4);
-        assert!(l.ends_with("}\n"));
-        assert_eq!(json_str_field(&l, "phase").as_deref(), Some("serving-smoke"));
-        assert_eq!(json_usize_field(&l, "jobs"), Some(2));
-        assert_eq!(json_usize_field(&l, "cores"), Some(4));
-        assert_eq!(json_raw_field(&l, "events_per_sec").as_deref(), Some("5000"));
-        assert_eq!(json_raw_field(&l, "requests").as_deref(), Some("800"));
+        let line = |smoke| record(&outcome(smoke), 2).to_line("abc1234", 1_700_000_000, 4);
+        assert_eq!(
+            line(false),
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 5000, \"runs\": 4, \"requests\": 800}\n"
+        );
+        assert_eq!(
+            line(true),
+            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"serving-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 5000, \"runs\": 4, \"requests\": 800}\n"
+        );
+        assert_eq!(record(&outcome(false), 2).ratchet_on, "events_per_sec");
     }
 
+    /// The serving cases are rows of the one ratchet table in `perf.rs`.
     #[test]
     fn serving_ratchet_matches_config_and_fires() {
-        let o = outcome(false);
-        let good = "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n";
-        assert!(check_serving_perf(&o, good, 2, 4).is_empty());
-        let fast = "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}\n";
-        let failures = check_serving_perf(&o, fast, 2, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("serving phase ratchet"));
-        // Other phase, jobs, or cores: ignored.
-        assert!(check_serving_perf(&o, fast, 4, 4).is_empty());
-        assert!(check_serving_perf(&o, fast, 2, 64).is_empty());
-        let smoke_rec = fast.replace("\"serving\"", "\"serving-smoke\"");
-        assert!(check_serving_perf(&o, &smoke_rec, 2, 4).is_empty());
+        crate::perf::tests::assert_ratchet_cases("serving");
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Multi-seed experiment helpers.
+//! Multi-run experiment helpers.
 //!
-//! The paper reports the average of (at least) five runs per data point;
-//! these helpers run a scenario constructor across seeds and aggregate.
+//! The paper reports the average of (at least) five runs per data point:
+//! [`grid_mean_makespans`] runs scenario constructors across seeds and
+//! averages them. [`run_forked_grid`] and [`run_forked_grid_cached`] run
+//! groups of identical simulations, sharing a warmup snapshot (and, with
+//! the cache, completed results) within each group.
 
 use crate::parallel;
 use crate::results::RunResult;
@@ -12,77 +15,41 @@ use irs_sim::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Default repetition count, matching the paper's five-run averages.
-pub const DEFAULT_SEEDS: u64 = 5;
-
 /// A borrowed scenario constructor, the unit of work in a
 /// [`grid_mean_makespans`] batch.
 pub type ScenarioFn<'a> = &'a (dyn Fn(u64) -> Scenario + Sync);
-
-/// Runs `make(seed)` for `seeds` consecutive seeds starting at
-/// `base_seed`, returning every result in seed order.
-///
-/// Runs fan out across the process-default worker count (see
-/// [`parallel::default_jobs`]); results are identical to a sequential run.
-pub fn run_seeds<F>(base_seed: u64, seeds: u64, make: F) -> Vec<RunResult>
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    run_seeds_jobs(base_seed, seeds, 0, make)
-}
-
-/// [`run_seeds`] with an explicit worker count (`0` = process default).
-pub fn run_seeds_jobs<F>(base_seed: u64, seeds: u64, jobs: usize, make: F) -> Vec<RunResult>
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    parallel::ordered_map(jobs, seeds as usize, |i| make(base_seed + i as u64).run())
-}
-
-/// Mean makespan (ms) of the measured VM across seeded repetitions.
-///
-/// # Panics
-///
-/// Panics if any repetition failed to complete within the horizon.
-pub fn mean_makespan_ms<F>(base_seed: u64, seeds: u64, make: F) -> f64
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    mean_makespan_ms_jobs(base_seed, seeds, 0, make)
-}
-
-/// [`mean_makespan_ms`] with an explicit worker count (`0` = default).
-pub fn mean_makespan_ms_jobs<F>(base_seed: u64, seeds: u64, jobs: usize, make: F) -> f64
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    let samples: Vec<f64> = run_seeds_jobs(base_seed, seeds, jobs, make)
-        .iter()
-        .map(|r| r.measured().makespan_ms())
-        .collect();
-    Summary::of(&samples).mean
-}
 
 /// Mean makespans for a whole batch of scenario constructors in one
 /// fan-out: `makes.len() × seeds` independent runs share the worker pool,
 /// so narrow panels still saturate wide hosts.
 ///
 /// Entry `k` of the result is the seed-averaged makespan of `makes[k]`
-/// (job order is constructor-major, seed-minor — canonical and therefore
-/// deterministic).
+/// over seeds `base_seed..base_seed + seeds` (job order is
+/// constructor-major, seed-minor — canonical and therefore
+/// deterministic). `jobs = 0` means the process default
+/// ([`parallel::default_jobs`]); results are identical for every value.
+///
+/// # Panics
+///
+/// Panics if `seeds` is 0 (a mean over no runs), or if any run's measured
+/// VM failed to complete within the horizon.
 pub fn grid_mean_makespans(
     base_seed: u64,
     seeds: u64,
     jobs: usize,
     makes: &[ScenarioFn<'_>],
 ) -> Vec<f64> {
+    assert!(
+        seeds >= 1,
+        "grid_mean_makespans: `seeds` must be at least 1, got 0"
+    );
     let per = seeds as usize;
     let samples = parallel::ordered_map(jobs, makes.len() * per, |i| {
         let make = makes[i / per];
         make(base_seed + (i % per) as u64).run().measured().makespan_ms()
     });
     samples
-        .chunks(per.max(1))
+        .chunks(per)
         .map(|chunk| Summary::of(chunk).mean)
         .collect()
 }
@@ -90,27 +57,28 @@ pub fn grid_mean_makespans(
 /// One warmup per group, many branches: group `g` (of
 /// `group_sizes.len()`) is built from `make(g)`, run to `warmup` virtual
 /// time once, snapshotted, and branched into `group_sizes[g]` forked
-/// completions (`jobs` as in [`run_seeds_jobs`]; `0` = process default).
+/// completions (`jobs = 0` means the process default). `warmup = None`
+/// runs every member from scratch instead, sharing nothing.
 ///
 /// Every branch is bit-identical to a from-scratch run of the same
 /// `(scenario, cfg)` pair — the [`crate::Snapshot`] determinism contract —
 /// so a campaign whose grid repeats a cell pays the shared warmup prefix
-/// once instead of once per repeat. A `warmup` past the run's completion
-/// is harmless: the snapshot is then of the finished state and branches
-/// return immediately ([`System::run`] re-checks completion before
-/// stepping).
+/// once instead of once per repeat, and both modes return the same
+/// results. A `warmup` past the run's completion is harmless: the
+/// snapshot is then of the finished state and branches return immediately
+/// ([`System::run`] re-checks completion before stepping).
 ///
 /// Both the warmups and the branches fan out through the worker pool in
 /// one canonical order each (group-major), so results are bit-identical
 /// for every `jobs` value. Returns the per-group branch results plus the
 /// total number of events the sharing avoided re-executing (the sum of
-/// each group's `warmup events × (size − 1)`).
+/// each group's `warmup events × (size − 1)`; 0 without a warmup).
 ///
 /// This is the fleet campaign's primitive: hosts with identical tenant
 /// composition are identical simulations, so one warmup serves them all.
 pub fn run_forked_grid<F>(
     jobs: usize,
-    warmup: SimTime,
+    warmup: Option<SimTime>,
     cfg: &SystemConfig,
     group_sizes: &[usize],
     make: F,
@@ -118,11 +86,14 @@ pub fn run_forked_grid<F>(
 where
     F: Fn(usize) -> Scenario + Sync,
 {
-    let snaps = parallel::ordered_map(jobs, group_sizes.len(), |g| {
-        let mut sys = System::with_config(make(g), cfg.clone());
-        sys.run_until(warmup);
-        sys.snapshot()
-    });
+    let snaps: Vec<Snapshot> = match warmup {
+        Some(w) => parallel::ordered_map(jobs, group_sizes.len(), |g| {
+            let mut sys = System::with_config(make(g), cfg.clone());
+            sys.run_until(w);
+            sys.snapshot()
+        }),
+        None => Vec::new(),
+    };
     let saved = snaps
         .iter()
         .zip(group_sizes)
@@ -137,7 +108,10 @@ where
         .enumerate()
         .flat_map(|(g, &n)| std::iter::repeat_n(g, n))
         .collect();
-    let flat = parallel::ordered_map(jobs, owner.len(), |i| snaps[owner[i]].resume().run());
+    let flat = parallel::ordered_map(jobs, owner.len(), |i| match snaps.get(owner[i]) {
+        Some(snap) => snap.resume().run(),
+        None => System::with_config(make(owner[i]), cfg.clone()).run(),
+    });
     let mut grouped: Vec<Vec<RunResult>> = group_sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
     for (i, r) in flat.into_iter().enumerate() {
         grouped[owner[i]].push(r);
@@ -456,33 +430,6 @@ where
     out
 }
 
-/// Mean improvement (%) of a variant over a baseline, both averaged over
-/// the same seeds — the y-axis of Figs 5, 6, 10, 11, 12, 13.
-pub fn mean_improvement_pct<B, V>(base_seed: u64, seeds: u64, baseline: B, variant: V) -> f64
-where
-    B: Fn(u64) -> Scenario + Sync,
-    V: Fn(u64) -> Scenario + Sync,
-{
-    mean_improvement_pct_jobs(base_seed, seeds, 0, baseline, variant)
-}
-
-/// [`mean_improvement_pct`] with an explicit worker count (`0` = default).
-/// Baseline and variant runs share one fan-out (2 × `seeds` jobs).
-pub fn mean_improvement_pct_jobs<B, V>(
-    base_seed: u64,
-    seeds: u64,
-    jobs: usize,
-    baseline: B,
-    variant: V,
-) -> f64
-where
-    B: Fn(u64) -> Scenario + Sync,
-    V: Fn(u64) -> Scenario + Sync,
-{
-    let means = grid_mean_makespans(base_seed, seeds, jobs, &[&baseline, &variant]);
-    irs_metrics::improvement_pct(means[0], means[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,15 +438,6 @@ mod tests {
     fn quick(seed: u64) -> Scenario {
         // Tiny controlled run: EP is the cheapest preset.
         Scenario::fig5_style("EP", 1, Strategy::Vanilla, seed)
-    }
-
-    #[test]
-    fn run_seeds_produces_one_result_per_seed() {
-        let results = run_seeds(1, 2, quick);
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            assert!(r.measured().makespan.is_some());
-        }
     }
 
     #[test]
@@ -523,7 +461,7 @@ mod tests {
         let scratch = quick(3).run();
         let (grouped, saved) = run_forked_grid(
             2,
-            SimTime::from_millis(50),
+            Some(SimTime::from_millis(50)),
             &SystemConfig::default(),
             &[3],
             |_| quick(3),
@@ -545,20 +483,23 @@ mod tests {
             let strat = if g == 0 { Strategy::Vanilla } else { Strategy::Irs };
             Scenario::fig5_style("EP", 1, strat, 11)
         };
-        let (grouped, saved) = run_forked_grid(
-            2,
-            SimTime::from_millis(40),
-            &SystemConfig::default(),
-            &[2, 3],
-            make,
-        );
-        assert_eq!(grouped[0].len(), 2);
-        assert_eq!(grouped[1].len(), 3);
-        assert!(saved > 0, "two groups of >1 branches must share warmups");
-        for (g, branches) in grouped.iter().enumerate() {
-            let scratch = format!("{:?}", make(g).run());
-            for b in branches {
-                assert_eq!(format!("{b:?}"), scratch);
+        // With a shared warmup and without one: same branches, and only
+        // the warmup mode saves events.
+        for warmup in [Some(SimTime::from_millis(40)), None] {
+            let (grouped, saved) =
+                run_forked_grid(2, warmup, &SystemConfig::default(), &[2, 3], make);
+            assert_eq!(grouped[0].len(), 2);
+            assert_eq!(grouped[1].len(), 3);
+            if warmup.is_some() {
+                assert!(saved > 0, "two groups of >1 branches must share warmups");
+            } else {
+                assert_eq!(saved, 0, "scratch members share nothing");
+            }
+            for (g, branches) in grouped.iter().enumerate() {
+                let scratch = format!("{:?}", make(g).run());
+                for b in branches {
+                    assert_eq!(format!("{b:?}"), scratch, "warmup={warmup:?}");
+                }
             }
         }
     }
@@ -567,9 +508,20 @@ mod tests {
     fn grid_matches_per_constructor_means() {
         let irs = |seed| Scenario::fig5_style("EP", 1, Strategy::Irs, seed);
         let grid = grid_mean_makespans(1, 2, 2, &[&quick, &irs]);
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0], mean_makespan_ms_jobs(1, 2, 1, quick));
-        assert_eq!(grid[1], mean_makespan_ms_jobs(1, 2, 1, irs));
+        // The same means, computed one sequential run at a time.
+        let mean = |make: &dyn Fn(u64) -> Scenario| {
+            let samples: Vec<f64> = (1..=2)
+                .map(|seed| make(seed).run().measured().makespan_ms())
+                .collect();
+            Summary::of(&samples).mean
+        };
+        assert_eq!(grid, vec![mean(&quick), mean(&irs)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "`seeds` must be at least 1")]
+    fn grid_rejects_zero_seeds() {
+        grid_mean_makespans(1, 0, 1, &[&quick]);
     }
 
     /// Two groups keyed by seed; `make` mirrors the fleet's

@@ -15,20 +15,24 @@ fn quick(strategy: Strategy, seed: u64) -> Scenario {
     Scenario::fig5_style("EP", 1, strategy, seed)
 }
 
-/// Scratch-runs the config, then forks two branches off a 40 ms warmup and
-/// completes them through the worker pool at `--jobs 1` and `--jobs 2`;
-/// every branch (and the warmup system itself) must render identically,
-/// and the warmup must be a non-empty shared prefix.
-fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>) {
+/// Scratch-runs `make()` under the config, then forks two branches off a
+/// 40 ms warmup and completes them through the worker pool at `--jobs 1`
+/// and `--jobs 2`; every branch (and the warmup system itself) must render
+/// identically, and the warmup must be a non-empty shared prefix.
+fn assert_fork_identity(make: impl Fn() -> Scenario, faults: Option<FaultConfig>) {
     let cfg = SystemConfig {
         faults,
         ..SystemConfig::default()
     };
-    let label = format!("{strategy:?} faults={:?}", cfg.faults);
-    let scratch = System::with_config(quick(strategy, 11), cfg.clone()).run();
+    let s = make();
+    let label = format!(
+        "{} {:?} seed={} faults={:?}",
+        s.vms[0].bundle.name, s.strategy, s.seed, cfg.faults
+    );
+    let scratch = System::with_config(s, cfg.clone()).run();
     let want = format!("{scratch:?}");
 
-    let mut warm = System::with_config(quick(strategy, 11), cfg);
+    let mut warm = System::with_config(make(), cfg);
     warm.run_until(SimTime::from_millis(40));
     let snap = warm.snapshot();
     assert!(snap.events_processed() > 0, "[{label}] shared an empty warmup");
@@ -77,8 +81,26 @@ fn fork_matrix_strategies_faults() {
             profiles.push(extra);
         }
         for faults in profiles {
-            assert_fork_identity(strategy, faults);
+            assert_fork_identity(|| quick(strategy, 11), faults);
         }
+    }
+}
+
+/// The `figures perf` scenario mix: heavier presets, two interferers and
+/// every strategy with a distinct hypervisor path, beyond the cheap EP
+/// cells above.
+#[test]
+fn fork_identity_on_perf_mix() {
+    let mix = [
+        ("EP", 1, Strategy::Vanilla),
+        ("EP", 2, Strategy::Irs),
+        ("blackscholes", 1, Strategy::Ple),
+        ("streamcluster", 1, Strategy::Irs),
+        ("LU", 1, Strategy::RelaxedCo),
+        ("swaptions", 2, Strategy::Irs),
+    ];
+    for (bench, n_inter, strategy) in mix {
+        assert_fork_identity(|| Scenario::fig5_style(bench, n_inter, strategy, 1), None);
     }
 }
 
@@ -86,7 +108,7 @@ fn fork_matrix_strategies_faults() {
 /// snapshot must carry that timer across too.
 #[test]
 fn fork_under_strict_co() {
-    assert_fork_identity(Strategy::StrictCo, None);
+    assert_fork_identity(|| quick(Strategy::StrictCo, 11), None);
 }
 
 /// Forking a *checked* run rebuilds the sanitizer at the snapshot instant;
@@ -147,7 +169,7 @@ fn forked_grid_reports_savings_and_identical_branches() {
     );
     let (grouped, saved) = runner::run_forked_grid(
         2,
-        SimTime::from_millis(40),
+        Some(SimTime::from_millis(40)),
         &SystemConfig::default(),
         &[4],
         |_| quick(Strategy::Ple, 2),

@@ -504,26 +504,16 @@ fn run_cell(
                     }
                 }
             } else {
-                let make = |g: usize| scenario_for(comps[g], arm, cfg);
-                let (grouped, saved) = if cfg.share_warmup {
-                    run_forked_grid(cfg.jobs, cfg.warmup, &SystemConfig::default(), &sizes, make)
-                } else {
-                    // Same fan-out shape, every host from scratch.
-                    // Branches are bit-identical to the forked path by
-                    // the snapshot determinism contract.
-                    let owner: Vec<usize> = sizes
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(g, &n)| std::iter::repeat_n(g, n))
-                        .collect();
-                    let flat =
-                        parallel::ordered_map(cfg.jobs, owner.len(), |i| make(owner[i]).run());
-                    let mut grouped: Vec<Vec<_>> = sizes.iter().map(|_| Vec::new()).collect();
-                    for (i, r) in flat.into_iter().enumerate() {
-                        grouped[owner[i]].push(r);
-                    }
-                    (grouped, 0)
-                };
+                // Without a shared warmup every host runs from scratch;
+                // branches are bit-identical either way by the snapshot
+                // determinism contract.
+                let (grouped, saved) = run_forked_grid(
+                    cfg.jobs,
+                    cfg.share_warmup.then_some(cfg.warmup),
+                    &SystemConfig::default(),
+                    &sizes,
+                    |g| scenario_for(comps[g], arm, cfg),
+                );
                 out.fork_warmup_saved += saved;
 
                 let samples = &mut out.arms[arm];

@@ -18,14 +18,15 @@
 # 11. a serving-campaign smoke (open-loop latency-SLO service under
 #     interference; sanitizer armed, asserts every cell completed requests);
 # 12. the same serving smoke recording and ratcheting its events/sec;
-# 13. `figures perf --check-perf`, which regenerates BENCH_runner.json and
-#     fails the build on a sequential-over-parallel speedup below 0.85, on
-#     a queue-throughput drop below the timer-wheel floor, or on any phase
-#     falling past the ratchet tolerance of its best matching
-#     BENCH_history.jsonl record.
+# 13. `figures perf --check-perf`, which times the ticked and parallel
+#     phases, regenerates BENCH_runner.json, and fails the build on a
+#     sequential-over-parallel speedup below 0.85, on a queue-throughput
+#     drop below the timer-wheel floor, or on any of its ticked / parallel
+#     / queue records falling past the ratchet tolerance of its best
+#     matching BENCH_history.jsonl record.
 # The total verification wall-clock is then recorded in BENCH_runner.json's
-# `verify_wall_s` field. Forked-vs-scratch bit-identity is covered by the
-# test suite (crates/core/tests/fork.rs).
+# `verify_wall_s` field. Forked-vs-scratch bit-identity, on the perf
+# scenario mix too, is covered by the test suite (crates/core/tests/fork.rs).
 #
 # Usage: scripts/verify.sh   (from the repository root)
 set -euo pipefail

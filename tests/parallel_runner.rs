@@ -2,12 +2,13 @@
 //! changes wall-clock only, never results. Every metric of every seeded
 //! run must be bit-identical between `jobs = 1` and a wide fan-out.
 
-use irs_sched::runner::run_seeds_jobs;
+use irs_sched::parallel::ordered_map;
 use irs_sched::{Scenario, Strategy};
 
 fn assert_identical_runs(make: impl Fn(u64) -> Scenario + Sync) {
-    let sequential = run_seeds_jobs(1, 6, 1, &make);
-    let parallel = run_seeds_jobs(1, 6, 8, &make);
+    let run = |jobs| ordered_map(jobs, 6, |i| make(1 + i as u64).run());
+    let sequential = run(1);
+    let parallel = run(8);
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(s.elapsed, p.elapsed);
