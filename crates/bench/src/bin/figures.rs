@@ -24,10 +24,10 @@
 //! ([`irs_core::check`]) for every simulated run: each system validates
 //! scheduler invariants after every event and panics with a trace dump on
 //! the first violation. Tables are identical with and without it.
-//! `--hosts N` rescales the fleet campaign to an `N`-host fleet (tenant
-//! load scales along); its history phase is `fleet-scale` and its
-//! `--check-perf` gate ratchets *effective* events/sec (logical volume
-//! per wall second) plus a deterministic ≥5× incrementality floor.
+//! `--hosts N` (N ≥ 1) rescales the fleet campaign to an `N`-host
+//! fleet (tenant load scales along); its history phase is `fleet-scale`
+//! and its `--check-perf` gate ratchets *effective* events/sec (logical
+//! volume per wall second) plus a deterministic ≥5× incrementality floor.
 //! `--parity` re-runs the fleet campaign with the incremental engine
 //! disabled and asserts the SLO tables are bit-identical (no history,
 //! no ratchet — it is a correctness gate).
@@ -237,8 +237,14 @@ fn main() {
             "--smoke" => smoke = true,
             // Rescales the fleet campaign (phase `fleet-scale`).
             "--hosts" => {
+                // A fleet needs at least one host to place tenants on.
                 let n = it.next().unwrap_or_else(|| usage());
-                hosts = Some(n.parse().unwrap_or_else(|_| usage()));
+                hosts = Some(
+                    n.parse()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage()),
+                );
             }
             // Incremental-vs-full bit-identity gate for the fleet.
             "--parity" => parity = true,
@@ -325,8 +331,8 @@ fn main() {
             eprintln!(
                 "[fleet done in {:.1}s: {} hosts, {} host runs ({} elided, {} carried), \
                  {} events logical ({:.0}/s effective), {} executed ({:.0}/s), \
-                 fork_warmup_saved={}, cache hit rate {:.1}% ({:.1} MiB resident, \
-                 {} evictions), {} tenants placed, {} rejected{}]",
+                 fork_warmup_saved={}, cache hit rate {:.1}% ({:.1} MiB resident), \
+                 {} tenants placed, {} rejected{}]",
                 outcome.wall_s,
                 outcome.hosts,
                 outcome.report.host_runs,
@@ -339,7 +345,6 @@ fn main() {
                 outcome.report.fork_warmup_saved,
                 100.0 * cache.hit_rate().max(0.0),
                 cache.resident_bytes as f64 / (1 << 20) as f64,
-                cache.evictions,
                 outcome.report.tenants_placed,
                 outcome.report.tenants_rejected,
                 if parity { "; incremental parity OK" } else { "" },

@@ -12,10 +12,10 @@
 //! whose history phase is `fleet-scale` and whose ratchet tracks
 //! *effective* throughput: logical events (what a non-incremental
 //! campaign would have simulated) per wall second. The incremental
-//! engine (dirty-host carry-over + composition-keyed snapshot/result
-//! cache) is what makes 1000-host fleets affordable; `--parity`
-//! re-runs the campaign with incrementality disabled and asserts the
-//! SLO tables are bit-identical.
+//! engine (dirty-host carry-over + composition-keyed result memo) is
+//! what makes 1000-host fleets affordable; `--parity` re-runs the
+//! campaign with every host simulated from scratch and asserts the SLO
+//! tables are bit-identical.
 
 use crate::perf::PerfRecord;
 use crate::Opts;
@@ -103,9 +103,9 @@ pub fn spec(opts: Opts, smoke: bool, hosts: Option<usize>) -> CampaignSpec {
 ///
 /// # Panics
 ///
-/// Panics if any cell violates the degradation contract, or if warmup
-/// sharing shared nothing (a fleet without repeated compositions would
-/// mean the churn model degenerated).
+/// Panics if any cell violates the degradation contract, or if no host
+/// run reused another's result (a fleet without repeated compositions
+/// would mean the churn model degenerated).
 pub fn fleet(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
     let spec = spec(opts, smoke, hosts);
     let fleet_hosts = spec.fleet.hosts;
@@ -114,7 +114,7 @@ pub fn fleet(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
     let wall_s = t.elapsed().as_secs_f64();
     assert!(
         report.fork_warmup_saved > 0,
-        "fleet campaign shared no warmups across equal-composition hosts"
+        "fleet campaign reused no run across equal-composition hosts"
     );
     FleetOutcome {
         report,
@@ -160,8 +160,8 @@ pub fn assert_incremental_parity(opts: Opts, smoke: bool, hosts: Option<usize>) 
     outcome
 }
 
-/// Events actually executed: the logical volume minus both savings
-/// layers (shared warmups and elided member runs).
+/// Events actually executed: the logical volume minus the reused
+/// events (`fork_warmup_saved` and `events_elided`).
 pub fn events_executed(o: &FleetOutcome) -> u64 {
     o.report
         .events

@@ -1,16 +1,19 @@
 //! The committed reference tables are what the figure functions produce.
 //!
-//! Each test renders one table at `Opts::default()` — the options
-//! `figures all` runs with — and byte-compares its CSV with the copy in
-//! `results_csv/`. The seven tables are the cheap ones (about 2.6 s
-//! together in a debug build); `fig1b` is the paper's motivating
+//! Each test renders its tables at `Opts::default()` — the options
+//! `figures all` runs with — and byte-compares their CSVs with the copies
+//! in `results_csv/`. The seven single tables are the cheap ones (about
+//! 2.6 s together in a debug build); `fig1b` is the paper's motivating
 //! migration-latency table, whose numbers move if any caller observes a
-//! different `System::now()` between steps.
+//! different `System::now()` between steps. The fleet campaign (about
+//! 3.4 s) pins its six SLO tables and its accounting table, whose
+//! `warmup saved` and `events elided` rows move if the result reuse
+//! changes what it counts.
 //!
 //! After an intentional change to a table, regenerate `results_csv/` with
 //! `figures all --csv results_csv` and review the diff.
 
-use irs_bench::{ablations, fairness, fig1, fig2, io_latency, Opts};
+use irs_bench::{ablations, fairness, fig1, fig2, fleet, io_latency, Opts};
 use irs_metrics::Table;
 
 fn assert_matches_reference(name: &str, table: Table) {
@@ -62,4 +65,18 @@ fn ablate_strict_co_matches_reference() {
         "ablate_strict_co",
         ablations::ablate_strict_co(Opts::default()),
     );
+}
+
+#[test]
+fn fleet_tables_match_reference() {
+    let report = fleet::fleet(Opts::default(), false, None).report;
+    assert_eq!(
+        report.tables.len(),
+        6,
+        "five mixes plus the overcommit sweep"
+    );
+    for (i, table) in report.tables.into_iter().enumerate() {
+        assert_matches_reference(&format!("fleet_{i}"), table);
+    }
+    assert_matches_reference("fleet_accounting", report.accounting);
 }

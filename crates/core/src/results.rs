@@ -38,9 +38,9 @@ impl RunResult {
     }
 
     /// Coarse, deterministic estimate of this result's resident bytes —
-    /// the [`crate::runner::ForkCache`] budgeting companion of
-    /// [`crate::Snapshot::approx_bytes`]. Latency vectors dominate;
-    /// everything else is inline.
+    /// what a [`crate::runner::ForkCache`] reports as resident (the
+    /// companion of [`crate::Snapshot::approx_bytes`]). Latency vectors
+    /// dominate; everything else is inline.
     pub fn approx_bytes(&self) -> usize {
         let mut b = std::mem::size_of::<Self>();
         for vm in &self.vms {

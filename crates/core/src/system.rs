@@ -397,12 +397,11 @@ impl System {
     }
 
     /// Runs until the next pending event is at or past `until` (or the run
-    /// completes first). This is the warmup driver for snapshot sharing:
-    /// drive every replica of a grid cell to the same virtual instant,
-    /// [`snapshot`](Self::snapshot) once, and resume a branch per replica —
-    /// prefix + suffix equals the whole run under the deterministic event
-    /// order, so branches stay bit-identical to from-scratch runs at any
-    /// boundary. Returns `false` once the run is already complete (horizon,
+    /// completes first). This is how a run reaches a checkpoint: drive it
+    /// to a virtual instant, [`snapshot`](Self::snapshot) it, and resume
+    /// branches — prefix + suffix equals the whole run under the
+    /// deterministic event order, so branches stay bit-identical to
+    /// from-scratch runs at any boundary. Returns `false` once the run is already complete (horizon,
     /// measured workloads done, or queue exhausted).
     pub fn run_until(&mut self, until: SimTime) -> bool {
         while !self.stopped && !self.measurement_done() {
@@ -1463,10 +1462,11 @@ const REPLAY_TRACE_CAP: usize = 4096;
 /// rolling state (rebuilt at the resume instant via
 /// [`Checker::new`](crate::check::Checker)).
 ///
-/// `Snapshot` is `Send + Sync`: one warmup snapshot can be resumed
-/// concurrently from many worker threads
-/// (`irs_core::runner::run_forked_grid`),
-/// each branch getting its own independent `System`.
+/// `Snapshot` is `Send + Sync`: one snapshot can be resumed concurrently
+/// from many worker threads, each branch getting its own independent
+/// `System`. Its users are [`System::fork`], the rolling checkpoint that
+/// sanitizer violations replay from (`SystemConfig::checkpoint_period`),
+/// and benchmark probes that time taking and resuming one.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     cfg: SystemConfig,
@@ -1509,13 +1509,13 @@ impl Snapshot {
     }
 
     /// Coarse, deterministic estimate of this snapshot's resident bytes,
-    /// for cache budgeting ([`crate::runner::ForkCache`]).
+    /// for reporting what a checkpoint costs to hold.
     ///
     /// This is *not* an exact heap measurement: per-event, per-task, and
     /// per-vCPU costs are flat constants chosen to over-approximate the
     /// real structures (timer-wheel slab slots, guest CFS state, exec
-    /// contexts, runstate trackers). What matters for eviction is that the
-    /// estimate is deterministic and scales monotonically with state size.
+    /// contexts, runstate trackers). What matters is that the estimate is
+    /// deterministic and scales monotonically with state size.
     pub fn approx_bytes(&self) -> usize {
         /// Timer-wheel fixed geometry (slot vectors + occupancy bitmaps).
         const QUEUE_FIXED: usize = 32 << 10;

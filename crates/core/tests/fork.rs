@@ -6,7 +6,7 @@
 //! Comparison is by `Debug` rendering: `f64` Debug is shortest-roundtrip,
 //! so equal renderings mean every float is bit-equal.
 
-use irs_core::{parallel, runner, FaultConfig, Scenario, Strategy, System, SystemConfig};
+use irs_core::{parallel, FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -158,30 +158,6 @@ fn snapshot_boundaries_are_arbitrary() {
     assert!(!done.run_until(SimTime::MAX), "run must complete");
     let snap = done.snapshot();
     assert_eq!(format!("{:?}", snap.resume().run()), want);
-}
-
-/// The grid-runner primitive: one shared warmup, branches through the pool.
-#[test]
-fn forked_grid_reports_savings_and_identical_branches() {
-    let want = format!(
-        "{:?}",
-        System::with_config(quick(Strategy::Ple, 2), SystemConfig::default()).run()
-    );
-    let (grouped, saved) = runner::run_forked_grid(
-        2,
-        Some(SimTime::from_millis(40)),
-        &SystemConfig::default(),
-        &[4],
-        |_| quick(Strategy::Ple, 2),
-    );
-    let [branches] = &grouped[..] else {
-        panic!("one group in, {} groups out", grouped.len());
-    };
-    assert_eq!(branches.len(), 4);
-    assert!(saved > 0, "warmup sharing must save events");
-    for b in branches {
-        assert_eq!(format!("{b:?}"), want);
-    }
 }
 
 /// Rolling checkpoints + sanitizer: a violation re-runs the window from

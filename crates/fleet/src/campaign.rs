@@ -12,46 +12,35 @@
 //! tenant's solo useful-work rate divided by its rate in the contended
 //! run.
 //!
-//! # Warmup sharing
+//! # Result reuse
 //!
 //! Hosts whose tenant composition (multiset of tenant kinds) is
 //! identical are *identical simulations*: the scenario seed derives from
-//! the composition, so their runs are bit-for-bit equal. The campaign
-//! groups hosts by composition and uses
-//! [`irs_core::runner::run_forked_grid`] to pay each group's warmup
-//! prefix once, branching the snapshot into one completion per member
-//! host. `FleetConfig::share_warmup = false` runs every host from
-//! scratch instead — same tables, more events (the determinism tests
-//! compare the two). The statistical meaning is unchanged either way:
-//! equal-composition hosts are exchangeable by construction, since
-//! placement never feeds back into a host's *internal* schedule.
-//!
-//! # Incremental epochs
-//!
-//! Because a host's scenario seed depends only on its composition (not
-//! the epoch, policy, mix, or overcommit), re-running an unchanged host
-//! next epoch reproduces the same result bit for bit. The campaign's
-//! *incremental* mode (`FleetConfig::incremental`, on by default)
-//! exploits this at two layers:
+//! the composition alone — not the epoch, policy, mix, overcommit or host
+//! index — so their runs are bit-for-bit equal wherever the composition
+//! recurs. The campaign's *incremental* mode (`FleetConfig::incremental`,
+//! on by default) exploits this at two layers:
 //!
 //! * **Dirty-host carry-over** — each host tracks whether churn
 //!   (arrival or departure; telemetry feeds only placement) touched it
 //!   this epoch. Clean hosts carry their previous epoch's
-//!   `Arc<RunResult>` per arm and skip simulation entirely, immune to
-//!   cache eviction.
-//! * **Composition-keyed cache** — groups not resolved by carry go
+//!   `Arc<RunResult>` per arm and skip simulation entirely.
+//! * **Composition-keyed result memo** — groups not resolved by carry go
 //!   through [`irs_core::runner::run_forked_grid_cached`], whose
-//!   [`ForkCache`] memoizes warmup snapshots and completed results by
-//!   composition seed *across epochs, arms, and cells* under a byte
-//!   budget (`FleetConfig::cache_bytes`).
+//!   [`ForkCache`] runs each composition once and keeps its result, keyed
+//!   by composition seed, for every later epoch, arm and cell.
 //!
-//! Reuse is observationally invisible — the SLO tables are bit-identical
-//! to a full re-simulation — because branches of one snapshot are
-//! bit-identical to from-scratch runs (the snapshot determinism
-//! contract) and samples are absorbed in the same order either way. The
-//! elision counters (`runs_elided`, `events_elided`, `hosts_carried`)
-//! together with `fork_warmup_saved` decompose the logical event volume:
-//! `executed = events − fork_warmup_saved − events_elided` always holds.
+//! With `incremental` off — the reference `figures fleet --parity`
+//! compares against — every occupied host is simulated from scratch. Both
+//! modes absorb one result per host in the same group-major order, so the
+//! SLO tables are bit-identical; the statistical meaning is the same
+//! either way, since equal-composition hosts are exchangeable by
+//! construction (placement never feeds back into a host's *internal*
+//! schedule). The elision counters (`runs_elided`, `events_elided`,
+//! `hosts_carried`) together with `fork_warmup_saved` (the memoized
+//! runs' events before `FleetConfig::warmup`) decompose the logical
+//! event volume: `executed = events − fork_warmup_saved − events_elided`
+//! always holds.
 //!
 //! # Determinism
 //!
@@ -63,10 +52,8 @@
 
 use crate::placement::{PlacementIndex, PlacementPolicy};
 use crate::tenant::{AdversaryMix, Tenant, TenantKind};
-use irs_core::runner::{run_forked_grid, run_forked_grid_cached, ForkCache, ForkCacheStats};
-use irs_core::{
-    parallel, RunResult, Scenario, Strategy, SystemConfig, VmScenario, DEGRADATION_MARGIN,
-};
+use irs_core::runner::{run_forked_grid_cached, ForkCache, ForkCacheStats};
+use irs_core::{parallel, RunResult, Scenario, Strategy, VmScenario, DEGRADATION_MARGIN};
 use irs_metrics::{percentile, Series, Summary, Table};
 use irs_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -93,7 +80,10 @@ pub struct FleetConfig {
     pub overcommit: f64,
     /// Churn rounds; each occupied host runs once per epoch per arm.
     pub epochs: u64,
-    /// Virtual warmup prefix shared across equal-composition hosts.
+    /// Accounting boundary: of a host run served from the result memo,
+    /// the events before this virtual instant are reported as `warmup
+    /// saved` and the rest as `events elided`. Must precede
+    /// `epoch_horizon`.
     pub warmup: SimTime,
     /// Virtual run length of one epoch (includes the warmup prefix).
     pub epoch_horizon: SimTime,
@@ -107,17 +97,13 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Worker threads (0 = process default); tables are jobs-invariant.
     pub jobs: usize,
-    /// Share warmups across equal-composition hosts via snapshot/fork.
-    pub share_warmup: bool,
     /// Reuse results across epochs, arms, and cells: clean (churn-free)
     /// hosts carry their previous result forward, and a
-    /// composition-keyed snapshot/result cache serves the rest. Tables
-    /// are bit-identical either way; `false` re-simulates everything
-    /// (the reference mode the parity tests compare against).
+    /// composition-keyed result memo runs each remaining composition
+    /// once. Tables are bit-identical either way; `false` simulates every
+    /// occupied host from scratch (the reference mode the parity tests
+    /// compare against).
     pub incremental: bool,
-    /// Estimated-byte budget for the incremental snapshot/result cache
-    /// (ignored when `incremental` is off).
-    pub cache_bytes: usize,
 }
 
 impl Default for FleetConfig {
@@ -135,9 +121,7 @@ impl Default for FleetConfig {
             depart_chance: 0.35,
             seed: 1,
             jobs: 0,
-            share_warmup: true,
             incremental: true,
-            cache_bytes: 256 << 20,
         }
     }
 }
@@ -172,14 +156,15 @@ pub struct FleetReport {
     /// One SLO table per adversary mix, then the overcommit sweep table
     /// (if enabled).
     pub tables: Vec<Table>,
-    /// Events the snapshot/fork warmup sharing avoided re-executing.
+    /// Events before the warmup boundary ([`FleetConfig::warmup`]) in the
+    /// host runs the result memo served; 0 in full mode.
     pub fork_warmup_saved: u64,
-    /// Post-warmup events not re-executed thanks to carry-over and result
-    /// memoization. `events − fork_warmup_saved − events_elided` is what
-    /// the campaign actually simulated.
+    /// All other events not re-executed: the rest of the memoized runs,
+    /// and carried runs whole. `events − fork_warmup_saved −
+    /// events_elided` is what the campaign actually simulated.
     pub events_elided: u64,
-    /// Logical fleet event volume (sum over all host runs; shared
-    /// warmup prefixes counted once per host they served).
+    /// Logical fleet event volume (sum over all host runs, each counted
+    /// in full whether it was simulated, memoized or carried).
     pub events: u64,
     /// Host runs in the logical grid (hosts × epochs × arms × cells,
     /// occupied hosts only) — identical in incremental and full modes.
@@ -194,7 +179,7 @@ pub struct FleetReport {
     pub tenants_placed: u64,
     /// Tenant arrivals rejected because no host had capacity.
     pub tenants_rejected: u64,
-    /// Final snapshot/result cache counters (all zero in full mode).
+    /// Final result-memo counters (all zero in full mode).
     pub cache: ForkCacheStats,
     /// Logical-vs-executed accounting per mix column (not part of
     /// `tables` so incremental/full SLO parity can be compared directly).
@@ -243,7 +228,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Scenario seed for a host composition under one strategy arm. Depends
 /// only on (fleet seed, arm, composition): equal-composition hosts are
-/// identical runs — the invariant warmup sharing relies on.
+/// identical runs — the invariant result reuse relies on.
 fn comp_seed(fleet_seed: u64, arm: usize, comp: &[u8]) -> u64 {
     let mut bytes = fleet_seed.to_le_bytes().to_vec();
     bytes.push(arm as u8);
@@ -297,9 +282,9 @@ fn slowdown(solo_rate: f64, contended_rate: f64) -> f64 {
 }
 
 /// Folds one host run into the arm's samples and the host's steal
-/// telemetry. Shared by the incremental and full paths so both absorb
-/// members in exactly the same order with exactly the same float
-/// accumulation — the root of incremental/full bit-identity.
+/// telemetry. Both modes absorb through it in exactly the same order with
+/// exactly the same float accumulation — the root of incremental/full
+/// bit-identity.
 fn absorb_host_run(
     samples: &mut ArmSamples,
     comp: &[u8],
@@ -444,10 +429,11 @@ fn run_cell(
         let mut steal_frac = vec![0.0f64; cfg.hosts];
 
         for (arm, _strategy) in FLEET_STRATEGIES.iter().enumerate() {
-            if cfg.incremental {
-                // Resolve each group: clean-host carry first (free and
-                // eviction-immune), then the composition-keyed cache,
-                // then a fresh warmup + completion for the rest.
+            // One result per occupied host, group-major in member order —
+            // the order both modes absorb samples in.
+            let runs: Vec<Arc<RunResult>> = if cfg.incremental {
+                // Clean-host carry first (free), then the
+                // composition-keyed memo, which runs what it has not seen.
                 let mut shared: Vec<Option<Arc<RunResult>>> = vec![None; comps.len()];
                 for (g, slot) in shared.iter_mut().enumerate() {
                     let carried = members[g]
@@ -470,8 +456,7 @@ fn run_cell(
                     .collect();
                 let grid = run_forked_grid_cached(
                     cfg.jobs,
-                    cfg.share_warmup.then_some(cfg.warmup),
-                    &SystemConfig::default(),
+                    cfg.warmup,
                     &keyed,
                     |i| scenario_for(comps[pending[i]], arm, cfg),
                     cache,
@@ -482,57 +467,41 @@ fn run_cell(
                 for (i, r) in grid.results.into_iter().enumerate() {
                     shared[pending[i]] = Some(r);
                 }
-
-                let samples = &mut out.arms[arm];
-                for (g, slot) in shared.iter().enumerate() {
-                    let comp = comps[g];
-                    let has_adversary = comp
-                        .iter()
-                        .any(|&kid| TenantKind::ALL[kid as usize].is_adversarial());
-                    let r = slot.as_ref().expect("every group resolved");
-                    for &host in members[g] {
-                        absorb_host_run(
-                            samples,
-                            comp,
-                            has_adversary,
-                            solo,
-                            arm,
-                            r,
-                            &mut steal_frac[host],
-                        );
-                        carry[host][arm] = Some(r.clone());
-                    }
-                }
+                shared
+                    .into_iter()
+                    .zip(&sizes)
+                    .flat_map(|(r, &n)| std::iter::repeat_n(r.expect("every group resolved"), n))
+                    .collect()
             } else {
-                // Without a shared warmup every host runs from scratch;
-                // branches are bit-identical either way by the snapshot
-                // determinism contract.
-                let (grouped, saved) = run_forked_grid(
-                    cfg.jobs,
-                    cfg.share_warmup.then_some(cfg.warmup),
-                    &SystemConfig::default(),
-                    &sizes,
-                    |g| scenario_for(comps[g], arm, cfg),
-                );
-                out.fork_warmup_saved += saved;
+                // The reference: every occupied host from scratch.
+                let owner: Vec<usize> = sizes
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(g, &n)| std::iter::repeat_n(g, n))
+                    .collect();
+                parallel::ordered_map(cfg.jobs, owner.len(), |i| {
+                    Arc::new(scenario_for(comps[owner[i]], arm, cfg).run())
+                })
+            };
 
-                let samples = &mut out.arms[arm];
-                for (g, branch_results) in grouped.iter().enumerate() {
-                    let comp = comps[g];
-                    let has_adversary = comp
-                        .iter()
-                        .any(|&kid| TenantKind::ALL[kid as usize].is_adversarial());
-                    for (&host, r) in members[g].iter().zip(branch_results) {
-                        absorb_host_run(
-                            samples,
-                            comp,
-                            has_adversary,
-                            solo,
-                            arm,
-                            r,
-                            &mut steal_frac[host],
-                        );
-                    }
+            let samples = &mut out.arms[arm];
+            let mut runs = runs.into_iter();
+            for (g, comp) in comps.iter().enumerate() {
+                let has_adversary = comp
+                    .iter()
+                    .any(|&kid| TenantKind::ALL[kid as usize].is_adversarial());
+                for &host in members[g] {
+                    let r = runs.next().expect("one run per occupied host");
+                    absorb_host_run(
+                        samples,
+                        comp,
+                        has_adversary,
+                        solo,
+                        arm,
+                        &r,
+                        &mut steal_frac[host],
+                    );
+                    carry[host][arm] = Some(r);
                 }
             }
         }
@@ -635,16 +604,21 @@ fn add_cell_points(series: &mut BTreeMap<&'static str, Series>, col: &str, cell:
 ///
 /// # Panics
 ///
-/// Panics when `spec.assert_contract` is set and any cell violates the
-/// fleet degradation contract (that's the point).
+/// Panics if the fleet has no hosts, or when `spec.assert_contract` is
+/// set and any cell violates the fleet degradation contract (that's the
+/// point).
 pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
+    assert!(
+        spec.fleet.hosts >= 1,
+        "run_campaign: `fleet.hosts` must be at least 1, got 0"
+    );
     assert!(!spec.policies.is_empty() && !spec.mixes.is_empty());
     let cfg = &spec.fleet;
     let solo = solo_rates(cfg);
-    // One cache for the whole campaign: compositions repeat across
+    // One memo for the whole campaign: compositions repeat across
     // epochs, arms, *and* cells (the scenario seed ignores policy, mix,
     // and overcommit), so cross-cell reuse is sound and frequent.
-    let mut cache = ForkCache::new(cfg.cache_bytes);
+    let mut cache = ForkCache::default();
     let mut report = FleetReport {
         tables: Vec::new(),
         fork_warmup_saved: 0,
@@ -800,5 +774,20 @@ mod tests {
             ..FleetConfig::default()
         };
         assert_eq!(cfg.capacity_vcpus(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "`fleet.hosts` must be at least 1")]
+    fn campaign_rejects_an_empty_fleet() {
+        run_campaign(&CampaignSpec {
+            fleet: FleetConfig {
+                hosts: 0,
+                ..FleetConfig::default()
+            },
+            policies: vec![PlacementPolicy::FirstFit],
+            mixes: vec![AdversaryMix::CLEAN],
+            overcommit_sweep: vec![],
+            assert_contract: false,
+        });
     }
 }

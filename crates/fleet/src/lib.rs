@@ -16,10 +16,11 @@
 //!   `irs_workloads::presets::adversarial`).
 //! * [`PlacementPolicy`] / [`HostState`] — first-fit, worst-fit/spread,
 //!   and interference-aware placement over a per-host steal-time EWMA.
-//! * [`run_campaign`] — the grid driver: warmup sharing via
-//!   `System::snapshot()`/fork across equal-composition hosts, parallel
-//!   host fan-out via `irs_core::parallel` (bit-identical tables at any
-//!   `--jobs N`), and table assembly via `irs_metrics`.
+//! * [`run_campaign`] — the grid driver: result reuse across
+//!   equal-composition hosts (one run per composition, memoized across
+//!   epochs and cells), parallel host fan-out via `irs_core::parallel`
+//!   (bit-identical tables at any `--jobs N`), and table assembly via
+//!   `irs_metrics`.
 //!
 //! The `figures fleet` subcommand of `irs-bench` is the CLI front end.
 

@@ -1,7 +1,6 @@
 //! Fleet-level determinism contract (the `crates/core/tests/fork.rs`
-//! pattern, one layer up): the campaign's SLO tables must be
-//! bit-identical across worker counts *and* across forked-warmup vs
-//! from-scratch execution.
+//! pattern, one layer up): the reference campaign's SLO tables must be
+//! bit-identical across worker counts.
 
 use irs_fleet::{
     run_campaign, AdversaryMix, CampaignSpec, FleetConfig, FleetReport, PlacementPolicy,
@@ -10,7 +9,7 @@ use irs_sim::SimTime;
 
 /// A fleet small enough for debug-build CI but large enough to exercise
 /// churn, rejection, adversaries, and composition grouping.
-fn spec(jobs: usize, share_warmup: bool) -> CampaignSpec {
+fn spec(jobs: usize) -> CampaignSpec {
     CampaignSpec {
         fleet: FleetConfig {
             hosts: 8,
@@ -25,11 +24,9 @@ fn spec(jobs: usize, share_warmup: bool) -> CampaignSpec {
             depart_chance: 0.5,
             seed: 7,
             jobs,
-            share_warmup,
-            // This suite pins the *full* (reference) execution paths;
+            // This suite pins the *full* (reference) execution path;
             // tests/incremental.rs pins incremental-vs-full parity.
             incremental: false,
-            cache_bytes: 64 << 20,
         },
         policies: vec![PlacementPolicy::FirstFit, PlacementPolicy::InterferenceAware],
         mixes: vec![AdversaryMix::BLEND],
@@ -51,31 +48,18 @@ fn rendered(report: &FleetReport) -> String {
 
 #[test]
 fn tables_are_bit_identical_across_jobs() {
-    let seq = run_campaign(&spec(1, true));
-    let par = run_campaign(&spec(2, true));
+    let seq = run_campaign(&spec(1));
+    let par = run_campaign(&spec(2));
     assert_eq!(rendered(&seq), rendered(&par));
+    assert_eq!(seq.fork_warmup_saved, 0, "the reference reuses nothing");
     assert_eq!(seq.fork_warmup_saved, par.fork_warmup_saved);
     assert_eq!(seq.events, par.events);
     assert_eq!(seq.host_runs, par.host_runs);
 }
 
 #[test]
-fn forked_warmup_matches_from_scratch() {
-    let forked = run_campaign(&spec(2, true));
-    let scratch = run_campaign(&spec(2, false));
-    assert_eq!(rendered(&forked), rendered(&scratch));
-    // Sharing must actually have shared: equal-composition hosts exist
-    // even in this small fleet.
-    assert!(forked.fork_warmup_saved > 0, "no warmups were shared");
-    assert_eq!(scratch.fork_warmup_saved, 0);
-    // The logical fleet event volume is mode-independent.
-    assert_eq!(forked.events, scratch.events);
-    assert_eq!(forked.host_runs, scratch.host_runs);
-}
-
-#[test]
 fn churn_accounting_is_consistent() {
-    let r = run_campaign(&spec(1, true));
+    let r = run_campaign(&spec(1));
     assert!(r.tenants_placed > 0);
     assert!(r.host_runs > 0);
     // 2 policies × 1 mix, 2 epochs, 2 arms: every cell must have run.

@@ -1,10 +1,9 @@
 //! Incremental-epoch parity contract: the campaign's incremental mode
-//! (dirty-host carry-over + composition-keyed snapshot/result cache)
-//! must produce SLO tables bit-identical to a full re-simulation — for
-//! every policy in the spec, every adversary mix, every `jobs` value,
-//! and with warmup sharing on or off — while actually eliding work, and
-//! while its accounting decomposition stays exact even when the cache is
-//! squeezed to nothing.
+//! (dirty-host carry-over + composition-keyed result memo) must produce
+//! SLO tables bit-identical to a full re-simulation — for every policy
+//! in the spec, every adversary mix and every `jobs` value — while
+//! actually eliding work, and while its accounting decomposition stays
+//! exact.
 
 use irs_fleet::{
     run_campaign, AdversaryMix, CampaignSpec, FleetConfig, FleetReport, PlacementPolicy,
@@ -14,7 +13,7 @@ use irs_sim::SimTime;
 /// Same shape as the determinism suite's fleet: small enough for
 /// debug-build CI, churny enough that epochs have both clean hosts
 /// (carry-over fires) and dirty ones (the cache fires).
-fn spec(jobs: usize, share_warmup: bool, incremental: bool, cache_bytes: usize) -> CampaignSpec {
+fn spec(jobs: usize, incremental: bool) -> CampaignSpec {
     CampaignSpec {
         fleet: FleetConfig {
             hosts: 8,
@@ -29,9 +28,7 @@ fn spec(jobs: usize, share_warmup: bool, incremental: bool, cache_bytes: usize) 
             depart_chance: 0.5,
             seed: 7,
             jobs,
-            share_warmup,
             incremental,
-            cache_bytes,
         },
         policies: vec![
             PlacementPolicy::FirstFit,
@@ -69,38 +66,44 @@ fn assert_parity(full: &FleetReport, inc: &FleetReport, label: &str) {
 
 #[test]
 fn incremental_matches_full_across_share_and_jobs() {
-    let full = run_campaign(&spec(1, true, false, 64 << 20));
+    let full = run_campaign(&spec(1, false));
     assert_eq!(full.runs_elided, 0, "full mode must not elide");
+    assert_eq!(
+        full.fork_warmup_saved, 0,
+        "full mode must not reuse warmups"
+    );
     assert_eq!(full.hosts_carried, 0);
-    for share_warmup in [true, false] {
-        for jobs in [1, 2] {
-            let inc = run_campaign(&spec(jobs, share_warmup, true, 64 << 20));
-            let label = format!("share_warmup={share_warmup} jobs={jobs}");
-            assert_parity(&full, &inc, &label);
-            // Incremental mode must actually have skipped work: churn
-            // leaves clean hosts (carry) and repeated compositions
-            // (cache) in every one of these configurations.
-            assert!(inc.runs_elided > 0, "nothing elided under {label}");
-            assert!(inc.hosts_carried > 0, "no carry-over under {label}");
-            assert!(inc.events_elided > 0, "no events elided under {label}");
-            assert!(
-                inc.cache.result_hits > 0,
-                "cache never hit under {label}"
-            );
-            assert!(
-                inc.runs_elided as usize <= inc.host_runs,
-                "elided more runs than the logical grid has ({label})"
-            );
-            // The decomposition must stay within the logical volume.
-            assert!(inc.fork_warmup_saved + inc.events_elided <= inc.events);
-        }
+    for jobs in [1, 2] {
+        let inc = run_campaign(&spec(jobs, true));
+        let label = format!("jobs={jobs}");
+        assert_parity(&full, &inc, &label);
+        // Incremental mode must actually have skipped work: churn leaves
+        // clean hosts (carry) and repeated compositions (memo) in every
+        // one of these configurations.
+        assert!(inc.runs_elided > 0, "nothing elided under {label}");
+        assert!(inc.hosts_carried > 0, "no carry-over under {label}");
+        assert!(
+            inc.runs_elided >= inc.hosts_carried,
+            "carried runs are a subset of elided runs ({label})"
+        );
+        assert!(inc.events_elided > 0, "no events elided under {label}");
+        assert!(inc.cache.result_hits > 0, "cache never hit under {label}");
+        // The memo holds results only and never evicts.
+        assert_eq!(inc.cache.snapshot_hits, 0, "{label}");
+        assert_eq!(inc.cache.evictions, 0, "{label}");
+        assert!(
+            inc.runs_elided as usize <= inc.host_runs,
+            "elided more runs than the logical grid has ({label})"
+        );
+        // The decomposition must stay within the logical volume.
+        assert!(inc.fork_warmup_saved + inc.events_elided <= inc.events);
     }
 }
 
 #[test]
 fn incremental_counters_are_jobs_invariant() {
-    let a = run_campaign(&spec(1, true, true, 64 << 20));
-    let b = run_campaign(&spec(2, true, true, 64 << 20));
+    let a = run_campaign(&spec(1, true));
+    let b = run_campaign(&spec(2, true));
     assert_eq!(rendered(&a), rendered(&b));
     assert_eq!(a.fork_warmup_saved, b.fork_warmup_saved);
     assert_eq!(a.events_elided, b.events_elided);
@@ -115,29 +118,8 @@ fn incremental_counters_are_jobs_invariant() {
 }
 
 #[test]
-fn eviction_under_pressure_keeps_parity() {
-    let full = run_campaign(&spec(1, true, false, 64 << 20));
-    // A 1-byte budget evicts every insertion straight back out: the
-    // cache degrades to recompute-always, but dirty-host carry-over
-    // still elides and the tables must not move.
-    let squeezed = run_campaign(&spec(1, true, true, 1));
-    assert_parity(&full, &squeezed, "cache_bytes=1");
-    assert!(squeezed.cache.evictions > 0, "nothing was ever evicted");
-    assert_eq!(
-        squeezed.cache.resident_bytes, 0,
-        "a 1-byte budget cannot keep entries resident"
-    );
-    assert!(squeezed.hosts_carried > 0, "carry must survive eviction");
-    // With an effectively disabled cache nothing survives between calls,
-    // so elision comes only from carry-over and within-call sharing.
-    assert_eq!(squeezed.cache.result_hits, 0);
-    assert_eq!(squeezed.cache.snapshot_hits, 0);
-    assert!(squeezed.runs_elided >= squeezed.hosts_carried);
-}
-
-#[test]
 fn accounting_table_decomposes_the_logical_volume() {
-    let inc = run_campaign(&spec(1, true, true, 64 << 20));
+    let inc = run_campaign(&spec(1, true));
     let t = &inc.accounting;
     let row = |name: &str| -> Vec<f64> {
         t.series_named(name)

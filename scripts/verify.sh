@@ -10,8 +10,8 @@
 #     adversarial tenants; sanitizer armed, degradation contract per cell);
 #  8. the same fleet smoke recording and ratcheting its events/sec;
 #  9. a fleet incremental-parity gate (--parity re-runs the smoke campaign
-#     with the dirty-host carry-over and snapshot/result cache disabled and
-#     asserts bit-identical SLO tables);
+#     with every occupied host simulated from scratch and asserts
+#     bit-identical SLO tables);
 # 10. a 1000-host fleet-scale pass (ratchets *effective* events/sec —
 #     logical volume per wall second — and enforces the deterministic >=5x
 #     incrementality floor);
