@@ -3,20 +3,23 @@
 //!
 //! ```text
 //! figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick]
-//!                         [--check] [--check-perf] [--csv DIR]
+//!                         [--check] [--check-perf] [--smoke] [--hosts N]
+//!                         [--parity] [--csv DIR]
 //! ```
 //!
-//! Experiment names are listed by [`usage`], generated from the one
-//! [`EXPERIMENTS`] registry (so the help text, the `core`/`all` aliases,
-//! and this doc cannot drift apart): the core per-figure set used by
-//! EXPERIMENTS.md (`fig1a` … `fig13`, `fairness`, `sa_stats`), the extras
-//! (`io_latency`, `ablate_strict_co`, `stacking_baseline`,
-//! `ablate_pingpong`, `ablate_idle_first`, `ablate_sa_delay`,
-//! `ablate_pull`, `ablate_slice`, `ablate_pv_spin`, `chaos`), `perf`
-//! (engine self-benchmark; writes BENCH_runner.json), `fleet` (the
-//! datacenter-scale fleet campaign; `--smoke` shrinks it for CI), and
-//! `serving` (the open-loop latency-SLO serving campaign; `--smoke`
-//! likewise).
+//! Every experiment is one entry of the [`registry`]: its name, the alias
+//! that queues it, the experiment-specific flags it reads, and one `run`
+//! returning its tables with their CSV names, any text, a summary line,
+//! history records and floor failures. The help text, the `core`/`all`
+//! aliases, the flag checks and the main loop all read that one list, so
+//! they cannot drift apart. `core` is the per-figure set used by
+//! EXPERIMENTS.md (`fig1a` … `fig13`, `fairness`, `sa_stats`); `all` adds
+//! the extras (`io_latency`, the ablations, `chaos`, `fleet` — the
+//! datacenter-scale fleet campaign — and `serving` — the open-loop
+//! latency-SLO serving campaign). `perf` (the engine self-benchmark;
+//! writes BENCH_runner.json) runs by name only. A figure with one table
+//! writes `{name}.csv`, one with several `{name}_{i}.csv`; the fleet adds
+//! `fleet_accounting.csv`.
 //!
 //! `--jobs N` sets the worker-thread count for the run fan-out (default:
 //! all available cores). Tables are identical for every worker count.
@@ -24,6 +27,9 @@
 //! ([`irs_core::check`]) for every simulated run: each system validates
 //! scheduler invariants after every event and panics with a trace dump on
 //! the first violation. Tables are identical with and without it.
+//! `--smoke` shrinks the fleet and serving campaigns for CI. Only the fleet
+//! reads the next two flags; like `--smoke`, naming one when no queued
+//! experiment reads it exits 2 with usage.
 //! `--hosts N` (N ≥ 1) rescales the fleet campaign to an `N`-host
 //! fleet (tenant load scales along); its history phase is `fleet-scale`
 //! and its `--check-perf` gate ratchets *effective* events/sec (logical
@@ -48,119 +54,241 @@
 //! `--parity` (a full re-simulation) throughput is incomparable, so
 //! nothing is appended or ratcheted; the floors still apply.
 
-use irs_bench::fig5_6::Interference;
+use irs_bench::fig5_6::{self, Interference};
 use irs_bench::perf::{host_cores, PerfRecord};
-use irs_bench::Opts;
+use irs_bench::{
+    ablations, chaos, fairness, fig1, fig10_11, fig12_13, fig2, fig7_9, fig8, fleet, io_latency,
+    perf, serving, Opts,
+};
 use irs_metrics::Table;
 use std::time::Instant;
 
-/// Every experiment name the dispatcher understands, in presentation
-/// order, tagged with whether the `core` alias includes it (`all` takes
-/// the whole list). The single source for [`usage`] and alias expansion.
-const EXPERIMENTS: [(&str, bool); 26] = [
-    ("fig1a", true),
-    ("fig1b", true),
-    ("fig2", true),
-    ("fig5", true),
-    ("fig6", true),
-    ("fig7", true),
-    ("fig8", true),
-    ("fig9", true),
-    ("fig10", true),
-    ("fig11", true),
-    ("fig12", true),
-    ("fig13", true),
-    ("fairness", true),
-    ("sa_stats", true),
-    ("io_latency", false),
-    ("ablate_strict_co", false),
-    ("stacking_baseline", false),
-    ("ablate_pingpong", false),
-    ("ablate_idle_first", false),
-    ("ablate_sa_delay", false),
-    ("ablate_pull", false),
-    ("ablate_slice", false),
-    ("ablate_pv_spin", false),
-    ("chaos", false),
-    ("fleet", false),
-    ("serving", false),
-];
+/// Which alias queues an experiment.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Alias {
+    /// `core` (and so `all`): the per-figure set EXPERIMENTS.md uses.
+    Core,
+    /// `all` only: the extras.
+    All,
+    /// Neither: run by name only.
+    Named,
+}
+
+/// Flags only some experiments read. Naming one when no queued
+/// experiment reads it is a usage error, not a silent no-op.
+const SCOPED_FLAGS: [&str; 3] = ["--smoke", "--hosts", "--parity"];
+
+/// The parsed command line, as every experiment's `run` sees it.
+struct Args {
+    opts: Opts,
+    smoke: bool,
+    hosts: Option<usize>,
+    parity: bool,
+}
+
+/// What one experiment produced.
+#[derive(Default)]
+struct Output {
+    /// Text printed before the tables (perf's report).
+    text: String,
+    /// The tables in print order, each with its CSV file stem.
+    tables: Vec<(String, Table)>,
+    /// Detail for the `[<name> done in …]` line on stderr.
+    summary: String,
+    /// History records, logged and ratcheted after the last experiment.
+    records: Vec<PerfRecord>,
+    /// `--check-perf` floor violations.
+    floor_failures: Vec<String>,
+}
+
+impl Output {
+    /// Tables named `{name}.csv`, or `{name}_{i}.csv` when there are
+    /// several.
+    fn tables(name: &str, tables: Vec<Table>) -> Output {
+        let mut tables: Vec<(String, Table)> = tables
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (format!("{name}_{i}"), t))
+            .collect();
+        if let [(stem, _)] = &mut tables[..] {
+            *stem = name.to_string();
+        }
+        Output {
+            tables,
+            ..Output::default()
+        }
+    }
+}
+
+/// One experiment of the registry.
+struct Experiment {
+    name: &'static str,
+    alias: Alias,
+    /// The [`SCOPED_FLAGS`] it reads.
+    flags: &'static [&'static str],
+    run: Box<dyn Fn(&Args) -> Output>,
+}
+
+/// A figure: tables from [`Opts`] alone.
+fn figure(
+    name: &'static str,
+    alias: Alias,
+    tables: impl Fn(Opts) -> Vec<Table> + 'static,
+) -> Experiment {
+    Experiment {
+        name,
+        alias,
+        flags: &[],
+        run: Box::new(move |args| Output::tables(name, tables(args.opts))),
+    }
+}
+
+/// A figure with a single table.
+fn table(name: &'static str, alias: Alias, table: fn(Opts) -> Table) -> Experiment {
+    figure(name, alias, move |o| vec![table(o)])
+}
+
+/// An experiment that reads the whole command line.
+fn campaign(
+    name: &'static str,
+    alias: Alias,
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Output,
+) -> Experiment {
+    Experiment {
+        name,
+        alias,
+        flags,
+        run: Box::new(run),
+    }
+}
+
+/// Every experiment, in presentation order: the single source for
+/// [`usage`], alias expansion, flag checks and dispatch.
+fn registry() -> Vec<Experiment> {
+    use Alias::{All, Core, Named};
+    use Interference::{Micro, RealApp};
+    vec![
+        table("fig1a", Core, fig1::fig1a),
+        table("fig1b", Core, fig1::fig1b),
+        table("fig2", Core, fig2::fig2),
+        figure("fig5", Core, |o| {
+            let panels = [Micro, RealApp("streamcluster"), RealApp("fluidanimate")];
+            panels.map(|i| fig5_6::fig5(o, i)).into()
+        }),
+        figure("fig6", Core, |o| {
+            let panels = [Micro, RealApp("UA"), RealApp("LU")];
+            panels.map(|i| fig5_6::fig6(o, i)).into()
+        }),
+        figure("fig7", Core, |o| {
+            let backgrounds = ["fluidanimate", "streamcluster"];
+            backgrounds.map(|bg| fig7_9::fig7(o, bg)).into()
+        }),
+        figure("fig8", Core, fig8::fig8),
+        figure("fig9", Core, |o| {
+            ["LU", "UA"].map(|bg| fig7_9::fig9(o, bg)).into()
+        }),
+        table("fig10", Core, fig10_11::fig10),
+        table("fig11", Core, fig10_11::fig11),
+        table("fig12", Core, fig12_13::fig12),
+        table("fig13", Core, fig12_13::fig13),
+        table("fairness", Core, fairness::fairness),
+        table("sa_stats", Core, fairness::sa_stats),
+        table("io_latency", All, io_latency::io_latency),
+        table("ablate_strict_co", All, ablations::ablate_strict_co),
+        table("stacking_baseline", All, fig12_13::stacking_baseline),
+        table("ablate_pingpong", All, ablations::ablate_pingpong),
+        table("ablate_idle_first", All, ablations::ablate_idle_first),
+        table("ablate_sa_delay", All, ablations::ablate_sa_delay),
+        table("ablate_pull", All, ablations::ablate_pull),
+        table("ablate_slice", All, ablations::ablate_slice),
+        table("ablate_pv_spin", All, ablations::ablate_pv_spin),
+        table("chaos", All, chaos::chaos),
+        campaign("fleet", All, &["--smoke", "--hosts", "--parity"], run_fleet),
+        campaign("serving", All, &["--smoke"], run_serving),
+        campaign("perf", Named, &[], run_perf),
+    ]
+}
+
+/// The fleet campaign (`--parity` re-runs it from scratch and compares):
+/// six SLO tables plus the accounting table.
+fn run_fleet(args: &Args) -> Output {
+    let outcome = if args.parity {
+        fleet::assert_incremental_parity(args.opts, args.smoke, args.hosts)
+    } else {
+        fleet::fleet(args.opts, args.smoke, args.hosts)
+    };
+    let jobs = irs_core::parallel::resolve_jobs(args.opts.jobs);
+    let mut out = Output::tables("fleet", outcome.report.tables.clone());
+    out.tables.push((
+        "fleet_accounting".to_string(),
+        outcome.report.accounting.clone(),
+    ));
+    out.summary = fleet::summary(&outcome);
+    if args.parity {
+        out.summary.push_str("; incremental parity OK");
+    }
+    out.records = vec![fleet::record(&outcome, jobs)];
+    out.floor_failures = fleet::floor_failures(&outcome);
+    out
+}
+
+/// The open-loop serving campaign.
+fn run_serving(args: &Args) -> Output {
+    let outcome = serving::serving(args.opts, args.smoke);
+    let jobs = irs_core::parallel::resolve_jobs(args.opts.jobs);
+    Output {
+        summary: serving::summary(&outcome),
+        records: vec![serving::record(&outcome, jobs)],
+        ..Output::tables("serving", vec![outcome.table])
+    }
+}
+
+/// The engine self-benchmark; also writes `BENCH_runner.json`.
+fn run_perf(args: &Args) -> Output {
+    let report = perf::perf(args.opts);
+    if let Err(e) = std::fs::write("BENCH_runner.json", report.to_json()) {
+        eprintln!("cannot write BENCH_runner.json: {e}");
+        std::process::exit(1);
+    }
+    Output {
+        text: report.render(),
+        records: report.records(),
+        floor_failures: report.floor_failures(),
+        ..Output::default()
+    }
+}
 
 fn usage() -> ! {
-    let join = |core: bool| {
-        EXPERIMENTS
+    let registry = registry();
+    let names = |alias: Alias| {
+        registry
             .iter()
-            .filter(|(_, c)| *c == core)
-            .map(|(n, _)| *n)
+            .filter(|e| e.alias == alias)
+            .map(|e| e.name)
             .collect::<Vec<_>>()
             .join(" ")
     };
+    let scoped = registry
+        .iter()
+        .filter(|e| !e.flags.is_empty())
+        .map(|e| format!("{} ({})", e.name, e.flags.join(" ")))
+        .collect::<Vec<_>>()
+        .join(", ");
     eprintln!(
         "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
          experiments:\n\
          \u{20} {}\n\
          \u{20} {}\n\
-         \u{20} perf   (engine self-benchmark; writes BENCH_runner.json)\n\
+         \u{20} {}   (by name only; the engine self-benchmark, writes BENCH_runner.json)\n\
          \u{20} core   (= the per-figure set used by EXPERIMENTS.md)\n\
-         \u{20} all    (= core + the extras on the second line)",
-        join(true),
-        join(false),
+         \u{20} all    (= core + the extras on the second line)\n\
+         experiment-specific flags: {scoped}",
+        names(Alias::Core),
+        names(Alias::All),
+        names(Alias::Named),
     );
     std::process::exit(2);
-}
-
-/// Builds the tables for one experiment name.
-fn run_experiment(exp: &str, opts: Opts) -> Vec<Table> {
-    match exp {
-        "fig1a" => vec![irs_bench::fig1::fig1a(opts)],
-        "fig1b" => vec![irs_bench::fig1::fig1b(opts)],
-        "fig2" => vec![irs_bench::fig2::fig2(opts)],
-        "fig5" => [
-            Interference::Micro,
-            Interference::RealApp("streamcluster"),
-            Interference::RealApp("fluidanimate"),
-        ]
-        .into_iter()
-        .map(|i| irs_bench::fig5_6::fig5(opts, i))
-        .collect(),
-        "fig6" => [
-            Interference::Micro,
-            Interference::RealApp("UA"),
-            Interference::RealApp("LU"),
-        ]
-        .into_iter()
-        .map(|i| irs_bench::fig5_6::fig6(opts, i))
-        .collect(),
-        "fig7" => ["fluidanimate", "streamcluster"]
-            .into_iter()
-            .map(|bg| irs_bench::fig7_9::fig7(opts, bg))
-            .collect(),
-        "fig8" => vec![irs_bench::fig8::fig8(opts), irs_bench::fig8::fig8_raw(opts)],
-        "fig9" => ["LU", "UA"]
-            .into_iter()
-            .map(|bg| irs_bench::fig7_9::fig9(opts, bg))
-            .collect(),
-        "fig10" => vec![irs_bench::fig10_11::fig10(opts)],
-        "fig11" => vec![irs_bench::fig10_11::fig11(opts)],
-        "fig12" => vec![irs_bench::fig12_13::fig12(opts)],
-        "fig13" => vec![irs_bench::fig12_13::fig13(opts)],
-        "fairness" => vec![irs_bench::fairness::fairness(opts)],
-        "sa_stats" => vec![irs_bench::fairness::sa_stats(opts)],
-        "stacking_baseline" => vec![irs_bench::fig12_13::stacking_baseline(opts)],
-        "ablate_pingpong" => vec![irs_bench::ablations::ablate_pingpong(opts)],
-        "ablate_idle_first" => vec![irs_bench::ablations::ablate_idle_first(opts)],
-        "ablate_sa_delay" => vec![irs_bench::ablations::ablate_sa_delay(opts)],
-        "ablate_pull" => vec![irs_bench::ablations::ablate_pull(opts)],
-        "ablate_slice" => vec![irs_bench::ablations::ablate_slice(opts)],
-        "ablate_pv_spin" => vec![irs_bench::ablations::ablate_pv_spin(opts)],
-        "io_latency" => vec![irs_bench::io_latency::io_latency(opts)],
-        "chaos" => vec![irs_bench::chaos::chaos(opts)],
-        "ablate_strict_co" => vec![irs_bench::ablations::ablate_strict_co(opts)],
-        other => {
-            eprintln!("unknown experiment: {other}");
-            usage();
-        }
-    }
 }
 
 /// The current commit and unix time, stamped into every history record.
@@ -256,23 +384,35 @@ fn main() {
         }
     }
 
-    let mut queue: Vec<String> = Vec::new();
+    let registry = registry();
+    let mut queue: Vec<&Experiment> = Vec::new();
     for e in &experiments {
         match e.as_str() {
-            "all" => queue.extend(EXPERIMENTS.iter().map(|(n, _)| n.to_string())),
-            "core" => queue.extend(
-                EXPERIMENTS
-                    .iter()
-                    .filter(|(_, core)| *core)
-                    .map(|(n, _)| n.to_string()),
-            ),
-            other => {
-                if other != "perf" && !EXPERIMENTS.iter().any(|(n, _)| *n == other) {
+            "all" => queue.extend(registry.iter().filter(|x| x.alias != Alias::Named)),
+            "core" => queue.extend(registry.iter().filter(|x| x.alias == Alias::Core)),
+            other => match registry.iter().find(|x| x.name == other) {
+                Some(x) => queue.push(x),
+                None => {
                     eprintln!("unknown experiment: {other}");
                     usage();
                 }
-                queue.push(other.to_string());
-            }
+            },
+        }
+    }
+    if queue.is_empty() {
+        usage();
+    }
+    let args = Args {
+        opts,
+        smoke,
+        hosts,
+        parity,
+    };
+    let given = [args.smoke, args.hosts.is_some(), args.parity];
+    for (flag, given) in SCOPED_FLAGS.into_iter().zip(given) {
+        if given && !queue.iter().any(|e| e.flags.contains(&flag)) {
+            eprintln!("{flag}: no queued experiment reads it");
+            usage();
         }
     }
 
@@ -283,116 +423,37 @@ fn main() {
         }
     }
 
-    // Every campaign's history records and floor failures, logged and
+    // Every experiment's history records and floor failures, logged and
     // gated together after the last experiment.
-    let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
     let mut records: Vec<PerfRecord> = Vec::new();
     let mut floor_failures: Vec<String> = Vec::new();
     for exp in queue {
         let start = Instant::now();
-        if exp == "perf" {
-            let report = irs_bench::perf::perf(opts);
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write("BENCH_runner.json", report.to_json()) {
-                eprintln!("cannot write BENCH_runner.json: {e}");
-                std::process::exit(1);
-            }
-            records.extend(report.records());
-            floor_failures.extend(report.floor_failures());
-            eprintln!("[perf done in {:.1}s]", start.elapsed().as_secs_f64());
-            println!();
-            continue;
-        }
-        if exp == "fleet" {
-            let outcome = if parity {
-                irs_bench::fleet::assert_incremental_parity(opts, smoke, hosts)
-            } else {
-                irs_bench::fleet::fleet(opts, smoke, hosts)
-            };
-            for (i, table) in outcome.report.tables.iter().enumerate() {
-                print!("{table}");
-                if let Some(dir) = &csv_dir {
-                    let path = format!("{dir}/fleet_{i}.csv");
-                    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            print!("{}", outcome.report.accounting);
-            if let Some(dir) = &csv_dir {
-                let path = format!("{dir}/fleet_accounting.csv");
-                if let Err(e) = std::fs::write(&path, outcome.report.accounting.to_csv()) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            let cache = &outcome.report.cache;
-            eprintln!(
-                "[fleet done in {:.1}s: {} hosts, {} host runs ({} elided, {} carried), \
-                 {} events logical ({:.0}/s effective), {} executed ({:.0}/s), \
-                 fork_warmup_saved={}, cache hit rate {:.1}% ({:.1} MiB resident), \
-                 {} tenants placed, {} rejected{}]",
-                outcome.wall_s,
-                outcome.hosts,
-                outcome.report.host_runs,
-                outcome.report.runs_elided,
-                outcome.report.hosts_carried,
-                outcome.report.events,
-                irs_bench::fleet::effective_events_per_sec(&outcome),
-                irs_bench::fleet::events_executed(&outcome),
-                irs_bench::fleet::events_per_sec(&outcome),
-                outcome.report.fork_warmup_saved,
-                100.0 * cache.hit_rate().max(0.0),
-                cache.resident_bytes as f64 / (1 << 20) as f64,
-                outcome.report.tenants_placed,
-                outcome.report.tenants_rejected,
-                if parity { "; incremental parity OK" } else { "" },
-            );
-            records.push(irs_bench::fleet::record(&outcome, jobs));
-            floor_failures.extend(irs_bench::fleet::floor_failures(&outcome));
-            println!();
-            continue;
-        }
-        if exp == "serving" {
-            let outcome = irs_bench::serving::serving(opts, smoke);
-            print!("{}", outcome.table);
-            if let Some(dir) = &csv_dir {
-                let path = format!("{dir}/serving.csv");
-                if let Err(e) = std::fs::write(&path, outcome.table.to_csv()) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            eprintln!(
-                "[serving done in {:.1}s: {} runs, {} requests, {} events ({:.0}/s)]",
-                outcome.wall_s,
-                outcome.runs,
-                outcome.requests,
-                outcome.events,
-                irs_bench::serving::events_per_sec(&outcome),
-            );
-            records.push(irs_bench::serving::record(&outcome, jobs));
-            println!();
-            continue;
-        }
-        let tables = run_experiment(&exp, opts);
-        for (i, table) in tables.iter().enumerate() {
+        let out = (exp.run)(&args);
+        print!("{}", out.text);
+        for (stem, table) in &out.tables {
             print!("{table}");
             if let Some(dir) = &csv_dir {
-                let path = if tables.len() == 1 {
-                    format!("{dir}/{exp}.csv")
-                } else {
-                    format!("{dir}/{exp}_{i}.csv")
-                };
+                let path = format!("{dir}/{stem}.csv");
                 if let Err(e) = std::fs::write(&path, table.to_csv()) {
                     eprintln!("cannot write {path}: {e}");
                     std::process::exit(1);
                 }
             }
         }
-        eprintln!("[{exp} done in {:.1}s]", start.elapsed().as_secs_f64());
+        let detail = if out.summary.is_empty() {
+            String::new()
+        } else {
+            format!(": {}", out.summary)
+        };
+        eprintln!(
+            "[{} done in {:.1}s{detail}]",
+            exp.name,
+            start.elapsed().as_secs_f64()
+        );
         println!();
+        records.extend(out.records);
+        floor_failures.extend(out.floor_failures);
     }
 
     // Sanitized runs pay the invariant-checking tax and parity runs pay a
@@ -400,7 +461,7 @@ fn main() {
     // neither log them nor ratchet against them. The floors are ratios
     // and counters of the run itself, so they apply either way.
     let mut failures = Vec::new();
-    if !records.is_empty() && !irs_core::check::check_enabled() && !parity {
+    if !records.is_empty() && !irs_core::check::check_enabled() && !args.parity {
         // Read the trend log *before* appending so the ratchet compares
         // against prior invocations, not this one.
         let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();

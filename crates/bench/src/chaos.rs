@@ -15,11 +15,11 @@
 //!   (the fault stream is forked from the scenario seed, never from the
 //!   worker that happens to run the cell).
 
-use crate::Opts;
+use crate::{mean, Opts};
 use irs_core::{
-    parallel, FaultConfig, Scenario, Strategy, System, SystemConfig, DEGRADATION_MARGIN,
+    runner, FaultConfig, RunResult, Scenario, Strategy, System, SystemConfig, DEGRADATION_MARGIN,
 };
-use irs_metrics::{Series, Summary, Table};
+use irs_metrics::{Series, Table};
 use irs_sim::SimTime;
 
 /// The fault profiles the campaign sweeps, worst-knob-per-column style:
@@ -57,33 +57,15 @@ struct Cell {
     injected: u64,
 }
 
-fn run_cell(
-    faults: &FaultConfig,
-    strategy: Strategy,
-    seed: u64,
-    benchmark: &str,
-    n_inter: usize,
-    horizon: Option<SimTime>,
-) -> Cell {
-    let mut sc = Scenario::fig5_style(benchmark, n_inter, strategy, seed);
-    if let Some(h) = horizon {
-        sc.horizon = h;
-    }
-    let cfg = SystemConfig {
-        faults: Some(faults.clone()),
-        ..SystemConfig::default()
-    };
-    let r = System::with_config(sc, cfg).run();
-    let m = r.measured();
-    Cell {
-        makespan_ms: m
-            .makespan
-            .unwrap_or(r.elapsed)
-            .as_nanos() as f64
-            / 1e6,
-        completed: m.makespan.is_some(),
-        sa_timeouts: r.hv.sa_timeouts,
-        injected: r.faults.map(|f| f.total()).unwrap_or(0),
+impl Cell {
+    fn of(r: RunResult) -> Cell {
+        let m = r.measured();
+        Cell {
+            makespan_ms: m.makespan.unwrap_or(r.elapsed).as_nanos() as f64 / 1e6,
+            completed: m.makespan.is_some(),
+            sa_timeouts: r.hv.sa_timeouts,
+            injected: r.faults.map(|f| f.total()).unwrap_or(0),
+        }
     }
 }
 
@@ -92,23 +74,25 @@ fn run_cell(
 /// truncated run legitimately ends at the horizon).
 fn campaign(opts: Opts, benchmark: &str, n_inter: usize, horizon: Option<SimTime>) -> Table {
     let profiles = profiles();
-    let seeds = opts.seeds as usize;
-    let n = profiles.len() * CHAOS_STRATEGIES.len() * seeds;
-    let cells: Vec<Cell> = parallel::ordered_map(opts.jobs, n, |i| {
-        let (pi, rest) = (i / (CHAOS_STRATEGIES.len() * seeds), i % (CHAOS_STRATEGIES.len() * seeds));
-        let (si, ki) = (rest / seeds, rest % seeds);
-        run_cell(
-            &profiles[pi].1,
-            CHAOS_STRATEGIES[si],
-            opts.base_seed + ki as u64,
-            benchmark,
-            n_inter,
-            horizon,
-        )
-    });
-    let cell = |pi: usize, si: usize, ki: usize| {
-        &cells[(pi * CHAOS_STRATEGIES.len() + si) * seeds + ki]
-    };
+    let mut ctors = Vec::new();
+    for (_, faults) in &profiles {
+        for strategy in CHAOS_STRATEGIES {
+            ctors.push(move |seed| {
+                let mut sc = Scenario::fig5_style(benchmark, n_inter, strategy, seed);
+                if let Some(h) = horizon {
+                    sc.horizon = h;
+                }
+                let cfg = SystemConfig {
+                    faults: Some(faults.clone()),
+                    ..SystemConfig::default()
+                };
+                System::with_config(sc, cfg)
+            });
+        }
+    }
+    let cells = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, Cell::of);
+    // The runs of (profile, strategy), in seed order.
+    let runs = |pi: usize, si: usize| &cells[pi * CHAOS_STRATEGIES.len() + si];
 
     let mut table = Table::new(format!(
         "Chaos — makespan (ms) under fault injection ({benchmark}, {n_inter} hogs)"
@@ -117,10 +101,9 @@ fn campaign(opts: Opts, benchmark: &str, n_inter: usize, horizon: Option<SimTime
     for (si, strategy) in CHAOS_STRATEGIES.iter().enumerate() {
         let mut series = Series::new(format!("{strategy}"));
         for (pi, (name, _)) in profiles.iter().enumerate() {
-            let samples: Vec<f64> = (0..seeds).map(|ki| cell(pi, si, ki).makespan_ms).collect();
-            let mean = Summary::of(&samples).mean;
-            means[pi][si] = mean;
-            series.point((*name).to_string(), mean);
+            let samples: Vec<f64> = runs(pi, si).iter().map(|c| c.makespan_ms).collect();
+            means[pi][si] = mean(&samples);
+            series.point((*name).to_string(), means[pi][si]);
         }
         table.add(series);
     }
@@ -133,8 +116,8 @@ fn campaign(opts: Opts, benchmark: &str, n_inter: usize, horizon: Option<SimTime
     let mut timeouts = Series::new("Irs sa-timeouts");
     let mut injected = Series::new("Irs faults injected");
     for (pi, (name, _)) in profiles.iter().enumerate() {
-        let t: u64 = (0..seeds).map(|ki| cell(pi, irs, ki).sa_timeouts).sum();
-        let f: u64 = (0..seeds).map(|ki| cell(pi, irs, ki).injected).sum();
+        let t: u64 = runs(pi, irs).iter().map(|c| c.sa_timeouts).sum();
+        let f: u64 = runs(pi, irs).iter().map(|c| c.injected).sum();
         timeouts.point((*name).to_string(), t as f64);
         injected.point((*name).to_string(), f as f64);
     }
@@ -143,7 +126,7 @@ fn campaign(opts: Opts, benchmark: &str, n_inter: usize, horizon: Option<SimTime
 
     // --- the degradation contract -------------------------------------
     if horizon.is_none() {
-        for (i, c) in cells.iter().enumerate() {
+        for (i, c) in cells.iter().flatten().enumerate() {
             assert!(
                 c.completed,
                 "chaos cell {i} did not complete its measured workload"
@@ -154,7 +137,7 @@ fn campaign(opts: Opts, benchmark: &str, n_inter: usize, horizon: Option<SimTime
         .iter()
         .position(|(n, _)| *n == "wedge")
         .expect("wedge profile present");
-    let wedge_timeouts: u64 = (0..seeds).map(|ki| cell(wedge, irs, ki).sa_timeouts).sum();
+    let wedge_timeouts: u64 = runs(wedge, irs).iter().map(|c| c.sa_timeouts).sum();
     assert!(
         wedge_timeouts > 0,
         "wedged-guest profile never drove the SA timeout force path"

@@ -19,19 +19,25 @@ pub fn fig1a(opts: Opts) -> Table {
     let mut table = Table::new(
         "Fig 1(a) — performance slowdown under interference (relative to no interference)",
     );
+    let benches = ["fluidanimate", "ua", "raytrace"];
+    let mut ctors = Vec::new();
+    for bench in benches {
+        for solo in [true, false] {
+            ctors.push(move |seed| {
+                let mut s = Scenario::fig5_style(bench, 1, Strategy::Vanilla, seed);
+                if solo {
+                    s.vms.truncate(1); // drop the interfering VM
+                }
+                System::new(s)
+            });
+        }
+    }
+    let means = crate::mean_makespans(opts, &ctors);
     let mut none = Series::new("no interference");
     let mut with = Series::new("w/ interference");
-    for bench in ["fluidanimate", "ua", "raytrace"] {
-        let solo = crate::mean_makespan_ms(opts, |seed| {
-            let mut s = Scenario::fig5_style(bench, 1, Strategy::Vanilla, seed);
-            s.vms.truncate(1); // drop the interfering VM
-            s
-        });
-        let inter = crate::mean_makespan_ms(opts, |seed| {
-            Scenario::fig5_style(bench, 1, Strategy::Vanilla, seed)
-        });
+    for (bi, bench) in benches.into_iter().enumerate() {
         none.point(bench, 1.0);
-        with.point(bench, slowdown(solo, inter));
+        with.point(bench, slowdown(means[2 * bi], means[2 * bi + 1]));
     }
     table.add(none);
     table.add(with);

@@ -5,9 +5,9 @@
 //! Fig 11: IRS improvement as the consolidation depth grows (1–3
 //! interfering VMs per contended pCPU).
 
-use crate::{improvement_over_vanilla, Opts};
-use irs_core::{Scenario, Strategy};
-use irs_metrics::{Series, Table};
+use crate::{mean_makespans, Opts};
+use irs_core::{Scenario, Strategy, System};
+use irs_metrics::{improvement_pct, Series, Table};
 
 /// The four archetypes the paper selects: x264 (mutex), blackscholes
 /// (barrier), EP (blocking, little sync), MG (spinning).
@@ -27,44 +27,69 @@ pub fn backgrounds_for(bench: &str) -> [Option<&'static str>; 3] {
     }
 }
 
-/// Fig 10: IRS improvement vs number of interfered vCPUs (1..=8).
-pub fn fig10(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Fig 10 — IRS improvement (%) with a varying number of interferences (8-vCPU VMs)",
-    );
-    for bench in ARCHETYPES {
-        for bg in backgrounds_for(bench) {
-            let bg_label = bg.map_or("microbenchmark".to_string(), |b| b.to_string());
-            let mut series = Series::new(format!("{bench} w/ {bg_label}"));
-            for n_inter in 1..=8usize {
-                let imp = improvement_over_vanilla(opts, Strategy::Irs, |strat, seed| {
-                    Scenario::fig10_style(bench, bg, n_inter, strat, seed)
-                });
-                series.point(format!("{n_inter}"), imp);
-            }
-            table.add(series);
+/// A table of IRS improvements (%) over vanilla: one series per row
+/// label, each with the same point labels, where `makes` holds one
+/// scenario constructor `make(strategy, seed)` per (row, point). Every
+/// point's vanilla and IRS runs go out as one batch.
+fn irs_table<M>(opts: Opts, title: &str, rows: Vec<String>, points: &[&str], makes: &[M]) -> Table
+where
+    M: Fn(Strategy, u64) -> Scenario + Sync,
+{
+    let mut ctors = Vec::new();
+    for make in makes {
+        for strategy in [Strategy::Vanilla, Strategy::Irs] {
+            ctors.push(move |seed| System::new(make(strategy, seed)));
         }
     }
+    let means = mean_makespans(opts, &ctors);
+    let mut pairs = means.chunks(2);
+    let mut table = Table::new(title);
+    for row in rows {
+        let mut series = Series::new(row);
+        for &point in points {
+            let m = pairs.next().expect("one vanilla/IRS pair per point");
+            series.point(point, improvement_pct(m[0], m[1]));
+        }
+        table.add(series);
+    }
     table
+}
+
+/// Fig 10: IRS improvement vs number of interfered vCPUs (1..=8).
+pub fn fig10(opts: Opts) -> Table {
+    let mut rows = Vec::new();
+    let mut makes = Vec::new();
+    for bench in ARCHETYPES {
+        for bg in backgrounds_for(bench) {
+            rows.push(format!("{bench} w/ {}", bg.unwrap_or("microbenchmark")));
+            for n_inter in 1..=8usize {
+                makes.push(move |strat, seed| {
+                    Scenario::fig10_style(bench, bg, n_inter, strat, seed)
+                });
+            }
+        }
+    }
+    let title = "Fig 10 — IRS improvement (%) with a varying number of interferences (8-vCPU VMs)";
+    let points = ["1", "2", "3", "4", "5", "6", "7", "8"];
+    irs_table(opts, title, rows, &points, &makes)
 }
 
 /// Fig 11: IRS improvement vs number of interfering VMs (1..=3) at
 /// {1, 2, 4} interfered vCPUs.
 pub fn fig11(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Fig 11 — IRS improvement (%) with a varying degree of interference (1-3 VMs per pCPU)",
-    );
+    let mut rows = Vec::new();
+    let mut makes = Vec::new();
     for bench in ARCHETYPES {
         for n_inter in [1usize, 2, 4] {
-            let mut series = Series::new(format!("{bench} {n_inter}-inter."));
+            rows.push(format!("{bench} {n_inter}-inter."));
             for n_vms in 1..=3usize {
-                let imp = improvement_over_vanilla(opts, Strategy::Irs, |strat, seed| {
+                makes.push(move |strat, seed| {
                     Scenario::fig11_style(bench, n_inter, n_vms, strat, seed)
                 });
-                series.point(format!("{n_vms} VM"), imp);
             }
-            table.add(series);
         }
     }
-    table
+    let title =
+        "Fig 11 — IRS improvement (%) with a varying degree of interference (1-3 VMs per pCPU)";
+    irs_table(opts, title, rows, &["1 VM", "2 VM", "3 VM"], &makes)
 }

@@ -4,8 +4,9 @@
 //! Also the §2.3 baseline: how much unpinning alone costs vanilla
 //! Xen/Linux (the "5-20x" stacking observation, at our simulator's scale).
 
-use crate::{improvement_over_vanilla, mean_makespan_ms, Opts, STRATEGIES};
-use irs_core::{Scenario, Strategy};
+use crate::fig5_6::improvement_table;
+use crate::{mean_makespans, Opts};
+use irs_core::{Scenario, Strategy, System};
 use irs_metrics::{Series, Table};
 use irs_workloads::presets;
 
@@ -18,19 +19,11 @@ pub fn unpinned_scenario(bench: &str, strategy: Strategy, seed: u64) -> Scenario
     s
 }
 
+/// Improvement (%) of every strategy over vanilla for every bench, from
+/// one batch in which each bench's vanilla baseline runs once.
 fn stacking_panel(title: &str, benches: &[&str], opts: Opts) -> Table {
-    let mut table = Table::new(title.to_string());
-    for strategy in STRATEGIES {
-        let mut series = Series::new(format!("{strategy}"));
-        for &bench in benches {
-            let imp = improvement_over_vanilla(opts, strategy, |strat, seed| {
-                unpinned_scenario(bench, strat, seed)
-            });
-            series.point(bench, imp);
-        }
-        table.add(series);
-    }
-    table
+    let blocks = [(String::new(), unpinned_scenario)];
+    improvement_table(title.to_string(), benches, &blocks, opts)
 }
 
 /// Fig 12: NPB performance in response to CPU stacking (no deceptive
@@ -59,15 +52,26 @@ pub fn fig13(opts: Opts) -> Table {
 pub fn stacking_baseline(opts: Opts) -> Table {
     let mut table =
         Table::new("CPU stacking baseline — vanilla unpinned vs pinned slowdown (factor)");
+    let benches = ["streamcluster", "fluidanimate", "canneal", "MG", "CG", "UA"];
+    let mut ctors = Vec::new();
+    for bench in benches {
+        for pinned in [true, false] {
+            ctors.push(move |seed| {
+                System::new(if pinned {
+                    Scenario::fig5_style(bench, 4, Strategy::Vanilla, seed)
+                } else {
+                    unpinned_scenario(bench, Strategy::Vanilla, seed)
+                })
+            });
+        }
+    }
+    let means = mean_makespans(opts, &ctors);
     let mut series = Series::new("unpinned / pinned");
-    for bench in ["streamcluster", "fluidanimate", "canneal", "MG", "CG", "UA"] {
-        let pinned = mean_makespan_ms(opts, |seed| {
-            Scenario::fig5_style(bench, 4, Strategy::Vanilla, seed)
-        });
-        let unpinned = mean_makespan_ms(opts, |seed| {
-            unpinned_scenario(bench, Strategy::Vanilla, seed)
-        });
-        series.point(bench, irs_metrics::slowdown(pinned, unpinned));
+    for (bi, bench) in benches.into_iter().enumerate() {
+        series.point(
+            bench,
+            irs_metrics::slowdown(means[2 * bi], means[2 * bi + 1]),
+        );
     }
     table.add(series);
     table

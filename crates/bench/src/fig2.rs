@@ -5,8 +5,9 @@
 //! fair share. One hog contends one of four pCPUs, so the parallel VM's
 //! fair share is 3 full pCPUs plus half of the contended one.
 
-use crate::Opts;
-use irs_metrics::{Series, Summary, Table};
+use crate::{mean, Opts};
+use irs_core::{runner, Scenario, System};
+use irs_metrics::{Series, Table};
 
 /// The fair CPU share of the parallel VM in the Fig 2 setup, in pCPUs.
 pub const FAIR_PCPUS: f64 = 3.5;
@@ -35,16 +36,15 @@ pub fn fig2(opts: Opts) -> Table {
     let mut table = Table::new(
         "Fig 2 — CPU utilization relative to fair share (blocking waits, 1 hog)",
     );
+    let ctors =
+        FIG2_BENCHMARKS.map(|bench| move |seed| System::new(Scenario::fig2_style(bench, seed)));
+    let utils = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |r| {
+        r.measured()
+            .utilization_vs_fair_share(FAIR_PCPUS, r.elapsed)
+    });
     let mut series = Series::new("util / fair share");
-    for bench in FIG2_BENCHMARKS {
-        let samples: Vec<f64> = (0..opts.seeds)
-            .map(|i| {
-                let r = irs_core::Scenario::fig2_style(bench, opts.base_seed + i).run();
-                let m = r.measured();
-                m.utilization_vs_fair_share(FAIR_PCPUS, r.elapsed)
-            })
-            .collect();
-        series.point(bench, Summary::of(&samples).mean);
+    for (bench, runs) in FIG2_BENCHMARKS.into_iter().zip(&utils) {
+        series.point(bench, mean(runs));
     }
     table.add(series);
     table

@@ -2,9 +2,8 @@
 //! Xen/Linux, for {1, 2, 4} interfered vCPUs × {PLE, Relaxed-Co, IRS},
 //! under micro-benchmark or real-application interference.
 
-use crate::{Opts, STRATEGIES};
-use irs_core::runner::{grid_mean_makespans, ScenarioFn};
-use irs_core::{Scenario, Strategy};
+use crate::{mean_makespans, Opts, STRATEGIES};
+use irs_core::{Scenario, Strategy, System};
 use irs_metrics::{Series, Table};
 use irs_workloads::presets;
 
@@ -42,46 +41,60 @@ fn scenario(
     }
 }
 
+/// Improvement (%) over vanilla of every strategy in [`STRATEGIES`] for
+/// every bench, one series per (block, strategy) labelled
+/// `{prefix}{strategy}`; `make(bench, strategy, seed)` builds a block's
+/// scenario. Every (block × {Vanilla + strategy} × bench) cell goes to the
+/// worker pool in one batch, each block's vanilla baselines once.
+pub(crate) fn improvement_table<M>(
+    title: String,
+    benches: &[&str],
+    blocks: &[(String, M)],
+    opts: Opts,
+) -> Table
+where
+    M: Fn(&str, Strategy, u64) -> Scenario + Sync,
+{
+    let nb = benches.len();
+    let mut ctors = Vec::new();
+    for (_, make) in blocks {
+        for strategy in std::iter::once(Strategy::Vanilla).chain(STRATEGIES) {
+            for &bench in benches {
+                ctors.push(move |seed| System::new(make(bench, strategy, seed)));
+            }
+        }
+    }
+    let means = mean_makespans(opts, &ctors);
+    let mut table = Table::new(title);
+    let block = (1 + STRATEGIES.len()) * nb;
+    for ((prefix, _), means) in blocks.iter().zip(means.chunks(block)) {
+        for (si, strategy) in STRATEGIES.into_iter().enumerate() {
+            let mut series = Series::new(format!("{prefix}{strategy}"));
+            for (bi, &bench) in benches.iter().enumerate() {
+                let variant = means[(si + 1) * nb + bi];
+                series.point(bench, irs_metrics::improvement_pct(means[bi], variant));
+            }
+            table.add(series);
+        }
+    }
+    table
+}
+
 /// One panel of Fig 5/6: improvement (%) for every benchmark in `benches`,
-/// with series `{1,2,4}-inter × {PLE, Relaxed-Co, IRS}`.
+/// with series `{1,2,4}-inter × {PLE, Relaxed-Co, IRS}`, from one batch.
 pub fn improvement_panel(
     title: &str,
     benches: &[&str],
     inter: Interference,
     opts: Opts,
 ) -> Table {
-    // Every (n_inter × {Vanilla + strategy} × bench) cell of the panel is
-    // an independent seeded mean, so all of them go to the worker pool as
-    // one grid — a single panel saturates a wide host instead of fanning
-    // out one data point at a time. The vanilla baselines ride along as
-    // the first row of each n_inter block.
-    let nb = benches.len();
-    let mut ctors = Vec::new();
-    for n_inter in [1usize, 2, 4] {
-        for strategy in std::iter::once(Strategy::Vanilla).chain(STRATEGIES) {
-            for &bench in benches {
-                ctors.push(move |seed| scenario(bench, inter, n_inter, strategy, seed));
-            }
-        }
-    }
-    let refs: Vec<ScenarioFn<'_>> = ctors.iter().map(|c| c as ScenarioFn<'_>).collect();
-    let means = grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &refs);
-
-    let mut table = Table::new(format!("{title} ({})", inter.label()));
-    let block = (1 + STRATEGIES.len()) * nb;
-    for (gi, n_inter) in [1usize, 2, 4].into_iter().enumerate() {
-        let base = gi * block;
-        for (si, strategy) in STRATEGIES.into_iter().enumerate() {
-            let mut series = Series::new(format!("{n_inter}-inter. {strategy}"));
-            for (bi, &bench) in benches.iter().enumerate() {
-                let vanilla = means[base + bi];
-                let variant = means[base + (si + 1) * nb + bi];
-                series.point(bench, irs_metrics::improvement_pct(vanilla, variant));
-            }
-            table.add(series);
-        }
-    }
-    table
+    let blocks = [1usize, 2, 4].map(|n_inter| {
+        let make =
+            move |bench: &str, strategy, seed| scenario(bench, inter, n_inter, strategy, seed);
+        (format!("{n_inter}-inter. "), make)
+    });
+    let title = format!("{title} ({})", inter.label());
+    improvement_table(title, benches, &blocks, opts)
 }
 
 /// Fig 5: PARSEC (blocking) improvement, one panel per interference type

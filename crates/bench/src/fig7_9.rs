@@ -6,64 +6,48 @@
 //! its useful-work *rate* relative to vanilla. The weighted speedup is the
 //! average of the two, reported in percent (100 = vanilla parity).
 
-use crate::{Opts, STRATEGIES};
-use irs_core::{RunResult, Scenario, Strategy};
-use irs_metrics::{Series, Summary, Table};
+use crate::{mean_pair, Opts, STRATEGIES};
+use irs_core::{runner, Scenario, Strategy, System};
+use irs_metrics::{Series, Table};
 use irs_workloads::presets;
 
-/// Foreground makespan (ms) and background useful-work rate for one run.
-fn fg_bg(result: &RunResult) -> (f64, f64) {
-    let fg = result.measured().makespan_ms();
-    let bg = result.vms[1].work_rate(result.elapsed);
-    (fg, bg)
-}
-
-/// Mean (foreground cost, background rate) over the seeds.
-fn mean_fg_bg(
-    opts: Opts,
-    bench: &str,
-    background: &str,
-    n_inter: usize,
-    strategy: Strategy,
-) -> (f64, f64) {
-    let mut fgs = Vec::new();
-    let mut bgs = Vec::new();
-    for i in 0..opts.seeds {
-        let r = Scenario::real_interference(bench, background, n_inter, strategy, opts.base_seed + i)
-            .run();
-        let (fg, bg) = fg_bg(&r);
-        fgs.push(fg);
-        bgs.push(bg);
-    }
-    (Summary::of(&fgs).mean, Summary::of(&bgs).mean)
-}
-
-/// Weighted speedup (%) of `strategy` against vanilla for one cell.
-pub fn weighted_speedup_pct(
-    opts: Opts,
-    bench: &str,
-    background: &str,
-    n_inter: usize,
-    strategy: Strategy,
-) -> f64 {
-    let (fg_v, bg_v) = mean_fg_bg(opts, bench, background, n_inter, Strategy::Vanilla);
-    let (fg_s, bg_s) = mean_fg_bg(opts, bench, background, n_inter, strategy);
-    let fg_speedup = if fg_s > 0.0 { fg_v / fg_s } else { 0.0 };
-    let bg_speedup = if bg_v > 0.0 { bg_s / bg_v } else { 0.0 };
-    (fg_speedup + bg_speedup) / 2.0 * 100.0
-}
-
 /// One weighted-speedup panel over `benches` with `background` interference.
+///
+/// Every (n_inter × {Vanilla + strategy} × bench) cell runs once in one
+/// batch; each run keeps its foreground makespan (ms) and background
+/// useful-work rate, and every strategy reads the same vanilla cell.
 pub fn weighted_panel(title: &str, benches: &[&str], background: &str, opts: Opts) -> Table {
-    let mut table = Table::new(format!("{title} (w/ {background})"));
+    let nb = benches.len();
+    let mut ctors = Vec::new();
     for n_inter in [1usize, 2, 4] {
-        for strategy in STRATEGIES {
-            let mut series = Series::new(format!("{n_inter}-inter. {strategy}"));
+        for strategy in std::iter::once(Strategy::Vanilla).chain(STRATEGIES) {
             for &bench in benches {
-                series.point(
-                    bench,
-                    weighted_speedup_pct(opts, bench, background, n_inter, strategy),
-                );
+                ctors.push(move |seed| {
+                    System::new(Scenario::real_interference(
+                        bench, background, n_inter, strategy, seed,
+                    ))
+                });
+            }
+        }
+    }
+    let cells: Vec<(f64, f64)> = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |r| {
+        (r.measured().makespan_ms(), r.vms[1].work_rate(r.elapsed))
+    })
+    .iter()
+    .map(|runs| mean_pair(runs))
+    .collect();
+
+    let mut table = Table::new(format!("{title} (w/ {background})"));
+    let block = (1 + STRATEGIES.len()) * nb;
+    for (gi, n_inter) in [1usize, 2, 4].into_iter().enumerate() {
+        for (si, strategy) in STRATEGIES.into_iter().enumerate() {
+            let mut series = Series::new(format!("{n_inter}-inter. {strategy}"));
+            for (bi, &bench) in benches.iter().enumerate() {
+                let (fg_v, bg_v) = cells[gi * block + bi];
+                let (fg_s, bg_s) = cells[gi * block + (si + 1) * nb + bi];
+                let fg_speedup = if fg_s > 0.0 { fg_v / fg_s } else { 0.0 };
+                let bg_speedup = if bg_v > 0.0 { bg_s / bg_v } else { 0.0 };
+                series.point(bench, (fg_speedup + bg_speedup) / 2.0 * 100.0);
             }
             table.add(series);
         }

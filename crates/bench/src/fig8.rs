@@ -2,25 +2,14 @@
 //! closed-loop throughput/latency and ab-like open-loop tail latency,
 //! improvement of IRS over vanilla under 1–4 CPU hogs.
 
-use crate::Opts;
-use irs_core::{Scenario, Strategy, VmScenario};
-use irs_metrics::{improvement_pct, Series, Summary, Table};
+use crate::{mean_pair, Opts};
+use irs_core::{runner, Scenario, Strategy, System, VmScenario};
+use irs_metrics::{improvement_pct, Series, Table};
 use irs_sim::SimTime;
 use irs_workloads::presets;
 
 /// Measurement horizon for the server runs.
 pub const HORIZON: SimTime = SimTime::from_secs(10);
-
-/// Outcome of one server run.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerNumbers {
-    /// Requests per second.
-    pub throughput_rps: f64,
-    /// Mean request latency (µs).
-    pub mean_latency_us: f64,
-    /// 99th-percentile latency (µs).
-    pub p99_latency_us: f64,
-}
 
 fn specjbb_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
     Scenario::new(4, strategy, seed)
@@ -42,86 +31,67 @@ fn ab_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
         .horizon(HORIZON)
 }
 
-/// Runs one server scenario and extracts the numbers.
-pub fn run_server<F>(opts: Opts, make: F) -> ServerNumbers
-where
-    F: Fn(u64) -> Scenario,
-{
-    let mut thr = Vec::new();
-    let mut mean = Vec::new();
-    let mut p99 = Vec::new();
-    for i in 0..opts.seeds {
-        let r = make(opts.base_seed + i).run();
-        let m = r.measured();
-        thr.push(m.throughput_rps(r.elapsed));
-        mean.push(m.mean_latency_us());
-        p99.push(m.latency_percentile_us(99.0));
-    }
-    ServerNumbers {
-        throughput_rps: Summary::of(&thr).mean,
-        mean_latency_us: Summary::of(&mean).mean,
-        p99_latency_us: Summary::of(&p99).mean,
-    }
-}
-
 /// Fig 8: throughput and latency improvement of IRS over vanilla for
-/// specjbb (mean new-order latency) and ab (99th percentile), under 1–4
-/// hogs.
-pub fn fig8(opts: Opts) -> Table {
-    let mut table =
-        Table::new("Fig 8 — improvement on server throughput and latency (IRS vs vanilla, %)");
-    let mut thr_jbb = Series::new("specjbb throughput");
-    let mut lat_jbb = Series::new("specjbb latency (99th)");
-    let mut thr_ab = Series::new("ab throughput");
-    let mut lat_ab = Series::new("ab latency (99th)");
-    for n_inter in 1..=4usize {
-        let label = format!("{n_inter}-inter.");
-        let jbb_v = run_server(opts, |s| specjbb_scenario(n_inter, Strategy::Vanilla, s));
-        let jbb_i = run_server(opts, |s| specjbb_scenario(n_inter, Strategy::Irs, s));
-        // Throughput is a benefit metric: improvement = (new-old)/old.
-        thr_jbb.point(
-            label.clone(),
-            (jbb_i.throughput_rps - jbb_v.throughput_rps) / jbb_v.throughput_rps * 100.0,
-        );
-        lat_jbb.point(
-            label.clone(),
-            improvement_pct(jbb_v.p99_latency_us, jbb_i.p99_latency_us),
-        );
-        let ab_v = run_server(opts, |s| ab_scenario(n_inter, Strategy::Vanilla, s));
-        let ab_i = run_server(opts, |s| ab_scenario(n_inter, Strategy::Irs, s));
-        thr_ab.point(
-            label.clone(),
-            (ab_i.throughput_rps - ab_v.throughput_rps) / ab_v.throughput_rps * 100.0,
-        );
-        lat_ab.point(label, improvement_pct(ab_v.p99_latency_us, ab_i.p99_latency_us));
+/// specjbb and ab (99th-percentile latency), under 1–4 hogs, followed by
+/// the raw numbers of both strategies (useful for EXPERIMENTS.md).
+///
+/// Both tables read one batch: every (server × strategy × n_inter) cell
+/// runs once, keeping its throughput (rps) and p99 latency (µs).
+pub fn fig8(opts: Opts) -> Vec<Table> {
+    let servers = ["specjbb", "ab"];
+    let makes: [fn(usize, Strategy, u64) -> Scenario; 2] = [specjbb_scenario, ab_scenario];
+    let strategies = [Strategy::Vanilla, Strategy::Irs];
+    let mut ctors = Vec::new();
+    for make in makes {
+        for strategy in strategies {
+            for n_inter in 1..=4usize {
+                ctors.push(move |seed| System::new(make(n_inter, strategy, seed)));
+            }
+        }
     }
-    table.add(thr_jbb);
-    table.add(lat_jbb);
-    table.add(thr_ab);
-    table.add(lat_ab);
-    table
-}
+    let cells: Vec<(f64, f64)> = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |r| {
+        let m = r.measured();
+        (m.throughput_rps(r.elapsed), m.latency_percentile_us(99.0))
+    })
+    .iter()
+    .map(|runs| mean_pair(runs))
+    .collect();
+    // Cell of (server, strategy, n_inter), in batch order.
+    let cell = |server: usize, strategy: usize, n_inter: usize| {
+        cells[(server * strategies.len() + strategy) * 4 + n_inter - 1]
+    };
 
-/// Raw server numbers (both strategies) — useful for EXPERIMENTS.md.
-pub fn fig8_raw(opts: Opts) -> Table {
-    let mut table = Table::new("Fig 8 (raw) — server numbers per strategy");
-    for (name, jbb) in [("specjbb", true), ("ab", false)] {
-        for strategy in [Strategy::Vanilla, Strategy::Irs] {
+    let mut gains =
+        Table::new("Fig 8 — improvement on server throughput and latency (IRS vs vanilla, %)");
+    for (si, name) in servers.iter().enumerate() {
+        let mut thr = Series::new(format!("{name} throughput"));
+        let mut lat = Series::new(format!("{name} latency (99th)"));
+        for n_inter in 1..=4usize {
+            let label = format!("{n_inter}-inter.");
+            let (thr_v, p99_v) = cell(si, 0, n_inter);
+            let (thr_i, p99_i) = cell(si, 1, n_inter);
+            // Throughput is a benefit metric: improvement = (new-old)/old.
+            thr.point(label.clone(), (thr_i - thr_v) / thr_v * 100.0);
+            lat.point(label, improvement_pct(p99_v, p99_i));
+        }
+        gains.add(thr);
+        gains.add(lat);
+    }
+
+    let mut raw = Table::new("Fig 8 (raw) — server numbers per strategy");
+    for (si, name) in servers.iter().enumerate() {
+        for (ki, strategy) in strategies.iter().enumerate() {
             let mut thr = Series::new(format!("{name} {strategy} thr (rps)"));
             let mut lat = Series::new(format!("{name} {strategy} lat (us)"));
             for n_inter in 1..=4usize {
-                let nums = if jbb {
-                    run_server(opts, |s| specjbb_scenario(n_inter, strategy, s))
-                } else {
-                    run_server(opts, |s| ab_scenario(n_inter, strategy, s))
-                };
                 let label = format!("{n_inter}-inter.");
-                thr.point(label.clone(), nums.throughput_rps);
-                lat.point(label, nums.p99_latency_us);
+                let (t, p99) = cell(si, ki, n_inter);
+                thr.point(label.clone(), t);
+                lat.point(label, p99);
             }
-            table.add(thr);
-            table.add(lat);
+            raw.add(thr);
+            raw.add(lat);
         }
     }
-    table
+    vec![gains, raw]
 }

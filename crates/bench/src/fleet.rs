@@ -183,6 +183,30 @@ pub fn effective_events_per_sec(o: &FleetOutcome) -> f64 {
     o.report.events as f64 / o.wall_s.max(1e-9)
 }
 
+/// The campaign's one-line summary for the `figures` progress line.
+pub fn summary(o: &FleetOutcome) -> String {
+    let r = &o.report;
+    format!(
+        "{} hosts, {} host runs ({} elided, {} carried), \
+         {} events logical ({:.0}/s effective), {} executed ({:.0}/s), \
+         fork_warmup_saved={}, cache hit rate {:.1}% ({:.1} MiB resident), \
+         {} tenants placed, {} rejected",
+        o.hosts,
+        r.host_runs,
+        r.runs_elided,
+        r.hosts_carried,
+        r.events,
+        effective_events_per_sec(o),
+        events_executed(o),
+        events_per_sec(o),
+        r.fork_warmup_saved,
+        100.0 * r.cache.hit_rate().max(0.0),
+        r.cache.resident_bytes as f64 / (1 << 20) as f64,
+        r.tenants_placed,
+        r.tenants_rejected,
+    )
+}
+
 /// The campaign's BENCH_history.jsonl record, run with `jobs` workers.
 /// Smoke, full, and scale campaigns are separate phases (`fleet-smoke`,
 /// `fleet`, `fleet-scale`: they simulate different fleets), and every

@@ -7,9 +7,9 @@
 //! under IRS, first runs a 20–26 µs scheduler-activation round. The
 //! experiment measures exactly how much of that shows up in I/O latency.
 
-use crate::Opts;
-use irs_core::{Scenario, Strategy, VmScenario};
-use irs_metrics::{Series, Summary, Table};
+use crate::{mean_pair, Opts};
+use irs_core::{runner, Scenario, Strategy, System, VmScenario};
+use irs_metrics::{Series, Table};
 use irs_sim::SimTime;
 use irs_sync::SyncSpace;
 use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
@@ -50,18 +50,24 @@ fn scenario(strategy: Strategy, seed: u64) -> Scenario {
         .horizon(SimTime::from_secs(10))
 }
 
-/// Mean and p99 wake overhead (µs beyond the ideal sleep + service time).
-pub fn wake_overhead_us(strategy: Strategy, opts: Opts) -> (f64, f64) {
+/// The strategies compared, in table-column order.
+const STRATEGIES: [Strategy; 2] = [Strategy::Vanilla, Strategy::Irs];
+
+/// Mean and p99 wake overhead (µs beyond the ideal sleep + service time)
+/// per strategy of [`STRATEGIES`], from one batch.
+fn wake_overheads_us(opts: Opts) -> Vec<(f64, f64)> {
     let ideal_us = SLEEP.as_micros() as f64 + SERVICE_US as f64;
-    let mut means = Vec::new();
-    let mut p99s = Vec::new();
-    for i in 0..opts.seeds {
-        let r = scenario(strategy, opts.base_seed + i).run();
+    let ctors = STRATEGIES.map(|strategy| move |seed| System::new(scenario(strategy, seed)));
+    runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |r| {
         let m = r.measured();
-        means.push(m.mean_latency_us() - ideal_us);
-        p99s.push(m.latency_percentile_us(99.0) - ideal_us);
-    }
-    (Summary::of(&means).mean, Summary::of(&p99s).mean)
+        (
+            m.mean_latency_us() - ideal_us,
+            m.latency_percentile_us(99.0) - ideal_us,
+        )
+    })
+    .iter()
+    .map(|runs| mean_pair(runs))
+    .collect()
 }
 
 /// The experiment table: wake overhead per strategy, plus the IRS delta —
@@ -72,15 +78,13 @@ pub fn io_latency(opts: Opts) -> Table {
     );
     let mut mean_row = Series::new("mean overhead");
     let mut p99_row = Series::new("p99 overhead");
-    let mut results = Vec::new();
-    for strategy in [Strategy::Vanilla, Strategy::Irs] {
-        let (mean, p99) = wake_overhead_us(strategy, opts);
+    let overheads = wake_overheads_us(opts);
+    for (strategy, &(mean, p99)) in STRATEGIES.iter().zip(&overheads) {
         mean_row.point(strategy.to_string(), mean);
         p99_row.point(strategy.to_string(), p99);
-        results.push(mean);
     }
     let mut delta = Series::new("IRS - vanilla (mean)");
-    delta.point("delta", results[1] - results[0]);
+    delta.point("delta", overheads[1].0 - overheads[0].0);
     table.add(mean_row);
     table.add(p99_row);
     table.add(delta);
@@ -97,9 +101,9 @@ mod tests {
     /// the I/O vCPU's pCPU free.
     #[test]
     fn irs_adds_one_sa_round_to_the_wake_tail() {
-        let opts = Opts::quick();
-        let (vanilla_mean, vanilla_p99) = wake_overhead_us(Strategy::Vanilla, opts);
-        let (irs_mean, irs_p99) = wake_overhead_us(Strategy::Irs, opts);
+        let overheads = wake_overheads_us(Opts::quick());
+        let (vanilla_mean, vanilla_p99) = overheads[0];
+        let (irs_mean, irs_p99) = overheads[1];
         let tail_delta = irs_p99 - vanilla_p99;
         assert!(
             (2.0..40.0).contains(&tail_delta),

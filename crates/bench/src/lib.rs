@@ -2,12 +2,16 @@
 //!
 //! One function per table/figure of the paper's evaluation; each returns an
 //! [`irs_metrics::Table`] whose rendering prints the same rows/series the
-//! paper plots. The `figures` binary is the CLI front end; the Criterion
-//! benches reuse scaled-down versions of the same functions.
+//! paper plots. The `figures` binary is the CLI front end: one registry
+//! entry per experiment.
 //!
 //! Figure functions are deterministic given [`Opts`]: every data point is
 //! the mean over `opts.seeds` seeded repetitions (the paper averages five
-//! runs; `--quick` drops to one for smoke testing).
+//! runs; `--quick` drops to one for smoke testing). Each figure lists every
+//! distinct run it needs once and sends them to [`irs_core::runner::grid`]
+//! as one batch, so a baseline shared by several strategies runs once per
+//! cell. Only `fig1b`, which steps a `System` itself to time a migration,
+//! keeps its own seed loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +31,8 @@ pub mod io_latency;
 pub mod perf;
 pub mod serving;
 
-use irs_core::{runner, Scenario, Strategy};
+use irs_core::{runner, Strategy, System};
+use irs_metrics::Summary;
 
 /// Repetition options shared by every figure function.
 #[derive(Debug, Clone, Copy)]
@@ -63,26 +68,29 @@ impl Opts {
     }
 }
 
-/// Mean makespan (ms) of the measured VM for `make(seed)` over the seeds.
-pub fn mean_makespan_ms<F>(opts: Opts, make: F) -> f64
+/// Seed-averaged makespan (ms) of each constructor's measured VM: one
+/// [`runner::grid`] batch that keeps one `f64` per run.
+pub(crate) fn mean_makespans<M>(opts: Opts, makes: &[M]) -> Vec<f64>
 where
-    F: Fn(u64) -> Scenario + Sync,
+    M: Fn(u64) -> System + Sync,
 {
-    runner::grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &[&make])[0]
+    runner::grid(opts.base_seed, opts.seeds, opts.jobs, makes, |r| {
+        r.measured().makespan_ms()
+    })
+    .iter()
+    .map(|runs| mean(runs))
+    .collect()
 }
 
-/// Mean improvement (%) of `strategy` over vanilla for the same scenario
-/// constructor — the y-axis of Figs 5, 6, 10, 11, 12, 13. Baseline and
-/// variant repetitions share one parallel fan-out.
-pub fn improvement_over_vanilla<F>(opts: Opts, strategy: Strategy, make: F) -> f64
-where
-    F: Fn(Strategy, u64) -> Scenario + Sync,
-{
-    let vanilla = |s| make(Strategy::Vanilla, s);
-    let variant = |s| make(strategy, s);
-    let means =
-        runner::grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &[&vanilla, &variant]);
-    irs_metrics::improvement_pct(means[0], means[1])
+/// Mean of one constructor's per-seed samples, summed in seed order.
+pub(crate) fn mean(samples: &[f64]) -> f64 {
+    Summary::of(samples).mean
+}
+
+/// Per-component [`mean`]s of one constructor's per-seed sample pairs.
+pub(crate) fn mean_pair(samples: &[(f64, f64)]) -> (f64, f64) {
+    let (a, b): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+    (mean(&a), mean(&b))
 }
 
 /// The strategy columns the paper's grouped bar charts use.
@@ -96,17 +104,5 @@ mod tests {
     fn quick_opts_are_single_seed() {
         assert_eq!(Opts::quick().seeds, 1);
         assert_eq!(Opts::default().seeds, 3);
-    }
-
-    #[test]
-    fn improvement_helper_matches_direct_computation() {
-        let opts = Opts::quick();
-        let make = |strat, seed| Scenario::fig5_style("EP", 1, strat, seed);
-        let base = mean_makespan_ms(opts, |s| make(Strategy::Vanilla, s));
-        let irs = mean_makespan_ms(opts, |s| make(Strategy::Irs, s));
-        let expected = irs_metrics::improvement_pct(base, irs);
-        let got = improvement_over_vanilla(opts, Strategy::Irs, make);
-        assert!((expected - got).abs() < 1e-9);
-        assert!(got > 10.0, "EP under 1-inter must benefit from IRS");
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::perf::PerfRecord;
 use crate::Opts;
-use irs_core::{parallel, RunResult, Scenario, Strategy, VmScenario};
+use irs_core::{runner, Scenario, Strategy, System, VmScenario};
 use irs_metrics::{percentile, Series, Summary, Table};
 use irs_sim::SimTime;
 use irs_workloads::presets;
@@ -81,21 +81,22 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
     let (horizon, inters): (SimTime, Vec<usize>) =
         if smoke { (SMOKE_HORIZON, vec![0, 2]) } else { (HORIZON, vec![0, 1, 2, 3]) };
 
-    // Flat cell list in presentation order; `ordered_map` returns results
-    // in the same order regardless of worker count, so aggregation below
-    // is jobs-invariant.
-    let cells: Vec<(usize, usize, u64)> = inters
-        .iter()
-        .flat_map(|&n| {
-            (0..ARMS.len()).flat_map(move |arm| {
-                (0..opts.seeds).map(move |i| (n, arm, opts.base_seed + i))
-            })
-        })
-        .collect();
+    // One constructor per (interference level, arm), in presentation
+    // order. Each run keeps its measured VM's result, elapsed time and
+    // event count; the rest of the `RunResult` is dropped in the worker.
+    let mut ctors = Vec::new();
+    for &n_inter in &inters {
+        for (strategy, _) in ARMS {
+            ctors.push(move |seed| System::new(serving_scenario(n_inter, strategy, seed, horizon)));
+        }
+    }
     let t = Instant::now();
-    let results: Vec<RunResult> = parallel::ordered_map(opts.jobs, cells.len(), |i| {
-        let (n_inter, arm, seed) = cells[i];
-        serving_scenario(n_inter, ARMS[arm].0, seed, horizon).run()
+    let cells = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |mut r| {
+        let measured = r.vms.iter().position(|v| v.measured);
+        let vm = r
+            .vms
+            .swap_remove(measured.expect("scenario had no measured VM"));
+        (vm, r.elapsed, r.events)
     });
     let wall_s = t.elapsed().as_secs_f64();
 
@@ -111,7 +112,8 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
         .collect();
     let mut events = 0u64;
     let mut requests = 0u64;
-    for (ci, &n_inter) in inters.iter().enumerate() {
+    let mut runs = cells.into_iter();
+    for &n_inter in &inters {
         let col = format!("{n_inter}-inter.");
         for (arm, (_, arm_label)) in ARMS.iter().enumerate() {
             // Pool latencies across seeds (percentiles of the pooled
@@ -119,14 +121,12 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
             let mut lat: Vec<f64> = Vec::new();
             let mut goodput: Vec<f64> = Vec::new();
             let mut trunc = 0u64;
-            for i in 0..opts.seeds as usize {
-                let r = &results[(ci * ARMS.len() + arm) * opts.seeds as usize + i];
-                let m = r.measured();
-                lat.extend_from_slice(&m.latencies_us);
-                goodput.push(m.throughput_rps(r.elapsed));
+            for (m, elapsed, run_events) in runs.next().expect("one cell per arm") {
+                goodput.push(m.throughput_rps(elapsed));
                 trunc += m.requests_truncated;
-                events += r.events;
+                events += run_events;
                 requests += m.requests;
+                lat.extend(m.latencies_us);
             }
             assert!(
                 !lat.is_empty(),
@@ -150,7 +150,7 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
     ServingOutcome {
         table,
         events,
-        runs: cells.len(),
+        runs: inters.len() * ARMS.len() * opts.seeds as usize,
         requests,
         wall_s,
         smoke,
@@ -160,6 +160,17 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
 /// Simulation throughput of the campaign (events per wall second).
 pub fn events_per_sec(o: &ServingOutcome) -> f64 {
     o.events as f64 / o.wall_s.max(1e-9)
+}
+
+/// The campaign's one-line summary for the `figures` progress line.
+pub fn summary(o: &ServingOutcome) -> String {
+    format!(
+        "{} runs, {} requests, {} events ({:.0}/s)",
+        o.runs,
+        o.requests,
+        o.events,
+        events_per_sec(o),
+    )
 }
 
 /// The campaign's BENCH_history.jsonl record, run with `jobs` workers;

@@ -1,55 +1,55 @@
 //! Multi-run experiment helpers.
 //!
 //! The paper reports the average of (at least) five runs per data point:
-//! [`grid_mean_makespans`] runs scenario constructors across seeds and
-//! averages them. [`run_forked_grid_cached`] runs groups of identical
-//! simulations once per group, memoizing the results across calls.
+//! [`grid`] runs a batch of run constructors across seeds and hands each
+//! run to a projection that keeps what the caller's table reads.
+//! [`run_forked_grid_cached`] runs groups of identical simulations once
+//! per group, memoizing the results across calls.
 
 use crate::parallel;
 use crate::results::RunResult;
 use crate::scenario::Scenario;
 use crate::system::System;
-use irs_metrics::Summary;
 use irs_sim::SimTime;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-/// A borrowed scenario constructor, the unit of work in a
-/// [`grid_mean_makespans`] batch.
-pub type ScenarioFn<'a> = &'a (dyn Fn(u64) -> Scenario + Sync);
-
-/// Mean makespans for a whole batch of scenario constructors in one
-/// fan-out: `makes.len() × seeds` independent runs share the worker pool,
-/// so narrow panels still saturate wide hosts.
+/// Runs a whole batch of run constructors in one fan-out:
+/// `makes.len() × seeds` independent runs share the worker pool.
 ///
-/// Entry `k` of the result is the seed-averaged makespan of `makes[k]`
-/// over seeds `base_seed..base_seed + seeds` (job order is
-/// constructor-major, seed-minor — canonical and therefore
-/// deterministic). `jobs = 0` means the process default
+/// A constructor maps a seed to a ready-to-run [`System`], so scenario
+/// and [`SystemConfig`](crate::SystemConfig) knobs go through the same
+/// path. `project` runs in the worker on each completed run and keeps
+/// only what the caller needs. Entry `k` holds `makes[k]`'s projections
+/// over seeds `base_seed..base_seed + seeds`, in seed order (job order is
+/// constructor-major, seed-minor). `jobs = 0` means the process default
 /// ([`parallel::default_jobs`]); results are identical for every value.
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is 0 (a mean over no runs), or if any run's measured
-/// VM failed to complete within the horizon.
-pub fn grid_mean_makespans(
+/// Panics if `seeds` is 0 (a data point over no runs), or if a
+/// constructor or the projection panics.
+pub fn grid<M, T, P>(
     base_seed: u64,
     seeds: u64,
     jobs: usize,
-    makes: &[ScenarioFn<'_>],
-) -> Vec<f64> {
-    assert!(
-        seeds >= 1,
-        "grid_mean_makespans: `seeds` must be at least 1, got 0"
-    );
+    makes: &[M],
+    project: P,
+) -> Vec<Vec<T>>
+where
+    M: Fn(u64) -> System + Sync,
+    T: Send,
+    P: Fn(RunResult) -> T + Sync,
+{
+    assert!(seeds >= 1, "grid: `seeds` must be at least 1, got 0");
     let per = seeds as usize;
-    let samples = parallel::ordered_map(jobs, makes.len() * per, |i| {
-        let make = makes[i / per];
-        make(base_seed + (i % per) as u64).run().measured().makespan_ms()
-    });
-    samples
-        .chunks(per)
-        .map(|chunk| Summary::of(chunk).mean)
+    let mut runs = parallel::ordered_map(jobs, makes.len() * per, |i| {
+        project(makes[i / per](base_seed + (i % per) as u64).run())
+    })
+    .into_iter();
+    makes
+        .iter()
+        .map(|_| runs.by_ref().take(per).collect())
         .collect()
 }
 
@@ -263,24 +263,51 @@ mod tests {
         assert_ne!(a.measured().makespan, b.measured().makespan);
     }
 
-    #[test]
-    fn grid_matches_per_constructor_means() {
-        let irs = |seed| Scenario::fig5_style("EP", 1, Strategy::Irs, seed);
-        let grid = grid_mean_makespans(1, 2, 2, &[&quick, &irs]);
-        // The same means, computed one sequential run at a time.
-        let mean = |make: &dyn Fn(u64) -> Scenario| {
-            let samples: Vec<f64> = (1..=2)
-                .map(|seed| make(seed).run().measured().makespan_ms())
-                .collect();
-            Summary::of(&samples).mean
+    /// Two constructors: plain vanilla and IRS with paravirtual
+    /// spin-then-halt on (EP's NPB waiters spin, so the knob matters).
+    fn pv_irs(seed: u64) -> System {
+        let cfg = crate::SystemConfig {
+            pv_spin: Some(SimTime::from_micros(100)),
+            ..crate::SystemConfig::default()
         };
-        assert_eq!(grid, vec![mean(&quick), mean(&irs)]);
+        System::with_config(Scenario::fig5_style("EP", 1, Strategy::Irs, seed), cfg)
+    }
+
+    fn plain(seed: u64) -> System {
+        System::new(quick(seed))
+    }
+
+    fn debug(r: RunResult) -> String {
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn grid_matches_direct_runs() {
+        let makes: [&(dyn Fn(u64) -> System + Sync); 2] = [&plain, &pv_irs];
+        let want: Vec<Vec<String>> = makes
+            .iter()
+            .map(|make| (5..7).map(|seed| debug(make(seed).run())).collect())
+            .collect();
+        // Entry k holds makes[k]'s runs in seed order, at any width.
+        for jobs in [1, 2] {
+            assert_eq!(grid(5, 2, jobs, &makes, debug), want, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn grid_honours_system_config() {
+        let with_pv = grid(1, 1, 1, &[pv_irs], debug);
+        let without = debug(Scenario::fig5_style("EP", 1, Strategy::Irs, 1).run());
+        assert_ne!(
+            with_pv[0][0], without,
+            "the constructor's pv_spin was dropped"
+        );
     }
 
     #[test]
     #[should_panic(expected = "`seeds` must be at least 1")]
     fn grid_rejects_zero_seeds() {
-        grid_mean_makespans(1, 0, 1, &[&quick]);
+        grid(1, 0, 1, &[plain], debug);
     }
 
     /// Two groups keyed by seed; `make` mirrors the fleet's

@@ -57,15 +57,6 @@ pub struct SystemConfig {
     /// forked from the scenario seed, so a given `(scenario, faults)`
     /// pair is bit-reproducible regardless of checking or parallelism.
     pub faults: Option<crate::faults::FaultConfig>,
-    /// Rolling-checkpoint period for sanitizer replay: when set, the run
-    /// takes a [`Snapshot`] every `period` of virtual time, and an
-    /// invariant violation re-runs the window from the last checkpoint
-    /// with a large trace ring armed before panicking — so the report
-    /// carries the full decision history leading up to the violation, not
-    /// just the default ring's tail. `None` (the default) costs nothing.
-    /// Checkpoints never perturb results: taking a snapshot mutates no
-    /// simulation state.
-    pub checkpoint_period: Option<SimTime>,
 }
 
 /// Fixed salt separating the open-loop arrival streams from the workload
@@ -82,7 +73,6 @@ impl Default for SystemConfig {
             pv_spin: None,
             check: false,
             faults: None,
-            checkpoint_period: None,
         }
     }
 }
@@ -114,12 +104,6 @@ pub struct System {
     checker: Option<crate::check::Checker>,
     /// Live fault injector, when [`SystemConfig::faults`] is set.
     faults: Option<crate::faults::FaultState>,
-    /// Most recent rolling checkpoint, when
-    /// [`SystemConfig::checkpoint_period`] is set. Boxed: a snapshot is a
-    /// full state copy and most systems never take one.
-    last_checkpoint: Option<Box<Snapshot>>,
-    /// Virtual time at or after which the next rolling checkpoint is due.
-    next_checkpoint_at: SimTime,
     /// Recycled scratch for [`System::trace_dump`]: `(timestamp, ring,
     /// index)` keys into the trace rings, so repeated dumps (the checker
     /// renders one per violation probe) reuse one allocation instead of
@@ -322,8 +306,6 @@ impl System {
             trace_on: ring_cap > 0,
             checker: None,
             faults,
-            last_checkpoint: None,
-            next_checkpoint_at: SimTime::ZERO,
             trace_scratch: std::cell::RefCell::new(Vec::new()),
         };
         sys.boot();
@@ -397,12 +379,13 @@ impl System {
     }
 
     /// Runs until the next pending event is at or past `until` (or the run
-    /// completes first). This is how a run reaches a checkpoint: drive it
-    /// to a virtual instant, [`snapshot`](Self::snapshot) it, and resume
-    /// branches — prefix + suffix equals the whole run under the
+    /// completes first). This is how a run reaches a snapshot instant:
+    /// drive it to a virtual instant, [`snapshot`](Self::snapshot) it, and
+    /// resume branches — prefix + suffix equals the whole run under the
     /// deterministic event order, so branches stay bit-identical to
-    /// from-scratch runs at any boundary. Returns `false` once the run is already complete (horizon,
-    /// measured workloads done, or queue exhausted).
+    /// from-scratch runs at any boundary. Returns `false` once the run is
+    /// already complete (horizon, measured workloads done, or queue
+    /// exhausted).
     pub fn run_until(&mut self, until: SimTime) -> bool {
         while !self.stopped && !self.measurement_done() {
             match self.queue.peek_time() {
@@ -424,15 +407,6 @@ impl System {
     ///
     /// Panics if the event-count safety valve trips (a runaway loop).
     pub fn step(&mut self) -> bool {
-        if let Some(period) = self.cfg.checkpoint_period {
-            // Between events is the one guaranteed-consistent instant; the
-            // snapshot mutates nothing, so checkpointed and plain runs stay
-            // bit-identical.
-            if self.now >= self.next_checkpoint_at {
-                self.last_checkpoint = Some(Box::new(self.snapshot()));
-                self.next_checkpoint_at = self.now + period;
-            }
-        }
         let Some((t, ev)) = self.queue.pop() else {
             return false;
         };
@@ -466,21 +440,7 @@ impl System {
         }
         self.refresh_slice_timers();
         if let Some(mut checker) = self.checker.take() {
-            if self.last_checkpoint.is_some() {
-                // A rolling checkpoint exists: intercept a violation, re-run
-                // the window from the checkpoint with a deep trace ring
-                // armed, and re-panic with the replay's richer report
-                // appended to the original.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    checker.check(&*self, ev)
-                }));
-                if let Err(payload) = caught {
-                    let replay = self.replay_from_checkpoint();
-                    panic!("{}\n{replay}", panic_message(&*payload));
-                }
-            } else {
-                checker.check(self, ev);
-            }
+            checker.check(self, ev);
             self.checker = Some(checker);
         }
         true
@@ -657,7 +617,7 @@ impl System {
     }
 
     // ==================================================================
-    // snapshot / fork
+    // snapshot
     // ==================================================================
 
     /// Captures a deep, self-contained checkpoint of the whole machine:
@@ -670,9 +630,9 @@ impl System {
     ///
     /// Not captured: trace-ring *contents* (rings are observability; the
     /// snapshot keeps only their configuration and a resumed system starts
-    /// with empty rings), the sanitizer's rolling state (rebuilt from the
-    /// snapshot instant on resume), and any rolling checkpoint this system
-    /// itself holds. See DESIGN.md §2.7 for the full contract.
+    /// with empty rings) and the sanitizer's rolling state (rebuilt from
+    /// the snapshot instant on resume). See DESIGN.md §2.7 for the full
+    /// contract.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             cfg: self.cfg.clone(),
@@ -694,59 +654,10 @@ impl System {
         }
     }
 
-    /// Rewinds this system to `snap`'s instant, exactly as
-    /// [`Snapshot::resume`] would build it. Everything this system
-    /// accumulated since (or before — restoring across unrelated systems
-    /// of the same shape is allowed but pointless) is dropped.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        *self = snap.resume();
-    }
-
-    /// Forks `n` independent branches from the current state. Each branch
-    /// is bit-identical to this system — running any of them (or this
-    /// system itself) yields the result a from-scratch run would; see the
-    /// determinism contract on [`Snapshot`].
-    pub fn fork(&self, n: usize) -> Vec<System> {
-        let snap = self.snapshot();
-        (0..n).map(|_| snap.resume()).collect()
-    }
-
     /// Events processed so far (matches [`RunResult::events`] at
     /// completion).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Re-runs the window since the last rolling checkpoint with checking
-    /// on and a deep trace ring armed, and renders the outcome. Called on
-    /// a checker violation; the replay is expected to hit the same
-    /// violation and panic, whose message (carrying the full merged trace
-    /// of the window) is returned as the report body.
-    fn replay_from_checkpoint(&self) -> String {
-        let snap = self
-            .last_checkpoint
-            .as_deref()
-            .expect("replay requires a checkpoint");
-        let header = format!(
-            "--- checkpoint replay: {} events from t={} with a {REPLAY_TRACE_CAP}-record trace ring ---",
-            self.events_processed - snap.events_processed,
-            snap.now,
-        );
-        let mut sys = snap.rebuild(Some(REPLAY_TRACE_CAP));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            while !sys.stopped && !sys.measurement_done() {
-                if !sys.step() {
-                    break;
-                }
-            }
-        }));
-        match outcome {
-            Err(payload) => format!("{header}\n{}", panic_message(&*payload)),
-            // Possible for the sa-freeze invariant only: its wait-since
-            // stamp restarts at the checkpoint, which can push the replay's
-            // freeze deadline past the original's.
-            Ok(()) => format!("{header}\nreplay did not reproduce the violation"),
-        }
     }
 
     // ==================================================================
@@ -1438,11 +1349,6 @@ impl System {
     }
 }
 
-/// Trace-ring capacity armed for a checkpoint replay (records per ring:
-/// hypervisor, each guest, embedder). Deliberately deep — the replay exists
-/// to show the *whole* window of decisions, not the default ring's tail.
-const REPLAY_TRACE_CAP: usize = 4096;
-
 /// A deep checkpoint of a [`System`], produced by [`System::snapshot`].
 ///
 /// # Determinism contract
@@ -1464,9 +1370,8 @@ const REPLAY_TRACE_CAP: usize = 4096;
 ///
 /// `Snapshot` is `Send + Sync`: one snapshot can be resumed concurrently
 /// from many worker threads, each branch getting its own independent
-/// `System`. Its users are [`System::fork`], the rolling checkpoint that
-/// sanitizer violations replay from (`SystemConfig::checkpoint_period`),
-/// and benchmark probes that time taking and resuming one.
+/// `System`. Its users are the snapshot tests and benchmark probes that
+/// time taking and resuming one.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     cfg: SystemConfig,
@@ -1494,7 +1399,33 @@ impl Snapshot {
     /// call once per branch: everything heavy that can be shared (workload
     /// programs) already is, via `Arc`.
     pub fn resume(&self) -> System {
-        self.rebuild(None)
+        let mut sys = System {
+            cfg: self.cfg.clone(),
+            strategy: self.strategy,
+            now: self.now,
+            queue: self.queue.clone(),
+            hv: self.hv.clone(),
+            domains: self.domains.clone(),
+            rng: self.rng.clone(),
+            horizon: self.horizon,
+            armed_slice_gen: self.armed_slice_gen.clone(),
+            armed_epoch: self.armed_epoch,
+            stopped: self.stopped,
+            events_processed: self.events_processed,
+            trace: self.trace.clone(),
+            trace_on: self.trace_on,
+            checker: None,
+            faults: self.faults.clone(),
+            trace_scratch: std::cell::RefCell::new(Vec::new()),
+        };
+        if self.checking {
+            // Valid at any instant, not just boot: the checker's rolling
+            // baseline is whatever state it is created over, and at a
+            // between-events instant that equals what the original
+            // checker's baseline was at the same point.
+            sys.checker = Some(crate::check::Checker::new(&sys));
+        }
+        sys
     }
 
     /// Virtual time at which the snapshot was taken.
@@ -1509,7 +1440,7 @@ impl Snapshot {
     }
 
     /// Coarse, deterministic estimate of this snapshot's resident bytes,
-    /// for reporting what a checkpoint costs to hold.
+    /// for reporting what a snapshot costs to hold.
     ///
     /// This is *not* an exact heap measurement: per-event, per-task, and
     /// per-vCPU costs are flat constants chosen to over-approximate the
@@ -1541,67 +1472,4 @@ impl Snapshot {
         }
         b
     }
-
-    /// `resume`, optionally with a deep trace ring + checking forced on
-    /// (the sanitizer-replay path). The traced rebuild disables rolling
-    /// checkpoints so a replayed violation panics directly instead of
-    /// recursing into another replay.
-    fn rebuild(&self, traced: Option<usize>) -> System {
-        let mut cfg = self.cfg.clone();
-        let mut hv = self.hv.clone();
-        let mut domains = self.domains.clone();
-        let mut trace = self.trace.clone();
-        let mut trace_on = self.trace_on;
-        let mut checking = self.checking;
-        if let Some(cap) = traced {
-            cfg.trace_capacity = cap;
-            cfg.check = true;
-            cfg.checkpoint_period = None;
-            hv.enable_trace(cap);
-            for (vm, d) in domains.iter_mut().enumerate() {
-                d.os.enable_trace(vm, cap);
-            }
-            trace = irs_sim::trace::TraceRing::enabled(cap);
-            trace_on = true;
-            checking = true;
-        }
-        let mut sys = System {
-            cfg,
-            strategy: self.strategy,
-            now: self.now,
-            queue: self.queue.clone(),
-            hv,
-            domains,
-            rng: self.rng.clone(),
-            horizon: self.horizon,
-            armed_slice_gen: self.armed_slice_gen.clone(),
-            armed_epoch: self.armed_epoch,
-            stopped: self.stopped,
-            events_processed: self.events_processed,
-            trace,
-            trace_on,
-            checker: None,
-            faults: self.faults.clone(),
-            last_checkpoint: None,
-            next_checkpoint_at: self.now,
-            trace_scratch: std::cell::RefCell::new(Vec::new()),
-        };
-        if checking {
-            // Valid at any instant, not just boot: the checker's rolling
-            // baseline is whatever state it is created over, and at a
-            // between-events instant that equals what the original
-            // checker's baseline was at the same point.
-            sys.checker = Some(crate::check::Checker::new(&sys));
-        }
-        sys
-    }
-}
-
-/// Renders a caught panic payload (the checker panics with a `String`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&'static str>().copied())
-        .unwrap_or("(non-string panic payload)")
 }

@@ -1,5 +1,5 @@
-//! Snapshot/fork determinism — the headline contract of `System::snapshot`:
-//! a forked branch must be **bit-identical** (Debug-rendered `RunResult` +
+//! Snapshot determinism — the headline contract of `System::snapshot`:
+//! a resumed branch must be **bit-identical** (Debug-rendered `RunResult` +
 //! `FaultStats`) to a from-scratch run of the same scenario and config, at
 //! any `--jobs N`, checked or not.
 //!
@@ -8,7 +8,6 @@
 
 use irs_core::{parallel, FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn quick(strategy: Strategy, seed: u64) -> Scenario {
     // EP is the cheapest preset; one interferer keeps scheduling non-trivial.
@@ -111,7 +110,7 @@ fn fork_under_strict_co() {
     assert_fork_identity(|| quick(Strategy::StrictCo, 11), None);
 }
 
-/// Forking a *checked* run rebuilds the sanitizer at the snapshot instant;
+/// Resuming a *checked* run rebuilds the sanitizer at the snapshot instant;
 /// results must still match an unchecked scratch run (checking is already
 /// proven result-neutral in `sanitizer.rs`).
 #[test]
@@ -123,26 +122,11 @@ fn fork_with_sanitizer_armed() {
     };
     let mut warm = System::with_config(quick(Strategy::Irs, 23), cfg);
     warm.run_until(SimTime::from_millis(40));
-    for sys in warm.fork(2) {
-        let b = sys.run();
+    let snap = warm.snapshot();
+    for _ in 0..2 {
+        let b = snap.resume().run();
         assert_eq!(format!("{b:?}"), format!("{scratch:?}"));
     }
-}
-
-/// `restore` rewinds: run past the snapshot point, rewind, and the re-run
-/// must replay the identical suffix.
-#[test]
-fn restore_rewinds_to_the_snapshot_instant() {
-    let mut sys = System::new(quick(Strategy::Irs, 5));
-    sys.run_until(SimTime::from_millis(30));
-    let snap = sys.snapshot();
-    let first = sys.run();
-    let mut rewound = snap.resume();
-    rewound.restore(&snap);
-    assert_eq!(rewound.now(), snap.now());
-    assert_eq!(rewound.events_processed(), snap.events_processed());
-    let second = rewound.run();
-    assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
 
 /// Snapshotting at *any* boundary is valid, including a completed run and
@@ -153,56 +137,19 @@ fn snapshot_boundaries_are_arbitrary() {
     // Boot snapshot.
     let boot = System::new(quick(Strategy::Vanilla, 9)).snapshot();
     assert_eq!(format!("{:?}", boot.resume().run()), want);
+    // Mid-run snapshot: the resumed system stands at the snapshot instant.
+    let mut mid = System::new(quick(Strategy::Vanilla, 9));
+    mid.run_until(SimTime::from_millis(30));
+    let snap = mid.snapshot();
+    let resumed = snap.resume();
+    assert_eq!(resumed.now(), snap.now());
+    assert_eq!(resumed.now(), mid.now());
+    assert_eq!(resumed.events_processed(), snap.events_processed());
+    assert_eq!(resumed.events_processed(), mid.events_processed());
+    assert_eq!(format!("{:?}", resumed.run()), want);
     // Completed snapshot: resuming is a no-op finish.
     let mut done = System::new(quick(Strategy::Vanilla, 9));
     assert!(!done.run_until(SimTime::MAX), "run must complete");
     let snap = done.snapshot();
     assert_eq!(format!("{:?}", snap.resume().run()), want);
-}
-
-/// Rolling checkpoints + sanitizer: a violation re-runs the window from
-/// the last checkpoint with a deep trace ring armed and appends the
-/// replay's report — which must reproduce the same named invariant.
-#[test]
-fn sanitizer_violation_replays_from_checkpoint() {
-    let cfg = SystemConfig {
-        check: true,
-        checkpoint_period: Some(SimTime::from_millis(5)),
-        ..SystemConfig::default()
-    };
-    let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::FaultDoubleRun, 42)
-        .horizon(SimTime::from_secs(5));
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        System::with_config(scenario, cfg).run()
-    }));
-    let err = result.expect_err("the double-run fault must trip the sanitizer");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("panic payload should be a string");
-    assert!(
-        msg.contains("scheduler invariant violated: pcpu-double-run"),
-        "report does not name the tripped invariant:\n{msg}"
-    );
-    assert!(
-        msg.contains("--- checkpoint replay:"),
-        "report carries no checkpoint replay:\n{msg}"
-    );
-    assert_eq!(
-        msg.matches("scheduler invariant violated: pcpu-double-run").count(),
-        2,
-        "the replay must reproduce the violation:\n{msg}"
-    );
-}
-
-/// Checkpointing must never perturb results (snapshots mutate nothing).
-#[test]
-fn checkpointing_does_not_perturb_results() {
-    let plain = System::new(quick(Strategy::Irs, 17)).run();
-    let cfg = SystemConfig {
-        checkpoint_period: Some(SimTime::from_millis(10)),
-        ..SystemConfig::default()
-    };
-    let checkpointed = System::with_config(quick(Strategy::Irs, 17), cfg).run();
-    assert_eq!(format!("{plain:?}"), format!("{checkpointed:?}"));
 }

@@ -74,13 +74,13 @@ fn serving_tiers_complete_requests_end_to_end() {
 
 #[test]
 fn serving_forked_run_is_bit_identical_to_scratch() {
-    // Snapshot/fork must carry epoch and arrival-process state: a branch
+    // A snapshot must carry epoch and arrival-process state: a branch
     // resumed mid-run finishes bit-identically to a from-scratch run.
     let cfg = SystemConfig::default();
     let scratch = System::with_config(serving_scenario(1, Strategy::Irs, 9), cfg.clone()).run();
     let mut warm = System::with_config(serving_scenario(1, Strategy::Irs, 9), cfg);
     assert!(warm.run_until(SimTime::from_millis(300)));
-    let branch = warm.fork(1).pop().unwrap().run();
+    let branch = warm.snapshot().resume().run();
     assert_eq!(
         format!("{scratch:?}"),
         format!("{branch:?}"),

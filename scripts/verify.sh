@@ -4,7 +4,10 @@
 #  2. the full test suite;
 #  3. the clippy lint gate;
 #  4. a checked strategy sweep (online invariant sanitizer armed);
-#  5. a parallel-runner smoke test;
+#  5. `figures all` at its default three seeds on two workers, with stdout
+#     byte-compared against figures_output.txt and every CSV against
+#     results_csv/ (it also logs the full fleet and serving history
+#     records);
 #  6. a checked fault-injection chaos smoke;
 #  7. a fleet-campaign smoke (16-host datacenter with churn and
 #     adversarial tenants; sanitizer armed, degradation contract per cell);
@@ -25,7 +28,7 @@
 #     / queue records falling past the ratchet tolerance of its best
 #     matching BENCH_history.jsonl record.
 # The total verification wall-clock is then recorded in BENCH_runner.json's
-# `verify_wall_s` field. Forked-vs-scratch bit-identity, on the perf
+# `verify_wall_s` field. Resumed-vs-scratch snapshot bit-identity, on the perf
 # scenario mix too, is covered by the test suite (crates/core/tests/fork.rs).
 #
 # Usage: scripts/verify.sh   (from the repository root)
@@ -46,8 +49,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== figures checked sweep (invariant sanitizer, all strategies) =="
 ./target/release/figures core --quick --check --jobs 2 >/dev/null
 
-echo "== figures smoke (parallel fan-out) =="
-./target/release/figures core --quick --seeds 2 --jobs 2 >/dev/null
+echo "== figures all (every table against results_csv/ and figures_output.txt) =="
+tables=$(mktemp -d)
+stdout=$(mktemp)
+trap 'rm -rf "$tables" "$stdout"' EXIT
+./target/release/figures all --jobs 2 --csv "$tables" >"$stdout"
+cmp "$stdout" figures_output.txt
+diff -r "$tables" results_csv
 
 echo "== figures chaos (fault-injection campaign, sanitizer armed) =="
 ./target/release/figures chaos --quick --check --jobs 2 >/dev/null

@@ -29,10 +29,11 @@ fn irs_helps_blocking_parsec() {
 }
 
 /// Spinning workloads gain too (paper: up to 43%) — via guest-granularity
-/// rescheduling rather than idle vCPUs.
+/// rescheduling rather than idle vCPUs. EP, with almost no
+/// synchronization, gains as well.
 #[test]
 fn irs_helps_spinning_npb() {
-    for bench in ["MG", "CG", "UA"] {
+    for bench in ["MG", "CG", "UA", "EP"] {
         let imp = improvement(bench, 1, Strategy::Irs, 1);
         assert!(imp > 10.0, "{bench}: IRS should help spinning ({imp:+.1}%)");
     }
