@@ -59,9 +59,8 @@ pub struct PerfReport {
     pub parallel_wall_s: f64,
     /// Worker count the parallel pass ran with.
     pub parallel_jobs: usize,
-    /// Event-queue micro-benchmark: schedule/cancel/pop operations per
-    /// second under a churn pattern that keeps the slab and tombstone
-    /// machinery hot.
+    /// Event-queue micro-benchmark: schedule/pop operations per second
+    /// under the simulator's own timer churn.
     pub queue_ops_per_sec: f64,
 }
 
@@ -155,7 +154,7 @@ impl PerfReport {
         if self.queue_ops_per_sec < QUEUE_OPS_FLOOR {
             failures.push(format!(
                 "queue_ops_per_sec {:.0} below the {:.0} floor (timer-wheel \
-                 schedule/cancel/pop churn must not regress toward heap costs)",
+                 schedule/pop churn must not regress toward heap costs)",
                 self.queue_ops_per_sec, QUEUE_OPS_FLOOR,
             ));
         }
@@ -168,7 +167,7 @@ impl PerfReport {
             "engine self-benchmark ({} runs, {} events)\n\
              \u{20} ticked  seq: {:>8.3} s  ({:.0} events/s)\n\
              \u{20} {:>2} workers: {:>8.3} s  ({:.0} events/s, {:.2}x over sequential)\n\
-             \u{20} event queue: {:.2}M ops/s (schedule/cancel/pop churn)\n",
+             \u{20} event queue: {:.2}M ops/s (schedule/pop churn)\n",
             self.runs,
             self.events,
             self.ticked_wall_s,
@@ -310,7 +309,7 @@ const MEASURE_PASSES: usize = 3;
 const MIN_GRID_RUNS: usize = 200;
 
 /// Absolute floor on the queue micro-benchmark, in ops per second. The
-/// timer wheel measures 35–60M ops/s on the reference box and the old
+/// timer wheel measures 40–53M ops/s on the reference box and the old
 /// binary heap ~5–6M, so 20M splits the two populations with margin for
 /// machine noise on both sides: a wheel on a slow box stays above it, a
 /// heap regression on a fast box stays below it.
@@ -471,16 +470,14 @@ pub fn perf(opts: Opts) -> PerfReport {
 /// each — slice expiries, guest ticks, accounting beats, PLE windows).
 const QUEUE_BENCH_POPULATION: usize = 512;
 
-/// Micro-benchmark of [`EventQueue`]: interleaved schedule / cancel / pop
-/// shaped like the simulator's own timer churn, measured at 83–88% short
+/// Micro-benchmark of [`EventQueue`]: interleaved schedule / pop shaped
+/// like the simulator's own timer churn, measured at 83–88% short
 /// periodic timers. Every event is armed
 /// *relative to the advancing clock*: 85% are ~1 ms beats (`HvTick`,
 /// guest CFS ticks, jittered ±10%), the rest are golden-ratio scattered
-/// over 1 µs..34 ms (PLE windows to slice expiries). Each round also arms
-/// and immediately cancels a timer (a slice timer dying to an early
-/// block) and pops three events forward, holding the live population at
-/// [`QUEUE_BENCH_POPULATION`]; the id slab and tombstone reclamation stay
-/// on the measured path.
+/// over 1 µs..34 ms (PLE windows to slice expiries). Each round arms three
+/// timers and pops three events forward, holding the live population at
+/// [`QUEUE_BENCH_POPULATION`].
 fn queue_ops_per_sec() -> f64 {
     const TARGET_OPS: u64 = 1_000_000;
     fn delta(k: u64) -> u64 {
@@ -509,14 +506,12 @@ fn queue_ops_per_sec() -> f64 {
                 k += 1;
                 q.schedule(SimTime::from_nanos(now + delta(k)), k);
             }
-            let id = q.schedule(SimTime::from_nanos(now + delta(k ^ 7)), k);
-            q.cancel(id);
             for _ in 0..3 {
                 if let Some((t, _)) = q.pop() {
                     now = t.as_nanos();
                 }
             }
-            ops += 8;
+            ops += 6;
         }
         while q.pop().is_some() {
             ops += 1;

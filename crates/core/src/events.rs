@@ -6,6 +6,14 @@
 /// the generation against the current counter and drops stale firings (a
 /// context switch or activity change logically cancels outstanding timers
 /// without touching the queue).
+///
+/// Indices are stored narrow so an event takes 16 bytes: `vm` is a `u16`;
+/// `vcpu`, `task` and `pcpu` are `u32`. [`System::with_config`] rejects a
+/// scenario with more than 2^16 VMs or more than 2^32 pCPUs, vCPUs per VM
+/// or threads per VM before building anything, so every index converts
+/// between `usize` and its field losslessly.
+///
+/// [`System::with_config`]: crate::System::with_config
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// Hypervisor credit-burn tick (10 ms period, self-rearming).
@@ -13,34 +21,41 @@ pub(crate) enum Event {
     /// Hypervisor accounting pass (30 ms period, self-rearming).
     HvAccounting,
     /// A pCPU's 30 ms slice ran out.
-    SliceExpiry { pcpu: usize, gen: u64 },
+    SliceExpiry { pcpu: u32, gen: u64 },
     /// Guest scheduler tick for one vCPU (1 ms, armed only while running).
-    GuestTick { vm: usize, vcpu: usize, gen: u64 },
+    GuestTick { vm: u16, vcpu: u32, gen: u64 },
     /// The current compute segment of a task completes.
-    TaskStep { vm: usize, task: usize, gen: u64 },
+    TaskStep { vm: u16, task: u32, gen: u64 },
     /// The guest's SA receiver/context-switcher softirq runs (scheduled
     /// `sa_round_delay` after `VIRQ_SA_UPCALL` delivery).
-    SaProcess { vm: usize, vcpu: usize, gen: u64 },
+    SaProcess { vm: u16, vcpu: u32, gen: u64 },
     /// The hypervisor's hard SA completion limit.
-    SaTimeout { vm: usize, vcpu: usize, gen: u64 },
+    SaTimeout { vm: u16, vcpu: u32, gen: u64 },
     /// A fault-delayed SA acknowledgement finally reaches the hypervisor
     /// (`yield_op` distinguishes `SCHEDOP_yield` from `SCHEDOP_block`).
     /// Only scheduled when fault injection is active.
-    SaAckDeliver { vm: usize, vcpu: usize, gen: u64, yield_op: bool },
+    SaAckDeliver {
+        vm: u16,
+        vcpu: u32,
+        gen: u64,
+        yield_op: bool,
+    },
     /// The asynchronously woken IRS migrator thread runs.
-    MigratorRun { vm: usize },
+    MigratorRun { vm: u16 },
     /// A vCPU has been spinning continuously for the PLE window.
-    PleWindow { vm: usize, vcpu: usize, gen: u64 },
+    PleWindow { vm: u16, vcpu: u32, gen: u64 },
     /// Open-loop request arrival for a server VM (self-rearming).
-    RequestArrive { vm: usize },
+    RequestArrive { vm: u16 },
     /// A sleeping task's timer fires.
-    WakeTimer { vm: usize, task: usize },
+    WakeTimer { vm: u16, task: u32 },
     /// A blocking wait's grace-spin window ran out: actually sleep.
-    GraceExpire { vm: usize, task: usize, gen: u64 },
+    GraceExpire { vm: u16, task: u32, gen: u64 },
     /// A paravirtual spin-wait exceeded its spin budget: halt until kicked.
-    PvSpinExpire { vm: usize, task: usize, gen: u64 },
+    PvSpinExpire { vm: u16, task: u32, gen: u64 },
     /// Gang-slice rotation (strict co-scheduling only, self-rearming).
     GangRotate,
     /// Hard stop of the measurement.
     Horizon,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);

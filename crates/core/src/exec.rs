@@ -51,8 +51,8 @@ impl System {
                 self.queue.schedule(
                     self.now + SimTime::from_nanos(remaining),
                     Event::TaskStep {
-                        vm,
-                        task: task.0,
+                        vm: vm as u16,
+                        task: task.0 as u32,
                         gen,
                     },
                 );
@@ -114,8 +114,14 @@ impl System {
         };
         self.domains[vm].ple_gen[vcpu] += 1;
         let gen = self.domains[vm].ple_gen[vcpu];
-        self.queue
-            .schedule(self.now + window, Event::PleWindow { vm, vcpu, gen });
+        self.queue.schedule(
+            self.now + window,
+            Event::PleWindow {
+                vm: vm as u16,
+                vcpu: vcpu as u32,
+                gen,
+            },
+        );
     }
 
     // ==================================================================
@@ -154,7 +160,11 @@ impl System {
                     let gen = d.task_step_gen[task];
                     self.queue.schedule(
                         self.now + SimTime::from_nanos(total),
-                        Event::TaskStep { vm, task, gen },
+                        Event::TaskStep {
+                            vm: vm as u16,
+                            task: task as u32,
+                            gen,
+                        },
                     );
                     return;
                 }
@@ -347,7 +357,13 @@ impl System {
     /// `at`, waking through the ordinary timer path.
     fn sleep_task_until(&mut self, vm: usize, task: usize, at: SimTime) {
         self.domains[vm].task_activity[task] = Activity::Sleeping;
-        self.queue.schedule(at, Event::WakeTimer { vm, task });
+        self.queue.schedule(
+            at,
+            Event::WakeTimer {
+                vm: vm as u16,
+                task: task as u32,
+            },
+        );
         self.block_current_of(vm, task);
     }
 
@@ -364,8 +380,14 @@ impl System {
         d.task_activity[task] = Activity::GraceSpin { granted: false };
         d.task_wait_gen[task] += 1;
         let gen = d.task_wait_gen[task];
-        self.queue
-            .schedule(self.now + grace, Event::GraceExpire { vm, task, gen });
+        self.queue.schedule(
+            self.now + grace,
+            Event::GraceExpire {
+                vm: vm as u16,
+                task: task as u32,
+                gen,
+            },
+        );
         let vcpu = self.domains[vm].os.task(TaskId(task)).cpu;
         self.arm_ple(vm, vcpu);
     }
@@ -382,8 +404,14 @@ impl System {
             let d = &mut self.domains[vm];
             d.task_wait_gen[task] += 1;
             let gen = d.task_wait_gen[task];
-            self.queue
-                .schedule(self.now + budget, Event::PvSpinExpire { vm, task, gen });
+            self.queue.schedule(
+                self.now + budget,
+                Event::PvSpinExpire {
+                    vm: vm as u16,
+                    task: task as u32,
+                    gen,
+                },
+            );
         }
     }
 

@@ -321,6 +321,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "65537 VMs; an event addresses at most 65536")]
+    fn more_vms_than_an_event_addresses_panics() {
+        let mut s = Scenario::new(1, Strategy::Vanilla, 1);
+        s.vms = (0..=1 << 16)
+            .map(|_| VmScenario::new(presets::hog::cpu_hogs(1), 1))
+            .collect();
+        s.run();
+    }
+
+    #[test]
     fn vm_builder_pins() {
         let b = presets::hog::cpu_hogs(1);
         let v = VmScenario::new(b, 2).pin(vec![PcpuId(1), PcpuId(0)]).weight(512);

@@ -63,6 +63,37 @@ pub struct SystemConfig {
 /// RNG (both are forked from the scenario seed).
 const ARRIVAL_STREAM_SALT: u64 = 0x6f70_656e_5f6c_6f6f; // "open_loo"
 
+/// Most VMs an [`Event`] can address: its `vm` field is a `u16`.
+const MAX_VMS: usize = 1 << 16;
+/// Most pCPUs, and vCPUs or threads per VM, an [`Event`] can address: its
+/// `pcpu`, `vcpu` and `task` fields are `u32`.
+const MAX_U32_INDEXED: u64 = 1 << 32;
+
+/// Rejects a scenario whose indices would not fit an [`Event`]'s narrow
+/// fields, so every conversion into and out of one is lossless.
+fn check_event_widths(scenario: &Scenario) {
+    assert!(
+        scenario.vms.len() <= MAX_VMS,
+        "scenario has {} VMs; an event addresses at most {MAX_VMS}",
+        scenario.vms.len()
+    );
+    assert!(
+        scenario.n_pcpus as u64 <= MAX_U32_INDEXED,
+        "scenario has {} pCPUs; an event addresses at most {MAX_U32_INDEXED}",
+        scenario.n_pcpus
+    );
+    for (i, vm) in scenario.vms.iter().enumerate() {
+        let most = vm.n_vcpus.max(vm.bundle.threads.len());
+        assert!(
+            most as u64 <= MAX_U32_INDEXED,
+            "vm{i} has {} vCPUs and {} threads; an event addresses at most \
+             {MAX_U32_INDEXED} of each",
+            vm.n_vcpus,
+            vm.bundle.threads.len()
+        );
+    }
+}
+
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
@@ -123,8 +154,15 @@ impl System {
     }
 
     /// Builds with explicit modelling knobs.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::new`], and before building anything on a scenario
+    /// larger than an event can address: more than 65,536 VMs, or more
+    /// than 2^32 pCPUs, or a VM with more than 2^32 vCPUs or threads.
     pub fn with_config(scenario: Scenario, cfg: SystemConfig) -> Self {
         assert!(!scenario.vms.is_empty(), "a scenario needs at least one VM");
+        check_event_widths(&scenario);
         let strategy = scenario.strategy;
         let any_unpinned = scenario.vms.iter().any(|v| v.pinning.is_none());
         let mut xen_cfg = strategy.xen_config();
@@ -357,7 +395,8 @@ impl System {
             if let Some(ol) = self.domains[vm].open_loop {
                 let first =
                     SimTime::from_nanos(self.rng.exponential(ol.mean_interarrival.as_nanos() as f64) as u64);
-                self.queue.schedule(first, Event::RequestArrive { vm });
+                self.queue
+                    .schedule(first, Event::RequestArrive { vm: vm as u16 });
             }
         }
         self.refresh_slice_timers();
@@ -680,14 +719,14 @@ impl System {
                 self.queue.schedule(next, Event::HvAccounting);
             }
             Event::SliceExpiry { pcpu, gen } => {
-                let acts = self.hv.slice_expired(PcpuId(pcpu), gen, self.now);
+                let acts = self.hv.slice_expired(PcpuId(pcpu as usize), gen, self.now);
                 self.apply_hv_actions(acts);
             }
-            Event::GuestTick { vm, vcpu, gen } => self.on_guest_tick(vm, vcpu, gen),
-            Event::TaskStep { vm, task, gen } => self.on_task_step(vm, task, gen),
-            Event::SaProcess { vm, vcpu, gen } => self.on_sa_process(vm, vcpu, gen),
+            Event::GuestTick { vm, vcpu, gen } => self.on_guest_tick(vm.into(), vcpu as usize, gen),
+            Event::TaskStep { vm, task, gen } => self.on_task_step(vm.into(), task as usize, gen),
+            Event::SaProcess { vm, vcpu, gen } => self.on_sa_process(vm.into(), vcpu as usize, gen),
             Event::SaTimeout { vm, vcpu, gen } => {
-                let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
+                let v = VcpuRef::new(irs_xen::VmId(vm.into()), vcpu as usize);
                 let acts = self.hv.sa_timeout(v, gen, self.now);
                 self.apply_hv_actions(acts);
             }
@@ -696,13 +735,17 @@ impl System {
                 vcpu,
                 gen,
                 yield_op,
-            } => self.on_sa_ack_deliver(vm, vcpu, gen, yield_op),
-            Event::MigratorRun { vm } => self.on_migrator_run(vm),
-            Event::PleWindow { vm, vcpu, gen } => self.on_ple_window(vm, vcpu, gen),
-            Event::RequestArrive { vm } => self.on_request_arrive(vm),
-            Event::WakeTimer { vm, task } => self.on_wake_timer(vm, task),
-            Event::GraceExpire { vm, task, gen } => self.on_grace_expire(vm, task, gen),
-            Event::PvSpinExpire { vm, task, gen } => self.on_pv_spin_expire(vm, task, gen),
+            } => self.on_sa_ack_deliver(vm.into(), vcpu as usize, gen, yield_op),
+            Event::MigratorRun { vm } => self.on_migrator_run(vm.into()),
+            Event::PleWindow { vm, vcpu, gen } => self.on_ple_window(vm.into(), vcpu as usize, gen),
+            Event::RequestArrive { vm } => self.on_request_arrive(vm.into()),
+            Event::WakeTimer { vm, task } => self.on_wake_timer(vm.into(), task as usize),
+            Event::GraceExpire { vm, task, gen } => {
+                self.on_grace_expire(vm.into(), task as usize, gen)
+            }
+            Event::PvSpinExpire { vm, task, gen } => {
+                self.on_pv_spin_expire(vm.into(), task as usize, gen)
+            }
             Event::GangRotate => {
                 let acts = self.hv.gang_rotate(self.now);
                 self.apply_hv_actions(acts);
@@ -734,8 +777,14 @@ impl System {
             self.apply_hv_actions(acts);
         }
         let period = self.domains[vm].os.config().tick_period;
-        self.queue
-            .schedule(self.now + period, Event::GuestTick { vm, vcpu, gen });
+        self.queue.schedule(
+            self.now + period,
+            Event::GuestTick {
+                vm: vm as u16,
+                vcpu: vcpu as u32,
+                gen,
+            },
+        );
     }
 
     fn on_task_step(&mut self, vm: usize, task: usize, gen: u64) {
@@ -774,7 +823,14 @@ impl System {
                 .then(|| f.wedge_clears_at(vm, vcpu))
         });
         if let Some(until) = wedged_until {
-            self.queue.schedule(until, Event::SaProcess { vm, vcpu, gen });
+            self.queue.schedule(
+                until,
+                Event::SaProcess {
+                    vm: vm as u16,
+                    vcpu: vcpu as u32,
+                    gen,
+                },
+            );
             return;
         }
         // The preemptee kept running during the receiver/softirq delay;
@@ -807,8 +863,8 @@ impl System {
                         self.queue.schedule(
                             at,
                             Event::SaAckDeliver {
-                                vm,
-                                vcpu,
+                                vm: vm as u16,
+                                vcpu: vcpu as u32,
                                 gen,
                                 yield_op: op == SchedOp::Yield,
                             },
@@ -936,7 +992,7 @@ impl System {
         let gap = self.rng.exponential(ol.mean_interarrival.as_nanos() as f64);
         self.queue.schedule(
             self.now + SimTime::from_nanos(gap.max(1.0) as u64),
-            Event::RequestArrive { vm },
+            Event::RequestArrive { vm: vm as u16 },
         );
     }
 
@@ -1036,8 +1092,8 @@ impl System {
                         self.queue.schedule(
                             self.now + delay,
                             Event::SaProcess {
-                                vm,
-                                vcpu: vcpu.idx,
+                                vm: vm as u16,
+                                vcpu: vcpu.idx as u32,
                                 gen,
                             },
                         );
@@ -1049,8 +1105,8 @@ impl System {
                         self.queue.schedule(
                             dl,
                             Event::SaTimeout {
-                                vm,
-                                vcpu: vcpu.idx,
+                                vm: vm as u16,
+                                vcpu: vcpu.idx as u32,
                                 gen,
                             },
                         );
@@ -1073,8 +1129,14 @@ impl System {
         let gen = self.domains[vm].tick_gen[vcpu];
         let period = self.domains[vm].os.config().tick_period;
         let due = (self.domains[vm].last_tick[vcpu] + period).max(self.now);
-        self.queue
-            .schedule(due, Event::GuestTick { vm, vcpu, gen });
+        self.queue.schedule(
+            due,
+            Event::GuestTick {
+                vm: vm as u16,
+                vcpu: vcpu as u32,
+                gen,
+            },
+        );
 
         let acts = self.domains[vm].os.ensure_current(vcpu);
         self.apply_guest_actions(vm, acts);
@@ -1168,7 +1230,7 @@ impl System {
                             .map(|sa| sa.migrator_delay)
                             .unwrap_or(SimTime::from_micros(5));
                         self.queue
-                            .schedule(self.now + delay, Event::MigratorRun { vm });
+                            .schedule(self.now + delay, Event::MigratorRun { vm: vm as u16 });
                     }
                 }
                 GuestAction::TaskMigrated { task, .. } => {
@@ -1237,7 +1299,7 @@ impl System {
                         self.queue.schedule(
                             info.since + info.slice,
                             Event::SliceExpiry {
-                                pcpu: p,
+                                pcpu: p as u32,
                                 gen: info.generation,
                             },
                         );
@@ -1442,22 +1504,21 @@ impl Snapshot {
     /// Coarse, deterministic estimate of this snapshot's resident bytes,
     /// for reporting what a snapshot costs to hold.
     ///
-    /// This is *not* an exact heap measurement: per-event, per-task, and
+    /// This is *not* an exact heap measurement: the event queue counts its
+    /// bucket headers and one entry per pending event, but per-task and
     /// per-vCPU costs are flat constants chosen to over-approximate the
-    /// real structures (timer-wheel slab slots, guest CFS state, exec
-    /// contexts, runstate trackers). What matters is that the estimate is
-    /// deterministic and scales monotonically with state size.
+    /// real structures (guest CFS state, exec contexts, runstate
+    /// trackers). What matters is that the estimate is deterministic and
+    /// scales monotonically with state size.
     pub fn approx_bytes(&self) -> usize {
-        /// Timer-wheel fixed geometry (slot vectors + occupancy bitmaps).
-        const QUEUE_FIXED: usize = 32 << 10;
-        /// Slab entry + head-batch + slot bookkeeping per pending event.
-        const PER_EVENT: usize = 96;
+        type Queue = EventQueue<Event>;
         /// TaskRt plus its parallel activity/generation array slots.
         const PER_TASK: usize = 192;
         /// Exec context, cached views, steal tracker, tick stamps.
         const PER_VCPU: usize = 768;
-        let mut b = std::mem::size_of::<Self>() + QUEUE_FIXED;
-        b += (self.queue.len() + self.queue.tombstones()) * PER_EVENT;
+        let mut b = std::mem::size_of::<Self>();
+        b += Queue::BUCKETS * std::mem::size_of::<Vec<Event>>();
+        b += self.queue.len() * Queue::ENTRY_BYTES;
         b += self.hv.approx_heap_bytes();
         for d in &self.domains {
             b += std::mem::size_of_val(d) + d.name.len();

@@ -6,16 +6,16 @@
 //! Xen testbed; we reproduce the two-level scheduling dynamics on a
 //! discrete-event simulator instead, so every higher layer (the Xen-like
 //! hypervisor, the Linux-like guest, the workloads) needs a common notion of
-//! **virtual time**, an **event queue** that supports cheap logical
-//! cancellation, and **seeded randomness** so that every experiment is
-//! exactly reproducible.
+//! **virtual time**, a deterministic **event queue**, and **seeded
+//! randomness** so that every experiment is exactly reproducible.
 //!
 //! The kernel is intentionally tiny and allocation-light:
 //!
 //! * [`SimTime`] — a nanosecond-resolution instant on the virtual timeline.
 //! * [`EventQueue`] — a monotonic priority queue of `(SimTime, payload)`
-//!   entries with stable FIFO ordering for simultaneous events and O(1)
-//!   logical cancellation via [`EventId`].
+//!   entries with stable FIFO ordering for simultaneous events. It has no
+//!   cancel: callers retire a timer by bumping a generation number that
+//!   the payload carries, and ignore stale firings.
 //! * [`SimRng`] — a small, fast, seedable RNG wrapper with the handful of
 //!   distributions the workload models need.
 //! * [`trace`] — an optional bounded in-memory trace ring used by tests and
@@ -26,13 +26,16 @@
 //! ```
 //! use irs_sim::{EventQueue, SimTime};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::from_millis(30), "slice expiry");
-//! let cancel_me = q.schedule(SimTime::from_millis(10), "tick");
-//! q.cancel(cancel_me);
-//! let (at, what) = q.pop().expect("one live event");
-//! assert_eq!(at, SimTime::from_millis(30));
-//! assert_eq!(what, "slice expiry");
+//! // A timer stays armed until it fires; a bumped generation retires it.
+//! let mut slice_gen = 0u64;
+//! let mut q: EventQueue<(&'static str, u64)> = EventQueue::new();
+//! q.schedule(SimTime::from_millis(10), ("slice expiry", slice_gen));
+//! slice_gen += 1; // the vCPU blocked early: the armed expiry is stale
+//! q.schedule(SimTime::from_millis(30), ("tick", 0));
+//! let (at, (what, gen)) = q.pop().expect("two pending events");
+//! assert_eq!((at, what), (SimTime::from_millis(10), "slice expiry"));
+//! assert_ne!(gen, slice_gen, "the handler drops this firing");
+//! assert_eq!(q.pop().map(|(at, _)| at), Some(SimTime::from_millis(30)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,6 +46,6 @@ mod rng;
 mod time;
 pub mod trace;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::SimTime;

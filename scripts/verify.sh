@@ -15,9 +15,10 @@
 #  9. a fleet incremental-parity gate (--parity re-runs the smoke campaign
 #     with every occupied host simulated from scratch and asserts
 #     bit-identical SLO tables);
-# 10. a 1000-host fleet-scale pass (ratchets *effective* events/sec —
-#     logical volume per wall second — and enforces the deterministic >=5x
-#     incrementality floor);
+# 10. a 1000-host fleet-scale pass with each of its seven CSVs
+#     byte-compared against perfbench/reference/fleet1000_*.csv (it also
+#     ratchets *effective* events/sec — logical volume per wall second —
+#     and enforces the deterministic >=5x incrementality floor);
 # 11. a serving-campaign smoke (open-loop latency-SLO service under
 #     interference; sanitizer armed, asserts every cell completed requests);
 # 12. the same serving smoke recording and ratcheting its events/sec;
@@ -52,7 +53,8 @@ echo "== figures checked sweep (invariant sanitizer, all strategies) =="
 echo "== figures all (every table against results_csv/ and figures_output.txt) =="
 tables=$(mktemp -d)
 stdout=$(mktemp)
-trap 'rm -rf "$tables" "$stdout"' EXIT
+fleet_tables=$(mktemp -d)
+trap 'rm -rf "$tables" "$stdout" "$fleet_tables"' EXIT
 ./target/release/figures all --jobs 2 --csv "$tables" >"$stdout"
 cmp "$stdout" figures_output.txt
 diff -r "$tables" results_csv
@@ -69,8 +71,11 @@ echo "== figures fleet smoke (perf record + events/sec ratchet) =="
 echo "== figures fleet smoke (incremental parity: elided == full) =="
 ./target/release/figures fleet --smoke --parity --jobs 2 >/dev/null
 
-echo "== figures fleet scale (1000 hosts; effective events/sec ratchet) =="
-./target/release/figures fleet --hosts 1000 --check-perf --jobs 2 >/dev/null
+echo "== figures fleet scale (1000 hosts; tables + effective events/sec ratchet) =="
+./target/release/figures fleet --hosts 1000 --check-perf --jobs 2 --csv "$fleet_tables" >/dev/null
+for t in 0 1 2 3 4 5 accounting; do
+    cmp "$fleet_tables/fleet_$t.csv" "perfbench/reference/fleet1000_$t.csv"
+done
 
 echo "== figures serving smoke (sanitizer armed, cell contracts) =="
 ./target/release/figures serving --smoke --check --jobs 2 >/dev/null

@@ -19,7 +19,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sim`] | discrete-event kernel: virtual time, cancellable timers, seeded RNG |
+//! | [`sim`] | discrete-event kernel: virtual time, timer-wheel event queue, seeded RNG |
 //! | [`xen`] | Xen-like hypervisor: credit scheduler, runstates, SA sender, PLE, relaxed-co |
 //! | [`guest`] | Linux-like guest: CFS, load balancing, SA receiver/context switcher/migrator |
 //! | [`sync`] | blocking & spinning locks/barriers, pipelines, work stealing |
