@@ -6,7 +6,7 @@
 //!
 //! 1. **ticked sequential** — `jobs = 1`: the baseline cost of
 //!    dispatching every event;
-//! 2. **parallel** — `opts.jobs` workers on the persistent pool: the
+//! 2. **parallel** — one scoped fan-out of `opts.jobs` workers: the
 //!    configuration `figures --jobs N` runs.
 //!
 //! The engine is deterministic, so both passes must produce bit-identical
@@ -14,17 +14,17 @@
 //! shortest-roundtrip for every float) before reporting. (Snapshot-fork
 //! bit-identity on the same mix is pinned by `crates/core/tests/fork.rs`.)
 //! The headline `speedup` is sequential over parallel: what the worker
-//! pool buys, which is also what the `--check-perf` regression gate holds
-//! at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes cannot promise
+//! threads buy, which is also what the `--check-perf` regression gate
+//! holds at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes cannot promise
 //! thread-level scaling — the true ratio there sits at ~1.0 — but the
-//! pool must never make the engine *materially slower* than the
+//! fan-out must never make the engine *materially slower* than the
 //! sequential baseline).
 //!
 //! An untimed warm-up pass runs first and doubles as a probe: the mix is
 //! repeated enough times that each timed pass lasts at least
 //! [`MIN_TIMED_WALL_S`] and the grid holds at least [`MIN_GRID_RUNS`]
 //! runs. Without the scaling, a release-mode mix finishes in ~10 ms and
-//! the parallel pass mostly measures pool startup — which is how an
+//! the parallel pass mostly measures thread start-up — which is how an
 //! earlier report shipped a "speedup" of 0.76x. Each phase is then timed
 //! as the **best of [`MEASURE_PASSES`] shorter passes** (minimum wall —
 //! the classic defence against one-sided scheduling noise: interference
@@ -76,7 +76,7 @@ impl PerfReport {
     }
 
     /// The headline: ticked sequential over parallel wall-clock — what
-    /// the worker pool buys, and what `--check-perf` gates on.
+    /// the worker threads buy, and what `--check-perf` gates on.
     pub fn speedup(&self) -> f64 {
         self.ticked_wall_s / self.parallel_wall_s.max(1e-9)
     }
@@ -289,8 +289,8 @@ const MIX: [(&str, usize, Strategy); 6] = [
     ("swaptions", 2, Strategy::Irs),
 ];
 
-/// Minimum wall-clock of each timed pass. Pool wake-up costs microseconds
-/// per campaign, but a pass must still dwarf scheduling noise or
+/// Minimum wall-clock of each timed pass. Thread start-up costs tens of
+/// microseconds per fan-out, but a pass must still dwarf scheduling noise or
 /// "speedup" measures jitter, not the engine. Shorter than the old single
 /// 0.5 s pass because each phase now takes the best of
 /// [`MEASURE_PASSES`]: three 0.25 s windows reject one-sided interference
@@ -323,12 +323,12 @@ const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 const RATCHET_FRAC: f64 = 0.5;
 
 /// Floor on the sequential-over-parallel speedup. On a 1-core CI box
-/// the pool has no second core to use, so the *true* ratio sits at ~1.0
+/// the fan-out has no second core to use, so the *true* ratio sits at ~1.0
 /// and a hard `>= 1.0` gate is a coin flip — the main historical source
 /// of `--check-perf` false failures. The band absorbs that measurement
 /// noise (same idiom as the chaos campaign's 1.15 degradation margin)
 /// while still catching structural regressions, which land far below
-/// it: a serialized or thrashing pool halves throughput, it doesn't
+/// it: a serialized or thrashing fan-out halves throughput, it doesn't
 /// shave 10%. The per-phase history ratchet and the queue floor remain
 /// the precise instruments.
 const SPEEDUP_FLOOR: f64 = 0.85;
@@ -443,7 +443,7 @@ pub fn perf(opts: Opts) -> PerfReport {
     let (ticked, ticked_wall_s) = best_of(|| parallel::ordered_map(1, runs, job));
     let events: u64 = ticked.iter().map(|r| r.events).sum();
 
-    // Phase 2: parallel on the persistent pool.
+    // Phase 2: one scoped fan-out at the requested width.
     let parallel_jobs = parallel::resolve_jobs(opts.jobs);
     let (par, parallel_wall_s) = best_of(|| parallel::ordered_map(parallel_jobs, runs, job));
 

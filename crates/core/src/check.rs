@@ -66,7 +66,7 @@ struct TaskSnap {
 
 /// The sanitizer's rolling state: snapshots of everything whose *change*
 /// (not just value) is constrained, refreshed after each validated step.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Checker {
     /// Per-vCPU credits, in [`irs_xen::Hypervisor::all_vcpus`] order.
     credits: Vec<i64>,

@@ -3,10 +3,10 @@
 //! The paper's evaluation grid is hundreds of *independent* runs — each a
 //! pure function of a `(scenario constructor, seed)` pair — so they can be
 //! spread across OS threads without any work stealing or shared mutable
-//! state. Execution lives in [`irs_pool`]: a process-wide persistent
-//! worker pool (spawned lazily on first use, parked between campaigns)
-//! with chunked index claiming — a `figures` invocation running dozens of
-//! sweeps pays thread creation once, not per table.
+//! state. Execution lives in [`irs_pool`]: one scoped fan-out per call, in
+//! which the calling thread and its helpers claim indices one at a time
+//! from an atomic cursor. Every figure sends its runs as one batch, so
+//! thread start-up is paid once per batch.
 //!
 //! Because each job owns its entire state (the `System` constructs its own
 //! [`irs_sim::SimRng`] from the scenario seed) and results are reassembled
@@ -54,19 +54,18 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// `f` must be a pure function of its index for the determinism guarantee
 /// to hold; the engine guarantees each index runs exactly once and that
 /// `out[i] == f(i)` regardless of worker count or scheduling. With one
-/// worker (or `n <= 1`) the pool is not touched at all, so `jobs = 1` is
-/// *exactly* the sequential code path. Wider calls execute on the
-/// persistent [`irs_pool`] workers, with the calling thread participating
-/// as the first executor.
+/// worker (or `n <= 1`) no thread is started, so `jobs = 1` is *exactly*
+/// the sequential code path. Wider calls run on the calling thread plus
+/// scoped [`irs_pool`] helpers, at most 256 executors in all.
 ///
 /// A panic in any job propagates to the caller with its original payload
-/// after the remaining jobs drain.
+/// once every helper has been joined.
 pub fn ordered_map<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    irs_pool::ordered_map(resolve_jobs(jobs).min(n), n, f)
+    irs_pool::ordered_map(resolve_jobs(jobs), n, f)
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ impl Default for SystemConfig {
 
 /// The assembled co-simulation. Construct from a [`Scenario`], then
 /// [`System::run`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) strategy: Strategy,
@@ -135,11 +135,6 @@ pub struct System {
     checker: Option<crate::check::Checker>,
     /// Live fault injector, when [`SystemConfig::faults`] is set.
     faults: Option<crate::faults::FaultState>,
-    /// Recycled scratch for [`System::trace_dump`]: `(timestamp, ring,
-    /// index)` keys into the trace rings, so repeated dumps (the checker
-    /// renders one per violation probe) reuse one allocation instead of
-    /// rebuilding a `Vec` of record references each time.
-    trace_scratch: std::cell::RefCell<Vec<(SimTime, u16, u32)>>,
 }
 
 impl System {
@@ -344,7 +339,6 @@ impl System {
             trace_on: ring_cap > 0,
             checker: None,
             faults,
-            trace_scratch: std::cell::RefCell::new(Vec::new()),
         };
         sys.boot();
         if checking {
@@ -503,8 +497,8 @@ impl System {
     /// [`SystemConfig::trace_capacity`] or checking). This is the report
     /// body the invariant sanitizer prints on violation.
     pub fn trace_dump(&self) -> String {
-        // Ring encoding for the recycled scratch: 0 = hypervisor,
-        // 1..=n = guests, n+1 = the embedder's own ring.
+        // Ring encoding for the sort keys: 0 = hypervisor, 1..=n = guests,
+        // n+1 = the embedder's own ring.
         let ring = |r: u16| -> &std::collections::VecDeque<irs_sim::trace::TraceRecord> {
             match r {
                 0 => self.hv.trace().records(),
@@ -514,8 +508,7 @@ impl System {
                 _ => self.trace.records(),
             }
         };
-        let mut keys = self.trace_scratch.take();
-        keys.clear();
+        let mut keys: Vec<(SimTime, u16, u32)> = Vec::new();
         for r in 0..(self.domains.len() + 2) as u16 {
             keys.extend(
                 ring(r)
@@ -533,20 +526,12 @@ impl System {
             out.push_str(&ring(r)[i as usize].to_string());
             out.push('\n');
         }
-        keys.clear();
-        self.trace_scratch.replace(keys);
         out
     }
 
     /// Read access to the hypervisor (diagnostics, tests, probes).
     pub fn hypervisor(&self) -> &Hypervisor {
         &self.hv
-    }
-
-    /// Fault-injection counters so far; `None` unless
-    /// [`SystemConfig::faults`] was set.
-    pub fn fault_stats(&self) -> Option<crate::faults::FaultStats> {
-        self.faults.as_ref().map(|f| f.stats)
     }
 
     /// Read access to a VM's guest kernel (diagnostics, tests, probes).
@@ -659,38 +644,20 @@ impl System {
     // snapshot
     // ==================================================================
 
-    /// Captures a deep, self-contained checkpoint of the whole machine:
-    /// hypervisor (credit arena, runqueues, SA rounds, runstate clocks),
-    /// every guest kernel (CFS state, task arrays, sync space; programs
-    /// stay `Arc`-shared), the timer-wheel event queue (slab, generations,
-    /// occupancy bitmaps, overflow list, cursor, sequence counter), the
-    /// workload RNG, and the fault-injection stream (RNG position, wedge
-    /// windows, stats).
+    /// Captures a deep, self-contained checkpoint of the whole machine: a
+    /// clone of this `System`. That covers the hypervisor (credit arena,
+    /// runqueues, SA rounds, runstate clocks), every guest kernel (CFS
+    /// state, task arrays, sync space; programs stay `Arc`-shared), the
+    /// timer-wheel event queue (buckets, occupancy bitmaps, overflow list,
+    /// cursor, sequence counter), the workload RNG, the fault-injection
+    /// stream (RNG position, wedge windows, stats) and the sanitizer's
+    /// rolling baseline.
     ///
-    /// Not captured: trace-ring *contents* (rings are observability; the
-    /// snapshot keeps only their configuration and a resumed system starts
-    /// with empty rings) and the sanitizer's rolling state (rebuilt from
-    /// the snapshot instant on resume). See DESIGN.md §2.7 for the full
-    /// contract.
+    /// Not captured: trace-ring *contents* (cloning a ring keeps only its
+    /// configuration, so a resumed system starts with empty rings). See
+    /// DESIGN.md §2.7 for the full contract.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            cfg: self.cfg.clone(),
-            strategy: self.strategy,
-            now: self.now,
-            queue: self.queue.clone(),
-            hv: self.hv.clone(),
-            domains: self.domains.clone(),
-            rng: self.rng.clone(),
-            horizon: self.horizon,
-            armed_slice_gen: self.armed_slice_gen.clone(),
-            armed_epoch: self.armed_epoch,
-            stopped: self.stopped,
-            events_processed: self.events_processed,
-            trace: self.trace.clone(),
-            trace_on: self.trace_on,
-            checking: self.checker.is_some(),
-            faults: self.faults.clone(),
-        }
+        Snapshot(self.clone())
     }
 
     /// Events processed so far (matches [`RunResult::events`] at
@@ -1415,90 +1382,44 @@ impl System {
 ///
 /// # Determinism contract
 ///
-/// A snapshot is a complete copy of simulation state: resuming it and
+/// A snapshot is a clone of the whole simulation state: resuming it and
 /// running to completion yields a [`RunResult`] (and
 /// [`FaultStats`](crate::faults::FaultStats)) whose Debug rendering is
 /// byte-for-byte identical to a from-scratch run of the same scenario and
 /// config — at any `--jobs N`, checked or not. That holds because every
 /// order-bearing counter is carried over exactly: the event queue's
-/// sequence counter, slab generations and cursor; the workload and fault
-/// RNG positions; per-vCPU/task generation counters; and the
-/// processed-event count (so `RunResult::events` agrees).
+/// sequence counter and cursor; the workload and fault RNG positions;
+/// per-vCPU/task generation counters; and the processed-event count (so
+/// `RunResult::events` agrees). The sanitizer's rolling baseline, SA-freeze
+/// clocks included, is carried too.
 ///
 /// Deliberately *not* carried: trace-ring contents (a resumed system
-/// starts with empty rings of the same configuration) and the sanitizer's
-/// rolling state (rebuilt at the resume instant via
-/// [`Checker::new`](crate::check::Checker)).
+/// starts with empty rings of the same configuration).
 ///
 /// `Snapshot` is `Send + Sync`: one snapshot can be resumed concurrently
 /// from many worker threads, each branch getting its own independent
 /// `System`. Its users are the snapshot tests and benchmark probes that
 /// time taking and resuming one.
 #[derive(Debug, Clone)]
-pub struct Snapshot {
-    cfg: SystemConfig,
-    strategy: Strategy,
-    now: SimTime,
-    queue: EventQueue<Event>,
-    hv: Hypervisor,
-    domains: Vec<Domain>,
-    rng: SimRng,
-    horizon: SimTime,
-    armed_slice_gen: Vec<Option<u64>>,
-    armed_epoch: Option<u64>,
-    stopped: bool,
-    events_processed: u64,
-    /// Ring configuration only — cloning a `TraceRing` drops its records.
-    trace: irs_sim::trace::TraceRing,
-    trace_on: bool,
-    /// Whether the snapshotted system ran the invariant sanitizer.
-    checking: bool,
-    faults: Option<crate::faults::FaultState>,
-}
+pub struct Snapshot(System);
 
 impl Snapshot {
     /// Builds a live [`System`] at the snapshot's instant. Cheap enough to
     /// call once per branch: everything heavy that can be shared (workload
     /// programs) already is, via `Arc`.
     pub fn resume(&self) -> System {
-        let mut sys = System {
-            cfg: self.cfg.clone(),
-            strategy: self.strategy,
-            now: self.now,
-            queue: self.queue.clone(),
-            hv: self.hv.clone(),
-            domains: self.domains.clone(),
-            rng: self.rng.clone(),
-            horizon: self.horizon,
-            armed_slice_gen: self.armed_slice_gen.clone(),
-            armed_epoch: self.armed_epoch,
-            stopped: self.stopped,
-            events_processed: self.events_processed,
-            trace: self.trace.clone(),
-            trace_on: self.trace_on,
-            checker: None,
-            faults: self.faults.clone(),
-            trace_scratch: std::cell::RefCell::new(Vec::new()),
-        };
-        if self.checking {
-            // Valid at any instant, not just boot: the checker's rolling
-            // baseline is whatever state it is created over, and at a
-            // between-events instant that equals what the original
-            // checker's baseline was at the same point.
-            sys.checker = Some(crate::check::Checker::new(&sys));
-        }
-        sys
+        self.0.clone()
     }
 
     /// Virtual time at which the snapshot was taken.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.0.now
     }
 
     /// Events the snapshotted run had processed — i.e. the work a resumed
     /// branch does *not* re-execute.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.0.events_processed
     }
 
     /// Coarse, deterministic estimate of this snapshot's resident bytes,
@@ -1516,11 +1437,12 @@ impl Snapshot {
         const PER_TASK: usize = 192;
         /// Exec context, cached views, steal tracker, tick stamps.
         const PER_VCPU: usize = 768;
+        let sys = &self.0;
         let mut b = std::mem::size_of::<Self>();
         b += Queue::BUCKETS * std::mem::size_of::<Vec<Event>>();
-        b += self.queue.len() * Queue::ENTRY_BYTES;
-        b += self.hv.approx_heap_bytes();
-        for d in &self.domains {
+        b += sys.queue.len() * Queue::ENTRY_BYTES;
+        b += sys.hv.approx_heap_bytes();
+        for d in &sys.domains {
             b += std::mem::size_of_val(d) + d.name.len();
             b += d.tasks.len() * PER_TASK;
             b += d.exec.len() * PER_VCPU;

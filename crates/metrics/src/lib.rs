@@ -7,18 +7,14 @@
 //!   (the 99th-percentile `ab` latency of Fig 8).
 //! * [`improvement_pct`] / [`slowdown`] / [`weighted_speedup`] — the
 //!   derived quantities every figure of the paper reports.
-//! * [`Histogram`] — log-bucketed latency distributions with cheap
-//!   quantiles.
 //! * [`Table`] and [`Series`] — fixed-width text (and CSV) rendering so the
 //!   `figures` binary prints the same rows/series the paper plots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod histogram;
 mod stats;
 mod table;
 
-pub use histogram::Histogram;
 pub use stats::{improvement_pct, percentile, slowdown, weighted_speedup, Summary};
 pub use table::{Series, Table};

@@ -52,30 +52,6 @@ impl Summary {
             n: samples.len(),
         }
     }
-
-    /// Coefficient of variation (`std_dev / mean`); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
-
-    /// Standard error of the mean (0 for fewer than two samples).
-    pub fn sem(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.std_dev / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Half-width of a ~95% normal-approximation confidence interval for
-    /// the mean (`1.96 × SEM`; 0 for fewer than two samples).
-    pub fn ci95(&self) -> f64 {
-        1.96 * self.sem()
-    }
 }
 
 /// Nearest-rank percentile (`p` in `[0, 100]`). Selects the rank in one
@@ -156,17 +132,6 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.n, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.cv(), 0.0);
-    }
-
-    #[test]
-    fn sem_and_ci() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        // std_dev 2.0, n 8 -> SEM = 2/sqrt(8), CI95 = 1.96 * SEM.
-        let expected_sem = 2.0 / 8f64.sqrt();
-        assert!((s.sem() - expected_sem).abs() < 1e-12);
-        assert!((s.ci95() - 1.96 * expected_sem).abs() < 1e-12);
-        assert_eq!(Summary::of(&[1.0]).ci95(), 0.0);
     }
 
     #[test]

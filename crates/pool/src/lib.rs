@@ -1,298 +1,112 @@
-//! # irs-pool — a persistent worker pool for deterministic fan-out
+//! # irs-pool — a scoped, index-ordered fan-out
 //!
-//! The experiment engine (`irs_core::parallel`) fans hundreds of
-//! independent simulation runs across OS threads. Its original engine
-//! spawned a fresh `thread::scope` per campaign — correct, but every
-//! `figures` table paid thread creation and teardown for each of its
-//! (often dozens of) sweeps. This crate keeps one process-wide set of
-//! workers alive across campaigns instead:
+//! The experiment engine (`irs_core::parallel`) fans independent
+//! simulation runs across OS threads. [`ordered_map`] does it with one
+//! `std::thread::scope` per call:
 //!
-//! * workers are **lazily spawned** on first use and parked on a condvar
-//!   between campaigns — an idle pool costs nothing but stack space;
-//! * a campaign is published once, workers **claim chunked index ranges**
-//!   from an atomic cursor (each index runs exactly once, in no
-//!   particular order) and write results into per-index slots;
-//! * the **submitting thread participates** as the first worker, so
-//!   `jobs = N` means N executors, not N+1;
-//! * results are reassembled **in index order**, making the output
-//!   bit-for-bit identical for any worker count — the same contract the
-//!   scoped engine had.
+//! * the **calling thread and `workers - 1` scoped helpers** claim indices
+//!   one at a time from an atomic cursor, so each index runs exactly once,
+//!   in no particular order, and `jobs = N` means N executors, not N+1;
+//! * each result lands in its own per-index slot and comes back **in
+//!   index order**, making the output bit-for-bit identical for any worker
+//!   count;
+//! * the scope joins every helper before the call returns, so a job may
+//!   borrow anything on the caller's stack, and a helper's panic is
+//!   re-raised on the caller with its original payload.
 //!
-//! Panics in a job are caught per-index, the first payload is stashed,
-//! and the campaign still runs to completion (the scoped engine likewise
-//! drained remaining workers before propagating); the submitter then
-//! re-raises the original payload.
-//!
-//! Nested submissions (a job calling [`ordered_map`] again) execute
-//! sequentially on the calling worker: the pool runs one campaign at a
-//! time, and a worker that blocked waiting for a second campaign would
-//! deadlock the first. A thread-local marks pool workers so the fallback
-//! is automatic. Distinct *top-level* submitters simply queue on the
-//! submission lock.
-//!
-//! ## Why the one `unsafe` is sound
-//!
-//! A campaign stores its job as a lifetime-erased `&'static dyn
-//! Fn(usize)`, though the closure really lives on the submitter's stack.
-//! The submitter does not return before every index is claimed *and*
-//! executed (`completed == n`); a worker dereferences the job reference
-//! only while executing an index `< n`. After the last completion the
-//! campaign is also unpublished, so late-waking workers can at most read
-//! the campaign's atomics through their own `Arc` — never the erased
-//! reference. The borrow therefore never outlives the frame it points
-//! into.
+//! Every `figures` experiment sends its runs as one batch, so a call pays
+//! thread start-up once per batch: tens of microseconds against batches
+//! of simulations that take milliseconds to seconds (DESIGN.md §2.5).
 
-use std::any::Any;
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+#![forbid(unsafe_code)]
+
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 
-/// Upper bound on pool threads, a sanity cap well above any sensible
-/// `--jobs` request (the claim protocol is correct at any size; this only
-/// bounds lazy growth).
+/// Clamp on the executors of one call, well above any sensible `--jobs`:
+/// a request for more starts at most this many threads.
 const MAX_WORKERS: usize = 256;
 
-/// One published fan-out: the erased job plus the claim/completion state.
-struct Campaign {
-    /// The erased job; see the crate docs for the lifetime argument.
-    job: &'static (dyn Fn(usize) + Sync),
-    /// Total number of indices.
-    n: usize,
-    /// Claim granularity (indices per `fetch_add`).
-    chunk: usize,
-    /// Next unclaimed index (may overshoot `n`).
-    cursor: AtomicUsize,
-    /// Indices fully executed (including panicked ones).
-    completed: AtomicUsize,
-    /// Pool workers still allowed to join (the submitter is the +1th).
-    seats: AtomicUsize,
-    /// First panic payload from any job, re-raised by the submitter.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Completion signal: the submitter waits here after running out of
-    /// indices to claim itself.
-    done_mu: Mutex<()>,
-    done_cv: Condvar,
-}
-
-impl Campaign {
-    /// Claims and executes chunks until the cursor runs past `n`.
-    fn run_claims(&self) {
-        loop {
-            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.n {
-                return;
-            }
-            let end = (start + self.chunk).min(self.n);
-            for i in start..end {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.job)(i))) {
-                    let mut slot = self.panic.lock().unwrap();
-                    slot.get_or_insert(payload);
-                }
-                let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
-                if done == self.n {
-                    // Empty critical section pairs with the submitter's
-                    // check-then-wait under `done_mu`: no missed wakeup.
-                    drop(self.done_mu.lock().unwrap());
-                    self.done_cv.notify_all();
-                }
-            }
-        }
-    }
-
-    /// Takes a participation seat; `false` once `jobs - 1` pool workers
-    /// have already joined.
-    fn try_seat(&self) -> bool {
-        self.seats
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| s.checked_sub(1))
-            .is_ok()
-    }
-}
-
-/// What parked workers watch: a campaign pointer plus an epoch so a worker
-/// never re-services the campaign it just finished.
-struct Board {
-    epoch: u64,
-    campaign: Option<Arc<Campaign>>,
-}
-
-struct Pool {
-    board: Mutex<Board>,
-    wake: Condvar,
-    /// Serializes campaigns (one at a time; see crate docs on nesting).
-    submit: Mutex<()>,
-    spawned: AtomicUsize,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-thread_local! {
-    /// Set on pool threads: a job that fans out again runs sequentially.
-    static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| Pool {
-        board: Mutex::new(Board {
-            epoch: 0,
-            campaign: None,
-        }),
-        wake: Condvar::new(),
-        submit: Mutex::new(()),
-        spawned: AtomicUsize::new(0),
-    })
-}
-
-/// The body of every pool thread: wait for an unseen epoch, take a seat if
-/// one is left, work the campaign, park again.
-fn worker_loop(pool: &'static Pool) {
-    IS_POOL_WORKER.with(|f| f.set(true));
-    let mut seen = 0u64;
-    loop {
-        let campaign = {
-            let mut board = pool.board.lock().unwrap();
-            loop {
-                if board.epoch != seen {
-                    seen = board.epoch;
-                    if let Some(c) = &board.campaign {
-                        if c.try_seat() {
-                            break c.clone();
-                        }
-                    }
-                }
-                board = pool.wake.wait(board).unwrap();
-            }
-        };
-        campaign.run_claims();
-    }
-}
-
-/// Ensures at least `target` pool threads exist (lazy growth, capped).
-fn ensure_workers(pool: &'static Pool, target: usize) {
-    let target = target.min(MAX_WORKERS);
-    loop {
-        let have = pool.spawned.load(Ordering::Acquire);
-        if have >= target {
-            return;
-        }
-        if pool
-            .spawned
-            .compare_exchange(have, have + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        thread::Builder::new()
-            .name(format!("irs-pool-{have}"))
-            .spawn(move || worker_loop(pool))
-            .expect("spawning a pool worker failed");
-    }
-}
-
-/// Number of pool threads spawned so far (diagnostics / bench reporting).
-pub fn spawned_workers() -> usize {
-    pool().spawned.load(Ordering::Acquire)
-}
-
 /// Runs `f(0..n)` across up to `workers` executors (the calling thread
-/// plus `workers - 1` pool threads) and returns the results in index
+/// plus `workers - 1` scoped helpers) and returns the results in index
 /// order.
 ///
 /// `f` must be a pure function of its index for the determinism guarantee
 /// to hold; each index runs exactly once and `out[i] == f(i)` regardless
-/// of worker count or scheduling. With `workers <= 1` or `n <= 1` no pool
-/// machinery is touched at all — that is *exactly* the sequential path —
-/// and a call from inside a pool job falls back to it too.
+/// of worker count or scheduling. With `workers <= 1` or `n <= 1` no
+/// thread is started — that is *exactly* the sequential path. A job may
+/// call `ordered_map` again; the inner call fans out on its own scope.
 ///
 /// A panic in any job propagates to the caller with its original payload
-/// after the remaining indices finish.
+/// once every helper has been joined.
 pub fn ordered_map<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || n <= 1 || IS_POOL_WORKER.with(|w| w.get()) {
+    let workers = workers.min(MAX_WORKERS).min(n);
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
-    let pool = pool();
-
-    // Per-index result slots. A Mutex per slot is uncontended (each index
-    // is written once) and keeps this crate's unsafe confined to the
-    // lifetime erasure below.
-    let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || Mutex::new(None));
-    let run_one = |i: usize| {
+    // One slot per index. Each is locked once, to store a value computed
+    // outside the lock, so no slot is contended or poisoned.
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let job = |i: usize| {
         let value = f(i);
-        *slots[i].lock().unwrap() = Some(value);
+        *slots[i]
+            .lock()
+            .expect("a slot lock is never held across a job") = Some(value);
     };
-
-    let job: &(dyn Fn(usize) + Sync) = &run_one;
-    // SAFETY: the campaign is fully executed and unpublished before this
-    // frame returns, and workers only call `job` for indices < n, all of
-    // which complete before then — see the crate-level argument.
-    let job: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
-
-    let campaign = Arc::new(Campaign {
-        job,
-        n,
-        chunk: (n / (4 * workers)).max(1),
-        cursor: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        seats: AtomicUsize::new(workers - 1),
-        panic: Mutex::new(None),
-        done_mu: Mutex::new(()),
-        done_cv: Condvar::new(),
-    });
-
-    let submit = pool.submit.lock().unwrap();
-    ensure_workers(pool, workers - 1);
-    {
-        let mut board = pool.board.lock().unwrap();
-        board.epoch += 1;
-        board.campaign = Some(campaign.clone());
-    }
-    pool.wake.notify_all();
-
-    // Participate, then wait for stragglers working their last chunk.
-    // While executing jobs this thread counts as a pool worker: a job
-    // that fans out again must take the sequential fallback rather than
-    // re-enter the (non-reentrant) submission lock this frame holds.
-    IS_POOL_WORKER.with(|w| w.set(true));
-    campaign.run_claims();
-    IS_POOL_WORKER.with(|w| w.set(false));
-    {
-        let mut guard = campaign.done_mu.lock().unwrap();
-        while campaign.completed.load(Ordering::Acquire) < n {
-            guard = campaign.done_cv.wait(guard).unwrap();
-        }
-    }
-
-    // Unpublish before the job closure dies; late-waking workers then see
-    // an empty board at a new epoch and park again.
-    {
-        let mut board = pool.board.lock().unwrap();
-        board.campaign = None;
-    }
-    drop(submit);
-
-    if let Some(payload) = campaign.panic.lock().unwrap().take() {
-        std::panic::resume_unwind(payload);
-    }
+    fan_out(workers, n, &job);
     slots
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.into_inner()
-                .unwrap()
-                .unwrap_or_else(|| panic!("job {i} produced no result"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot lock is never held across a job")
+                .expect("every index ran")
         })
         .collect()
+}
+
+/// Runs `job(0..n)` on the calling thread and `workers - 1` scoped
+/// helpers. The job is type-erased so this thread code is compiled once,
+/// not once per `ordered_map` call site.
+fn fan_out(workers: usize, n: usize, job: &(dyn Fn(usize) + Sync)) {
+    // The cursor only hands out indices; results travel through the slot
+    // locks and the joins, so `Relaxed` publishes nothing it must order.
+    let cursor = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        job(i);
+    };
+    let helper_panic = thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        claim();
+        // Join every helper, so none is left for the scope to report
+        // without its payload, and keep the first panic.
+        let mut first = None;
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                first.get_or_insert(payload);
+            }
+        }
+        first
+    });
+    if let Some(payload) = helper_panic {
+        panic::resume_unwind(payload);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
 
     #[test]
     fn ordered_and_identical_at_any_width() {
@@ -310,21 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_persists_across_campaigns() {
-        let _ = ordered_map(4, 16, |i| i);
-        let after_first = spawned_workers();
-        assert!(after_first >= 1, "pool never spawned");
-        for _ in 0..10 {
-            let _ = ordered_map(4, 16, |i| i * 2);
-        }
-        // Other tests run concurrently and may grow the pool, but this
-        // width was already satisfied — repeated campaigns at the same
-        // width must not keep spawning.
-        assert!(spawned_workers() <= MAX_WORKERS);
-    }
-
-    #[test]
-    fn nested_fan_out_runs_sequentially_not_deadlocking() {
+    fn nested_fan_out_returns_ordered_results() {
         let out = ordered_map(4, 8, |i| {
             let inner = ordered_map(4, 4, move |j| i * 10 + j);
             inner.iter().sum::<usize>()
@@ -334,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_top_level_campaigns_serialize() {
+    fn concurrent_fan_outs_return_ordered_results() {
         let a = std::thread::spawn(|| ordered_map(3, 40, |i| i + 1));
         let b = ordered_map(3, 40, |i| i + 2);
         assert_eq!(a.join().unwrap(), (1..=40).collect::<Vec<_>>());
@@ -350,6 +150,38 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    fn a_helper_panic_keeps_its_payload() {
+        // Both jobs wait on one barrier, so each runs on its own thread;
+        // the one not on the calling thread panics.
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let err = panic::catch_unwind(|| {
+            ordered_map(2, 2, |_| {
+                barrier.wait();
+                if std::thread::current().id() != caller {
+                    panic!("helper boom");
+                }
+            })
+        })
+        .expect_err("the helper's panic must reach the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"helper boom"));
+    }
+
+    #[test]
+    fn threads_used_never_exceed_the_width() {
+        let threads_used = |workers: usize, n: usize| {
+            ordered_map(workers, n, |_| std::thread::current().id())
+                .into_iter()
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        for workers in [1, 2, 3, 8] {
+            assert!(threads_used(workers, 64) <= workers);
+        }
+        assert!(threads_used(1_000, 300) <= MAX_WORKERS);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! inputs of the failing case instead of a minimized counterexample), no
 //! persistence files, and no `PROPTEST_*` knobs beyond `PROPTEST_CASES`.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Run-time configuration for a `proptest!` block.
     #[derive(Debug, Clone)]

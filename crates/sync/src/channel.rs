@@ -147,11 +147,6 @@ impl Channel {
         self.consumers_waiting.drain(..).collect()
     }
 
-    /// True once closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Items currently buffered.
     pub fn len(&self) -> usize {
         self.len

@@ -114,11 +114,6 @@ impl Lock {
         self.holder
     }
 
-    /// Number of tasks waiting.
-    pub fn n_waiters(&self) -> usize {
-        self.waiters.len()
-    }
-
     /// The waiter at the head of the queue (the LWP victim candidate).
     pub fn head_waiter(&self) -> Option<TaskId> {
         self.waiters.front().copied()

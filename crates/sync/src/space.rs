@@ -150,16 +150,6 @@ impl SyncSpace {
         &self.barriers[id.0]
     }
 
-    /// Shared access to a channel.
-    pub fn channel_ref(&self, id: ChannelId) -> &Channel {
-        &self.channels[id.0]
-    }
-
-    /// Shared access to a pool.
-    pub fn pool_ref(&self, id: PoolId) -> &WorkPool {
-        &self.pools[id.0]
-    }
-
     /// Shared access to an epoch.
     pub fn epoch_ref(&self, id: EpochId) -> &Epoch {
         &self.epochs[id.0]

@@ -235,12 +235,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends a compute segment of `mean_ns` nanoseconds ± `jitter`.
-    pub fn compute_ns(mut self, mean_ns: u64, jitter: f64) -> Self {
-        self.ops.push(Op::Compute { mean_ns, jitter });
-        self
-    }
-
     /// Appends a lock acquisition.
     pub fn lock(mut self, lock: LockId) -> Self {
         self.ops.push(Op::Lock(lock));

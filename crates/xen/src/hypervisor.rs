@@ -301,16 +301,6 @@ impl Hypervisor {
         self.vms.len()
     }
 
-    /// Number of vCPUs of `vm`.
-    pub fn vm_vcpu_count(&self, vm: VmId) -> usize {
-        self.vms[vm.0].n_vcpus
-    }
-
-    /// Whether `vm`'s guest registered the SA upcall handler.
-    pub fn vm_sa_capable(&self, vm: VmId) -> bool {
-        self.vms[vm.0].sa_capable
-    }
-
     /// The configuration the hypervisor was built with.
     pub fn config(&self) -> &XenConfig {
         &self.cfg
@@ -382,11 +372,6 @@ impl Hypervisor {
     /// Current credit balance of a vCPU (diagnostics).
     pub fn vcpu_credits(&self, v: VcpuRef) -> i64 {
         self.vc(v).credits
-    }
-
-    /// Current scheduling priority of a vCPU (diagnostics).
-    pub fn vcpu_priority(&self, v: VcpuRef) -> crate::vcpu::CreditPriority {
-        self.vc(v).priority
     }
 
     /// Whether an SA notification is outstanding on `v`.
