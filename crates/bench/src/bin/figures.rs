@@ -25,8 +25,10 @@
 //! all available cores). Tables are identical for every worker count.
 //! `--check` arms the online invariant sanitizer
 //! ([`irs_core::check`]) for every simulated run: each system validates
-//! scheduler invariants after every event and panics with a trace dump on
-//! the first violation. Tables are identical with and without it.
+//! scheduler invariants after every event, in one pass per entity, and
+//! panics with the tail of its typed trace on the first violation. Tables
+//! and stdout are identical with and without it, so `figures all --check`
+//! is the one checked pass over every table (`scripts/verify.sh` step 4).
 //! `--smoke` shrinks the fleet and serving campaigns for CI. Only the fleet
 //! reads the next two flags; like `--smoke`, naming one when no queued
 //! experiment reads it exits 2 with usage.

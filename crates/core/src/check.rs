@@ -1,8 +1,9 @@
 //! Online scheduler-invariant sanitizer.
 //!
 //! When enabled (per-run via [`crate::SystemConfig::check`] or process-wide
-//! via [`set_check_enabled`]), [`System::step`](crate::System::step) re-runs
-//! a battery of cross-layer invariants after *every* event it dispatches:
+//! via [`set_check_enabled`]), [`System::step`](crate::System::step) checks
+//! seven families of cross-layer invariants (thirteen named checks) after
+//! *every* event it dispatches:
 //!
 //! 1. **Credit conservation** — per-vCPU credits stay inside
 //!    `[CREDIT_FLOOR, CREDIT_CAP]`, never increase outside an accounting
@@ -13,36 +14,47 @@
 //!    current virtual time (no lost or double-counted intervals).
 //! 3. **pCPU exclusivity** — at most one `Running` vCPU is homed on any
 //!    pCPU, and the pCPU's `current` pointer agrees with the runstates in
-//!    both directions.
+//!    both directions. (So the machine can never report more `Running`
+//!    vCPUs than it has pCPUs.)
 //! 4. **No double-run** — a guest task is current on at most one vCPU, a
 //!    current task is `Running` with a matching `cpu`, and CFS never holds
 //!    a blocked or exited task current.
 //! 5. **SA protocol** — `sa_pending` is never re-armed while already
 //!    pending, and the SA generation counter never runs backwards.
-//! 6. **Utilization ≤ capacity** — the machine never reports more
-//!    `Running` vCPUs than it has pCPUs.
-//! 7. **Vruntime monotonicity** — a task's CFS vruntime never decreases
+//! 6. **Vruntime monotonicity** — a task's CFS vruntime never decreases
 //!    except across a migration (where CFS re-baselines it against the
 //!    destination queue).
-//! 8. **SA freeze hygiene** — a pCPU frozen on an SA round (`sa_wait`)
+//! 7. **SA freeze hygiene** — a pCPU frozen on an SA round (`sa_wait`)
 //!    always has the waited-on vCPU current with its round pending, and no
 //!    freeze outlives the completion limit by more than the checker's
 //!    slack: `sa_wait` is always cleared and no vCPU freezes a pCPU
 //!    forever, even under injected faults ([`crate::faults`]).
 //!
+//! The check makes one pass per entity kind: every vCPU (probed in bulk by
+//! [`irs_xen::Hypervisor::vcpu_probes`]), every pCPU, then each VM's
+//! current tasks and tasks. Each entity is checked against its baseline
+//! entry, which is then overwritten in place with what was just read, so
+//! the steady state allocates nothing. The per-entity checks take the
+//! probed values as plain arguments.
+//!
 //! A violation panics with the invariant's name, the offending values, and
-//! the tail of the merged scheduling trace ([`crate::System::trace_dump`])
-//! so the decision sequence that led to the corruption is visible.
+//! the last 120 lines of the merged typed timeline
+//! ([`crate::System::trace_dump`]) so the decision sequence that led to
+//! the corruption is visible.
 
 use crate::events::Event;
 use crate::system::System;
-use irs_guest::TaskState;
+use irs_guest::{TaskId, TaskState};
+use irs_sim::SimTime;
 use irs_xen::credit::{CREDITS_PER_ACCT, CREDIT_CAP, CREDIT_FLOOR};
-use irs_xen::{PcpuId, RunState, RunstateInfo, VcpuRef};
+use irs_xen::{PcpuId, RunState, VcpuProbe, VcpuRef};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide sanitizer switch (see [`set_check_enabled`]).
 static CHECK_ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Trace lines a violation report carries.
+const REPORT_LINES: usize = 120;
 
 /// Enables or disables the invariant sanitizer for every [`System`] built
 /// afterwards, regardless of its [`crate::SystemConfig`]. This is how
@@ -57,364 +69,583 @@ pub fn check_enabled() -> bool {
     CHECK_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-task snapshot the vruntime-monotonicity check compares against.
+/// Per-task baseline the vruntime-monotonicity check compares against.
 #[derive(Debug, Clone, Copy)]
-struct TaskSnap {
+struct TaskBase {
     vruntime: u64,
     migrations: u64,
+    /// The vCPU holding the task current in the step being checked; set by
+    /// the current-task pass and cleared by the task pass.
+    held_on: Option<usize>,
 }
 
-/// The sanitizer's rolling state: snapshots of everything whose *change*
-/// (not just value) is constrained, refreshed after each validated step.
+/// The sanitizer's rolling state: the last validated value of everything
+/// whose *change* (not just value) is constrained.
 #[derive(Debug, Clone)]
 pub(crate) struct Checker {
-    /// Per-vCPU credits, in [`irs_xen::Hypervisor::all_vcpus`] order.
-    credits: Vec<i64>,
-    /// Per-vCPU runstate accounting, same order.
-    runstates: Vec<RunstateInfo>,
-    /// Per-vCPU `(sa_pending, sa_generation)`, same order.
-    sa: Vec<(bool, u64)>,
-    /// Per-VM, per-task vruntime/migration snapshots.
-    tasks: Vec<Vec<TaskSnap>>,
+    /// Per-vCPU probes, in [`irs_xen::Hypervisor::vcpu_probes`] order.
+    vcpus: Vec<VcpuProbe>,
+    /// Per-VM, per-task baselines.
+    tasks: Vec<Vec<TaskBase>>,
+    /// Per-pCPU: the `Running` vCPU homed there in the step being checked;
+    /// set by the vCPU pass and cleared by the pCPU pass.
+    running_on: Vec<Option<VcpuRef>>,
     /// Per-pCPU: the SA freeze observed there (`(vcpu, generation, since)`),
     /// where `since` is the first step at which this exact freeze was seen.
     /// Drives the no-freeze-forever check.
-    sa_wait_since: Vec<Option<(VcpuRef, u64, irs_sim::SimTime)>>,
+    sa_wait_since: Vec<Option<(VcpuRef, u64, SimTime)>>,
 }
 
 impl Checker {
-    /// Snapshots the freshly booted system.
+    /// Takes the freshly booted system as the first baseline.
     pub(crate) fn new(sys: &System) -> Self {
-        let mut c = Checker {
-            credits: Vec::new(),
-            runstates: Vec::new(),
-            sa: Vec::new(),
-            tasks: Vec::new(),
-            sa_wait_since: vec![None; sys.hypervisor().n_pcpus()],
-        };
-        c.snapshot(sys);
-        c
-    }
-
-    fn snapshot(&mut self, sys: &System) {
         let hv = sys.hypervisor();
-        let now = sys.now();
-        self.credits.clear();
-        self.runstates.clear();
-        self.sa.clear();
-        for v in hv.all_vcpus() {
-            self.credits.push(hv.vcpu_credits(v));
-            self.runstates.push(hv.runstate(v, now));
-            self.sa.push((hv.is_sa_pending(v), hv.sa_generation(v)));
-        }
-        self.tasks.clear();
-        for vm in 0..hv.n_vms() {
-            let os = sys.guest(vm);
-            self.tasks.push(
+        let tasks = (0..hv.n_vms())
+            .map(|vm| {
+                let os = sys.guest(vm);
                 (0..os.n_tasks())
                     .map(|t| {
-                        let task = os.task(irs_guest::TaskId(t));
-                        TaskSnap {
+                        let task = os.task(TaskId(t));
+                        TaskBase {
                             vruntime: task.vruntime,
                             migrations: task.migrations,
+                            held_on: None,
                         }
                     })
-                    .collect(),
-            );
+                    .collect()
+            })
+            .collect();
+        Checker {
+            vcpus: hv.vcpu_probes(sys.now()).collect(),
+            tasks,
+            running_on: vec![None; hv.n_pcpus()],
+            sa_wait_since: vec![None; hv.n_pcpus()],
         }
     }
 
-    /// Validates every invariant against the post-`ev` system state, then
-    /// rolls the snapshots forward. Panics with a trace dump on violation.
+    /// Validates every invariant against the post-`ev` system state, rolling
+    /// each baseline forward as it goes. Panics with a trace dump on
+    /// violation.
     pub(crate) fn check(&mut self, sys: &System, ev: Event) {
-        self.check_credits(sys, ev);
-        self.check_runstates(sys, ev);
-        self.check_pcpu_exclusivity(sys, ev);
-        self.check_guest_tasks(sys, ev);
-        self.check_sa_protocol(sys, ev);
-        self.check_sa_freeze(sys, ev);
-        self.snapshot(sys);
-    }
-
-    fn check_credits(&self, sys: &System, ev: Event) {
+        let step = Step { sys, ev };
         let hv = sys.hypervisor();
-        let accounting = ev == Event::HvAccounting;
-        let mut minted: i64 = 0;
-        for (i, v) in hv.all_vcpus().enumerate() {
-            let c = hv.vcpu_credits(v);
-            if !(CREDIT_FLOOR..=CREDIT_CAP).contains(&c) {
-                fail(
-                    sys,
-                    ev,
-                    "credit-bounds",
-                    format!("{v} holds {c} credits, outside [{CREDIT_FLOOR}, {CREDIT_CAP}]"),
-                );
-            }
-            let prev = self.credits[i];
-            if c > prev {
-                if !accounting {
-                    fail(
-                        sys,
-                        ev,
-                        "credit-conservation",
-                        format!("{v} credits rose {prev} -> {c} outside an accounting pass"),
-                    );
-                }
-                minted += c - prev;
-            }
+        let mut minted = 0;
+        for (i, probe) in hv.vcpu_probes(sys.now()).enumerate() {
+            minted += self.vcpu(step, i, probe);
         }
         let pot = CREDITS_PER_ACCT * hv.n_pcpus() as i64;
         if minted > pot {
-            fail(
-                sys,
-                ev,
+            step.fail(
                 "credit-conservation",
                 format!("accounting minted {minted} credits, above the machine pot {pot}"),
             );
         }
-    }
-
-    fn check_runstates(&self, sys: &System, ev: Event) {
-        let hv = sys.hypervisor();
-        let now = sys.now();
-        for (i, v) in hv.all_vcpus().enumerate() {
-            let cur = hv.runstate(v, now);
-            let prev = self.runstates[i];
-            if cur.running < prev.running
-                || cur.runnable < prev.runnable
-                || cur.blocked < prev.blocked
-                || cur.offline < prev.offline
-            {
-                fail(
-                    sys,
-                    ev,
-                    "runstate-monotonic",
-                    format!("{v} runstate component ran backwards: {prev:?} -> {cur:?}"),
-                );
+        for p in 0..hv.n_pcpus() {
+            let pcpu = PcpuId(p);
+            self.pcpu(step, pcpu, hv.pcpu_current(pcpu), hv.pcpu_sa_wait(pcpu));
+        }
+        for vm in 0..hv.n_vms() {
+            let os = sys.guest(vm);
+            for vcpu in 0..os.n_vcpus() {
+                if let Some(t) = os.current(vcpu) {
+                    let task = os.task(t);
+                    self.current_task(step, vm, vcpu, t, task.state, task.cpu);
+                }
             }
-            if cur.total() != now {
-                fail(
-                    sys,
-                    ev,
-                    "runstate-accounting",
-                    format!("{v} runstate components sum to {} at t={now}: {cur:?}", cur.total()),
-                );
+            for t in 0..os.n_tasks() {
+                let task = os.task(TaskId(t));
+                self.task(step, vm, t, task.vruntime, task.migrations);
             }
         }
     }
 
-    fn check_pcpu_exclusivity(&self, sys: &System, ev: Event) {
-        let hv = sys.hypervisor();
-        let mut running_on: Vec<Option<VcpuRef>> = vec![None; hv.n_pcpus()];
-        let mut running_total = 0usize;
-        for v in hv.all_vcpus() {
-            if hv.vcpu_state(v) != RunState::Running {
-                continue;
-            }
-            running_total += 1;
-            let home = hv.vcpu_home(v);
-            if let Some(other) = running_on[home.0] {
-                fail(
-                    sys,
-                    ev,
+    /// Checks vCPU `i`'s probe (credits, runstate, SA protocol, pCPU
+    /// exclusivity) against its baseline and makes it the new baseline.
+    /// Returns the credits the vCPU gained, which only an accounting pass
+    /// may mint.
+    fn vcpu(&mut self, step: Step, i: usize, cur: VcpuProbe) -> i64 {
+        let prev = std::mem::replace(&mut self.vcpus[i], cur);
+        let v = cur.vcpu;
+        let c = cur.credits;
+        if !(CREDIT_FLOOR..=CREDIT_CAP).contains(&c) {
+            step.fail(
+                "credit-bounds",
+                format!("{v} holds {c} credits, outside [{CREDIT_FLOOR}, {CREDIT_CAP}]"),
+            );
+        }
+        if c > prev.credits && step.ev != Event::HvAccounting {
+            step.fail(
+                "credit-conservation",
+                format!(
+                    "{v} credits rose {} -> {c} outside an accounting pass",
+                    prev.credits
+                ),
+            );
+        }
+        let (rs, prev_rs) = (cur.runstate, prev.runstate);
+        if rs.running < prev_rs.running
+            || rs.runnable < prev_rs.runnable
+            || rs.blocked < prev_rs.blocked
+            || rs.offline < prev_rs.offline
+        {
+            step.fail(
+                "runstate-monotonic",
+                format!("{v} runstate component ran backwards: {prev_rs:?} -> {rs:?}"),
+            );
+        }
+        let now = step.sys.now();
+        if rs.total() != now {
+            step.fail(
+                "runstate-accounting",
+                format!(
+                    "{v} runstate components sum to {} at t={now}: {rs:?}",
+                    rs.total()
+                ),
+            );
+        }
+        let (gen, prev_gen) = (cur.sa_generation, prev.sa_generation);
+        if gen < prev_gen {
+            step.fail(
+                "sa-generation",
+                format!("{v} SA generation ran backwards {prev_gen} -> {gen}"),
+            );
+        }
+        if cur.sa_pending && prev.sa_pending && gen != prev_gen {
+            step.fail(
+                "sa-double-send",
+                format!(
+                    "{v} re-armed an SA (gen {prev_gen} -> {gen}) while one was already pending"
+                ),
+            );
+        }
+        if rs.state == RunState::Running {
+            let home = cur.home;
+            if let Some(other) = self.running_on[home.0] {
+                step.fail(
                     "pcpu-double-run",
                     format!("{home} has two Running vCPUs: {other} and {v}"),
                 );
             }
-            running_on[home.0] = Some(v);
-            if hv.pcpu_current(home) != Some(v) {
-                fail(
-                    sys,
-                    ev,
+            self.running_on[home.0] = Some(v);
+            let current = step.sys.hypervisor().pcpu_current(home);
+            if current != Some(v) {
+                step.fail(
                     "pcpu-current-consistency",
                     format!(
-                        "{v} is Running and homed on {home}, but {home} current is {:?}",
-                        hv.pcpu_current(home)
+                        "{v} is Running and homed on {home}, but {home} current is {current:?}"
                     ),
                 );
             }
         }
-        for p in 0..hv.n_pcpus() {
-            if let Some(v) = hv.pcpu_current(PcpuId(p)) {
-                if hv.vcpu_state(v) != RunState::Running {
-                    fail(
-                        sys,
-                        ev,
-                        "pcpu-current-consistency",
+        (c - prev.credits).max(0)
+    }
+
+    /// Checks one pCPU's `current` and `sa_wait` pointers: the current vCPU
+    /// is `Running`, and SA freeze hygiene holds.
+    fn pcpu(
+        &mut self,
+        step: Step,
+        pcpu: PcpuId,
+        current: Option<VcpuRef>,
+        sa_wait: Option<VcpuRef>,
+    ) {
+        let p = pcpu.0;
+        self.running_on[p] = None;
+        let hv = step.sys.hypervisor();
+        if let Some(v) = current {
+            let state = hv.vcpu_state(v);
+            if state != RunState::Running {
+                step.fail(
+                    "pcpu-current-consistency",
+                    format!("pcpu{p} current is {v} but its runstate is {state:?}"),
+                );
+            }
+        }
+        // No SA configured: `sa_wait` can never be set.
+        let (Some(w), Some(sa)) = (sa_wait, hv.config().sa.as_ref()) else {
+            self.sa_wait_since[p] = None;
+            return;
+        };
+        if current != Some(w) || !hv.is_sa_pending(w) {
+            step.fail(
+                "sa-wait-consistency",
+                format!(
+                    "pcpu{p} is frozen on {w}, but current={current:?} pending={}",
+                    hv.is_sa_pending(w)
+                ),
+            );
+        }
+        let gen = hv.sa_generation(w);
+        let now = step.sys.now();
+        match self.sa_wait_since[p] {
+            Some((pw, pg, since)) if pw == w && pg == gen => {
+                // Deadline jitter can stretch the armed deadline to ~2x the
+                // nominal limit; one tick period absorbs event granularity.
+                let limit = sa.completion_limit;
+                let allowed = limit + limit + hv.config().tick_period;
+                if now - since > allowed {
+                    step.fail(
+                        "sa-freeze",
                         format!(
-                            "pcpu{p} current is {v} but its runstate is {:?}",
-                            hv.vcpu_state(v)
+                            "pcpu{p} frozen on {w} (gen {gen}) since {since}, \
+                             {} exceeds the allowed {} (completion limit {})",
+                            now - since,
+                            allowed,
+                            limit
                         ),
                     );
                 }
             }
+            _ => self.sa_wait_since[p] = Some((w, gen, now)),
         }
-        if running_total > hv.n_pcpus() {
-            fail(
-                sys,
-                ev,
-                "utilization-capacity",
-                format!("{running_total} Running vCPUs on a {}-pCPU machine", hv.n_pcpus()),
+    }
+
+    /// Checks the task `t` that `vm`'s `vcpu` holds current, given the
+    /// task's `state` and recorded `cpu`.
+    fn current_task(
+        &mut self,
+        step: Step,
+        vm: usize,
+        vcpu: usize,
+        t: TaskId,
+        state: TaskState,
+        cpu: usize,
+    ) {
+        let base = &mut self.tasks[vm][t.0];
+        if let Some(other) = base.held_on {
+            step.fail(
+                "task-double-run",
+                format!("vm{vm} {t} is current on both v{other} and v{vcpu}"),
+            );
+        }
+        base.held_on = Some(vcpu);
+        match state {
+            TaskState::Running => {}
+            TaskState::Blocked | TaskState::Exited => step.fail(
+                "blocked-task-current",
+                format!("vm{vm} v{vcpu} holds {t} current in state {state}"),
+            ),
+            TaskState::Ready => step.fail(
+                "task-double-run",
+                format!("vm{vm} v{vcpu} holds {t} current but it is queued as ready"),
+            ),
+        }
+        if cpu != vcpu {
+            step.fail(
+                "task-double-run",
+                format!("vm{vm} {t} is current on v{vcpu} but records cpu=v{cpu}"),
             );
         }
     }
 
-    fn check_guest_tasks(&self, sys: &System, ev: Event) {
-        let hv = sys.hypervisor();
-        for vm in 0..hv.n_vms() {
-            let os = sys.guest(vm);
-            let mut current_on: Vec<Option<usize>> = vec![None; os.n_tasks()];
-            for vcpu in 0..os.n_vcpus() {
-                let Some(t) = os.current(vcpu) else { continue };
-                if let Some(other) = current_on[t.0] {
-                    fail(
-                        sys,
-                        ev,
-                        "task-double-run",
-                        format!("vm{vm} {t} is current on both v{other} and v{vcpu}"),
-                    );
-                }
-                current_on[t.0] = Some(vcpu);
-                let task = os.task(t);
-                match task.state {
-                    TaskState::Running => {}
-                    TaskState::Blocked | TaskState::Exited => fail(
-                        sys,
-                        ev,
-                        "blocked-task-current",
-                        format!("vm{vm} v{vcpu} holds {t} current in state {}", task.state),
-                    ),
-                    TaskState::Ready => fail(
-                        sys,
-                        ev,
-                        "task-double-run",
-                        format!("vm{vm} v{vcpu} holds {t} current but it is queued as ready"),
-                    ),
-                }
-                if task.cpu != vcpu {
-                    fail(
-                        sys,
-                        ev,
-                        "task-double-run",
-                        format!("vm{vm} {t} is current on v{vcpu} but records cpu=v{}", task.cpu),
-                    );
-                }
-            }
-            for t in 0..os.n_tasks() {
-                let task = os.task(irs_guest::TaskId(t));
-                let prev = self.tasks[vm][t];
-                if task.vruntime < prev.vruntime && task.migrations == prev.migrations {
-                    fail(
-                        sys,
-                        ev,
-                        "vruntime-monotonic",
-                        format!(
-                            "vm{vm} task{t} vruntime ran backwards {} -> {} without a migration",
-                            prev.vruntime, task.vruntime
-                        ),
-                    );
-                }
-            }
+    /// Checks task `t`'s vruntime against its baseline and makes the probed
+    /// values the new baseline.
+    fn task(&mut self, step: Step, vm: usize, t: usize, vruntime: u64, migrations: u64) {
+        let base = &mut self.tasks[vm][t];
+        if vruntime < base.vruntime && migrations == base.migrations {
+            step.fail(
+                "vruntime-monotonic",
+                format!(
+                    "vm{vm} task{t} vruntime ran backwards {} -> {vruntime} without a migration",
+                    base.vruntime
+                ),
+            );
         }
-    }
-
-    fn check_sa_protocol(&self, sys: &System, ev: Event) {
-        let hv = sys.hypervisor();
-        for (i, v) in hv.all_vcpus().enumerate() {
-            let pending = hv.is_sa_pending(v);
-            let gen = hv.sa_generation(v);
-            let (prev_pending, prev_gen) = self.sa[i];
-            if gen < prev_gen {
-                fail(
-                    sys,
-                    ev,
-                    "sa-generation",
-                    format!("{v} SA generation ran backwards {prev_gen} -> {gen}"),
-                );
-            }
-            if pending && prev_pending && gen != prev_gen {
-                fail(
-                    sys,
-                    ev,
-                    "sa-double-send",
-                    format!(
-                        "{v} re-armed an SA (gen {prev_gen} -> {gen}) while one was already pending"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// SA freeze hygiene: every frozen pCPU is frozen on its own current
-    /// vCPU with a pending round, and no freeze outlives the completion
-    /// limit (with slack for deadline jitter) — i.e. `sa_wait` is always
-    /// cleared and no vCPU freezes a pCPU forever, even under faults.
-    fn check_sa_freeze(&mut self, sys: &System, ev: Event) {
-        let hv = sys.hypervisor();
-        let now = sys.now();
-        let Some(sa) = hv.config().sa.as_ref() else {
-            return; // no SA configured: sa_wait can never be set
+        *base = TaskBase {
+            vruntime,
+            migrations,
+            held_on: None,
         };
-        let limit = sa.completion_limit;
-        // Deadline jitter can stretch the armed deadline to ~2x the nominal
-        // limit; one tick period absorbs event granularity.
-        let allowed = limit + limit + hv.config().tick_period;
-        for p in 0..hv.n_pcpus() {
-            let pcpu = PcpuId(p);
-            match hv.pcpu_sa_wait(pcpu) {
-                None => self.sa_wait_since[p] = None,
-                Some(w) => {
-                    if hv.pcpu_current(pcpu) != Some(w) || !hv.is_sa_pending(w) {
-                        fail(
-                            sys,
-                            ev,
-                            "sa-wait-consistency",
-                            format!(
-                                "pcpu{p} is frozen on {w}, but current={:?} pending={}",
-                                hv.pcpu_current(pcpu),
-                                hv.is_sa_pending(w)
-                            ),
-                        );
-                    }
-                    let gen = hv.sa_generation(w);
-                    match self.sa_wait_since[p] {
-                        Some((pw, pg, since)) if pw == w && pg == gen => {
-                            if now - since > allowed {
-                                fail(
-                                    sys,
-                                    ev,
-                                    "sa-freeze",
-                                    format!(
-                                        "pcpu{p} frozen on {w} (gen {gen}) since {since}, \
-                                         {} exceeds the allowed {} (completion limit {})",
-                                        now - since,
-                                        allowed,
-                                        limit
-                                    ),
-                                );
-                            }
-                        }
-                        _ => self.sa_wait_since[p] = Some((w, gen, now)),
-                    }
-                }
-            }
-        }
     }
 }
 
-/// Renders the violation report and panics.
-fn fail(sys: &System, ev: Event, invariant: &str, detail: String) -> ! {
-    let dump = sys.trace_dump();
-    let trace = if dump.is_empty() {
-        "  (trace ring disabled)\n".to_string()
-    } else {
-        dump
-    };
-    panic!(
-        "scheduler invariant violated: {invariant}\n  {detail}\n  at t={} after {:?} under {}\n\
-         --- last scheduling decisions (oldest first) ---\n{trace}",
-        sys.now(),
-        ev,
-        sys.strategy,
-    );
+/// The step being checked: the post-event system and the event that led
+/// to it, which is what a violation report shows.
+#[derive(Clone, Copy)]
+struct Step<'a> {
+    sys: &'a System,
+    ev: Event,
+}
+
+impl Step<'_> {
+    /// Renders the violation report and panics.
+    fn fail(self, invariant: &str, detail: String) -> ! {
+        let dump = self.sys.trace_dump();
+        let lines: Vec<&str> = dump.lines().collect();
+        let trace = if lines.is_empty() {
+            "  (trace ring disabled)\n".to_string()
+        } else {
+            lines[lines.len().saturating_sub(REPORT_LINES)..]
+                .iter()
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        panic!(
+            "scheduler invariant violated: {invariant}\n  {detail}\n  at t={} after {:?} under {}\n\
+             --- last scheduling decisions (oldest first) ---\n{trace}",
+            self.sys.now(),
+            self.ev,
+            self.sys.strategy,
+        );
+    }
+}
+
+/// The detection matrix: every invariant name is tripped by one injected
+/// defect, so a cheaper checker cannot silently become a weaker one. Delta
+/// invariants are tripped by corrupting the baseline of a real checked
+/// run; state invariants by handing a per-entity check a corrupted probe.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Scenario, Strategy, SystemConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A checked IRS run stepped until `ready` holds, with its checker
+    /// taken out so the test can corrupt it.
+    fn armed(ready: impl Fn(&System) -> bool) -> (System, Checker) {
+        let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::Irs, 42);
+        let cfg = SystemConfig {
+            check: true,
+            ..SystemConfig::default()
+        };
+        let mut sys = System::with_config(scenario, cfg);
+        while !ready(&sys) {
+            assert!(sys.step(), "the run ended before the probe point");
+        }
+        let checker = sys.checker.take().expect("checking is armed");
+        (sys, checker)
+    }
+
+    /// A checked run 50 ms in: every vCPU has run, blocked or queued.
+    fn settled() -> (System, Checker) {
+        armed(|s| s.now() >= SimTime::from_millis(50))
+    }
+
+    fn probes(sys: &System) -> Vec<VcpuProbe> {
+        sys.hypervisor().vcpu_probes(sys.now()).collect()
+    }
+
+    /// The step a corrupted probe is checked under.
+    fn tick(sys: &System) -> Step<'_> {
+        Step {
+            sys,
+            ev: Event::HvTick,
+        }
+    }
+
+    /// Runs `f`, which must panic with a report naming `invariant` and
+    /// carrying `detail`.
+    fn assert_trips(invariant: &str, detail: &str, f: impl FnOnce()) {
+        let err = catch_unwind(AssertUnwindSafe(f))
+            .expect_err(&format!("{invariant} must trip on the injected defect"));
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("the report is a formatted string");
+        assert!(
+            msg.starts_with(&format!("scheduler invariant violated: {invariant}\n")),
+            "the report names another invariant:\n{msg}"
+        );
+        assert!(msg.contains(detail), "the report lacks {detail:?}:\n{msg}");
+        assert!(
+            msg.lines()
+                .any(|l| l.starts_with('[') && l.contains("xen.")),
+            "the report carries no timestamped trace:\n{msg}"
+        );
+    }
+
+    #[test]
+    fn clean_state_passes_a_recheck() {
+        let (sys, mut c) = settled();
+        c.check(&sys, Event::HvTick);
+        c.check(&sys, Event::HvAccounting);
+    }
+
+    #[test]
+    fn credit_bounds_trips() {
+        let (sys, mut c) = settled();
+        let mut p = probes(&sys)[0];
+        p.credits = CREDIT_CAP + 1;
+        assert_trips("credit-bounds", "outside [", || {
+            c.vcpu(tick(&sys), 0, p);
+        });
+    }
+
+    #[test]
+    fn credit_conservation_trips_outside_accounting() {
+        let (sys, mut c) = settled();
+        c.vcpus[0].credits -= 1;
+        assert_trips("credit-conservation", "outside an accounting pass", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
+
+    #[test]
+    fn credit_conservation_trips_above_the_pot() {
+        let (sys, mut c) = settled();
+        let pot = CREDITS_PER_ACCT * sys.hypervisor().n_pcpus() as i64;
+        c.vcpus[0].credits -= pot + 1;
+        assert_trips("credit-conservation", "above the machine pot", || {
+            c.check(&sys, Event::HvAccounting)
+        });
+    }
+
+    #[test]
+    fn runstate_monotonic_trips() {
+        let (sys, mut c) = settled();
+        c.vcpus[0].runstate.blocked += SimTime::from_nanos(1);
+        assert_trips("runstate-monotonic", "ran backwards", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
+
+    #[test]
+    fn runstate_accounting_trips() {
+        let (sys, mut c) = settled();
+        let mut p = probes(&sys)[0];
+        p.runstate.running += SimTime::from_nanos(1);
+        assert_trips("runstate-accounting", "components sum to", || {
+            c.vcpu(tick(&sys), 0, p);
+        });
+    }
+
+    #[test]
+    fn pcpu_double_run_trips() {
+        let (sys, mut c) = settled();
+        let all = probes(&sys);
+        let running = all
+            .iter()
+            .position(|p| p.runstate.state == RunState::Running)
+            .expect("some vCPU runs");
+        let other = (running + 1) % all.len();
+        let mut twin = all[other];
+        twin.runstate.state = RunState::Running;
+        twin.home = all[running].home;
+        c.vcpu(tick(&sys), running, all[running]);
+        assert_trips("pcpu-double-run", "two Running vCPUs", || {
+            c.vcpu(tick(&sys), other, twin);
+        });
+    }
+
+    #[test]
+    fn pcpu_current_consistency_trips_both_ways() {
+        let (sys, mut c) = settled();
+        let all = probes(&sys);
+        let idle = all
+            .iter()
+            .position(|p| p.runstate.state != RunState::Running)
+            .expect("some vCPU waits");
+        let mut ghost = all[idle];
+        ghost.runstate.state = RunState::Running;
+        assert_trips(
+            "pcpu-current-consistency",
+            "is Running and homed on",
+            || {
+                c.vcpu(tick(&sys), idle, ghost);
+            },
+        );
+        assert_trips("pcpu-current-consistency", "but its runstate is", || {
+            c.pcpu(tick(&sys), ghost.home, Some(ghost.vcpu), None)
+        });
+    }
+
+    /// The first VM's first vCPU holding a current task, and that task.
+    fn a_current_task(sys: &System) -> (usize, TaskId) {
+        let os = sys.guest(0);
+        (0..os.n_vcpus())
+            .find_map(|v| os.current(v).map(|t| (v, t)))
+            .expect("vm0 runs a task")
+    }
+
+    #[test]
+    fn task_double_run_trips() {
+        let (sys, mut c) = settled();
+        let (vcpu, t) = a_current_task(&sys);
+        let other = (vcpu + 1) % sys.guest(0).n_vcpus();
+        let step = tick(&sys);
+        c.current_task(step, 0, vcpu, t, TaskState::Running, vcpu);
+        assert_trips("task-double-run", "is current on both", || {
+            c.current_task(step, 0, other, t, TaskState::Running, other)
+        });
+        c.tasks[0][t.0].held_on = None;
+        assert_trips("task-double-run", "queued as ready", || {
+            c.current_task(step, 0, vcpu, t, TaskState::Ready, vcpu)
+        });
+        c.tasks[0][t.0].held_on = None;
+        assert_trips("task-double-run", "records cpu=", || {
+            c.current_task(step, 0, vcpu, t, TaskState::Running, other)
+        });
+    }
+
+    #[test]
+    fn blocked_task_current_trips() {
+        let (sys, mut c) = settled();
+        let (vcpu, t) = a_current_task(&sys);
+        assert_trips("blocked-task-current", "current in state", || {
+            c.current_task(tick(&sys), 0, vcpu, t, TaskState::Blocked, vcpu)
+        });
+    }
+
+    #[test]
+    fn vruntime_monotonic_trips() {
+        let (sys, mut c) = settled();
+        c.tasks[0][0].vruntime = sys.guest(0).task(TaskId(0)).vruntime + 1;
+        assert_trips("vruntime-monotonic", "without a migration", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
+
+    #[test]
+    fn sa_generation_trips() {
+        let (sys, mut c) = settled();
+        c.vcpus[0].sa_generation += 1;
+        assert_trips("sa-generation", "ran backwards", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
+
+    #[test]
+    fn sa_double_send_trips() {
+        let (sys, mut c) = armed(|s| probes(s).iter().any(|p| p.sa_pending));
+        let i = probes(&sys)
+            .iter()
+            .position(|p| p.sa_pending)
+            .expect("a round is pending");
+        c.vcpus[i].sa_generation -= 1;
+        assert_trips("sa-double-send", "while one was already pending", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
+
+    #[test]
+    fn sa_wait_consistency_trips() {
+        let (sys, mut c) = settled();
+        let v = probes(&sys)[0].vcpu;
+        assert_trips("sa-wait-consistency", "is frozen on", || {
+            c.pcpu(tick(&sys), PcpuId(0), None, Some(v))
+        });
+    }
+
+    #[test]
+    fn sa_freeze_trips() {
+        let frozen = |s: &System| {
+            (0..s.hypervisor().n_pcpus())
+                .find(|&p| s.hypervisor().pcpu_sa_wait(PcpuId(p)).is_some())
+        };
+        let (sys, mut c) = armed(|s| s.now() >= SimTime::from_millis(100) && frozen(s).is_some());
+        let hv = sys.hypervisor();
+        let p = frozen(&sys).expect("a pCPU is frozen");
+        let w = hv.pcpu_sa_wait(PcpuId(p)).expect("frozen on a vCPU");
+        let limit = hv
+            .config()
+            .sa
+            .as_ref()
+            .expect("IRS configures SA")
+            .completion_limit;
+        let allowed = limit + limit + hv.config().tick_period;
+        let since = sys.now() - allowed - SimTime::from_nanos(1);
+        c.sa_wait_since[p] = Some((w, hv.sa_generation(w), since));
+        assert_trips("sa-freeze", "exceeds the allowed", || {
+            c.check(&sys, Event::HvTick)
+        });
+    }
 }

@@ -38,9 +38,10 @@ pub struct SystemConfig {
     /// sleeping (glibc adaptive-mutex / futex fast-path behaviour). This
     /// is the brief spinning on blocking primitives that PLE reacts to.
     pub futex_grace: SimTime,
-    /// Capacity of the in-memory scheduling trace (0 disables tracing).
-    /// When enabled, every hypervisor and guest action is recorded with
-    /// its virtual timestamp; dump via [`System::trace`].
+    /// Capacity of each in-memory trace ring (0 disables tracing). When
+    /// enabled, the hypervisor, every guest kernel and the fault injector
+    /// record their typed scheduling events with virtual timestamps;
+    /// render the merged timeline via [`System::trace_dump`].
     pub trace_capacity: usize,
     /// Paravirtual spin-then-halt: an ungranted spin wait longer than this
     /// halts until the owner's release kicks it (pv-spinlock semantics,
@@ -50,7 +51,9 @@ pub struct SystemConfig {
     /// Runs the online invariant sanitizer ([`crate::check`]) after every
     /// event. Also enabled process-wide by
     /// [`crate::check::set_check_enabled`]; when on, the trace rings are
-    /// armed automatically so a violation report has decisions to show.
+    /// armed automatically (256 records each, unless `trace_capacity` says
+    /// otherwise) so a violation report has decisions to show
+    /// ([`System::trace_dump`]).
     pub check: bool,
     /// Deterministic fault injection ([`crate::faults`]): `None` (the
     /// default) injects nothing and costs nothing. The fault stream is
@@ -128,11 +131,12 @@ pub struct System {
     armed_epoch: Option<u64>,
     stopped: bool,
     events_processed: u64,
+    /// The fault injector's typed trace ring.
     trace: irs_sim::trace::TraceRing,
     /// Whether any trace ring is armed (guest clocks need syncing).
     trace_on: bool,
     /// The online invariant sanitizer, when checking is enabled.
-    checker: Option<crate::check::Checker>,
+    pub(crate) checker: Option<crate::check::Checker>,
     /// Live fault injector, when [`SystemConfig::faults`] is set.
     faults: Option<crate::faults::FaultState>,
 }
@@ -484,21 +488,15 @@ impl System {
         self.now
     }
 
-    /// The scheduling trace captured so far (empty unless
-    /// [`SystemConfig::trace_capacity`] was set).
-    pub fn trace(&self) -> &irs_sim::trace::TraceRing {
-        &self.trace
-    }
-
     /// Merges every typed trace ring — the hypervisor's, each guest
-    /// kernel's, and the embedder's own action notes — into one timeline,
-    /// stable-sorted by virtual timestamp, and renders the newest ~120
-    /// records one line each. Empty unless tracing is armed (via
-    /// [`SystemConfig::trace_capacity`] or checking). This is the report
-    /// body the invariant sanitizer prints on violation.
+    /// kernel's, and the fault injector's — into one timeline,
+    /// stable-sorted by virtual timestamp, and renders every record one
+    /// line each, oldest first. Empty unless tracing is armed (via
+    /// [`SystemConfig::trace_capacity`] or checking). The invariant
+    /// sanitizer's violation report carries its last 120 lines.
     pub fn trace_dump(&self) -> String {
         // Ring encoding for the sort keys: 0 = hypervisor, 1..=n = guests,
-        // n+1 = the embedder's own ring.
+        // n+1 = the fault injector's ring.
         let ring = |r: u16| -> &std::collections::VecDeque<irs_sim::trace::TraceRecord> {
             match r {
                 0 => self.hv.trace().records(),
@@ -517,12 +515,10 @@ impl System {
                     .map(|(i, rec)| (rec.at, r, i as u32)),
             );
         }
-        // Stable, so ties keep ring order (hv, guests, embedder) exactly
-        // as the old record-reference sort did.
+        // Stable, so ties keep ring order (hv, guests, fault injector).
         keys.sort_by_key(|k| k.0);
-        let tail = keys.len().saturating_sub(120);
         let mut out = String::new();
-        for &(_, r, i) in &keys[tail..] {
+        for &(_, r, i) in &keys {
             out.push_str(&ring(r)[i as usize].to_string());
             out.push('\n');
         }
@@ -736,9 +732,6 @@ impl System {
         if let Some(op) = outcome.sa_ack {
             // A pending SA upcall was processed at the tick (after the
             // timer work, per §4.2): forward the acknowledgement.
-            let now = self.now;
-            self.trace
-                .record(now, "guest", || format!("vm{vm}: v{vcpu} {op} (SA ack @tick)"));
             let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
             let acts = self.hv.sched_op(v, op, self.now);
             self.apply_hv_actions(acts);
@@ -841,8 +834,6 @@ impl System {
                     crate::faults::AckFate::Deliver => {}
                 }
             }
-            self.trace
-                .record(now, "guest", || format!("vm{vm}: v{vcpu} {op} (SA ack)"));
             let acts = self.hv.sched_op(v, op, self.now);
             self.apply_hv_actions(acts);
         }
@@ -860,14 +851,10 @@ impl System {
             if let Some(f) = self.faults.as_mut() {
                 f.stats.stale_acks_discarded += 1;
             }
-            self.trace.record(now, "fault", || {
-                format!("vm{vm}: v{vcpu} delayed SA ack discarded (stale)")
-            });
+            self.trace.emit(now, || TraceEvent::StaleAck { vm, vcpu });
             return;
         }
         let op = if yield_op { SchedOp::Yield } else { SchedOp::Block };
-        self.trace
-            .record(now, "guest", || format!("vm{vm}: v{vcpu} {op} (delayed SA ack)"));
         let acts = self.hv.sched_op(v, op, now);
         self.apply_hv_actions(acts);
     }
@@ -977,8 +964,6 @@ impl System {
 
     pub(crate) fn apply_hv_actions(&mut self, mut acts: Vec<HvAction>) {
         for act in acts.drain(..) {
-            let now = self.now;
-            self.trace.record(now, "xen", || act.to_string());
             match act {
                 // Stale-action guards: applying an action can re-enter the
                 // hypervisor (a freshly started vCPU with nothing to run
@@ -1158,8 +1143,6 @@ impl System {
 
     pub(crate) fn apply_guest_actions(&mut self, vm: usize, mut acts: Vec<GuestAction>) {
         for act in acts.drain(..) {
-            let now = self.now;
-            self.trace.record(now, "guest", || format!("vm{vm}: {act}"));
             match act {
                 GuestAction::RunTask { vcpu, .. } => {
                     let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);

@@ -98,7 +98,7 @@ fn trace_captures_the_sa_round_trip() {
     while sys.now() < irs_sim::SimTime::from_millis(200) {
         assert!(sys.step());
     }
-    let dump = sys.trace().dump();
+    let dump = sys.trace_dump();
     assert!(dump.contains("VIRQ_SA_UPCALL"), "trace must show the upcall");
     assert!(dump.contains("migrate"), "trace must show migrator moves");
     assert!(dump.contains("xen"), "hypervisor actions recorded");

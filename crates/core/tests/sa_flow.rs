@@ -103,11 +103,11 @@ fn one_complete_sa_round() {
     assert!(g.stats().sa_migrations >= 1);
 
     // The trace recorded the full round.
-    let dump = sys.trace().dump();
+    let dump = sys.trace_dump();
     assert!(dump.contains("VIRQ_SA_UPCALL"));
     assert!(dump.contains("SCHEDOP"), "ack visible");
     assert!(
-        dump.contains("migrate task0: v0 -> v1") || dump.contains("migrate task1: v0 -> v1"),
+        dump.contains("migrate task0 v0 -> v1") || dump.contains("migrate task1 v0 -> v1"),
         "the stranded task lands on the uncontended vCPU 1"
     );
     sys.check_invariants();

@@ -1,10 +1,13 @@
-//! End-to-end tests for the online invariant sanitizer (`irs_core::check`):
-//! clean strategies stay clean, checking never perturbs results, and a
-//! deliberately corrupted scheduler is caught with a named invariant and a
-//! trace dump.
+//! End-to-end tests for the online invariant sanitizer (`irs_core::check`)
+//! and the typed trace its reports render: clean strategies stay clean,
+//! checking never perturbs results, a deliberately corrupted scheduler is
+//! caught with a named invariant and a trace dump, and the trace sees
+//! every task migration. (The per-invariant detection matrix lives beside
+//! the checker, in `check.rs`.)
 
-use irs_core::{Scenario, Strategy, System, SystemConfig};
+use irs_core::{Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
+use irs_workloads::presets;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn checked_cfg() -> SystemConfig {
@@ -36,20 +39,51 @@ fn checked_strict_co_is_clean() {
     assert!(res.events > 0);
 }
 
+/// An open-loop serving shape: a two-tier service with its own arrival
+/// processes and wake timers, beside CPU hogs.
+fn serving_shaped(seed: u64) -> Scenario {
+    Scenario::new(4, Strategy::Irs, seed)
+        .vm(
+            VmScenario::new(presets::server::serving_tiers(2, 2, 0.6), 4)
+                .pin_one_to_one()
+                .measured(),
+        )
+        .vm(VmScenario::new(presets::hog::cpu_hogs(2), 4).pin_one_to_one())
+        .horizon(SimTime::from_secs(1))
+}
+
+/// Every VM unpinned: vCPU migration between pCPUs and guest wake
+/// placement across vCPUs.
+fn unpinned(seed: u64) -> Scenario {
+    let mut s = Scenario::fig5_style("streamcluster", 4, Strategy::Irs, seed)
+        .horizon(SimTime::from_secs(6));
+    for vm in &mut s.vms {
+        vm.pinning = None;
+    }
+    s
+}
+
+/// Runs `scenario` checked and unchecked and asserts the debug renderings
+/// of the whole `RunResult`s, hypervisor stats included, are identical.
+fn assert_unperturbed(name: &str, scenario: fn(u64) -> Scenario) {
+    let plain = System::new(scenario(42)).run();
+    let checked = System::with_config(scenario(42), checked_cfg()).run();
+    assert!(plain.events > 0, "{name}: no events processed");
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{checked:?}"),
+        "{name}: results diverged between checked and unchecked runs"
+    );
+}
+
 /// The sanitizer (and the trace rings it arms) must be observers only:
 /// the same scenario with checking on and off produces bit-identical
-/// results, down to the debug rendering of every per-VM metric.
+/// results, on pinned, open-loop and unpinned inputs.
 #[test]
 fn checking_does_not_perturb_results() {
-    let plain = System::new(short_fig5(Strategy::Irs, 42)).run();
-    let checked = System::with_config(short_fig5(Strategy::Irs, 42), checked_cfg()).run();
-    assert_eq!(plain.events, checked.events, "event counts diverged");
-    assert_eq!(plain.elapsed, checked.elapsed, "elapsed time diverged");
-    assert_eq!(
-        format!("{:?}", plain.vms),
-        format!("{:?}", checked.vms),
-        "per-VM results diverged between checked and unchecked runs"
-    );
+    assert_unperturbed("pinned fig5", |seed| short_fig5(Strategy::Irs, seed));
+    assert_unperturbed("open-loop serving", serving_shaped);
+    assert_unperturbed("unpinned", unpinned);
 }
 
 /// A scheduler that double-books a pCPU on wake-up must be caught, and the
@@ -81,4 +115,48 @@ fn fault_injection_trips_the_sanitizer() {
             .any(|l| l.trim_start().starts_with('[') && l.contains("xen.wake")),
         "trace dump lacks timestamped wake decisions:\n{msg}"
     );
+    // The report carries at most the last 120 lines of the timeline.
+    let traced = msg.lines().filter(|l| l.starts_with('[')).count();
+    assert!(traced <= 120, "the report carries {traced} trace lines");
+}
+
+/// Every task migration shows on the typed trace: in a traced run whose
+/// rings never evict, the `guest.migrate` lines equal the sum of every
+/// task's migration count. IRS moves tasks by wake placement, balancing
+/// and the SA migrator; the pull oracle also pulls running tasks.
+#[test]
+fn typed_trace_records_every_migration() {
+    const CAP: usize = 1 << 20;
+    for strategy in [Strategy::Irs, Strategy::IrsPull] {
+        let mut sys = System::with_config(
+            Scenario::fig5_style("streamcluster", 2, strategy, 7),
+            SystemConfig {
+                trace_capacity: CAP,
+                ..SystemConfig::default()
+            },
+        );
+        while sys.now() < SimTime::from_millis(500) {
+            assert!(sys.step());
+        }
+        let n_vms = sys.hypervisor().n_vms();
+        assert!(sys.hypervisor().trace().records().len() < CAP);
+        let mut migrations = 0;
+        for vm in 0..n_vms {
+            let os = sys.guest(vm);
+            assert!(os.trace().records().len() < CAP, "vm{vm}'s ring evicted");
+            migrations += (0..os.n_tasks())
+                .map(|t| os.task(irs_guest::TaskId(t)).migrations)
+                .sum::<u64>();
+        }
+        let traced = sys
+            .trace_dump()
+            .lines()
+            .filter(|l| l.contains("guest.migrate"))
+            .count() as u64;
+        assert!(migrations > 0, "{strategy}: no task migrated");
+        assert_eq!(
+            traced, migrations,
+            "{strategy}: the trace missed migrations"
+        );
+    }
 }

@@ -82,14 +82,8 @@ impl GuestOs {
         self.tasks[task.0].vruntime = vr;
         self.tasks[task.0].state = TaskState::Ready;
         if target != prev {
-            self.tasks[task.0].cpu = target;
-            self.tasks[task.0].migrations += 1;
             self.stats.wake_migrations += 1;
-            out.push(GuestAction::TaskMigrated {
-                task,
-                from: prev,
-                to: target,
-            });
+            self.move_task(task, target, &mut out);
         }
         self.rqs[target].enqueue(vr, task);
 

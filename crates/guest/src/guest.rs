@@ -409,6 +409,34 @@ impl GuestOs {
     // internal switch helpers
     // ------------------------------------------------------------------
 
+    /// Takes the current task off `vcpu` in state `to`, leaving it
+    /// unqueued, and returns it. Every task stop goes through here, so the
+    /// typed trace sees each one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcpu` has no current task.
+    pub(crate) fn stop_current(
+        &mut self,
+        vcpu: usize,
+        to: TaskState,
+        out: &mut Vec<GuestAction>,
+    ) -> TaskId {
+        let cur = self.rqs[vcpu]
+            .current
+            .take()
+            .expect("stop_current on an idle vCPU");
+        self.tasks[cur.0].state = to;
+        let (at, vm) = (self.clock, self.trace_vm);
+        self.trace.emit(at, || TraceEvent::TaskStop {
+            vm,
+            vcpu,
+            task: cur.0,
+        });
+        out.push(GuestAction::StopTask { vcpu, task: cur });
+        cur
+    }
+
     /// Takes the current task off `vcpu`, putting it into `to`. `Ready`
     /// re-enqueues locally; other states leave the task unqueued.
     pub(crate) fn deschedule_current(
@@ -417,22 +445,11 @@ impl GuestOs {
         to: TaskState,
         out: &mut Vec<GuestAction>,
     ) {
-        let cur = self.rqs[vcpu]
-            .current
-            .take()
-            .expect("deschedule_current on an idle vCPU");
-        self.tasks[cur.0].state = to;
+        let cur = self.stop_current(vcpu, to, out);
         if to == TaskState::Ready {
             let vr = self.tasks[cur.0].vruntime;
             self.rqs[vcpu].enqueue(vr, cur);
         }
-        let (at, vm) = (self.clock, self.trace_vm);
-        self.trace.emit(at, || TraceEvent::TaskStop {
-            vm,
-            vcpu,
-            task: cur.0,
-        });
-        out.push(GuestAction::StopTask { vcpu, task: cur });
     }
 
     /// Installs the leftmost queued task as current.
@@ -491,9 +508,18 @@ impl GuestOs {
         assert!(removed, "{task} not queued on its recorded rq v{from}");
         let placed = self.rqs[to].migration_vruntime(vr, self.rqs[from].min_vruntime);
         self.tasks[task.0].vruntime = placed;
+        self.rqs[to].enqueue(placed, task);
+        self.move_task(task, to, out);
+    }
+
+    /// Records `task`'s move from its recorded vCPU to `to`: sets its
+    /// `cpu`, counts the migration, emits the typed `TaskMigrate` and tells
+    /// the embedder (`TaskMigrated`). Every cross-vCPU migration goes
+    /// through here; queue placement and vruntime stay with the caller.
+    pub(crate) fn move_task(&mut self, task: TaskId, to: usize, out: &mut Vec<GuestAction>) {
+        let from = self.tasks[task.0].cpu;
         self.tasks[task.0].cpu = to;
         self.tasks[task.0].migrations += 1;
-        self.rqs[to].enqueue(placed, task);
         let (at, vm) = (self.clock, self.trace_vm);
         self.trace.emit(at, || TraceEvent::TaskMigrate {
             vm,

@@ -79,10 +79,8 @@ impl GuestOs {
 
         // Context switcher: deschedule the current task and hand it to the
         // migrator (it is Ready but *not* enqueued — migrator custody).
-        self.rqs[vcpu].current = None;
-        self.tasks[cur.0].state = TaskState::Ready;
+        self.stop_current(vcpu, TaskState::Ready, &mut actions);
         self.tasks[cur.0].in_custody = true;
-        actions.push(GuestAction::StopTask { vcpu, task: cur });
         self.migrator_pending.push_back(cur);
         actions.push(GuestAction::WakeMigrator);
 
@@ -117,17 +115,11 @@ impl GuestOs {
                     let vr = self.rqs[dest]
                         .migration_vruntime(self.tasks[task.0].vruntime, self.rqs[source].min_vruntime);
                     self.tasks[task.0].vruntime = vr;
-                    self.tasks[task.0].cpu = dest;
-                    self.tasks[task.0].migrations += 1;
                     self.tasks[task.0].preempt_migrated =
                         self.cfg.sa.as_ref().is_some_and(|sa| sa.pingpong_tagging);
                     self.rqs[dest].enqueue(vr, task);
                     self.stats.sa_migrations += 1;
-                    out.push(GuestAction::TaskMigrated {
-                        task,
-                        from: source,
-                        to: dest,
-                    });
+                    self.move_task(task, dest, &mut out);
                     if was_idle {
                         self.stats.sa_idle_targets += 1;
                         if views[dest].state == RunState::Running {
@@ -171,23 +163,12 @@ impl GuestOs {
     pub fn pull_running(&mut self, dst: usize, src: usize) -> Vec<GuestAction> {
         let mut out = self.out_buf();
         assert!(self.rqs[dst].current.is_none(), "pull target must be idle");
-        let cur = self.rqs[src]
-            .current
-            .take()
-            .expect("pull source has no running task");
-        self.tasks[cur.0].state = TaskState::Ready;
-        out.push(GuestAction::StopTask { vcpu: src, task: cur });
+        let cur = self.stop_current(src, TaskState::Ready, &mut out);
         let vr = self.rqs[dst].migration_vruntime(self.tasks[cur.0].vruntime, self.rqs[src].min_vruntime);
         self.tasks[cur.0].vruntime = vr;
-        self.tasks[cur.0].cpu = dst;
-        self.tasks[cur.0].migrations += 1;
         self.rqs[dst].enqueue(vr, cur);
         self.stats.pull_migrations += 1;
-        out.push(GuestAction::TaskMigrated {
-            task: cur,
-            from: src,
-            to: dst,
-        });
+        self.move_task(cur, dst, &mut out);
         self.pick_and_run(dst, &mut out);
         out
     }

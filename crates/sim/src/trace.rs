@@ -3,8 +3,9 @@
 //! Scheduler bugs are interleaving bugs; a printf is useless without the
 //! virtual timestamp and the last few hundred decisions that led up to the
 //! failure. [`TraceRing`] keeps a bounded window of [`TraceRecord`]s —
-//! `(time, TraceEvent)` pairs — that the invariant sanitizer, tests, and the
-//! `figures` binary can dump when an assertion trips.
+//! `(time, TraceEvent)` pairs — that the invariant sanitizer and tests read
+//! back when an assertion trips (the embedder merges every ring into one
+//! rendered timeline).
 //!
 //! Events are *typed* ([`TraceEvent`]) rather than pre-rendered strings, so
 //! the hot paths that emit them (hypervisor dispatch, guest context switch)
@@ -25,8 +26,8 @@ use std::fmt;
 /// Variants mirror the decision points of the two stacked schedulers: the
 /// `xen`-side ones are emitted by the hypervisor's credit scheduler and SA
 /// protocol, the `guest`-side ones by the CFS model's context-switch and
-/// migration choke points. [`TraceEvent::Note`] carries free-form rendered
-/// text for callers that predate the typed bus.
+/// migration choke points, and the fault ones by the embedder's fault
+/// injector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A vCPU was dispatched onto a pCPU.
@@ -148,12 +149,13 @@ pub enum TraceEvent {
         /// The affected pCPU.
         pcpu: usize,
     },
-    /// Free-form rendered text from a caller outside the typed bus.
-    Note {
-        /// Category tag, e.g. `"xen"` or `"guest"`.
-        category: &'static str,
-        /// Rendered description of the event.
-        message: String,
+    /// A fault-delayed SA acknowledgement arrived after its round was
+    /// resolved and was discarded instead of delivered.
+    StaleAck {
+        /// VM index of the acknowledging vCPU.
+        vm: usize,
+        /// vCPU index within the VM.
+        vcpu: usize,
     },
 }
 
@@ -174,7 +176,7 @@ impl TraceEvent {
             TraceEvent::TaskMigrate { .. } => "guest.migrate",
             TraceEvent::FaultInjected { .. } => "fault.inject",
             TraceEvent::PcpuFault { .. } => "fault.pcpu",
-            TraceEvent::Note { category, .. } => category,
+            TraceEvent::StaleAck { .. } => "fault.stale",
         }
     }
 }
@@ -227,7 +229,9 @@ impl fmt::Display for TraceEvent {
             TraceEvent::PcpuFault { kind, pcpu } => {
                 write!(f, "inject {kind} on pcpu{pcpu}")
             }
-            TraceEvent::Note { message, .. } => f.write_str(message),
+            TraceEvent::StaleAck { vm, vcpu } => {
+                write!(f, "discard stale delayed SA ack from vm{vm}.v{vcpu}")
+            }
         }
     }
 }
@@ -262,7 +266,7 @@ impl fmt::Display for TraceRecord {
 /// use irs_sim::SimTime;
 ///
 /// let mut ring = TraceRing::enabled(2);
-/// ring.record(SimTime::from_nanos(1), "test", || "first".to_string());
+/// ring.emit(SimTime::from_nanos(1), || TraceEvent::SaSend { vm: 0, vcpu: 0 });
 /// ring.emit(SimTime::from_nanos(2), || TraceEvent::SaSend { vm: 0, vcpu: 1 });
 /// ring.emit(SimTime::from_nanos(3), || TraceEvent::Wake { vm: 0, vcpu: 1, pcpu: 2 });
 /// // capacity 2: the oldest record was evicted
@@ -293,7 +297,7 @@ impl Clone for TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a disabled ring: every `record`/`emit` call is a no-op.
+    /// Creates a disabled ring: every `emit` call is a no-op.
     pub fn disabled() -> Self {
         TraceRing {
             enabled: false,
@@ -332,38 +336,9 @@ impl TraceRing {
         self.records.push_back(TraceRecord { at, event: event() });
     }
 
-    /// Records a free-form [`TraceEvent::Note`]. The message closure only
-    /// runs when tracing is enabled, so callers can interpolate freely
-    /// without paying for it in disabled runs.
-    #[inline]
-    pub fn record<F>(&mut self, at: SimTime, category: &'static str, message: F)
-    where
-        F: FnOnce() -> String,
-    {
-        self.emit(at, || TraceEvent::Note {
-            category,
-            message: message(),
-        });
-    }
-
     /// The captured records, oldest first.
     pub fn records(&self) -> &VecDeque<TraceRecord> {
         &self.records
-    }
-
-    /// Renders the whole ring, one record per line (newest last).
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Discards all captured records but keeps capture enabled/disabled state.
-    pub fn clear(&mut self) {
-        self.records.clear();
     }
 }
 
@@ -377,19 +352,18 @@ impl Default for TraceRing {
 mod tests {
     use super::*;
 
-    fn msg(r: &TraceRecord) -> &str {
-        match &r.event {
-            TraceEvent::Note { message, .. } => message.as_str(),
-            other => panic!("expected a note, got {other:?}"),
-        }
+    fn send(vcpu: usize) -> TraceEvent {
+        TraceEvent::SaSend { vm: 0, vcpu }
+    }
+
+    /// Renders a ring one record per line, oldest first.
+    fn render(ring: &TraceRing) -> String {
+        ring.records().iter().map(|r| format!("{r}\n")).collect()
     }
 
     #[test]
     fn disabled_ring_records_nothing() {
         let mut ring = TraceRing::disabled();
-        ring.record(SimTime::ZERO, "x", || {
-            panic!("message closure must not run when disabled")
-        });
         ring.emit(SimTime::ZERO, || {
             panic!("event closure must not run when disabled")
         });
@@ -399,33 +373,33 @@ mod tests {
     #[test]
     fn enabled_ring_keeps_newest() {
         let mut ring = TraceRing::enabled(3);
-        for i in 0..10u64 {
-            ring.record(SimTime::from_nanos(i), "t", || format!("m{i}"));
+        for i in 0..10 {
+            ring.emit(SimTime::from_nanos(i as u64), || send(i));
         }
-        let msgs: Vec<&str> = ring.records().iter().map(msg).collect();
-        assert_eq!(msgs, vec!["m7", "m8", "m9"]);
+        let kept: Vec<TraceEvent> = ring.records().iter().map(|r| r.event.clone()).collect();
+        assert_eq!(kept, vec![send(7), send(8), send(9)]);
     }
 
     #[test]
     fn capacity_zero_is_bumped_to_one() {
         let mut ring = TraceRing::enabled(0);
-        ring.record(SimTime::ZERO, "t", || "only".to_string());
-        ring.record(SimTime::ZERO, "t", || "survivor".to_string());
+        ring.emit(SimTime::ZERO, || send(0));
+        ring.emit(SimTime::ZERO, || send(1));
         assert_eq!(ring.records().len(), 1);
-        assert_eq!(msg(&ring.records()[0]), "survivor");
+        assert_eq!(ring.records()[0].event, send(1));
     }
 
     #[test]
-    fn dump_is_line_per_record() {
+    fn records_render_one_line_each() {
         let mut ring = TraceRing::enabled(4);
-        ring.emit(SimTime::from_micros(26), || TraceEvent::SaSend { vm: 0, vcpu: 1 });
+        ring.emit(SimTime::from_micros(26), || send(1));
         ring.emit(SimTime::from_millis(30), || TraceEvent::Schedule {
             pcpu: 2,
             vm: 0,
             vcpu: 1,
             reason: "wake",
         });
-        let dump = ring.dump();
+        let dump = render(&ring);
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.contains("xen.sa"));
         assert!(dump.contains("VIRQ_SA_UPCALL"));
@@ -488,7 +462,11 @@ mod tests {
             kind: "degrade",
             pcpu: 3,
         });
-        let dump = ring.dump();
+        ring.emit(SimTime::from_micros(12), || TraceEvent::StaleAck {
+            vm: 1,
+            vcpu: 2,
+        });
+        let dump = render(&ring);
         for needle in [
             "xen.preempt",
             "xen.block",
@@ -503,6 +481,8 @@ mod tests {
             "inject upcall-loss on vm1.v2",
             "fault.pcpu",
             "inject degrade on pcpu3",
+            "fault.stale",
+            "discard stale delayed SA ack from vm1.v2",
         ] {
             assert!(dump.contains(needle), "dump missing {needle:?}:\n{dump}");
         }
@@ -511,19 +491,10 @@ mod tests {
     #[test]
     fn clone_copies_config_not_contents() {
         let mut ring = TraceRing::enabled(3);
-        ring.record(SimTime::ZERO, "t", || "a".to_string());
+        ring.emit(SimTime::ZERO, || send(0));
         let copy = ring.clone();
         assert!(copy.is_enabled());
         assert!(copy.records().is_empty(), "records are not state");
         assert!(!TraceRing::disabled().clone().is_enabled());
-    }
-
-    #[test]
-    fn clear_keeps_enabled() {
-        let mut ring = TraceRing::enabled(4);
-        ring.record(SimTime::ZERO, "t", || "a".to_string());
-        ring.clear();
-        assert!(ring.records().is_empty());
-        assert!(ring.is_enabled());
     }
 }

@@ -16,6 +16,26 @@ use crate::vm::{Vm, VmSpec};
 use irs_sim::trace::TraceRing;
 use irs_sim::SimTime;
 
+/// What an invariant checker reads of one vCPU, copied straight out of
+/// the arena by [`Hypervisor::vcpu_probes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VcpuProbe {
+    /// The probed vCPU.
+    pub vcpu: VcpuRef,
+    /// The pCPU whose runqueue owns it ([`Hypervisor::vcpu_home`]).
+    pub home: PcpuId,
+    /// Its credit balance ([`Hypervisor::vcpu_credits`]).
+    pub credits: i64,
+    /// Its runstate and residencies at the probe instant
+    /// ([`Hypervisor::runstate`]).
+    pub runstate: RunstateInfo,
+    /// Whether an SA notification is outstanding
+    /// ([`Hypervisor::is_sa_pending`]).
+    pub sa_pending: bool,
+    /// Its SA round counter ([`Hypervisor::sa_generation`]).
+    pub sa_generation: u64,
+}
+
 /// The Xen-like hypervisor model.
 ///
 /// See the [crate-level documentation](crate) for the scope of the model and
@@ -353,6 +373,21 @@ impl Hypervisor {
     /// `VCPUOP_get_runstate_info`: cumulative residencies at `now`.
     pub fn runstate(&self, v: VcpuRef, now: SimTime) -> RunstateInfo {
         self.vc(v).clock.info(now)
+    }
+
+    /// Every vCPU's [`VcpuProbe`] at `now`, in arena order (VM-major, as
+    /// [`Hypervisor::all_vcpus`]): the bulk form of five keyed lookups per
+    /// vCPU for an embedder's invariant checker, which probes the whole
+    /// machine after every event.
+    pub fn vcpu_probes(&self, now: SimTime) -> impl Iterator<Item = VcpuProbe> + '_ {
+        self.vcpus.iter().map(move |v| VcpuProbe {
+            vcpu: v.vref,
+            home: v.home,
+            credits: v.credits,
+            runstate: v.clock.info(now),
+            sa_pending: v.sa_pending,
+            sa_generation: v.sa_gen,
+        })
     }
 
     /// `vm`'s runstate clocks in vCPU-index order — the bulk form of

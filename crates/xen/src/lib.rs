@@ -70,7 +70,7 @@ mod vm;
 
 pub use actions::{HvAction, ScheduleReason, SchedOp};
 pub use config::{PleConfig, RelaxedCoConfig, SaConfig, XenConfig};
-pub use hypervisor::Hypervisor;
+pub use hypervisor::{Hypervisor, VcpuProbe};
 pub use ids::{PcpuId, VcpuRef, Virq, VmId};
 pub use pcpu::DispatchInfo;
 pub use runstate::{RunState, RunstateClock, RunstateInfo};

@@ -30,7 +30,7 @@ fn main() {
     }
 
     // Print the window around the SA round.
-    let dump = sys.trace().dump();
+    let dump = sys.trace_dump();
     let lines: Vec<&str> = dump.lines().collect();
     let first_sa = lines
         .iter()

@@ -1,28 +1,29 @@
 #!/usr/bin/env bash
-# Tier-1 verification in 13 steps:
+# Tier-1 verification in 9 steps:
 #  1. release build of the whole workspace;
 #  2. the full test suite;
 #  3. the clippy lint gate;
-#  4. a checked strategy sweep (online invariant sanitizer armed);
-#  5. `figures all` at its default three seeds on two workers, with stdout
-#     byte-compared against figures_output.txt and every CSV against
-#     results_csv/ (it also logs the full fleet and serving history
-#     records);
-#  6. a checked fault-injection chaos smoke;
-#  7. a fleet-campaign smoke (16-host datacenter with churn and
-#     adversarial tenants; sanitizer armed, degradation contract per cell);
-#  8. the same fleet smoke recording and ratcheting its events/sec;
-#  9. a fleet incremental-parity gate (--parity re-runs the smoke campaign
+#  4. `figures all --check` at its default three seeds on two workers,
+#     with stdout byte-compared against figures_output.txt and every CSV
+#     against results_csv/. The online invariant sanitizer is armed for
+#     every run behind the 39 tables: every figure, the ablations, the
+#     fault-injection chaos campaign at three seeds, and the full fleet and
+#     serving campaigns with their contract asserts (the degradation
+#     margin per fleet cell, requests completed in every serving cell).
+#     Under --check nothing is appended to BENCH_history.jsonl, so this
+#     step no longer logs the full fleet and serving history records;
+#  5. a fleet-campaign smoke (16-host datacenter with churn and
+#     adversarial tenants) recording and ratcheting its events/sec;
+#  6. a fleet incremental-parity gate (--parity re-runs the smoke campaign
 #     with every occupied host simulated from scratch and asserts
 #     bit-identical SLO tables);
-# 10. a 1000-host fleet-scale pass with each of its seven CSVs
+#  7. a 1000-host fleet-scale pass with each of its seven CSVs
 #     byte-compared against perfbench/reference/fleet1000_*.csv (it also
 #     ratchets *effective* events/sec — logical volume per wall second —
 #     and enforces the deterministic >=5x incrementality floor);
-# 11. a serving-campaign smoke (open-loop latency-SLO service under
-#     interference; sanitizer armed, asserts every cell completed requests);
-# 12. the same serving smoke recording and ratcheting its events/sec;
-# 13. `figures perf --check-perf`, which times the ticked and parallel
+#  8. a serving-campaign smoke (open-loop latency-SLO service under
+#     interference) recording and ratcheting its events/sec;
+#  9. `figures perf --check-perf`, which times the ticked and parallel
 #     phases, regenerates BENCH_runner.json, and fails the build on a
 #     sequential-over-parallel speedup below 0.85, on a queue-throughput
 #     drop below the timer-wheel floor, or on any of its ticked / parallel
@@ -47,23 +48,14 @@ cargo test --workspace -q
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== figures checked sweep (invariant sanitizer, all strategies) =="
-./target/release/figures core --quick --check --jobs 2 >/dev/null
-
-echo "== figures all (every table against results_csv/ and figures_output.txt) =="
+echo "== figures all --check (every table under the sanitizer, against results_csv/ and figures_output.txt) =="
 tables=$(mktemp -d)
 stdout=$(mktemp)
 fleet_tables=$(mktemp -d)
 trap 'rm -rf "$tables" "$stdout" "$fleet_tables"' EXIT
-./target/release/figures all --jobs 2 --csv "$tables" >"$stdout"
+./target/release/figures all --check --jobs 2 --csv "$tables" >"$stdout"
 cmp "$stdout" figures_output.txt
 diff -r "$tables" results_csv
-
-echo "== figures chaos (fault-injection campaign, sanitizer armed) =="
-./target/release/figures chaos --quick --check --jobs 2 >/dev/null
-
-echo "== figures fleet smoke (sanitizer armed, degradation contract) =="
-./target/release/figures fleet --smoke --check --jobs 2 >/dev/null
 
 echo "== figures fleet smoke (perf record + events/sec ratchet) =="
 ./target/release/figures fleet --smoke --check-perf --jobs 2 >/dev/null
@@ -76,9 +68,6 @@ echo "== figures fleet scale (1000 hosts; tables + effective events/sec ratchet)
 for t in 0 1 2 3 4 5 accounting; do
     cmp "$fleet_tables/fleet_$t.csv" "perfbench/reference/fleet1000_$t.csv"
 done
-
-echo "== figures serving smoke (sanitizer armed, cell contracts) =="
-./target/release/figures serving --smoke --check --jobs 2 >/dev/null
 
 echo "== figures serving smoke (perf record + events/sec ratchet) =="
 ./target/release/figures serving --smoke --check-perf --jobs 2 >/dev/null
