@@ -9,17 +9,16 @@
 //!
 //! Every experiment is one entry of the [`registry`]: its name, the alias
 //! that queues it, the experiment-specific flags it reads, and one `run`
-//! returning its tables with their CSV names, any text, a summary line,
-//! history records and floor failures. The help text, the `core`/`all`
-//! aliases, the flag checks and the main loop all read that one list, so
-//! they cannot drift apart. `core` is the per-figure set used by
-//! EXPERIMENTS.md (`fig1a` … `fig13`, `fairness`, `sa_stats`); `all` adds
-//! the extras (`io_latency`, the ablations, `chaos`, `fleet` — the
-//! datacenter-scale fleet campaign — and `serving` — the open-loop
-//! latency-SLO serving campaign). `perf` (the engine self-benchmark;
-//! writes BENCH_runner.json) runs by name only. A figure with one table
-//! writes `{name}.csv`, one with several `{name}_{i}.csv`; the fleet adds
-//! `fleet_accounting.csv`.
+//! returning its tables with their CSV names, any text, a summary line
+//! and floor failures. The help text, the `core`/`all` aliases, the flag
+//! checks and the main loop all read that one list, so they cannot drift
+//! apart. `core` is the per-figure set used by EXPERIMENTS.md (`fig1a` …
+//! `fig13`, `fairness`, `sa_stats`); `all` adds the extras (`io_latency`,
+//! the ablations, `chaos`, `fleet` — the datacenter-scale fleet campaign —
+//! and `serving` — the open-loop latency-SLO serving campaign). `perf` (the
+//! engine self-benchmark; writes BENCH_runner.json) runs by name only. A
+//! figure with one table writes `{name}.csv`, one with several
+//! `{name}_{i}.csv`; the fleet adds `fleet_accounting.csv`.
 //!
 //! `--jobs N` sets the worker-thread count for the run fan-out (default:
 //! all available cores). Tables are identical for every worker count.
@@ -33,31 +32,19 @@
 //! reads the next two flags; like `--smoke`, naming one when no queued
 //! experiment reads it exits 2 with usage.
 //! `--hosts N` (N ≥ 1) rescales the fleet campaign to an `N`-host
-//! fleet (tenant load scales along); its history phase is `fleet-scale`
-//! and its `--check-perf` gate ratchets *effective* events/sec (logical
-//! volume per wall second) plus a deterministic ≥5× incrementality floor.
+//! fleet (tenant load scales along): the *scale* configuration.
 //! `--parity` re-runs the fleet campaign with the incremental engine
-//! disabled and asserts the SLO tables are bit-identical (no history,
-//! no ratchet — it is a correctness gate).
+//! disabled and asserts the SLO tables are bit-identical.
 //!
-//! `perf`, `fleet` and `serving` each produce history records
-//! ([`irs_bench::perf::PerfRecord`]: `perf` one per phase — `ticked`,
-//! `parallel`, `queue` — the campaigns one each, phases `fleet` /
-//! `fleet-smoke` / `fleet-scale` / `serving` / `serving-smoke`). After
-//! the last experiment they are appended to `BENCH_history.jsonl` in one
-//! go for trend tracking. `--check-perf` turns that step into a
-//! regression gate: exit 1 if any record regresses past the ratchet
-//! tolerance against the best matching history record (same phase /
-//! worker count / host core count), or if a campaign breaks its own
-//! floor — `perf`'s speedup (ticked sequential over parallel) below its
-//! noise band (0.85 — the true ratio is ~1.0 on 1-core boxes) or its
-//! queue micro-benchmark below its absolute floor, and the scale fleet's
-//! incrementality floor. Under `--check` (the sanitizer tax) or
-//! `--parity` (a full re-simulation) throughput is incomparable, so
-//! nothing is appended or ratcheted; the floors still apply.
+//! `--check-perf` is scoped the same way: only `perf` and `fleet` have
+//! floors. It exits 1 after the last experiment if a run broke one:
+//! `perf`'s speedup (ticked sequential over parallel) below its noise band
+//! (0.85 — the true ratio is ~1.0 on 1-core boxes) or its queue
+//! micro-benchmark below its absolute floor, and the scale fleet's ≥5×
+//! incrementality floor. Each floor is computed from the run itself, so it
+//! holds under `--check` and `--parity` too.
 
 use irs_bench::fig5_6::{self, Interference};
-use irs_bench::perf::{host_cores, PerfRecord};
 use irs_bench::{
     ablations, chaos, fairness, fig1, fig10_11, fig12_13, fig2, fig7_9, fig8, fleet, io_latency,
     perf, serving, Opts,
@@ -78,7 +65,7 @@ enum Alias {
 
 /// Flags only some experiments read. Naming one when no queued
 /// experiment reads it is a usage error, not a silent no-op.
-const SCOPED_FLAGS: [&str; 3] = ["--smoke", "--hosts", "--parity"];
+const SCOPED_FLAGS: [&str; 4] = ["--smoke", "--hosts", "--parity", "--check-perf"];
 
 /// The parsed command line, as every experiment's `run` sees it.
 struct Args {
@@ -97,8 +84,6 @@ struct Output {
     tables: Vec<(String, Table)>,
     /// Detail for the `[<name> done in …]` line on stderr.
     summary: String,
-    /// History records, logged and ratcheted after the last experiment.
-    records: Vec<PerfRecord>,
     /// `--check-perf` floor violations.
     floor_failures: Vec<String>,
 }
@@ -206,9 +191,14 @@ fn registry() -> Vec<Experiment> {
         table("ablate_slice", All, ablations::ablate_slice),
         table("ablate_pv_spin", All, ablations::ablate_pv_spin),
         table("chaos", All, chaos::chaos),
-        campaign("fleet", All, &["--smoke", "--hosts", "--parity"], run_fleet),
+        campaign(
+            "fleet",
+            All,
+            &["--smoke", "--hosts", "--parity", "--check-perf"],
+            run_fleet,
+        ),
         campaign("serving", All, &["--smoke"], run_serving),
-        campaign("perf", Named, &[], run_perf),
+        campaign("perf", Named, &["--check-perf"], run_perf),
     ]
 }
 
@@ -220,7 +210,6 @@ fn run_fleet(args: &Args) -> Output {
     } else {
         fleet::fleet(args.opts, args.smoke, args.hosts)
     };
-    let jobs = irs_core::parallel::resolve_jobs(args.opts.jobs);
     let mut out = Output::tables("fleet", outcome.report.tables.clone());
     out.tables.push((
         "fleet_accounting".to_string(),
@@ -230,7 +219,6 @@ fn run_fleet(args: &Args) -> Output {
     if args.parity {
         out.summary.push_str("; incremental parity OK");
     }
-    out.records = vec![fleet::record(&outcome, jobs)];
     out.floor_failures = fleet::floor_failures(&outcome);
     out
 }
@@ -238,10 +226,8 @@ fn run_fleet(args: &Args) -> Output {
 /// The open-loop serving campaign.
 fn run_serving(args: &Args) -> Output {
     let outcome = serving::serving(args.opts, args.smoke);
-    let jobs = irs_core::parallel::resolve_jobs(args.opts.jobs);
     Output {
         summary: serving::summary(&outcome),
-        records: vec![serving::record(&outcome, jobs)],
         ..Output::tables("serving", vec![outcome.table])
     }
 }
@@ -255,7 +241,6 @@ fn run_perf(args: &Args) -> Output {
     }
     Output {
         text: report.render(),
-        records: report.records(),
         floor_failures: report.floor_failures(),
         ..Output::default()
     }
@@ -291,38 +276,6 @@ fn usage() -> ! {
         names(Alias::Named),
     );
     std::process::exit(2);
-}
-
-/// The current commit and unix time, stamped into every history record.
-fn commit_and_timestamp() -> (String, u64) {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    (commit, timestamp)
-}
-
-/// Appends records to `BENCH_history.jsonl` (append-only trend log: one
-/// line per measured phase, each tagged with commit, timestamp, and
-/// configuration — including the host core count — so `--check-perf`
-/// can ratchet against matching records only). History is best-effort —
-/// a read-only checkout warns instead of failing the benchmark.
-fn append_history(lines: &str) {
-    let appended = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open("BENCH_history.jsonl")
-        .and_then(|mut f| std::io::Write::write_all(&mut f, lines.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("cannot append to BENCH_history.jsonl: {e}");
-    }
 }
 
 fn main() {
@@ -363,9 +316,9 @@ fn main() {
             }
             "--check" => irs_core::check::set_check_enabled(true),
             "--check-perf" => check_perf = true,
-            // Shrinks the fleet campaign to its CI variant.
+            // Shrinks the fleet and serving campaigns to their CI variants.
             "--smoke" => smoke = true,
-            // Rescales the fleet campaign (phase `fleet-scale`).
+            // Rescales the fleet campaign (the scale configuration).
             "--hosts" => {
                 // A fleet needs at least one host to place tenants on.
                 let n = it.next().unwrap_or_else(|| usage());
@@ -410,7 +363,7 @@ fn main() {
         hosts,
         parity,
     };
-    let given = [args.smoke, args.hosts.is_some(), args.parity];
+    let given = [args.smoke, args.hosts.is_some(), args.parity, check_perf];
     for (flag, given) in SCOPED_FLAGS.into_iter().zip(given) {
         if given && !queue.iter().any(|e| e.flags.contains(&flag)) {
             eprintln!("{flag}: no queued experiment reads it");
@@ -425,10 +378,9 @@ fn main() {
         }
     }
 
-    // Every experiment's history records and floor failures, logged and
-    // gated together after the last experiment.
-    let mut records: Vec<PerfRecord> = Vec::new();
-    let mut floor_failures: Vec<String> = Vec::new();
+    // Every experiment's floor failures, gated together after the last
+    // experiment.
+    let mut failures = Vec::new();
     for exp in queue {
         let start = Instant::now();
         let out = (exp.run)(&args);
@@ -454,35 +406,9 @@ fn main() {
             start.elapsed().as_secs_f64()
         );
         println!();
-        records.extend(out.records);
-        floor_failures.extend(out.floor_failures);
+        failures.extend(out.floor_failures);
     }
-
-    // Sanitized runs pay the invariant-checking tax and parity runs pay a
-    // full re-simulation, so neither is comparable to normal records:
-    // neither log them nor ratchet against them. The floors are ratios
-    // and counters of the run itself, so they apply either way.
-    let mut failures = Vec::new();
-    if !records.is_empty() && !irs_core::check::check_enabled() && !args.parity {
-        // Read the trend log *before* appending so the ratchet compares
-        // against prior invocations, not this one.
-        let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-        let (commit, timestamp) = commit_and_timestamp();
-        let cores = host_cores();
-        append_history(
-            &records
-                .iter()
-                .map(|r| r.to_line(&commit, timestamp, cores))
-                .collect::<String>(),
-        );
-        if check_perf {
-            failures.extend(records.iter().filter_map(|r| r.ratchet(&history, cores)));
-        }
-    }
-    if check_perf {
-        failures.extend(floor_failures);
-    }
-    if !failures.is_empty() {
+    if check_perf && !failures.is_empty() {
         for f in &failures {
             eprintln!("perf regression: {f}");
         }

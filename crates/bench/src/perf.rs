@@ -1,6 +1,5 @@
 //! `figures perf` — self-benchmark and regression gate of the simulation
-//! engine — and [`PerfRecord`], the one `BENCH_history.jsonl` record
-//! format and ratchet that the perf, fleet and serving campaigns share.
+//! engine.
 //!
 //! Runs a fixed mix of scenarios twice over the same grid:
 //!
@@ -35,10 +34,8 @@
 //!
 //! The report serializes to `BENCH_runner.json` (per-phase walls,
 //! speedup, events/sec, queue ops/sec); `scripts/verify.sh` fills in the
-//! trailing `verify_wall_s` field. [`PerfReport::records`] — one per
-//! phase: `ticked`, `parallel`, `queue` — go to `BENCH_history.jsonl`
-//! for trend tracking, and [`PerfReport::floor_failures`] holds the
-//! report's absolute floors.
+//! trailing `verify_wall_s` field. [`PerfReport::floor_failures`] holds
+//! the report's absolute floors, which `--check-perf` enforces.
 
 use crate::Opts;
 use irs_core::{parallel, Scenario, Strategy};
@@ -101,46 +98,10 @@ impl PerfReport {
         )
     }
 
-    /// The `BENCH_history.jsonl` records for one invocation, one per
-    /// measured phase: `ticked` and `queue` at one worker, `parallel` at
-    /// [`parallel_jobs`](Self::parallel_jobs).
-    pub fn records(&self) -> Vec<PerfRecord> {
-        let record = |phase, jobs, fields, ratchet_on| PerfRecord {
-            phase,
-            jobs,
-            hosts: None,
-            fields,
-            ratchet_on,
-        };
-        vec![
-            record(
-                "ticked",
-                1,
-                vec![("events_per_sec", self.ticked_events_per_sec(), 0)],
-                "events_per_sec",
-            ),
-            record(
-                "parallel",
-                self.parallel_jobs,
-                vec![
-                    ("events_per_sec", self.parallel_events_per_sec(), 0),
-                    ("speedup", self.speedup(), 3),
-                ],
-                "events_per_sec",
-            ),
-            record(
-                "queue",
-                1,
-                vec![("ops_per_sec", self.queue_ops_per_sec, 0)],
-                "ops_per_sec",
-            ),
-        ]
-    }
-
-    /// The report's absolute `--check-perf` floors, independent of
-    /// history: the speedup stays at or above [`SPEEDUP_FLOOR`] and the
-    /// queue micro-benchmark at or above [`QUEUE_OPS_FLOOR`]. Returns one
-    /// message per violated floor; empty means both hold.
+    /// The report's absolute `--check-perf` floors: the speedup stays at
+    /// or above [`SPEEDUP_FLOOR`] and the queue micro-benchmark at or
+    /// above [`QUEUE_OPS_FLOOR`]. Returns one message per violated floor;
+    /// empty means both hold.
     pub fn floor_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.speedup() < SPEEDUP_FLOOR {
@@ -178,102 +139,6 @@ impl PerfReport {
             self.speedup(),
             self.queue_ops_per_sec / 1e6,
         )
-    }
-}
-
-/// One `BENCH_history.jsonl` record: a measured phase of some campaign,
-/// with the configuration it ran under and its metrics. Every writer of
-/// the trend log goes through [`to_line`](Self::to_line), and every
-/// `--check-perf` ratchet through [`ratchet`](Self::ratchet).
-#[derive(Debug, Clone)]
-pub struct PerfRecord {
-    /// Phase name (`ticked`, `fleet-smoke`, `serving`, …); records only
-    /// ratchet against history lines of the same phase.
-    pub phase: &'static str,
-    /// Worker count the phase ran with.
-    pub jobs: usize,
-    /// Fleet size, for campaigns whose throughput depends on it. `None`
-    /// writes no `hosts` field and matches history lines of any size.
-    pub hosts: Option<usize>,
-    /// Metric fields in line order: key, value, and the decimal places
-    /// written (counts go through `f64`, exact below 2^53).
-    pub fields: Vec<(&'static str, f64, usize)>,
-    /// The key of the field [`ratchet`](Self::ratchet) compares; must name
-    /// one of [`fields`](Self::fields).
-    pub ratchet_on: &'static str,
-}
-
-impl PerfRecord {
-    /// The record as one flat JSON line (with its trailing newline),
-    /// stamped with the commit, unix time, and the recording host's core
-    /// count ([`host_cores`]): a throughput measured on a multi-core box
-    /// must never become the ratchet baseline for a 1-core container, or
-    /// vice versa.
-    pub fn to_line(&self, commit: &str, timestamp: u64, cores: usize) -> String {
-        let mut line = format!(
-            "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \"phase\": \"{}\", \
-             \"jobs\": {}, \"cores\": {cores}",
-            self.phase, self.jobs,
-        );
-        if let Some(hosts) = self.hosts {
-            line += &format!(", \"hosts\": {hosts}");
-        }
-        for &(key, value, decimals) in &self.fields {
-            line += &format!(", \"{key}\": {value:.decimals$}");
-        }
-        line + "}\n"
-    }
-
-    /// The `--check-perf` ratchet: `Some(message)` when the ratcheted
-    /// metric is below [`RATCHET_FRAC`] of the best history record with
-    /// the **matching configuration** — same phase, worker count, and
-    /// host core count; the same `hosts` when this record carries one (a
-    /// line without `hosts` predates fleet sizes and still matches); and
-    /// every event dispatched (see [`dispatched_every_event`]). Legacy
-    /// lines without a `phase` or `cores` field, and lines whose `jobs` /
-    /// `cores` / metric fields are malformed (a quoted count, a
-    /// non-numeric value, a truncated line from an interrupted append),
-    /// are ignored rather than matched by accident: a corrupt record must
-    /// never be able to fail — or pass — the gate. `history` is the raw
-    /// trend log as it stood before this invocation appended to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ratchet_on`](Self::ratchet_on) names no field.
-    pub fn ratchet(&self, history: &str, cores: usize) -> Option<String> {
-        let metric = self.ratchet_on;
-        let current = self
-            .fields
-            .iter()
-            .find(|(key, ..)| *key == metric)
-            .map(|&(_, value, _)| value)
-            .unwrap_or_else(|| panic!("{} record has no {metric} field", self.phase));
-        let best = history
-            .lines()
-            .filter(|l| {
-                json_str_field(l, "phase").as_deref() == Some(self.phase)
-                    && dispatched_every_event(l)
-                    && json_usize_field(l, "jobs") == Some(self.jobs)
-                    && json_usize_field(l, "cores") == Some(cores)
-                    && self
-                        .hosts
-                        .is_none_or(|h| json_usize_field(l, "hosts").is_none_or(|x| x == h))
-            })
-            .filter_map(|l| {
-                json_raw_field(l, metric)
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite() && *v > 0.0)
-            })
-            .fold(f64::NAN, f64::max);
-        (best.is_finite() && current < RATCHET_FRAC * best).then(|| {
-            format!(
-                "{} phase ratchet: {current:.0} {metric} is below {:.0}% of the best \
-                 matching record ({best:.0}; jobs={}, cores={cores})",
-                self.phase,
-                RATCHET_FRAC * 100.0,
-                self.jobs,
-            )
-        })
     }
 }
 
@@ -315,13 +180,6 @@ const MIN_GRID_RUNS: usize = 200;
 /// heap regression on a fast box stays below it.
 const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 
-/// Ratchet tolerance: a record fails when its ratcheted metric drops
-/// below this fraction of the best matching history record. The loose
-/// fraction absorbs the ±30% wall-clock noise of shared CI boxes while
-/// still catching structural regressions (a heap-class queue would land
-/// at ~15% of the wheel's ops/s).
-const RATCHET_FRAC: f64 = 0.5;
-
 /// Floor on the sequential-over-parallel speedup. On a 1-core CI box
 /// the fan-out has no second core to use, so the *true* ratio sits at ~1.0
 /// and a hard `>= 1.0` gate is a coin flip — the main historical source
@@ -329,70 +187,8 @@ const RATCHET_FRAC: f64 = 0.5;
 /// noise (same idiom as the chaos campaign's 1.15 degradation margin)
 /// while still catching structural regressions, which land far below
 /// it: a serialized or thrashing fan-out halves throughput, it doesn't
-/// shave 10%. The per-phase history ratchet and the queue floor remain
-/// the precise instruments.
+/// shave 10%. The queue floor is the precise instrument.
 const SPEEDUP_FLOOR: f64 = 0.85;
-
-/// The recording host's core count, stamped into every history record
-/// and required to match during ratcheting: 1-core CI containers and
-/// multi-core dev boxes measure incomparable throughputs, and mixing
-/// them made the ratchet either toothless (1-core best) or a guaranteed
-/// failure (multi-core best).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Extract the raw (unquoted) value of a top-level `"key": value` pair
-/// from a single-line JSON object. Good enough for the flat records
-/// [`PerfRecord::to_line`] writes; not a general JSON parser. Matches are anchored: the
-/// quoted key must sit where a key can sit (line start, or after `{` or
-/// `,`), so a string *value* that happens to contain `"jobs":` cannot
-/// alias the `jobs` field.
-fn json_raw_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(off) = line[from..].find(&pat) {
-        let idx = from + off;
-        if idx == 0 || line[..idx].trim_end().ends_with(['{', ',']) {
-            let rest = line[idx + pat.len()..].trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            return Some(rest[..end].trim().to_string());
-        }
-        from = idx + pat.len();
-    }
-    None
-}
-
-/// Like [`json_raw_field`] but strips one layer of surrounding quotes.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let raw = json_raw_field(line, key)?;
-    Some(raw.trim_matches('"').to_string())
-}
-
-/// True when a history record measured the engine as it runs today,
-/// dispatching every event: its `tickless` field is absent (current
-/// records) or the bare literal `false`. Older records taken with event
-/// elision on (`"tickless": true`) measured a different engine, and a
-/// malformed flag (a quoted `"true"`, a `1`, a truncated token) is
-/// skipped rather than guessed at, so neither can set a ratchet baseline.
-fn dispatched_every_event(line: &str) -> bool {
-    matches!(
-        json_raw_field(line, "tickless").as_deref(),
-        None | Some("false")
-    )
-}
-
-/// Strictly-parsed JSON unsigned integer: bare ASCII digits only. Rejects
-/// quoted numbers, signs, floats, and empty tokens.
-fn json_usize_field(line: &str, key: &str) -> Option<usize> {
-    let raw = json_raw_field(line, key)?;
-    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    raw.parse().ok()
-}
 
 /// Runs `f` [`MEASURE_PASSES`] times and returns the first pass's result
 /// with the **minimum** wall-clock across passes. The engine is
@@ -525,7 +321,7 @@ fn queue_ops_per_sec() -> f64 {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     fn report() -> PerfReport {
@@ -554,33 +350,11 @@ pub(crate) mod tests {
         assert!((r.ticked_events_per_sec() - 1152.0).abs() < 1e-6);
     }
 
-    /// Golden: the perf phases' lines, byte for byte as the trend log has
-    /// always stored them.
     #[test]
-    fn history_lines_are_one_json_object_per_phase() {
-        let records = report().records();
-        let lines: String = records
-            .iter()
-            .map(|r| r.to_line("abc1234", 1_700_000_000, 4))
-            .collect();
-        assert_eq!(
-            lines,
-            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"ticked\", \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 1152}\n\
-             {\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 3456, \"speedup\": 3.000}\n\
-             {\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"queue\", \"jobs\": 1, \"cores\": 4, \"ops_per_sec\": 1000000}\n"
-        );
-        let metrics: Vec<_> = records.iter().map(|r| r.ratchet_on).collect();
-        assert_eq!(metrics, ["events_per_sec", "events_per_sec", "ops_per_sec"]);
-    }
-
-    #[test]
-    fn check_perf_passes_on_empty_history() {
+    fn check_perf_passes_above_both_floors() {
         let mut r = report();
         r.queue_ops_per_sec = 40.0e6;
         assert!(r.floor_failures().is_empty());
-        for record in r.records() {
-            assert_eq!(record.ratchet("", 4), None, "{}", record.phase);
-        }
     }
 
     #[test]
@@ -592,228 +366,6 @@ pub(crate) mod tests {
         assert_eq!(failures.len(), 2);
         assert!(failures.iter().any(|f| f.contains("queue_ops_per_sec")));
         assert!(failures.iter().any(|f| f.contains("speedup")));
-    }
-
-    /// A record ratcheting on one metric, shaped like the campaigns' own.
-    fn rec(
-        phase: &'static str,
-        jobs: usize,
-        hosts: Option<usize>,
-        metric: &'static str,
-        value: f64,
-    ) -> PerfRecord {
-        PerfRecord {
-            phase,
-            jobs,
-            hosts,
-            fields: vec![(metric, value, 0)],
-            ratchet_on: metric,
-        }
-    }
-
-    /// Every ratchet case of every campaign, in one table: which history
-    /// lines match a record (phase, jobs, host cores, fleet size, full
-    /// event dispatch, well-formed fields) and when a match fires. Each
-    /// row belongs to a group, and each group is run by one test here or
-    /// beside the campaign it covers.
-    pub(crate) fn assert_ratchet_cases(group: &str) {
-        // Current values: the perf, fleet and serving fixtures'.
-        let ticked = rec("ticked", 1, None, "events_per_sec", 1152.0);
-        let parallel = rec("parallel", 4, None, "events_per_sec", 3456.0);
-        let fleet = rec("fleet", 2, Some(120), "events_per_sec", 5000.0);
-        let scale = rec(
-            "fleet-scale",
-            2,
-            Some(1000),
-            "effective_events_per_sec",
-            27_500.0,
-        );
-        let serving = rec("serving", 2, None, "events_per_sec", 5000.0);
-        // (group, case, record, host cores, history, expected message
-        // fragment; `None` means the ratchet holds).
-        type Case<'a> = (&'a str, &'a str, &'a PerfRecord, usize, &'a str, Option<&'a str>);
-        let cases: &[Case] = &[
-            ("matching", "empty history", &parallel, 4, "", None),
-            ("matching", "matching record 10x faster",
-             &parallel, 4, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
-             Some("parallel phase ratchet: 3456 events_per_sec")),
-            ("matching", "matching record within tolerance",
-             &parallel, 4, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}",
-             None),
-            ("matching", "same records on another host",
-             &parallel, 1, "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
-             None),
-            ("matching", "legacy line without phase",
-             &parallel, 4, "{\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
-             None),
-            ("matching", "other worker count",
-             &parallel, 4, "{\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
-             None),
-            ("matching", "other core count",
-             &parallel, 4, "{\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
-             None),
-            ("matching", "legacy line without cores",
-             &parallel, 4, "{\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}",
-             None),
-            // Old records carry the retired `tickless` flag: `false` ran
-            // every event, as the engine does now, so it arms; `true`
-            // measured elided runs, so it must not.
-            ("elision", "ran every event",
-             &ticked, 4, "{\"commit\": \"old1\", \"phase\": \"ticked\", \"tickless\": false, \"jobs\": 1, \"cores\": 4, \"events_per_sec\": 99999999}",
-             Some("ticked phase ratchet")),
-            ("elision", "taken with event elision",
-             &parallel, 4, "{\"commit\": \"old2\", \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            // Corrupt in one field each: none may arm the ratchet — the
-            // gate used to false-fail when a mangled line's huge number
-            // slipped in.
-            ("malformed", "bad1 quoted flag",
-             &parallel, 4, "{\"commit\": \"bad1\", \"phase\": \"parallel\", \"tickless\": \"true\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad2 numeric flag",
-             &parallel, 4, "{\"commit\": \"bad2\", \"phase\": \"parallel\", \"tickless\": 1, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad3 quoted jobs",
-             &parallel, 4, "{\"commit\": \"bad3\", \"phase\": \"parallel\", \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad4 word jobs",
-             &parallel, 4, "{\"commit\": \"bad4\", \"phase\": \"parallel\", \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad5 negative jobs",
-             &parallel, 4, "{\"commit\": \"bad5\", \"phase\": \"parallel\", \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad6 quoted cores",
-             &parallel, 4, "{\"commit\": \"bad6\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}",
-             None),
-            ("malformed", "bad7 NaN metric",
-             &parallel, 4, "{\"commit\": \"bad7\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}",
-             None),
-            ("malformed", "bad8 truncated line",
-             &parallel, 4, "{\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":",
-             None),
-            // Fleet: a line without `hosts` predates fleet sizes and
-            // matches; a line with one must name this fleet's size.
-            ("fleet", "fleet within tolerance",
-             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}",
-             None),
-            ("fleet", "fleet record without hosts",
-             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             Some("fleet phase ratchet")),
-            ("fleet", "fleet other worker count",
-             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("fleet", "fleet other core count",
-             &fleet, 64, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("fleet", "fleet smoke phase",
-             &fleet, 4, "{\"phase\": \"fleet-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("hosts", "fleet other size",
-             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 99999999}",
-             None),
-            ("hosts", "fleet same size",
-             &fleet, 4, "{\"phase\": \"fleet\", \"jobs\": 2, \"cores\": 4, \"hosts\": 120, \"events_per_sec\": 99999999}",
-             Some("fleet phase ratchet")),
-            // The scale phase ratchets effective (logical) throughput.
-            ("scale", "scale effective 36x faster",
-             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 999999999}",
-             Some("fleet-scale phase ratchet: 27500 effective_events_per_sec")),
-            ("scale", "scale effective within tolerance",
-             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"effective_events_per_sec\": 30000}",
-             None),
-            ("scale", "scale ignores executed throughput",
-             &scale, 4, "{\"phase\": \"fleet-scale\", \"jobs\": 2, \"cores\": 4, \"hosts\": 1000, \"events_per_sec\": 999999999}",
-             None),
-            ("serving", "serving within tolerance",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}",
-             None),
-            ("serving", "serving matching record",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             Some("serving phase ratchet")),
-            ("serving", "serving other worker count",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("serving", "serving other core count",
-             &serving, 64, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            ("serving", "serving smoke phase",
-             &serving, 4, "{\"phase\": \"serving-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 99999999}",
-             None),
-            // A record without `hosts` does not check the field at all.
-            ("hosts", "serving ignores hosts",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"hosts\": 16, \"events_per_sec\": 99999999}",
-             Some("serving phase ratchet")),
-            // The best matching line sets the bar, wherever it sits.
-            ("matching", "best of several matches",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 6000}\n\
-                           {\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 12000}\n\
-                           {\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 7000}",
-             Some("best matching record (12000;")),
-            ("matching", "non-matching lines around a match",
-             &parallel, 4, "{\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-                            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n\
-                            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}",
-             Some("(34560; jobs=4, cores=4)")),
-            ("matching", "zero metric",
-             &serving, 4, "{\"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 0}",
-             None),
-            ("matching", "other metric only",
-             &ticked, 4, "{\"phase\": \"ticked\", \"jobs\": 1, \"cores\": 4, \"ops_per_sec\": 99999999}",
-             None),
-        ];
-        let groups = [
-            "matching",
-            "elision",
-            "malformed",
-            "fleet",
-            "hosts",
-            "scale",
-            "serving",
-        ];
-        for &(g, case, ..) in cases {
-            assert!(groups.contains(&g), "{case}: no test runs group {g:?}");
-        }
-        let mut ran = 0;
-        for &(_, case, record, cores, history, want) in cases.iter().filter(|c| c.0 == group) {
-            ran += 1;
-            let got = record.ratchet(history, cores);
-            match want {
-                None => assert_eq!(got, None, "{case}"),
-                Some(fragment) => assert!(
-                    got.as_deref().is_some_and(|m| m.contains(fragment)),
-                    "{case}: want a failure containing {fragment:?}, got {got:?}"
-                ),
-            }
-        }
-        assert!(ran > 0, "no ratchet cases in group {group:?}");
-    }
-
-    #[test]
-    fn check_perf_ratchets_against_matching_config_only() {
-        assert_ratchet_cases("matching");
-    }
-
-    #[test]
-    fn check_perf_skips_records_taken_with_event_elision() {
-        assert_ratchet_cases("elision");
-    }
-
-    #[test]
-    fn check_perf_ignores_malformed_records() {
-        assert_ratchet_cases("malformed");
-    }
-
-    #[test]
-    fn json_fields_are_anchored_and_strict() {
-        // A value containing a key-shaped string must not alias the key.
-        let line = "{\"commit\": \"x \\\"jobs\\\": 99\", \"jobs\": 4}";
-        assert_eq!(json_usize_field(line, "jobs"), Some(4));
-        // Substring keys don't alias (`jobs` vs a hypothetical `xjobs`).
-        assert_eq!(json_usize_field("{\"xjobs\": 7}", "jobs"), None);
-        // Strictness.
-        assert_eq!(json_usize_field("{\"jobs\": \"4\"}", "jobs"), None);
-        assert_eq!(json_usize_field("{\"jobs\": 4.0}", "jobs"), None);
-        assert_eq!(json_usize_field("{\"jobs\": }", "jobs"), None);
     }
 
     #[test]

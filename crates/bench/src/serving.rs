@@ -1,5 +1,4 @@
-//! `figures serving` — the open-loop latency-SLO serving campaign, plus
-//! its BENCH_history.jsonl record.
+//! `figures serving` — the open-loop latency-SLO serving campaign.
 //!
 //! A two-tier request service ([`presets::server::serving_tiers`]) is
 //! driven by deterministic open-loop Poisson arrivals and measured under
@@ -12,7 +11,6 @@
 //! bit-identical for every `--jobs` value. `--smoke` shrinks the grid
 //! and horizon for CI and asserts the same cell contracts.
 
-use crate::perf::PerfRecord;
 use crate::Opts;
 use irs_core::{runner, Scenario, Strategy, System, VmScenario};
 use irs_metrics::{percentile, Series, Summary, Table};
@@ -31,7 +29,7 @@ pub const OFFERED_LOAD: f64 = 0.6;
 /// The two strategy arms, in table-row order.
 const ARMS: [(Strategy, &str); 2] = [(Strategy::Vanilla, "van"), (Strategy::Irs, "irs")];
 
-/// Campaign outcome plus the wall-clock facts the history record needs.
+/// Campaign outcome plus the wall-clock facts its summary reports.
 #[derive(Debug, Clone)]
 pub struct ServingOutcome {
     /// The latency-SLO table (p50/p99/p999, goodput, truncated tail).
@@ -44,8 +42,6 @@ pub struct ServingOutcome {
     pub requests: u64,
     /// Wall-clock of the whole campaign, seconds.
     pub wall_s: f64,
-    /// Whether this was the `--smoke` variant (separate history phase).
-    pub smoke: bool,
 }
 
 /// The serving scenario: a 4-vCPU two-tier service pinned one-to-one,
@@ -153,7 +149,6 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
         runs: inters.len() * ARMS.len() * opts.seeds as usize,
         requests,
         wall_s,
-        smoke,
     }
 }
 
@@ -173,59 +168,9 @@ pub fn summary(o: &ServingOutcome) -> String {
     )
 }
 
-/// The campaign's BENCH_history.jsonl record, run with `jobs` workers;
-/// it ratchets on events/sec. Smoke and full campaigns are separate
-/// phases (`serving-smoke`, `serving`: they simulate different grids).
-pub fn record(o: &ServingOutcome, jobs: usize) -> PerfRecord {
-    PerfRecord {
-        phase: if o.smoke { "serving-smoke" } else { "serving" },
-        jobs,
-        hosts: None,
-        fields: vec![
-            ("events_per_sec", events_per_sec(o), 0),
-            ("runs", o.runs as f64, 0),
-            ("requests", o.requests as f64, 0),
-        ],
-        ratchet_on: "events_per_sec",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn outcome(smoke: bool) -> ServingOutcome {
-        ServingOutcome {
-            table: Table::new("t"),
-            events: 10_000,
-            runs: 4,
-            requests: 800,
-            wall_s: 2.0,
-            smoke,
-        }
-    }
-
-    /// Golden: the serving phases' lines, byte for byte as the trend log
-    /// has always stored them.
-    #[test]
-    fn history_line_is_one_self_describing_record() {
-        let line = |smoke| record(&outcome(smoke), 2).to_line("abc1234", 1_700_000_000, 4);
-        assert_eq!(
-            line(false),
-            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"serving\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 5000, \"runs\": 4, \"requests\": 800}\n"
-        );
-        assert_eq!(
-            line(true),
-            "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"serving-smoke\", \"jobs\": 2, \"cores\": 4, \"events_per_sec\": 5000, \"runs\": 4, \"requests\": 800}\n"
-        );
-        assert_eq!(record(&outcome(false), 2).ratchet_on, "events_per_sec");
-    }
-
-    /// The serving cases are rows of the one ratchet table in `perf.rs`.
-    #[test]
-    fn serving_ratchet_matches_config_and_fires() {
-        crate::perf::tests::assert_ratchet_cases("serving");
-    }
 
     #[test]
     fn smoke_table_is_jobs_invariant() {

@@ -17,6 +17,11 @@ use irs_sync::{AcquireOutcome, BarrierOutcome, EpochPoll, PopOutcome, PushOutcom
 use irs_workloads::Step;
 use irs_xen::{RunState, VcpuRef};
 
+/// Futex grace: how long a blocking wait spins before actually sleeping
+/// (glibc adaptive-mutex / futex fast-path behaviour). This is the brief
+/// spinning on blocking primitives that PLE reacts to.
+const FUTEX_GRACE: SimTime = SimTime::from_micros(30);
+
 impl System {
     // ==================================================================
     // execution windows
@@ -370,18 +375,12 @@ impl System {
     /// Begins a blocking wait: spin through the futex grace window first
     /// (the fast hand-off path), then actually sleep when it expires.
     fn wait_block(&mut self, vm: usize, task: usize) {
-        let grace = self.cfg.futex_grace;
-        if grace.is_zero() {
-            self.domains[vm].task_activity[task] = Activity::BlockedSync;
-            self.block_current_of(vm, task);
-            return;
-        }
         let d = &mut self.domains[vm];
         d.task_activity[task] = Activity::GraceSpin { granted: false };
         d.task_wait_gen[task] += 1;
         let gen = d.task_wait_gen[task];
         self.queue.schedule(
-            self.now + grace,
+            self.now + FUTEX_GRACE,
             Event::GraceExpire {
                 vm: vm as u16,
                 task: task as u32,

@@ -26,18 +26,10 @@ use irs_workloads::{ProgramRunner, WorkloadKind};
 use irs_xen::{HvAction, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, Virq, VmSpec};
 
 /// Modelling knobs that are not part of any scheduler's configuration.
-#[derive(Debug, Clone)]
+/// The default traces nothing, spins forever, checks nothing and injects
+/// no faults.
+#[derive(Debug, Clone, Default)]
 pub struct SystemConfig {
-    /// Base cache warm-up penalty a task pays after a cross-vCPU
-    /// migration, scaled by the workload's memory intensity.
-    pub cache_penalty: SimTime,
-    /// Safety valve on total events processed (a run that trips it is a
-    /// bug, not a result).
-    pub max_events: u64,
-    /// Futex grace: how long a blocking wait spins before actually
-    /// sleeping (glibc adaptive-mutex / futex fast-path behaviour). This
-    /// is the brief spinning on blocking primitives that PLE reacts to.
-    pub futex_grace: SimTime,
     /// Capacity of each in-memory trace ring (0 disables tracing). When
     /// enabled, the hypervisor, every guest kernel and the fault injector
     /// record their typed scheduling events with virtual timestamps;
@@ -97,19 +89,13 @@ fn check_event_widths(scenario: &Scenario) {
     }
 }
 
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            cache_penalty: SimTime::from_micros(200),
-            max_events: 200_000_000,
-            futex_grace: SimTime::from_micros(30),
-            trace_capacity: 0,
-            pv_spin: None,
-            check: false,
-            faults: None,
-        }
-    }
-}
+/// Safety valve on total events processed (a run that trips it is a bug,
+/// not a result).
+const MAX_EVENTS: u64 = 200_000_000;
+
+/// Base cache warm-up penalty a task pays after a cross-vCPU migration,
+/// scaled by the workload's memory intensity.
+const CACHE_PENALTY: SimTime = SimTime::from_micros(200);
 
 /// The assembled co-simulation. Construct from a [`Scenario`], then
 /// [`System::run`].
@@ -449,7 +435,7 @@ impl System {
         };
         self.events_processed += 1;
         assert!(
-            self.events_processed <= self.cfg.max_events,
+            self.events_processed <= MAX_EVENTS,
             "event safety valve tripped at {} events (now {})",
             self.events_processed,
             self.now
@@ -1184,9 +1170,7 @@ impl System {
                     }
                 }
                 GuestAction::TaskMigrated { task, .. } => {
-                    let penalty = self
-                        .cfg
-                        .cache_penalty
+                    let penalty = CACHE_PENALTY
                         .scaled_f64(self.domains[vm].memory_intensity)
                         .as_nanos();
                     let d = &mut self.domains[vm];

@@ -44,7 +44,6 @@ pub struct ArrivalProcess {
     dist: ArrivalDist,
     rng: SimRng,
     next_at_ns: u64,
-    issued: u64,
 }
 
 impl ArrivalProcess {
@@ -69,7 +68,6 @@ impl ArrivalProcess {
             dist,
             rng: SimRng::seed_from(0),
             next_at_ns: 0,
-            issued: 0,
         };
         p.reseed(SimRng::seed_from(0));
         p
@@ -80,7 +78,6 @@ impl ArrivalProcess {
     /// the embedder during system construction, before any task runs.
     pub fn reseed(&mut self, rng: SimRng) {
         self.rng = rng;
-        self.issued = 0;
         self.next_at_ns = 0;
         self.next_at_ns = self.draw();
     }
@@ -101,18 +98,12 @@ impl ArrivalProcess {
     pub fn next_arrival_ns(&mut self) -> u64 {
         let at = self.next_at_ns;
         self.next_at_ns += self.draw();
-        self.issued += 1;
         at
     }
 
     /// The upcoming arrival instant without consuming it.
     pub fn peek_ns(&self) -> u64 {
         self.next_at_ns
-    }
-
-    /// Arrivals issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// The configured distribution.
@@ -136,7 +127,6 @@ mod tests {
             assert!(p.peek_ns() > at, "gaps are never zero");
             last = at;
         }
-        assert_eq!(p.issued(), 100);
     }
 
     #[test]
@@ -152,7 +142,6 @@ mod tests {
         a.reseed(SimRng::seed_from(42));
         b.reseed(SimRng::seed_from(42));
         assert_eq!(a.next_arrival_ns(), b.next_arrival_ns());
-        assert_eq!(a.issued(), 1);
     }
 
     #[test]

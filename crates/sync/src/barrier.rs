@@ -71,25 +71,6 @@ impl Barrier {
         }
     }
 
-    /// Removes an exiting task from the wait set **and** permanently lowers
-    /// the party count; opens the barrier if the departure completes it.
-    pub fn depart(&mut self, who: TaskId) -> Option<BarrierOutcome> {
-        assert!(self.parties > 1, "last party departing a barrier");
-        self.parties -= 1;
-        if let Some(pos) = self.waiting.iter().position(|&w| w == who) {
-            self.waiting.remove(pos);
-        }
-        if !self.waiting.is_empty() && self.waiting.len() == self.parties {
-            let waiters = std::mem::take(&mut self.waiting);
-            self.generation += 1;
-            return Some(BarrierOutcome::Released {
-                waiters,
-                mode: self.mode,
-            });
-        }
-        None
-    }
-
     /// Completed barrier episodes.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -98,11 +79,6 @@ impl Barrier {
     /// Tasks currently waiting.
     pub fn n_waiting(&self) -> usize {
         self.waiting.len()
-    }
-
-    /// Parties required to open the barrier.
-    pub fn parties(&self) -> usize {
-        self.parties
     }
 
     /// Wait mode.
@@ -165,29 +141,5 @@ mod tests {
         let mut b = Barrier::new(3, WaitMode::Block);
         b.arrive(t(0));
         b.arrive(t(0));
-    }
-
-    #[test]
-    fn depart_shrinks_parties_and_can_release() {
-        let mut b = Barrier::new(3, WaitMode::Block);
-        b.arrive(t(0));
-        b.arrive(t(1));
-        // t2 exits instead of arriving: the barrier must open for t0, t1.
-        match b.depart(t(2)) {
-            Some(BarrierOutcome::Released { waiters, .. }) => {
-                assert_eq!(waiters, vec![t(0), t(1)]);
-            }
-            other => panic!("expected release, got {other:?}"),
-        }
-        assert_eq!(b.parties(), 2);
-    }
-
-    #[test]
-    fn depart_of_a_waiter_removes_it() {
-        let mut b = Barrier::new(3, WaitMode::Block);
-        b.arrive(t(0));
-        assert_eq!(b.depart(t(0)), None);
-        assert_eq!(b.n_waiting(), 0);
-        assert_eq!(b.parties(), 2);
     }
 }

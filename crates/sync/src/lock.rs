@@ -33,8 +33,6 @@ pub struct Lock {
     mode: WaitMode,
     holder: Option<TaskId>,
     waiters: VecDeque<TaskId>,
-    acquisitions: u64,
-    contended: u64,
 }
 
 impl Lock {
@@ -44,8 +42,6 @@ impl Lock {
             mode,
             holder: None,
             waiters: VecDeque::new(),
-            acquisitions: 0,
-            contended: 0,
         }
     }
 
@@ -63,11 +59,9 @@ impl Lock {
         );
         if self.holder.is_none() {
             self.holder = Some(who);
-            self.acquisitions += 1;
             AcquireOutcome::Acquired
         } else {
             self.waiters.push_back(who);
-            self.contended += 1;
             AcquireOutcome::MustWait(self.mode)
         }
     }
@@ -86,7 +80,6 @@ impl Lock {
         match self.waiters.pop_front() {
             Some(next) => {
                 self.holder = Some(next);
-                self.acquisitions += 1;
                 ReleaseOutcome {
                     next_holder: Some((next, self.mode)),
                 }
@@ -95,17 +88,6 @@ impl Lock {
                 self.holder = None;
                 ReleaseOutcome { next_holder: None }
             }
-        }
-    }
-
-    /// Removes `who` from the wait queue (task exit during teardown).
-    /// Returns whether it was waiting.
-    pub fn cancel_wait(&mut self, who: TaskId) -> bool {
-        if let Some(pos) = self.waiters.iter().position(|&w| w == who) {
-            self.waiters.remove(pos);
-            true
-        } else {
-            false
         }
     }
 
@@ -123,16 +105,6 @@ impl Lock {
     pub fn mode(&self) -> WaitMode {
         self.mode
     }
-
-    /// Total successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Acquire attempts that had to wait.
-    pub fn contended(&self) -> u64 {
-        self.contended
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +120,6 @@ mod tests {
         let mut l = Lock::new(WaitMode::Block);
         assert_eq!(l.acquire(t(0)), AcquireOutcome::Acquired);
         assert_eq!(l.holder(), Some(t(0)));
-        assert_eq!(l.acquisitions(), 1);
-        assert_eq!(l.contended(), 0);
     }
 
     #[test]
@@ -177,8 +147,6 @@ mod tests {
         let r = l.release(t(2));
         assert_eq!(r.next_holder, None);
         assert_eq!(l.holder(), None);
-        assert_eq!(l.acquisitions(), 3);
-        assert_eq!(l.contended(), 2);
     }
 
     #[test]
@@ -195,17 +163,5 @@ mod tests {
         let mut l = Lock::new(WaitMode::Block);
         l.acquire(t(0));
         l.acquire(t(0));
-    }
-
-    #[test]
-    fn cancel_wait_removes_waiter() {
-        let mut l = Lock::new(WaitMode::Spin);
-        l.acquire(t(0));
-        l.acquire(t(1));
-        l.acquire(t(2));
-        assert!(l.cancel_wait(t(1)));
-        assert!(!l.cancel_wait(t(1)));
-        let r = l.release(t(0));
-        assert_eq!(r.next_holder, Some((t(2), WaitMode::Spin)));
     }
 }

@@ -9,23 +9,18 @@
 #[derive(Debug, Clone)]
 pub struct WorkPool {
     remaining: u64,
-    claimed: u64,
 }
 
 impl WorkPool {
     /// Creates a pool of `chunks` units of work.
     pub fn new(chunks: u64) -> Self {
-        WorkPool {
-            remaining: chunks,
-            claimed: 0,
-        }
+        WorkPool { remaining: chunks }
     }
 
     /// Claims one chunk; `false` when the pool is exhausted.
     pub fn steal(&mut self) -> bool {
         if self.remaining > 0 {
             self.remaining -= 1;
-            self.claimed += 1;
             true
         } else {
             false
@@ -35,11 +30,6 @@ impl WorkPool {
     /// Chunks not yet claimed.
     pub fn remaining(&self) -> u64 {
         self.remaining
-    }
-
-    /// Chunks claimed so far.
-    pub fn claimed(&self) -> u64 {
-        self.claimed
     }
 
     /// True when all work has been claimed.
@@ -61,7 +51,6 @@ mod tests {
         assert!(p.steal());
         assert!(!p.steal());
         assert!(p.is_exhausted());
-        assert_eq!(p.claimed(), 3);
     }
 
     #[test]

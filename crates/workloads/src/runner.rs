@@ -73,7 +73,6 @@ pub struct ProgramRunner {
     pc: usize,
     loop_stack: Vec<LoopFrame>,
     done: bool,
-    steps: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +96,6 @@ impl ProgramRunner {
             pc: 0,
             loop_stack: Vec::new(),
             done: false,
-            steps: 0,
         }
     }
 
@@ -155,74 +153,60 @@ impl ProgramRunner {
                 }
                 Op::Compute { mean_ns, jitter } => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Compute {
                         ns: rng.jittered(mean_ns, jitter),
                     };
                 }
                 Op::Lock(l) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Acquire(l);
                 }
                 Op::Unlock(l) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Release(l);
                 }
                 Op::Barrier(b) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Arrive(b);
                 }
                 Op::Push(c) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Push(c);
                 }
                 Op::Pop(c) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Pop(c);
                 }
                 Op::Close(c) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Close(c);
                 }
                 Op::Sleep { ns } => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::Sleep { ns };
                 }
                 Op::SleepUntil { at_ns } => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::SleepUntil { at_ns };
                 }
                 Op::AlignTo { period_ns, offset_ns } => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::AlignTo { period_ns, offset_ns };
                 }
                 Op::SafepointPoll(e) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::SafepointPoll(e);
                 }
                 Op::AwaitArrival(a) => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::AwaitArrival(a);
                 }
                 Op::RequestStart => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::RequestStart;
                 }
                 Op::RequestDone => {
                     self.pc += 1;
-                    self.steps += 1;
                     return Step::RequestDone;
                 }
             }
@@ -232,11 +216,6 @@ impl ProgramRunner {
     /// True once the program has completed.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Number of externally visible steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
     }
 }
 
@@ -267,7 +246,6 @@ mod tests {
         assert_eq!(r.next(&mut rng, &mut space), Step::Done);
         assert!(r.is_done());
         assert_eq!(r.next(&mut rng, &mut space), Step::Done, "done is sticky");
-        assert_eq!(r.steps_taken(), 3);
     }
 
     #[test]

@@ -51,17 +51,6 @@ pub enum HvAction {
     },
 }
 
-impl fmt::Display for HvAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HvAction::VcpuStarted { vcpu, pcpu } => write!(f, "start {vcpu} on {pcpu}"),
-            HvAction::VcpuStopped { vcpu, state } => write!(f, "stop {vcpu} -> {state}"),
-            HvAction::DeliverVirq { vcpu, virq, .. } => write!(f, "deliver {virq} to {vcpu}"),
-            HvAction::PcpuIdle { pcpu } => write!(f, "{pcpu} idle"),
-        }
-    }
-}
-
 /// Guest-to-hypervisor scheduling operation (`HYPERVISOR_sched_op`).
 ///
 /// IRS's context switcher returns one of these to acknowledge an SA
@@ -140,25 +129,6 @@ impl fmt::Display for ScheduleReason {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VmId;
-
-    #[test]
-    fn actions_render() {
-        let v = VcpuRef::new(VmId(0), 1);
-        assert_eq!(
-            HvAction::VcpuStarted { vcpu: v, pcpu: PcpuId(2) }.to_string(),
-            "start vm0.v1 on pcpu2"
-        );
-        assert_eq!(
-            HvAction::VcpuStopped { vcpu: v, state: RunState::Runnable }.to_string(),
-            "stop vm0.v1 -> runnable"
-        );
-        assert_eq!(
-            HvAction::DeliverVirq { vcpu: v, virq: Virq::SaUpcall, deadline: None }.to_string(),
-            "deliver VIRQ_SA_UPCALL to vm0.v1"
-        );
-        assert_eq!(HvAction::PcpuIdle { pcpu: PcpuId(0) }.to_string(), "pcpu0 idle");
-    }
 
     #[test]
     fn sched_ops_render_like_xen() {

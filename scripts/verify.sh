@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification in 9 steps:
+# Tier-1 verification in 7 steps:
 #  1. release build of the whole workspace;
 #  2. the full test suite;
 #  3. the clippy lint gate;
@@ -9,26 +9,19 @@
 #     every run behind the 39 tables: every figure, the ablations, the
 #     fault-injection chaos campaign at three seeds, and the full fleet and
 #     serving campaigns with their contract asserts (the degradation
-#     margin per fleet cell, requests completed in every serving cell).
-#     Under --check nothing is appended to BENCH_history.jsonl, so this
-#     step no longer logs the full fleet and serving history records;
-#  5. a fleet-campaign smoke (16-host datacenter with churn and
-#     adversarial tenants) recording and ratcheting its events/sec;
-#  6. a fleet incremental-parity gate (--parity re-runs the smoke campaign
-#     with every occupied host simulated from scratch and asserts
-#     bit-identical SLO tables);
-#  7. a 1000-host fleet-scale pass with each of its seven CSVs
-#     byte-compared against perfbench/reference/fleet1000_*.csv (it also
-#     ratchets *effective* events/sec — logical volume per wall second —
-#     and enforces the deterministic >=5x incrementality floor);
-#  8. a serving-campaign smoke (open-loop latency-SLO service under
-#     interference) recording and ratcheting its events/sec;
-#  9. `figures perf --check-perf`, which times the ticked and parallel
+#     margin per fleet cell, requests completed in every serving cell);
+#  5. a fleet incremental-parity gate (--parity runs the smoke campaign —
+#     16-host datacenter with churn and adversarial tenants, contract
+#     asserts included — then re-runs it with every occupied host
+#     simulated from scratch and asserts bit-identical SLO tables);
+#  6. a 1000-host fleet-scale pass with each of its seven CSVs
+#     byte-compared against perfbench/reference/fleet1000_*.csv, under
+#     `--check-perf`, which enforces the deterministic >=5x
+#     incrementality floor;
+#  7. `figures perf --check-perf`, which times the ticked and parallel
 #     phases, regenerates BENCH_runner.json, and fails the build on a
-#     sequential-over-parallel speedup below 0.85, on a queue-throughput
-#     drop below the timer-wheel floor, or on any of its ticked / parallel
-#     / queue records falling past the ratchet tolerance of its best
-#     matching BENCH_history.jsonl record.
+#     sequential-over-parallel speedup below 0.85 or on a queue-throughput
+#     drop below the timer-wheel floor.
 # The total verification wall-clock is then recorded in BENCH_runner.json's
 # `verify_wall_s` field. Resumed-vs-scratch snapshot bit-identity, on the perf
 # scenario mix too, is covered by the test suite (crates/core/tests/fork.rs).
@@ -57,20 +50,14 @@ trap 'rm -rf "$tables" "$stdout" "$fleet_tables"' EXIT
 cmp "$stdout" figures_output.txt
 diff -r "$tables" results_csv
 
-echo "== figures fleet smoke (perf record + events/sec ratchet) =="
-./target/release/figures fleet --smoke --check-perf --jobs 2 >/dev/null
-
 echo "== figures fleet smoke (incremental parity: elided == full) =="
 ./target/release/figures fleet --smoke --parity --jobs 2 >/dev/null
 
-echo "== figures fleet scale (1000 hosts; tables + effective events/sec ratchet) =="
+echo "== figures fleet scale (1000 hosts; tables + incrementality floor) =="
 ./target/release/figures fleet --hosts 1000 --check-perf --jobs 2 --csv "$fleet_tables" >/dev/null
 for t in 0 1 2 3 4 5 accounting; do
     cmp "$fleet_tables/fleet_$t.csv" "perfbench/reference/fleet1000_$t.csv"
 done
-
-echo "== figures serving smoke (perf record + events/sec ratchet) =="
-./target/release/figures serving --smoke --check-perf --jobs 2 >/dev/null
 
 echo "== figures perf (regression gate; writes BENCH_runner.json) =="
 ./target/release/figures perf --quick --jobs 2 --check-perf
