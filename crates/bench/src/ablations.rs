@@ -110,8 +110,7 @@ pub fn ablate_sa_delay(opts: Opts) -> Table {
         ctors.push(fig5_run("streamcluster", n_inter, Strategy::Vanilla, None));
         for delay_us in delays {
             let sa = GuestSaConfig {
-                receiver_delay: SimTime::from_micros(delay_us / 10),
-                context_switch_cost: SimTime::from_micros(delay_us - delay_us / 10),
+                round_delay: SimTime::from_micros(delay_us),
                 ..GuestSaConfig::default()
             };
             ctors.push(fig5_run("streamcluster", n_inter, Strategy::Irs, Some(sa)));

@@ -20,6 +20,10 @@
 //! figure with one table writes `{name}.csv`, one with several
 //! `{name}_{i}.csv`; the fleet adds `fleet_accounting.csv`.
 //!
+//! Fig 7/9 project the real-application grids Fig 5/6 ran
+//! ([`fig5_6::RealAppGrid`]), which `main` holds for one invocation;
+//! `figures fig7` alone runs its own.
+//!
 //! `--jobs N` sets the worker-thread count for the run fan-out (default:
 //! all available cores). Tables are identical for every worker count.
 //! `--check` arms the online invariant sanitizer
@@ -44,12 +48,14 @@
 //! incrementality floor. Each floor is computed from the run itself, so it
 //! holds under `--check` and `--parity` too.
 
-use irs_bench::fig5_6::{self, Interference};
+use irs_bench::fig5_6::{self, Interference, RealAppGrid};
 use irs_bench::{
     ablations, chaos, fairness, fig1, fig10_11, fig12_13, fig2, fig7_9, fig8, fleet, io_latency,
     perf, serving, Opts,
 };
 use irs_metrics::Table;
+use irs_workloads::presets;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which alias queues an experiment.
@@ -107,32 +113,50 @@ impl Output {
     }
 }
 
+/// Real-application grids this invocation has run, by background.
+type Grids = BTreeMap<&'static str, RealAppGrid<'static>>;
+
+/// `background`'s grid over `benches`, run on first use.
+fn real_app<'g>(
+    grids: &'g mut Grids,
+    benches: &'static [&'static str],
+    background: &'static str,
+    opts: Opts,
+) -> &'g RealAppGrid<'static> {
+    grids
+        .entry(background)
+        .or_insert_with(|| RealAppGrid::run(benches, background, opts))
+}
+
+/// An experiment's body.
+type Run = dyn Fn(&Args, &mut Grids) -> Output;
+
 /// One experiment of the registry.
 struct Experiment {
     name: &'static str,
     alias: Alias,
     /// The [`SCOPED_FLAGS`] it reads.
     flags: &'static [&'static str],
-    run: Box<dyn Fn(&Args) -> Output>,
+    run: Box<Run>,
 }
 
-/// A figure: tables from [`Opts`] alone.
+/// A figure: tables from [`Opts`] and the invocation's grids.
 fn figure(
     name: &'static str,
     alias: Alias,
-    tables: impl Fn(Opts) -> Vec<Table> + 'static,
+    tables: impl Fn(Opts, &mut Grids) -> Vec<Table> + 'static,
 ) -> Experiment {
     Experiment {
         name,
         alias,
         flags: &[],
-        run: Box::new(move |args| Output::tables(name, tables(args.opts))),
+        run: Box::new(move |args, grids| Output::tables(name, tables(args.opts, grids))),
     }
 }
 
 /// A figure with a single table.
 fn table(name: &'static str, alias: Alias, table: fn(Opts) -> Table) -> Experiment {
-    figure(name, alias, move |o| vec![table(o)])
+    figure(name, alias, move |o, _| vec![table(o)])
 }
 
 /// An experiment that reads the whole command line.
@@ -146,7 +170,7 @@ fn campaign(
         name,
         alias,
         flags,
-        run: Box::new(run),
+        run: Box::new(move |args, _| run(args)),
     }
 }
 
@@ -154,26 +178,35 @@ fn campaign(
 /// [`usage`], alias expansion, flag checks and dispatch.
 fn registry() -> Vec<Experiment> {
     use Alias::{All, Core, Named};
-    use Interference::{Micro, RealApp};
+    const PARSEC: &[&str] = &presets::PARSEC_NAMES;
+    const NPB: &[&str] = &presets::NPB_NAMES;
     vec![
         table("fig1a", Core, fig1::fig1a),
         table("fig1b", Core, fig1::fig1b),
         table("fig2", Core, fig2::fig2),
-        figure("fig5", Core, |o| {
-            let panels = [Micro, RealApp("streamcluster"), RealApp("fluidanimate")];
-            panels.map(|i| fig5_6::fig5(o, i)).into()
+        figure("fig5", Core, |o, g| {
+            let real = ["streamcluster", "fluidanimate"]
+                .map(|bg| fig5_6::fig5_of(real_app(g, PARSEC, bg, o)));
+            std::iter::once(fig5_6::fig5(o, Interference::Micro))
+                .chain(real)
+                .collect()
         }),
-        figure("fig6", Core, |o| {
-            let panels = [Micro, RealApp("UA"), RealApp("LU")];
-            panels.map(|i| fig5_6::fig6(o, i)).into()
+        figure("fig6", Core, |o, g| {
+            let real = ["UA", "LU"].map(|bg| fig5_6::fig6_of(real_app(g, NPB, bg, o)));
+            std::iter::once(fig5_6::fig6(o, Interference::Micro))
+                .chain(real)
+                .collect()
         }),
-        figure("fig7", Core, |o| {
-            let backgrounds = ["fluidanimate", "streamcluster"];
-            backgrounds.map(|bg| fig7_9::fig7(o, bg)).into()
+        figure("fig7", Core, |o, g| {
+            ["fluidanimate", "streamcluster"]
+                .map(|bg| fig7_9::fig7(real_app(g, PARSEC, bg, o)))
+                .into()
         }),
-        figure("fig8", Core, fig8::fig8),
-        figure("fig9", Core, |o| {
-            ["LU", "UA"].map(|bg| fig7_9::fig9(o, bg)).into()
+        figure("fig8", Core, |o, _| fig8::fig8(o)),
+        figure("fig9", Core, |o, g| {
+            ["LU", "UA"]
+                .map(|bg| fig7_9::fig9(real_app(g, NPB, bg, o)))
+                .into()
         }),
         table("fig10", Core, fig10_11::fig10),
         table("fig11", Core, fig10_11::fig11),
@@ -381,9 +414,10 @@ fn main() {
     // Every experiment's floor failures, gated together after the last
     // experiment.
     let mut failures = Vec::new();
+    let mut grids = Grids::new();
     for exp in queue {
         let start = Instant::now();
-        let out = (exp.run)(&args);
+        let out = (exp.run)(&args, &mut grids);
         print!("{}", out.text);
         for (stem, table) in &out.tables {
             print!("{table}");

@@ -47,7 +47,7 @@ use crate::system::System;
 use irs_guest::{TaskId, TaskState};
 use irs_sim::SimTime;
 use irs_xen::credit::{CREDITS_PER_ACCT, CREDIT_CAP, CREDIT_FLOOR};
-use irs_xen::{PcpuId, RunState, VcpuProbe, VcpuRef};
+use irs_xen::{PcpuId, RunState, VcpuProbe, VcpuRef, SA_COMPLETION_LIMIT, TICK_PERIOD};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide sanitizer switch (see [`set_check_enabled`]).
@@ -261,8 +261,7 @@ impl Checker {
                 );
             }
         }
-        // No SA configured: `sa_wait` can never be set.
-        let (Some(w), Some(sa)) = (sa_wait, hv.config().sa.as_ref()) else {
+        let Some(w) = sa_wait else {
             self.sa_wait_since[p] = None;
             return;
         };
@@ -281,8 +280,8 @@ impl Checker {
             Some((pw, pg, since)) if pw == w && pg == gen => {
                 // Deadline jitter can stretch the armed deadline to ~2x the
                 // nominal limit; one tick period absorbs event granularity.
-                let limit = sa.completion_limit;
-                let allowed = limit + limit + hv.config().tick_period;
+                let limit = SA_COMPLETION_LIMIT;
+                let allowed = limit + limit + TICK_PERIOD;
                 if now - since > allowed {
                     step.fail(
                         "sa-freeze",
@@ -433,8 +432,9 @@ mod tests {
         }
     }
 
-    /// Runs `f`, which must panic with a report naming `invariant` and
-    /// carrying `detail`.
+    /// Runs `f`, which must panic with a report naming `invariant`,
+    /// carrying `detail`, and ending in at most [`REPORT_LINES`] lines of
+    /// timestamped trace.
     fn assert_trips(invariant: &str, detail: &str, f: impl FnOnce()) {
         let err = catch_unwind(AssertUnwindSafe(f))
             .expect_err(&format!("{invariant} must trip on the injected defect"));
@@ -447,9 +447,18 @@ mod tests {
         );
         assert!(msg.contains(detail), "the report lacks {detail:?}:\n{msg}");
         assert!(
+            msg.contains("--- last scheduling decisions (oldest first) ---\n"),
+            "the report has no trace header:\n{msg}"
+        );
+        assert!(
             msg.lines()
                 .any(|l| l.starts_with('[') && l.contains("xen.")),
             "the report carries no timestamped trace:\n{msg}"
+        );
+        let traced = msg.lines().filter(|l| l.starts_with('[')).count();
+        assert!(
+            traced <= REPORT_LINES,
+            "the report carries {traced} trace lines"
         );
     }
 
@@ -603,6 +612,18 @@ mod tests {
         });
     }
 
+    /// End to end: a baseline corrupted mid-run is caught by the checker
+    /// `System::step` runs after the next event, not by a direct call.
+    #[test]
+    fn sa_generation_trips_inside_a_real_run() {
+        let (mut sys, mut c) = settled();
+        c.vcpus[0].sa_generation += 1_000;
+        sys.checker = Some(c);
+        assert_trips("sa-generation", "ran backwards", move || {
+            sys.run();
+        });
+    }
+
     #[test]
     fn sa_double_send_trips() {
         let (sys, mut c) = armed(|s| probes(s).iter().any(|p| p.sa_pending));
@@ -635,13 +656,7 @@ mod tests {
         let hv = sys.hypervisor();
         let p = frozen(&sys).expect("a pCPU is frozen");
         let w = hv.pcpu_sa_wait(PcpuId(p)).expect("frozen on a vCPU");
-        let limit = hv
-            .config()
-            .sa
-            .as_ref()
-            .expect("IRS configures SA")
-            .completion_limit;
-        let allowed = limit + limit + hv.config().tick_period;
+        let allowed = SA_COMPLETION_LIMIT + SA_COMPLETION_LIMIT + TICK_PERIOD;
         let since = sys.now() - allowed - SimTime::from_nanos(1);
         c.sa_wait_since[p] = Some((w, hv.sa_generation(w), since));
         assert_trips("sa-freeze", "exceeds the allowed", || {

@@ -27,7 +27,7 @@ pub(crate) enum Event {
     /// The current compute segment of a task completes.
     TaskStep { vm: u16, task: u32, gen: u64 },
     /// The guest's SA receiver/context-switcher softirq runs (scheduled
-    /// `sa_round_delay` after `VIRQ_SA_UPCALL` delivery).
+    /// `round_delay` after `VIRQ_SA_UPCALL` delivery).
     SaProcess { vm: u16, vcpu: u32, gen: u64 },
     /// The hypervisor's hard SA completion limit.
     SaTimeout { vm: u16, vcpu: u32, gen: u64 },

@@ -53,7 +53,7 @@ pub struct FaultConfig {
     /// [`ack_delay`](Self::ack_delay) instead of delivered immediately.
     pub ack_delay_prob: f64,
     /// How long a deferred acknowledgement is held before delivery. Set it
-    /// above [`irs_xen::SaConfig::completion_limit`] to guarantee the
+    /// above [`irs_xen::SA_COMPLETION_LIMIT`] to guarantee the
     /// timeout wins the race.
     pub ack_delay: SimTime,
     /// Probability, evaluated at each SA upcall delivery, that the target

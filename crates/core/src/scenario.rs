@@ -18,8 +18,6 @@ pub struct VmScenario {
     pub n_vcpus: usize,
     /// Hard affinity, one pCPU per vCPU; `None` leaves the VM unpinned.
     pub pinning: Option<Vec<PcpuId>>,
-    /// Credit-scheduler weight.
-    pub weight: u64,
     /// Whether this VM's performance is the experiment's measurement.
     pub measured: bool,
     /// Force the guest-IRS capability; `None` derives it (`measured` VMs
@@ -38,7 +36,6 @@ impl VmScenario {
             bundle,
             n_vcpus,
             pinning: None,
-            weight: 256,
             measured: false,
             irs_guest: None,
             sa_override: None,
@@ -67,18 +64,6 @@ impl VmScenario {
     /// Overrides the derived guest-IRS capability.
     pub fn irs_guest(mut self, enabled: bool) -> Self {
         self.irs_guest = Some(enabled);
-        self
-    }
-
-    /// Sets the credit weight.
-    pub fn weight(mut self, weight: u64) -> Self {
-        self.weight = weight;
-        self
-    }
-
-    /// Overrides the guest-side SA parameters (ablation experiments).
-    pub fn sa_override(mut self, sa: GuestSaConfig) -> Self {
-        self.sa_override = Some(sa);
         self
     }
 }
@@ -333,8 +318,7 @@ mod tests {
     #[test]
     fn vm_builder_pins() {
         let b = presets::hog::cpu_hogs(1);
-        let v = VmScenario::new(b, 2).pin(vec![PcpuId(1), PcpuId(0)]).weight(512);
+        let v = VmScenario::new(b, 2).pin(vec![PcpuId(1), PcpuId(0)]);
         assert_eq!(v.pinning.unwrap()[0], PcpuId(1));
-        assert_eq!(v.weight, 512);
     }
 }

@@ -1,14 +1,10 @@
 //! The scheduling strategies compared throughout the evaluation.
 
-use irs_guest::GuestConfig;
 use irs_sim::SimTime;
-use irs_xen::{PleConfig, RelaxedCoConfig, SaConfig, XenConfig};
+use irs_xen::XenConfig;
 use std::fmt;
 
 /// A hypervisor/guest scheduling strategy (§5.1 "Scheduling strategies").
-// Not a manual non-exhaustive guard: the hidden variant is a real,
-// constructible strategy (test-only fault injection).
-#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Unmodified Xen credit scheduler + unmodified Linux guest: the
@@ -33,12 +29,6 @@ pub enum Strategy {
     /// a preempted sibling directly. Not realizable in a real guest without
     /// new kernel machinery; implemented here as the upper-bound oracle.
     IrsPull,
-    /// Test-only fault injection: vanilla scheduling with
-    /// [`XenConfig::fault_double_run`] set, so the first contended wake-up
-    /// double-books a pCPU. Exists solely to prove the invariant sanitizer
-    /// ([`crate::check`]) trips; never part of any figure.
-    #[doc(hidden)]
-    FaultDoubleRun,
 }
 
 impl Strategy {
@@ -62,12 +52,9 @@ impl Strategy {
         };
         match self {
             Strategy::Vanilla => base,
-            Strategy::Ple => XenConfig {
-                ple: Some(PleConfig::default()),
-                ..base
-            },
+            Strategy::Ple => XenConfig { ple: true, ..base },
             Strategy::RelaxedCo => XenConfig {
-                relaxed_co: Some(RelaxedCoConfig::default()),
+                relaxed_co: true,
                 ..base
             },
             Strategy::StrictCo => XenConfig {
@@ -77,28 +64,13 @@ impl Strategy {
                 slice_jitter: SimTime::ZERO,
                 ..base
             },
-            Strategy::Irs | Strategy::IrsPull => XenConfig {
-                sa: Some(SaConfig::default()),
-                ..base
-            },
-            Strategy::FaultDoubleRun => XenConfig {
-                fault_double_run: true,
-                ..base
-            },
+            Strategy::Irs | Strategy::IrsPull => XenConfig { sa: true, ..base },
         }
     }
 
-    /// Guest configuration for a VM that participates in the strategy
-    /// (the paper's foreground VM; background VMs always run vanilla
-    /// kernels — see §5.4 footnote 1).
-    pub fn guest_config(self) -> GuestConfig {
-        match self {
-            Strategy::Irs | Strategy::IrsPull => GuestConfig::with_irs(),
-            _ => GuestConfig::default(),
-        }
-    }
-
-    /// Whether foreground VMs register the SA upcall handler.
+    /// Whether foreground VMs register the SA upcall handler: they run the
+    /// guest half of IRS (the paper's foreground VM; background VMs always
+    /// run vanilla kernels — see §5.4 footnote 1).
     pub fn sa_capable_guest(self) -> bool {
         matches!(self, Strategy::Irs | Strategy::IrsPull)
     }
@@ -107,7 +79,7 @@ impl Strategy {
     /// strategy reacts to spinning.
     pub fn ple_window(self) -> Option<SimTime> {
         match self {
-            Strategy::Ple => Some(PleConfig::default().window),
+            Strategy::Ple => Some(irs_xen::PLE_WINDOW),
             _ => None,
         }
     }
@@ -127,7 +99,6 @@ impl fmt::Display for Strategy {
             Strategy::StrictCo => "Strict-Co",
             Strategy::Irs => "IRS",
             Strategy::IrsPull => "IRS-pull",
-            Strategy::FaultDoubleRun => "Fault-DoubleRun",
         };
         f.pad(s)
     }
@@ -139,11 +110,11 @@ mod tests {
 
     #[test]
     fn configs_match_strategies() {
-        assert!(Strategy::Vanilla.xen_config().sa.is_none());
-        assert!(Strategy::Ple.xen_config().ple.is_some());
-        assert!(Strategy::RelaxedCo.xen_config().relaxed_co.is_some());
-        assert!(Strategy::Irs.xen_config().sa.is_some());
-        assert!(Strategy::IrsPull.xen_config().sa.is_some());
+        assert!(!Strategy::Vanilla.xen_config().sa);
+        assert!(Strategy::Ple.xen_config().ple);
+        assert!(Strategy::RelaxedCo.xen_config().relaxed_co);
+        assert!(Strategy::Irs.xen_config().sa);
+        assert!(Strategy::IrsPull.xen_config().sa);
     }
 
     #[test]
@@ -151,8 +122,6 @@ mod tests {
         assert!(!Strategy::Vanilla.sa_capable_guest());
         assert!(!Strategy::Ple.sa_capable_guest());
         assert!(Strategy::Irs.sa_capable_guest());
-        assert!(Strategy::Irs.guest_config().sa.is_some());
-        assert!(Strategy::Ple.guest_config().sa.is_none());
     }
 
     #[test]

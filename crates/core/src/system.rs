@@ -18,7 +18,7 @@ use crate::events::Event;
 use crate::results::{RunResult, VmResult};
 use crate::scenario::Scenario;
 use crate::strategy::Strategy;
-use irs_guest::{GuestAction, GuestConfig, GuestOs, VcpuView};
+use irs_guest::{GuestAction, GuestOs, GuestSaConfig, VcpuView};
 use irs_sim::trace::TraceEvent;
 use irs_sim::{EventQueue, SimRng, SimTime};
 use irs_sync::OfferOutcome;
@@ -179,25 +179,21 @@ impl System {
             let sa_guest = vm
                 .irs_guest
                 .unwrap_or(vm.measured && strategy.sa_capable_guest());
-            let mut spec = VmSpec::new(vm.n_vcpus)
-                .weight(vm.weight)
-                .sa_capable(sa_guest);
+            let mut spec = VmSpec::new(vm.n_vcpus).sa_capable(sa_guest);
             if let Some(p) = vm.pinning {
                 spec = spec.pin(p);
             }
             hv.create_vm(spec);
 
-            let mut guest_cfg = if sa_guest {
-                strategy.guest_config()
+            // An SA-capable VM runs the guest half of IRS when the strategy
+            // sends upcalls (or its parameters are overridden).
+            let guest_sa = if sa_guest {
+                vm.sa_override
+                    .or_else(|| strategy.sa_capable_guest().then(GuestSaConfig::default))
             } else {
-                GuestConfig::default()
+                None
             };
-            if sa_guest {
-                if let Some(sa) = vm.sa_override {
-                    guest_cfg.sa = Some(sa);
-                }
-            }
-            let mut os = GuestOs::new(guest_cfg, vm.n_vcpus);
+            let mut os = GuestOs::new(guest_sa, vm.n_vcpus);
             if ring_cap > 0 {
                 os.enable_trace(vm_index, ring_cap);
             }
@@ -363,10 +359,9 @@ impl System {
         let acts = self.hv.start(SimTime::ZERO);
         self.apply_hv_actions(acts);
 
-        let tick = self.hv.config().tick_period;
-        let acct = self.hv.config().accounting_period;
-        self.queue.schedule(tick, Event::HvTick);
-        self.queue.schedule(acct, Event::HvAccounting);
+        self.queue.schedule(irs_xen::TICK_PERIOD, Event::HvTick);
+        self.queue
+            .schedule(irs_xen::ACCOUNTING_PERIOD, Event::HvAccounting);
         self.queue.schedule(self.horizon, Event::Horizon);
         if self.hv.is_gang_mode() {
             // Open the first gang slot immediately.
@@ -523,8 +518,8 @@ impl System {
 
     /// Renders a one-line-per-entity snapshot of a VM: every vCPU's
     /// hypervisor runstate, guest-current task and queue, then every
-    /// task's state, vruntime, and workload activity. Companion to
-    /// [`irs_xen::Hypervisor::debug_pcpu`] for stuck-run diagnosis.
+    /// task's state, vruntime, and workload activity, for stuck-run
+    /// diagnosis.
     pub fn debug_vm(&self, vm: usize) -> String {
         use std::fmt::Write as _;
         let d = &self.domains[vm];
@@ -658,13 +653,13 @@ impl System {
                 let acts = self.hv.tick(self.now);
                 self.apply_hv_actions(acts);
                 self.inject_degradation();
-                let next = self.now + self.hv.config().tick_period;
+                let next = self.now + irs_xen::TICK_PERIOD;
                 self.queue.schedule(next, Event::HvTick);
             }
             Event::HvAccounting => {
                 let acts = self.hv.accounting(self.now);
                 self.apply_hv_actions(acts);
-                let next = self.now + self.hv.config().accounting_period;
+                let next = self.now + irs_xen::ACCOUNTING_PERIOD;
                 self.queue.schedule(next, Event::HvAccounting);
             }
             Event::SliceExpiry { pcpu, gen } => {
@@ -722,9 +717,8 @@ impl System {
             let acts = self.hv.sched_op(v, op, self.now);
             self.apply_hv_actions(acts);
         }
-        let period = self.domains[vm].os.config().tick_period;
         self.queue.schedule(
-            self.now + period,
+            self.now + irs_guest::TICK_PERIOD,
             Event::GuestTick {
                 vm: vm as u16,
                 vcpu: vcpu as u32,
@@ -1020,13 +1014,13 @@ impl System {
                         self.domains[vm]
                             .os
                             .raise_softirq(vcpu.idx, irs_guest::Softirq::Upcall);
+                        // Upcalls only go to SA-capable VMs, whose guests
+                        // always carry an SA configuration.
                         let delay = self.domains[vm]
                             .os
-                            .config()
-                            .sa
-                            .as_ref()
-                            .map(|sa| sa.sa_round_delay())
-                            .unwrap_or(SimTime::from_micros(25));
+                            .sa_config()
+                            .expect("an SA upcall reached a guest without IRS support")
+                            .round_delay;
                         self.queue.schedule(
                             self.now + delay,
                             Event::SaProcess {
@@ -1065,8 +1059,7 @@ impl System {
         // still run its scheduler tick, or queued tasks starve.
         self.domains[vm].tick_gen[vcpu] += 1;
         let gen = self.domains[vm].tick_gen[vcpu];
-        let period = self.domains[vm].os.config().tick_period;
-        let due = (self.domains[vm].last_tick[vcpu] + period).max(self.now);
+        let due = (self.domains[vm].last_tick[vcpu] + irs_guest::TICK_PERIOD).max(self.now);
         self.queue.schedule(
             due,
             Event::GuestTick {
@@ -1158,15 +1151,10 @@ impl System {
                 GuestAction::WakeMigrator => {
                     if !self.domains[vm].migrator_armed {
                         self.domains[vm].migrator_armed = true;
-                        let delay = self.domains[vm]
-                            .os
-                            .config()
-                            .sa
-                            .as_ref()
-                            .map(|sa| sa.migrator_delay)
-                            .unwrap_or(SimTime::from_micros(5));
-                        self.queue
-                            .schedule(self.now + delay, Event::MigratorRun { vm: vm as u16 });
+                        self.queue.schedule(
+                            self.now + irs_guest::MIGRATOR_DELAY,
+                            Event::MigratorRun { vm: vm as u16 },
+                        );
                     }
                 }
                 GuestAction::TaskMigrated { task, .. } => {

@@ -39,7 +39,7 @@ pub enum GuestAction {
         vcpu: usize,
     },
     /// Wake the IRS migrator kernel thread (asynchronously, after
-    /// [`crate::GuestSaConfig::migrator_delay`]).
+    /// [`crate::MIGRATOR_DELAY`]).
     WakeMigrator,
     /// `task` moved between runqueues; the embedder applies the cache
     /// warm-up penalty to its next compute segment.

@@ -17,6 +17,7 @@
 //! pingpong migration.
 
 use crate::actions::{GuestAction, VcpuView};
+use crate::config::{SCHED_LATENCY, WAKEUP_GRANULARITY};
 use crate::guest::{GuestOs, StopRequest};
 use crate::task::{TaskId, TaskState};
 use irs_xen::RunState;
@@ -76,7 +77,7 @@ impl GuestOs {
         } else {
             self.tasks[task.0].vruntime
         };
-        let sleeper_bonus = self.cfg.sched_latency.as_nanos() / 2;
+        let sleeper_bonus = SCHED_LATENCY.as_nanos() / 2;
         let floor = self.rqs[target].min_vruntime.saturating_sub(sleeper_bonus);
         let vr = base_vr.max(floor);
         self.tasks[task.0].vruntime = vr;
@@ -105,7 +106,7 @@ impl GuestOs {
                     self.stats.pingpong_preempts += 1;
                     true
                 } else {
-                    let gran = self.tasks[cur.0].vruntime_delta(self.cfg.wakeup_granularity);
+                    let gran = self.tasks[cur.0].vruntime_delta(WAKEUP_GRANULARITY);
                     self.tasks[cur.0].vruntime > vr.saturating_add(gran)
                 };
                 // An in-place switch needs the vCPU to actually execute; on
@@ -121,10 +122,7 @@ impl GuestOs {
     }
 
     fn pingpong_tagging_enabled(&self) -> bool {
-        self.cfg
-            .sa
-            .as_ref()
-            .is_some_and(|sa| sa.pingpong_tagging)
+        self.sa.as_ref().is_some_and(|sa| sa.pingpong_tagging)
     }
 
     /// First guest-idle vCPU (no current, empty queue), if any.
@@ -310,7 +308,7 @@ impl GuestOs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GuestConfig;
+    use crate::config::GuestSaConfig;
     use irs_sim::SimTime;
 
     fn t(ms: u64) -> SimTime {
@@ -323,7 +321,7 @@ mod tests {
 
     #[test]
     fn wake_in_place_when_prev_vcpu_is_free() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(1);
         g.start(t(0));
@@ -339,7 +337,7 @@ mod tests {
 
     #[test]
     fn wake_emits_wake_vcpu_when_target_is_hv_blocked() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(1);
         g.start(t(0));
@@ -361,7 +359,7 @@ mod tests {
 
     #[test]
     fn wake_moves_to_idle_sibling_when_prev_is_busy() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(0); // keeps vCPU0 busy after a blocks
         g.start(t(0));
@@ -378,7 +376,7 @@ mod tests {
 
     #[test]
     fn pingpong_fix_wakes_in_place_and_preempts_tagged_task() {
-        let mut g = GuestOs::new(GuestConfig::with_irs(), 2);
+        let mut g = GuestOs::new(Some(GuestSaConfig::default()), 2);
         let t1 = g.spawn(0); // will play the migrated lock holder
         let t2 = g.spawn(1); // the waiter whose vCPU t1 invades
         g.start(t(0));
@@ -406,7 +404,7 @@ mod tests {
 
     #[test]
     fn vanilla_guest_never_pingpong_preempts() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let t1 = g.spawn(0);
         let t2 = g.spawn(1);
         g.start(t(0));
@@ -426,7 +424,7 @@ mod tests {
 
     #[test]
     fn periodic_balance_pulls_from_busiest() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         g.spawn(0);
         g.spawn(0); // v0: 3 tasks
@@ -442,7 +440,7 @@ mod tests {
 
     #[test]
     fn periodic_balance_respects_balance() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         g.spawn(0);
         g.spawn(1);
@@ -457,7 +455,7 @@ mod tests {
         // v0 has 2 tasks but 100% steal: its scaled load (4.0) exceeds
         // v1's (1.0) enough to justify pulling even though raw counts are
         // 2 vs 1.
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         g.spawn(0);
         g.spawn(1);
@@ -473,7 +471,7 @@ mod tests {
         // v0 runs one task (its current); v1 goes idle. Nothing is queued
         // anywhere, so idle pull must find nothing — even though v0 might be
         // hypervisor-preempted with its "running" task stranded.
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         let b = g.spawn(1);
         g.start(t(0));
@@ -491,7 +489,7 @@ mod tests {
 
     #[test]
     fn idle_pull_takes_a_queued_task() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         let queued = g.spawn(0);
         let b = g.spawn(1);
@@ -507,7 +505,7 @@ mod tests {
 
     #[test]
     fn stopper_migrates_queued_task_immediately() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         let queued = g.spawn(0);
         g.start(t(0));
@@ -521,7 +519,7 @@ mod tests {
 
     #[test]
     fn stopper_waits_for_the_source_vcpu_to_run() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let running = g.spawn(0);
         g.start(t(0));
         let acts = g.request_stop_migration(running, 1);
@@ -541,7 +539,7 @@ mod tests {
 
     #[test]
     fn stopper_ignores_blocked_tasks() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.start(t(0));
         g.block_current(0, t(1), &all_running(2));

@@ -1,60 +1,38 @@
-//! Guest kernel configuration.
+//! The guest scheduler's fixed constants (Linux 3.18 CFS as characterized
+//! in the paper; §5.2 cites the guest's ~6 ms slices) and the parameters of
+//! the guest half of IRS.
 
 use irs_sim::SimTime;
 
-/// Configuration of the guest scheduler, defaults matching Linux 3.18's CFS
-/// as characterized in the paper (§5.2 cites the guest's ~6 ms slices).
-#[derive(Debug, Clone)]
-pub struct GuestConfig {
-    /// Periodic scheduler tick (1 ms, `CONFIG_HZ=1000`).
-    pub tick_period: SimTime,
-    /// CFS targeted scheduling latency (6 ms).
-    pub sched_latency: SimTime,
-    /// CFS minimum preemption granularity (0.75 ms).
-    pub min_granularity: SimTime,
-    /// Wakeup preemption granularity (1 ms).
-    pub wakeup_granularity: SimTime,
-    /// Run the periodic (push) load balancer every this many ticks.
-    pub balance_interval_ticks: u64,
-    /// IRS guest support; `None` models a vanilla kernel that has no
-    /// `VIRQ_SA_UPCALL` handler and simply ignores SA notifications.
-    pub sa: Option<GuestSaConfig>,
-}
+/// Periodic scheduler tick (1 ms, `CONFIG_HZ=1000`).
+pub const TICK_PERIOD: SimTime = SimTime::from_millis(1);
 
-impl Default for GuestConfig {
-    fn default() -> Self {
-        GuestConfig {
-            tick_period: SimTime::from_millis(1),
-            sched_latency: SimTime::from_millis(6),
-            min_granularity: SimTime::from_micros(750),
-            wakeup_granularity: SimTime::from_millis(1),
-            balance_interval_ticks: 4,
-            sa: None,
-        }
-    }
-}
+/// CFS targeted scheduling latency (6 ms).
+pub(crate) const SCHED_LATENCY: SimTime = SimTime::from_millis(6);
 
-impl GuestConfig {
-    /// A guest with IRS support at its default parameters.
-    pub fn with_irs() -> Self {
-        GuestConfig {
-            sa: Some(GuestSaConfig::default()),
-            ..GuestConfig::default()
-        }
-    }
-}
+/// CFS minimum preemption granularity (0.75 ms).
+pub(crate) const MIN_GRANULARITY: SimTime = SimTime::from_micros(750);
 
-/// Parameters of the guest half of IRS (§4.2).
+/// Wakeup preemption granularity (1 ms).
+pub(crate) const WAKEUP_GRANULARITY: SimTime = SimTime::from_millis(1);
+
+/// The periodic (push) load balancer runs every this many ticks.
+pub(crate) const BALANCE_INTERVAL_TICKS: u64 = 4;
+
+/// Delay before the asynchronously woken migrator thread runs.
+pub const MIGRATOR_DELAY: SimTime = SimTime::from_micros(5);
+
+/// Parameters of the guest half of IRS (§4.2). A guest built without them
+/// models a vanilla kernel that has no `VIRQ_SA_UPCALL` handler and simply
+/// ignores SA notifications.
 #[derive(Debug, Clone)]
 pub struct GuestSaConfig {
-    /// Cost of the vIRQ handler (the SA receiver raising the softirq).
-    pub receiver_delay: SimTime,
-    /// Cost of the context switcher softirq (deschedule + pick next). The
-    /// paper profiles the whole SA round at 20–26 µs; receiver + switcher
-    /// here default to 2 + 20 µs.
-    pub context_switch_cost: SimTime,
-    /// Delay before the asynchronously woken migrator thread runs.
-    pub migrator_delay: SimTime,
+    /// Total delay the SA round imposes on the hypervisor's schedule path:
+    /// the vIRQ receiver raising the softirq plus the context switcher
+    /// (deschedule + pick next). The migrator runs asynchronously and does
+    /// not hold up the preemption. The paper profiles the whole round at
+    /// 20–26 µs; the default is 22 µs.
+    pub round_delay: SimTime,
     /// Fig 4 pingpong-avoidance tagging; disable for the ablation bench.
     pub pingpong_tagging: bool,
     /// Algorithm 2's idle-vCPU fast path (line 8-10). Disabling it makes
@@ -66,21 +44,10 @@ pub struct GuestSaConfig {
 impl Default for GuestSaConfig {
     fn default() -> Self {
         GuestSaConfig {
-            receiver_delay: SimTime::from_micros(2),
-            context_switch_cost: SimTime::from_micros(20),
-            migrator_delay: SimTime::from_micros(5),
+            round_delay: SimTime::from_micros(22),
             pingpong_tagging: true,
             idle_first: true,
         }
-    }
-}
-
-impl GuestSaConfig {
-    /// Total delay the SA round imposes on the hypervisor's schedule path
-    /// (receiver + context switch; the migrator runs asynchronously and
-    /// does not hold up the preemption).
-    pub fn sa_round_delay(&self) -> SimTime {
-        self.receiver_delay + self.context_switch_cost
     }
 }
 
@@ -90,22 +57,15 @@ mod tests {
 
     #[test]
     fn defaults_match_linux_cfs() {
-        let cfg = GuestConfig::default();
-        assert_eq!(cfg.tick_period, SimTime::from_millis(1));
-        assert_eq!(cfg.sched_latency, SimTime::from_millis(6));
-        assert!(cfg.sa.is_none());
+        assert_eq!(TICK_PERIOD, SimTime::from_millis(1));
+        assert_eq!(SCHED_LATENCY, SimTime::from_millis(6));
+        assert!(MIN_GRANULARITY < SCHED_LATENCY);
     }
 
     #[test]
     fn sa_round_delay_is_in_the_papers_band() {
         // Paper §3.1: 20–26 µs added to the hypervisor scheduling path.
-        let sa = GuestSaConfig::default();
-        let d = sa.sa_round_delay();
+        let d = GuestSaConfig::default().round_delay;
         assert!(d >= SimTime::from_micros(20) && d <= SimTime::from_micros(26));
-    }
-
-    #[test]
-    fn with_irs_enables_sa() {
-        assert!(GuestConfig::with_irs().sa.is_some());
     }
 }

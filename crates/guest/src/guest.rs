@@ -3,11 +3,11 @@
 //! [`crate::balance`], the IRS machinery in [`crate::sa`].
 
 use crate::actions::{GuestAction, VcpuView};
-use crate::config::GuestConfig;
+use crate::config::{GuestSaConfig, BALANCE_INTERVAL_TICKS, MIN_GRANULARITY, SCHED_LATENCY};
 use crate::rq::Runqueue;
 use crate::softirq::{Softirq, SoftirqOutcome};
 use crate::stats::GuestStats;
-use crate::task::{Task, TaskId, TaskState, NICE0_WEIGHT};
+use crate::task::{Task, TaskId, TaskState};
 use irs_sim::trace::{TraceEvent, TraceRing};
 use irs_sim::SimTime;
 use irs_xen::SchedOp;
@@ -29,7 +29,8 @@ pub(crate) struct StopRequest {
 /// its configuration but starts empty (rings are observability, not state).
 #[derive(Debug, Clone)]
 pub struct GuestOs {
-    pub(crate) cfg: GuestConfig,
+    /// IRS guest support; `None` is a vanilla kernel.
+    pub(crate) sa: Option<GuestSaConfig>,
     pub(crate) tasks: Vec<Task>,
     pub(crate) rqs: Vec<Runqueue>,
     /// Tasks descheduled by the SA context switcher, awaiting the migrator.
@@ -55,15 +56,16 @@ pub struct GuestOs {
 }
 
 impl GuestOs {
-    /// Creates a guest kernel managing `n_vcpus` virtual CPUs.
+    /// Creates a guest kernel managing `n_vcpus` virtual CPUs, with the
+    /// guest half of IRS when `sa` is set and a vanilla kernel otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `n_vcpus == 0`.
-    pub fn new(cfg: GuestConfig, n_vcpus: usize) -> Self {
+    pub fn new(sa: Option<GuestSaConfig>, n_vcpus: usize) -> Self {
         assert!(n_vcpus > 0, "a guest needs at least one vCPU");
         GuestOs {
-            cfg,
+            sa,
             tasks: Vec::new(),
             rqs: (0..n_vcpus).map(|_| Runqueue::new()).collect(),
             migrator_pending: VecDeque::new(),
@@ -122,14 +124,9 @@ impl GuestOs {
     ///
     /// Panics if `vcpu` is out of range.
     pub fn spawn(&mut self, vcpu: usize) -> TaskId {
-        self.spawn_weighted(vcpu, NICE0_WEIGHT)
-    }
-
-    /// Spawns a task with an explicit CFS weight.
-    pub fn spawn_weighted(&mut self, vcpu: usize, weight: u64) -> TaskId {
         assert!(vcpu < self.rqs.len(), "vcpu {vcpu} out of range");
         let id = TaskId(self.tasks.len());
-        let mut task = Task::new(id, vcpu, weight);
+        let mut task = Task::new(id, vcpu);
         task.vruntime = self.rqs[vcpu].min_vruntime;
         self.tasks.push(task);
         let vr = self.tasks[id.0].vruntime;
@@ -247,7 +244,7 @@ impl GuestOs {
     }
 
     /// The `TIMER_SOFTIRQ` body: pending stopper work, the CFS preemption
-    /// check, and — every [`GuestConfig::balance_interval_ticks`] ticks —
+    /// check, and — every [`BALANCE_INTERVAL_TICKS`] ticks —
     /// periodic balancing plus the nohz kick.
     fn timer_softirq(
         &mut self,
@@ -259,7 +256,7 @@ impl GuestOs {
         self.run_stopper(vcpu, out);
         self.preempt_check(vcpu, out);
         self.tick_counts[vcpu] += 1;
-        if self.tick_counts[vcpu].is_multiple_of(self.cfg.balance_interval_ticks) {
+        if self.tick_counts[vcpu].is_multiple_of(BALANCE_INTERVAL_TICKS) {
             self.periodic_balance(vcpu, views, out);
         }
         // nohz balancer kick: an overloaded runqueue wakes a sleeping idle
@@ -301,9 +298,8 @@ impl GuestOs {
             return;
         };
         let nr = self.rqs[vcpu].nr_running().max(1) as u64;
-        let slice = SimTime::from_nanos(
-            (self.cfg.sched_latency.as_nanos() / nr).max(self.cfg.min_granularity.as_nanos()),
-        );
+        let slice =
+            SimTime::from_nanos((SCHED_LATENCY.as_nanos() / nr).max(MIN_GRANULARITY.as_nanos()));
         let slice_vr = self.tasks[cur.0].vruntime_delta(slice);
         if self.tasks[cur.0].vruntime > left_vr.saturating_add(slice_vr) {
             self.deschedule_current(vcpu, TaskState::Ready, out);
@@ -564,9 +560,9 @@ impl GuestOs {
         &self.stats
     }
 
-    /// The configuration this guest was built with.
-    pub fn config(&self) -> &GuestConfig {
-        &self.cfg
+    /// The IRS parameters this guest was built with (`None`: vanilla).
+    pub fn sa_config(&self) -> Option<&GuestSaConfig> {
+        self.sa.as_ref()
     }
 
     /// The `rt_avg`-style load of `vcpu`: runnable weight scaled up by the
@@ -648,7 +644,7 @@ mod tests {
 
     #[test]
     fn start_runs_one_task_per_vcpu_and_blocks_idle_vcpus() {
-        let mut g = GuestOs::new(GuestConfig::default(), 3);
+        let mut g = GuestOs::new(None, 3);
         let a = g.spawn(0);
         let b = g.spawn(0);
         let acts = g.start(t(0));
@@ -665,7 +661,7 @@ mod tests {
 
     #[test]
     fn account_runtime_advances_vruntime() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.start(t(0));
         g.account_runtime(0, SimTime::from_millis(2));
@@ -675,7 +671,7 @@ mod tests {
 
     #[test]
     fn tick_preempts_after_ideal_slice() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         let b = g.spawn(0);
         g.start(t(0));
@@ -703,7 +699,7 @@ mod tests {
 
     #[test]
     fn sole_task_is_never_preempted() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.start(t(0));
         for i in 1..=20u64 {
@@ -717,7 +713,7 @@ mod tests {
 
     #[test]
     fn block_switches_to_next_task() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         let b = g.spawn(0);
         g.start(t(0));
@@ -733,7 +729,7 @@ mod tests {
 
     #[test]
     fn block_with_empty_queue_blocks_the_vcpu() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.start(t(0));
         let acts = g.block_current(0, t(1), &views(1));
@@ -748,7 +744,7 @@ mod tests {
 
     #[test]
     fn exit_removes_the_task_for_good() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.spawn(0);
         g.start(t(0));
@@ -760,7 +756,7 @@ mod tests {
 
     #[test]
     fn ensure_current_fills_an_idle_vcpu() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.start(t(0));
         g.block_current(0, t(1), &views(2));
@@ -780,7 +776,7 @@ mod tests {
 
     #[test]
     fn migrate_queued_normalizes_vruntime() {
-        let mut g = GuestOs::new(GuestConfig::default(), 2);
+        let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         let b = g.spawn(0);
         let c = g.spawn(1);
@@ -806,7 +802,7 @@ mod tests {
 
     #[test]
     fn rt_avg_scales_with_steal() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         g.spawn(0);
         g.spawn(0);
         g.start(t(0));
@@ -819,7 +815,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly once")]
     fn double_start_panics() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         g.spawn(0);
         g.start(t(0));
         g.start(t(0));

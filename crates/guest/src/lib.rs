@@ -35,10 +35,11 @@
 //! # Example
 //!
 //! ```
-//! use irs_guest::{GuestConfig, GuestOs};
+//! use irs_guest::GuestOs;
 //! use irs_sim::SimTime;
 //!
-//! let mut guest = GuestOs::new(GuestConfig::default(), 2);
+//! // A vanilla kernel (no IRS support) on two vCPUs.
+//! let mut guest = GuestOs::new(None, 2);
 //! let t0 = guest.spawn(0);
 //! let t1 = guest.spawn(1);
 //! let actions = guest.start(SimTime::ZERO);
@@ -61,7 +62,7 @@ mod stats;
 mod task;
 
 pub use actions::{GuestAction, VcpuView};
-pub use config::{GuestConfig, GuestSaConfig};
+pub use config::{GuestSaConfig, MIGRATOR_DELAY, TICK_PERIOD};
 pub use guest::GuestOs;
 pub use rq::Runqueue;
 pub use softirq::{Softirq, SoftirqOutcome};

@@ -5,6 +5,7 @@
 //! placed tasks are normalized against, and the pick/preempt rules that give
 //! the ~6 ms effective slices the paper contrasts with Xen's 30 ms.
 
+use crate::config::SCHED_LATENCY;
 use crate::task::TaskId;
 use std::collections::BTreeSet;
 
@@ -91,7 +92,7 @@ impl Runqueue {
     /// balancer move would reset the destination's catch-up race and can
     /// starve the task outright. Real CFS bounds placement credit the same
     /// way (`place_entity` clamps to about one latency period).
-    pub const MIGRATION_SURPLUS_CAP: u64 = 6_000_000;
+    pub const MIGRATION_SURPLUS_CAP: u64 = SCHED_LATENCY.as_nanos();
 
     /// Re-bases a *migrated* task's vruntime from its source queue to this
     /// one, preserving its relative lag or surplus up to

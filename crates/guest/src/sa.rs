@@ -37,11 +37,11 @@ impl GuestOs {
     /// Handles a `VIRQ_SA_UPCALL` on `vcpu`: receiver + context switcher.
     ///
     /// The embedding simulation calls this after modelling the
-    /// receiver/softirq delay ([`crate::GuestSaConfig::sa_round_delay`]) and
+    /// receiver/softirq delay ([`crate::GuestSaConfig::round_delay`]) and
     /// then forwards [`SaOutcome::op`] to the hypervisor as the
     /// acknowledgement.
     ///
-    /// A vanilla guest (no [`crate::GuestConfig::sa`]) has no handler
+    /// A vanilla guest (built without a [`crate::GuestSaConfig`]) has no handler
     /// registered; callers should not route the vIRQ here in that case, but
     /// doing so acknowledges with a plain yield and moves nothing —
     /// mirroring footnote 1 of the paper (the background VM "ignores the SA
@@ -58,7 +58,7 @@ impl GuestOs {
     /// softirq layer after any pending timer work, per §4.2.
     pub(crate) fn upcall_softirq(&mut self, vcpu: usize) -> SaOutcome {
         let mut actions = Vec::new();
-        if self.cfg.sa.is_none() {
+        if self.sa.is_none() {
             return SaOutcome {
                 op: SchedOp::Yield,
                 actions,
@@ -116,7 +116,7 @@ impl GuestOs {
                         .migration_vruntime(self.tasks[task.0].vruntime, self.rqs[source].min_vruntime);
                     self.tasks[task.0].vruntime = vr;
                     self.tasks[task.0].preempt_migrated =
-                        self.cfg.sa.as_ref().is_some_and(|sa| sa.pingpong_tagging);
+                        self.sa.as_ref().is_some_and(|sa| sa.pingpong_tagging);
                     self.rqs[dest].enqueue(vr, task);
                     self.stats.sa_migrations += 1;
                     self.move_task(task, dest, &mut out);
@@ -179,11 +179,7 @@ impl GuestOs {
     /// re-create the very stall IRS is resolving.
     #[allow(clippy::needless_range_loop)] // v indexes rqs *and* views
     fn pick_migration_target(&self, source: usize, views: &[VcpuView]) -> Option<usize> {
-        let idle_first = self
-            .cfg
-            .sa
-            .as_ref()
-            .is_none_or(|sa| sa.idle_first);
+        let idle_first = self.sa.as_ref().is_none_or(|sa| sa.idle_first);
         // Staying costs waiting out the source's contention: the candidate
         // must beat the source's own effective load (queue + the returning
         // task, scaled by steal) or the migration only trades one stall for
@@ -222,7 +218,7 @@ impl GuestOs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GuestConfig, GuestSaConfig};
+    use crate::config::GuestSaConfig;
     use crate::task::TaskId;
     use irs_sim::SimTime;
 
@@ -231,7 +227,7 @@ mod tests {
     }
 
     fn irs_guest(n: usize) -> GuestOs {
-        GuestOs::new(GuestConfig::with_irs(), n)
+        GuestOs::new(Some(GuestSaConfig::default()), n)
     }
 
     #[test]
@@ -267,7 +263,7 @@ mod tests {
 
     #[test]
     fn upcall_on_vanilla_guest_is_inert() {
-        let mut g = GuestOs::new(GuestConfig::default(), 1);
+        let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.start(t(0));
         let outcome = g.sa_upcall(0);
@@ -395,14 +391,11 @@ mod tests {
 
     #[test]
     fn pingpong_tag_not_applied_when_tagging_disabled() {
-        let cfg = GuestConfig {
-            sa: Some(GuestSaConfig {
-                pingpong_tagging: false,
-                ..GuestSaConfig::default()
-            }),
-            ..GuestConfig::default()
+        let sa = GuestSaConfig {
+            pingpong_tagging: false,
+            ..GuestSaConfig::default()
         };
-        let mut g = GuestOs::new(cfg, 2);
+        let mut g = GuestOs::new(Some(sa), 2);
         let a = g.spawn(0);
         g.start(t(0));
         g.sa_upcall(0);
@@ -457,7 +450,7 @@ mod tests {
     }
 
     fn irs_guest_n(n: usize) -> GuestOs {
-        GuestOs::new(crate::GuestConfig::with_irs(), n)
+        GuestOs::new(Some(crate::GuestSaConfig::default()), n)
     }
 
     #[test]

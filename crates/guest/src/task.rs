@@ -42,17 +42,12 @@ impl fmt::Display for TaskState {
     }
 }
 
-/// The weight of a nice-0 task (Linux `NICE_0_LOAD`).
-pub(crate) const NICE0_WEIGHT: u64 = 1024;
-
-/// Scheduler bookkeeping for one task.
+/// Scheduler bookkeeping for one task. Every task is nice-0.
 #[derive(Debug, Clone)]
 pub struct Task {
     /// Identity.
     pub id: TaskId,
-    /// CFS load weight (nice-0 = 1024).
-    pub weight: u64,
-    /// Virtual runtime in weight-scaled nanoseconds.
+    /// Virtual runtime in nanoseconds.
     pub vruntime: u64,
     /// Scheduler state.
     pub state: TaskState,
@@ -72,10 +67,9 @@ pub struct Task {
 }
 
 impl Task {
-    pub(crate) fn new(id: TaskId, cpu: usize, weight: u64) -> Self {
+    pub(crate) fn new(id: TaskId, cpu: usize) -> Self {
         Task {
             id,
-            weight,
             vruntime: 0,
             state: TaskState::Ready,
             cpu,
@@ -86,14 +80,10 @@ impl Task {
         }
     }
 
-    /// Converts `delta` of wall execution into weight-scaled vruntime.
+    /// Converts `delta` of wall execution into vruntime: a nice-0 task's
+    /// vruntime advances at wall-clock rate.
     pub(crate) fn vruntime_delta(&self, delta: SimTime) -> u64 {
-        // Nice-0 tasks (the overwhelmingly common case) scale 1:1; skip
-        // the 64-bit multiply + divide for them.
-        if self.weight == NICE0_WEIGHT {
-            return delta.as_nanos();
-        }
-        delta.as_nanos().saturating_mul(NICE0_WEIGHT) / self.weight.max(1)
+        delta.as_nanos()
     }
 }
 
@@ -103,20 +93,8 @@ mod tests {
 
     #[test]
     fn nice0_task_vruntime_is_wall_time() {
-        let t = Task::new(TaskId(0), 0, NICE0_WEIGHT);
+        let t = Task::new(TaskId(0), 0);
         assert_eq!(t.vruntime_delta(SimTime::from_micros(5)), 5_000);
-    }
-
-    #[test]
-    fn heavier_tasks_accrue_vruntime_slower() {
-        let t = Task::new(TaskId(0), 0, 2 * NICE0_WEIGHT);
-        assert_eq!(t.vruntime_delta(SimTime::from_micros(4)), 2_000);
-    }
-
-    #[test]
-    fn zero_weight_does_not_divide_by_zero() {
-        let t = Task::new(TaskId(0), 0, 0);
-        let _ = t.vruntime_delta(SimTime::from_micros(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests: the guest scheduler's invariants survive arbitrary
 //! interleavings of scheduling, balancing, and IRS operations.
 
-use irs_guest::{GuestConfig, GuestOs, TaskId, TaskState, VcpuView};
+use irs_guest::{GuestOs, GuestSaConfig, TaskId, TaskState, VcpuView};
 use irs_sim::SimTime;
 use proptest::prelude::*;
 
@@ -56,7 +56,7 @@ fn views(i: usize) -> Vec<VcpuView> {
 }
 
 fn build() -> GuestOs {
-    let mut g = GuestOs::new(GuestConfig::with_irs(), 4);
+    let mut g = GuestOs::new(Some(GuestSaConfig::default()), 4);
     for i in 0..8 {
         g.spawn(i % 4);
     }

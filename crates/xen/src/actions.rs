@@ -34,7 +34,7 @@ pub enum HvAction {
     ///
     /// For [`Virq::SaUpcall`] the hypervisor has set `sa_pending` and is
     /// delaying the preemption; the embedder must arm a timeout at
-    /// `deadline` (see [`crate::SaConfig::completion_limit`]) in case the
+    /// `deadline` (see [`crate::SA_COMPLETION_LIMIT`]) in case the
     /// guest never acknowledges.
     DeliverVirq {
         /// Target vCPU (the interrupt is per-vCPU).

@@ -1,21 +1,43 @@
-//! Hypervisor configuration.
+//! Hypervisor configuration and the credit scheduler's fixed constants.
 
 use irs_sim::SimTime;
+
+/// Period of the credit-burn tick (Xen 4.5: 10 ms).
+pub const TICK_PERIOD: SimTime = SimTime::from_millis(10);
+
+/// Period of credit replenishment and priority recomputation (Xen 4.5:
+/// 30 ms). A vCPU receives BOOST on wake at most once per period.
+pub const ACCOUNTING_PERIOD: SimTime = SimTime::from_millis(30);
+
+/// Hard limit on guest SA processing before the hypervisor forces the
+/// preemption anyway — the paper's defense against rogue guests that never
+/// return control (§4.1). SA processing normally takes 20–26 µs, so the
+/// 500 µs limit never triggers for well-behaved guests.
+pub const SA_COMPLETION_LIMIT: SimTime = SimTime::from_micros(500);
+
+/// Continuous spin window that triggers a pause-loop VM-exit (order of
+/// tens of µs on real hardware).
+pub const PLE_WINDOW: SimTime = SimTime::from_micros(25);
+
+/// Progress skew between sibling vCPUs that triggers a relaxed
+/// co-scheduling leader/laggard swap.
+pub(crate) const CO_SKEW_THRESHOLD: SimTime = SimTime::from_millis(30);
 
 /// Configuration of the hypervisor and its credit scheduler.
 ///
 /// Defaults mirror Xen 4.5's credit scheduler as described in the paper:
-/// 30 ms time slice, 10 ms credit-burn tick, 30 ms accounting period, and
-/// wake-up boosting enabled.
+/// 30 ms time slice, no slice perturbation, pinned placement and none of
+/// the strategy mechanisms. The credit tick ([`TICK_PERIOD`]), the
+/// accounting period ([`ACCOUNTING_PERIOD`]) and BOOST on wake are fixed.
 ///
 /// # Example
 ///
 /// ```
 /// use irs_sim::SimTime;
-/// use irs_xen::{SaConfig, XenConfig};
+/// use irs_xen::XenConfig;
 ///
 /// let cfg = XenConfig {
-///     sa: Some(SaConfig::default()),
+///     sa: true,
 ///     ..XenConfig::default()
 /// };
 /// assert_eq!(cfg.time_slice, SimTime::from_millis(30));
@@ -33,12 +55,6 @@ pub struct XenConfig {
     /// drive the paper's vanilla slowdowns. Zero disables the perturbation
     /// (unit tests rely on exact slice arithmetic).
     pub slice_jitter: SimTime,
-    /// Period of the credit-burn tick (10 ms).
-    pub tick_period: SimTime,
-    /// Period of credit replenishment and priority recomputation (30 ms).
-    pub accounting_period: SimTime,
-    /// Whether vCPUs waking from `Blocked` receive the BOOST priority.
-    pub boost: bool,
     /// Whether unpinned vCPUs are placed by load and stolen by idle pCPUs.
     ///
     /// Pinned vCPUs (hard affinity) are never migrated regardless.
@@ -50,20 +66,25 @@ pub struct XenConfig {
     /// the §5.6 CPU-stacking pathology: with no idle pCPU to steal from,
     /// initially co-located sibling vCPUs stay co-located.
     pub placement_salt: Option<u64>,
-    /// Scheduler-activation (IRS) sender; `None` disables SA entirely.
-    pub sa: Option<SaConfig>,
-    /// Pause-loop-exiting response; `None` means PLE exits are ignored.
-    pub ple: Option<PleConfig>,
-    /// Relaxed co-scheduling; `None` disables skew balancing.
-    pub relaxed_co: Option<RelaxedCoConfig>,
+    /// Scheduler-activation (IRS) sender, with the
+    /// [`SA_COMPLETION_LIMIT`] force path (paper §3.1, §4.1).
+    pub sa: bool,
+    /// Pause-loop-exiting response: yield a vCPU whose guest spun for
+    /// [`PLE_WINDOW`]. The *detection* is modelled by the embedding
+    /// simulation (it knows when a task spins); this switch controls the
+    /// hypervisor's response.
+    pub ple: bool,
+    /// Relaxed co-scheduling (the paper's reimplementation of VMware's
+    /// scheme, §5.1). Every accounting period the hypervisor measures
+    /// per-vCPU *progress*, where — crucially, and deliberately — **idle
+    /// (blocked) time counts as progress**. If the skew between the most-
+    /// and least-progressed sibling exceeds 30 ms (`CO_SKEW_THRESHOLD`), the
+    /// leading vCPU is stopped for one period and the most-lagging runnable
+    /// sibling is boosted.
+    pub relaxed_co: bool,
     /// Strict (gang) co-scheduling — the VMware ESX 2.x baseline of §2.1:
     /// whole VMs rotate on gang slices; see [`crate::Hypervisor::gang_rotate`].
     pub strict_co: bool,
-    /// **Deliberate fault injection** for the invariant sanitizer's own
-    /// tests: on wake-up the scheduler marks the woken vCPU `Running` on its
-    /// target pCPU *without* descheduling the incumbent, double-booking the
-    /// pCPU. Never set outside sanitizer self-tests.
-    pub fault_double_run: bool,
 }
 
 impl Default for XenConfig {
@@ -71,78 +92,12 @@ impl Default for XenConfig {
         XenConfig {
             time_slice: SimTime::from_millis(30),
             slice_jitter: SimTime::ZERO,
-            tick_period: SimTime::from_millis(10),
-            accounting_period: SimTime::from_millis(30),
-            boost: true,
             migration: false,
             placement_salt: None,
-            sa: None,
-            ple: None,
-            relaxed_co: None,
+            sa: false,
+            ple: false,
+            relaxed_co: false,
             strict_co: false,
-            fault_double_run: false,
-        }
-    }
-}
-
-/// Scheduler-activation sender parameters (paper §3.1, §4.1).
-#[derive(Debug, Clone)]
-pub struct SaConfig {
-    /// Hard limit on guest SA processing before the hypervisor forces the
-    /// preemption anyway — the paper's defense against rogue guests that
-    /// never return control (§4.1). SA processing normally takes 20–26 µs,
-    /// so a generous 500 µs limit never triggers for well-behaved guests.
-    pub completion_limit: SimTime,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig {
-            completion_limit: SimTime::from_micros(500),
-        }
-    }
-}
-
-/// Pause-loop-exiting parameters.
-///
-/// PLE is a hardware feature: after a guest executes PAUSE in a tight loop
-/// beyond a threshold window, the CPU takes a VM-exit. The *detection* is
-/// modelled by the embedding simulation (it knows when a task spins); this
-/// config controls the hypervisor's *response*, which in Xen's credit
-/// scheduler is to yield the spinning vCPU.
-#[derive(Debug, Clone)]
-pub struct PleConfig {
-    /// Continuous spin window that triggers a VM-exit (order of tens of µs
-    /// on real hardware; the default models a 25 µs window).
-    pub window: SimTime,
-}
-
-impl Default for PleConfig {
-    fn default() -> Self {
-        PleConfig {
-            window: SimTime::from_micros(25),
-        }
-    }
-}
-
-/// Relaxed co-scheduling parameters (the paper's reimplementation of
-/// VMware's scheme, §5.1).
-///
-/// Every accounting period the hypervisor measures per-vCPU *progress*,
-/// where — crucially, and deliberately — **idle (blocked) time counts as
-/// progress**. If the skew between the most- and least-progressed sibling
-/// exceeds [`RelaxedCoConfig::skew_threshold`], the leading vCPU is stopped
-/// for one period and the most-lagging runnable sibling is boosted.
-#[derive(Debug, Clone)]
-pub struct RelaxedCoConfig {
-    /// Progress skew between siblings that triggers a leader/laggard swap.
-    pub skew_threshold: SimTime,
-}
-
-impl Default for RelaxedCoConfig {
-    fn default() -> Self {
-        RelaxedCoConfig {
-            skew_threshold: SimTime::from_millis(30),
         }
     }
 }
@@ -155,25 +110,22 @@ mod tests {
     fn defaults_match_xen_credit() {
         let cfg = XenConfig::default();
         assert_eq!(cfg.time_slice, SimTime::from_millis(30));
-        assert_eq!(cfg.tick_period, SimTime::from_millis(10));
-        assert_eq!(cfg.accounting_period, SimTime::from_millis(30));
-        assert!(cfg.boost);
+        assert_eq!(TICK_PERIOD, SimTime::from_millis(10));
+        assert_eq!(ACCOUNTING_PERIOD, SimTime::from_millis(30));
         assert!(!cfg.migration);
-        assert!(cfg.sa.is_none());
-        assert!(cfg.ple.is_none());
-        assert!(cfg.relaxed_co.is_none());
+        assert!(!cfg.sa);
+        assert!(!cfg.ple);
+        assert!(!cfg.relaxed_co);
     }
 
     #[test]
     fn sa_limit_is_generous_relative_to_processing_cost() {
         // Paper: SA processing takes 20–26 µs; limit must not clip it.
-        let sa = SaConfig::default();
-        assert!(sa.completion_limit > SimTime::from_micros(26));
+        assert!(SA_COMPLETION_LIMIT > SimTime::from_micros(26));
     }
 
     #[test]
     fn ple_window_is_sub_slice() {
-        let ple = PleConfig::default();
-        assert!(ple.window < XenConfig::default().time_slice);
+        assert!(PLE_WINDOW < XenConfig::default().time_slice);
     }
 }

@@ -21,6 +21,7 @@
 //! defers the switch (see [`crate::sa`]).
 
 use crate::actions::{HvAction, SchedOp, ScheduleReason};
+use crate::config::{ACCOUNTING_PERIOD, TICK_PERIOD};
 use crate::hypervisor::Hypervisor;
 use crate::ids::{PcpuId, VcpuRef};
 use crate::runstate::RunState;
@@ -50,7 +51,7 @@ impl Hypervisor {
     /// preempts where a queued vCPU now outranks the runner.
     pub fn tick(&mut self, now: SimTime) -> Vec<HvAction> {
         let mut out = self.out_buf();
-        let tick_ns = self.cfg.tick_period.as_nanos().max(1);
+        let tick_ns = TICK_PERIOD.as_nanos();
         // One linear pass over the flat vCPU arena (VM-major order, same as
         // the old per-VM nesting).
         for i in 0..self.vcpus.len() {
@@ -119,7 +120,7 @@ impl Hypervisor {
                 }
             }
         }
-        if self.cfg.relaxed_co.is_some() {
+        if self.cfg.relaxed_co {
             self.relaxed_co_balance(now, &mut out);
         }
         for p in 0..self.pcpus.len() {
@@ -194,7 +195,7 @@ impl Hypervisor {
         let Some(next) = self.pick_local(pcpu) else {
             return out;
         };
-        if self.cfg.sa.is_some()
+        if self.cfg.sa
             && self.vms[cur.vm.0].sa_capable
             && !self.vc(cur).sa_pending
         {
@@ -233,8 +234,6 @@ impl Hypervisor {
 
         self.runstate_epoch[v.vm.0] += 1;
         {
-            let boost = self.cfg.boost;
-            let cooldown = self.cfg.accounting_period;
             let vc = self.vc_mut(v);
             vc.clock.transition(RunState::Runnable, now);
             // BOOST is rate-limited to one grant per accounting period: a
@@ -243,8 +242,8 @@ impl Hypervisor {
             // siblings (a boost storm).
             let recently_boosted = vc
                 .last_boost
-                .is_some_and(|t| now.saturating_sub(t) < cooldown);
-            if boost && vc.credits >= 0 && !recently_boosted {
+                .is_some_and(|t| now.saturating_sub(t) < ACCOUNTING_PERIOD);
+            if vc.credits >= 0 && !recently_boosted {
                 vc.priority = CreditPriority::Boost;
                 vc.last_boost = Some(now);
             } else {
@@ -260,20 +259,6 @@ impl Hypervisor {
             vcpu: v.idx,
             pcpu: target.0,
         });
-
-        if self.cfg.fault_double_run {
-            if let Some(_incumbent) = self.pcpus[target.0].current {
-                // Deliberate corruption for the sanitizer's own tests (see
-                // `XenConfig::fault_double_run`): mark the woken vCPU Running
-                // and current on its target without descheduling the
-                // incumbent, double-booking the pCPU.
-                self.remove_queued(v, target);
-                self.runstate_epoch[v.vm.0] += 1;
-                self.vc_mut(v).clock.transition(RunState::Running, now);
-                self.pcpus[target.0].current = Some(v);
-                return out;
-            }
-        }
 
         let should_tickle = match self.pcpus[target.0].current {
             None => true,
@@ -348,7 +333,7 @@ impl Hypervisor {
     /// No-op unless PLE is configured and `v` is currently running.
     pub fn ple_exit(&mut self, v: VcpuRef, now: SimTime) -> Vec<HvAction> {
         let mut out = self.out_buf();
-        if self.cfg.ple.is_none() {
+        if !self.cfg.ple {
             return out;
         }
         let home = self.vc(v).home;
@@ -438,7 +423,7 @@ impl Hypervisor {
 
         // Involuntary preemption of a runnable vCPU — the SA hook point.
         if allow_sa
-            && self.cfg.sa.is_some()
+            && self.cfg.sa
             && self.vms[c.vm.0].sa_capable
             && !self.vc(c).sa_pending
         {
@@ -748,7 +733,7 @@ mod tests {
     #[test]
     fn force_preempt_opens_an_sa_round_for_capable_vms() {
         let cfg = XenConfig {
-            sa: Some(crate::config::SaConfig::default()),
+            sa: true,
             ..XenConfig::default()
         };
         let mut hv = Hypervisor::new(cfg, 1);
@@ -992,7 +977,7 @@ mod tests {
     #[test]
     fn ple_exit_yields_the_spinner() {
         let cfg = XenConfig {
-            ple: Some(crate::config::PleConfig::default()),
+            ple: true,
             ..XenConfig::default()
         };
         let mut hv = Hypervisor::new(cfg, 1);

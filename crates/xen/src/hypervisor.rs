@@ -455,38 +455,6 @@ impl Hypervisor {
             .fold(SimTime::ZERO, |acc, v| acc + v.clock.info(now).runnable)
     }
 
-    /// Renders one pCPU's scheduler state for diagnostics: the current
-    /// vCPU, the queue with priorities/credits/flags, and any SA freeze.
-    pub fn debug_pcpu(&self, pcpu: PcpuId) -> String {
-        let p = &self.pcpus[pcpu.0];
-        let mut out = format!(
-            "{pcpu}: current={:?} since={} slice={} sa_wait={:?} runq=[",
-            p.current.map(|v| v.to_string()),
-            p.dispatch_start,
-            p.cur_slice,
-            p.sa_wait.map(|v| v.to_string()),
-        );
-        for (i, &v) in p.runq.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let vc = self.vc(v);
-            out.push_str(&format!(
-                "{v} {} cr={} yb={} parked={}",
-                vc.priority, vc.credits, vc.yield_bias, vc.parked
-            ));
-        }
-        out.push(']');
-        if let Some(cur) = p.current {
-            let vc = self.vc(cur);
-            out.push_str(&format!(
-                " | cur {} cr={} pend={}",
-                vc.priority, vc.credits, vc.sa_pending
-            ));
-        }
-        out
-    }
-
     /// Verifies internal consistency; used liberally by the test suites.
     ///
     /// Invariants checked:

@@ -69,7 +69,7 @@ mod vcpu;
 mod vm;
 
 pub use actions::{HvAction, ScheduleReason, SchedOp};
-pub use config::{PleConfig, RelaxedCoConfig, SaConfig, XenConfig};
+pub use config::{XenConfig, ACCOUNTING_PERIOD, PLE_WINDOW, SA_COMPLETION_LIMIT, TICK_PERIOD};
 pub use hypervisor::{Hypervisor, VcpuProbe};
 pub use ids::{PcpuId, VcpuRef, Virq, VmId};
 pub use pcpu::DispatchInfo;

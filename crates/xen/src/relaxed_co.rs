@@ -14,6 +14,7 @@
 //! workloads the scheme parks victims and becomes destructive (Figs 5, 7).
 
 use crate::actions::{HvAction, ScheduleReason};
+use crate::config::CO_SKEW_THRESHOLD;
 use crate::hypervisor::Hypervisor;
 use crate::ids::VcpuRef;
 use crate::runstate::RunState;
@@ -24,12 +25,6 @@ impl Hypervisor {
     /// Runs the skew check for every multi-vCPU VM. Called from the 30 ms
     /// accounting pass when relaxed-co is configured.
     pub(crate) fn relaxed_co_balance(&mut self, now: SimTime, out: &mut Vec<HvAction>) {
-        let threshold = self
-            .cfg
-            .relaxed_co
-            .as_ref()
-            .expect("relaxed_co_balance requires configuration")
-            .skew_threshold;
 
         // Last period's parks expire first: every vCPU gets a fresh chance.
         for v in &mut self.vcpus {
@@ -62,7 +57,7 @@ impl Hypervisor {
             let Some(&(laggard, lag_p)) = progress.iter().min_by_key(|&&(_, p)| p) else {
                 continue;
             };
-            if leader == laggard || lead_p.saturating_sub(lag_p) <= threshold {
+            if leader == laggard || lead_p.saturating_sub(lag_p) <= CO_SKEW_THRESHOLD {
                 continue;
             }
             // Reset the measurement round.
@@ -108,7 +103,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::actions::SchedOp;
-    use crate::config::{RelaxedCoConfig, XenConfig};
+    use crate::config::XenConfig;
     use crate::ids::PcpuId;
     use crate::vm::VmSpec;
 
@@ -119,7 +114,7 @@ mod tests {
     fn co_hv(n_pcpus: usize) -> Hypervisor {
         Hypervisor::new(
             XenConfig {
-                relaxed_co: Some(RelaxedCoConfig::default()),
+                relaxed_co: true,
                 ..XenConfig::default()
             },
             n_pcpus,
@@ -170,7 +165,7 @@ mod tests {
     fn no_action_below_threshold() {
         let (mut hv, v0, _v1, _h) = skewed();
         let mut out = Vec::new();
-        // Only 10 ms of skew: below the 30 ms default threshold.
+        // Only 10 ms of skew: below the 30 ms threshold.
         hv.relaxed_co_balance(t(10), &mut out);
         assert!(!hv.vc(v0).parked);
         assert_eq!(hv.stats().co_parks, 0);

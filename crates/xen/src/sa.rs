@@ -16,6 +16,7 @@
 //!    completion limit (§4.1's security note).
 
 use crate::actions::{HvAction, ScheduleReason};
+use crate::config::SA_COMPLETION_LIMIT;
 use crate::hypervisor::Hypervisor;
 use crate::ids::{PcpuId, VcpuRef, Virq};
 use crate::runstate::RunState;
@@ -36,12 +37,7 @@ impl Hypervisor {
         now: SimTime,
         out: &mut Vec<HvAction>,
     ) {
-        let limit = self
-            .cfg
-            .sa
-            .as_ref()
-            .expect("send_sa requires SA configuration")
-            .completion_limit;
+        debug_assert!(self.cfg.sa, "send_sa requires SA configuration");
         {
             let vc = self.vc_mut(vcpu);
             debug_assert!(!vc.sa_pending);
@@ -58,7 +54,7 @@ impl Hypervisor {
         out.push(HvAction::DeliverVirq {
             vcpu,
             virq: Virq::SaUpcall,
-            deadline: Some(now + limit),
+            deadline: Some(now + SA_COMPLETION_LIMIT),
         });
     }
 
@@ -123,7 +119,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::actions::SchedOp;
-    use crate::config::{SaConfig, XenConfig};
+    use crate::config::XenConfig;
     use crate::vm::VmSpec;
 
     fn t(ms: u64) -> SimTime {
@@ -133,7 +129,7 @@ mod tests {
     fn sa_hv() -> Hypervisor {
         Hypervisor::new(
             XenConfig {
-                sa: Some(SaConfig::default()),
+                sa: true,
                 ..XenConfig::default()
             },
             1,

@@ -9,7 +9,7 @@
 //! keeps the original arbitrary-target probing.
 
 use irs_sim::SimTime;
-use irs_xen::{Hypervisor, PcpuId, RunState, SaConfig, SchedOp, VcpuRef, VmId, VmSpec, XenConfig};
+use irs_xen::{Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, VmId, VmSpec, XenConfig};
 use proptest::prelude::*;
 
 /// One randomly chosen external stimulus.
@@ -52,8 +52,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn build(pinned: bool, sa: bool) -> Hypervisor {
     let cfg = XenConfig {
-        sa: if sa { Some(SaConfig::default()) } else { None },
-        ple: Some(irs_xen::PleConfig::default()),
+        sa,
+        ple: true,
         migration: !pinned,
         ..XenConfig::default()
     };

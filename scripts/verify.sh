@@ -22,7 +22,8 @@
 #     phases, regenerates BENCH_runner.json, and fails the build on a
 #     sequential-over-parallel speedup below 0.85 or on a queue-throughput
 #     drop below the timer-wheel floor.
-# The total verification wall-clock is then recorded in BENCH_runner.json's
+# Each step prints its wall time when it ends (`[step 4: 27.9 s]`), and the
+# total verification wall-clock is then recorded in BENCH_runner.json's
 # `verify_wall_s` field. Resumed-vs-scratch snapshot bit-identity, on the perf
 # scenario mix too, is covered by the test suite (crates/core/tests/fork.rs).
 #
@@ -32,16 +33,31 @@ cd "$(dirname "$0")/.."
 
 start=$(date +%s.%N)
 
-echo "== cargo build --workspace --release =="
+step=0
+# Announces the next step and starts its clock.
+begin() {
+    step=$((step + 1))
+    echo "== $* =="
+    step_start=$(date +%s.%N)
+}
+# Prints the wall time of the step begun last.
+end() {
+    echo "$step_start $(date +%s.%N)" | awk -v n="$step" '{printf "[step %d: %.1f s]\n", n, $2 - $1}'
+}
+
+begin "cargo build --workspace --release"
 cargo build --workspace --release
+end
 
-echo "== cargo test --workspace -q =="
+begin "cargo test --workspace -q"
 cargo test --workspace -q
+end
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+begin "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+end
 
-echo "== figures all --check (every table under the sanitizer, against results_csv/ and figures_output.txt) =="
+begin "figures all --check (every table under the sanitizer, against results_csv/ and figures_output.txt)"
 tables=$(mktemp -d)
 stdout=$(mktemp)
 fleet_tables=$(mktemp -d)
@@ -49,18 +65,22 @@ trap 'rm -rf "$tables" "$stdout" "$fleet_tables"' EXIT
 ./target/release/figures all --check --jobs 2 --csv "$tables" >"$stdout"
 cmp "$stdout" figures_output.txt
 diff -r "$tables" results_csv
+end
 
-echo "== figures fleet smoke (incremental parity: elided == full) =="
+begin "figures fleet smoke (incremental parity: elided == full)"
 ./target/release/figures fleet --smoke --parity --jobs 2 >/dev/null
+end
 
-echo "== figures fleet scale (1000 hosts; tables + incrementality floor) =="
+begin "figures fleet scale (1000 hosts; tables + incrementality floor)"
 ./target/release/figures fleet --hosts 1000 --check-perf --jobs 2 --csv "$fleet_tables" >/dev/null
 for t in 0 1 2 3 4 5 accounting; do
     cmp "$fleet_tables/fleet_$t.csv" "perfbench/reference/fleet1000_$t.csv"
 done
+end
 
-echo "== figures perf (regression gate; writes BENCH_runner.json) =="
+begin "figures perf (regression gate; writes BENCH_runner.json)"
 ./target/release/figures perf --quick --jobs 2 --check-perf
+end
 
 wall=$(echo "$start $(date +%s.%N)" | awk '{printf "%.3f", $2 - $1}')
 
