@@ -8,6 +8,8 @@
 use crate::{mean_makespans, Opts};
 use irs_core::{Scenario, Strategy, System};
 use irs_metrics::{improvement_pct, Series, Table};
+use irs_sync::WaitMode;
+use irs_workloads::presets;
 
 /// The four archetypes the paper selects: x264 (mutex), blackscholes
 /// (barrier), EP (blocking, little sync), MG (spinning).
@@ -17,10 +19,7 @@ pub const ARCHETYPES: [&str; 4] = ["x264", "blackscholes", "EP", "MG"];
 /// micro-benchmark plus two real applications (PARSEC ones for PARSEC
 /// benchmarks, NPB ones for NPB benchmarks).
 pub fn backgrounds_for(bench: &str) -> [Option<&'static str>; 3] {
-    if irs_workloads::presets::NPB_NAMES
-        .iter()
-        .any(|n| n.eq_ignore_ascii_case(bench))
-    {
+    if presets::wait_mode(bench) == WaitMode::Spin {
         [None, Some("LU"), Some("UA")]
     } else {
         [None, Some("fluidanimate"), Some("streamcluster")]

@@ -200,7 +200,7 @@ pub fn summary(o: &FleetOutcome) -> String {
 }
 
 /// The fleet's absolute `--check-perf` floor: a scale campaign's logical
-/// event volume must be at least [`SCALE_MIN_ELISION`]× what it executed
+/// event volume must be at least `SCALE_MIN_ELISION`× what it executed
 /// (counter-based, so deterministic). Returns one message per violation.
 pub fn floor_failures(o: &FleetOutcome) -> Vec<String> {
     let executed = events_executed(o);

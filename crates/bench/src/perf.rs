@@ -14,18 +14,18 @@
 //! bit-identity on the same mix is pinned by `crates/core/tests/fork.rs`.)
 //! The headline `speedup` is sequential over parallel: what the worker
 //! threads buy, which is also what the `--check-perf` regression gate
-//! holds at ≥ [`SPEEDUP_FLOOR`] (single-core CI boxes cannot promise
+//! holds at ≥ `SPEEDUP_FLOOR` (single-core CI boxes cannot promise
 //! thread-level scaling — the true ratio there sits at ~1.0 — but the
 //! fan-out must never make the engine *materially slower* than the
 //! sequential baseline).
 //!
 //! An untimed warm-up pass runs first and doubles as a probe: the mix is
 //! repeated enough times that each timed pass lasts at least
-//! [`MIN_TIMED_WALL_S`] and the grid holds at least [`MIN_GRID_RUNS`]
+//! `MIN_TIMED_WALL_S` and the grid holds at least `MIN_GRID_RUNS`
 //! runs. Without the scaling, a release-mode mix finishes in ~10 ms and
 //! the parallel pass mostly measures thread start-up — which is how an
 //! earlier report shipped a "speedup" of 0.76x. Each phase is then timed
-//! as the **best of [`MEASURE_PASSES`] shorter passes** (minimum wall —
+//! as the **best of `MEASURE_PASSES` shorter passes** (minimum wall —
 //! the classic defence against one-sided scheduling noise: interference
 //! only ever adds time, so the minimum is the least-contaminated
 //! reading). A single long pass is at the mercy of whatever the CI box's
@@ -99,8 +99,8 @@ impl PerfReport {
     }
 
     /// The report's absolute `--check-perf` floors: the speedup stays at
-    /// or above [`SPEEDUP_FLOOR`] and the queue micro-benchmark at or
-    /// above [`QUEUE_OPS_FLOOR`]. Returns one message per violated floor;
+    /// or above `SPEEDUP_FLOOR` and the queue micro-benchmark at or
+    /// above `QUEUE_OPS_FLOOR`. Returns one message per violated floor;
     /// empty means both hold.
     pub fn floor_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
@@ -158,7 +158,7 @@ const MIX: [(&str, usize, Strategy); 6] = [
 /// microseconds per fan-out, but a pass must still dwarf scheduling noise or
 /// "speedup" measures jitter, not the engine. Shorter than the old single
 /// 0.5 s pass because each phase now takes the best of
-/// [`MEASURE_PASSES`]: three 0.25 s windows reject one-sided interference
+/// `MEASURE_PASSES`: three 0.25 s windows reject one-sided interference
 /// far better than one 0.5 s window that a noisy neighbour can poison
 /// end to end.
 const MIN_TIMED_WALL_S: f64 = 0.25;
@@ -190,7 +190,7 @@ const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 /// shave 10%. The queue floor is the precise instrument.
 const SPEEDUP_FLOOR: f64 = 0.85;
 
-/// Runs `f` [`MEASURE_PASSES`] times and returns the first pass's result
+/// Runs `f` `MEASURE_PASSES` times and returns the first pass's result
 /// with the **minimum** wall-clock across passes. The engine is
 /// deterministic, so every pass returns the same value; interference is
 /// one-sided, so the minimum wall is the cleanest reading.
@@ -211,8 +211,8 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 /// Times the grid in both configurations and returns the combined
 /// report. `opts.seeds` seeds per mix entry; the whole mix is then
 /// repeated (identically — the engine is deterministic) until a timed
-/// pass is expected to take at least [`MIN_TIMED_WALL_S`] and the grid
-/// holds at least [`MIN_GRID_RUNS`] runs.
+/// pass is expected to take at least `MIN_TIMED_WALL_S` and the grid
+/// holds at least `MIN_GRID_RUNS` runs.
 pub fn perf(opts: Opts) -> PerfReport {
     // Best-of-N for the micro-benchmark too: its loop already runs to a
     // minimum wall, so take the fastest of the repeated windows.

@@ -26,8 +26,9 @@ pub(crate) enum Event {
     GuestTick { vm: u16, vcpu: u32, gen: u64 },
     /// The current compute segment of a task completes.
     TaskStep { vm: u16, task: u32, gen: u64 },
-    /// The guest's SA receiver/context-switcher softirq runs (scheduled
-    /// `round_delay` after `VIRQ_SA_UPCALL` delivery).
+    /// The guest's SA receiver and context switcher run
+    /// (`GuestOs::sa_upcall`, scheduled `round_delay` after
+    /// `VIRQ_SA_UPCALL` delivery).
     SaProcess { vm: u16, vcpu: u32, gen: u64 },
     /// The hypervisor's hard SA completion limit.
     SaTimeout { vm: u16, vcpu: u32, gen: u64 },

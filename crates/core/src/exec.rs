@@ -258,36 +258,10 @@ impl System {
                             self.wait_block(vm, task);
                             return;
                         }
-                        PopOutcome::Disconnected => {}
-                    }
-                }
-                Step::Close(c) => {
-                    let woken = self.domains[vm].space.channel(c).close();
-                    for w in woken {
-                        self.resume_waiter(vm, w.0);
                     }
                 }
                 Step::Sleep { ns } => {
                     self.sleep_task_until(vm, task, self.now + SimTime::from_nanos(ns));
-                    return;
-                }
-                Step::SleepUntil { at_ns } => {
-                    let at = SimTime::from_nanos(at_ns);
-                    if at > self.now {
-                        self.sleep_task_until(vm, task, at);
-                        return;
-                    }
-                    // Anchor already in the past: proceed immediately.
-                }
-                Step::AlignTo { period_ns, offset_ns } => {
-                    // Next boundary `k * period + offset` strictly after now.
-                    let now_ns = self.now.as_nanos();
-                    let next = if now_ns < offset_ns {
-                        offset_ns
-                    } else {
-                        ((now_ns - offset_ns) / period_ns + 1) * period_ns + offset_ns
-                    };
-                    self.sleep_task_until(vm, task, SimTime::from_nanos(next));
                     return;
                 }
                 Step::SafepointPoll(e) => {

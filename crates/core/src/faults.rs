@@ -5,10 +5,11 @@
 //! In a healthy full-system run that fallback never fires (every round is
 //! acked in ~22 µs against a 500 µs limit), so this module exists to make it
 //! fire *on purpose*: a [`FaultConfig`] describes a fault schedule, and the
-//! [`System`](crate::System) consults a [`FaultState`] at the three points
-//! where the SA protocol crosses the hypervisor/guest boundary:
+//! [`System`](crate::System) consults its fault state at the points where
+//! the SA protocol crosses the hypervisor/guest boundary, and at each
+//! hypervisor tick:
 //!
-//! * **upcall loss** — the `DeliverVirq(SaUpcall)` action is dropped before
+//! * **upcall loss** — the `HvAction::SaUpcall` action is dropped before
 //!   the guest sees it (the hypervisor-side completion deadline still arms,
 //!   so the round must resolve through `sa_timeout`);
 //! * **ack loss / delay** — the guest handles the vIRQ and context-switches

@@ -95,8 +95,10 @@ struct CacheEntry {
 /// cross-epoch carry-over store behind the fleet campaign's incremental
 /// mode.
 ///
-/// Keys are caller-chosen `u64`s that must uniquely identify the scenario
-/// (the fleet uses its composition seed, which *is* the scenario seed).
+/// Keys are the caller's own: the cache never inspects a scenario, so
+/// two keys are two runs even when they build the same scenario, and one
+/// key must always build the same one (the fleet keys by arm and
+/// composition, inside one campaign whose seed and host shape are fixed).
 /// Each entry holds the completed [`RunResult`] for its key; because runs
 /// are deterministic, one cached result serves any number of future
 /// members — reuse cannot change any table derived from the results.
@@ -106,12 +108,12 @@ struct CacheEntry {
 /// bookkeeping happens on the driver thread in deterministic order, so
 /// hit/miss counts are identical for every `--jobs N`.
 #[derive(Debug, Default)]
-pub struct ForkCache {
-    entries: BTreeMap<u64, CacheEntry>,
+pub struct ForkCache<K> {
+    entries: BTreeMap<K, CacheEntry>,
     stats: ForkCacheStats,
 }
 
-impl ForkCache {
+impl<K> ForkCache<K> {
     /// Current counters (resident bytes included).
     pub fn stats(&self) -> ForkCacheStats {
         self.stats
@@ -174,18 +176,19 @@ pub struct CachedGrid {
 /// save, since [`System::snapshot`] mutates nothing.
 ///
 /// Keys must be unique within one call.
-pub fn run_forked_grid_cached<F>(
+pub fn run_forked_grid_cached<K, F>(
     jobs: usize,
     warmup: SimTime,
-    groups: &[(u64, usize)],
+    groups: &[(K, usize)],
     make: F,
-    cache: &mut ForkCache,
+    cache: &mut ForkCache<K>,
 ) -> CachedGrid
 where
+    K: Ord + Clone,
     F: Fn(usize) -> Scenario + Sync,
 {
     debug_assert!(
-        groups.iter().map(|&(k, _)| k).collect::<std::collections::BTreeSet<_>>().len()
+        groups.iter().map(|(k, _)| k).collect::<std::collections::BTreeSet<_>>().len()
             == groups.len(),
         "cache keys must be unique within one call"
     );
@@ -213,11 +216,11 @@ where
         events_elided: 0,
         runs_elided: 0,
     };
-    for &(key, size) in groups {
-        let n = size as u64;
+    for (key, size) in groups {
+        let n = *size as u64;
         // Members that ran nothing: all of them on a hit, all but the one
         // that ran on a miss.
-        let (e, elided) = match cache.entries.entry(key) {
+        let (e, elided) = match cache.entries.entry(key.clone()) {
             Entry::Occupied(e) => {
                 cache.stats.result_hits += 1;
                 (e.into_mut(), n)
@@ -394,5 +397,25 @@ mod tests {
         for (a, b) in first.results.iter().zip(&second.results) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "hit must be bit-identical");
         }
+    }
+
+    #[test]
+    fn cached_grid_trusts_the_key_not_the_scenario() {
+        // Two keys whose constructor builds the same scenario are two
+        // runs: the memo never aliases callers' keys, so a caller that
+        // keys by more than the scenario seed (the fleet keys by arm and
+        // composition) keeps its entries apart.
+        let groups = [("vanilla", 1), ("irs", 1)];
+        let mut cache = ForkCache::default();
+        let warm = SimTime::from_millis(40);
+        let out = run_forked_grid_cached(1, warm, &groups, |_| quick(3), &mut cache);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 2, "both keys must miss");
+        assert_eq!(stats.result_hits, 0);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            format!("{:?}", *out.results[0]),
+            format!("{:?}", *out.results[1])
+        );
     }
 }

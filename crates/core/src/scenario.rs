@@ -143,15 +143,7 @@ impl Scenario {
     /// Panics if `benchmark` is unknown or `n_inter` is not 1..=4.
     pub fn fig5_style(benchmark: &str, n_inter: usize, strategy: Strategy, seed: u64) -> Self {
         assert!((1..=4).contains(&n_inter), "n_inter must be 1..=4");
-        let mode = if presets::NPB_NAMES
-            .iter()
-            .any(|n| n.eq_ignore_ascii_case(benchmark))
-        {
-            WaitMode::Spin // OMP_WAIT_POLICY=active (Fig 6)
-        } else {
-            WaitMode::Block // pthreads (Fig 5)
-        };
-        let fg = presets::by_name(benchmark, 4, mode)
+        let fg = presets::by_name(benchmark, 4, presets::wait_mode(benchmark))
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let bg = presets::hog::cpu_hogs(n_inter);
         Scenario::new(4, strategy, seed)
@@ -182,15 +174,7 @@ impl Scenario {
         seed: u64,
     ) -> Self {
         assert!((1..=8).contains(&n_inter), "n_inter must be 1..=8");
-        let fg_mode = if presets::NPB_NAMES
-            .iter()
-            .any(|n| n.eq_ignore_ascii_case(benchmark))
-        {
-            WaitMode::Spin
-        } else {
-            WaitMode::Block
-        };
-        let fg = presets::by_name(benchmark, 8, fg_mode)
+        let fg = presets::by_name(benchmark, 8, presets::wait_mode(benchmark))
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let bg = match background {
             None => presets::hog::cpu_hogs(n_inter),
@@ -216,15 +200,7 @@ impl Scenario {
     ) -> Self {
         assert!((1..=4).contains(&n_inter), "n_inter must be 1..=4");
         assert!((1..=3).contains(&n_vms), "n_vms must be 1..=3");
-        let fg_mode = if presets::NPB_NAMES
-            .iter()
-            .any(|n| n.eq_ignore_ascii_case(benchmark))
-        {
-            WaitMode::Spin
-        } else {
-            WaitMode::Block
-        };
-        let fg = presets::by_name(benchmark, 4, fg_mode)
+        let fg = presets::by_name(benchmark, 4, presets::wait_mode(benchmark))
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let mut s = Scenario::new(4, strategy, seed)
             .vm(VmScenario::new(fg, 4).pin_one_to_one().measured());
@@ -248,15 +224,7 @@ impl Scenario {
         seed: u64,
     ) -> Self {
         assert!((1..=4).contains(&n_inter), "n_inter must be 1..=4");
-        let fg_mode = if presets::NPB_NAMES
-            .iter()
-            .any(|n| n.eq_ignore_ascii_case(benchmark))
-        {
-            WaitMode::Spin
-        } else {
-            WaitMode::Block
-        };
-        let fg = presets::by_name(benchmark, 4, fg_mode)
+        let fg = presets::by_name(benchmark, 4, presets::wait_mode(benchmark))
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let bg = presets::by_name(background, n_inter, WaitMode::Block)
             .unwrap_or_else(|| panic!("unknown background {background}"))

@@ -23,7 +23,7 @@ use irs_sim::trace::TraceEvent;
 use irs_sim::{EventQueue, SimRng, SimTime};
 use irs_sync::OfferOutcome;
 use irs_workloads::{ProgramRunner, WorkloadKind};
-use irs_xen::{HvAction, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, Virq, VmSpec};
+use irs_xen::{HvAction, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, VmSpec};
 
 /// Modelling knobs that are not part of any scheduler's configuration.
 /// The default traces nothing, spins forever, checks nothing and injects
@@ -708,15 +708,8 @@ impl System {
         self.sync_exec(vm, vcpu);
         self.fill_views(vm);
         let d = &mut self.domains[vm];
-        let outcome = d.os.tick(vcpu, self.now, &d.view_buf);
-        self.apply_guest_actions(vm, outcome.actions);
-        if let Some(op) = outcome.sa_ack {
-            // A pending SA upcall was processed at the tick (after the
-            // timer work, per §4.2): forward the acknowledgement.
-            let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
-            let acts = self.hv.sched_op(v, op, self.now);
-            self.apply_hv_actions(acts);
-        }
+        let acts = d.os.tick(vcpu, self.now, &d.view_buf);
+        self.apply_guest_actions(vm, acts);
         self.queue.schedule(
             self.now + irs_guest::TICK_PERIOD,
             Event::GuestTick {
@@ -755,9 +748,9 @@ impl System {
         if !self.hv.is_sa_pending(v) || self.hv.sa_generation(v) != gen {
             return; // the guest already answered (e.g. it blocked anyway)
         }
-        // A wedged vCPU ignores vIRQs: leave the softirq pending and retry
-        // once the window clears. The completion limit usually wins the
-        // race, resolving the round through the §4.1 force path.
+        // A wedged vCPU ignores vIRQs: retry the upcall once the window
+        // clears. The completion limit usually wins the race, resolving
+        // the round through the §4.1 force path.
         let wedged_until = self.faults.as_ref().and_then(|f| {
             f.is_wedged(vm, vcpu, self.now)
                 .then(|| f.wedge_clears_at(vm, vcpu))
@@ -776,47 +769,49 @@ impl System {
         // The preemptee kept running during the receiver/softirq delay;
         // charge that time before switching.
         self.sync_exec(vm, vcpu);
+        // The upcall reads no views, but filling them samples every steal
+        // tracker of the VM at this instant, and later steal fractions
+        // depend on where those samples fall. Dropping this call moves
+        // Fig 5 and Fig 6 tables.
         self.fill_views(vm);
-        let d = &mut self.domains[vm];
-        let outcome = d.os.process_softirqs(vcpu, self.now, &d.view_buf);
-        self.apply_guest_actions(vm, outcome.actions);
-        if let Some(op) = outcome.sa_ack {
-            let now = self.now;
-            // The guest handled the upcall, but the acknowledgement
-            // hypercall itself can be dropped or deferred by the injector.
-            if let Some(f) = self.faults.as_mut() {
-                match f.ack_fate(now) {
-                    crate::faults::AckFate::Drop => {
-                        self.trace.emit(now, || TraceEvent::FaultInjected {
-                            kind: "ack-drop",
-                            vm,
-                            vcpu,
-                        });
-                        return;
-                    }
-                    crate::faults::AckFate::Delay(at) => {
-                        self.trace.emit(now, || TraceEvent::FaultInjected {
-                            kind: "ack-delay",
-                            vm,
-                            vcpu,
-                        });
-                        self.queue.schedule(
-                            at,
-                            Event::SaAckDeliver {
-                                vm: vm as u16,
-                                vcpu: vcpu as u32,
-                                gen,
-                                yield_op: op == SchedOp::Yield,
-                            },
-                        );
-                        return;
-                    }
-                    crate::faults::AckFate::Deliver => {}
+        let sa = self.domains[vm].os.sa_upcall(vcpu);
+        let op = sa.op;
+        self.apply_guest_actions(vm, sa.actions);
+        let now = self.now;
+        // The guest handled the upcall, but the acknowledgement hypercall
+        // itself can be dropped or deferred by the injector.
+        if let Some(f) = self.faults.as_mut() {
+            match f.ack_fate(now) {
+                crate::faults::AckFate::Drop => {
+                    self.trace.emit(now, || TraceEvent::FaultInjected {
+                        kind: "ack-drop",
+                        vm,
+                        vcpu,
+                    });
+                    return;
                 }
+                crate::faults::AckFate::Delay(at) => {
+                    self.trace.emit(now, || TraceEvent::FaultInjected {
+                        kind: "ack-delay",
+                        vm,
+                        vcpu,
+                    });
+                    self.queue.schedule(
+                        at,
+                        Event::SaAckDeliver {
+                            vm: vm as u16,
+                            vcpu: vcpu as u32,
+                            gen,
+                            yield_op: op == SchedOp::Yield,
+                        },
+                    );
+                    return;
+                }
+                crate::faults::AckFate::Deliver => {}
             }
-            let acts = self.hv.sched_op(v, op, self.now);
-            self.apply_hv_actions(acts);
         }
+        let acts = self.hv.sched_op(v, op, now);
+        self.apply_hv_actions(acts);
     }
 
     /// A fault-delayed SA acknowledgement arrives at the hypervisor. It is
@@ -964,11 +959,7 @@ impl System {
                         self.on_vcpu_stopped(vcpu, state);
                     }
                 }
-                HvAction::DeliverVirq {
-                    vcpu,
-                    virq: Virq::SaUpcall,
-                    deadline,
-                } => {
+                HvAction::SaUpcall { vcpu, deadline } => {
                     let vm = vcpu.vm.0;
                     let gen = self.hv.sa_generation(vcpu);
                     let now = self.now;
@@ -994,28 +985,21 @@ impl System {
                                 vcpu: vcpu.idx,
                             });
                         }
-                        if let Some(dl) = deadline {
-                            let jdl = f.jitter_deadline(now, dl);
-                            if jdl != dl {
-                                self.trace.emit(now, || TraceEvent::FaultInjected {
-                                    kind: "deadline-jitter",
-                                    vm,
-                                    vcpu: vcpu.idx,
-                                });
-                            }
-                            deadline = Some(jdl);
+                        let jittered = f.jitter_deadline(now, deadline);
+                        if jittered != deadline {
+                            self.trace.emit(now, || TraceEvent::FaultInjected {
+                                kind: "deadline-jitter",
+                                vm,
+                                vcpu: vcpu.idx,
+                            });
                         }
+                        deadline = jittered;
                     }
                     if deliver {
-                        // Receiver top half: mark the upcall softirq pending;
-                        // the bottom half (context switcher) runs after the
-                        // softirq delay — or at an intervening tick, after
-                        // timer work.
-                        self.domains[vm]
-                            .os
-                            .raise_softirq(vcpu.idx, irs_guest::Softirq::Upcall);
-                        // Upcalls only go to SA-capable VMs, whose guests
-                        // always carry an SA configuration.
+                        // The receiver and context switcher run as one
+                        // event after the round delay. Upcalls only go to
+                        // SA-capable VMs, whose guests always carry an SA
+                        // configuration.
                         let delay = self.domains[vm]
                             .os
                             .sa_config()
@@ -1033,18 +1017,15 @@ impl System {
                     // The completion deadline is hypervisor-side state: it
                     // arms even when the guest never saw the upcall — that
                     // is the whole point of the §4.1 force path.
-                    if let Some(dl) = deadline {
-                        self.queue.schedule(
-                            dl,
-                            Event::SaTimeout {
-                                vm: vm as u16,
-                                vcpu: vcpu.idx as u32,
-                                gen,
-                            },
-                        );
-                    }
+                    self.queue.schedule(
+                        deadline,
+                        Event::SaTimeout {
+                            vm: vm as u16,
+                            vcpu: vcpu.idx as u32,
+                            gen,
+                        },
+                    );
                 }
-                HvAction::DeliverVirq { .. } | HvAction::PcpuIdle { .. } => {}
             }
         }
         self.hv.recycle_actions(acts);

@@ -62,15 +62,19 @@ fn one_complete_sa_round() {
         Some(v0),
         "the preemption is deferred: the preemptee keeps running"
     );
-    // The receiver top half already marked the softirq pending.
-    assert!(sys
-        .guest(0)
-        .softirq_is_pending(0, irs_guest::Softirq::Upcall));
+    // The guest has not handled the upcall yet: the receiver and context
+    // switcher run one round delay after delivery.
+    assert_eq!(sys.guest(0).stats().sa_upcalls, 0);
 
     // Step until the round completes (ack processed).
     while sys.hypervisor().is_sa_pending(v0) {
         assert!(sys.step());
     }
+    assert_eq!(
+        sys.guest(0).stats().sa_upcalls,
+        1,
+        "the ack lands in the same event that handles the upcall"
+    );
     let acked_at = sys.now();
     let delay = acked_at - sent_at;
     assert!(

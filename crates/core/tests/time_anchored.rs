@@ -1,6 +1,6 @@
-//! Time-anchored workload constructs end to end: absolute-time sleeps
-//! (`SleepUntil`/`AlignTo`), gang-epoch safepoints, and open-loop
-//! arrival sources, threaded through the core execution engine.
+//! Time-anchored workload constructs end to end: gang-epoch safepoints
+//! and open-loop arrival sources, threaded through the core execution
+//! engine.
 //!
 //! Covers the contracts the serving campaign stands on: construction-time
 //! rejection of unbalanced gang epochs, forked-vs-scratch bit-identity

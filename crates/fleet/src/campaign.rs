@@ -27,8 +27,8 @@
 //!   `Arc<RunResult>` per arm and skip simulation entirely.
 //! * **Composition-keyed result memo** — groups not resolved by carry go
 //!   through [`irs_core::runner::run_forked_grid_cached`], whose
-//!   [`ForkCache`] runs each composition once and keeps its result, keyed
-//!   by composition seed, for every later epoch, arm and cell.
+//!   [`ForkCache`] runs each composition once per arm and keeps its
+//!   result, keyed by (arm, composition), for every later epoch and cell.
 //!
 //! With `incremental` off — the reference `figures fleet --parity`
 //! compares against — every occupied host is simulated from scratch. Both
@@ -226,6 +226,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The result memo's key: (strategy arm, composition).
+type MemoKey = (usize, Vec<u8>);
+
+/// The memo key of a host composition under one strategy arm. Within one
+/// campaign the fleet seed and host shape are fixed, so it names exactly
+/// one scenario. It carries no seed, so the arms stay apart even when
+/// they share a scenario seed.
+fn memo_key(arm: usize, comp: &[u8]) -> MemoKey {
+    (arm, comp.to_vec())
+}
+
 /// Scenario seed for a host composition under one strategy arm. Depends
 /// only on (fleet seed, arm, composition): equal-composition hosts are
 /// identical runs — the invariant result reuse relies on.
@@ -327,7 +338,7 @@ fn run_cell(
     policy: PlacementPolicy,
     mix: &AdversaryMix,
     solo: &BTreeMap<(u8, usize), f64>,
-    cache: &mut ForkCache,
+    cache: &mut ForkCache<MemoKey>,
 ) -> CellOutcome {
     let capacity = cfg.capacity_vcpus();
     assert!(
@@ -450,9 +461,9 @@ fn run_cell(
                 }
                 let pending: Vec<usize> =
                     (0..comps.len()).filter(|&g| shared[g].is_none()).collect();
-                let keyed: Vec<(u64, usize)> = pending
+                let keyed: Vec<(MemoKey, usize)> = pending
                     .iter()
-                    .map(|&g| (comp_seed(cfg.seed, arm, comps[g]), sizes[g]))
+                    .map(|&g| (memo_key(arm, comps[g]), sizes[g]))
                     .collect();
                 let grid = run_forked_grid_cached(
                     cfg.jobs,
@@ -615,9 +626,9 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
     assert!(!spec.policies.is_empty() && !spec.mixes.is_empty());
     let cfg = &spec.fleet;
     let solo = solo_rates(cfg);
-    // One memo for the whole campaign: compositions repeat across
-    // epochs, arms, *and* cells (the scenario seed ignores policy, mix,
-    // and overcommit), so cross-cell reuse is sound and frequent.
+    // One memo for the whole campaign: compositions repeat across epochs
+    // *and* cells (a host's scenario ignores policy, mix, and
+    // overcommit), so cross-cell reuse is sound and frequent.
     let mut cache = ForkCache::default();
     let mut report = FleetReport {
         tables: Vec::new(),
@@ -704,7 +715,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
                 overcommit: oc,
                 ..cfg.clone()
             };
-            // The scenario seed ignores overcommit (it only moves
+            // A host's scenario ignores overcommit (it only moves
             // placement capacity), so the sweep shares the same cache.
             let cell = run_cell(&cell_cfg, policy, &mix, &solo, &mut cache);
             if spec.assert_contract {
@@ -764,6 +775,19 @@ mod tests {
         assert_ne!(a, comp_seed(2, 0, &[0, 1]));
         assert_ne!(a, comp_seed(1, 1, &[0, 1]));
         assert_ne!(a, comp_seed(1, 0, &[1, 1]));
+    }
+
+    #[test]
+    fn memo_keys_keep_the_arms_apart() {
+        // The key takes no seed, so this holds at every fleet seed, and
+        // also where both arms run one shared scenario seed.
+        let comps: [&[u8]; 5] = [&[], &[0], &[0, 1], &[1, 1, 2], &[0, 0, 0, 0]];
+        for (i, a) in comps.iter().enumerate() {
+            assert_ne!(memo_key(0, a), memo_key(1, a), "arms alias on {a:?}");
+            for b in &comps[i + 1..] {
+                assert_ne!(memo_key(0, a), memo_key(0, b), "{a:?} aliases {b:?}");
+            }
+        }
     }
 
     #[test]

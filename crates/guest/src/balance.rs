@@ -532,7 +532,6 @@ mod tests {
         assert_eq!(g.current(1), Some(running));
         assert_eq!(g.stats().stopper_migrations, 1);
         assert!(out
-            .actions
             .iter()
             .any(|x| matches!(x, GuestAction::WakeVcpu { vcpu: 1 })));
     }

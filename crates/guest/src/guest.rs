@@ -5,7 +5,6 @@
 use crate::actions::{GuestAction, VcpuView};
 use crate::config::{GuestSaConfig, BALANCE_INTERVAL_TICKS, MIN_GRANULARITY, SCHED_LATENCY};
 use crate::rq::Runqueue;
-use crate::softirq::{Softirq, SoftirqOutcome};
 use crate::stats::GuestStats;
 use crate::task::{Task, TaskId, TaskState};
 use irs_sim::trace::{TraceEvent, TraceRing};
@@ -25,7 +24,7 @@ pub(crate) struct StopRequest {
 /// See the [crate-level documentation](crate) for scope and an example.
 ///
 /// `GuestOs` is `Clone` for `System::snapshot()` checkpointing: the clone
-/// copies all CFS/softirq/migrator state; the embedded trace ring clones
+/// copies all CFS/migrator state; the embedded trace ring clones
 /// its configuration but starts empty (rings are observability, not state).
 #[derive(Debug, Clone)]
 pub struct GuestOs {
@@ -42,8 +41,6 @@ pub struct GuestOs {
     /// allocating, and the embedder hands drained buffers back via
     /// [`GuestOs::recycle_actions`].
     pub(crate) spare_bufs: Vec<Vec<GuestAction>>,
-    /// Pending softirq bits per vCPU (see [`crate::softirq`]).
-    softirq_pending: Vec<u8>,
     tick_counts: Vec<u64>,
     started: bool,
     /// Typed trace bus for context-switch decisions (disabled by default).
@@ -72,7 +69,6 @@ impl GuestOs {
             stopper_pending: Vec::new(),
             stats: GuestStats::default(),
             spare_bufs: Vec::new(),
-            softirq_pending: vec![0; n_vcpus],
             tick_counts: vec![0; n_vcpus],
             started: false,
             trace: TraceRing::disabled(),
@@ -186,78 +182,22 @@ impl GuestOs {
     // the scheduler tick
     // ------------------------------------------------------------------
 
-    /// The 1 ms scheduler tick for `vcpu`: raises and runs `TIMER_SOFTIRQ`.
+    /// The 1 ms scheduler tick for `vcpu` (the `TIMER_SOFTIRQ` body):
+    /// pending stopper work, the CFS preemption check, and — every
+    /// `BALANCE_INTERVAL_TICKS` ticks — periodic balancing plus the
+    /// nohz kick.
     ///
     /// Only delivered while the vCPU actually executes (a preempted vCPU's
-    /// ticks are deferred, exactly as on real hardware). A pending SA
-    /// upcall is deliberately *not* consumed here: its bottom half carries
-    /// a 20–26 µs processing cost that the embedder models as the
-    /// softirq-delay event, which calls [`GuestOs::process_softirqs`] — and
-    /// that path runs any simultaneous timer work first (§4.2's rule).
-    pub fn tick(&mut self, vcpu: usize, now: SimTime, views: &[VcpuView]) -> SoftirqOutcome {
-        self.raise_softirq(vcpu, Softirq::Timer);
-        let mut outcome = SoftirqOutcome {
-            actions: self.out_buf(),
-            sa_ack: None,
-        };
-        self.softirq_pending[vcpu] &= !Softirq::Timer.bit();
-        self.timer_softirq(vcpu, now, views, &mut outcome.actions);
-        outcome
-    }
-
-    /// Marks a softirq pending on `vcpu` (interrupt top half).
-    pub fn raise_softirq(&mut self, vcpu: usize, s: Softirq) {
-        self.softirq_pending[vcpu] |= s.bit();
-    }
-
-    /// True if `s` is pending on `vcpu`.
-    pub fn softirq_is_pending(&self, vcpu: usize, s: Softirq) -> bool {
-        self.softirq_pending[vcpu] & s.bit() != 0
-    }
-
-    /// Runs pending softirq handlers on `vcpu` in priority order:
-    /// `TIMER_SOFTIRQ` first, then `UPCALL_SOFTIRQ` (the IRS context
-    /// switcher). See [`crate::softirq`].
-    pub fn process_softirqs(
-        &mut self,
-        vcpu: usize,
-        now: SimTime,
-        views: &[VcpuView],
-    ) -> SoftirqOutcome {
-        let mut outcome = SoftirqOutcome {
-            actions: self.out_buf(),
-            sa_ack: None,
-        };
-        if self.softirq_pending[vcpu] & Softirq::Timer.bit() != 0 {
-            self.softirq_pending[vcpu] &= !Softirq::Timer.bit();
-            self.timer_softirq(vcpu, now, views, &mut outcome.actions);
-        }
-        if self.softirq_pending[vcpu] & Softirq::Upcall.bit() != 0 {
-            self.softirq_pending[vcpu] &= !Softirq::Upcall.bit();
-            let sa = self.upcall_softirq(vcpu);
-            let mut buf = sa.actions;
-            outcome.actions.append(&mut buf);
-            self.recycle_actions(buf);
-            outcome.sa_ack = Some(sa.op);
-        }
-        outcome
-    }
-
-    /// The `TIMER_SOFTIRQ` body: pending stopper work, the CFS preemption
-    /// check, and — every [`BALANCE_INTERVAL_TICKS`] ticks —
-    /// periodic balancing plus the nohz kick.
-    fn timer_softirq(
-        &mut self,
-        vcpu: usize,
-        now: SimTime,
-        views: &[VcpuView],
-        out: &mut Vec<GuestAction>,
-    ) {
-        self.run_stopper(vcpu, out);
-        self.preempt_check(vcpu, out);
+    /// ticks are deferred, exactly as on real hardware). An SA upcall is
+    /// never handled here: the embedder runs [`GuestOs::sa_upcall`] as its
+    /// own event after the receiver delay.
+    pub fn tick(&mut self, vcpu: usize, _now: SimTime, views: &[VcpuView]) -> Vec<GuestAction> {
+        let mut out = self.out_buf();
+        self.run_stopper(vcpu, &mut out);
+        self.preempt_check(vcpu, &mut out);
         self.tick_counts[vcpu] += 1;
         if self.tick_counts[vcpu].is_multiple_of(BALANCE_INTERVAL_TICKS) {
-            self.periodic_balance(vcpu, views, out);
+            self.periodic_balance(vcpu, views, &mut out);
         }
         // nohz balancer kick: an overloaded runqueue wakes a sleeping idle
         // vCPU so it can pull (Linux `nohz_balancer_kick`). Without this, a
@@ -268,7 +208,7 @@ impl GuestOs {
                 out.push(GuestAction::WakeVcpu { vcpu: idle });
             }
         }
-        let _ = now;
+        out
     }
 
     /// Idle balancing on a vCPU that just woke with nothing to run: pull
@@ -683,7 +623,6 @@ mod tests {
             g.account_runtime(0, t(1));
             let out = g.tick(0, t(i), &views(1));
             if out
-                .actions
                 .iter()
                 .any(|x| matches!(x, GuestAction::RunTask { task, .. } if *task == b))
             {
@@ -705,8 +644,7 @@ mod tests {
         for i in 1..=20u64 {
             g.account_runtime(0, t(1));
             let out = g.tick(0, t(i), &views(1));
-            assert!(out.actions.is_empty(), "unexpected actions: {out:?}");
-            assert!(out.sa_ack.is_none());
+            assert!(out.is_empty(), "unexpected actions: {out:?}");
         }
         assert_eq!(g.current(0), Some(a));
     }

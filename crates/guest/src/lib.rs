@@ -57,7 +57,6 @@ mod config;
 mod guest;
 mod rq;
 pub mod sa;
-pub mod softirq;
 mod stats;
 mod task;
 
@@ -65,6 +64,5 @@ pub use actions::{GuestAction, VcpuView};
 pub use config::{GuestSaConfig, MIGRATOR_DELAY, TICK_PERIOD};
 pub use guest::GuestOs;
 pub use rq::Runqueue;
-pub use softirq::{Softirq, SoftirqOutcome};
 pub use stats::GuestStats;
 pub use task::{Task, TaskId, TaskState};

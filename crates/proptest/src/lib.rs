@@ -8,9 +8,9 @@
 //! * `proptest! { ... }` with an optional `#![proptest_config(...)]`,
 //!   `arg in strategy` parameters, and `prop_assert!`-style assertions
 //!   that fail the case without aborting the whole process state;
-//! * [`Strategy`] with `prop_map`, integer-range strategies, tuple
-//!   strategies, [`Just`], `prop_oneof!`, `prop::collection::vec`, and
-//!   `any::<bool>()`;
+//! * [`Strategy`](strategy::Strategy) with `prop_map`, integer-range
+//!   strategies, tuple strategies, [`Just`](strategy::Just),
+//!   `prop_oneof!`, `prop::collection::vec`, and `any::<bool>()`;
 //! * deterministic input generation: each test function derives its RNG
 //!   stream from its module path and name, so runs are reproducible
 //!   across invocations and machines.

@@ -29,10 +29,8 @@ pub enum PopOutcome {
         /// Producer to wake, if one was blocked on full.
         wake_producer: Option<TaskId>,
     },
-    /// Channel empty (and open): the consumer must block.
+    /// Channel empty: the consumer must block.
     MustWait,
-    /// Channel empty and closed: the consumer should move to shutdown.
-    Disconnected,
 }
 
 /// Outcome of a non-blocking external offer (open-loop request injection).
@@ -52,13 +50,12 @@ pub enum OfferOutcome {
 pub struct Channel {
     capacity: usize,
     len: usize,
-    closed: bool,
     producers_waiting: VecDeque<TaskId>,
     consumers_waiting: VecDeque<TaskId>,
 }
 
 impl Channel {
-    /// Creates an open channel holding at most `capacity` items.
+    /// Creates an empty channel holding at most `capacity` items.
     ///
     /// # Panics
     ///
@@ -68,7 +65,6 @@ impl Channel {
         Channel {
             capacity,
             len: 0,
-            closed: false,
             producers_waiting: VecDeque::new(),
             consumers_waiting: VecDeque::new(),
         }
@@ -76,7 +72,6 @@ impl Channel {
 
     /// `who` pushes one item.
     pub fn push(&mut self, who: TaskId) -> PushOutcome {
-        assert!(!self.closed, "push into a closed channel");
         if self.len < self.capacity {
             self.len += 1;
             // A waiting consumer's pop completes immediately.
@@ -111,8 +106,6 @@ impl Channel {
                     wake_producer: None,
                 }
             }
-        } else if self.closed {
-            PopOutcome::Disconnected
         } else {
             self.consumers_waiting.push_back(who);
             PopOutcome::MustWait
@@ -122,7 +115,6 @@ impl Channel {
     /// Non-blocking push by an external producer (the open-loop request
     /// generator, which is not a task and can never wait).
     pub fn offer(&mut self) -> OfferOutcome {
-        assert!(!self.closed, "offer into a closed channel");
         if self.len < self.capacity {
             self.len += 1;
             if let Some(consumer) = self.consumers_waiting.pop_front() {
@@ -138,13 +130,6 @@ impl Channel {
         } else {
             OfferOutcome::Full
         }
-    }
-
-    /// Closes the channel; returns all consumers blocked on empty so the
-    /// embedder can wake them into `Disconnected`.
-    pub fn close(&mut self) -> Vec<TaskId> {
-        self.closed = true;
-        self.consumers_waiting.drain(..).collect()
     }
 
     /// Items currently buffered.
@@ -223,32 +208,5 @@ mod tests {
             }
         );
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn close_disconnects_waiting_consumers() {
-        let mut c = Channel::new(1);
-        assert_eq!(c.pop(t(1)), PopOutcome::MustWait);
-        assert_eq!(c.pop(t(2)), PopOutcome::MustWait);
-        let woken = c.close();
-        assert_eq!(woken, vec![t(1), t(2)]);
-        assert_eq!(c.pop(t(3)), PopOutcome::Disconnected);
-    }
-
-    #[test]
-    fn closed_channel_drains_remaining_items() {
-        let mut c = Channel::new(2);
-        c.push(t(0));
-        c.close();
-        assert_eq!(c.pop(t(1)), PopOutcome::Popped { wake_producer: None });
-        assert_eq!(c.pop(t(1)), PopOutcome::Disconnected);
-    }
-
-    #[test]
-    #[should_panic(expected = "closed channel")]
-    fn push_after_close_panics() {
-        let mut c = Channel::new(1);
-        c.close();
-        c.push(t(0));
     }
 }

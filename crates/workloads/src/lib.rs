@@ -15,10 +15,9 @@
 //!
 //! * [`Program`] / [`ProgramBuilder`] — a tiny validated bytecode: compute
 //!   segments with jitter, lock/unlock, barrier arrival, channel push/pop,
-//!   work-steal loops, bounded/infinite loops, request markers, and the
-//!   time-anchored ops — absolute/periodic sleeps (`sleep_until_us`,
-//!   `align_to_us`), gang-epoch safepoint polls, and deterministic
-//!   open-loop arrival waits (`await_arrival`).
+//!   work-steal loops, bounded/infinite loops, request markers, sleeps,
+//!   gang-epoch safepoint polls, and deterministic open-loop arrival
+//!   waits (`await_arrival`).
 //! * [`ProgramRunner`] — resumable interpreter; yields [`Step`]s to the
 //!   embedding simulation, which models time, blocking, and spinning.
 //! * [`WorkloadBundle`] — a named set of thread programs plus their

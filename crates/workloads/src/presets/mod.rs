@@ -251,6 +251,17 @@ pub const PARSEC_NAMES: [&str; 12] = [
 /// The NPB benchmark names in the order Fig 6 plots them.
 pub const NPB_NAMES: [&str; 9] = ["BT", "LU", "CG", "EP", "FT", "IS", "MG", "SP", "UA"];
 
+/// How `name`'s waiters wait in the paper's runs: NPB spins
+/// (`OMP_WAIT_POLICY=active`, Fig 6) and everything else blocks
+/// (pthreads, Fig 5). Names match case-insensitively.
+pub fn wait_mode(name: &str) -> WaitMode {
+    if NPB_NAMES.iter().any(|n| n.eq_ignore_ascii_case(name)) {
+        WaitMode::Spin
+    } else {
+        WaitMode::Block
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +274,14 @@ mod tests {
             assert!(b.n_threads() >= 4, "{name} has too few threads");
         }
         assert!(by_name("doom", 4, WaitMode::Block).is_none());
+    }
+
+    #[test]
+    fn npb_spins_and_the_rest_blocks() {
+        assert_eq!(wait_mode("MG"), WaitMode::Spin);
+        assert_eq!(wait_mode("lu"), WaitMode::Spin);
+        assert_eq!(wait_mode("streamcluster"), WaitMode::Block);
+        assert_eq!(wait_mode("x264"), WaitMode::Block);
     }
 
     #[test]

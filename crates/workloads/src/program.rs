@@ -22,30 +22,12 @@ pub enum Op {
     Push(ChannelId),
     /// Pop one item from a channel (blocks when empty).
     Pop(ChannelId),
-    /// Close a channel, disconnecting its consumers.
-    Close(ChannelId),
     /// Claim one chunk from a work pool; on exhaustion, jump to program end.
     StealOrExit(PoolId),
     /// Sleep for a fixed duration (timed wait, I/O think time).
     Sleep {
         /// Sleep length in nanoseconds.
         ns: u64,
-    },
-    /// Sleep until an absolute virtual-time instant; a no-op if that
-    /// instant has already passed. Rejected inside loops (a loop body
-    /// would re-anchor to the same instant and spin).
-    SleepUntil {
-        /// Absolute wake instant in nanoseconds since boot.
-        at_ns: u64,
-    },
-    /// Sleep to the next `offset_ns + k·period_ns` boundary strictly
-    /// after the current instant (periodic wall-clock alignment: tick
-    /// handlers, heartbeat emitters, metronomic phases).
-    AlignTo {
-        /// Alignment period in nanoseconds.
-        period_ns: u64,
-        /// Phase offset of the boundaries in nanoseconds.
-        offset_ns: u64,
     },
     /// Poll a gang-epoch safepoint: pass free unless the epoch's
     /// wall-clock deadline has been reached, in which case park until
@@ -87,10 +69,7 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics on unbalanced `LoopStart`/`LoopEnd`, an out-of-range jump,
-    /// a `SleepUntil` inside a loop body (each iteration would re-anchor
-    /// to the same absolute instant, degenerating into a spin), or a
-    /// zero-period `AlignTo`.
+    /// Panics on unbalanced `LoopStart`/`LoopEnd` or an out-of-range jump.
     pub fn new(ops: Vec<Op>) -> Self {
         let mut depth = 0i64;
         for (i, op) in ops.iter().enumerate() {
@@ -102,16 +81,6 @@ impl Program {
                 }
                 Op::Jump { target } => {
                     assert!(*target <= ops.len(), "jump target {target} out of range at op {i}");
-                }
-                Op::SleepUntil { .. } => {
-                    assert!(
-                        depth == 0,
-                        "time anchor inside a loop: SleepUntil at op {i} would re-anchor \
-                         every iteration to the same absolute instant"
-                    );
-                }
-                Op::AlignTo { period_ns, .. } => {
-                    assert!(*period_ns > 0, "AlignTo with zero period at op {i}");
                 }
                 _ => {}
             }
@@ -265,32 +234,9 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends a channel close.
-    pub fn close(mut self, chan: ChannelId) -> Self {
-        self.ops.push(Op::Close(chan));
-        self
-    }
-
     /// Appends a sleep.
     pub fn sleep_us(mut self, us: u64) -> Self {
         self.ops.push(Op::Sleep { ns: us * 1_000 });
-        self
-    }
-
-    /// Appends an absolute-time anchor: sleep until `at_us` microseconds
-    /// after boot (no-op if already past).
-    pub fn sleep_until_us(mut self, at_us: u64) -> Self {
-        self.ops.push(Op::SleepUntil { at_ns: at_us * 1_000 });
-        self
-    }
-
-    /// Appends a periodic alignment: sleep to the next
-    /// `offset_us + k·period_us` boundary strictly in the future.
-    pub fn align_to_us(mut self, period_us: u64, offset_us: u64) -> Self {
-        self.ops.push(Op::AlignTo {
-            period_ns: period_us * 1_000,
-            offset_ns: offset_us * 1_000,
-        });
         self
     }
 
@@ -422,61 +368,17 @@ mod tests {
     }
 
     #[test]
-    fn time_anchors_build_at_top_level() {
-        let p = ProgramBuilder::new()
-            .sleep_until_us(500)
-            .align_to_us(100, 10)
-            .forever(|b| b.safepoint_poll(EpochId(0)).compute_us(10, 0.0))
-            .build();
-        assert!(matches!(p.op(0), Some(Op::SleepUntil { at_ns: 500_000 })));
-        assert!(matches!(
-            p.op(1),
-            Some(Op::AlignTo {
-                period_ns: 100_000,
-                offset_ns: 10_000
-            })
-        ));
-        assert!(matches!(p.op(3), Some(Op::SafepointPoll(_))));
-    }
-
-    #[test]
-    #[should_panic(expected = "time anchor inside a loop")]
-    fn sleep_until_inside_a_loop_panics() {
-        ProgramBuilder::new()
-            .repeat(3, |b| b.sleep_until_us(1_000))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "time anchor inside a loop")]
-    fn repeat_forever_around_a_time_anchor_panics() {
-        ProgramBuilder::new()
-            .sleep_until_us(1_000)
-            .compute_us(5, 0.0)
-            .build()
-            .repeat_forever();
-    }
-
-    #[test]
-    #[should_panic(expected = "zero period")]
-    fn zero_period_align_panics() {
-        Program::new(vec![Op::AlignTo {
-            period_ns: 0,
-            offset_ns: 0,
-        }]);
-    }
-
-    #[test]
     fn align_and_arrivals_are_loop_safe() {
-        // AlignTo advances each iteration and AwaitArrival consumes the
-        // stream, so both belong in loop bodies.
+        // AwaitArrival consumes the stream and SafepointPoll re-arms per
+        // epoch, so both belong in loop bodies.
         let p = ProgramBuilder::new()
             .forever(|b| {
                 b.await_arrival(ArrivalId(0))
                     .compute_us(100, 0.1)
-                    .align_to_us(1_000, 0)
+                    .safepoint_poll(EpochId(0))
             })
             .build();
         assert_eq!(p.len(), 5);
+        assert!(matches!(p.op(3), Some(Op::SafepointPoll(_))));
     }
 }

@@ -27,26 +27,10 @@ pub enum Step {
     Push(ChannelId),
     /// Pop from this channel.
     Pop(ChannelId),
-    /// Close this channel.
-    Close(ChannelId),
     /// Sleep for `ns` nanoseconds (off-CPU, not waiting on anyone).
     Sleep {
         /// Sleep length.
         ns: u64,
-    },
-    /// Sleep until an absolute instant (no-op if already past). The
-    /// embedder resolves it against the virtual clock — the runner is
-    /// clockless.
-    SleepUntil {
-        /// Absolute wake instant in nanoseconds since boot.
-        at_ns: u64,
-    },
-    /// Sleep to the next periodic boundary strictly after now.
-    AlignTo {
-        /// Alignment period.
-        period_ns: u64,
-        /// Boundary phase offset.
-        offset_ns: u64,
     },
     /// Poll this gang-epoch safepoint.
     SafepointPoll(EpochId),
@@ -177,21 +161,9 @@ impl ProgramRunner {
                     self.pc += 1;
                     return Step::Pop(c);
                 }
-                Op::Close(c) => {
-                    self.pc += 1;
-                    return Step::Close(c);
-                }
                 Op::Sleep { ns } => {
                     self.pc += 1;
                     return Step::Sleep { ns };
-                }
-                Op::SleepUntil { at_ns } => {
-                    self.pc += 1;
-                    return Step::SleepUntil { at_ns };
-                }
-                Op::AlignTo { period_ns, offset_ns } => {
-                    self.pc += 1;
-                    return Step::AlignTo { period_ns, offset_ns };
                 }
                 Op::SafepointPoll(e) => {
                     self.pc += 1;
@@ -364,24 +336,11 @@ mod tests {
         let e = space.new_epoch(1_000_000, 1, WaitMode::Block);
         let a = space.new_arrival(irs_sync::ArrivalDist::Poisson { mean_ns: 1_000 });
         let p = ProgramBuilder::new()
-            .sleep_until_us(100)
-            .align_to_us(50, 5)
             .safepoint_poll(e)
             .await_arrival(a)
             .build();
         let mut r = ProgramRunner::new(p);
         let mut rng = rng();
-        assert_eq!(
-            r.next(&mut rng, &mut space),
-            Step::SleepUntil { at_ns: 100_000 }
-        );
-        assert_eq!(
-            r.next(&mut rng, &mut space),
-            Step::AlignTo {
-                period_ns: 50_000,
-                offset_ns: 5_000
-            }
-        );
         assert_eq!(r.next(&mut rng, &mut space), Step::SafepointPoll(e));
         assert_eq!(r.next(&mut rng, &mut space), Step::AwaitArrival(a));
         assert_eq!(r.next(&mut rng, &mut space), Step::Done);

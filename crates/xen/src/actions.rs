@@ -5,7 +5,7 @@
 //! Every externally visible consequence of a scheduling decision is returned
 //! as an [`HvAction`] for the embedding simulation to interpret.
 
-use crate::ids::{PcpuId, VcpuRef, Virq};
+use crate::ids::{PcpuId, VcpuRef};
 use crate::runstate::RunState;
 use irs_sim::SimTime;
 use std::fmt;
@@ -30,24 +30,16 @@ pub enum HvAction {
         /// Its new runstate (`Runnable` if preempted, `Blocked` if idle).
         state: RunState,
     },
-    /// A virtual interrupt must be delivered to the guest owning `vcpu`.
-    ///
-    /// For [`Virq::SaUpcall`] the hypervisor has set `sa_pending` and is
-    /// delaying the preemption; the embedder must arm a timeout at
-    /// `deadline` (see [`crate::SA_COMPLETION_LIMIT`]) in case the
-    /// guest never acknowledges.
-    DeliverVirq {
+    /// `VIRQ_SA_UPCALL` must be delivered to the guest owning `vcpu`
+    /// (Algorithm 1). The hypervisor has set `sa_pending` and is delaying
+    /// the preemption; the embedder must arm a timeout at `deadline` (the
+    /// send instant plus [`crate::SA_COMPLETION_LIMIT`]) in case the guest
+    /// never acknowledges.
+    SaUpcall {
         /// Target vCPU (the interrupt is per-vCPU).
         vcpu: VcpuRef,
-        /// Which interrupt line.
-        virq: Virq,
-        /// For SA upcalls, the hard completion deadline; `None` otherwise.
-        deadline: Option<SimTime>,
-    },
-    /// `pcpu` has nothing to run and enters the idle loop.
-    PcpuIdle {
-        /// The idle pCPU.
-        pcpu: PcpuId,
+        /// The hard completion deadline.
+        deadline: SimTime,
     },
 }
 

@@ -203,8 +203,7 @@ impl Hypervisor {
             return out;
         }
         self.remove_queued(next, pcpu);
-        self.stats.global.preemptions += 1;
-        self.vc_mut(cur).stats.preemptions += 1;
+        self.stats.preemptions += 1;
         self.stop_current(pcpu, RunState::Runnable, now, &mut out);
         self.dispatch(pcpu, next, now, ScheduleReason::Degrade, &mut out);
         out
@@ -219,8 +218,7 @@ impl Hypervisor {
         if self.vc(v).state() != RunState::Blocked {
             return out;
         }
-        self.stats.global.wakes += 1;
-        self.vc_mut(v).stats.wakes += 1;
+        self.stats.wakes += 1;
 
         let target = if self.cfg.migration && !self.cfg.strict_co && self.vc(v).affinity.is_none()
         {
@@ -229,7 +227,7 @@ impl Hypervisor {
             self.vc(v).affinity.unwrap_or(self.vc(v).home)
         };
         if target != self.vc(v).home {
-            self.stats.global.vcpu_migrations += 1;
+            self.stats.vcpu_migrations += 1;
         }
 
         self.runstate_epoch[v.vm.0] += 1;
@@ -251,7 +249,7 @@ impl Hypervisor {
             }
         }
         if self.vc(v).priority == CreditPriority::Boost {
-            self.stats.global.boosts += 1;
+            self.stats.boosts += 1;
         }
         self.enqueue(v, target);
         self.trace.emit(now, || TraceEvent::Wake {
@@ -287,7 +285,7 @@ impl Hypervisor {
             let p = frozen.unwrap();
             self.vc_mut(v).sa_pending = false;
             self.pcpus[p].sa_wait = None;
-            self.stats.global.sa_acked += 1;
+            self.stats.sa_acked += 1;
             let op_str = match op {
                 SchedOp::Block => "SCHEDOP_block",
                 SchedOp::Yield => "SCHEDOP_yield",
@@ -340,7 +338,7 @@ impl Hypervisor {
         if self.pcpus[home.0].current != Some(v) || self.pcpus[home.0].sa_wait.is_some() {
             return out;
         }
-        self.stats.global.ple_exits += 1;
+        self.stats.ple_exits += 1;
         self.vc_mut(v).yield_bias = true;
         self.stop_current(home, RunState::Runnable, now, &mut out);
         self.do_schedule(home, now, ScheduleReason::PleExit, false, &mut out);
@@ -368,7 +366,7 @@ impl Hypervisor {
         if self.pcpus[pcpu.0].sa_wait.is_some() {
             return; // frozen awaiting the guest's SA acknowledgement
         }
-        self.stats.global.schedules += 1;
+        self.stats.schedules += 1;
 
         let cur = self.pcpus[pcpu.0].current;
         let cur_running =
@@ -379,16 +377,9 @@ impl Hypervisor {
             let candidate = self
                 .pick_local(pcpu)
                 .or_else(|| self.steal_for(pcpu));
-            match candidate {
-                Some(next) => {
-                    self.remove_queued(next, pcpu);
-                    self.dispatch(pcpu, next, now, reason, out);
-                }
-                None => {
-                    if cur.is_none() {
-                        out.push(HvAction::PcpuIdle { pcpu });
-                    }
-                }
+            if let Some(next) = candidate {
+                self.remove_queued(next, pcpu);
+                self.dispatch(pcpu, next, now, reason, out);
             }
             return;
         }
@@ -433,8 +424,7 @@ impl Hypervisor {
 
         let next = best.expect("switch implies a candidate");
         self.remove_queued(next, pcpu);
-        self.stats.global.preemptions += 1;
-        self.vc_mut(c).stats.preemptions += 1;
+        self.stats.preemptions += 1;
         self.stop_current(pcpu, RunState::Runnable, now, out);
         self.dispatch(pcpu, next, now, reason, out);
     }
@@ -511,7 +501,6 @@ impl Hypervisor {
         p.cur_slice = slice;
         p.dispatch_gen += 1;
         self.dispatch_epoch += 1;
-        self.vc_mut(next).stats.dispatches += 1;
         // Yield flags are one-shot (Xen clears CSCHED_FLAG_VCPU_YIELD once
         // the scheduler has acted on it): anyone still queued after this
         // completed decision competes normally next time.
@@ -600,7 +589,7 @@ impl Hypervisor {
         }
         let stolen = best.map(|(_, _, _, v)| v);
         if stolen.is_some() {
-            self.stats.global.vcpu_migrations += 1;
+            self.stats.vcpu_migrations += 1;
         }
         stolen
     }
@@ -752,9 +741,7 @@ mod tests {
         // the pCPU freezes awaiting the acknowledgement.
         assert!(hv.is_sa_pending(va));
         assert_eq!(hv.pcpu_sa_wait(PcpuId(0)), Some(va));
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, HvAction::DeliverVirq { .. })));
+        assert!(acts.iter().any(|x| matches!(x, HvAction::SaUpcall { .. })));
         // While frozen, further degradation hits are no-ops.
         assert!(hv.force_preempt(PcpuId(0), t(6)).is_empty());
     }

@@ -10,7 +10,7 @@ use crate::config::XenConfig;
 use crate::ids::{PcpuId, VcpuRef, VmId};
 use crate::pcpu::{DispatchInfo, Pcpu};
 use crate::runstate::{RunState, RunstateInfo};
-use crate::stats::{HvStats, StatsStore, VcpuStats};
+use crate::stats::HvStats;
 use crate::vcpu::Vcpu;
 use crate::vm::{Vm, VmSpec};
 use irs_sim::trace::TraceRing;
@@ -60,7 +60,7 @@ pub struct Hypervisor {
     pub(crate) vcpus: Vec<Vcpu>,
     /// `vm_base[vm]` = index of `vm`'s first vCPU in [`Hypervisor::vcpus`].
     pub(crate) vm_base: Vec<u32>,
-    pub(crate) stats: StatsStore,
+    pub(crate) stats: HvStats,
     pub(crate) queue_seq: u64,
     /// Bumps whenever *any* pCPU's dispatch changes (a superset counter
     /// over the per-pCPU `dispatch_gen`s). Embedders compare it between
@@ -98,7 +98,7 @@ impl Hypervisor {
             vms: Vec::new(),
             vcpus: Vec::new(),
             vm_base: Vec::new(),
-            stats: StatsStore::default(),
+            stats: HvStats::default(),
             queue_seq: 0,
             dispatch_epoch: 0,
             runstate_epoch: Vec::new(),
@@ -428,12 +428,7 @@ impl Hypervisor {
 
     /// Global scheduler counters.
     pub fn stats(&self) -> &HvStats {
-        &self.stats.global
-    }
-
-    /// Counters for one vCPU (zeros if it never scheduled).
-    pub fn vcpu_stats(&self, v: VcpuRef) -> VcpuStats {
-        self.vc(v).stats.clone()
+        &self.stats
     }
 
     /// True if any vCPU of `vm` currently wants CPU.

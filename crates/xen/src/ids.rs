@@ -44,27 +44,6 @@ impl fmt::Display for VcpuRef {
     }
 }
 
-/// Virtual interrupt lines delivered over event channels.
-///
-/// The reproduction needs only the two lines the paper discusses: the
-/// periodic guest timer and the new SA upcall added by IRS (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Virq {
-    /// Periodic guest timer interrupt.
-    Timer,
-    /// `VIRQ_SA_UPCALL` — the scheduler-activation notification IRS adds.
-    SaUpcall,
-}
-
-impl fmt::Display for Virq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Virq::Timer => write!(f, "VIRQ_TIMER"),
-            Virq::SaUpcall => write!(f, "VIRQ_SA_UPCALL"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +53,6 @@ mod tests {
         assert_eq!(PcpuId(3).to_string(), "pcpu3");
         assert_eq!(VmId(1).to_string(), "vm1");
         assert_eq!(VcpuRef::new(VmId(1), 2).to_string(), "vm1.v2");
-        assert_eq!(Virq::SaUpcall.to_string(), "VIRQ_SA_UPCALL");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   `SCHEDOP_block`/`SCHEDOP_yield` (or a hard completion limit fires).
 //!
 //! The crate is a *library of state machines*: methods mutate hypervisor
-//! state and return [`HvAction`]s (context-switch notifications, vIRQ
-//! deliveries, timer (re)arms) that the embedding simulation interprets. The
+//! state and return [`HvAction`]s (context-switch notifications and SA
+//! upcalls) that the embedding simulation interprets. The
 //! guest OS lives in `irs-guest`; the two only meet in `irs-core`.
 //!
 //! # Example
@@ -71,9 +71,9 @@ mod vm;
 pub use actions::{HvAction, ScheduleReason, SchedOp};
 pub use config::{XenConfig, ACCOUNTING_PERIOD, PLE_WINDOW, SA_COMPLETION_LIMIT, TICK_PERIOD};
 pub use hypervisor::{Hypervisor, VcpuProbe};
-pub use ids::{PcpuId, VcpuRef, Virq, VmId};
+pub use ids::{PcpuId, VcpuRef, VmId};
 pub use pcpu::DispatchInfo;
 pub use runstate::{RunState, RunstateClock, RunstateInfo};
-pub use stats::{HvStats, VcpuStats};
+pub use stats::HvStats;
 pub use vcpu::CreditPriority;
 pub use vm::VmSpec;

@@ -68,7 +68,7 @@ impl Hypervisor {
 
             // Stop the leader for one period.
             self.vc_mut(leader).parked = true;
-            self.stats.global.co_parks += 1;
+            self.stats.co_parks += 1;
             let leader_home = self.vc(leader).home;
             if self.pcpus[leader_home.0].current == Some(leader)
                 && self.pcpus[leader_home.0].sa_wait.is_none()

@@ -18,7 +18,7 @@
 use crate::actions::{HvAction, ScheduleReason};
 use crate::config::SA_COMPLETION_LIMIT;
 use crate::hypervisor::Hypervisor;
-use crate::ids::{PcpuId, VcpuRef, Virq};
+use crate::ids::{PcpuId, VcpuRef};
 use crate::runstate::RunState;
 use irs_sim::trace::TraceEvent;
 use irs_sim::SimTime;
@@ -45,16 +45,14 @@ impl Hypervisor {
             vc.sa_gen += 1;
         }
         self.pcpus[pcpu.0].sa_wait = Some(vcpu);
-        self.stats.global.sa_sent += 1;
-        self.vc_mut(vcpu).stats.sa_received += 1;
+        self.stats.sa_sent += 1;
         self.trace.emit(now, || TraceEvent::SaSend {
             vm: vcpu.vm.0,
             vcpu: vcpu.idx,
         });
-        out.push(HvAction::DeliverVirq {
+        out.push(HvAction::SaUpcall {
             vcpu,
-            virq: Virq::SaUpcall,
-            deadline: Some(now + SA_COMPLETION_LIMIT),
+            deadline: now + SA_COMPLETION_LIMIT,
         });
     }
 
@@ -73,7 +71,7 @@ impl Hypervisor {
             }
         }
         self.vc_mut(vcpu).sa_pending = false;
-        self.stats.global.sa_timeouts += 1;
+        self.stats.sa_timeouts += 1;
         self.trace.emit(now, || TraceEvent::SaTimeout {
             vm: vcpu.vm.0,
             vcpu: vcpu.idx,
@@ -100,8 +98,7 @@ impl Hypervisor {
             && self.vc(vcpu).state() == RunState::Running
         {
             self.vc_mut(vcpu).yield_bias = true;
-            self.stats.global.preemptions += 1;
-            self.vc_mut(vcpu).stats.preemptions += 1;
+            self.stats.preemptions += 1;
             self.stop_current(pcpu, RunState::Runnable, now, &mut out);
             self.do_schedule(pcpu, now, ScheduleReason::SaTimeout, false, &mut out);
         } else {
@@ -156,13 +153,15 @@ mod tests {
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vfg));
         let gen = hv.dispatch_info(PcpuId(0)).unwrap().generation;
         let since = hv.dispatch_info(PcpuId(0)).unwrap().since;
-        let acts = hv.slice_expired(PcpuId(0), gen, since + t(30));
+        let sent_at = since + t(30);
+        let acts = hv.slice_expired(PcpuId(0), gen, sent_at);
         assert!(
-            acts.iter().any(|a| matches!(
-                a,
-                HvAction::DeliverVirq { virq: Virq::SaUpcall, .. }
-            )),
-            "slice expiry of an SA-capable runnable vCPU must send SA, got {acts:?}"
+            acts.contains(&HvAction::SaUpcall {
+                vcpu: vfg,
+                deadline: sent_at + SA_COMPLETION_LIMIT,
+            }),
+            "slice expiry of an SA-capable runnable vCPU must send SA with a \
+             deadline of the send instant plus SA_COMPLETION_LIMIT, got {acts:?}"
         );
         (hv, vfg, vbg)
     }
@@ -242,9 +241,7 @@ mod tests {
         hv.start(t(0));
         let gen = hv.dispatch_info(PcpuId(0)).unwrap().generation;
         let acts = hv.slice_expired(PcpuId(0), gen, t(30));
-        assert!(!acts
-            .iter()
-            .any(|a| matches!(a, HvAction::DeliverVirq { virq: Virq::SaUpcall, .. })));
+        assert!(!acts.iter().any(|a| matches!(a, HvAction::SaUpcall { .. })));
         assert_eq!(hv.stats().sa_sent, 0);
         // The preemption happened immediately instead.
         assert!(acts.iter().any(|a| matches!(a, HvAction::VcpuStarted { .. })));
@@ -284,9 +281,7 @@ mod tests {
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vfg));
         // vio wakes with BOOST: would preempt vfg; SA must fire first.
         let acts = hv.vcpu_wake(vio, t(40));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, HvAction::DeliverVirq { virq: Virq::SaUpcall, .. })));
+        assert!(acts.iter().any(|a| matches!(a, HvAction::SaUpcall { .. })));
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vfg), "preemption deferred");
         // Guest acks; the boosted waker takes over.
         hv.sched_op(vfg, SchedOp::Yield, t(40) + SimTime::from_micros(25));

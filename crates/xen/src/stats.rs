@@ -31,48 +31,9 @@ pub struct HvStats {
     pub gang_rotations: u64,
 }
 
-/// Per-vCPU counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VcpuStats {
-    /// Times this vCPU was dispatched on a pCPU.
-    pub dispatches: u64,
-    /// Involuntary preemptions suffered.
-    pub preemptions: u64,
-    /// SA notifications received.
-    pub sa_received: u64,
-    /// Wake-ups.
-    pub wakes: u64,
-}
-
-/// Container for the global counters. Per-vCPU counters live inline on
-/// each `Vcpu` in the flat arena (see `Hypervisor::vcpu_stats`): the hot
-/// paths that bump them already hold the vCPU's cache lines, and the old
-/// `HashMap<VcpuRef, VcpuStats>` hashed on every context switch.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StatsStore {
-    pub global: HvStats,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::XenConfig;
-    use crate::hypervisor::Hypervisor;
-    use crate::ids::{PcpuId, VcpuRef};
-    use crate::vm::VmSpec;
-    use irs_sim::SimTime;
-
-    #[test]
-    fn inline_vcpu_stats_count_dispatches() {
-        // The per-vCPU counters live inline on the flat vCPU arena now;
-        // exercise them end-to-end through a real dispatch.
-        let mut hv = Hypervisor::new(XenConfig::default(), 1);
-        let vm = hv.create_vm(VmSpec::new(1).pin_all(PcpuId(0)));
-        hv.start(SimTime::ZERO);
-        let v = VcpuRef::new(vm, 0);
-        assert_eq!(hv.vcpu_stats(v).dispatches, 1);
-        assert_eq!(hv.vcpu_stats(v).preemptions, 0);
-    }
 
     #[test]
     fn defaults_are_zero() {

@@ -63,10 +63,6 @@ pub(crate) struct Vcpu {
     pub co_baseline: SimTime,
     /// When this vCPU last received BOOST (rate-limits boost storms).
     pub last_boost: Option<SimTime>,
-    /// Per-vCPU event counters, kept inline so the dispatch/preempt hot
-    /// paths bump them on the cache lines they already touch (previously a
-    /// `HashMap<VcpuRef, VcpuStats>` hashed on every context switch).
-    pub stats: crate::stats::VcpuStats,
 }
 
 impl Vcpu {
@@ -86,7 +82,6 @@ impl Vcpu {
             burn_baseline: SimTime::ZERO,
             co_baseline: SimTime::ZERO,
             last_boost: None,
-            stats: crate::stats::VcpuStats::default(),
         }
     }
 
