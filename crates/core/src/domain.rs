@@ -6,7 +6,6 @@ use irs_sim::SimTime;
 use irs_sync::SyncSpace;
 use irs_workloads::{OpenLoop, ProgramRunner, WorkloadKind};
 use irs_xen::RunstateInfo;
-use std::collections::VecDeque;
 
 /// What a task is doing right now, from the execution engine's viewpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +52,9 @@ pub(crate) struct TaskRt {
     pub runner: ProgramRunner,
     /// Pending cache warm-up penalty (ns) added to the next segment.
     pub penalty_ns: u64,
-    /// Open request timestamp (`RequestStart` or queue-arrival pairing).
+    /// Open request timestamp (`RequestStart`, an awaited arrival, or the
+    /// stamp of a popped channel item). A push moves it into the channel,
+    /// so end-to-end latency survives multi-tier hops.
     pub req_open: Option<SimTime>,
 }
 
@@ -129,14 +130,6 @@ pub(crate) struct Domain {
     pub kind: WorkloadKind,
     pub memory_intensity: f64,
     pub open_loop: Option<OpenLoop>,
-    /// Per-channel request-timestamp ledger, parallel to the space's
-    /// channels: entry `c` mirrors channel `c`'s queue item-for-item.
-    /// `Some(t)` is an in-flight request that arrived/started at `t`
-    /// (open-loop offers, or a producer handing its open request
-    /// downstream); `None` is a plain pipeline item with no request
-    /// attached. A pop transfers a `Some` stamp to the popping task's
-    /// `req_open`, so end-to-end latency survives multi-tier hops.
-    pub req_ledger: Vec<VecDeque<Option<SimTime>>>,
     /// Per-vCPU execution context.
     pub exec: Vec<Option<ExecCtx>>,
     /// Per-vCPU guest-tick generation.
@@ -147,7 +140,7 @@ pub(crate) struct Domain {
     pub last_tick: Vec<SimTime>,
     /// Per-vCPU PLE-window generation.
     pub ple_gen: Vec<u64>,
-    /// Per-vCPU SA-round generation (guards SaProcess staleness).
+    /// Per-vCPU steal estimator behind each view's `steal_frac`.
     pub steal: Vec<StealTracker>,
     /// Cached guest-visible per-vCPU views, refilled in place by
     /// `System::fill_views`. Kept per domain so the cache survives events

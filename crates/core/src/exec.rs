@@ -112,15 +112,16 @@ impl System {
         }
     }
 
-    /// Arms a PLE window for an ungranted spinner (PLE strategy only).
+    /// Arms a PLE window for an ungranted spinner, when the hypervisor
+    /// answers pause-loop exits.
     fn arm_ple(&mut self, vm: usize, vcpu: usize) {
-        let Some(window) = self.strategy.ple_window() else {
+        if !self.hv.config().ple {
             return;
-        };
+        }
         self.domains[vm].ple_gen[vcpu] += 1;
         let gen = self.domains[vm].ple_gen[vcpu];
         self.queue.schedule(
-            self.now + window,
+            self.now + irs_xen::PLE_WINDOW,
             Event::PleWindow {
                 vm: vm as u16,
                 vcpu: vcpu as u32,
@@ -212,23 +213,20 @@ impl System {
                     }
                 }
                 Step::Push(c) => {
-                    let outcome = self.domains[vm].space.channel(c).push(TaskId(task));
+                    // The pushed item carries the producer's open request
+                    // stamp (if any) downstream, so latency spans tiers in
+                    // a pipeline service.
+                    let stamp = self.domains[vm].tasks[task].req_open.take();
+                    let outcome = self.domains[vm].space.channel(c).push(TaskId(task), stamp);
                     match outcome {
                         PushOutcome::Pushed { wake_consumer } => {
-                            // The pushed item carries the producer's open
-                            // request stamp (if any) downstream, so latency
-                            // spans tiers in a pipeline service.
-                            let stamp = self.domains[vm].tasks[task].req_open.take();
-                            match wake_consumer {
-                                Some(w) => {
-                                    // Handed straight to a blocked consumer;
-                                    // the item never sits in the queue.
-                                    if stamp.is_some() {
-                                        self.domains[vm].tasks[w.0].req_open = stamp;
-                                    }
-                                    self.resume_waiter(vm, w.0);
+                            if let Some(w) = wake_consumer {
+                                // Handed straight to a blocked consumer;
+                                // the item never sits in the queue.
+                                if stamp.is_some() {
+                                    self.domains[vm].tasks[w.0].req_open = stamp;
                                 }
-                                None => self.domains[vm].req_ledger[c.0].push_back(stamp),
+                                self.resume_waiter(vm, w.0);
                             }
                         }
                         PushOutcome::MustWait => {
@@ -240,17 +238,16 @@ impl System {
                 Step::Pop(c) => {
                     let outcome = self.domains[vm].space.channel(c).pop(TaskId(task));
                     match outcome {
-                        PopOutcome::Popped { wake_producer } => {
-                            let entry = self.domains[vm].req_ledger[c.0].pop_front();
-                            debug_assert!(entry.is_some(), "request ledger underflow");
-                            if let Some(Some(t0)) = entry {
-                                self.domains[vm].tasks[task].req_open = Some(t0);
+                        PopOutcome::Popped {
+                            stamp,
+                            wake_producer,
+                        } => {
+                            if stamp.is_some() {
+                                self.domains[vm].tasks[task].req_open = stamp;
                             }
                             if let Some(p) = wake_producer {
                                 // The producer's blocked push completes now:
-                                // its item (and stamp) enters the queue tail.
-                                let stamp = self.domains[vm].tasks[p.0].req_open.take();
-                                self.domains[vm].req_ledger[c.0].push_back(stamp);
+                                // the channel moved its item into the tail.
                                 self.resume_waiter(vm, p.0);
                             }
                         }
@@ -320,7 +317,7 @@ impl System {
                     let vcpu = d.os.task(TaskId(task)).cpu;
                     self.fill_views(vm);
                     let d = &mut self.domains[vm];
-                    let acts = d.os.exit_current(vcpu, self.now, &d.view_buf);
+                    let acts = d.os.exit_current(vcpu, &d.view_buf);
                     self.apply_guest_actions(vm, acts);
                     return;
                 }
@@ -501,7 +498,7 @@ impl System {
         debug_assert_eq!(self.domains[vm].os.current(vcpu), Some(TaskId(task)));
         self.fill_views(vm);
         let d = &mut self.domains[vm];
-        let acts = d.os.block_current(vcpu, self.now, &d.view_buf);
+        let acts = d.os.block_current(vcpu, &d.view_buf);
         self.apply_guest_actions(vm, acts);
     }
 }

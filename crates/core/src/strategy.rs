@@ -75,15 +75,6 @@ impl Strategy {
         matches!(self, Strategy::Irs | Strategy::IrsPull)
     }
 
-    /// The continuous-spin window after which a PLE VM-exit fires, if this
-    /// strategy reacts to spinning.
-    pub fn ple_window(self) -> Option<SimTime> {
-        match self {
-            Strategy::Ple => Some(irs_xen::PLE_WINDOW),
-            _ => None,
-        }
-    }
-
     /// Whether the idle-pull oracle (§6) is active.
     pub fn pull_oracle(self) -> bool {
         self == Strategy::IrsPull
@@ -111,10 +102,17 @@ mod tests {
     #[test]
     fn configs_match_strategies() {
         assert!(!Strategy::Vanilla.xen_config().sa);
-        assert!(Strategy::Ple.xen_config().ple);
         assert!(Strategy::RelaxedCo.xen_config().relaxed_co);
         assert!(Strategy::Irs.xen_config().sa);
         assert!(Strategy::IrsPull.xen_config().sa);
+        // PLE is decided once: only `Ple` answers pause-loop exits, so
+        // only its runs arm PLE windows.
+        for s in Strategy::ALL
+            .into_iter()
+            .chain([Strategy::StrictCo, Strategy::IrsPull])
+        {
+            assert_eq!(s.xen_config().ple, s == Strategy::Ple, "{s}");
+        }
     }
 
     #[test]
@@ -122,13 +120,6 @@ mod tests {
         assert!(!Strategy::Vanilla.sa_capable_guest());
         assert!(!Strategy::Ple.sa_capable_guest());
         assert!(Strategy::Irs.sa_capable_guest());
-    }
-
-    #[test]
-    fn ple_window_only_for_ple() {
-        assert!(Strategy::Ple.ple_window().is_some());
-        assert!(Strategy::Irs.ple_window().is_none());
-        assert!(Strategy::Vanilla.ple_window().is_none());
     }
 
     #[test]

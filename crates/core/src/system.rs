@@ -30,10 +30,11 @@ use irs_xen::{HvAction, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, VmSpec};
 /// no faults.
 #[derive(Debug, Clone, Default)]
 pub struct SystemConfig {
-    /// Capacity of each in-memory trace ring (0 disables tracing). When
-    /// enabled, the hypervisor, every guest kernel and the fault injector
-    /// record their typed scheduling events with virtual timestamps;
-    /// render the merged timeline via [`System::trace_dump`].
+    /// Capacity of each of the two in-memory trace rings (0 disables
+    /// tracing). When enabled, the hypervisor records its typed scheduling
+    /// decisions, and the system records each guest decision it applies
+    /// and each fault it injects, with virtual timestamps; render the
+    /// merged timeline via [`System::trace_dump`].
     pub trace_capacity: usize,
     /// Paravirtual spin-then-halt: an ungranted spin wait longer than this
     /// halts until the owner's release kicks it (pv-spinlock semantics,
@@ -42,7 +43,7 @@ pub struct SystemConfig {
     pub pv_spin: Option<SimTime>,
     /// Runs the online invariant sanitizer ([`crate::check`]) after every
     /// event. Also enabled process-wide by
-    /// [`crate::check::set_check_enabled`]; when on, the trace rings are
+    /// [`crate::check::set_check_enabled`]; when on, both trace rings are
     /// armed automatically (256 records each, unless `trace_capacity` says
     /// otherwise) so a violation report has decisions to show
     /// ([`System::trace_dump`]).
@@ -117,10 +118,9 @@ pub struct System {
     armed_epoch: Option<u64>,
     stopped: bool,
     events_processed: u64,
-    /// The fault injector's typed trace ring.
+    /// The typed trace ring of what this system applies and injects: the
+    /// guests' task runs, stops and migrations, and every fault.
     trace: irs_sim::trace::TraceRing,
-    /// Whether any trace ring is armed (guest clocks need syncing).
-    trace_on: bool,
     /// The online invariant sanitizer, when checking is enabled.
     pub(crate) checker: Option<crate::check::Checker>,
     /// Live fault injector, when [`SystemConfig::faults`] is set.
@@ -194,9 +194,6 @@ impl System {
                 None
             };
             let mut os = GuestOs::new(guest_sa, vm.n_vcpus);
-            if ring_cap > 0 {
-                os.enable_trace(vm_index, ring_cap);
-            }
             let mut bundle = vm.bundle;
             // Gang epochs must be balanced: each epoch's participant count
             // has to equal the number of threads polling it, or a release
@@ -236,7 +233,6 @@ impl System {
                 let child = parent.fork(((vm_index as u64) << 32) | i as u64);
                 bundle.space.arrival(irs_sync::ArrivalId(i)).reseed(child);
             }
-            let n_channels = bundle.space.n_channels();
             // Parallel presets spawn N copies of one thread program:
             // dedupe the per-domain programs behind `Arc` so sibling tasks
             // share a single op vector instead of each cloning it.
@@ -273,7 +269,6 @@ impl System {
                 kind: bundle.kind,
                 memory_intensity: bundle.memory_intensity,
                 open_loop: bundle.open_loop,
-                req_ledger: vec![std::collections::VecDeque::new(); n_channels],
                 exec: vec![None; vm.n_vcpus],
                 tick_gen: vec![0; vm.n_vcpus],
                 last_tick: vec![SimTime::ZERO; vm.n_vcpus],
@@ -322,7 +317,6 @@ impl System {
             stopped: false,
             events_processed: 0,
             trace,
-            trace_on: ring_cap > 0,
             checker: None,
             faults,
         };
@@ -338,7 +332,7 @@ impl System {
         // Guests pick initial currents; vCPUs with empty runqueues are
         // registered as blocked before the hypervisor's first dispatch.
         for vm in 0..self.domains.len() {
-            let acts = self.domains[vm].os.start(SimTime::ZERO);
+            let acts = self.domains[vm].os.start();
             for act in acts {
                 match act {
                     GuestAction::Hypercall {
@@ -348,9 +342,14 @@ impl System {
                         self.hv
                             .block_before_start(VcpuRef::new(irs_xen::VmId(vm), vcpu));
                     }
-                    GuestAction::RunTask { .. } => {
+                    GuestAction::RunTask { vcpu, task } => {
                         // Execution starts when the hypervisor dispatches
                         // the vCPU (VcpuStarted).
+                        self.trace.emit(SimTime::ZERO, || TraceEvent::TaskRun {
+                            vm,
+                            vcpu,
+                            task: task.0,
+                        });
                     }
                     other => panic!("unexpected boot action {other}"),
                 }
@@ -437,14 +436,6 @@ impl System {
         );
         debug_assert!(t >= self.now, "time went backwards");
         self.now = t;
-        if self.trace_on {
-            // Guest entry points mostly have no `now` parameter; keep each
-            // kernel's trace clock in lock-step with virtual time instead
-            // of widening every signature.
-            for d in &mut self.domains {
-                d.os.sync_clock(t);
-            }
-        }
         self.dispatch(ev);
         // Strict co-scheduling: rotate early rather than idle the machine
         // when the gang VM went fully idle and another VM has work.
@@ -469,38 +460,21 @@ impl System {
         self.now
     }
 
-    /// Merges every typed trace ring — the hypervisor's, each guest
-    /// kernel's, and the fault injector's — into one timeline,
-    /// stable-sorted by virtual timestamp, and renders every record one
-    /// line each, oldest first. Empty unless tracing is armed (via
-    /// [`SystemConfig::trace_capacity`] or checking). The invariant
+    /// Merges the two typed trace rings — the hypervisor's decisions, then
+    /// the guest decisions and faults this system applied — into one
+    /// timeline, stable-sorted by virtual timestamp, and renders every
+    /// record one line each, oldest first. Empty unless tracing is armed
+    /// (via [`SystemConfig::trace_capacity`] or checking). The invariant
     /// sanitizer's violation report carries its last 120 lines.
     pub fn trace_dump(&self) -> String {
-        // Ring encoding for the sort keys: 0 = hypervisor, 1..=n = guests,
-        // n+1 = the fault injector's ring.
-        let ring = |r: u16| -> &std::collections::VecDeque<irs_sim::trace::TraceRecord> {
-            match r {
-                0 => self.hv.trace().records(),
-                r if (r as usize) <= self.domains.len() => {
-                    self.domains[r as usize - 1].os.trace().records()
-                }
-                _ => self.trace.records(),
-            }
-        };
-        let mut keys: Vec<(SimTime, u16, u32)> = Vec::new();
-        for r in 0..(self.domains.len() + 2) as u16 {
-            keys.extend(
-                ring(r)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rec)| (rec.at, r, i as u32)),
-            );
-        }
-        // Stable, so ties keep ring order (hv, guests, fault injector).
-        keys.sort_by_key(|k| k.0);
+        let mut records: Vec<&irs_sim::trace::TraceRecord> =
+            self.hv.trace().records().iter().collect();
+        records.extend(self.trace.records());
+        // Stable, so ties keep ring order (hypervisor first).
+        records.sort_by_key(|r| r.at);
         let mut out = String::new();
-        for &(_, r, i) in &keys {
-            out.push_str(&ring(r)[i as usize].to_string());
+        for rec in records {
+            out.push_str(&rec.to_string());
             out.push('\n');
         }
         out
@@ -708,7 +682,7 @@ impl System {
         self.sync_exec(vm, vcpu);
         self.fill_views(vm);
         let d = &mut self.domains[vm];
-        let acts = d.os.tick(vcpu, self.now, &d.view_buf);
+        let acts = d.os.tick(vcpu, &d.view_buf);
         self.apply_guest_actions(vm, acts);
         self.queue.schedule(
             self.now + irs_guest::TICK_PERIOD,
@@ -899,21 +873,19 @@ impl System {
         let Some(ol) = self.domains[vm].open_loop else {
             return;
         };
-        match self.domains[vm].space.channel(ol.channel).offer() {
+        let now = self.now;
+        match self.domains[vm].space.channel(ol.channel).offer(now) {
             OfferOutcome::Accepted {
                 wake_consumer: Some(w),
             } => {
                 let d = &mut self.domains[vm];
-                d.tasks[w.0].req_open = Some(self.now);
+                d.tasks[w.0].req_open = Some(now);
                 d.task_activity[w.0] = crate::domain::Activity::Resume;
                 self.wake_task(vm, w.0);
             }
             OfferOutcome::Accepted {
                 wake_consumer: None,
-            } => {
-                let now = self.now;
-                self.domains[vm].req_ledger[ol.channel.0].push_back(Some(now));
-            }
+            } => {}
             OfferOutcome::Full => {
                 self.domains[vm].dropped_requests += 1;
             }
@@ -1101,16 +1073,29 @@ impl System {
         }
     }
 
+    /// Applies a guest's actions in order. The guest's task runs, stops
+    /// and migrations go on the trace here, each right before it takes
+    /// effect: the action carries every field of the record but the VM.
     pub(crate) fn apply_guest_actions(&mut self, vm: usize, mut acts: Vec<GuestAction>) {
         for act in acts.drain(..) {
             match act {
-                GuestAction::RunTask { vcpu, .. } => {
+                GuestAction::RunTask { vcpu, task } => {
+                    self.trace.emit(self.now, || TraceEvent::TaskRun {
+                        vm,
+                        vcpu,
+                        task: task.0,
+                    });
                     let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
                     if self.hv.vcpu_state(v) == RunState::Running {
                         self.begin_exec(vm, vcpu);
                     }
                 }
-                GuestAction::StopTask { vcpu, .. } => {
+                GuestAction::StopTask { vcpu, task } => {
+                    self.trace.emit(self.now, || TraceEvent::TaskStop {
+                        vm,
+                        vcpu,
+                        task: task.0,
+                    });
                     self.end_exec(vm, vcpu);
                 }
                 GuestAction::Hypercall { vcpu, op } => {
@@ -1138,7 +1123,13 @@ impl System {
                         );
                     }
                 }
-                GuestAction::TaskMigrated { task, .. } => {
+                GuestAction::TaskMigrated { task, from, to } => {
+                    self.trace.emit(self.now, || TraceEvent::TaskMigrate {
+                        vm,
+                        task: task.0,
+                        from,
+                        to,
+                    });
                     let penalty = CACHE_PENALTY
                         .scaled_f64(self.domains[vm].memory_intensity)
                         .as_nanos();
@@ -1271,21 +1262,18 @@ impl System {
             .map(|(i, d)| {
                 let vm_id = irs_xen::VmId(i);
                 // Requests still open at run end — accepted (or started)
-                // but never completed: in some task's hands or still queued
-                // in a channel. Reported instead of silently dropped so a
-                // latency table cannot claim a goodput its tail never paid.
-                // A stamp past `elapsed` is a *future* open-loop arrival a
-                // task is sleeping toward, not a truncated request.
+                // but never completed: in some task's hands, or held by a
+                // channel (queued, or beside a producer blocked on a full
+                // one). Reported instead of silently dropped so a latency
+                // table cannot claim a goodput its tail never paid. A stamp
+                // past `elapsed` is a *future* open-loop arrival a task is
+                // sleeping toward, not a truncated request.
                 let truncated = d
                     .tasks
                     .iter()
                     .filter(|t| t.req_open.is_some_and(|t0| t0 <= elapsed))
                     .count()
-                    + d.req_ledger
-                        .iter()
-                        .flat_map(|l| l.iter())
-                        .filter(|e| e.is_some())
-                        .count();
+                    + d.space.held_requests();
                 VmResult {
                     name: d.name,
                     kind: d.kind,
@@ -1383,11 +1371,6 @@ impl Snapshot {
             b += d.tasks.len() * PER_TASK;
             b += d.exec.len() * PER_VCPU;
             b += d.latencies_us.capacity() * std::mem::size_of::<f64>();
-            b += d
-                .req_ledger
-                .iter()
-                .map(|q| q.capacity() * std::mem::size_of::<Option<irs_sim::SimTime>>())
-                .sum::<usize>();
         }
         b
     }

@@ -94,9 +94,9 @@ fn total_upcall_loss_resolves_every_round_by_timeout() {
 /// as stale instead of desynchronizing a newer round.
 #[test]
 fn delayed_acks_past_the_limit_are_discarded_as_stale() {
+    assert!(irs_core::faults::ACK_DELAY > irs_xen::SA_COMPLETION_LIMIT);
     let faults = FaultConfig {
         ack_delay_prob: 1.0,
-        ack_delay: SimTime::from_micros(800), // > 500 µs completion limit
         ..FaultConfig::default()
     };
     let r = System::with_config(short_fig5(Strategy::Irs, 5), cfg_with(faults)).run();

@@ -85,10 +85,12 @@ fn checking_does_not_perturb_results() {
     assert_unperturbed("unpinned", unpinned);
 }
 
-/// Every task migration shows on the typed trace: in a traced run whose
-/// rings never evict, the `guest.migrate` lines equal the sum of every
-/// task's migration count. IRS moves tasks by wake placement, balancing
-/// and the SA migrator; the pull oracle also pulls running tasks.
+/// Every task migration and every context switch shows on the typed
+/// trace: in a traced run whose rings never evict, the `guest.migrate`
+/// lines equal the sum of every task's migration count, and the
+/// `guest.run` lines equal the guests' context switches, boot's first
+/// picks included. IRS moves tasks by wake placement, balancing and the
+/// SA migrator; the pull oracle also pulls running tasks.
 #[test]
 fn typed_trace_records_every_migration() {
     const CAP: usize = 1 << 20;
@@ -103,25 +105,29 @@ fn typed_trace_records_every_migration() {
         while sys.now() < SimTime::from_millis(500) {
             assert!(sys.step());
         }
-        let n_vms = sys.hypervisor().n_vms();
-        assert!(sys.hypervisor().trace().records().len() < CAP);
-        let mut migrations = 0;
-        for vm in 0..n_vms {
+        let dump = sys.trace_dump();
+        // The two rings together hold fewer than CAP records, so neither
+        // evicted one.
+        assert!(dump.lines().count() < CAP);
+        let (mut migrations, mut switches) = (0, 0);
+        for vm in 0..sys.hypervisor().n_vms() {
             let os = sys.guest(vm);
-            assert!(os.trace().records().len() < CAP, "vm{vm}'s ring evicted");
             migrations += (0..os.n_tasks())
                 .map(|t| os.task(irs_guest::TaskId(t)).migrations)
                 .sum::<u64>();
+            switches += os.stats().context_switches;
         }
-        let traced = sys
-            .trace_dump()
-            .lines()
-            .filter(|l| l.contains("guest.migrate"))
-            .count() as u64;
+        let traced = |tag: &str| dump.lines().filter(|l| l.contains(tag)).count() as u64;
         assert!(migrations > 0, "{strategy}: no task migrated");
         assert_eq!(
-            traced, migrations,
+            traced("guest.migrate"),
+            migrations,
             "{strategy}: the trace missed migrations"
+        );
+        assert_eq!(
+            traced("guest.run"),
+            switches,
+            "{strategy}: the trace missed context switches"
         );
     }
 }

@@ -153,7 +153,6 @@ impl GuestOs {
     /// steal-scaled load exceeds this one's by more than one task, pull one
     /// *queued* task over. Clears the Fig 4 tag — this is the "existing
     /// Linux balancer moves the tagged task back" path.
-    #[allow(clippy::needless_range_loop)] // v indexes rqs *and* views
     pub(crate) fn periodic_balance(
         &mut self,
         vcpu: usize,
@@ -161,17 +160,7 @@ impl GuestOs {
         out: &mut Vec<GuestAction>,
     ) {
         let my_load = self.rt_avg(vcpu, &views[vcpu]);
-        let mut busiest: Option<(f64, usize)> = None;
-        for v in 0..self.rqs.len() {
-            if v == vcpu || self.rqs[v].nr_queued() == 0 {
-                continue;
-            }
-            let load = self.rt_avg(v, &views[v]);
-            if busiest.is_none_or(|(bl, _)| load > bl) {
-                busiest = Some((load, v));
-            }
-        }
-        let Some((busiest_load, from)) = busiest else {
+        let Some((busiest_load, from)) = self.busiest_queue(vcpu, views) else {
             return;
         };
         // Pull only when the gap exceeds one *scaled* task-load on the
@@ -197,13 +186,27 @@ impl GuestOs {
     /// Idle balance: a vCPU about to idle pulls one queued task from the
     /// busiest runqueue. **Running tasks are never pulled**, even if their
     /// vCPU is hypervisor-preempted — the semantic gap, verbatim.
-    #[allow(clippy::needless_range_loop)] // v indexes rqs *and* views
     pub(crate) fn idle_pull(
         &mut self,
         vcpu: usize,
         views: &[VcpuView],
         out: &mut Vec<GuestAction>,
     ) {
+        let Some((_, from)) = self.busiest_queue(vcpu, views) else {
+            return;
+        };
+        let Some((_, victim)) = self.rqs[from].iter().last() else {
+            return;
+        };
+        self.tasks[victim.0].preempt_migrated = false;
+        self.migrate_queued(victim, vcpu, out);
+        self.stats.pull_migrations += 1;
+    }
+
+    /// The steal-scaled load and index of the busiest runqueue other than
+    /// `vcpu`'s that has a task queued. The first maximum wins a tie.
+    #[allow(clippy::needless_range_loop)] // v indexes rqs *and* views
+    fn busiest_queue(&self, vcpu: usize, views: &[VcpuView]) -> Option<(f64, usize)> {
         let mut busiest: Option<(f64, usize)> = None;
         for v in 0..self.rqs.len() {
             if v == vcpu || self.rqs[v].nr_queued() == 0 {
@@ -214,15 +217,7 @@ impl GuestOs {
                 busiest = Some((load, v));
             }
         }
-        let Some((_, from)) = busiest else {
-            return;
-        };
-        let Some((_, victim)) = self.rqs[from].iter().last() else {
-            return;
-        };
-        self.tasks[victim.0].preempt_migrated = false;
-        self.migrate_queued(victim, vcpu, out);
-        self.stats.pull_migrations += 1;
+        busiest
     }
 
     // ==================================================================
@@ -309,11 +304,6 @@ impl GuestOs {
 mod tests {
     use super::*;
     use crate::config::GuestSaConfig;
-    use irs_sim::SimTime;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
-    }
 
     fn all_running(n: usize) -> Vec<VcpuView> {
         vec![VcpuView::running(); n]
@@ -324,8 +314,8 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
-        g.block_current(0, t(1), &all_running(2));
+        g.start();
+        g.block_current(0, &all_running(2));
         let acts = g.wake(a, &all_running(2));
         g.check_invariants();
         assert_eq!(g.task(a).cpu, 0);
@@ -340,8 +330,8 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
-        g.block_current(0, t(1), &all_running(2));
+        g.start();
+        g.block_current(0, &all_running(2));
         let views = vec![VcpuView::blocked(), VcpuView::running()];
         let acts = g.wake(a, &views);
         g.check_invariants();
@@ -362,8 +352,8 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         g.spawn(0); // keeps vCPU0 busy after a blocks
-        g.start(t(0));
-        g.block_current(0, t(1), &all_running(2)); // a blocks; b runs on v0
+        g.start();
+        g.block_current(0, &all_running(2)); // a blocks; b runs on v0
         let acts = g.wake(a, &all_running(2));
         g.check_invariants();
         assert_eq!(g.task(a).cpu, 1, "woken on the idle sibling");
@@ -379,10 +369,10 @@ mod tests {
         let mut g = GuestOs::new(Some(GuestSaConfig::default()), 2);
         let t1 = g.spawn(0); // will play the migrated lock holder
         let t2 = g.spawn(1); // the waiter whose vCPU t1 invades
-        g.start(t(0));
+        g.start();
         // t2 blocks on vCPU1; t1 gets "migrated" there and tagged (as the
         // IRS migrator would after vCPU0's preemption).
-        g.block_current(1, t(1), &all_running(2));
+        g.block_current(1, &all_running(2));
         let mut out = Vec::new();
         g.deschedule_current(0, TaskState::Ready, &mut out);
         g.migrate_queued(t1, 1, &mut out);
@@ -407,8 +397,8 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         let t1 = g.spawn(0);
         let t2 = g.spawn(1);
-        g.start(t(0));
-        g.block_current(1, t(1), &all_running(2));
+        g.start();
+        g.block_current(1, &all_running(2));
         let mut out = Vec::new();
         g.deschedule_current(0, TaskState::Ready, &mut out);
         g.migrate_queued(t1, 1, &mut out);
@@ -429,7 +419,7 @@ mod tests {
         g.spawn(0);
         g.spawn(0); // v0: 3 tasks
         g.spawn(1); // v1: 1 task
-        g.start(t(0));
+        g.start();
         let mut out = Vec::new();
         g.periodic_balance(1, &all_running(2), &mut out);
         g.check_invariants();
@@ -444,7 +434,7 @@ mod tests {
         g.spawn(0);
         g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
+        g.start();
         let mut out = Vec::new();
         g.periodic_balance(1, &all_running(2), &mut out);
         assert_eq!(g.stats().push_migrations, 0, "2 vs 1 is balanced enough");
@@ -459,7 +449,7 @@ mod tests {
         g.spawn(0);
         g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
+        g.start();
         let views = vec![VcpuView::preempted(1.0), VcpuView::running()];
         let mut out = Vec::new();
         g.periodic_balance(1, &views, &mut out);
@@ -474,9 +464,9 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
         let b = g.spawn(1);
-        g.start(t(0));
+        g.start();
         let views = vec![VcpuView::preempted(0.9), VcpuView::running()];
-        let acts = g.block_current(1, t(1), &views);
+        let acts = g.block_current(1, &views);
         g.check_invariants();
         assert_eq!(g.task(a).cpu, 0, "running task may not be pulled");
         assert_eq!(g.current(0), Some(a));
@@ -493,8 +483,8 @@ mod tests {
         g.spawn(0);
         let queued = g.spawn(0);
         let b = g.spawn(1);
-        g.start(t(0));
-        let acts = g.block_current(1, t(1), &all_running(2));
+        g.start();
+        let acts = g.block_current(1, &all_running(2));
         g.check_invariants();
         assert_eq!(g.task(queued).cpu, 1, "queued task pulled to idle vCPU");
         assert_eq!(g.current(1), Some(queued));
@@ -508,7 +498,7 @@ mod tests {
         let mut g = GuestOs::new(None, 2);
         g.spawn(0);
         let queued = g.spawn(0);
-        g.start(t(0));
+        g.start();
         let acts = g.request_stop_migration(queued, 1);
         g.check_invariants();
         assert_eq!(g.task(queued).cpu, 1);
@@ -521,12 +511,12 @@ mod tests {
     fn stopper_waits_for_the_source_vcpu_to_run() {
         let mut g = GuestOs::new(None, 2);
         let running = g.spawn(0);
-        g.start(t(0));
+        g.start();
         let acts = g.request_stop_migration(running, 1);
         assert!(acts.is_empty(), "running task: stopper parked");
         assert_eq!(g.task(running).cpu, 0);
         // The migration completes at the source vCPU's next (real) tick.
-        let out = g.tick(0, t(1), &all_running(2));
+        let out = g.tick(0, &all_running(2));
         g.check_invariants();
         assert_eq!(g.task(running).cpu, 1);
         assert_eq!(g.current(1), Some(running));
@@ -540,8 +530,8 @@ mod tests {
     fn stopper_ignores_blocked_tasks() {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
-        g.start(t(0));
-        g.block_current(0, t(1), &all_running(2));
+        g.start();
+        g.block_current(0, &all_running(2));
         let acts = g.request_stop_migration(a, 1);
         assert!(acts.is_empty());
         assert_eq!(g.task(a).cpu, 0, "blocked tasks migrate at wake-up");

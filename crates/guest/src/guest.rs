@@ -7,7 +7,6 @@ use crate::config::{GuestSaConfig, BALANCE_INTERVAL_TICKS, MIN_GRANULARITY, SCHE
 use crate::rq::Runqueue;
 use crate::stats::GuestStats;
 use crate::task::{Task, TaskId, TaskState};
-use irs_sim::trace::{TraceEvent, TraceRing};
 use irs_sim::SimTime;
 use irs_xen::SchedOp;
 use std::collections::VecDeque;
@@ -24,8 +23,7 @@ pub(crate) struct StopRequest {
 /// See the [crate-level documentation](crate) for scope and an example.
 ///
 /// `GuestOs` is `Clone` for `System::snapshot()` checkpointing: the clone
-/// copies all CFS/migrator state; the embedded trace ring clones
-/// its configuration but starts empty (rings are observability, not state).
+/// copies all CFS/migrator state.
 #[derive(Debug, Clone)]
 pub struct GuestOs {
     /// IRS guest support; `None` is a vanilla kernel.
@@ -43,13 +41,6 @@ pub struct GuestOs {
     pub(crate) spare_bufs: Vec<Vec<GuestAction>>,
     tick_counts: Vec<u64>,
     started: bool,
-    /// Typed trace bus for context-switch decisions (disabled by default).
-    trace: TraceRing,
-    /// VM index stamped into emitted trace events (set by `enable_trace`).
-    trace_vm: usize,
-    /// Latest virtual time the embedder synced; entry points without a
-    /// `now` parameter timestamp their trace events with this.
-    clock: SimTime,
 }
 
 impl GuestOs {
@@ -71,32 +62,7 @@ impl GuestOs {
             spare_bufs: Vec::new(),
             tick_counts: vec![0; n_vcpus],
             started: false,
-            trace: TraceRing::disabled(),
-            trace_vm: 0,
-            clock: SimTime::ZERO,
         }
-    }
-
-    /// Enables the typed trace bus with a ring of `capacity` records.
-    /// Emitted events carry `vm` as their VM index. Tracing never changes
-    /// scheduling decisions; it only captures them.
-    pub fn enable_trace(&mut self, vm: usize, capacity: usize) {
-        self.trace = TraceRing::enabled(capacity);
-        self.trace_vm = vm;
-    }
-
-    /// The guest's trace ring (empty and disabled unless
-    /// [`GuestOs::enable_trace`] was called).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
-    }
-
-    /// Advances the timestamp used for trace events emitted by entry points
-    /// that take no `now` (wakes, balancing, migrator runs). The embedding
-    /// simulation calls this as virtual time advances; it has no effect on
-    /// scheduling decisions.
-    pub fn sync_clock(&mut self, now: SimTime) {
-        self.clock = now;
     }
 
     /// Pops a recycled action buffer (or allocates a fresh one).
@@ -136,7 +102,7 @@ impl GuestOs {
     /// # Panics
     ///
     /// Panics if called twice.
-    pub fn start(&mut self, _now: SimTime) -> Vec<GuestAction> {
+    pub fn start(&mut self) -> Vec<GuestAction> {
         assert!(!self.started, "start() must be called exactly once");
         self.started = true;
         let mut out = self.out_buf();
@@ -191,7 +157,7 @@ impl GuestOs {
     /// ticks are deferred, exactly as on real hardware). An SA upcall is
     /// never handled here: the embedder runs [`GuestOs::sa_upcall`] as its
     /// own event after the receiver delay.
-    pub fn tick(&mut self, vcpu: usize, _now: SimTime, views: &[VcpuView]) -> Vec<GuestAction> {
+    pub fn tick(&mut self, vcpu: usize, views: &[VcpuView]) -> Vec<GuestAction> {
         let mut out = self.out_buf();
         self.run_stopper(vcpu, &mut out);
         self.preempt_check(vcpu, &mut out);
@@ -255,36 +221,24 @@ impl GuestOs {
     ///
     /// Attempts idle (pull) balancing before conceding the vCPU; if nothing
     /// can be pulled, emits `SCHEDOP_block` so the hypervisor idles the vCPU.
-    pub fn block_current(
-        &mut self,
-        vcpu: usize,
-        now: SimTime,
-        views: &[VcpuView],
-    ) -> Vec<GuestAction> {
+    pub fn block_current(&mut self, vcpu: usize, views: &[VcpuView]) -> Vec<GuestAction> {
         let mut out = self.out_buf();
         if self.rqs[vcpu].current.is_none() {
             return out;
         }
         self.deschedule_current(vcpu, TaskState::Blocked, &mut out);
         self.find_work_or_block(vcpu, views, &mut out);
-        let _ = now;
         out
     }
 
     /// The current task of `vcpu` exits.
-    pub fn exit_current(
-        &mut self,
-        vcpu: usize,
-        now: SimTime,
-        views: &[VcpuView],
-    ) -> Vec<GuestAction> {
+    pub fn exit_current(&mut self, vcpu: usize, views: &[VcpuView]) -> Vec<GuestAction> {
         let mut out = self.out_buf();
         if self.rqs[vcpu].current.is_none() {
             return out;
         }
         self.deschedule_current(vcpu, TaskState::Exited, &mut out);
         self.find_work_or_block(vcpu, views, &mut out);
-        let _ = now;
         out
     }
 
@@ -347,7 +301,7 @@ impl GuestOs {
 
     /// Takes the current task off `vcpu` in state `to`, leaving it
     /// unqueued, and returns it. Every task stop goes through here, so the
-    /// typed trace sees each one.
+    /// embedder sees each one as a `StopTask`.
     ///
     /// # Panics
     ///
@@ -363,12 +317,6 @@ impl GuestOs {
             .take()
             .expect("stop_current on an idle vCPU");
         self.tasks[cur.0].state = to;
-        let (at, vm) = (self.clock, self.trace_vm);
-        self.trace.emit(at, || TraceEvent::TaskStop {
-            vm,
-            vcpu,
-            task: cur.0,
-        });
         out.push(GuestAction::StopTask { vcpu, task: cur });
         cur
     }
@@ -393,17 +341,7 @@ impl GuestOs {
         let (_, next) = self.rqs[vcpu]
             .pick_next()
             .expect("pick_and_run on an empty runqueue");
-        self.tasks[next.0].state = TaskState::Running;
-        self.tasks[next.0].cpu = vcpu;
-        self.rqs[vcpu].current = Some(next);
-        self.stats.context_switches += 1;
-        let (at, vm) = (self.clock, self.trace_vm);
-        self.trace.emit(at, || TraceEvent::TaskRun {
-            vm,
-            vcpu,
-            task: next.0,
-        });
-        out.push(GuestAction::RunTask { vcpu, task: next });
+        self.switch_to(vcpu, next, out);
     }
 
     /// Installs a specific queued task as current (wakeup preemption puts
@@ -414,16 +352,17 @@ impl GuestOs {
         let removed = self.rqs[vcpu].dequeue(vr, task);
         debug_assert!(removed, "{task} not queued on v{vcpu}");
         self.rqs[vcpu].update_min_vruntime(vr);
+        self.switch_to(vcpu, task, out);
+    }
+
+    /// The context switch both installers end in: `task`, already off
+    /// every queue, becomes current on `vcpu` and the embedder is told
+    /// (`RunTask`).
+    fn switch_to(&mut self, vcpu: usize, task: TaskId, out: &mut Vec<GuestAction>) {
         self.tasks[task.0].state = TaskState::Running;
         self.tasks[task.0].cpu = vcpu;
         self.rqs[vcpu].current = Some(task);
         self.stats.context_switches += 1;
-        let (at, vm) = (self.clock, self.trace_vm);
-        self.trace.emit(at, || TraceEvent::TaskRun {
-            vm,
-            vcpu,
-            task: task.0,
-        });
         out.push(GuestAction::RunTask { vcpu, task });
     }
 
@@ -449,20 +388,13 @@ impl GuestOs {
     }
 
     /// Records `task`'s move from its recorded vCPU to `to`: sets its
-    /// `cpu`, counts the migration, emits the typed `TaskMigrate` and tells
-    /// the embedder (`TaskMigrated`). Every cross-vCPU migration goes
-    /// through here; queue placement and vruntime stay with the caller.
+    /// `cpu`, counts the migration and tells the embedder
+    /// (`TaskMigrated`). Every cross-vCPU migration goes through here;
+    /// queue placement and vruntime stay with the caller.
     pub(crate) fn move_task(&mut self, task: TaskId, to: usize, out: &mut Vec<GuestAction>) {
         let from = self.tasks[task.0].cpu;
         self.tasks[task.0].cpu = to;
         self.tasks[task.0].migrations += 1;
-        let (at, vm) = (self.clock, self.trace_vm);
-        self.trace.emit(at, || TraceEvent::TaskMigrate {
-            vm,
-            task: task.0,
-            from,
-            to,
-        });
         out.push(GuestAction::TaskMigrated { task, from, to });
     }
 
@@ -587,7 +519,7 @@ mod tests {
         let mut g = GuestOs::new(None, 3);
         let a = g.spawn(0);
         let b = g.spawn(0);
-        let acts = g.start(t(0));
+        let acts = g.start();
         g.check_invariants();
         assert_eq!(g.current(0), Some(a));
         assert_eq!(g.task(b).state, TaskState::Ready);
@@ -603,7 +535,7 @@ mod tests {
     fn account_runtime_advances_vruntime() {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
-        g.start(t(0));
+        g.start();
         g.account_runtime(0, SimTime::from_millis(2));
         assert_eq!(g.task(a).vruntime, 2_000_000);
         assert_eq!(g.task(a).total_runtime, SimTime::from_millis(2));
@@ -614,14 +546,14 @@ mod tests {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         let b = g.spawn(0);
-        g.start(t(0));
+        g.start();
         assert_eq!(g.current(0), Some(a));
         // Run a for 1 ms at a time; with 2 tasks the ideal slice is 3 ms, so
         // by the 4th tick the lead (4 ms > 3 ms) forces the switch.
         let mut switched_at = None;
         for i in 1..=6u64 {
             g.account_runtime(0, t(1));
-            let out = g.tick(0, t(i), &views(1));
+            let out = g.tick(0, &views(1));
             if out
                 .iter()
                 .any(|x| matches!(x, GuestAction::RunTask { task, .. } if *task == b))
@@ -640,10 +572,10 @@ mod tests {
     fn sole_task_is_never_preempted() {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
-        g.start(t(0));
-        for i in 1..=20u64 {
+        g.start();
+        for _ in 0..20 {
             g.account_runtime(0, t(1));
-            let out = g.tick(0, t(i), &views(1));
+            let out = g.tick(0, &views(1));
             assert!(out.is_empty(), "unexpected actions: {out:?}");
         }
         assert_eq!(g.current(0), Some(a));
@@ -654,8 +586,8 @@ mod tests {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         let b = g.spawn(0);
-        g.start(t(0));
-        let acts = g.block_current(0, t(1), &views(1));
+        g.start();
+        let acts = g.block_current(0, &views(1));
         g.check_invariants();
         assert_eq!(g.task(a).state, TaskState::Blocked);
         assert_eq!(g.current(0), Some(b));
@@ -669,8 +601,8 @@ mod tests {
     fn block_with_empty_queue_blocks_the_vcpu() {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
-        g.start(t(0));
-        let acts = g.block_current(0, t(1), &views(1));
+        g.start();
+        let acts = g.block_current(0, &views(1));
         g.check_invariants();
         assert_eq!(g.task(a).state, TaskState::Blocked);
         assert_eq!(g.current(0), None);
@@ -685,8 +617,8 @@ mod tests {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
         g.spawn(0);
-        g.start(t(0));
-        g.exit_current(0, t(1), &views(1));
+        g.start();
+        g.exit_current(0, &views(1));
         g.check_invariants();
         assert_eq!(g.task(a).state, TaskState::Exited);
         assert_ne!(g.current(0), Some(a));
@@ -696,8 +628,8 @@ mod tests {
     fn ensure_current_fills_an_idle_vcpu() {
         let mut g = GuestOs::new(None, 2);
         let a = g.spawn(0);
-        g.start(t(0));
-        g.block_current(0, t(1), &views(2));
+        g.start();
+        g.block_current(0, &views(2));
         assert_eq!(g.current(0), None);
         // Simulate a wake placing the task back (state juggling via wake is
         // exercised in balance tests; here drive the internals directly).
@@ -718,7 +650,7 @@ mod tests {
         let a = g.spawn(0);
         let b = g.spawn(0);
         let c = g.spawn(1);
-        g.start(t(0));
+        g.start();
         // Run vcpu1's task far ahead so rq1.min_vruntime is large.
         g.account_runtime(1, t(50));
         let _ = c;
@@ -743,7 +675,7 @@ mod tests {
         let mut g = GuestOs::new(None, 1);
         g.spawn(0);
         g.spawn(0);
-        g.start(t(0));
+        g.start();
         let calm = g.rt_avg(0, &VcpuView::running());
         let stolen = g.rt_avg(0, &VcpuView::preempted(1.0));
         assert!((calm - 2.0).abs() < 1e-9);
@@ -755,7 +687,7 @@ mod tests {
     fn double_start_panics() {
         let mut g = GuestOs::new(None, 1);
         g.spawn(0);
-        g.start(t(0));
-        g.start(t(0));
+        g.start();
+        g.start();
     }
 }

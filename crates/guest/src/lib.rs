@@ -36,13 +36,12 @@
 //!
 //! ```
 //! use irs_guest::GuestOs;
-//! use irs_sim::SimTime;
 //!
 //! // A vanilla kernel (no IRS support) on two vCPUs.
 //! let mut guest = GuestOs::new(None, 2);
 //! let t0 = guest.spawn(0);
 //! let t1 = guest.spawn(1);
-//! let actions = guest.start(SimTime::ZERO);
+//! let actions = guest.start();
 //! assert_eq!(actions.len(), 2, "one dispatch per vCPU");
 //! assert_eq!(guest.current(0), Some(t0));
 //! assert_eq!(guest.current(1), Some(t1));

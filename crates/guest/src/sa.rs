@@ -213,10 +213,6 @@ mod tests {
     use crate::task::TaskId;
     use irs_sim::SimTime;
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
-    }
-
     fn irs_guest(n: usize) -> GuestOs {
         GuestOs::new(Some(GuestSaConfig::default()), n)
     }
@@ -226,7 +222,7 @@ mod tests {
         let mut g = irs_guest(1);
         let a = g.spawn(0);
         let b = g.spawn(0);
-        g.start(t(0));
+        g.start();
         let outcome = g.sa_upcall(0);
         g.check_invariants();
         assert_eq!(outcome.op, SchedOp::Yield);
@@ -244,7 +240,7 @@ mod tests {
     fn upcall_blocks_when_queue_drains() {
         let mut g = irs_guest(1);
         let a = g.spawn(0);
-        g.start(t(0));
+        g.start();
         let outcome = g.sa_upcall(0);
         g.check_invariants();
         assert_eq!(outcome.op, SchedOp::Block, "idle task installed");
@@ -256,7 +252,7 @@ mod tests {
     fn upcall_on_vanilla_guest_is_inert() {
         let mut g = GuestOs::new(None, 1);
         let a = g.spawn(0);
-        g.start(t(0));
+        g.start();
         let outcome = g.sa_upcall(0);
         assert_eq!(outcome.op, SchedOp::Yield);
         assert!(outcome.actions.is_empty());
@@ -269,7 +265,7 @@ mod tests {
         let mut g = irs_guest(3);
         let a = g.spawn(0);
         g.spawn(1); // vCPU1 busy
-        g.start(t(0)); // vCPU2 idle (blocked in hv)
+        g.start(); // vCPU2 idle (blocked in hv)
         g.sa_upcall(0);
         let views = vec![
             VcpuView::preempted(0.8), // source: being preempted
@@ -293,7 +289,7 @@ mod tests {
         let a = g.spawn(0);
         g.spawn(1);
         g.spawn(2);
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         // vCPU1 preempted (runnable); vCPU2 running: only vCPU2 qualifies.
         let views = vec![
@@ -313,7 +309,7 @@ mod tests {
         g.spawn(1);
         g.spawn(1); // vCPU1: 2 tasks
         g.spawn(2); // vCPU2: 1 task
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         let views = vec![
             VcpuView::preempted(0.5),
@@ -331,7 +327,7 @@ mod tests {
         let a = g.spawn(0);
         g.spawn(1);
         g.spawn(2);
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         // Same queue depth; vCPU1 suffers steal, vCPU2 does not.
         let views = vec![
@@ -351,7 +347,7 @@ mod tests {
         let mut g = irs_guest(2);
         let a = g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         let views = vec![VcpuView::preempted(0.9), VcpuView::preempted(0.9)];
         let acts = g.migrator_run(&views);
@@ -368,7 +364,7 @@ mod tests {
     fn migrator_drops_tasks_that_blocked_in_custody() {
         let mut g = irs_guest(2);
         let a = g.spawn(0);
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         // The task blocks before the migrator runs (e.g. its futex grace
         // expired mid-custody): the custody entry must be discarded.
@@ -388,7 +384,7 @@ mod tests {
         };
         let mut g = GuestOs::new(Some(sa), 2);
         let a = g.spawn(0);
-        g.start(t(0));
+        g.start();
         g.sa_upcall(0);
         g.migrator_run(&[VcpuView::preempted(0.5), VcpuView::blocked()]);
         assert_eq!(g.task(a).cpu, 1);
@@ -400,10 +396,10 @@ mod tests {
         let mut g = irs_guest(2);
         let a = g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
+        g.start();
         // vCPU1's task blocks; vCPU1 would idle. The oracle pulls a, which
         // is "running" on the (conceptually preempted) vCPU0.
-        g.block_current(1, t(1), &[VcpuView::preempted(0.9), VcpuView::running()]);
+        g.block_current(1, &[VcpuView::preempted(0.9), VcpuView::running()]);
         let acts = g.pull_running(1, 0);
         g.check_invariants();
         assert_eq!(g.current(1), Some(a));
@@ -424,11 +420,11 @@ mod tests {
         let mut g = irs_guest(1);
         let a = g.spawn(0);
         let b = g.spawn(0);
-        g.start(t(0));
+        g.start();
         assert_eq!(g.current(0), Some(a));
         // Run `a` far past its slice so the tick switches to `b`.
-        g.account_runtime(0, t(10));
-        g.tick(0, t(10), &[VcpuView::running()]);
+        g.account_runtime(0, SimTime::from_millis(10));
+        g.tick(0, &[VcpuView::running()]);
         let out = g.sa_upcall(0);
         assert!(g.migrator_pending.contains(&b), "upcall ran after the switch");
         assert!(!g.migrator_pending.contains(&a), "a was spared migration");
@@ -441,7 +437,7 @@ mod tests {
         let mut g = irs_guest(2);
         g.spawn(0);
         g.spawn(1);
-        g.start(t(0));
+        g.start();
         for _ in 0..5 {
             g.sa_upcall(0);
             g.migrator_run(&[VcpuView::preempted(0.5), VcpuView::running()]);

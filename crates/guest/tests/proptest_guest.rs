@@ -60,7 +60,7 @@ fn build() -> GuestOs {
     for i in 0..8 {
         g.spawn(i % 4);
     }
-    g.start(SimTime::ZERO);
+    g.start();
     g
 }
 
@@ -71,20 +71,18 @@ proptest! {
     #[test]
     fn invariants_hold(ops in prop::collection::vec(op_strategy(), 1..250)) {
         let mut g = build();
-        let mut now = SimTime::ZERO;
         for (i, op) in ops.into_iter().enumerate() {
-            now += SimTime::from_micros(311);
             let vs = views(i);
             match op {
                 Op::Tick(v) => {
-                    g.tick(v as usize, now, &vs);
+                    g.tick(v as usize, &vs);
                 }
                 Op::AccountAndTick(v, us) => {
                     g.account_runtime(v as usize, SimTime::from_micros(us as u64));
-                    g.tick(v as usize, now, &vs);
+                    g.tick(v as usize, &vs);
                 }
                 Op::BlockCurrent(v) => {
-                    g.block_current(v as usize, now, &vs);
+                    g.block_current(v as usize, &vs);
                 }
                 Op::Wake(t) => {
                     g.wake(TaskId(t as usize), &vs);
@@ -133,17 +131,15 @@ proptest! {
     #[test]
     fn no_task_lost(ops in prop::collection::vec(op_strategy(), 1..250)) {
         let mut g = build();
-        let mut now = SimTime::ZERO;
         for (i, op) in ops.into_iter().enumerate() {
-            now += SimTime::from_micros(173);
             let vs = views(i);
             match op {
-                Op::Tick(v) => { g.tick(v as usize, now, &vs); }
+                Op::Tick(v) => { g.tick(v as usize, &vs); }
                 Op::AccountAndTick(v, us) => {
                     g.account_runtime(v as usize, SimTime::from_micros(us as u64));
-                    g.tick(v as usize, now, &vs);
+                    g.tick(v as usize, &vs);
                 }
-                Op::BlockCurrent(v) => { g.block_current(v as usize, now, &vs); }
+                Op::BlockCurrent(v) => { g.block_current(v as usize, &vs); }
                 Op::Wake(t) => { g.wake(TaskId(t as usize), &vs); }
                 Op::SaUpcall(v) => { g.sa_upcall(v as usize); }
                 Op::MigratorRun(_) => { g.migrator_run(&vs); }

@@ -8,11 +8,12 @@
 //! rendered timeline).
 //!
 //! Events are *typed* ([`TraceEvent`]) rather than pre-rendered strings, so
-//! the hot paths that emit them (hypervisor dispatch, guest context switch)
-//! store a handful of plain integers per record; rendering happens only when
-//! a dump is actually requested. The layers above `irs-sim` cannot be named
-//! here (the crate DAG points the other way), so every variant carries plain
-//! `usize`/`i64` indices and `&'static str` tags.
+//! the hot paths that emit them (hypervisor dispatch, the embedder applying
+//! a guest context switch) store a handful of plain integers per record;
+//! rendering happens only when a dump is actually requested. The layers
+//! above `irs-sim` cannot be named here (the crate DAG points the other
+//! way), so every variant carries plain `usize`/`i64` indices and
+//! `&'static str` tags.
 //!
 //! Tracing is entirely opt-in: a disabled ring ignores records at ~zero cost,
 //! so production runs of the big parameter sweeps pay nothing.
@@ -25,9 +26,9 @@ use std::fmt;
 ///
 /// Variants mirror the decision points of the two stacked schedulers: the
 /// `xen`-side ones are emitted by the hypervisor's credit scheduler and SA
-/// protocol, the `guest`-side ones by the CFS model's context-switch and
-/// migration choke points, and the fault ones by the embedder's fault
-/// injector.
+/// protocol, the `guest`-side ones by the embedder as it applies the CFS
+/// model's context switches and migrations, and the fault ones by the
+/// embedder's fault injector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A vCPU was dispatched onto a pCPU.

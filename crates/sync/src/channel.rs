@@ -1,22 +1,27 @@
 //! Bounded channels for pipeline-parallel workloads (dedup, ferret, x264).
 //!
-//! Items are modelled as counts — the simulation cares about *when* stages
-//! block on full/empty queues, not what flows through them. Waiters always
-//! block (pthread condvar semantics).
+//! An item is a request stamp, `Option<SimTime>`: `Some(t)` carries a
+//! request that arrived or started at `t` downstream, so end-to-end
+//! latency spans every tier it crosses; `None` is a plain pipeline item.
+//! The simulation otherwise cares only about *when* stages block on
+//! full/empty queues. Waiters always block (pthread condvar semantics).
 
 use irs_guest::TaskId;
+use irs_sim::SimTime;
 use std::collections::VecDeque;
 
 /// Outcome of a push attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
     /// Item enqueued. If a consumer was waiting for an item, wake it —
-    /// its pending pop has been completed on its behalf.
+    /// its pending pop has been completed on its behalf, and the pushed
+    /// stamp is its to take.
     Pushed {
         /// Consumer to wake, if one was blocked on empty.
         wake_consumer: Option<TaskId>,
     },
-    /// Channel full: the producer must block until space frees up.
+    /// Channel full: the producer must block until space frees up. The
+    /// channel holds its stamp until a pop moves it into the queue.
     MustWait,
 }
 
@@ -26,6 +31,8 @@ pub enum PopOutcome {
     /// Item dequeued. If a producer was waiting for space, wake it — its
     /// pending push has been completed on its behalf.
     Popped {
+        /// The stamp the popped item carried.
+        stamp: Option<SimTime>,
         /// Producer to wake, if one was blocked on full.
         wake_producer: Option<TaskId>,
     },
@@ -45,12 +52,13 @@ pub enum OfferOutcome {
     Full,
 }
 
-/// A bounded single-queue channel.
+/// A bounded single-queue channel of request stamps.
 #[derive(Debug, Clone)]
 pub struct Channel {
     capacity: usize,
-    len: usize,
-    producers_waiting: VecDeque<TaskId>,
+    items: VecDeque<Option<SimTime>>,
+    /// Blocked producers, each with the stamp of the item it is pushing.
+    producers_waiting: VecDeque<(TaskId, Option<SimTime>)>,
     consumers_waiting: VecDeque<TaskId>,
 }
 
@@ -64,87 +72,84 @@ impl Channel {
         assert!(capacity > 0, "a channel needs capacity of at least one");
         Channel {
             capacity,
-            len: 0,
+            items: VecDeque::new(),
             producers_waiting: VecDeque::new(),
             consumers_waiting: VecDeque::new(),
         }
     }
 
-    /// `who` pushes one item.
-    pub fn push(&mut self, who: TaskId) -> PushOutcome {
-        if self.len < self.capacity {
-            self.len += 1;
-            // A waiting consumer's pop completes immediately.
-            if let Some(consumer) = self.consumers_waiting.pop_front() {
-                self.len -= 1;
-                PushOutcome::Pushed {
-                    wake_consumer: Some(consumer),
-                }
-            } else {
-                PushOutcome::Pushed {
-                    wake_consumer: None,
-                }
+    /// `who` pushes one item carrying `stamp`: it is queued, handed to a
+    /// waiting consumer (the caller passes it on), or held beside `who`
+    /// while the channel is full.
+    pub fn push(&mut self, who: TaskId, stamp: Option<SimTime>) -> PushOutcome {
+        if self.items.len() < self.capacity {
+            PushOutcome::Pushed {
+                wake_consumer: self.deliver(stamp),
             }
         } else {
-            self.producers_waiting.push_back(who);
+            self.producers_waiting.push_back((who, stamp));
             PushOutcome::MustWait
         }
     }
 
-    /// `who` pops one item.
+    /// `who` pops one item and gets its stamp.
     pub fn pop(&mut self, who: TaskId) -> PopOutcome {
-        if self.len > 0 {
-            self.len -= 1;
-            // A waiting producer's push completes immediately.
-            if let Some(producer) = self.producers_waiting.pop_front() {
-                self.len += 1;
-                PopOutcome::Popped {
-                    wake_producer: Some(producer),
-                }
-            } else {
-                PopOutcome::Popped {
-                    wake_producer: None,
-                }
-            }
-        } else {
+        let Some(stamp) = self.items.pop_front() else {
             self.consumers_waiting.push_back(who);
-            PopOutcome::MustWait
+            return PopOutcome::MustWait;
+        };
+        // A waiting producer's push completes immediately: its held item
+        // enters the tail.
+        let wake_producer = self.producers_waiting.pop_front().map(|(producer, held)| {
+            self.items.push_back(held);
+            producer
+        });
+        PopOutcome::Popped {
+            stamp,
+            wake_producer,
         }
     }
 
-    /// Non-blocking push by an external producer (the open-loop request
-    /// generator, which is not a task and can never wait).
-    pub fn offer(&mut self) -> OfferOutcome {
-        if self.len < self.capacity {
-            self.len += 1;
-            if let Some(consumer) = self.consumers_waiting.pop_front() {
-                self.len -= 1;
-                OfferOutcome::Accepted {
-                    wake_consumer: Some(consumer),
-                }
-            } else {
-                OfferOutcome::Accepted {
-                    wake_consumer: None,
-                }
+    /// Non-blocking push of a request arriving at `at` by an external
+    /// producer (the open-loop request generator, which is not a task and
+    /// can never wait).
+    pub fn offer(&mut self, at: SimTime) -> OfferOutcome {
+        if self.items.len() < self.capacity {
+            OfferOutcome::Accepted {
+                wake_consumer: self.deliver(Some(at)),
             }
         } else {
             OfferOutcome::Full
         }
     }
 
+    /// Completes the first waiting consumer's pop with `stamp` and returns
+    /// that consumer, or queues `stamp` when none waits. The caller has
+    /// checked for room.
+    fn deliver(&mut self, stamp: Option<SimTime>) -> Option<TaskId> {
+        let consumer = self.consumers_waiting.pop_front();
+        if consumer.is_none() {
+            self.items.push_back(stamp);
+        }
+        consumer
+    }
+
+    /// Requests the channel holds: `Some` stamps queued or held for a
+    /// blocked producer.
+    pub(crate) fn held_requests(&self) -> usize {
+        let queued = self.items.iter().flatten().count();
+        let held = self.producers_waiting.iter().flat_map(|(_, s)| s).count();
+        queued + held
+    }
+
     /// Items currently buffered.
     pub fn len(&self) -> usize {
-        self.len
+        self.items.len()
     }
 
     /// True if no items are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.items.is_empty()
     }
 }
 
@@ -156,18 +161,37 @@ mod tests {
         TaskId(i)
     }
 
+    fn at(us: u64) -> Option<SimTime> {
+        Some(SimTime::from_micros(us))
+    }
+
+    fn popped(stamp: Option<SimTime>, wake_producer: Option<TaskId>) -> PopOutcome {
+        PopOutcome::Popped {
+            stamp,
+            wake_producer,
+        }
+    }
+
     #[test]
     fn offer_enqueues_or_hands_off() {
         let mut c = Channel::new(1);
-        assert_eq!(c.offer(), OfferOutcome::Accepted { wake_consumer: None });
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.offer(), OfferOutcome::Full);
+        let now = SimTime::from_micros(7);
+        assert_eq!(
+            c.offer(now),
+            OfferOutcome::Accepted {
+                wake_consumer: None
+            }
+        );
+        assert_eq!(c.offer(now), OfferOutcome::Full);
+        assert_eq!(c.pop(t(1)), popped(Some(now), None));
         // A waiting consumer receives the offered item directly.
         let mut c2 = Channel::new(1);
         assert_eq!(c2.pop(t(5)), PopOutcome::MustWait);
         assert_eq!(
-            c2.offer(),
-            OfferOutcome::Accepted { wake_consumer: Some(t(5)) }
+            c2.offer(now),
+            OfferOutcome::Accepted {
+                wake_consumer: Some(t(5))
+            }
         );
         assert!(c2.is_empty());
     }
@@ -175,10 +199,26 @@ mod tests {
     #[test]
     fn push_pop_round_trip() {
         let mut c = Channel::new(2);
-        assert_eq!(c.push(t(0)), PushOutcome::Pushed { wake_consumer: None });
+        assert_eq!(
+            c.push(t(0), None),
+            PushOutcome::Pushed {
+                wake_consumer: None
+            }
+        );
         assert_eq!(c.len(), 1);
-        assert_eq!(c.pop(t(1)), PopOutcome::Popped { wake_producer: None });
+        assert_eq!(c.pop(t(1)), popped(None, None));
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn pop_returns_the_stamp_it_dequeues() {
+        let mut c = Channel::new(3);
+        for stamp in [at(5), None, at(9)] {
+            c.push(t(0), stamp);
+        }
+        for stamp in [at(5), None, at(9)] {
+            assert_eq!(c.pop(t(1)), popped(stamp, None));
+        }
     }
 
     #[test]
@@ -187,7 +227,7 @@ mod tests {
         assert_eq!(c.pop(t(1)), PopOutcome::MustWait);
         // The consumer's pop completes inside the push: len stays 0.
         assert_eq!(
-            c.push(t(0)),
+            c.push(t(0), at(3)),
             PushOutcome::Pushed {
                 wake_consumer: Some(t(1))
             }
@@ -198,15 +238,30 @@ mod tests {
     #[test]
     fn push_on_full_waits_and_pop_wakes() {
         let mut c = Channel::new(1);
-        c.push(t(0));
-        assert_eq!(c.push(t(0)), PushOutcome::MustWait);
+        c.push(t(0), None);
+        assert_eq!(c.push(t(0), None), PushOutcome::MustWait);
         // The producer's push completes inside the pop: len stays 1.
-        assert_eq!(
-            c.pop(t(1)),
-            PopOutcome::Popped {
-                wake_producer: Some(t(0))
-            }
-        );
+        assert_eq!(c.pop(t(1)), popped(None, Some(t(0))));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn a_blocked_producers_stamp_comes_out_after_the_queued_one() {
+        let mut c = Channel::new(1);
+        c.push(t(0), at(1));
+        assert_eq!(c.push(t(2), at(2)), PushOutcome::MustWait);
+        assert_eq!(c.pop(t(1)), popped(at(1), Some(t(2))));
+        assert_eq!(c.pop(t(1)), popped(at(2), None));
+    }
+
+    #[test]
+    fn held_requests_count_a_blocked_producers_stamp() {
+        let mut c = Channel::new(2);
+        c.push(t(0), at(1));
+        c.push(t(0), None);
+        assert_eq!(c.held_requests(), 1, "plain items are not requests");
+        c.push(t(2), at(2));
+        c.push(t(3), None);
+        assert_eq!(c.held_requests(), 2, "one queued, one held for a producer");
     }
 }

@@ -13,7 +13,8 @@
 //!   PARSEC runs block, its NPB runs spin.
 //! * [`Channel`] — a bounded queue for pipeline-parallel programs
 //!   (dedup/ferret), whose surplus of threads per stage is why IRS gains
-//!   little there (§5.2).
+//!   little there (§5.2). Its items are request stamps, so a request's
+//!   latency spans every tier it crosses.
 //! * [`WorkPool`] — a shared chunk pool modelling user-level work stealing
 //!   (raytrace), the paper's exhibit for interference resilience *without*
 //!   kernel help.

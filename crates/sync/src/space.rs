@@ -160,14 +160,15 @@ impl SyncSpace {
         &self.arrivals[id.0]
     }
 
+    /// Requests held across every channel: stamps queued or held for a
+    /// blocked producer.
+    pub fn held_requests(&self) -> usize {
+        self.channels.iter().map(Channel::held_requests).sum()
+    }
+
     /// Number of locks allocated.
     pub fn n_locks(&self) -> usize {
         self.locks.len()
-    }
-
-    /// Number of channels allocated.
-    pub fn n_channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// Number of epochs allocated.

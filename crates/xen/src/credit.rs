@@ -6,7 +6,8 @@
 //! * **30 ms time slices** — the source of the "one more VM ⇒ +30 ms
 //!   migration latency" staircase in Fig 1(b).
 //! * **10 ms tick** burning credits of the running vCPU, and a **30 ms
-//!   accounting period** replenishing credits weight-proportionally.
+//!   accounting period** replenishing credits in equal per-VM shares
+//!   (every VM runs at Xen's default weight).
 //! * **Priorities `BOOST > UNDER > OVER`**, with BOOST granted on wake-up
 //!   from the blocked state — the property IRS exploits when it migrates a
 //!   critical thread to an idle (hypervisor-blocked) sibling vCPU.
@@ -87,20 +88,21 @@ impl Hypervisor {
         out
     }
 
-    /// The 30 ms accounting pass: replenish credits weight-proportionally,
+    /// The 30 ms accounting pass: replenish credits in equal per-VM shares,
     /// recompute priorities, run relaxed-co skew balancing if configured,
     /// and preempt where priorities changed.
     pub fn accounting(&mut self, now: SimTime) -> Vec<HvAction> {
         let mut out = self.out_buf();
-        // Xen distributes a domain's share among its *active* vCPUs: those
-        // that want CPU, plus blocked vCPUs still paying off a credit debt
-        // (they stay on the active list until their balance recovers, which
-        // is what lets them wake back up at UNDER and earn BOOST).
-        let total_weight: u64 = self.vms.iter().map(|vm| vm.weight).sum();
-        if total_weight > 0 {
+        // Every VM runs at Xen's default weight, so the pot splits evenly
+        // between VMs. Xen distributes a domain's share among its *active*
+        // vCPUs: those that want CPU, plus blocked vCPUs still paying off a
+        // credit debt (they stay on the active list until their balance
+        // recovers, which is what lets them wake back up at UNDER and earn
+        // BOOST).
+        if !self.vms.is_empty() {
             let pot = CREDITS_PER_ACCT * self.pcpus.len() as i64;
+            let share = pot / self.vms.len() as i64;
             for vm_idx in 0..self.vms.len() {
-                let share = pot * self.vms[vm_idx].weight as i64 / total_weight as i64;
                 let base = self.vm_base[vm_idx] as usize;
                 let n = self.vms[vm_idx].n_vcpus;
                 let active: Vec<usize> = (base..base + n)
@@ -845,34 +847,6 @@ mod tests {
         assert!(total > 2900.0, "pCPU must stay busy, got {total}");
         let share = ra / total;
         assert!((0.4..=0.6).contains(&share), "share was {share}");
-    }
-
-    #[test]
-    fn weights_skew_the_share() {
-        let mut hv = Hypervisor::new(XenConfig::default(), 1);
-        let a = hv.create_vm(VmSpec::new(1).weight(512).pin_all(PcpuId(0)));
-        let b = hv.create_vm(VmSpec::new(1).weight(256).pin_all(PcpuId(0)));
-        hv.start(t(0));
-        let mut now = SimTime::ZERO;
-        for step in 1..=600u64 {
-            now = t(step * 10);
-            hv.tick(now);
-            if step % 3 == 0 {
-                hv.accounting(now);
-            }
-            if let Some(info) = hv.dispatch_info(PcpuId(0)) {
-                if now >= info.since + hv.config().time_slice {
-                    hv.slice_expired(PcpuId(0), info.generation, now);
-                }
-            }
-        }
-        let ra = hv.vm_cpu_time(a, now).as_millis() as f64;
-        let rb = hv.vm_cpu_time(b, now).as_millis() as f64;
-        let ratio = ra / rb;
-        assert!(
-            ratio > 1.4,
-            "weight-512 VM should get well above half ({ratio})"
-        );
     }
 
     #[test]

@@ -206,7 +206,6 @@ impl Hypervisor {
             })
             .collect();
         self.vms.push(Vm {
-            weight: spec.weight,
             sa_capable: spec.sa_capable,
             n_vcpus: spec.n_vcpus,
         });

@@ -10,8 +10,8 @@
 //! The model is faithful to the mechanisms the paper's analysis depends on:
 //!
 //! * 30 ms time slices, a 10 ms credit-burn tick, and a 30 ms accounting
-//!   period with weight-proportional credit replenishment
-//!   ([`credit`], [`XenConfig`]).
+//!   period that replenishes credits in equal per-VM shares, every VM
+//!   running at Xen's default weight ([`credit`], [`XenConfig`]).
 //! * Three-level run priorities `BOOST > UNDER > OVER`, where a vCPU waking
 //!   from the blocked state is boosted — the property that makes IRS's
 //!   "migrate to an idle (hence hypervisor-blocked) sibling" strategy pay off.

@@ -11,8 +11,8 @@
 //!
 //! The model is deliberately simple: VMs with at least one runnable vCPU
 //! rotate round-robin on a gang slice; wakes during a foreign slot queue
-//! until the VM's own slot. Weights are ignored (the paper's comparison
-//! uses equal-weight VMs throughout).
+//! until the VM's own slot. Every VM has the same weight, as in the
+//! paper's comparison.
 
 use crate::actions::{HvAction, ScheduleReason};
 use crate::hypervisor::Hypervisor;

@@ -19,8 +19,6 @@ use crate::ids::PcpuId;
 pub struct VmSpec {
     /// Number of virtual CPUs.
     pub n_vcpus: usize,
-    /// Credit-scheduler weight (Xen default 256).
-    pub weight: u64,
     /// Optional hard affinity, one pCPU per vCPU.
     pub pinning: Option<Vec<PcpuId>>,
     /// Whether the guest kernel implements the `VIRQ_SA_UPCALL` handler.
@@ -32,20 +30,13 @@ pub struct VmSpec {
 }
 
 impl VmSpec {
-    /// A VM with `n_vcpus` vCPUs, default weight, unpinned, vanilla guest.
+    /// A VM with `n_vcpus` vCPUs, unpinned, vanilla guest.
     pub fn new(n_vcpus: usize) -> Self {
         VmSpec {
             n_vcpus,
-            weight: 256,
             pinning: None,
             sa_capable: false,
         }
-    }
-
-    /// Sets the credit-scheduler weight.
-    pub fn weight(mut self, weight: u64) -> Self {
-        self.weight = weight;
-        self
     }
 
     /// Pins vCPU `i` to `pcpus[i]`.
@@ -80,7 +71,6 @@ impl VmSpec {
 /// Internal per-VM record.
 #[derive(Debug, Clone)]
 pub(crate) struct Vm {
-    pub weight: u64,
     pub sa_capable: bool,
     pub n_vcpus: usize,
 }
@@ -92,7 +82,6 @@ mod tests {
     #[test]
     fn builder_defaults() {
         let s = VmSpec::new(2);
-        assert_eq!(s.weight, 256);
         assert!(s.pinning.is_none());
         assert!(!s.sa_capable);
     }
