@@ -14,6 +14,7 @@
 //! keeps its own seed loop.
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

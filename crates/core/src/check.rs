@@ -186,7 +186,6 @@ impl Checker {
         if rs.running < prev_rs.running
             || rs.runnable < prev_rs.runnable
             || rs.blocked < prev_rs.blocked
-            || rs.offline < prev_rs.offline
         {
             step.fail(
                 "runstate-monotonic",

@@ -16,16 +16,14 @@ pub(crate) enum Activity {
     /// Computing; `remaining` ns of the segment left, `useful` credited on
     /// completion.
     Computing { remaining: u64, useful: u64 },
-    /// Busy-waiting. `granted` flips when ownership arrives; the task
-    /// proceeds the next time it executes.
-    SpinWait { granted: bool },
-    /// The brief spin phase of a *blocking* wait (futex/adaptive-mutex
-    /// grace): behaves like a spin until the grace timer expires, then the
-    /// task actually sleeps. This is the "very short period of time
-    /// spinning when performing wait queue operations" that PLE reacts to
-    /// on blocking workloads (paper §5.2). `granted` flips when the wait is
-    /// satisfied during the window — the fast hand-off path.
-    GraceSpin { granted: bool },
+    /// Waiting on a synchronization object by busy-waiting: a spinning
+    /// waiter's PAUSE loop, or the futex grace of a blocking one (the
+    /// "very short period of time spinning when performing wait queue
+    /// operations" that PLE reacts to on blocking workloads, paper §5.2).
+    /// A wait whose spin budget runs out turns into `BlockedSync`.
+    /// `granted` flips when the wait is satisfied; the task proceeds the
+    /// next time it executes.
+    Spin { granted: bool },
     /// Asleep on a synchronization object, awaiting an explicit wake.
     BlockedSync,
     /// Asleep on a timer.
@@ -125,7 +123,7 @@ pub(crate) struct Domain {
     pub task_activity: Vec<Activity>,
     /// Invalidates outstanding `TaskStep` events (parallel to `tasks`).
     pub task_step_gen: Vec<u64>,
-    /// Invalidates outstanding grace-expiry events (parallel to `tasks`).
+    /// Invalidates outstanding wait-expiry events (parallel to `tasks`).
     pub task_wait_gen: Vec<u64>,
     pub kind: WorkloadKind,
     pub memory_intensity: f64,
@@ -193,7 +191,6 @@ mod tests {
             running: SimTime::from_millis(running_ms),
             runnable: SimTime::from_millis(runnable_ms),
             blocked: SimTime::ZERO,
-            offline: SimTime::ZERO,
         }
     }
 

@@ -49,10 +49,9 @@ pub(crate) enum Event {
     RequestArrive { vm: u16 },
     /// A sleeping task's timer fires.
     WakeTimer { vm: u16, task: u32 },
-    /// A blocking wait's grace-spin window ran out: actually sleep.
-    GraceExpire { vm: u16, task: u32, gen: u64 },
-    /// A paravirtual spin-wait exceeded its spin budget: halt until kicked.
-    PvSpinExpire { vm: u16, task: u32, gen: u64 },
+    /// A wait's spin budget (futex grace or pv spin) ran out: sleep until
+    /// granted.
+    WaitExpire { vm: u16, task: u32, gen: u64 },
     /// Gang-slice rotation (strict co-scheduling only, self-rearming).
     GangRotate,
     /// Hard stop of the measurement.

@@ -63,13 +63,11 @@ impl System {
                 );
             }
             Activity::Resume => self.advance_task(vm, task.0),
-            Activity::SpinWait { granted: true } | Activity::GraceSpin { granted: true } => {
+            Activity::Spin { granted: true } => {
                 self.domains[vm].task_activity[task.0] = Activity::Resume;
                 self.advance_task(vm, task.0);
             }
-            Activity::SpinWait { granted: false } | Activity::GraceSpin { granted: false } => {
-                self.arm_ple(vm, vcpu)
-            }
+            Activity::Spin { granted: false } => self.arm_ple(vm, vcpu),
             Activity::BlockedSync | Activity::Sleeping | Activity::Done => {
                 unreachable!("a waiting task cannot be current")
             }
@@ -178,36 +176,28 @@ impl System {
                     let outcome = self.domains[vm].space.lock(l).acquire(TaskId(task));
                     match outcome {
                         AcquireOutcome::Acquired => continue,
-                        AcquireOutcome::MustWait(WaitMode::Block) => {
-                            self.wait_block(vm, task);
-                            return;
-                        }
-                        AcquireOutcome::MustWait(WaitMode::Spin) => {
-                            self.wait_spin(vm, task);
+                        AcquireOutcome::MustWait(mode) => {
+                            self.wait(vm, task, mode);
                             return;
                         }
                     }
                 }
                 Step::Release(l) => {
                     let outcome = self.domains[vm].space.lock(l).release(TaskId(task));
-                    if let Some((next, mode)) = outcome.next_holder {
-                        self.grant(vm, next.0, mode);
+                    if let Some(next) = outcome.next_holder {
+                        self.grant(vm, next.0);
                     }
                 }
                 Step::Arrive(b) => {
                     let outcome = self.domains[vm].space.barrier(b).arrive(TaskId(task));
                     match outcome {
-                        BarrierOutcome::Released { waiters, mode } => {
+                        BarrierOutcome::Released { waiters } => {
                             for w in waiters {
-                                self.grant(vm, w.0, mode);
+                                self.grant(vm, w.0);
                             }
                         }
-                        BarrierOutcome::MustWait(WaitMode::Block) => {
-                            self.wait_block(vm, task);
-                            return;
-                        }
-                        BarrierOutcome::MustWait(WaitMode::Spin) => {
-                            self.wait_spin(vm, task);
+                        BarrierOutcome::MustWait(mode) => {
+                            self.wait(vm, task, mode);
                             return;
                         }
                     }
@@ -226,11 +216,11 @@ impl System {
                                 if stamp.is_some() {
                                     self.domains[vm].tasks[w.0].req_open = stamp;
                                 }
-                                self.resume_waiter(vm, w.0);
+                                self.grant(vm, w.0);
                             }
                         }
                         PushOutcome::MustWait => {
-                            self.wait_block(vm, task);
+                            self.wait(vm, task, WaitMode::Block);
                             return;
                         }
                     }
@@ -248,11 +238,11 @@ impl System {
                             if let Some(p) = wake_producer {
                                 // The producer's blocked push completes now:
                                 // the channel moved its item into the tail.
-                                self.resume_waiter(vm, p.0);
+                                self.grant(vm, p.0);
                             }
                         }
                         PopOutcome::MustWait => {
-                            self.wait_block(vm, task);
+                            self.wait(vm, task, WaitMode::Block);
                             return;
                         }
                     }
@@ -268,17 +258,13 @@ impl System {
                         .poll(TaskId(task), self.now.as_nanos());
                     match outcome {
                         EpochPoll::Pass => {}
-                        EpochPoll::Released { waiters, mode } => {
+                        EpochPoll::Released { waiters } => {
                             for w in waiters {
-                                self.grant(vm, w.0, mode);
+                                self.grant(vm, w.0);
                             }
                         }
-                        EpochPoll::MustWait(WaitMode::Block) => {
-                            self.wait_block(vm, task);
-                            return;
-                        }
-                        EpochPoll::MustWait(WaitMode::Spin) => {
-                            self.wait_spin(vm, task);
+                        EpochPoll::MustWait(mode) => {
+                            self.wait(vm, task, mode);
                             return;
                         }
                     }
@@ -343,54 +329,41 @@ impl System {
         self.block_current_of(vm, task);
     }
 
-    /// Begins a blocking wait: spin through the futex grace window first
-    /// (the fast hand-off path), then actually sleep when it expires.
-    fn wait_block(&mut self, vm: usize, task: usize) {
-        let d = &mut self.domains[vm];
-        d.task_activity[task] = Activity::GraceSpin { granted: false };
-        d.task_wait_gen[task] += 1;
-        let gen = d.task_wait_gen[task];
-        self.queue.schedule(
-            self.now + FUTEX_GRACE,
-            Event::GraceExpire {
-                vm: vm as u16,
-                task: task as u32,
-                gen,
-            },
-        );
-        let vcpu = self.domains[vm].os.task(TaskId(task)).cpu;
-        self.arm_ple(vm, vcpu);
-    }
-
-    /// Begins a spin wait. Pure user-level spinning burns CPU until
-    /// granted; with paravirtual spin-then-halt configured, an expiry timer
-    /// converts an over-budget spin into a halt that the releasing owner
-    /// kicks awake (pv-spinlock semantics).
-    fn wait_spin(&mut self, vm: usize, task: usize) {
-        self.domains[vm].task_activity[task] = Activity::SpinWait { granted: false };
-        let vcpu = self.domains[vm].os.task(TaskId(task)).cpu;
-        self.arm_ple(vm, vcpu);
-        if let Some(budget) = self.cfg.pv_spin {
+    /// Begins a wait: `task` spins until granted. A blocking wait spins
+    /// through the futex grace (the fast hand-off path) and then sleeps; a
+    /// spinning wait burns PAUSE loops and, with paravirtual spin-then-halt
+    /// configured, halts once its budget runs out until the releasing owner
+    /// kicks it (pv-spinlock semantics). A spin with no budget never
+    /// expires.
+    fn wait(&mut self, vm: usize, task: usize, mode: WaitMode) {
+        self.domains[vm].task_activity[task] = Activity::Spin { granted: false };
+        let budget = match mode {
+            WaitMode::Block => Some(FUTEX_GRACE),
+            WaitMode::Spin => self.cfg.pv_spin,
+        };
+        if let Some(budget) = budget {
             let d = &mut self.domains[vm];
             d.task_wait_gen[task] += 1;
             let gen = d.task_wait_gen[task];
             self.queue.schedule(
                 self.now + budget,
-                Event::PvSpinExpire {
+                Event::WaitExpire {
                     vm: vm as u16,
                     task: task as u32,
                     gen,
                 },
             );
         }
+        let vcpu = self.domains[vm].os.task(TaskId(task)).cpu;
+        self.arm_ple(vm, vcpu);
     }
 
-    /// A paravirtual spin budget ran out: halt the waiter until kicked.
-    pub(crate) fn on_pv_spin_expire(&mut self, vm: usize, task: usize, gen: u64) {
+    /// A wait's spin budget ran out before its grant: sleep until granted.
+    pub(crate) fn on_wait_expire(&mut self, vm: usize, task: usize, gen: u64) {
         if self.domains[vm].task_wait_gen[task] != gen {
             return; // granted in the meantime
         }
-        if self.domains[vm].task_activity[task] != (Activity::SpinWait { granted: false }) {
+        if self.domains[vm].task_activity[task] != (Activity::Spin { granted: false }) {
             return;
         }
         self.domains[vm].task_wait_gen[task] += 1;
@@ -400,72 +373,21 @@ impl System {
         if self.domains[vm].os.current(vcpu) == Some(tid) {
             self.block_current_of(vm, task);
         } else {
-            let acts = self.domains[vm].os.block_queued(tid);
-            self.apply_guest_actions(vm, acts);
+            // Guest CFS descheduled the spinner; take it off its runqueue
+            // directly (the futex sleep path of a ready task).
+            self.domains[vm].os.block_queued(tid);
         }
     }
 
-    /// The grace window of a blocking wait ran out: actually sleep.
-    pub(crate) fn on_grace_expire(&mut self, vm: usize, task: usize, gen: u64) {
-        if self.domains[vm].task_wait_gen[task] != gen {
-            return; // granted (or otherwise resolved) in the meantime
-        }
-        if self.domains[vm].task_activity[task] != (Activity::GraceSpin { granted: false }) {
-            return;
-        }
-        self.domains[vm].task_wait_gen[task] += 1;
-        self.domains[vm].task_activity[task] = Activity::BlockedSync;
-        let tid = TaskId(task);
-        let vcpu = self.domains[vm].os.task(tid).cpu;
-        if self.domains[vm].os.current(vcpu) == Some(tid) {
-            self.block_current_of(vm, task);
-        } else {
-            // Guest CFS descheduled the grace-spinner; take it off its
-            // runqueue directly (the futex sleep path of a ready task).
-            let acts = self.domains[vm].os.block_queued(tid);
-            self.apply_guest_actions(vm, acts);
-        }
-    }
-
-    /// Hands a lock/barrier slot to `task` according to its wait mode.
-    fn grant(&mut self, vm: usize, task: usize, mode: WaitMode) {
-        match mode {
-            WaitMode::Block => self.resume_waiter(vm, task),
-            WaitMode::Spin => {
-                let d = &mut self.domains[vm];
-                match &mut d.task_activity[task] {
-                    Activity::SpinWait { granted } => {
-                        *granted = true;
-                        d.task_wait_gen[task] += 1; // cancels any pv timer
-                        // A spinner executing right now notices instantly.
-                        let vcpu = d.os.task(TaskId(task)).cpu;
-                        let executing = d.exec[vcpu].is_some_and(|ctx| ctx.task == task);
-                        if executing {
-                            self.sync_exec(vm, vcpu);
-                            self.domains[vm].task_activity[task] = Activity::Resume;
-                            self.advance_task(vm, task);
-                        }
-                    }
-                    Activity::BlockedSync => {
-                        // A pv-halted spin waiter: the release kicks it.
-                        d.task_activity[task] = Activity::Resume;
-                        self.wake_task(vm, task);
-                    }
-                    other => debug_assert!(false, "spin grant to {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// A blocking wait completed on `task`'s behalf: depending on where the
-    /// waiter is in its futex path, this is a fast in-grace hand-off or a
-    /// real wake-up.
-    fn resume_waiter(&mut self, vm: usize, task: usize) {
-        match self.domains[vm].task_activity[task] {
-            Activity::GraceSpin { granted: false } => {
-                let d = &mut self.domains[vm];
-                d.task_wait_gen[task] += 1; // cancels the grace expiry
-                d.task_activity[task] = Activity::GraceSpin { granted: true };
+    /// Completes `task`'s wait. A spinner executing right now notices at
+    /// once, any other spinner the next time it executes; a sleeper is
+    /// woken (a futex wake, or the kick of a pv-halted spinner).
+    pub(crate) fn grant(&mut self, vm: usize, task: usize) {
+        let d = &mut self.domains[vm];
+        match d.task_activity[task] {
+            Activity::Spin { granted: false } => {
+                d.task_activity[task] = Activity::Spin { granted: true };
+                d.task_wait_gen[task] += 1; // cancels the wait expiry
                 let vcpu = d.os.task(TaskId(task)).cpu;
                 let executing = d.exec[vcpu].is_some_and(|ctx| ctx.task == task);
                 if executing {
@@ -475,10 +397,10 @@ impl System {
                 }
             }
             Activity::BlockedSync => {
-                self.domains[vm].task_activity[task] = Activity::Resume;
+                d.task_activity[task] = Activity::Resume;
                 self.wake_task(vm, task);
             }
-            other => debug_assert!(false, "resume of a non-waiting task ({other:?})"),
+            other => debug_assert!(false, "grant to a non-waiting task ({other:?})"),
         }
     }
 

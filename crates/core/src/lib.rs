@@ -51,6 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 pub mod check;

@@ -36,9 +36,10 @@ pub struct SystemConfig {
     /// and each fault it injects, with virtual timestamps; render the
     /// merged timeline via [`System::trace_dump`].
     pub trace_capacity: usize,
-    /// Paravirtual spin-then-halt: an ungranted spin wait longer than this
-    /// halts until the owner's release kicks it (pv-spinlock semantics,
-    /// paper §5.1). `None` spins forever, as user-level
+    /// Spin budget of a spinning wait (paravirtual spin-then-halt,
+    /// pv-spinlock semantics, paper §5.1): an ungranted spin longer than
+    /// this halts until the grant kicks it, as a blocking wait sleeps once
+    /// its 30 µs futex grace runs out. `None` spins forever, as user-level
     /// `OMP_WAIT_POLICY=active` waiters do.
     pub pv_spin: Option<SimTime>,
     /// Runs the online invariant sanitizer ([`crate::check`]) after every
@@ -149,15 +150,11 @@ impl System {
         assert!(!scenario.vms.is_empty(), "a scenario needs at least one VM");
         check_event_widths(&scenario);
         let strategy = scenario.strategy;
-        let any_unpinned = scenario.vms.iter().any(|v| v.pinning.is_none());
         let mut xen_cfg = strategy.xen_config();
         if let Some(slice) = scenario.slice_override {
             xen_cfg.time_slice = slice;
         }
-        xen_cfg.migration = any_unpinned;
-        if any_unpinned {
-            xen_cfg.placement_salt = Some(scenario.seed);
-        }
+        xen_cfg.placement_salt = Some(scenario.seed);
         let mut hv = Hypervisor::new(xen_cfg, scenario.n_pcpus);
         // The sanitizer needs decisions to show in a violation report, so
         // checking arms the typed trace rings even when the caller did not
@@ -658,11 +655,8 @@ impl System {
             Event::PleWindow { vm, vcpu, gen } => self.on_ple_window(vm.into(), vcpu as usize, gen),
             Event::RequestArrive { vm } => self.on_request_arrive(vm.into()),
             Event::WakeTimer { vm, task } => self.on_wake_timer(vm.into(), task as usize),
-            Event::GraceExpire { vm, task, gen } => {
-                self.on_grace_expire(vm.into(), task as usize, gen)
-            }
-            Event::PvSpinExpire { vm, task, gen } => {
-                self.on_pv_spin_expire(vm.into(), task as usize, gen)
+            Event::WaitExpire { vm, task, gen } => {
+                self.on_wait_expire(vm.into(), task as usize, gen)
             }
             Event::GangRotate => {
                 let acts = self.hv.gang_rotate(self.now);
@@ -852,16 +846,10 @@ impl System {
         }
         let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
         // Still an ungranted spinner actually executing?
-        let spinning = self.domains[vm]
-            .os
-            .current(vcpu)
-            .is_some_and(|t| {
-                matches!(
-                    self.domains[vm].task_activity[t.0],
-                    crate::domain::Activity::SpinWait { granted: false }
-                        | crate::domain::Activity::GraceSpin { granted: false }
-                )
-            });
+        let spinning = self.domains[vm].os.current(vcpu).is_some_and(|t| {
+            self.domains[vm].task_activity[t.0]
+                == (crate::domain::Activity::Spin { granted: false })
+        });
         if !spinning || self.hv.vcpu_state(v) != RunState::Running {
             return;
         }
@@ -878,10 +866,8 @@ impl System {
             OfferOutcome::Accepted {
                 wake_consumer: Some(w),
             } => {
-                let d = &mut self.domains[vm];
-                d.tasks[w.0].req_open = Some(now);
-                d.task_activity[w.0] = crate::domain::Activity::Resume;
-                self.wake_task(vm, w.0);
+                self.domains[vm].tasks[w.0].req_open = Some(now);
+                self.grant(vm, w.0);
             }
             OfferOutcome::Accepted {
                 wake_consumer: None,
@@ -1373,5 +1359,39 @@ impl Snapshot {
             b += d.latencies_us.capacity() * std::mem::size_of::<f64>();
         }
         b
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::Activity;
+    use crate::scenario::VmScenario;
+    use irs_workloads::presets::server::apache_ab;
+
+    /// An open-loop arrival that lands while its consumer spins through
+    /// the futex grace completes the consumer's wait: the consumer takes
+    /// the request at once instead of being left with nothing scheduled.
+    #[test]
+    fn an_arrival_in_the_grace_hands_the_request_to_the_spinning_consumer() {
+        let vm = VmScenario::new(apache_ab(1, 1, 0.5), 1)
+            .pin_one_to_one()
+            .measured();
+        let mut sys = System::new(Scenario::new(1, Strategy::Vanilla, 1).vm(vm));
+        while sys.domains[0].task_activity[0] != (Activity::Spin { granted: false }) {
+            assert!(sys.step(), "the worker never waited on its accept queue");
+        }
+        sys.on_request_arrive(0);
+        assert!(
+            matches!(sys.domains[0].task_activity[0], Activity::Computing { .. }),
+            "the worker did not take the request: {:?}",
+            sys.domains[0].task_activity[0]
+        );
+        sys.check_invariants();
+        sys.run_until(sys.now() + SimTime::from_millis(5));
+        assert!(
+            sys.domains[0].requests >= 1,
+            "the handed request never completed"
+        );
     }
 }

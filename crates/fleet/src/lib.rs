@@ -25,6 +25,7 @@
 //! The `figures fleet` subcommand of `irs-bench` is the CLI front end.
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod campaign;

@@ -106,7 +106,7 @@ impl GuestOs {
                     self.stats.pingpong_preempts += 1;
                     true
                 } else {
-                    let gran = self.tasks[cur.0].vruntime_delta(WAKEUP_GRANULARITY);
+                    let gran = WAKEUP_GRANULARITY.as_nanos();
                     self.tasks[cur.0].vruntime > vr.saturating_add(gran)
                 };
                 // An in-place switch needs the vCPU to actually execute; on

@@ -136,10 +136,9 @@ impl GuestOs {
         let Some(cur) = self.rqs[vcpu].current else {
             return;
         };
-        let vr_delta = self.tasks[cur.0].vruntime_delta(delta);
+        // Every task is nice-0: vruntime advances at wall-clock rate.
         let task = &mut self.tasks[cur.0];
-        task.vruntime += vr_delta;
-        task.total_runtime += delta;
+        task.vruntime += delta.as_nanos();
         let vr = task.vruntime;
         self.rqs[vcpu].update_min_vruntime(vr);
     }
@@ -204,9 +203,7 @@ impl GuestOs {
             return;
         };
         let nr = self.rqs[vcpu].nr_running().max(1) as u64;
-        let slice =
-            SimTime::from_nanos((SCHED_LATENCY.as_nanos() / nr).max(MIN_GRANULARITY.as_nanos()));
-        let slice_vr = self.tasks[cur.0].vruntime_delta(slice);
+        let slice_vr = (SCHED_LATENCY.as_nanos() / nr).max(MIN_GRANULARITY.as_nanos());
         if self.tasks[cur.0].vruntime > left_vr.saturating_add(slice_vr) {
             self.deschedule_current(vcpu, TaskState::Ready, out);
             self.pick_and_run(vcpu, out);
@@ -266,10 +263,9 @@ impl GuestOs {
     /// A *ready* (not running) task goes to sleep — the futex path of a
     /// task that was descheduled (or handed to the IRS migrator) mid-wait.
     /// No-op for other states.
-    pub fn block_queued(&mut self, task: TaskId) -> Vec<GuestAction> {
-        let out = Vec::new();
+    pub fn block_queued(&mut self, task: TaskId) {
         if self.tasks[task.0].state != TaskState::Ready {
-            return out;
+            return;
         }
         let cpu = self.tasks[task.0].cpu;
         let vr = self.tasks[task.0].vruntime;
@@ -282,7 +278,6 @@ impl GuestOs {
             debug_assert!(removed, "{task} Ready but neither queued nor in custody");
         }
         self.tasks[task.0].state = TaskState::Blocked;
-        out
     }
 
     /// Called when the hypervisor (re)starts a vCPU the guest had idled:
@@ -538,7 +533,6 @@ mod tests {
         g.start();
         g.account_runtime(0, SimTime::from_millis(2));
         assert_eq!(g.task(a).vruntime, 2_000_000);
-        assert_eq!(g.task(a).total_runtime, SimTime::from_millis(2));
     }
 
     #[test]
@@ -635,7 +629,7 @@ mod tests {
         // exercised in balance tests; here drive the internals directly).
         let mut out = Vec::new();
         g.tasks[a.0].state = TaskState::Ready;
-        let vr = g.rqs[0].normalized_vruntime(g.tasks[a.0].vruntime);
+        let vr = g.tasks[a.0].vruntime.max(g.rqs[0].min_vruntime);
         g.tasks[a.0].vruntime = vr;
         g.rqs[0].enqueue(vr, a);
         let acts = g.ensure_current(0);

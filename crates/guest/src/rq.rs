@@ -74,18 +74,6 @@ impl Runqueue {
         self.current.is_none() && self.tree.is_empty()
     }
 
-    /// Normalizes a *woken* task's vruntime against this queue so it
-    /// neither starves the queue nor monopolizes it.
-    ///
-    /// Mirrors CFS `place_entity` for wake-ups: the task resumes at
-    /// roughly the queue's watermark, keeping any surplus it already had.
-    /// **Migrations must use [`Runqueue::migration_vruntime`] instead** —
-    /// flooring a migrated task to the destination watermark would erase
-    /// the lag that entitles it to run.
-    pub fn normalized_vruntime(&self, incoming_vruntime: u64) -> u64 {
-        incoming_vruntime.max(self.min_vruntime)
-    }
-
     /// Surplus a migrated task may carry into its new queue (one scheduling
     /// latency period). Re-basing preserves *relative* position, but an
     /// unbounded surplus glues itself to the task across hops: every
@@ -150,10 +138,6 @@ mod tests {
         rq.enqueue(500, TaskId(0));
         rq.pick_next();
         assert_eq!(rq.min_vruntime, 500);
-        // A long sleeper waking with tiny vruntime is normalized forward.
-        assert_eq!(rq.normalized_vruntime(10), 500);
-        // A task already ahead keeps its surplus.
-        assert_eq!(rq.normalized_vruntime(900), 900);
     }
 
     #[test]
@@ -231,9 +215,8 @@ mod migration_tests {
     fn migration_to_a_behind_queue_does_not_inflate() {
         let mut dst = Runqueue::new();
         dst.min_vruntime = 10;
-        // Unlike normalized_vruntime (a max), migration re-bases downward
-        // too: the migrated task competes fairly on the new queue.
+        // Migration re-bases downward too, not only up to the watermark:
+        // the migrated task competes fairly on the new queue.
         assert_eq!(dst.migration_vruntime(5_000, 4_990), 20);
-        assert!(dst.migration_vruntime(5_000, 4_990) < dst.normalized_vruntime(5_000));
     }
 }

@@ -1,6 +1,5 @@
 //! Guest tasks (threads) as the scheduler sees them.
 
-use irs_sim::SimTime;
 use std::fmt;
 
 /// Identifier of a task within one guest.
@@ -60,8 +59,6 @@ pub struct Task {
     /// In IRS-migrator custody: descheduled by the SA context switcher and
     /// awaiting placement (Ready but on no runqueue).
     pub in_custody: bool,
-    /// Cumulative CPU time consumed.
-    pub total_runtime: SimTime,
     /// Number of cross-vCPU migrations this task has suffered.
     pub migrations: u64,
 }
@@ -75,27 +72,14 @@ impl Task {
             cpu,
             preempt_migrated: false,
             in_custody: false,
-            total_runtime: SimTime::ZERO,
             migrations: 0,
         }
-    }
-
-    /// Converts `delta` of wall execution into vruntime: a nice-0 task's
-    /// vruntime advances at wall-clock rate.
-    pub(crate) fn vruntime_delta(&self, delta: SimTime) -> u64 {
-        delta.as_nanos()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nice0_task_vruntime_is_wall_time() {
-        let t = Task::new(TaskId(0), 0);
-        assert_eq!(t.vruntime_delta(SimTime::from_micros(5)), 5_000);
-    }
 
     #[test]
     fn display_forms() {

@@ -110,8 +110,7 @@ proptest! {
         }
     }
 
-    /// vruntime is monotone per task, and total runtime equals what was
-    /// charged.
+    /// vruntime is monotone per task.
     #[test]
     fn vruntime_is_monotone(charges in prop::collection::vec((0u8..4, 1u16..5000), 1..100)) {
         let mut g = build();

@@ -11,6 +11,7 @@
 //!   `figures` binary prints the same rows/series the paper plots.
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod stats;

@@ -19,6 +19,7 @@
 //! of simulations that take milliseconds to seconds (DESIGN.md §2.5).
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};

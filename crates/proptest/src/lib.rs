@@ -20,6 +20,7 @@
 //! persistence files, and no `PROPTEST_*` knobs beyond `PROPTEST_CASES`.
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 
 pub mod test_runner {
     /// Run-time configuration for a `proptest!` block.

@@ -39,6 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod event;

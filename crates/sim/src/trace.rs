@@ -51,7 +51,7 @@ pub enum TraceEvent {
         /// vCPU index within the VM.
         vcpu: usize,
     },
-    /// A running vCPU voluntarily blocked (or went offline).
+    /// A running vCPU voluntarily blocked.
     Block {
         /// Physical CPU the vCPU was running on.
         pcpu: usize,
@@ -316,11 +316,6 @@ impl TraceRing {
         }
     }
 
-    /// True if records are being captured.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Emits a typed event. The closure only runs when tracing is enabled,
     /// so hot paths pay nothing in disabled runs.
     #[inline]
@@ -493,9 +488,17 @@ mod tests {
     fn clone_copies_config_not_contents() {
         let mut ring = TraceRing::enabled(3);
         ring.emit(SimTime::ZERO, || send(0));
-        let copy = ring.clone();
-        assert!(copy.is_enabled());
+        let mut copy = ring.clone();
         assert!(copy.records().is_empty(), "records are not state");
-        assert!(!TraceRing::disabled().clone().is_enabled());
+        // The copy records, and keeps the newest `capacity` records.
+        for i in 1..=4 {
+            copy.emit(SimTime::ZERO, || send(i));
+        }
+        let kept: Vec<TraceEvent> = copy.records().iter().map(|r| r.event.clone()).collect();
+        assert_eq!(kept, vec![send(2), send(3), send(4)]);
+        let mut off = TraceRing::disabled().clone();
+        off.emit(SimTime::ZERO, || {
+            panic!("a disabled ring's copy must stay disabled")
+        });
     }
 }

@@ -8,13 +8,11 @@ use irs_guest::TaskId;
 pub enum BarrierOutcome {
     /// Not everyone is here yet: wait in the given mode.
     MustWait(WaitMode),
-    /// The caller was the last arriver: the barrier opens. Blocking waiters
-    /// in the list must be woken; spinning waiters notice on their own.
+    /// The caller was the last arriver: the barrier opens, and every
+    /// waiter's wait is granted.
     Released {
         /// The tasks that were waiting (excluding the last arriver).
         waiters: Vec<TaskId>,
-        /// How they were waiting.
-        mode: WaitMode,
     },
 }
 
@@ -61,10 +59,7 @@ impl Barrier {
         if self.waiting.len() + 1 == self.parties {
             let waiters = std::mem::take(&mut self.waiting);
             self.generation += 1;
-            BarrierOutcome::Released {
-                waiters,
-                mode: self.mode,
-            }
+            BarrierOutcome::Released { waiters }
         } else {
             self.waiting.push(who);
             BarrierOutcome::MustWait(self.mode)
@@ -101,10 +96,7 @@ mod tests {
         assert_eq!(b.arrive(t(0)), BarrierOutcome::MustWait(WaitMode::Block));
         assert_eq!(b.arrive(t(1)), BarrierOutcome::MustWait(WaitMode::Block));
         match b.arrive(t(2)) {
-            BarrierOutcome::Released { waiters, mode } => {
-                assert_eq!(waiters, vec![t(0), t(1)]);
-                assert_eq!(mode, WaitMode::Block);
-            }
+            BarrierOutcome::Released { waiters } => assert_eq!(waiters, vec![t(0), t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
         assert_eq!(b.generation(), 1);
@@ -120,7 +112,7 @@ mod tests {
         // Next generation works identically.
         assert_eq!(b.arrive(t(1)), BarrierOutcome::MustWait(WaitMode::Spin));
         match b.arrive(t(0)) {
-            BarrierOutcome::Released { waiters, .. } => assert_eq!(waiters, vec![t(1)]),
+            BarrierOutcome::Released { waiters } => assert_eq!(waiters, vec![t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
         assert_eq!(b.generation(), 2);
@@ -130,7 +122,7 @@ mod tests {
     fn single_party_barrier_never_waits() {
         let mut b = Barrier::new(1, WaitMode::Block);
         match b.arrive(t(0)) {
-            BarrierOutcome::Released { waiters, .. } => assert!(waiters.is_empty()),
+            BarrierOutcome::Released { waiters } => assert!(waiters.is_empty()),
             other => panic!("expected release, got {other:?}"),
         }
     }

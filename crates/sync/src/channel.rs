@@ -141,16 +141,6 @@ impl Channel {
         let held = self.producers_waiting.iter().flat_map(|(_, s)| s).count();
         queued + held
     }
-
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if no items are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +183,7 @@ mod tests {
                 wake_consumer: Some(t(5))
             }
         );
-        assert!(c2.is_empty());
+        assert_eq!(c2.pop(t(6)), PopOutcome::MustWait, "the item never queued");
     }
 
     #[test]
@@ -205,9 +195,8 @@ mod tests {
                 wake_consumer: None
             }
         );
-        assert_eq!(c.len(), 1);
         assert_eq!(c.pop(t(1)), popped(None, None));
-        assert!(c.is_empty());
+        assert_eq!(c.pop(t(1)), PopOutcome::MustWait);
     }
 
     #[test]
@@ -225,14 +214,14 @@ mod tests {
     fn pop_on_empty_waits_and_push_wakes() {
         let mut c = Channel::new(1);
         assert_eq!(c.pop(t(1)), PopOutcome::MustWait);
-        // The consumer's pop completes inside the push: len stays 0.
+        // The consumer's pop completes inside the push: nothing queues.
         assert_eq!(
             c.push(t(0), at(3)),
             PushOutcome::Pushed {
                 wake_consumer: Some(t(1))
             }
         );
-        assert!(c.is_empty());
+        assert_eq!(c.pop(t(2)), PopOutcome::MustWait);
     }
 
     #[test]
@@ -240,9 +229,10 @@ mod tests {
         let mut c = Channel::new(1);
         c.push(t(0), None);
         assert_eq!(c.push(t(0), None), PushOutcome::MustWait);
-        // The producer's push completes inside the pop: len stays 1.
+        // The producer's push completes inside the pop: one item queues.
         assert_eq!(c.pop(t(1)), popped(None, Some(t(0))));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.pop(t(1)), popped(None, None));
+        assert_eq!(c.pop(t(1)), PopOutcome::MustWait);
     }
 
     #[test]

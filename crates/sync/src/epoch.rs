@@ -25,12 +25,10 @@ pub enum EpochPoll {
     /// wait in the given mode.
     MustWait(WaitMode),
     /// The caller was the last participant to arrive: the epoch
-    /// completes. Blocking waiters in the list must be woken.
+    /// completes, and every parked task's wait is granted.
     Released {
         /// The tasks that were parked (excluding the last arriver).
         waiters: Vec<TaskId>,
-        /// How they were waiting.
-        mode: WaitMode,
     },
 }
 
@@ -91,10 +89,7 @@ impl Epoch {
             // Coalesce missed boundaries: the next deadline is the first
             // period multiple strictly after the release instant.
             self.next_deadline_ns = (now_ns / self.period_ns + 1) * self.period_ns;
-            EpochPoll::Released {
-                waiters,
-                mode: self.mode,
-            }
+            EpochPoll::Released { waiters }
         } else {
             self.waiting.push(who);
             EpochPoll::MustWait(self.mode)
@@ -154,10 +149,7 @@ mod tests {
         assert_eq!(e.poll(t(0), 1_000), EpochPoll::MustWait(WaitMode::Block));
         assert_eq!(e.poll(t(1), 1_200), EpochPoll::MustWait(WaitMode::Block));
         match e.poll(t(2), 1_500) {
-            EpochPoll::Released { waiters, mode } => {
-                assert_eq!(waiters, vec![t(0), t(1)]);
-                assert_eq!(mode, WaitMode::Block);
-            }
+            EpochPoll::Released { waiters } => assert_eq!(waiters, vec![t(0), t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
         assert_eq!(e.generation(), 1);
@@ -172,7 +164,7 @@ mod tests {
         // A lone participant arriving 3.5 periods late discharges every
         // missed boundary at once.
         match e.poll(t(0), 3_500) {
-            EpochPoll::Released { waiters, .. } => assert!(waiters.is_empty()),
+            EpochPoll::Released { waiters } => assert!(waiters.is_empty()),
             other => panic!("expected release, got {other:?}"),
         }
         assert_eq!(e.generation(), 1);

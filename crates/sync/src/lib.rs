@@ -27,9 +27,11 @@
 //!   serving workloads.
 //!
 //! Primitives are pure state machines over [`TaskId`](irs_guest::TaskId)s: operations return
-//! outcomes (`Acquired` / `MustWait(mode)` / wake lists) that the embedding
-//! simulation turns into guest scheduler calls. All primitives of one VM
-//! live in a [`SyncSpace`].
+//! outcomes (`Acquired` / `MustWait(mode)` / grants) that the embedding
+//! simulation turns into guest scheduler calls. A waiter learns its
+//! [`WaitMode`] when it must wait; a grant names only the waiters whose
+//! waits it completes, since each waiter already knows how it waits. All
+//! primitives of one VM live in a [`SyncSpace`].
 //!
 //! # Example
 //!
@@ -43,10 +45,11 @@
 //! assert_eq!(space.lock(lock).acquire(a), AcquireOutcome::Acquired);
 //! assert_eq!(space.lock(lock).acquire(b), AcquireOutcome::MustWait(WaitMode::Block));
 //! let release = space.lock(lock).release(a);
-//! assert_eq!(release.next_holder, Some((b, WaitMode::Block)));
+//! assert_eq!(release.next_holder, Some(b));
 //! ```
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod arrival;

@@ -16,10 +16,8 @@ pub enum AcquireOutcome {
 /// Outcome of a release: FIFO hand-off, as in a ticket lock / fair futex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReleaseOutcome {
-    /// The waiter that now owns the lock, and how it was waiting. A
-    /// blocking waiter must be woken; a spinning waiter notices ownership
-    /// the next time it executes.
-    pub next_holder: Option<(TaskId, WaitMode)>,
+    /// The waiter that now owns the lock: its wait is granted.
+    pub next_holder: Option<TaskId>,
 }
 
 /// A mutex with FIFO hand-off and a configurable wait mode.
@@ -81,7 +79,7 @@ impl Lock {
             Some(next) => {
                 self.holder = Some(next);
                 ReleaseOutcome {
-                    next_holder: Some((next, self.mode)),
+                    next_holder: Some(next),
                 }
             }
             None => {
@@ -140,10 +138,10 @@ mod tests {
         l.acquire(t(2));
         assert_eq!(l.head_waiter(), Some(t(1)));
         let r = l.release(t(0));
-        assert_eq!(r.next_holder, Some((t(1), WaitMode::Block)));
+        assert_eq!(r.next_holder, Some(t(1)));
         assert_eq!(l.holder(), Some(t(1)));
         let r = l.release(t(1));
-        assert_eq!(r.next_holder, Some((t(2), WaitMode::Block)));
+        assert_eq!(r.next_holder, Some(t(2)));
         let r = l.release(t(2));
         assert_eq!(r.next_holder, None);
         assert_eq!(l.holder(), None);

@@ -46,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod bundle;

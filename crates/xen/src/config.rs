@@ -26,9 +26,11 @@ pub(crate) const CO_SKEW_THRESHOLD: SimTime = SimTime::from_millis(30);
 /// Configuration of the hypervisor and its credit scheduler.
 ///
 /// Defaults mirror Xen 4.5's credit scheduler as described in the paper:
-/// 30 ms time slice, no slice perturbation, pinned placement and none of
-/// the strategy mechanisms. The credit tick ([`TICK_PERIOD`]), the
-/// accounting period ([`ACCOUNTING_PERIOD`]) and BOOST on wake are fixed.
+/// 30 ms time slice, no slice perturbation, round-robin homes for
+/// unpinned vCPUs and none of the strategy mechanisms. The credit tick
+/// ([`TICK_PERIOD`]), the accounting period ([`ACCOUNTING_PERIOD`]),
+/// BOOST on wake, and the load-based wake placement and idle stealing of
+/// unpinned vCPUs are fixed; pinned vCPUs never move.
 ///
 /// # Example
 ///
@@ -55,10 +57,6 @@ pub struct XenConfig {
     /// drive the paper's vanilla slowdowns. Zero disables the perturbation
     /// (unit tests rely on exact slice arithmetic).
     pub slice_jitter: SimTime,
-    /// Whether unpinned vCPUs are placed by load and stolen by idle pCPUs.
-    ///
-    /// Pinned vCPUs (hard affinity) are never migrated regardless.
-    pub migration: bool,
     /// Initial placement of unpinned vCPUs: `None` assigns round-robin
     /// homes (exactly balanced — convenient for unit tests); `Some(salt)`
     /// hashes `(salt, vm, vcpu)` to a pCPU, producing the lumpy placements
@@ -92,7 +90,6 @@ impl Default for XenConfig {
         XenConfig {
             time_slice: SimTime::from_millis(30),
             slice_jitter: SimTime::ZERO,
-            migration: false,
             placement_salt: None,
             sa: false,
             ple: false,
@@ -112,7 +109,6 @@ mod tests {
         assert_eq!(cfg.time_slice, SimTime::from_millis(30));
         assert_eq!(TICK_PERIOD, SimTime::from_millis(10));
         assert_eq!(ACCOUNTING_PERIOD, SimTime::from_millis(30));
-        assert!(!cfg.migration);
         assert!(!cfg.sa);
         assert!(!cfg.ple);
         assert!(!cfg.relaxed_co);

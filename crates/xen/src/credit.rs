@@ -222,8 +222,7 @@ impl Hypervisor {
         }
         self.stats.wakes += 1;
 
-        let target = if self.cfg.migration && !self.cfg.strict_co && self.vc(v).affinity.is_none()
-        {
+        let target = if !self.cfg.strict_co && self.vc(v).affinity.is_none() {
             self.pick_pcpu(v)
         } else {
             self.vc(v).affinity.unwrap_or(self.vc(v).home)
@@ -564,9 +563,6 @@ impl Hypervisor {
     /// Steals the best migratable vCPU queued elsewhere, for a pCPU that
     /// would otherwise idle. Only unpinned vCPUs may move.
     fn steal_for(&mut self, pcpu: PcpuId) -> Option<VcpuRef> {
-        if !self.cfg.migration {
-            return None;
-        }
         // Gang mode owns placement: stealing would smuggle a foreign VM's
         // vCPU into the current gang slot.
         if self.cfg.strict_co {
@@ -851,11 +847,7 @@ mod tests {
 
     #[test]
     fn idle_pcpu_steals_unpinned_work() {
-        let cfg = XenConfig {
-            migration: true,
-            ..XenConfig::default()
-        };
-        let mut hv = Hypervisor::new(cfg, 2);
+        let mut hv = Hypervisor::new(XenConfig::default(), 2);
         let a = hv.create_vm(VmSpec::new(2)); // unpinned, homes 0 and 1
         hv.start(t(0));
         // Force both onto pcpu0's queue by blocking v1 and waking it while
@@ -874,11 +866,7 @@ mod tests {
 
     #[test]
     fn steal_fills_idle_pcpu() {
-        let cfg = XenConfig {
-            migration: true,
-            ..XenConfig::default()
-        };
-        let mut hv = Hypervisor::new(cfg, 2);
+        let mut hv = Hypervisor::new(XenConfig::default(), 2);
         // Two unpinned single-vCPU VMs, both homed on pcpu0 (round-robin
         // would split them, so pin the spec... we need same home: create 4
         // vcpus in one VM => homes 0,1,0,1; block the two on pcpu1).
@@ -902,11 +890,7 @@ mod tests {
 
     #[test]
     fn pinned_vcpus_are_never_stolen() {
-        let cfg = XenConfig {
-            migration: true,
-            ..XenConfig::default()
-        };
-        let mut hv = Hypervisor::new(cfg, 2);
+        let mut hv = Hypervisor::new(XenConfig::default(), 2);
         let a = hv.create_vm(VmSpec::new(2).pin(vec![PcpuId(0), PcpuId(0)]));
         hv.start(t(0));
         // pcpu1 idles; a.v1 is queued on pcpu0 but pinned there.
@@ -995,6 +979,5 @@ mod tests {
         let info = hv.runstate(runner, t(60));
         assert_eq!(info.running, t(30));
         assert_eq!(info.runnable, t(30));
-        assert!((info.steal_fraction() - 0.5).abs() < 1e-9);
     }
 }

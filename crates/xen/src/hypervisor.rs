@@ -454,7 +454,7 @@ impl Hypervisor {
     /// Invariants checked:
     /// * every `Running` vCPU is the `current` of exactly its home pCPU;
     /// * every `Runnable` vCPU sits in exactly one runqueue (its home's);
-    /// * `Blocked`/`Offline` vCPUs are in no runqueue and not current;
+    /// * `Blocked` vCPUs are in no runqueue and not current;
     /// * pinned vCPUs are at their pinned pCPU;
     /// * an `sa_wait` pCPU's waiting vCPU is its current and has
     ///   `sa_pending` set.
@@ -496,9 +496,9 @@ impl Hypervisor {
                         v.home
                     );
                 }
-                RunState::Blocked | RunState::Offline => {
-                    assert!(current_on.is_empty(), "{vref} {} but current", v.state());
-                    assert_eq!(queued, 0, "{vref} {} but queued", v.state());
+                RunState::Blocked => {
+                    assert!(current_on.is_empty(), "{vref} Blocked but current");
+                    assert_eq!(queued, 0, "{vref} Blocked but queued");
                 }
             }
             if let Some(pin) = v.affinity {

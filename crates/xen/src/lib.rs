@@ -15,7 +15,7 @@
 //! * Three-level run priorities `BOOST > UNDER > OVER`, where a vCPU waking
 //!   from the blocked state is boosted — the property that makes IRS's
 //!   "migrate to an idle (hence hypervisor-blocked) sibling" strategy pay off.
-//! * vCPU runstates `running / runnable / blocked / offline` with full
+//! * vCPU runstates `running / runnable / blocked` with full
 //!   steal-time accounting, exposed to guests through the
 //!   `VCPUOP_get_runstate` hypercall surface ([`RunstateInfo`]) — the same
 //!   channel the paper's migrator uses to see through the "online but
@@ -52,6 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 mod actions;

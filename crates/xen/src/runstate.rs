@@ -1,7 +1,7 @@
 //! vCPU runstates and cumulative runstate accounting.
 //!
-//! Xen exposes, per vCPU, the cumulative time spent in each of four
-//! runstates through `VCPUOP_get_runstate_info`. Two pieces of the paper
+//! Xen exposes, per vCPU, the cumulative time spent in each runstate
+//! through `VCPUOP_get_runstate_info`. Two pieces of the paper
 //! hinge on this surface:
 //!
 //! * **Steal time** (time `runnable` — wanting to run but preempted) feeds
@@ -14,7 +14,9 @@
 use irs_sim::SimTime;
 use std::fmt;
 
-/// Execution state of a vCPU, mirroring Xen's `RUNSTATE_*`.
+/// Execution state of a vCPU, mirroring Xen's `RUNSTATE_*`. Xen's fourth
+/// state, `RUNSTATE_offline`, is not modelled: no vCPU here ever leaves
+/// scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunState {
     /// Currently executing on a pCPU.
@@ -23,8 +25,6 @@ pub enum RunState {
     Runnable,
     /// Voluntarily idle or waiting for an event (no work to do).
     Blocked,
-    /// Not part of scheduling (never dispatched).
-    Offline,
 }
 
 impl RunState {
@@ -40,7 +40,6 @@ impl fmt::Display for RunState {
             RunState::Running => "running",
             RunState::Runnable => "runnable",
             RunState::Blocked => "blocked",
-            RunState::Offline => "offline",
         };
         f.write_str(s)
     }
@@ -59,7 +58,6 @@ pub struct RunstateClock {
     running: SimTime,
     runnable: SimTime,
     blocked: SimTime,
-    offline: SimTime,
 }
 
 impl RunstateClock {
@@ -71,19 +69,12 @@ impl RunstateClock {
             running: SimTime::ZERO,
             runnable: SimTime::ZERO,
             blocked: SimTime::ZERO,
-            offline: SimTime::ZERO,
         }
     }
 
     /// Current state.
     pub fn state(&self) -> RunState {
         self.state
-    }
-
-    /// Instant of the last transition.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn since(&self) -> SimTime {
-        self.since
     }
 
     /// Moves to `new` at instant `now`, charging the elapsed interval to the
@@ -111,7 +102,6 @@ impl RunstateClock {
             RunState::Running => self.running += elapsed,
             RunState::Runnable => self.runnable += elapsed,
             RunState::Blocked => self.blocked += elapsed,
-            RunState::Offline => self.offline += elapsed,
         }
     }
 
@@ -124,13 +114,11 @@ impl RunstateClock {
             running: self.running,
             runnable: self.runnable,
             blocked: self.blocked,
-            offline: self.offline,
         };
         match self.state {
             RunState::Running => info.running += open,
             RunState::Runnable => info.runnable += open,
             RunState::Blocked => info.blocked += open,
-            RunState::Offline => info.offline += open,
         }
         info
     }
@@ -147,19 +135,12 @@ pub struct RunstateInfo {
     pub runnable: SimTime,
     /// Cumulative voluntarily-idle time.
     pub blocked: SimTime,
-    /// Cumulative offline time.
-    pub offline: SimTime,
 }
 
 impl RunstateInfo {
     /// Total accounted time.
     pub fn total(&self) -> SimTime {
-        self.running + self.runnable + self.blocked + self.offline
-    }
-
-    /// Fraction of accounted time that was stolen (runnable), in `[0, 1]`.
-    pub fn steal_fraction(&self) -> f64 {
-        self.runnable.ratio(self.total())
+        self.running + self.runnable + self.blocked
     }
 }
 
@@ -181,7 +162,6 @@ mod tests {
         assert_eq!(info.running, t(20));
         assert_eq!(info.runnable, t(30));
         assert_eq!(info.blocked, t(10));
-        assert_eq!(info.offline, SimTime::ZERO);
         assert_eq!(info.state, RunState::Blocked);
     }
 
@@ -198,16 +178,6 @@ mod tests {
         let mut c = RunstateClock::new(RunState::Running, t(0));
         c.transition(RunState::Running, t(15));
         assert_eq!(c.info(t(15)).running, t(15));
-        assert_eq!(c.since(), t(15));
-    }
-
-    #[test]
-    fn steal_fraction_is_runnable_share() {
-        let mut c = RunstateClock::new(RunState::Running, t(0));
-        c.transition(RunState::Runnable, t(30));
-        c.transition(RunState::Running, t(60));
-        let info = c.info(t(60));
-        assert!((info.steal_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -215,12 +185,5 @@ mod tests {
         assert!(RunState::Running.wants_cpu());
         assert!(RunState::Runnable.wants_cpu());
         assert!(!RunState::Blocked.wants_cpu());
-        assert!(!RunState::Offline.wants_cpu());
-    }
-
-    #[test]
-    fn zero_total_has_zero_steal() {
-        let c = RunstateClock::new(RunState::Blocked, t(0));
-        assert_eq!(c.info(t(0)).steal_fraction(), 0.0);
     }
 }

@@ -40,7 +40,7 @@ pub(crate) struct Vcpu {
     pub affinity: Option<PcpuId>,
     /// The pCPU whose runqueue currently owns this vCPU.
     pub home: PcpuId,
-    /// Runstate clock (running/runnable/blocked/offline residencies).
+    /// Runstate clock (running/runnable/blocked residencies).
     pub clock: RunstateClock,
     /// Remaining credits (scaled: 100 burned per 10 ms tick).
     pub credits: i64,

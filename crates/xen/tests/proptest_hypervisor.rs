@@ -54,7 +54,6 @@ fn build(pinned: bool, sa: bool) -> Hypervisor {
     let cfg = XenConfig {
         sa,
         ple: true,
-        migration: !pinned,
         ..XenConfig::default()
     };
     let mut hv = Hypervisor::new(cfg, 4);

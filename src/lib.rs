@@ -46,6 +46,7 @@
 //! binary in `irs-bench` for the full evaluation harness.
 
 #![forbid(unsafe_code)]
+#![forbid(dead_code)]
 #![warn(missing_docs)]
 
 pub use irs_core::{

@@ -1,10 +1,15 @@
-//! The workspace carries no `unsafe` code, and the compiler keeps it that
-//! way only where a crate root says `#![forbid(unsafe_code)]`. This test
-//! reads the root package's `src/lib.rs` and every `crates/*/src/lib.rs`
-//! and names each root that lacks the attribute.
+//! The workspace carries no `unsafe` code and no dead code, and the
+//! compiler keeps it that way only where a crate root says
+//! `#![forbid(unsafe_code)]` and `#![forbid(dead_code)]`: forbidding dead
+//! code also rejects any `allow(dead_code)` that would hide an item only
+//! tests use. This test reads the root package's `src/lib.rs` and every
+//! `crates/*/src/lib.rs` and names each root that lacks either attribute.
 
 use std::fs;
 use std::path::Path;
+
+/// The attributes every crate root must carry.
+const REQUIRED: [&str; 2] = ["#![forbid(unsafe_code)]", "#![forbid(dead_code)]"];
 
 #[test]
 fn every_crate_root_forbids_unsafe_code() {
@@ -24,17 +29,18 @@ fn every_crate_root_forbids_unsafe_code() {
             .any(|lib| lib.ends_with("crates/pool/src/lib.rs")),
         "the crate scan missed crates/pool: {libs:?}"
     );
-    let missing: Vec<&Path> = libs
-        .iter()
-        .filter(|lib| {
-            let src = fs::read_to_string(lib).expect("a crate root is readable");
-            !src.lines()
-                .any(|line| line.trim() == "#![forbid(unsafe_code)]")
-        })
-        .map(|lib| lib.strip_prefix(root).unwrap_or(lib))
-        .collect();
+    let mut missing = Vec::new();
+    for lib in &libs {
+        let src = fs::read_to_string(lib).expect("a crate root is readable");
+        for attr in REQUIRED {
+            if !src.lines().any(|line| line.trim() == attr) {
+                let lib = lib.strip_prefix(root).unwrap_or(lib);
+                missing.push(format!("{} lacks {attr}", lib.display()));
+            }
+        }
+    }
     assert!(
         missing.is_empty(),
-        "crate roots without #![forbid(unsafe_code)]: {missing:?}"
+        "crate roots missing a forbid: {missing:?}"
     );
 }
