@@ -101,7 +101,10 @@ mod tests {
     /// the I/O vCPU's pCPU free.
     #[test]
     fn irs_adds_one_sa_round_to_the_wake_tail() {
-        let overheads = wake_overheads_us(Opts::quick());
+        let overheads = wake_overheads_us(Opts {
+            seeds: 1,
+            ..Opts::default()
+        });
         let (vanilla_mean, vanilla_p99) = overheads[0];
         let (irs_mean, irs_p99) = overheads[1];
         let tail_delta = irs_p99 - vanilla_p99;

@@ -58,17 +58,6 @@ impl Default for Opts {
     }
 }
 
-impl Opts {
-    /// Single-seed smoke-test options.
-    pub fn quick() -> Self {
-        Opts {
-            seeds: 1,
-            base_seed: 1,
-            jobs: 0,
-        }
-    }
-}
-
 /// Seed-averaged makespan (ms) of each constructor's measured VM: one
 /// [`runner::grid`] batch that keeps one `f64` per run.
 pub(crate) fn mean_makespans<M>(opts: Opts, makes: &[M]) -> Vec<f64>
@@ -96,14 +85,3 @@ pub(crate) fn mean_pair(samples: &[(f64, f64)]) -> (f64, f64) {
 
 /// The strategy columns the paper's grouped bar charts use.
 pub const STRATEGIES: [Strategy; 3] = [Strategy::Ple, Strategy::RelaxedCo, Strategy::Irs];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_opts_are_single_seed() {
-        assert_eq!(Opts::quick().seeds, 1);
-        assert_eq!(Opts::default().seeds, 3);
-    }
-}

@@ -8,10 +8,12 @@ use irs_workloads::{OpenLoop, ProgramRunner, WorkloadKind};
 use irs_xen::RunstateInfo;
 
 /// What a task is doing right now, from the execution engine's viewpoint.
+/// Only `System::set_activity` changes it, and only along one of the nine
+/// edges [`Activity::may_become`] lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Activity {
     /// Needs the next program step as soon as it executes (fresh task,
-    /// completed wait, or granted lock).
+    /// finished segment, or completed wait).
     Resume,
     /// Computing; `remaining` ns of the segment left, `useful` credited on
     /// completion.
@@ -20,16 +22,32 @@ pub(crate) enum Activity {
     /// waiter's PAUSE loop, or the futex grace of a blocking one (the
     /// "very short period of time spinning when performing wait queue
     /// operations" that PLE reacts to on blocking workloads, paper §5.2).
-    /// A wait whose spin budget runs out turns into `BlockedSync`.
-    /// `granted` flips when the wait is satisfied; the task proceeds the
-    /// next time it executes.
-    Spin { granted: bool },
+    /// A wait whose spin budget runs out turns into `BlockedSync`; a
+    /// grant turns it into `Resume`.
+    Spin,
     /// Asleep on a synchronization object, awaiting an explicit wake.
     BlockedSync,
     /// Asleep on a timer.
     Sleeping,
     /// Program finished.
     Done,
+}
+
+impl Activity {
+    /// Whether a task may change from `self` to `to`. A task leaves
+    /// `Resume` for the step its program draws (a segment, a wait, a
+    /// sleep or its end) and comes back to it when that step completes;
+    /// a spinning wait may also give up and block. Nothing leaves `Done`.
+    pub(crate) fn may_become(self, to: Activity) -> bool {
+        use Activity::*;
+        matches!(
+            (self, to),
+            (Resume, Computing { .. } | Spin | Sleeping | Done)
+                | (Computing { .. }, Resume)
+                | (Spin, Resume | BlockedSync)
+                | (BlockedSync | Sleeping, Resume)
+        )
+    }
 }
 
 /// Execution context: which task is consuming CPU on a vCPU, since when.
@@ -192,6 +210,38 @@ mod tests {
             runnable: SimTime::from_millis(runnable_ms),
             blocked: SimTime::ZERO,
         }
+    }
+
+    #[test]
+    fn the_activity_table_has_exactly_the_nine_edges() {
+        use Activity::*;
+        let computing = Computing {
+            remaining: 1,
+            useful: 1,
+        };
+        let all = [Resume, computing, Spin, BlockedSync, Sleeping, Done];
+        let edges: Vec<(Activity, Activity)> = all
+            .iter()
+            .flat_map(|&a| {
+                all.iter()
+                    .filter(move |&&b| a.may_become(b))
+                    .map(move |&b| (a, b))
+            })
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (Resume, computing),
+                (Resume, Spin),
+                (Resume, Sleeping),
+                (Resume, Done),
+                (computing, Resume),
+                (Spin, Resume),
+                (Spin, BlockedSync),
+                (BlockedSync, Resume),
+                (Sleeping, Resume),
+            ]
+        );
     }
 
     #[test]

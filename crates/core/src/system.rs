@@ -13,7 +13,7 @@
 //!   one rule — a preempted vCPU freezes its current task while the guest
 //!   still believes it is `Running`.
 
-use crate::domain::{Domain, StealTracker, TaskRt};
+use crate::domain::{Activity, Domain, StealTracker, TaskRt};
 use crate::events::Event;
 use crate::results::{RunResult, VmResult};
 use crate::scenario::Scenario;
@@ -146,7 +146,7 @@ impl System {
     /// As [`System::new`], and before building anything on a scenario
     /// larger than an event can address: more than 65,536 VMs, or more
     /// than 2^32 pCPUs, or a VM with more than 2^32 vCPUs or threads.
-    pub fn with_config(scenario: Scenario, cfg: SystemConfig) -> Self {
+    pub fn with_config(scenario: Scenario, mut cfg: SystemConfig) -> Self {
         assert!(!scenario.vms.is_empty(), "a scenario needs at least one VM");
         check_event_widths(&scenario);
         let strategy = scenario.strategy;
@@ -154,12 +154,14 @@ impl System {
         if let Some(slice) = scenario.slice_override {
             xen_cfg.time_slice = slice;
         }
-        xen_cfg.placement_salt = Some(scenario.seed);
+        xen_cfg.placement_salt = scenario.seed;
         let mut hv = Hypervisor::new(xen_cfg, scenario.n_pcpus);
+        // From here on `cfg.check` alone says whether this run is checked.
         // The sanitizer needs decisions to show in a violation report, so
         // checking arms the typed trace rings even when the caller did not
         // ask for a trace explicitly.
-        let checking = cfg.check || crate::check::check_enabled();
+        cfg.check |= crate::check::check_enabled();
+        let checking = cfg.check;
         let ring_cap = if cfg.trace_capacity > 0 {
             cfg.trace_capacity
         } else if checking {
@@ -259,7 +261,7 @@ impl System {
                 name: bundle.name.clone(),
                 os,
                 space: bundle.space,
-                task_activity: vec![crate::domain::Activity::Resume; tasks.len()],
+                task_activity: vec![Activity::Resume; tasks.len()],
                 task_step_gen: vec![0; tasks.len()],
                 task_wait_gen: vec![0; tasks.len()],
                 tasks,
@@ -703,11 +705,11 @@ impl System {
         );
         self.sync_exec(vm, vcpu);
         let d = &mut self.domains[vm];
-        if let crate::domain::Activity::Computing { remaining, useful } = d.task_activity[task] {
+        if let Activity::Computing { remaining, useful } = d.task_activity[task] {
             debug_assert_eq!(remaining, 0, "segment completed with time left");
             d.useful_ns += useful;
         }
-        d.task_activity[task] = crate::domain::Activity::Resume;
+        self.set_activity(vm, task, Activity::Resume);
         self.advance_task(vm, task);
     }
 
@@ -845,11 +847,11 @@ impl System {
             return;
         }
         let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
-        // Still an ungranted spinner actually executing?
-        let spinning = self.domains[vm].os.current(vcpu).is_some_and(|t| {
-            self.domains[vm].task_activity[t.0]
-                == (crate::domain::Activity::Spin { granted: false })
-        });
+        // Still a spinner actually executing?
+        let spinning = self.domains[vm]
+            .os
+            .current(vcpu)
+            .is_some_and(|t| self.domains[vm].task_activity[t.0] == Activity::Spin);
         if !spinning || self.hv.vcpu_state(v) != RunState::Running {
             return;
         }
@@ -884,10 +886,7 @@ impl System {
     }
 
     fn on_wake_timer(&mut self, vm: usize, task: usize) {
-        if self.domains[vm].task_activity[task] != crate::domain::Activity::Sleeping {
-            return;
-        }
-        self.domains[vm].task_activity[task] = crate::domain::Activity::Resume;
+        self.set_activity(vm, task, Activity::Resume);
         self.wake_task(vm, task);
     }
 
@@ -1121,7 +1120,7 @@ impl System {
                         .as_nanos();
                     let d = &mut self.domains[vm];
                     match &mut d.task_activity[task.0] {
-                        crate::domain::Activity::Computing { remaining, .. } => {
+                        Activity::Computing { remaining, .. } => {
                             // Mid-segment and queued: lengthen the segment.
                             *remaining += penalty;
                         }
@@ -1365,7 +1364,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Activity;
     use crate::scenario::VmScenario;
     use irs_workloads::presets::server::apache_ab;
 
@@ -1378,7 +1376,7 @@ mod tests {
             .pin_one_to_one()
             .measured();
         let mut sys = System::new(Scenario::new(1, Strategy::Vanilla, 1).vm(vm));
-        while sys.domains[0].task_activity[0] != (Activity::Spin { granted: false }) {
+        while sys.domains[0].task_activity[0] != Activity::Spin {
             assert!(sys.step(), "the worker never waited on its accept queue");
         }
         sys.on_request_arrive(0);

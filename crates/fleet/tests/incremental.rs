@@ -122,7 +122,9 @@ fn accounting_table_decomposes_the_logical_volume() {
     let inc = run_campaign(&spec(1, true));
     let t = &inc.accounting;
     let row = |name: &str| -> Vec<f64> {
-        t.series_named(name)
+        t.series()
+            .iter()
+            .find(|s| s.name() == name)
             .unwrap_or_else(|| panic!("accounting row {name} missing"))
             .values()
     };

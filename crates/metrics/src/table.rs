@@ -54,16 +54,6 @@ impl Series {
     pub fn value_at(&self, x: &str) -> Option<f64> {
         self.points.iter().find(|(l, _)| l == x).map(|&(_, v)| v)
     }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no points have been added.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
 }
 
 /// A fixed-width table assembled from several [`Series`] sharing x labels —
@@ -89,19 +79,9 @@ impl Table {
         self
     }
 
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// The contained series.
     pub fn series(&self) -> &[Series] {
         &self.series
-    }
-
-    /// Looks up a series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name() == name)
     }
 
     /// Renders the table: a header of x labels, one row per series.
@@ -222,8 +202,7 @@ mod tests {
         assert_eq!(s.value_at("b"), Some(2.0));
         assert_eq!(s.value_at("c"), None);
         assert_eq!(s.labels(), vec!["a", "b"]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.values(), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -242,14 +221,6 @@ mod tests {
         // Missing cell rendered as '-'.
         let last = text.lines().last().unwrap();
         assert!(last.trim_end().ends_with('-'));
-    }
-
-    #[test]
-    fn table_series_named() {
-        let mut t = Table::new("x");
-        t.add(Series::new("a"));
-        assert!(t.series_named("a").is_some());
-        assert!(t.series_named("b").is_none());
     }
 
     #[test]

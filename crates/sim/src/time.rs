@@ -70,12 +70,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Value in whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Value in seconds as a float (for reporting only — never for scheduling).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -123,12 +117,6 @@ impl SimTime {
         }
     }
 
-    /// Multiplies a duration by an integer scale factor (saturating).
-    #[inline]
-    pub const fn scaled(self, factor: u64) -> SimTime {
-        SimTime(self.0.saturating_mul(factor))
-    }
-
     /// Multiplies a duration by a float factor, rounding to nearest ns.
     ///
     /// Used for cache-warmup penalties proportional to a workload's memory
@@ -139,16 +127,6 @@ impl SimTime {
             return SimTime::ZERO;
         }
         SimTime((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Integer division of two durations (how many `rhs` fit in `self`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    #[inline]
-    pub const fn div_duration(self, rhs: SimTime) -> u64 {
-        self.0 / rhs.0
     }
 
     /// Ratio of two durations as a float; `0.0` when `rhs` is zero.
@@ -279,10 +257,6 @@ mod tests {
 
     #[test]
     fn ratio_and_div() {
-        assert_eq!(
-            SimTime::from_millis(90).div_duration(SimTime::from_millis(30)),
-            3
-        );
         assert!((SimTime::from_millis(15).ratio(SimTime::from_millis(30)) - 0.5).abs() < 1e-12);
         assert_eq!(SimTime::from_millis(15).ratio(SimTime::ZERO), 0.0);
     }

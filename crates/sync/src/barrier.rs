@@ -26,7 +26,6 @@ pub struct Barrier {
     parties: usize,
     mode: WaitMode,
     waiting: Vec<TaskId>,
-    generation: u64,
 }
 
 impl Barrier {
@@ -41,7 +40,6 @@ impl Barrier {
             parties,
             mode,
             waiting: Vec::new(),
-            generation: 0,
         }
     }
 
@@ -58,27 +56,11 @@ impl Barrier {
         );
         if self.waiting.len() + 1 == self.parties {
             let waiters = std::mem::take(&mut self.waiting);
-            self.generation += 1;
             BarrierOutcome::Released { waiters }
         } else {
             self.waiting.push(who);
             BarrierOutcome::MustWait(self.mode)
         }
-    }
-
-    /// Completed barrier episodes.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Tasks currently waiting.
-    pub fn n_waiting(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Wait mode.
-    pub fn mode(&self) -> WaitMode {
-        self.mode
     }
 }
 
@@ -99,23 +81,22 @@ mod tests {
             BarrierOutcome::Released { waiters } => assert_eq!(waiters, vec![t(0), t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
-        assert_eq!(b.generation(), 1);
-        assert_eq!(b.n_waiting(), 0);
+        // The release emptied the barrier: the first arriver of the next
+        // generation waits, and may be one that waited before.
+        assert_eq!(b.arrive(t(0)), BarrierOutcome::MustWait(WaitMode::Block));
     }
 
     #[test]
     fn barrier_is_cyclic() {
         let mut b = Barrier::new(2, WaitMode::Spin);
         b.arrive(t(0));
-        b.arrive(t(1));
-        assert_eq!(b.generation(), 1);
+        assert!(matches!(b.arrive(t(1)), BarrierOutcome::Released { .. }));
         // Next generation works identically.
         assert_eq!(b.arrive(t(1)), BarrierOutcome::MustWait(WaitMode::Spin));
         match b.arrive(t(0)) {
             BarrierOutcome::Released { waiters } => assert_eq!(waiters, vec![t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
-        assert_eq!(b.generation(), 2);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub struct Epoch {
     mode: WaitMode,
     waiting: Vec<TaskId>,
     next_deadline_ns: u64,
-    generation: u64,
 }
 
 impl Epoch {
@@ -65,7 +64,6 @@ impl Epoch {
             mode,
             waiting: Vec::new(),
             next_deadline_ns: period_ns,
-            generation: 0,
         }
     }
 
@@ -85,7 +83,6 @@ impl Epoch {
         );
         if self.waiting.len() + 1 == self.participants {
             let waiters = std::mem::take(&mut self.waiting);
-            self.generation += 1;
             // Coalesce missed boundaries: the next deadline is the first
             // period multiple strictly after the release instant.
             self.next_deadline_ns = (now_ns / self.period_ns + 1) * self.period_ns;
@@ -96,34 +93,9 @@ impl Epoch {
         }
     }
 
-    /// Completed epochs (safepoints discharged).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Tasks currently parked at the pending safepoint.
-    pub fn n_waiting(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Participants required to discharge a pending safepoint.
     pub fn participants(&self) -> usize {
         self.participants
-    }
-
-    /// Deadline period in nanoseconds.
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
-    }
-
-    /// The next pending-deadline instant in nanoseconds.
-    pub fn next_deadline_ns(&self) -> u64 {
-        self.next_deadline_ns
-    }
-
-    /// Wait mode.
-    pub fn mode(&self) -> WaitMode {
-        self.mode
     }
 }
 
@@ -140,7 +112,8 @@ mod tests {
         let mut e = Epoch::new(1_000, 2, WaitMode::Block);
         assert_eq!(e.poll(t(0), 0), EpochPoll::Pass);
         assert_eq!(e.poll(t(1), 999), EpochPoll::Pass);
-        assert_eq!(e.generation(), 0);
+        // Passing discharged nothing: the deadline still parks.
+        assert_eq!(e.poll(t(0), 1_000), EpochPoll::MustWait(WaitMode::Block));
     }
 
     #[test]
@@ -152,10 +125,10 @@ mod tests {
             EpochPoll::Released { waiters } => assert_eq!(waiters, vec![t(0), t(1)]),
             other => panic!("expected release, got {other:?}"),
         }
-        assert_eq!(e.generation(), 1);
-        // The deadline advanced past the release instant.
-        assert_eq!(e.next_deadline_ns(), 2_000);
+        // The deadline advanced past the release instant, to 2_000.
         assert_eq!(e.poll(t(0), 1_500), EpochPoll::Pass);
+        assert_eq!(e.poll(t(1), 1_999), EpochPoll::Pass);
+        assert_eq!(e.poll(t(0), 2_000), EpochPoll::MustWait(WaitMode::Block));
     }
 
     #[test]
@@ -167,17 +140,19 @@ mod tests {
             EpochPoll::Released { waiters } => assert!(waiters.is_empty()),
             other => panic!("expected release, got {other:?}"),
         }
-        assert_eq!(e.generation(), 1);
-        assert_eq!(e.next_deadline_ns(), 4_000);
+        // The next deadline is 4_000, not one of the missed ones.
+        assert_eq!(e.poll(t(0), 3_999), EpochPoll::Pass);
+        assert!(matches!(e.poll(t(0), 4_000), EpochPoll::Released { .. }));
     }
 
     #[test]
     fn release_exactly_on_a_boundary_arms_the_next_one() {
         let mut e = Epoch::new(1_000, 1, WaitMode::Block);
         assert!(matches!(e.poll(t(0), 1_000), EpochPoll::Released { .. }));
-        assert_eq!(e.next_deadline_ns(), 2_000);
+        assert_eq!(e.poll(t(0), 1_999), EpochPoll::Pass);
         assert!(matches!(e.poll(t(0), 2_000), EpochPoll::Released { .. }));
-        assert_eq!(e.next_deadline_ns(), 3_000);
+        assert_eq!(e.poll(t(0), 2_999), EpochPoll::Pass);
+        assert!(matches!(e.poll(t(0), 3_000), EpochPoll::Released { .. }));
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl Lock {
     pub fn head_waiter(&self) -> Option<TaskId> {
         self.waiters.front().copied()
     }
-
-    /// Wait mode of this lock.
-    pub fn mode(&self) -> WaitMode {
-        self.mode
-    }
 }
 
 #[cfg(test)]

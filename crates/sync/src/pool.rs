@@ -26,16 +26,6 @@ impl WorkPool {
             false
         }
     }
-
-    /// Chunks not yet claimed.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// True when all work has been claimed.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining == 0
-    }
 }
 
 #[cfg(test)]
@@ -47,16 +37,14 @@ mod tests {
         let mut p = WorkPool::new(3);
         assert!(p.steal());
         assert!(p.steal());
-        assert_eq!(p.remaining(), 1);
         assert!(p.steal());
         assert!(!p.steal());
-        assert!(p.is_exhausted());
+        assert!(!p.steal(), "an exhausted pool stays exhausted");
     }
 
     #[test]
     fn empty_pool_yields_nothing() {
         let mut p = WorkPool::new(0);
         assert!(!p.steal());
-        assert!(p.is_exhausted());
     }
 }

@@ -145,19 +145,9 @@ impl SyncSpace {
         &self.locks[id.0]
     }
 
-    /// Shared access to a barrier.
-    pub fn barrier_ref(&self, id: BarrierId) -> &Barrier {
-        &self.barriers[id.0]
-    }
-
     /// Shared access to an epoch.
     pub fn epoch_ref(&self, id: EpochId) -> &Epoch {
         &self.epochs[id.0]
-    }
-
-    /// Shared access to an arrival process.
-    pub fn arrival_ref(&self, id: ArrivalId) -> &ArrivalProcess {
-        &self.arrivals[id.0]
     }
 
     /// Requests held across every channel: stamps queued or held for a
@@ -195,8 +185,11 @@ mod tests {
         let b = s.new_lock(WaitMode::Spin);
         assert_ne!(a, b);
         assert_eq!(s.n_locks(), 2);
-        assert_eq!(s.lock_ref(a).mode(), WaitMode::Block);
-        assert_eq!(s.lock_ref(b).mode(), WaitMode::Spin);
+        // Each lock keeps the mode it was allocated with.
+        for (l, mode) in [(a, WaitMode::Block), (b, WaitMode::Spin)] {
+            assert_eq!(s.lock(l).acquire(TaskId(0)), AcquireOutcome::Acquired);
+            assert_eq!(s.lock(l).acquire(TaskId(1)), AcquireOutcome::MustWait(mode));
+        }
     }
 
     #[test]
@@ -210,7 +203,13 @@ mod tests {
             BarrierOutcome::MustWait(WaitMode::Spin)
         );
         assert_eq!(s.lock_ref(l).holder(), Some(TaskId(0)));
-        assert_eq!(s.barrier_ref(bar).n_waiting(), 1);
+        // The barrier counted only its own arrival.
+        assert_eq!(
+            s.barrier(bar).arrive(TaskId(1)),
+            BarrierOutcome::Released {
+                waiters: vec![TaskId(0)]
+            }
+        );
     }
 
     #[test]
@@ -231,6 +230,6 @@ mod tests {
         assert_eq!(s.n_epochs(), 1);
         assert_eq!(s.n_arrivals(), 1);
         assert_eq!(s.epoch_ref(e).participants(), 4);
-        assert!(s.arrival_ref(a).peek_ns() > 0);
+        assert!(s.arrival(a).next_arrival_ns() > 0);
     }
 }

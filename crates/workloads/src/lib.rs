@@ -23,8 +23,8 @@
 //! * [`WorkloadBundle`] — a named set of thread programs plus their
 //!   [`SyncSpace`](irs_sync::SyncSpace), memory intensity, and (for servers) the open-loop
 //!   arrival process.
-//! * [`presets`] — the catalog: 13 PARSEC-like, 9 NPB-like, 2 server, and
-//!   the hog micro-benchmark.
+//! * [`presets`] — the catalog: 12 PARSEC-like, 9 NPB-like, 3 server, the
+//!   hog micro-benchmark and the fleet's adversarial tenants.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@
 //! to the hypervisor's 30 ms slice matches each benchmark's published
 //! character (e.g. streamcluster's 20–30 ms barriers, §5.1).
 //!
-//! * [`parsec`] — 13 pthread-style benchmarks (blocking by default).
+//! * [`parsec`] — 12 pthread-style benchmarks (blocking by default).
 //! * [`npb`] — 9 OpenMP-style kernels (spinning with
 //!   `OMP_WAIT_POLICY=active`, blocking with `passive`).
 //! * [`server`] — SPECjbb-like closed-loop and ab-like open-loop servers.
@@ -179,59 +179,6 @@ pub fn by_name(name: &str, n_threads: usize, mode: WaitMode) -> Option<WorkloadB
     Some(b)
 }
 
-/// One row of the benchmark catalog: the structural properties a preset
-/// encodes (the axes the paper's analysis runs on).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogEntry {
-    /// Benchmark name as accepted by [`by_name`].
-    pub name: &'static str,
-    /// Suite ("PARSEC" or "NPB").
-    pub suite: &'static str,
-    /// Dominant synchronization structure.
-    pub sync: &'static str,
-    /// Approximate synchronization interval at the preset's scale.
-    pub grain: &'static str,
-    /// Memory intensity in `[0, 1]` (scales migration cache penalties).
-    pub memory_intensity: f64,
-    /// Threads per vCPU when run with `n` vCPUs (pipelines run >1).
-    pub threads_per_vcpu: usize,
-}
-
-/// The benchmark catalog with each preset's structural properties.
-pub fn catalog() -> Vec<CatalogEntry> {
-    let e = |name, suite, sync, grain, memory_intensity, threads_per_vcpu| CatalogEntry {
-        name,
-        suite,
-        sync,
-        grain,
-        memory_intensity,
-        threads_per_vcpu,
-    };
-    vec![
-        e("blackscholes", "PARSEC", "barrier", "60ms", 0.2, 1),
-        e("bodytrack", "PARSEC", "barrier+mutex", "15ms", 0.4, 1),
-        e("canneal", "PARSEC", "fine mutex", "0.4ms", 0.8, 1),
-        e("dedup", "PARSEC", "4-stage pipeline", "1.2ms/item", 0.6, 4),
-        e("facesim", "PARSEC", "barrier", "45ms", 0.7, 1),
-        e("ferret", "PARSEC", "5-stage pipeline", "1ms/item", 0.5, 5),
-        e("fluidanimate", "PARSEC", "fine mutex+barrier", "5ms", 0.5, 1),
-        e("raytrace", "PARSEC", "work stealing", "1ms/chunk", 0.3, 1),
-        e("streamcluster", "PARSEC", "barrier", "25ms", 0.7, 1),
-        e("swaptions", "PARSEC", "none (join)", "1.6s", 0.2, 1),
-        e("vips", "PARSEC", "mutex+barrier", "30ms", 0.4, 1),
-        e("x264", "PARSEC", "point-to-point mutex", "10ms", 0.5, 1),
-        e("BT", "NPB", "barrier", "130ms", 0.5, 1),
-        e("CG", "NPB", "barrier", "8ms", 0.7, 1),
-        e("EP", "NPB", "none (join)", "0.8s", 0.1, 1),
-        e("FT", "NPB", "barrier", "100ms", 0.8, 1),
-        e("IS", "NPB", "barrier", "5ms", 0.6, 1),
-        e("LU", "NPB", "barrier", "230ms", 0.5, 1),
-        e("MG", "NPB", "barrier", "10ms", 0.7, 1),
-        e("SP", "NPB", "barrier", "7ms", 0.6, 1),
-        e("UA", "NPB", "barrier+mutex", "18ms", 0.6, 1),
-    ]
-}
-
 /// The PARSEC benchmark names in the order Fig 5 plots them.
 pub const PARSEC_NAMES: [&str; 12] = [
     "blackscholes",
@@ -302,38 +249,5 @@ mod tests {
     #[should_panic(expected = "at least two stages")]
     fn single_stage_pipeline_panics() {
         pipeline("t", 1, 4, 100, 1_000, 0.5);
-    }
-}
-
-#[cfg(test)]
-mod catalog_tests {
-    use super::*;
-
-    #[test]
-    fn catalog_matches_the_preset_constructors() {
-        for entry in catalog() {
-            let b = by_name(entry.name, 4, WaitMode::Block)
-                .unwrap_or_else(|| panic!("{} missing", entry.name));
-            assert!(
-                (b.memory_intensity - entry.memory_intensity).abs() < 1e-9,
-                "{}: catalog memory_intensity {} vs bundle {}",
-                entry.name,
-                entry.memory_intensity,
-                b.memory_intensity
-            );
-            assert_eq!(
-                b.n_threads(),
-                4 * entry.threads_per_vcpu,
-                "{}: thread count",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
-    fn catalog_covers_both_suites_fully() {
-        let c = catalog();
-        assert_eq!(c.iter().filter(|e| e.suite == "PARSEC").count(), 12);
-        assert_eq!(c.iter().filter(|e| e.suite == "NPB").count(), 9);
     }
 }

@@ -103,13 +103,14 @@ mod tests {
 
     #[test]
     fn mode_parameter_controls_wait_mode() {
-        let spin = mg(4, WaitMode::Spin);
-        let block = mg(4, WaitMode::Block);
-        assert_eq!(spin.space.barrier_ref(irs_sync::BarrierId(0)).mode(), WaitMode::Spin);
-        assert_eq!(
-            block.space.barrier_ref(irs_sync::BarrierId(0)).mode(),
-            WaitMode::Block
-        );
+        for mode in [WaitMode::Spin, WaitMode::Block] {
+            let mut b = mg(4, mode);
+            let bar = b.space.barrier(irs_sync::BarrierId(0));
+            assert_eq!(
+                bar.arrive(irs_guest::TaskId(0)),
+                irs_sync::BarrierOutcome::MustWait(mode)
+            );
+        }
     }
 
     #[test]

@@ -184,11 +184,6 @@ impl ProgramRunner {
             }
         }
     }
-
-    /// True once the program has completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(r.next(&mut rng, &mut space), Step::Acquire(l));
         assert_eq!(r.next(&mut rng, &mut space), Step::Release(l));
         assert_eq!(r.next(&mut rng, &mut space), Step::Done);
-        assert!(r.is_done());
         assert_eq!(r.next(&mut rng, &mut space), Step::Done, "done is sticky");
     }
 
@@ -275,7 +269,7 @@ mod tests {
             chunks += 1;
         }
         assert_eq!(chunks, 7);
-        assert!(space.pool(pool).is_exhausted());
+        assert!(!space.pool(pool).steal(), "the loop left no chunk behind");
     }
 
     #[test]
@@ -364,6 +358,5 @@ mod tests {
         for _ in 0..10_000 {
             assert!(matches!(r.next(&mut rng, &mut space), Step::Compute { .. }));
         }
-        assert!(!r.is_done());
     }
 }

@@ -26,8 +26,8 @@ pub(crate) const CO_SKEW_THRESHOLD: SimTime = SimTime::from_millis(30);
 /// Configuration of the hypervisor and its credit scheduler.
 ///
 /// Defaults mirror Xen 4.5's credit scheduler as described in the paper:
-/// 30 ms time slice, no slice perturbation, round-robin homes for
-/// unpinned vCPUs and none of the strategy mechanisms. The credit tick
+/// 30 ms time slice, no slice perturbation, placement salt 0 and none
+/// of the strategy mechanisms. The credit tick
 /// ([`TICK_PERIOD`]), the accounting period ([`ACCOUNTING_PERIOD`]),
 /// BOOST on wake, and the load-based wake placement and idle stealing of
 /// unpinned vCPUs are fixed; pinned vCPUs never move.
@@ -57,13 +57,12 @@ pub struct XenConfig {
     /// drive the paper's vanilla slowdowns. Zero disables the perturbation
     /// (unit tests rely on exact slice arithmetic).
     pub slice_jitter: SimTime,
-    /// Initial placement of unpinned vCPUs: `None` assigns round-robin
-    /// homes (exactly balanced — convenient for unit tests); `Some(salt)`
-    /// hashes `(salt, vm, vcpu)` to a pCPU, producing the lumpy placements
-    /// real creation order yields. Lumpy placement is a precondition for
-    /// the §5.6 CPU-stacking pathology: with no idle pCPU to steal from,
+    /// Salt of the initial placement of unpinned vCPUs: each one's home is
+    /// a hash of `(salt, vm, vcpu)`, producing the lumpy placements real
+    /// creation order yields. Lumpy placement is a precondition for the
+    /// §5.6 CPU-stacking pathology: with no idle pCPU to steal from,
     /// initially co-located sibling vCPUs stay co-located.
-    pub placement_salt: Option<u64>,
+    pub placement_salt: u64,
     /// Scheduler-activation (IRS) sender, with the
     /// [`SA_COMPLETION_LIMIT`] force path (paper §3.1, §4.1).
     pub sa: bool,
@@ -90,7 +89,7 @@ impl Default for XenConfig {
         XenConfig {
             time_slice: SimTime::from_millis(30),
             slice_jitter: SimTime::ZERO,
-            placement_salt: None,
+            placement_salt: 0,
             sa: false,
             ple: false,
             relaxed_co: false,

@@ -837,18 +837,32 @@ mod tests {
             }
             hv.check_invariants();
         }
-        let ra = hv.vm_cpu_time(a, now).as_millis() as f64;
-        let rb = hv.vm_cpu_time(b, now).as_millis() as f64;
+        let ra = hv.vm_cpu_time(a, now).as_secs_f64() * 1e3;
+        let rb = hv.vm_cpu_time(b, now).as_secs_f64() * 1e3;
         let total = ra + rb;
         assert!(total > 2900.0, "pCPU must stay busy, got {total}");
         let share = ra / total;
         assert!((0.4..=0.6).contains(&share), "share was {share}");
     }
 
+    /// Two pCPUs and one unpinned VM whose vCPUs `salt` homes as `homes`.
+    fn hashed(salt: u64, homes: &[usize]) -> (Hypervisor, crate::ids::VmId) {
+        let cfg = XenConfig {
+            placement_salt: salt,
+            ..XenConfig::default()
+        };
+        let mut hv = Hypervisor::new(cfg, 2);
+        let a = hv.create_vm(VmSpec::new(homes.len()));
+        let got: Vec<usize> = (0..homes.len())
+            .map(|i| hv.vcpu_home(VcpuRef::new(a, i)).0)
+            .collect();
+        assert_eq!(got, homes, "salt {salt} homes");
+        (hv, a)
+    }
+
     #[test]
     fn idle_pcpu_steals_unpinned_work() {
-        let mut hv = Hypervisor::new(XenConfig::default(), 2);
-        let a = hv.create_vm(VmSpec::new(2)); // unpinned, homes 0 and 1
+        let (mut hv, a) = hashed(6, &[0, 1]);
         hv.start(t(0));
         // Force both onto pcpu0's queue by blocking v1 and waking it while
         // pcpu0 is empty... simpler: both run already (one per pcpu). Block
@@ -866,23 +880,18 @@ mod tests {
 
     #[test]
     fn steal_fills_idle_pcpu() {
-        let mut hv = Hypervisor::new(XenConfig::default(), 2);
-        // Two unpinned single-vCPU VMs, both homed on pcpu0 (round-robin
-        // would split them, so pin the spec... we need same home: create 4
-        // vcpus in one VM => homes 0,1,0,1; block the two on pcpu1).
-        let a = hv.create_vm(VmSpec::new(4));
+        let (mut hv, a) = hashed(38, &[0, 1, 1, 0]);
         hv.start(t(0));
-        // pcpu0 runs a.v0 with a.v2 queued; pcpu1 runs a.v1 with a.v3 queued.
-        let v1 = VcpuRef::new(a, 1);
-        let v3 = VcpuRef::new(a, 3);
-        // Block both vCPUs on pcpu1; the idle pcpu1 must steal a.v2 from
+        // pcpu0 runs a.v0 with a.v3 queued; pcpu1 runs a.v1 with a.v2 queued.
+        // Block both vCPUs on pcpu1; the idle pcpu1 must steal a.v3 from
         // pcpu0's queue.
-        hv.sched_op(v1, SchedOp::Block, t(1));
+        hv.sched_op(VcpuRef::new(a, 1), SchedOp::Block, t(1));
         hv.check_invariants();
         let cur = hv.pcpu_current(PcpuId(1));
-        assert!(cur == Some(v3) || cur == Some(VcpuRef::new(a, 2)));
-        hv.sched_op(cur.unwrap(), SchedOp::Block, t(2));
+        assert_eq!(cur, Some(VcpuRef::new(a, 2)));
+        hv.sched_op(VcpuRef::new(a, 2), SchedOp::Block, t(2));
         let cur2 = hv.pcpu_current(PcpuId(1)).unwrap();
+        assert_eq!(cur2, VcpuRef::new(a, 3));
         assert_eq!(hv.vcpu_home(cur2), PcpuId(1), "stolen vCPU re-homed");
         hv.check_invariants();
         assert!(hv.stats().vcpu_migrations >= 1);

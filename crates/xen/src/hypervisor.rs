@@ -181,20 +181,16 @@ impl Hypervisor {
                 let (affinity, home) = match &spec.pinning {
                     Some(pins) => (Some(pins[i]), pins[i]),
                     None => {
-                        let home = match self.cfg.placement_salt {
-                            None => PcpuId(i % self.pcpus.len()),
-                            Some(salt) => {
-                                let mut h = salt
-                                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                    .wrapping_add((vm_id.0 as u64) << 32)
-                                    .wrapping_add(i as u64 + 1);
-                                h ^= h >> 31;
-                                h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                                h ^= h >> 29;
-                                PcpuId((h % self.pcpus.len() as u64) as usize)
-                            }
-                        };
-                        (None, home)
+                        let mut h = self
+                            .cfg
+                            .placement_salt
+                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            .wrapping_add((vm_id.0 as u64) << 32)
+                            .wrapping_add(i as u64 + 1);
+                        h ^= h >> 31;
+                        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                        h ^= h >> 29;
+                        (None, PcpuId((h % self.pcpus.len() as u64) as usize))
                     }
                 };
                 let mut v = Vcpu::new(vref, affinity, home);
@@ -524,13 +520,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_vm_assigns_round_robin_homes_when_unpinned() {
-        let mut hv = Hypervisor::new(XenConfig::default(), 2);
-        let vm = hv.create_vm(VmSpec::new(4));
-        assert_eq!(hv.vc(VcpuRef::new(vm, 0)).home, PcpuId(0));
-        assert_eq!(hv.vc(VcpuRef::new(vm, 1)).home, PcpuId(1));
-        assert_eq!(hv.vc(VcpuRef::new(vm, 2)).home, PcpuId(0));
-        assert_eq!(hv.vc(VcpuRef::new(vm, 3)).home, PcpuId(1));
+    fn create_vm_assigns_hashed_homes_when_unpinned() {
+        // Each unpinned vCPU's home is a hash of (salt, vm, vcpu): lumpy
+        // rather than balanced (vm `a` leaves pcpu2 empty), and the same
+        // on every build.
+        let cfg = XenConfig {
+            placement_salt: 7,
+            ..XenConfig::default()
+        };
+        let mut hv = Hypervisor::new(cfg, 4);
+        let a = hv.create_vm(VmSpec::new(8));
+        let b = hv.create_vm(VmSpec::new(8));
+        let homes =
+            |vm| -> Vec<usize> { (0..8).map(|i| hv.vc(VcpuRef::new(vm, i)).home.0).collect() };
+        assert_eq!(homes(a), [1, 3, 0, 0, 0, 1, 3, 1]);
+        assert_eq!(homes(b), [0, 0, 1, 3, 3, 1, 0, 1]);
     }
 
     #[test]
