@@ -1,9 +1,9 @@
 //! End-to-end tests for the online invariant sanitizer (`irs_core::check`)
 //! and the typed trace its reports render: clean strategies stay clean,
-//! checking never perturbs results, and the trace sees every task
-//! migration. (The per-invariant detection matrix, including a violation
-//! caught inside a real run with its trace dump, lives beside the checker,
-//! in `check.rs`.)
+//! a nested dispatch owns the task it advanced, checking never perturbs
+//! results, and the trace sees every task migration. (The per-invariant
+//! detection matrix, including a violation caught inside a real run with
+//! its trace dump, lives beside the checker, in `check.rs`.)
 
 use irs_core::{Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
@@ -36,6 +36,32 @@ fn checked_runs_are_clean_for_all_strategies() {
 fn checked_strict_co_is_clean() {
     let res = System::with_config(short_fig5(Strategy::StrictCo, 7), checked_cfg()).run();
     assert!(res.events > 0);
+}
+
+/// A zero-cost program step (a release, a barrier arrival, a channel
+/// hand-off) can grant another task whose wake deschedules the stepping
+/// task and dispatches it again in the same call chain. The nested
+/// dispatch advances the task itself, so the loop that was stepping it
+/// must let go: it may neither reset the task's activity nor draw a step
+/// over the nested one. Each checked run below reaches that path and
+/// fails if the outer loop keeps the task:
+///
+/// * ferret under vanilla scheduling: a nested dispatch starts a compute
+///   segment that the outer loop would overwrite with a second one
+///   (`Computing -> Computing`, an `activity-transition`);
+/// * blackscholes under IRS: a task finishes inside a nested dispatch,
+///   and the outer loop would put it back to `Resume` while the guest
+///   holds it exited (`task-activity`).
+#[test]
+fn a_nested_dispatch_owns_the_task_it_advanced() {
+    for (app, strategy, seed) in [
+        ("ferret", Strategy::Vanilla, 2),
+        ("blackscholes", Strategy::Irs, 1),
+    ] {
+        let scenario = Scenario::fig5_style(app, 2, strategy, seed);
+        let res = System::with_config(scenario, checked_cfg()).run();
+        assert!(res.vms[0].makespan.is_some(), "{app} did not finish");
+    }
 }
 
 /// An open-loop serving shape: a two-tier service with its own arrival
