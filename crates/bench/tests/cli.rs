@@ -1,5 +1,6 @@
-//! Bad command lines exit 2 with usage before any experiment runs, and a
-//! good one writes nothing it was not asked for.
+//! Bad command lines exit 2 with usage before any experiment runs, a
+//! checked run prints what an unchecked one does, and a good one writes
+//! nothing it was not asked for.
 //!
 //! Each case runs the `figures` binary. An input that would be silently
 //! ignored counts as bad too: a flag that no queued experiment reads.
@@ -50,6 +51,33 @@ fn flags_no_queued_experiment_reads() {
     // `serving` reads `--smoke` but neither `--parity` nor `--check-perf`.
     assert_usage_error(&["serving", "--parity"]);
     assert_usage_error(&["serving", "--check-perf"]);
+}
+
+/// `--check` arms the invariant sanitizer process-wide: a checked run
+/// exits 0 and prints exactly the unchecked run's table.
+#[test]
+fn a_checked_run_prints_the_same_table() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("figures binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "figures {args:?} failed; stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let plain = run(&["fig2", "--quick"]);
+    let checked = run(&["fig2", "--quick", "--check"]);
+    assert!(!plain.is_empty(), "fig2 printed no table");
+    assert_eq!(
+        String::from_utf8_lossy(&checked),
+        String::from_utf8_lossy(&plain),
+        "--check changed the table"
+    );
 }
 
 /// Without `--csv`, a campaign writes no file into its working directory:

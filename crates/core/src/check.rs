@@ -1,10 +1,22 @@
-//! Online scheduler-invariant sanitizer.
+//! Online scheduler-invariant sanitizer: the one checker of the
+//! simulator's cross-layer bookkeeping.
 //!
 //! When enabled (per-run via [`crate::SystemConfig::check`] or process-wide
-//! via [`set_check_enabled`]), [`System::step`](crate::System::step) checks
-//! eight families of cross-layer invariants (fifteen named checks) after
-//! *every* event it dispatches; the eighth also checks each change of a
-//! task's activity as it is made:
+//! via [`set_check_enabled`]), it checks nine families of invariants
+//! (eighteen named checks) at three points:
+//!
+//! * after *every* event [`System::step`](crate::System::step) dispatches:
+//!   every vCPU, every pCPU, each vCPU's execution window, and each vCPU's
+//!   current task (double run, state, `cpu`, vruntime and activity);
+//! * at every accounting pass (`Event::HvAccounting`, each 30 ms of
+//!   virtual time) and once at the end of [`System::run`](crate::System::run),
+//!   a full *sweep*: the hypervisor's and each guest's own queue walker,
+//!   and every task's vruntime and activity. A fault in a task that is not
+//!   current therefore surfaces within one accounting period, or at the
+//!   end of the run;
+//! * at each change of a task's activity, as it is made.
+//!
+//! The families:
 //!
 //! 1. **Credit conservation** — per-vCPU credits stay inside
 //!    `[CREDIT_FLOOR, CREDIT_CAP]`, never increase outside an accounting
@@ -17,9 +29,9 @@
 //!    pCPU, and the pCPU's `current` pointer agrees with the runstates in
 //!    both directions. (So the machine can never report more `Running`
 //!    vCPUs than it has pCPUs.)
-//! 4. **No double-run** — a guest task is current on at most one vCPU, a
-//!    current task is `Running` with a matching `cpu`, and CFS never holds
-//!    a blocked or exited task current.
+//! 4. **No double-run** — a current task is `Running` with a matching
+//!    `cpu` (so a task current on two vCPUs fails on one of them), and CFS
+//!    never holds a blocked or exited task current.
 //! 5. **SA protocol** — `sa_pending` is never re-armed while already
 //!    pending, and the SA generation counter never runs backwards.
 //! 6. **Vruntime monotonicity** — a task's CFS vruntime never decreases
@@ -37,13 +49,23 @@
 //!    `Computing` or `Spin`, never `Resume` (`task-activity`). Every
 //!    change of activity is one of the nine legal edges, checked as it is
 //!    made rather than after the event (`activity-transition`).
+//! 9. **Queue membership and execution windows** — the hypervisor's walker
+//!    ([`irs_xen::Hypervisor::check_invariants`]: a runnable vCPU is queued
+//!    exactly once, at its home; a running or blocked one nowhere; a pinned
+//!    one at its pin) holds (`vcpu-queue-membership`), as does each guest's
+//!    ([`irs_guest::GuestOs::check_invariants`]: a ready task is queued
+//!    exactly once or in custody; a running, blocked or exited one
+//!    nowhere) (`task-queue-membership`); and on each vCPU an execution
+//!    window is open exactly when a guest-current task sits on a running
+//!    vCPU, and belongs to that task (`exec-window`).
 //!
-//! The check makes one pass per entity kind: every vCPU (probed in bulk by
-//! [`irs_xen::Hypervisor::vcpu_probes`]), every pCPU, then each VM's
-//! current tasks and tasks. Each entity is checked against its baseline
-//! entry, which is then overwritten in place with what was just read, so
-//! the steady state allocates nothing. The per-entity checks take the
-//! probed values as plain arguments.
+//! The per-event check makes one pass per entity kind: every vCPU (probed
+//! in bulk by [`irs_xen::Hypervisor::vcpu_probes`]), every pCPU, then each
+//! vCPU's window and current task, reading the runstate from the probe
+//! just taken. Each entity is checked against its baseline entry, which is
+//! then overwritten in place with what was just read, so the steady state
+//! allocates nothing. The per-entity checks take the probed values as
+//! plain arguments.
 //!
 //! A violation panics with the invariant's name, the offending values, and
 //! the last 120 lines of the merged typed timeline
@@ -83,9 +105,6 @@ pub fn check_enabled() -> bool {
 struct TaskBase {
     vruntime: u64,
     migrations: u64,
-    /// The vCPU holding the task current in the step being checked; set by
-    /// the current-task pass and cleared by the task pass.
-    held_on: Option<usize>,
 }
 
 /// The sanitizer's rolling state: the last validated value of everything
@@ -118,7 +137,6 @@ impl Checker {
                         TaskBase {
                             vruntime: task.vruntime,
                             migrations: task.migrations,
-                            held_on: None,
                         }
                     })
                     .collect()
@@ -132,11 +150,11 @@ impl Checker {
         }
     }
 
-    /// Validates every invariant against the post-`ev` system state, rolling
-    /// each baseline forward as it goes. Panics with a trace dump on
-    /// violation.
+    /// Validates the post-`ev` system state, rolling each baseline forward
+    /// as it goes; an accounting pass adds the full sweep. Panics with a
+    /// trace dump on violation.
     pub(crate) fn check(&mut self, sys: &System, ev: Event) {
-        let step = Step { sys, ev };
+        let step = Step { sys, ev: Some(ev) };
         let hv = sys.hypervisor();
         let mut minted = 0;
         for (i, probe) in hv.vcpu_probes(sys.now()).enumerate() {
@@ -153,16 +171,48 @@ impl Checker {
             let pcpu = PcpuId(p);
             self.pcpu(step, pcpu, hv.pcpu_current(pcpu), hv.pcpu_sa_wait(pcpu));
         }
-        for (vm, d) in sys.domains.iter().enumerate() {
-            let os = &d.os;
-            for vcpu in 0..os.n_vcpus() {
-                if let Some(t) = os.current(vcpu) {
-                    let task = os.task(t);
-                    self.current_task(step, vm, vcpu, t, task.state, task.cpu);
-                }
+        // Each vCPU's window and current task, under the runstate the vCPU
+        // pass just probed (now the baseline).
+        for i in 0..self.vcpus.len() {
+            let probe = self.vcpus[i];
+            let (vm, vcpu) = (probe.vcpu.vm.0, probe.vcpu.idx);
+            let d = &sys.domains[vm];
+            let current = d.os.current(vcpu);
+            let window = d.exec[vcpu].map(|c| c.task);
+            exec_window(step, vm, vcpu, probe.runstate.state, current, window);
+            if let Some(t) = current {
+                let task = d.os.task(t);
+                current_task(step, vm, vcpu, t, task.state, task.cpu);
+                self.task(step, vm, t.0, task.vruntime, task.migrations);
+                let executing = window == Some(t.0);
+                task_activity(step, vm, t.0, task.state, d.task_activity[t.0], executing);
             }
-            for t in 0..os.n_tasks() {
-                let task = os.task(TaskId(t));
+        }
+        if ev == Event::HvAccounting {
+            self.sweep(step);
+        }
+    }
+
+    /// The end-of-run sweep, [`System::run`](crate::System::run)'s last
+    /// act: a run can end before its next accounting pass.
+    pub(crate) fn finish(&mut self, sys: &System) {
+        self.sweep(Step { sys, ev: None });
+    }
+
+    /// The full sweep: each layer's own queue walker, then every task's
+    /// vruntime and activity, current or not.
+    fn sweep(&mut self, step: Step) {
+        let sys = step.sys;
+        walked(
+            step,
+            "vcpu-queue-membership",
+            sys.hypervisor().check_invariants(),
+        );
+        for (vm, d) in sys.domains.iter().enumerate() {
+            let verdict = d.os.check_invariants().map_err(|e| format!("vm{vm} {e}"));
+            walked(step, "task-queue-membership", verdict);
+            for t in 0..d.os.n_tasks() {
+                let task = d.os.task(TaskId(t));
                 self.task(step, vm, t, task.vruntime, task.migrations);
                 let executing = d.exec[task.cpu].is_some_and(|c| c.task == t);
                 task_activity(step, vm, t, task.state, d.task_activity[t], executing);
@@ -184,7 +234,7 @@ impl Checker {
                 format!("{v} holds {c} credits, outside [{CREDIT_FLOOR}, {CREDIT_CAP}]"),
             );
         }
-        if c > prev.credits && step.ev != Event::HvAccounting {
+        if c > prev.credits && step.ev != Some(Event::HvAccounting) {
             step.fail(
                 "credit-conservation",
                 format!(
@@ -309,44 +359,6 @@ impl Checker {
         }
     }
 
-    /// Checks the task `t` that `vm`'s `vcpu` holds current, given the
-    /// task's `state` and recorded `cpu`.
-    fn current_task(
-        &mut self,
-        step: Step,
-        vm: usize,
-        vcpu: usize,
-        t: TaskId,
-        state: TaskState,
-        cpu: usize,
-    ) {
-        let base = &mut self.tasks[vm][t.0];
-        if let Some(other) = base.held_on {
-            step.fail(
-                "task-double-run",
-                format!("vm{vm} {t} is current on both v{other} and v{vcpu}"),
-            );
-        }
-        base.held_on = Some(vcpu);
-        match state {
-            TaskState::Running => {}
-            TaskState::Blocked | TaskState::Exited => step.fail(
-                "blocked-task-current",
-                format!("vm{vm} v{vcpu} holds {t} current in state {state}"),
-            ),
-            TaskState::Ready => step.fail(
-                "task-double-run",
-                format!("vm{vm} v{vcpu} holds {t} current but it is queued as ready"),
-            ),
-        }
-        if cpu != vcpu {
-            step.fail(
-                "task-double-run",
-                format!("vm{vm} {t} is current on v{vcpu} but records cpu=v{cpu}"),
-            );
-        }
-    }
-
     /// Checks task `t`'s vruntime against its baseline and makes the probed
     /// values the new baseline.
     fn task(&mut self, step: Step, vm: usize, t: usize, vruntime: u64, migrations: u64) {
@@ -363,8 +375,61 @@ impl Checker {
         *base = TaskBase {
             vruntime,
             migrations,
-            held_on: None,
         };
+    }
+}
+
+/// Reports a layer walker's first violation as `invariant`.
+fn walked(step: Step, invariant: &str, verdict: Result<(), String>) {
+    if let Err(detail) = verdict {
+        step.fail(invariant, detail);
+    }
+}
+
+/// Checks `vm`'s `vcpu` execution window (`window`: the task holding it,
+/// if open) against the vCPU's runstate `state` and the guest's `current`
+/// task: a window is open exactly when a current task sits on a `Running`
+/// vCPU, and it belongs to that task.
+fn exec_window(
+    step: Step,
+    vm: usize,
+    vcpu: usize,
+    state: RunState,
+    current: Option<TaskId>,
+    window: Option<usize>,
+) {
+    let want = current.filter(|_| state == RunState::Running).map(|t| t.0);
+    if window != want {
+        step.fail(
+            "exec-window",
+            format!(
+                "vm{vm} v{vcpu} has window {window:?} but runstate {state:?} and current {:?}",
+                current.map(|t| t.0)
+            ),
+        );
+    }
+}
+
+/// Checks the task `t` that `vm`'s `vcpu` holds current, given the task's
+/// `state` and recorded `cpu`. A task current on two vCPUs records only
+/// one of them, so it fails the `cpu` check on the other.
+fn current_task(step: Step, vm: usize, vcpu: usize, t: TaskId, state: TaskState, cpu: usize) {
+    match state {
+        TaskState::Running => {}
+        TaskState::Blocked | TaskState::Exited => step.fail(
+            "blocked-task-current",
+            format!("vm{vm} v{vcpu} holds {t} current in state {state}"),
+        ),
+        TaskState::Ready => step.fail(
+            "task-double-run",
+            format!("vm{vm} v{vcpu} holds {t} current but it is queued as ready"),
+        ),
+    }
+    if cpu != vcpu {
+        step.fail(
+            "task-double-run",
+            format!("vm{vm} {t} is current on v{vcpu} but records cpu=v{cpu}"),
+        );
     }
 }
 
@@ -421,17 +486,22 @@ pub(crate) fn activity_transition(
 }
 
 /// The step being checked: the post-event system and the event that led
-/// to it, which is what a violation report shows.
+/// to it (`None` at the end of a run), which is what a violation report
+/// shows.
 #[derive(Clone, Copy)]
 struct Step<'a> {
     sys: &'a System,
-    ev: Event,
+    ev: Option<Event>,
 }
 
 impl Step<'_> {
     /// Renders the violation report and panics.
     fn fail(self, invariant: &str, detail: String) -> ! {
-        report(self.sys, invariant, detail, &format!("after {:?}", self.ev))
+        let when = match self.ev {
+            Some(ev) => format!("after {ev:?}"),
+            None => "at the end of the run".to_string(),
+        };
+        report(self.sys, invariant, detail, &when)
     }
 }
 
@@ -461,16 +531,19 @@ fn report(sys: &System, invariant: &str, detail: String, when: &str) -> ! {
 /// defect, so a cheaper checker cannot silently become a weaker one. Delta
 /// invariants are tripped by corrupting the baseline of a real checked
 /// run; state invariants by handing a per-entity check a corrupted probe.
+/// Two more cases pin when the sweep runs: at an accounting pass and at
+/// the end of a run, but not after other events.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scenario, Strategy, SystemConfig};
+    use crate::{Scenario, Strategy, SystemConfig, VmScenario};
+    use irs_sync::SyncSpace;
+    use irs_workloads::{ProgramBuilder, WorkloadBundle};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// A checked IRS run stepped until `ready` holds, with its checker
-    /// taken out so the test can corrupt it.
-    fn armed(ready: impl Fn(&System) -> bool) -> (System, Checker) {
-        let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::Irs, 42);
+    /// A checked run of `scenario` stepped until `ready` holds, with its
+    /// checker taken out so the test can corrupt it.
+    fn armed_on(scenario: Scenario, ready: impl Fn(&System) -> bool) -> (System, Checker) {
         let cfg = SystemConfig {
             check: true,
             ..SystemConfig::default()
@@ -481,6 +554,12 @@ mod tests {
         }
         let checker = sys.checker.take().expect("checking is armed");
         (sys, checker)
+    }
+
+    /// A checked IRS run stepped until `ready` holds.
+    fn armed(ready: impl Fn(&System) -> bool) -> (System, Checker) {
+        let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::Irs, 42);
+        armed_on(scenario, ready)
     }
 
     /// A checked run 50 ms in: every vCPU has run, blocked or queued.
@@ -496,14 +575,14 @@ mod tests {
     fn tick(sys: &System) -> Step<'_> {
         Step {
             sys,
-            ev: Event::HvTick,
+            ev: Some(Event::HvTick),
         }
     }
 
     /// Runs `f`, which must panic with a report naming `invariant`,
     /// carrying `detail`, and ending in at most [`REPORT_LINES`] lines of
-    /// timestamped trace.
-    fn assert_trips(invariant: &str, detail: &str, f: impl FnOnce()) {
+    /// timestamped trace. Returns the report.
+    fn assert_trips(invariant: &str, detail: &str, f: impl FnOnce()) -> String {
         let err = catch_unwind(AssertUnwindSafe(f))
             .expect_err(&format!("{invariant} must trip on the injected defect"));
         let msg = err
@@ -528,6 +607,7 @@ mod tests {
             traced <= REPORT_LINES,
             "the report carries {traced} trace lines"
         );
+        msg.clone()
     }
 
     #[test]
@@ -635,30 +715,64 @@ mod tests {
 
     #[test]
     fn task_double_run_trips() {
-        let (sys, mut c) = settled();
+        let (sys, _) = settled();
         let (vcpu, t) = a_current_task(&sys);
         let other = (vcpu + 1) % sys.guest(0).n_vcpus();
         let step = tick(&sys);
-        c.current_task(step, 0, vcpu, t, TaskState::Running, vcpu);
-        assert_trips("task-double-run", "is current on both", || {
-            c.current_task(step, 0, other, t, TaskState::Running, other)
-        });
-        c.tasks[0][t.0].held_on = None;
-        assert_trips("task-double-run", "queued as ready", || {
-            c.current_task(step, 0, vcpu, t, TaskState::Ready, vcpu)
-        });
-        c.tasks[0][t.0].held_on = None;
+        // Current on both `vcpu`, where it records its cpu, and `other`:
+        // the check passes on the first and trips on the second.
+        current_task(step, 0, vcpu, t, TaskState::Running, vcpu);
         assert_trips("task-double-run", "records cpu=", || {
-            c.current_task(step, 0, vcpu, t, TaskState::Running, other)
+            current_task(step, 0, other, t, TaskState::Running, vcpu)
+        });
+        assert_trips("task-double-run", "queued as ready", || {
+            current_task(step, 0, vcpu, t, TaskState::Ready, vcpu)
         });
     }
 
     #[test]
     fn blocked_task_current_trips() {
-        let (sys, mut c) = settled();
+        let (sys, _) = settled();
         let (vcpu, t) = a_current_task(&sys);
         assert_trips("blocked-task-current", "current in state", || {
-            c.current_task(tick(&sys), 0, vcpu, t, TaskState::Blocked, vcpu)
+            current_task(tick(&sys), 0, vcpu, t, TaskState::Blocked, vcpu)
+        });
+    }
+
+    #[test]
+    fn exec_window_trips() {
+        let (sys, _) = settled();
+        let (vcpu, t) = a_current_task(&sys);
+        let step = tick(&sys);
+        let running = RunState::Running;
+        exec_window(step, 0, vcpu, running, Some(t), Some(t.0));
+        // A window left open on a preempted vCPU, none on a running one,
+        // and one held by a task the guest no longer runs there.
+        assert_trips("exec-window", "but runstate Runnable", || {
+            exec_window(step, 0, vcpu, RunState::Runnable, Some(t), Some(t.0))
+        });
+        assert_trips("exec-window", "has window None", || {
+            exec_window(step, 0, vcpu, running, Some(t), None)
+        });
+        assert_trips("exec-window", "and current None", || {
+            exec_window(step, 0, vcpu, running, None, Some(t.0))
+        });
+    }
+
+    /// The layer walkers' own tests (in irs-xen and irs-guest) corrupt a
+    /// live hypervisor and guest, which a `System` offers no way to do;
+    /// here each walker's verdict is reported through the sweep's path
+    /// under its name, with the trace dump.
+    #[test]
+    fn queue_membership_trips() {
+        let (sys, _) = settled();
+        assert_trips("vcpu-queue-membership", "queued 2 times", || {
+            let verdict = Err("vm0.v1 Runnable queued 2 times".to_string());
+            walked(tick(&sys), "vcpu-queue-membership", verdict)
+        });
+        assert_trips("task-queue-membership", "blocked but queued", || {
+            let verdict = Err("vm0 task1 blocked but queued".to_string());
+            walked(tick(&sys), "task-queue-membership", verdict)
         });
     }
 
@@ -690,10 +804,59 @@ mod tests {
     #[test]
     fn vruntime_monotonic_trips() {
         let (sys, mut c) = settled();
-        c.tasks[0][0].vruntime = sys.guest(0).task(TaskId(0)).vruntime + 1;
+        let (_, t) = a_current_task(&sys);
+        c.tasks[0][t.0].vruntime = sys.guest(0).task(t).vruntime + 1;
         assert_trips("vruntime-monotonic", "without a migration", || {
             c.check(&sys, Event::HvTick)
         });
+    }
+
+    /// The detection latency: a task that is not current is checked only
+    /// by the sweep, so its falling vruntime passes an ordinary event and
+    /// trips at the next accounting pass.
+    #[test]
+    fn a_task_that_is_not_current_trips_at_the_accounting_pass() {
+        let idle = |s: &System| {
+            let os = s.guest(0);
+            let current: Vec<TaskId> = (0..os.n_vcpus()).filter_map(|v| os.current(v)).collect();
+            (0..os.n_tasks()).map(TaskId).find(|t| !current.contains(t))
+        };
+        let (sys, mut c) = armed(|s| s.now() >= SimTime::from_millis(50) && idle(s).is_some());
+        let t = idle(&sys).expect("a task is not current");
+        c.tasks[0][t.0].vruntime = sys.guest(0).task(t).vruntime + 1;
+        c.check(&sys, Event::HvTick);
+        assert_trips("vruntime-monotonic", "without a migration", || {
+            c.check(&sys, Event::HvAccounting)
+        });
+    }
+
+    /// The end-of-run sweep: task0 of vm0 exits after 1 ms and task1
+    /// computes until the 45 ms horizon, so the last accounting pass is
+    /// at 30 ms. An exited task put back to `Resume` after it (the shape
+    /// of a finished task reset by a re-entrant dispatch) is current on no
+    /// vCPU, and only the sweep at the end of the run sees it.
+    #[test]
+    fn the_end_of_a_run_sweeps_every_task() {
+        let short = ProgramBuilder::new().compute_us(1_000, 0.0).build();
+        let long = ProgramBuilder::new()
+            .forever(|b| b.compute_us(10_000, 0.0))
+            .build();
+        let bundle = WorkloadBundle::interference("exit", vec![short, long], SyncSpace::new(), 0.0);
+        let scenario = Scenario::new(2, Strategy::Vanilla, 1)
+            .vm(VmScenario::new(bundle, 2).pin_one_to_one())
+            .horizon(SimTime::from_millis(45));
+        let (mut sys, c) = armed_on(scenario, |s| s.now() > irs_xen::ACCOUNTING_PERIOD);
+        assert_eq!(sys.domains[0].task_activity[0], Activity::Done);
+        sys.domains[0].task_activity[0] = Activity::Resume;
+        sys.checker = Some(c);
+        let msg = assert_trips(
+            "task-activity",
+            "is exited with activity Resume",
+            move || {
+                sys.run();
+            },
+        );
+        assert!(msg.contains("at the end of the run"), "{msg}");
     }
 
     #[test]

@@ -322,6 +322,21 @@ impl System {
                     let d = &mut self.domains[vm];
                     let acts = d.os.exit_current(vcpu, &d.view_buf);
                     self.apply_guest_actions(vm, acts);
+                    // The task never polls its gang epochs again: leave
+                    // them, releasing any safepoint only it held up. This
+                    // comes after the exit, since a grant's wake can
+                    // preempt the exiting task.
+                    let epochs = self.domains[vm].tasks[task]
+                        .runner
+                        .program()
+                        .epochs_polled();
+                    let now = self.now.as_nanos();
+                    for e in epochs {
+                        let released = self.domains[vm].space.epoch(e).leave(TaskId(task), now);
+                        for w in released {
+                            self.grant(vm, w.0);
+                        }
+                    }
                     return;
                 }
             }

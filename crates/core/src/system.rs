@@ -391,6 +391,9 @@ impl System {
                 break;
             }
         }
+        if let Some(mut checker) = self.checker.take() {
+            checker.finish(&self);
+        }
         self.into_result()
     }
 
@@ -528,41 +531,6 @@ impl System {
             );
         }
         out
-    }
-
-    /// Verifies cross-layer consistency (between events): hypervisor and
-    /// guest invariants hold, and execution contexts exist exactly where a
-    /// guest-current task sits on a hypervisor-running vCPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on violation.
-    pub fn check_invariants(&self) {
-        self.hv.check_invariants();
-        for (vm, d) in self.domains.iter().enumerate() {
-            d.os.check_invariants();
-            for vcpu in 0..d.os.n_vcpus() {
-                let v = VcpuRef::new(irs_xen::VmId(vm), vcpu);
-                let running = self.hv.vcpu_state(v) == RunState::Running;
-                let current = d.os.current(vcpu);
-                match d.exec[vcpu] {
-                    Some(ctx) => {
-                        assert!(running, "vm{vm} v{vcpu} has exec ctx but is not running");
-                        assert_eq!(
-                            current,
-                            Some(irs_guest::TaskId(ctx.task)),
-                            "vm{vm} v{vcpu} exec ctx does not match guest current"
-                        );
-                    }
-                    None => {
-                        assert!(
-                            !(running && current.is_some()),
-                            "vm{vm} v{vcpu} running with a current task but no exec ctx"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     /// Requests migration of `task` in `vm` to vCPU `dest` through the
@@ -1375,7 +1343,11 @@ mod tests {
         let vm = VmScenario::new(apache_ab(1, 1, 0.5), 1)
             .pin_one_to_one()
             .measured();
-        let mut sys = System::new(Scenario::new(1, Strategy::Vanilla, 1).vm(vm));
+        let cfg = SystemConfig {
+            check: true,
+            ..SystemConfig::default()
+        };
+        let mut sys = System::with_config(Scenario::new(1, Strategy::Vanilla, 1).vm(vm), cfg);
         while sys.domains[0].task_activity[0] != Activity::Spin {
             assert!(sys.step(), "the worker never waited on its accept queue");
         }
@@ -1385,8 +1357,10 @@ mod tests {
             "the worker did not take the request: {:?}",
             sys.domains[0].task_activity[0]
         );
-        sys.check_invariants();
-        sys.run_until(sys.now() + SimTime::from_millis(5));
+        // Checked steps from the state the arrival left, through the next
+        // accounting pass and its sweep.
+        let period = irs_xen::ACCOUNTING_PERIOD;
+        sys.run_until(sys.now() + period + period);
         assert!(
             sys.domains[0].requests >= 1,
             "the handed request never completed"

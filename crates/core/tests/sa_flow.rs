@@ -9,9 +9,9 @@ use irs_sync::SyncSpace;
 use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
 use irs_xen::{PcpuId, RunState, VcpuRef, VmId};
 
-/// A 2-vCPU IRS VM with one long-running task per vCPU, plus one hog VM
-/// contending pCPU 0. The hog's slice-expiry preemptions of vCPU 0 must go
-/// through the full SA round.
+/// A checked, traced run of a 2-vCPU IRS VM with one long-running task per
+/// vCPU, plus one hog VM contending pCPU 0. The hog's slice-expiry
+/// preemptions of vCPU 0 must go through the full SA round.
 fn build() -> System {
     let mut space = SyncSpace::new();
     let _ = &mut space;
@@ -37,6 +37,7 @@ fn build() -> System {
         scenario,
         SystemConfig {
             trace_capacity: 1 << 16,
+            check: true,
             ..SystemConfig::default()
         },
     )
@@ -114,7 +115,6 @@ fn one_complete_sa_round() {
         dump.contains("migrate task0 v0 -> v1") || dump.contains("migrate task1 v0 -> v1"),
         "the stranded task lands on the uncontended vCPU 1"
     );
-    sys.check_invariants();
 }
 
 #[test]
@@ -130,7 +130,6 @@ fn sa_rounds_repeat_for_every_preemption() {
     assert!(hv.sa_sent > 20, "only {} SA rounds in 3s", hv.sa_sent);
     assert_eq!(hv.sa_sent, hv.sa_acked + hv.sa_timeouts);
     assert_eq!(hv.sa_timeouts, 0);
-    sys.check_invariants();
 }
 
 #[test]
@@ -154,7 +153,11 @@ fn vanilla_round_for_comparison_has_no_deferral() {
         )
         .vm(VmScenario::new(presets::hog::cpu_hogs(1), 1).pin(vec![PcpuId(0)]))
         .horizon(SimTime::from_secs(20));
-    let mut sys = System::new(scenario);
+    let cfg = SystemConfig {
+        check: true,
+        ..SystemConfig::default()
+    };
+    let mut sys = System::with_config(scenario, cfg);
     while sys.now() < SimTime::from_secs(2) {
         assert!(sys.step());
     }
@@ -163,5 +166,4 @@ fn vanilla_round_for_comparison_has_no_deferral() {
     // The stranded task never leaves vCPU 0.
     assert_eq!(sys.guest(0).task(TaskId(0)).cpu, 0);
     assert!(sys.hypervisor().stats().preemptions > 20);
-    sys.check_invariants();
 }

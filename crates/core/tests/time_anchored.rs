@@ -3,9 +3,10 @@
 //! engine.
 //!
 //! Covers the contracts the serving campaign stands on: construction-time
-//! rejection of unbalanced gang epochs, forked-vs-scratch bit-identity
-//! with epoch and arrival-process state in the snapshot, and explicit
-//! accounting of requests truncated at the horizon.
+//! rejection of unbalanced gang epochs, an exiting thread leaving its gang
+//! epochs, forked-vs-scratch bit-identity with epoch and arrival-process
+//! state in the snapshot, and explicit accounting of requests truncated at
+//! the horizon.
 
 use irs_core::{Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
@@ -108,6 +109,33 @@ fn unbalanced_gang_epoch_is_rejected_at_construction() {
             .vm(VmScenario::new(vm, 2).pin_one_to_one().measured())
             .horizon(SimTime::from_millis(10)),
     );
+}
+
+/// A thread that exits leaves its gang epochs. Two threads poll one
+/// 2-participant epoch (period 2.5 ms) three times each, after 1 ms and
+/// 2 ms rounds. The faster one parks at 3 ms, is released by the slower
+/// one's poll at 4 ms, and exits. The slower one's last poll, at 6 ms,
+/// finds the 5 ms safepoint pending with no one else left to arrive, and
+/// completes it alone.
+#[test]
+fn an_exited_thread_leaves_its_gang_epoch() {
+    let mut space = SyncSpace::new();
+    let epoch = space.new_epoch(2_500_000, 2, WaitMode::Block);
+    let thread = |grain_us| {
+        ProgramBuilder::new()
+            .repeat(3, |b| b.compute_us(grain_us, 0.0).safepoint_poll(epoch))
+            .build()
+    };
+    let bundle = WorkloadBundle::parallel("leave", vec![thread(1_000), thread(2_000)], space, 0.0);
+    let scenario = Scenario::new(2, Strategy::Vanilla, 1)
+        .vm(VmScenario::new(bundle, 2).pin_one_to_one().measured())
+        .horizon(SimTime::from_secs(1));
+    let cfg = SystemConfig {
+        check: true,
+        ..SystemConfig::default()
+    };
+    let r = System::with_config(scenario, cfg).run();
+    assert_eq!(r.measured().makespan, Some(SimTime::from_millis(6)));
 }
 
 #[test]

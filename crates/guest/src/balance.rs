@@ -317,7 +317,7 @@ mod tests {
         g.start();
         g.block_current(0, &all_running(2));
         let acts = g.wake(a, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 0);
         assert_eq!(g.current(0), Some(a), "idle-loop vCPU picks immediately");
         assert!(!acts
@@ -334,7 +334,7 @@ mod tests {
         g.block_current(0, &all_running(2));
         let views = vec![VcpuView::blocked(), VcpuView::running()];
         let acts = g.wake(a, &views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.current(0), None, "switch deferred until the vCPU wakes");
         assert!(acts
             .iter()
@@ -355,7 +355,7 @@ mod tests {
         g.start();
         g.block_current(0, &all_running(2)); // a blocks; b runs on v0
         let acts = g.wake(a, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 1, "woken on the idle sibling");
         assert_eq!(g.current(1), Some(a));
         assert!(acts
@@ -382,7 +382,7 @@ mod tests {
         // t2 wakes: vanilla would migrate it away (vCPU1 busy); the Fig 4
         // fix wakes it in place and preempts the tagged t1.
         let acts = g.wake(t2, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(t2).cpu, 1, "woken on its own vCPU");
         assert_eq!(g.current(1), Some(t2), "waker preempted the intruder");
         assert_eq!(g.task(t1).state, TaskState::Ready);
@@ -405,7 +405,7 @@ mod tests {
         g.tasks[t1.0].preempt_migrated = true; // tag exists but tagging is off
         g.pick_and_run(1, &mut out);
         g.wake(t2, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.stats().pingpong_preempts, 0);
         // t2 migrated away to the now-idle vCPU0 — the pingpong the paper
         // diagnoses.
@@ -422,7 +422,7 @@ mod tests {
         g.start();
         let mut out = Vec::new();
         g.periodic_balance(1, &all_running(2), &mut out);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.stats().push_migrations, 1);
         assert_eq!(g.rq(1).nr_running(), 2);
         assert_eq!(g.rq(0).nr_running(), 2);
@@ -467,7 +467,7 @@ mod tests {
         g.start();
         let views = vec![VcpuView::preempted(0.9), VcpuView::running()];
         let acts = g.block_current(1, &views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 0, "running task may not be pulled");
         assert_eq!(g.current(0), Some(a));
         assert!(acts.iter().any(|x| matches!(
@@ -485,7 +485,7 @@ mod tests {
         let b = g.spawn(1);
         g.start();
         let acts = g.block_current(1, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(queued).cpu, 1, "queued task pulled to idle vCPU");
         assert_eq!(g.current(1), Some(queued));
         assert_eq!(g.stats().pull_migrations, 1);
@@ -500,7 +500,7 @@ mod tests {
         let queued = g.spawn(0);
         g.start();
         let acts = g.request_stop_migration(queued, 1);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(queued).cpu, 1);
         assert!(acts
             .iter()
@@ -517,7 +517,7 @@ mod tests {
         assert_eq!(g.task(running).cpu, 0);
         // The migration completes at the source vCPU's next (real) tick.
         let out = g.tick(0, &all_running(2));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(running).cpu, 1);
         assert_eq!(g.current(1), Some(running));
         assert_eq!(g.stats().stopper_migrations, 1);

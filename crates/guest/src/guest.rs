@@ -439,61 +439,76 @@ impl GuestOs {
         self.rqs[vcpu].nr_running() as f64 * (1.0 + view.steal_frac)
     }
 
-    /// Verifies internal consistency (used heavily by tests):
+    /// Verifies the guest's queue membership. The embedder's sanitizer
+    /// runs this at every accounting pass and at the end of a run
+    /// (`irs_core::check`, as `task-queue-membership`); the test suites
+    /// run it after their operations.
+    ///
+    /// Facts checked:
     /// * `Running` tasks are current on exactly their recorded vCPU;
     /// * `Ready` tasks are queued exactly once (or in migrator custody);
-    /// * `Blocked`/`Exited` tasks appear nowhere.
+    /// * `Blocked`/`Exited` tasks appear nowhere;
+    /// * only `Ready` tasks are in custody.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a descriptive message on violation.
-    pub fn check_invariants(&self) {
+    /// Describes the first fact that does not hold.
+    pub fn check_invariants(&self) -> Result<(), String> {
         for task in &self.tasks {
+            let id = task.id;
             let queued: usize = self
                 .rqs
                 .iter()
-                .map(|rq| rq.iter().filter(|&(_, id)| id == task.id).count())
+                .map(|rq| rq.iter().filter(|&(_, q)| q == id).count())
                 .sum();
             let current_on: Vec<usize> = self
                 .rqs
                 .iter()
                 .enumerate()
-                .filter(|(_, rq)| rq.current == Some(task.id))
+                .filter(|(_, rq)| rq.current == Some(id))
                 .map(|(v, _)| v)
                 .collect();
             let in_custody = task.in_custody;
-            match task.state {
+            let state = task.state;
+            match state {
                 TaskState::Running => {
-                    assert_eq!(
-                        current_on,
-                        vec![task.cpu],
-                        "{} Running but current on {current_on:?} (cpu {})",
-                        task.id,
-                        task.cpu
-                    );
-                    assert_eq!(queued, 0, "{} Running but queued", task.id);
-                    assert!(!in_custody, "{} Running but in custody", task.id);
+                    ensure(current_on == [task.cpu], || {
+                        format!(
+                            "{id} running but current on {current_on:?} (cpu {})",
+                            task.cpu
+                        )
+                    })?;
+                    ensure(queued == 0, || format!("{id} running but queued"))?;
                 }
                 TaskState::Ready => {
-                    assert!(current_on.is_empty(), "{} Ready but current", task.id);
-                    if in_custody {
-                        assert_eq!(queued, 0, "{} in custody but queued", task.id);
-                    } else {
-                        assert_eq!(queued, 1, "{} Ready queued {queued} times", task.id);
-                    }
+                    ensure(current_on.is_empty(), || format!("{id} ready but current"))?;
+                    let want = usize::from(!in_custody);
+                    ensure(queued == want, || {
+                        format!("{id} ready queued {queued} times (in custody: {in_custody})")
+                    })?;
                 }
-                TaskState::Blocked => {
-                    assert!(current_on.is_empty(), "{} blocked but current", task.id);
-                    assert_eq!(queued, 0, "{} blocked but queued", task.id);
-                    assert!(!in_custody, "{} blocked but in custody", task.id);
-                }
-                TaskState::Exited => {
-                    assert!(current_on.is_empty(), "{} exited but current", task.id);
-                    assert_eq!(queued, 0, "{} exited but queued", task.id);
-                    assert!(!in_custody, "{} exited but in custody", task.id);
+                TaskState::Blocked | TaskState::Exited => {
+                    ensure(current_on.is_empty(), || {
+                        format!("{id} {state} but current")
+                    })?;
+                    ensure(queued == 0, || format!("{id} {state} but queued"))?;
                 }
             }
+            ensure(!in_custody || state == TaskState::Ready, || {
+                format!("{id} {state} but in custody")
+            })?;
         }
+        Ok(())
+    }
+}
+
+/// One fact of [`GuestOs::check_invariants`]: `Err(detail())` unless
+/// `holds`.
+fn ensure(holds: bool, detail: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(detail())
     }
 }
 
@@ -515,7 +530,7 @@ mod tests {
         let a = g.spawn(0);
         let b = g.spawn(0);
         let acts = g.start();
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.current(0), Some(a));
         assert_eq!(g.task(b).state, TaskState::Ready);
         // vCPUs 1 and 2 have no work: they block in the hypervisor.
@@ -524,6 +539,49 @@ mod tests {
             .filter(|a| matches!(a, GuestAction::Hypercall { op: SchedOp::Block, .. }))
             .count();
         assert_eq!(blocks, 2);
+    }
+
+    /// The walker's verdict on a consistent guest, where task0 runs on v0
+    /// with task1 queued behind it and task2 runs on v1, after `corrupt`.
+    fn walked_after(corrupt: impl FnOnce(&mut GuestOs)) -> Result<(), String> {
+        let mut g = GuestOs::new(None, 2);
+        for vcpu in [0, 0, 1] {
+            g.spawn(vcpu);
+        }
+        g.start();
+        assert_eq!(g.task(TaskId(1)).state, TaskState::Ready);
+        g.check_invariants().unwrap();
+        corrupt(&mut g);
+        g.check_invariants()
+    }
+
+    /// Each corruption fails the walker, which names the broken fact.
+    #[test]
+    fn check_invariants_reports_each_broken_fact() {
+        let cases = [
+            (
+                "ready queued 2 times",
+                walked_after(|g| {
+                    let vr = g.tasks[1].vruntime;
+                    g.rqs[0].enqueue(vr + 1, TaskId(1));
+                }),
+            ),
+            (
+                "blocked but queued",
+                walked_after(|g| g.tasks[1].state = TaskState::Blocked),
+            ),
+            (
+                "blocked but in custody",
+                walked_after(|g| {
+                    g.block_current(1, &views(2));
+                    g.tasks[2].in_custody = true;
+                }),
+            ),
+        ];
+        for (fact, verdict) in cases {
+            let err = verdict.expect_err(fact);
+            assert!(err.contains(fact), "expected {fact:?}, got {err:?}");
+        }
     }
 
     #[test]
@@ -556,7 +614,7 @@ mod tests {
                 break;
             }
         }
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(switched_at, Some(4), "CFS slice of 3 ms (+granularity)");
         assert_eq!(g.current(0), Some(b));
         assert_eq!(g.task(a).state, TaskState::Ready);
@@ -582,7 +640,7 @@ mod tests {
         let b = g.spawn(0);
         g.start();
         let acts = g.block_current(0, &views(1));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).state, TaskState::Blocked);
         assert_eq!(g.current(0), Some(b));
         assert!(acts.iter().any(|x| matches!(x, GuestAction::RunTask { .. })));
@@ -597,7 +655,7 @@ mod tests {
         let a = g.spawn(0);
         g.start();
         let acts = g.block_current(0, &views(1));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).state, TaskState::Blocked);
         assert_eq!(g.current(0), None);
         assert!(acts.iter().any(|x| matches!(
@@ -613,7 +671,7 @@ mod tests {
         g.spawn(0);
         g.start();
         g.exit_current(0, &views(1));
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).state, TaskState::Exited);
         assert_ne!(g.current(0), Some(a));
     }
@@ -635,7 +693,7 @@ mod tests {
         let acts = g.ensure_current(0);
         out.extend(acts.iter().cloned());
         assert_eq!(g.current(0), Some(a));
-        g.check_invariants();
+        g.check_invariants().unwrap();
     }
 
     #[test]
@@ -651,7 +709,7 @@ mod tests {
         // b is queued on rq0 with vruntime 0; migrate to rq1.
         let mut out = Vec::new();
         g.migrate_queued(b, 1, &mut out);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(b).cpu, 1);
         assert!(
             g.task(b).vruntime >= g.rq(1).min_vruntime,

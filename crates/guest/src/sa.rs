@@ -224,7 +224,7 @@ mod tests {
         let b = g.spawn(0);
         g.start();
         let outcome = g.sa_upcall(0);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(outcome.op, SchedOp::Yield);
         assert_eq!(g.current(0), Some(b), "next task installed");
         assert_eq!(g.task(a).state, TaskState::Ready);
@@ -242,7 +242,7 @@ mod tests {
         let a = g.spawn(0);
         g.start();
         let outcome = g.sa_upcall(0);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(outcome.op, SchedOp::Block, "idle task installed");
         assert_eq!(g.current(0), None);
         assert!(g.migrator_pending.contains(&a));
@@ -273,7 +273,7 @@ mod tests {
             VcpuView::blocked(), // idle sibling
         ];
         let acts = g.migrator_run(&views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 2, "idle sibling chosen");
         assert!(g.task(a).preempt_migrated, "Fig 4 tag applied");
         assert_eq!(g.stats().sa_migrations, 1);
@@ -298,7 +298,7 @@ mod tests {
             VcpuView::running(),
         ];
         g.migrator_run(&views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 2, "preempted sibling must be skipped");
     }
 
@@ -317,7 +317,7 @@ mod tests {
             VcpuView::running(),
         ];
         g.migrator_run(&views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 2, "lighter running sibling wins");
     }
 
@@ -351,7 +351,7 @@ mod tests {
         g.sa_upcall(0);
         let views = vec![VcpuView::preempted(0.9), VcpuView::preempted(0.9)];
         let acts = g.migrator_run(&views);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(a).cpu, 0, "stays queued on the source");
         assert_eq!(g.stats().sa_migrations, 0);
         // The drained source must be re-woken or the task would strand.
@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(g.task(a).state, TaskState::Blocked);
         let acts = g.migrator_run(&[VcpuView::preempted(0.5), VcpuView::blocked()]);
         assert!(acts.is_empty());
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.task(TaskId(0)).cpu, 0);
     }
 
@@ -401,7 +401,7 @@ mod tests {
         // is "running" on the (conceptually preempted) vCPU0.
         g.block_current(1, &[VcpuView::preempted(0.9), VcpuView::running()]);
         let acts = g.pull_running(1, 0);
-        g.check_invariants();
+        g.check_invariants().unwrap();
         assert_eq!(g.current(1), Some(a));
         assert_eq!(g.current(0), None);
         assert_eq!(g.task(a).cpu, 1);
@@ -429,7 +429,7 @@ mod tests {
         assert!(g.migrator_pending.contains(&b), "upcall ran after the switch");
         assert!(!g.migrator_pending.contains(&a), "a was spared migration");
         assert_eq!(out.op, SchedOp::Yield);
-        g.check_invariants();
+        g.check_invariants().unwrap();
     }
 
     #[test]
@@ -445,6 +445,6 @@ mod tests {
             g.ensure_current(0);
         }
         assert_eq!(g.stats().sa_upcalls, 5);
-        g.check_invariants();
+        g.check_invariants().unwrap();
     }
 }

@@ -106,7 +106,7 @@ proptest! {
                     g.block_queued(TaskId(t as usize));
                 }
             }
-            g.check_invariants();
+            g.check_invariants().unwrap();
         }
     }
 
@@ -155,7 +155,7 @@ proptest! {
                 let state = g.task(TaskId(t)).state;
                 prop_assert_ne!(state, TaskState::Exited, "no op exits tasks here");
             }
-            g.check_invariants();
+            g.check_invariants().unwrap();
         }
     }
 }

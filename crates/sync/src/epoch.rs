@@ -5,7 +5,9 @@
 //! checks it at its next *poll site*. Threads that poll while no
 //! safepoint is pending pass for free; once the flag is up, every
 //! arriving thread parks until the **last** participant arrives, at
-//! which point all release together and the next deadline is armed.
+//! which point all release together and the next deadline is armed. A
+//! thread that exits leaves the gang ([`Epoch::leave`]); its departure
+//! completes a pending safepoint if everyone else is already parked.
 //!
 //! This is the construct the work-anchored DSL could not express (the
 //! root cause of the Fig 8 specjbb fidelity gap): the stall per epoch is
@@ -93,6 +95,35 @@ impl Epoch {
         }
     }
 
+    /// `who`, a participant that will never poll again (its thread
+    /// exited), leaves the epoch at absolute time `now_ns`. If a safepoint
+    /// is pending and every remaining participant is already parked, the
+    /// departure completes it as a last arrival would: the parked tasks
+    /// are returned for their grants and the next deadline is armed.
+    /// Otherwise returns no task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `who` is parked at this epoch or no participant is left.
+    pub fn leave(&mut self, who: TaskId, now_ns: u64) -> Vec<TaskId> {
+        assert!(
+            !self.waiting.contains(&who),
+            "{who} left an epoch it is parked at"
+        );
+        assert!(
+            self.participants > 0,
+            "{who} left an epoch with no participants"
+        );
+        self.participants -= 1;
+        let pending = now_ns >= self.next_deadline_ns;
+        if pending && !self.waiting.is_empty() && self.waiting.len() == self.participants {
+            self.next_deadline_ns = (now_ns / self.period_ns + 1) * self.period_ns;
+            std::mem::take(&mut self.waiting)
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Participants required to discharge a pending safepoint.
     pub fn participants(&self) -> usize {
         self.participants
@@ -153,6 +184,33 @@ mod tests {
         assert!(matches!(e.poll(t(0), 2_000), EpochPoll::Released { .. }));
         assert_eq!(e.poll(t(0), 2_999), EpochPoll::Pass);
         assert!(matches!(e.poll(t(0), 3_000), EpochPoll::Released { .. }));
+    }
+
+    #[test]
+    fn a_departure_releases_the_parked_rest() {
+        let mut e = Epoch::new(1_000, 4, WaitMode::Spin);
+        // Before the deadline nobody waits, so a departure releases no one
+        // but still lowers the count.
+        assert_eq!(e.leave(t(3), 500), Vec::new());
+        assert_eq!(e.participants(), 3);
+        assert_eq!(e.poll(t(0), 1_000), EpochPoll::MustWait(WaitMode::Spin));
+        // task1 still runs toward its poll: no release yet.
+        assert_eq!(e.leave(t(2), 1_100), Vec::new());
+        // The last other participant leaves instead of polling: the parked
+        // task is released and the next deadline (2_000) is armed.
+        assert_eq!(e.leave(t(1), 1_400), vec![t(0)]);
+        assert_eq!(e.participants(), 1);
+        assert_eq!(e.poll(t(0), 1_999), EpochPoll::Pass);
+        // Alone now, the remaining task completes each safepoint itself.
+        assert!(matches!(e.poll(t(0), 2_000), EpochPoll::Released { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "left an epoch it is parked at")]
+    fn a_parked_task_cannot_leave() {
+        let mut e = Epoch::new(1_000, 2, WaitMode::Block);
+        e.poll(t(0), 1_000);
+        e.leave(t(0), 1_001);
     }
 
     #[test]

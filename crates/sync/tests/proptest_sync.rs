@@ -4,11 +4,12 @@
 //! The embedding simulation completes every wait through one `grant` that
 //! reads only the waiter's own state, so it relies on this contract: a
 //! `MustWait` carries the primitive's mode, and each grant — a lock's
-//! `next_holder`, a barrier's or an epoch's `Released` list, a channel's
-//! `wake_producer` or `wake_consumer` — names only tasks waiting there,
-//! once each. Random operations over 4–6 tasks drive two locks (one per
-//! mode), a barrier, an epoch and a channel against a model of who waits;
-//! a drain then grants every wait still pending.
+//! `next_holder`, a barrier's or an epoch's `Released` list, the tasks an
+//! epoch departure releases, a channel's `wake_producer` or
+//! `wake_consumer` — names only tasks waiting there, once each. Random
+//! operations over 4–6 tasks drive two locks (one per mode), a barrier, an
+//! epoch (which a task may leave for good) and a channel against a model
+//! of who waits; a drain then grants every wait still pending.
 
 use irs_guest::TaskId;
 use irs_sim::SimTime;
@@ -30,12 +31,14 @@ enum At {
 }
 
 /// What a task of the model is doing. A lock holder's only next step is
-/// its release, so holders never wait and every lock can be drained.
+/// its release, so holders never wait and every lock can be drained. A
+/// task that left the epoch never acts again, as an exited thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Free,
     Holds(usize),
     Waits(At),
+    Left,
 }
 
 /// Tasks past the workload's that act only in the drain, so that a
@@ -229,6 +232,32 @@ impl World {
         Ok(())
     }
 
+    /// `t` leaves the epoch for good. The model keeps one participant, so
+    /// the drain can still open the epoch.
+    fn leave(&mut self, t: usize) -> Result<(), TestCaseError> {
+        if self.participants == 1 {
+            return Ok(());
+        }
+        let pending = self.now_ns >= self.deadline_ns;
+        self.participants -= 1;
+        self.state[t] = State::Left;
+        let released = self.space.epoch(self.epoch).leave(TaskId(t), self.now_ns);
+        if pending
+            && !self.epoch_waiting.is_empty()
+            && self.epoch_waiting.len() == self.participants
+        {
+            self.deadline_ns = (self.now_ns / self.period_ns + 1) * self.period_ns;
+            let expected = std::mem::take(&mut self.epoch_waiting);
+            prop_assert_eq!(&released, &ids(&expected));
+            for w in expected {
+                self.grant(w, At::Epoch)?;
+            }
+        } else {
+            prop_assert!(released.is_empty(), "a departure released the epoch early");
+        }
+        Ok(())
+    }
+
     fn stamp(&mut self) -> SimTime {
         self.next_stamp += 1;
         SimTime::from_nanos(self.next_stamp)
@@ -332,8 +361,8 @@ impl World {
         queued + self.producers.iter().filter(|(_, s)| s.is_some()).count()
     }
 
-    /// One operation by task `t`. A waiting task cannot act, and a lock
-    /// holder's only step is its release.
+    /// One operation by task `t`. A waiting or departed task cannot act,
+    /// and a lock holder's only step is its release.
     fn op(&mut self, t: usize, kind: u8, flag: bool) -> Result<(), TestCaseError> {
         self.now_ns += 1_000;
         match (kind, self.state[t]) {
@@ -342,12 +371,13 @@ impl World {
                 self.now_ns += 20_000;
                 Ok(())
             }
-            (_, State::Waits(_)) => Ok(()),
+            (_, State::Waits(_) | State::Left) => Ok(()),
             (_, State::Holds(l)) => self.release(t, l),
             (0, State::Free) => self.acquire(t, usize::from(flag)),
             (1, State::Free) => self.arrive(t),
             (2, State::Free) => self.poll(t),
             (3, State::Free) => self.push(t, flag),
+            (7, State::Free) => self.leave(t),
             (_, State::Free) => self.pop(t),
         }
     }
@@ -396,7 +426,7 @@ proptest! {
     fn every_wait_is_granted_exactly_once(
         shape in (4usize..7, 0usize..6, 0usize..6, 1usize..4),
         timing in (5u64..60, any::<bool>(), any::<bool>()),
-        ops in prop::collection::vec((0usize..6, 0u8..7, any::<bool>()), 1..300),
+        ops in prop::collection::vec((0usize..6, 0u8..8, any::<bool>()), 1..300),
     ) {
         let (tasks, parties, participants, capacity) = shape;
         let (period_us, barrier_spins, epoch_spins) = timing;
@@ -417,7 +447,11 @@ proptest! {
         }
         w.drain(tasks)?;
         prop_assert_eq!(w.space.held_requests(), w.held_requests());
-        let pending: Vec<_> = w.state.iter().filter(|s| **s != State::Free).collect();
+        let pending: Vec<_> = w
+            .state
+            .iter()
+            .filter(|s| matches!(s, State::Holds(_) | State::Waits(_)))
+            .collect();
         prop_assert!(pending.is_empty(), "waits never granted: {:?}", pending);
         prop_assert_eq!(&w.grants, &w.waits, "grants per task differ from waits begun");
     }

@@ -83,6 +83,11 @@ impl ProgramRunner {
         }
     }
 
+    /// The program this runner interprets.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Advances to the next externally visible step.
     ///
     /// `rng` resolves compute jitter; `space` is needed because work-steal

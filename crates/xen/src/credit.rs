@@ -644,7 +644,7 @@ mod tests {
         let first = hv.pcpu_current(PcpuId(0)).unwrap();
         let gen = hv.dispatch_info(PcpuId(0)).unwrap().generation;
         let acts = hv.slice_expired(PcpuId(0), gen, t(30));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         let second = hv.pcpu_current(PcpuId(0)).unwrap();
         assert_ne!(first, second);
         assert_eq!(
@@ -698,7 +698,7 @@ mod tests {
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(first));
         // ...but a forced maintenance preemption must not.
         let acts = hv.force_preempt(PcpuId(0), t(5));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_ne!(hv.pcpu_current(PcpuId(0)), Some(first));
         assert_eq!(hv.vcpu_state(first), RunState::Runnable);
         assert!(acts
@@ -734,7 +734,7 @@ mod tests {
         }
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(va));
         let acts = hv.force_preempt(PcpuId(0), t(5));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         // The victim is not silently switched out: it gets an SA round and
         // the pCPU freezes awaiting the acknowledgement.
         assert!(hv.is_sa_pending(va));
@@ -763,7 +763,7 @@ mod tests {
         assert_eq!(hv.vcpu_state(first), RunState::Blocked);
         // First wakes: BOOST preempts the incumbent immediately.
         let acts = hv.vcpu_wake(first, t(10));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(first));
         assert!(acts
             .iter()
@@ -799,7 +799,7 @@ mod tests {
         hv.start(t(0));
         let va = VcpuRef::new(a, 0);
         let acts = hv.sched_op(va, SchedOp::Yield, t(1));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         // Alone on the pCPU: yields but is redispatched immediately.
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(va));
         assert!(acts.iter().any(|x| matches!(x, HvAction::VcpuStarted { .. })));
@@ -835,7 +835,7 @@ mod tests {
                     hv.slice_expired(PcpuId(0), info.generation, now);
                 }
             }
-            hv.check_invariants();
+            hv.check_invariants().unwrap();
         }
         let ra = hv.vm_cpu_time(a, now).as_secs_f64() * 1e3;
         let rb = hv.vm_cpu_time(b, now).as_secs_f64() * 1e3;
@@ -854,7 +854,7 @@ mod tests {
         let mut hv = Hypervisor::new(cfg, 2);
         let a = hv.create_vm(VmSpec::new(homes.len()));
         let got: Vec<usize> = (0..homes.len())
-            .map(|i| hv.vcpu_home(VcpuRef::new(a, i)).0)
+            .map(|i| hv.vc(VcpuRef::new(a, i)).home.0)
             .collect();
         assert_eq!(got, homes, "salt {salt} homes");
         (hv, a)
@@ -875,7 +875,7 @@ mod tests {
         // pcpu1 was idle and is the least loaded: v1 returns there.
         assert_eq!(hv.pcpu_current(PcpuId(1)), Some(v1));
         assert!(!acts.is_empty());
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -886,14 +886,14 @@ mod tests {
         // Block both vCPUs on pcpu1; the idle pcpu1 must steal a.v3 from
         // pcpu0's queue.
         hv.sched_op(VcpuRef::new(a, 1), SchedOp::Block, t(1));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         let cur = hv.pcpu_current(PcpuId(1));
         assert_eq!(cur, Some(VcpuRef::new(a, 2)));
         hv.sched_op(VcpuRef::new(a, 2), SchedOp::Block, t(2));
         let cur2 = hv.pcpu_current(PcpuId(1)).unwrap();
         assert_eq!(cur2, VcpuRef::new(a, 3));
-        assert_eq!(hv.vcpu_home(cur2), PcpuId(1), "stolen vCPU re-homed");
-        hv.check_invariants();
+        assert_eq!(hv.vc(cur2).home, PcpuId(1), "stolen vCPU re-homed");
+        hv.check_invariants().unwrap();
         assert!(hv.stats().vcpu_migrations >= 1);
     }
 
@@ -904,8 +904,8 @@ mod tests {
         hv.start(t(0));
         // pcpu1 idles; a.v1 is queued on pcpu0 but pinned there.
         assert!(hv.pcpu_current(PcpuId(1)).is_none());
-        assert_eq!(hv.vcpu_home(VcpuRef::new(a, 1)), PcpuId(0));
-        hv.check_invariants();
+        assert_eq!(hv.vc(VcpuRef::new(a, 1)).home, PcpuId(0));
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -925,7 +925,7 @@ mod tests {
         // A queued (non-running) vCPU cannot hypercall.
         assert!(hv.sched_op(waiting, SchedOp::Block, t(1)).is_empty());
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(running));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -942,7 +942,7 @@ mod tests {
         hv.ple_exit(spinner, t(1));
         assert_ne!(hv.pcpu_current(PcpuId(0)), Some(spinner));
         assert_eq!(hv.stats().ple_exits, 1);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -985,7 +985,7 @@ mod tests {
         let gen = hv.dispatch_info(PcpuId(0)).unwrap().generation;
         hv.slice_expired(PcpuId(0), gen, t(30));
         // The first runner has now been preempted for 30..60 ms.
-        let info = hv.runstate(runner, t(60));
+        let info = hv.vc(runner).clock.info(t(60));
         assert_eq!(info.running, t(30));
         assert_eq!(info.runnable, t(30));
     }

@@ -22,12 +22,12 @@ use irs_sim::SimTime;
 pub struct VcpuProbe {
     /// The probed vCPU.
     pub vcpu: VcpuRef,
-    /// The pCPU whose runqueue owns it ([`Hypervisor::vcpu_home`]).
+    /// The pCPU whose runqueue owns it.
     pub home: PcpuId,
-    /// Its credit balance ([`Hypervisor::vcpu_credits`]).
+    /// Its credit balance.
     pub credits: i64,
-    /// Its runstate and residencies at the probe instant
-    /// ([`Hypervisor::runstate`]).
+    /// Its runstate and residencies at the probe instant (what
+    /// `VCPUOP_get_runstate_info` reports).
     pub runstate: RunstateInfo,
     /// Whether an SA notification is outstanding
     /// ([`Hypervisor::is_sa_pending`]).
@@ -321,11 +321,6 @@ impl Hypervisor {
         &self.cfg
     }
 
-    /// Iterator over every vCPU in the system.
-    pub fn all_vcpus(&self) -> impl Iterator<Item = VcpuRef> + '_ {
-        self.vcpus.iter().map(|v| v.vref)
-    }
-
     /// The vCPU currently executing on `pcpu`, if any.
     pub fn pcpu_current(&self, pcpu: PcpuId) -> Option<VcpuRef> {
         self.pcpus[pcpu.0].current
@@ -365,15 +360,9 @@ impl Hypervisor {
         self.vc(v).state()
     }
 
-    /// `VCPUOP_get_runstate_info`: cumulative residencies at `now`.
-    pub fn runstate(&self, v: VcpuRef, now: SimTime) -> RunstateInfo {
-        self.vc(v).clock.info(now)
-    }
-
-    /// Every vCPU's [`VcpuProbe`] at `now`, in arena order (VM-major, as
-    /// [`Hypervisor::all_vcpus`]): the bulk form of five keyed lookups per
-    /// vCPU for an embedder's invariant checker, which probes the whole
-    /// machine after every event.
+    /// Every vCPU's [`VcpuProbe`] at `now`, in arena order (VM-major: each
+    /// VM's vCPUs adjacent, in index order). An embedder's invariant
+    /// checker probes the whole machine through it after every event.
     pub fn vcpu_probes(&self, now: SimTime) -> impl Iterator<Item = VcpuProbe> + '_ {
         self.vcpus.iter().map(move |v| VcpuProbe {
             vcpu: v.vref,
@@ -385,23 +374,13 @@ impl Hypervisor {
         })
     }
 
-    /// `vm`'s runstate clocks in vCPU-index order — the bulk form of
-    /// [`Hypervisor::runstate`] for embedders that walk a whole VM per
-    /// event. One slice lookup instead of a [`VcpuRef`] resolution per
-    /// vCPU, and the clocks stream out of the contiguous arena.
+    /// `vm`'s runstate clocks in vCPU-index order, for embedders that
+    /// walk a whole VM per event: one slice lookup instead of a
+    /// [`VcpuRef`] resolution per vCPU, and the clocks stream out of the
+    /// contiguous arena.
     #[inline]
     pub fn vm_clocks(&self, vm: VmId) -> impl Iterator<Item = &crate::runstate::RunstateClock> + '_ {
         self.vm_vcpus(vm).iter().map(|v| &v.clock)
-    }
-
-    /// The pCPU whose runqueue currently owns `v`.
-    pub fn vcpu_home(&self, v: VcpuRef) -> PcpuId {
-        self.vc(v).home
-    }
-
-    /// Current credit balance of a vCPU (diagnostics).
-    pub fn vcpu_credits(&self, v: VcpuRef) -> i64 {
-        self.vc(v).credits
     }
 
     /// Whether an SA notification is outstanding on `v`.
@@ -445,9 +424,12 @@ impl Hypervisor {
             .fold(SimTime::ZERO, |acc, v| acc + v.clock.info(now).runnable)
     }
 
-    /// Verifies internal consistency; used liberally by the test suites.
+    /// Verifies the scheduler's queue membership. The embedder's
+    /// sanitizer runs this at every accounting pass and at the end of a
+    /// run (`irs_core::check`, as `vcpu-queue-membership`); the test
+    /// suites run it after their operations.
     ///
-    /// Invariants checked:
+    /// Facts checked:
     /// * every `Running` vCPU is the `current` of exactly its home pCPU;
     /// * every `Runnable` vCPU sits in exactly one runqueue (its home's);
     /// * `Blocked` vCPUs are in no runqueue and not current;
@@ -455,10 +437,10 @@ impl Hypervisor {
     /// * an `sa_wait` pCPU's waiting vCPU is its current and has
     ///   `sa_pending` set.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a descriptive message if any invariant is violated.
-    pub fn check_invariants(&self) {
+    /// Describes the first fact that does not hold.
+    pub fn check_invariants(&self) -> Result<(), String> {
         for v in &self.vcpus {
             let vref = v.vref;
             let home = &self.pcpus[v.home.0];
@@ -475,43 +457,59 @@ impl Hypervisor {
                 .collect();
             match v.state() {
                 RunState::Running => {
-                    assert_eq!(
-                        current_on,
-                        vec![v.home],
-                        "{vref} is Running but current on {current_on:?}, home {}",
-                        v.home
-                    );
-                    assert_eq!(queued, 0, "{vref} Running but also queued");
+                    ensure(current_on == [v.home], || {
+                        format!(
+                            "{vref} is Running but current on {current_on:?}, home {}",
+                            v.home
+                        )
+                    })?;
+                    ensure(queued == 0, || format!("{vref} Running but also queued"))?;
                 }
                 RunState::Runnable => {
-                    assert!(current_on.is_empty(), "{vref} Runnable but current");
-                    assert_eq!(queued, 1, "{vref} Runnable queued {queued} times");
-                    assert!(
-                        home.runq.contains(&vref),
-                        "{vref} queued away from home {}",
-                        v.home
-                    );
+                    ensure(current_on.is_empty(), || {
+                        format!("{vref} Runnable but current")
+                    })?;
+                    ensure(queued == 1, || {
+                        format!("{vref} Runnable queued {queued} times")
+                    })?;
+                    ensure(home.runq.contains(&vref), || {
+                        format!("{vref} queued away from home {}", v.home)
+                    })?;
                 }
                 RunState::Blocked => {
-                    assert!(current_on.is_empty(), "{vref} Blocked but current");
-                    assert_eq!(queued, 0, "{vref} Blocked but queued");
+                    ensure(current_on.is_empty(), || {
+                        format!("{vref} Blocked but current")
+                    })?;
+                    ensure(queued == 0, || format!("{vref} Blocked but queued"))?;
                 }
             }
             if let Some(pin) = v.affinity {
-                assert_eq!(v.home, pin, "{vref} strayed from its pin {pin}");
+                ensure(v.home == pin, || {
+                    format!("{vref} strayed from its pin {pin}")
+                })?;
             }
         }
         for p in &self.pcpus {
             if let Some(w) = p.sa_wait {
-                assert_eq!(
-                    p.current,
-                    Some(w),
-                    "{} sa_wait {w} is not its current vCPU",
-                    p.id
-                );
-                assert!(self.vc(w).sa_pending, "{w} in sa_wait without sa_pending");
+                ensure(p.current == Some(w), || {
+                    format!("{} sa_wait {w} is not its current vCPU", p.id)
+                })?;
+                ensure(self.vc(w).sa_pending, || {
+                    format!("{w} in sa_wait without sa_pending")
+                })?;
             }
         }
+        Ok(())
+    }
+}
+
+/// One fact of [`Hypervisor::check_invariants`]: `Err(detail())` unless
+/// `holds`.
+fn ensure(holds: bool, detail: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(detail())
     }
 }
 
@@ -548,7 +546,7 @@ mod tests {
             .filter(|a| matches!(a, HvAction::VcpuStarted { .. }))
             .count();
         assert_eq!(started, 2);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert!(hv.pcpu_current(PcpuId(0)).is_some());
         assert!(hv.pcpu_current(PcpuId(1)).is_some());
     }
@@ -559,13 +557,58 @@ mod tests {
         let a = hv.create_vm(VmSpec::new(2).pin_all(PcpuId(0)));
         hv.block_before_start(VcpuRef::new(a, 1));
         hv.start(SimTime::ZERO);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(VcpuRef::new(a, 0)));
         assert_eq!(hv.vcpu_state(VcpuRef::new(a, 1)), RunState::Blocked);
         // It wakes normally later.
         let acts = hv.vcpu_wake(VcpuRef::new(a, 1), SimTime::from_millis(5));
         assert!(!acts.is_empty());
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
+    }
+
+    /// The walker's verdict on a consistent hypervisor, with vm0's three
+    /// vCPUs pinned to pCPU 0 (v0 runs, v1 queues behind it, v2 is
+    /// blocked), after `corrupt`.
+    fn walked_after(corrupt: impl FnOnce(&mut Hypervisor)) -> Result<(), String> {
+        let mut hv = Hypervisor::new(XenConfig::default(), 2);
+        hv.create_vm(VmSpec::new(3).pin_all(PcpuId(0)));
+        hv.block_before_start(VcpuRef::new(VmId(0), 2));
+        hv.start(SimTime::ZERO);
+        assert_eq!(hv.vcpu_state(VcpuRef::new(VmId(0), 1)), RunState::Runnable);
+        hv.check_invariants().unwrap();
+        corrupt(&mut hv);
+        hv.check_invariants()
+    }
+
+    /// Each corruption fails the walker, which names the broken fact.
+    #[test]
+    fn check_invariants_reports_each_broken_fact() {
+        let (v1, v2) = (VcpuRef::new(VmId(0), 1), VcpuRef::new(VmId(0), 2));
+        let cases = [
+            (
+                "Runnable queued 2 times",
+                walked_after(|hv| hv.pcpus[0].runq.push_back(v1)),
+            ),
+            (
+                "queued away from home",
+                walked_after(|hv| {
+                    hv.pcpus[0].dequeue(v1);
+                    hv.pcpus[1].runq.push_back(v1);
+                }),
+            ),
+            (
+                "Blocked but queued",
+                walked_after(|hv| hv.pcpus[0].runq.push_back(v2)),
+            ),
+            (
+                "strayed from its pin",
+                walked_after(|hv| hv.vc_mut(v2).home = PcpuId(1)),
+            ),
+        ];
+        for (fact, verdict) in cases {
+            let err = verdict.expect_err(fact);
+            assert!(err.contains(fact), "expected {fact:?}, got {err:?}");
+        }
     }
 
     #[test]

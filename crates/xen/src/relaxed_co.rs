@@ -149,7 +149,7 @@ mod tests {
             hv.relaxed_co_balance(t(60), &mut out);
             out
         };
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert!(hv.vc(v0).parked, "leader must be parked");
         assert_eq!(hv.vc(v1).priority, CreditPriority::Boost);
         // Leader was running alone on pcpu0: descheduled; pcpu0 idles
@@ -218,7 +218,7 @@ mod tests {
         let mut out2 = Vec::new();
         hv.do_schedule(PcpuId(0), t(61), ScheduleReason::Accounting, false, &mut out2);
         assert_eq!(hv.pcpu_current(PcpuId(0)), None);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]

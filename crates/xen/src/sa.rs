@@ -173,14 +173,14 @@ mod tests {
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vfg));
         assert!(hv.is_sa_pending(vfg));
         assert_eq!(hv.stats().sa_sent, 1);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
     fn ack_with_yield_completes_the_preemption() {
         let (mut hv, vfg, vbg) = trigger_sa();
         let acts = hv.sched_op(vfg, SchedOp::Yield, t(61));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vbg));
         assert_eq!(hv.vcpu_state(vfg), RunState::Runnable);
         assert!(!hv.is_sa_pending(vfg));
@@ -192,7 +192,7 @@ mod tests {
     fn ack_with_block_parks_the_vcpu() {
         let (mut hv, vfg, vbg) = trigger_sa();
         hv.sched_op(vfg, SchedOp::Block, t(61));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vbg));
         assert_eq!(hv.vcpu_state(vfg), RunState::Blocked);
         assert!(!hv.is_sa_pending(vfg));
@@ -207,7 +207,7 @@ mod tests {
         let acts = hv.slice_expired(PcpuId(0), gen, t(90));
         assert!(acts.is_empty());
         assert_eq!(hv.stats().sa_sent, 1);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -215,7 +215,7 @@ mod tests {
         let (mut hv, vfg, vbg) = trigger_sa();
         let generation = hv.sa_generation(vfg);
         let acts = hv.sa_timeout(vfg, generation, t(61));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vbg));
         assert_eq!(hv.vcpu_state(vfg), RunState::Runnable);
         assert_eq!(hv.stats().sa_timeouts, 1);
@@ -230,7 +230,7 @@ mod tests {
         let acts = hv.sa_timeout(vfg, generation, t(62));
         assert!(acts.is_empty());
         assert_eq!(hv.stats().sa_timeouts, 0);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
         }
         hv.sched_op(vfg, SchedOp::Block, t(35));
         assert_eq!(hv.stats().sa_sent, 0, "blocking is voluntary: no SA");
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
         // Guest acks; the boosted waker takes over.
         hv.sched_op(vfg, SchedOp::Yield, t(40) + SimTime::from_micros(25));
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(vio));
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -301,7 +301,7 @@ mod tests {
         assert!(acts.is_empty());
         assert_eq!(hv.stats().sa_timeouts, 1);
         assert_eq!(hv.stats().preemptions, 1);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -327,7 +327,7 @@ mod tests {
         assert!(acts.is_empty(), "stale timeout must not touch the pCPU");
         assert_eq!(hv.stats().sa_timeouts, 0);
         assert_eq!(hv.dispatch_info(PcpuId(0)).unwrap(), info_before);
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -355,7 +355,7 @@ mod tests {
             hv.pcpu_current(PcpuId(0)).is_some(),
             "the unfrozen pCPU must schedule again, got {acts:?}"
         );
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -375,7 +375,7 @@ mod tests {
         assert!(!hv.is_sa_pending(vfg));
         assert_eq!(hv.stats().sa_acked, 1);
         assert!(hv.pcpu_current(PcpuId(0)).is_some(), "pCPU rescheduled");
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]

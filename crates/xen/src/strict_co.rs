@@ -139,7 +139,7 @@ mod tests {
             let cur = hv.pcpu_current(PcpuId(p)).expect("gang slot fills pCPU");
             assert_eq!(cur.vm, VmId(0));
         }
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
             .filter(|&p| hv.pcpu_current(PcpuId(p)).is_none())
             .count();
         assert_eq!(idle, 3, "three pCPUs fragment during the small VM's slot");
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
         let before = hv.pcpu_current(PcpuId(0));
         hv.vcpu_wake(v1, t(2));
         assert_eq!(hv.pcpu_current(PcpuId(0)), before, "no preemption mid-slot");
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
         assert!(hv.gang_vm_fully_idle() || hv.gang_current() == Some(VmId(0)));
         let _ = hv.gang_rotate(t(2));
         assert_eq!(hv.gang_current(), Some(VmId(1)), "idle VM skipped");
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
     }
 
     #[test]

@@ -69,12 +69,10 @@ fn build(pinned: bool, sa: bool) -> Hypervisor {
 }
 
 /// Every `(vcpu, generation)` SA round currently pending.
-fn live_rounds(hv: &Hypervisor) -> Vec<(VcpuRef, u64)> {
-    hv.all_vcpus()
-        .collect::<Vec<_>>()
-        .into_iter()
-        .filter(|&v| hv.is_sa_pending(v))
-        .map(|v| (v, hv.sa_generation(v)))
+fn live_rounds(hv: &Hypervisor, now: SimTime) -> Vec<(VcpuRef, u64)> {
+    hv.vcpu_probes(now)
+        .filter(|p| p.sa_pending)
+        .map(|p| (p.vcpu, p.sa_generation))
         .collect()
 }
 
@@ -108,7 +106,7 @@ fn apply(hv: &mut Hypervisor, op: Op, now: SimTime, stale: &[(VcpuRef, u64)]) {
             hv.sched_op(v(a, b), SchedOp::Block, now);
         }
         Op::SaTimeoutLive(i) => {
-            let live = live_rounds(hv);
+            let live = live_rounds(hv, now);
             if !live.is_empty() {
                 let (target, gen) = live[i as usize % live.len()];
                 hv.sa_timeout(target, gen, now);
@@ -134,7 +132,7 @@ fn apply(hv: &mut Hypervisor, op: Op, now: SimTime, stale: &[(VcpuRef, u64)]) {
 /// `SaTimeoutStale` ops can replay genuinely dead `(vcpu, generation)`
 /// pairs — the shape a late-queued timeout event has in the full system.
 fn apply_tracked(hv: &mut Hypervisor, op: Op, now: SimTime, stale: &mut Vec<(VcpuRef, u64)>) {
-    let before = live_rounds(hv);
+    let before = live_rounds(hv, now);
     apply(hv, op, now, stale);
     for (v, gen) in before {
         if (!hv.is_sa_pending(v) || hv.sa_generation(v) != gen) && !stale.contains(&(v, gen)) {
@@ -159,7 +157,7 @@ proptest! {
         for op in ops {
             now += SimTime::from_micros(137);
             apply_tracked(&mut hv, op, now, &mut stale);
-            hv.check_invariants();
+            hv.check_invariants().unwrap();
         }
     }
 
@@ -172,7 +170,7 @@ proptest! {
         for op in ops {
             now += SimTime::from_micros(211);
             apply_tracked(&mut hv, op, now, &mut stale);
-            hv.check_invariants();
+            hv.check_invariants().unwrap();
         }
     }
 
@@ -185,9 +183,9 @@ proptest! {
         for op in ops {
             now += SimTime::from_micros(401);
             apply_tracked(&mut hv, op, now, &mut stale);
-            for v in hv.all_vcpus().collect::<Vec<_>>() {
-                let c = hv.vcpu_credits(v);
-                prop_assert!((-300..=300).contains(&c), "{v} credits {c}");
+            for p in hv.vcpu_probes(now) {
+                let c = p.credits;
+                prop_assert!((-300..=300).contains(&c), "{} credits {c}", p.vcpu);
             }
         }
     }
@@ -203,18 +201,16 @@ proptest! {
             now += SimTime::from_micros(733);
             apply_tracked(&mut hv, op, now, &mut stale);
         }
-        for v in hv.all_vcpus().collect::<Vec<_>>() {
-            let info = hv.runstate(v, now);
-            prop_assert_eq!(info.total(), now, "{} total mismatch", v);
+        for p in hv.vcpu_probes(now) {
+            let info = p.runstate;
+            prop_assert_eq!(info.total(), now, "{} total mismatch", p.vcpu);
             prop_assert!(info.running <= now);
         }
         // Physical conservation: total running time across vCPUs can never
         // exceed pCPUs × elapsed.
         let total_run: u64 = hv
-            .all_vcpus()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|v| hv.runstate(v, now).running.as_nanos())
+            .vcpu_probes(now)
+            .map(|p| p.runstate.running.as_nanos())
             .sum();
         prop_assert!(total_run <= 4 * now.as_nanos());
     }
@@ -233,12 +229,9 @@ proptest! {
                 if idle {
                     // every vcpu homed+runnable on p would be a violation
                     let stranded = hv
-                        .all_vcpus()
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .filter(|&v| {
-                            hv.vcpu_home(v) == PcpuId(p)
-                                && hv.vcpu_state(v) == RunState::Runnable
+                        .vcpu_probes(now)
+                        .filter(|v| {
+                            v.home == PcpuId(p) && v.runstate.state == RunState::Runnable
                         })
                         .count();
                     prop_assert_eq!(stranded, 0, "pcpu{} idle with {} runnable", p, stranded);
@@ -261,15 +254,15 @@ proptest! {
             apply_tracked(&mut hv, op, now, &mut stale);
         }
         now += SimTime::from_micros(500);
-        for (v, gen) in live_rounds(&hv) {
+        for (v, gen) in live_rounds(&hv, now) {
             hv.sa_timeout(v, gen, now);
         }
-        hv.check_invariants();
+        hv.check_invariants().unwrap();
         for p in 0..4usize {
             prop_assert!(hv.pcpu_sa_wait(PcpuId(p)).is_none(), "pcpu{} still frozen", p);
         }
-        for v in hv.all_vcpus().collect::<Vec<_>>() {
-            prop_assert!(!hv.is_sa_pending(v), "{} round never resolved", v);
+        for p in hv.vcpu_probes(now) {
+            prop_assert!(!p.sa_pending, "{} round never resolved", p.vcpu);
         }
     }
 }

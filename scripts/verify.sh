@@ -10,7 +10,10 @@
 #     every run behind the 39 tables: every figure, the ablations, the
 #     fault-injection chaos campaign at three seeds, and the full fleet and
 #     serving campaigns with their contract asserts (the degradation
-#     margin per fleet cell, requests completed in every serving cell);
+#     margin per fleet cell, requests completed in every serving cell).
+#     It checks every vCPU, pCPU, execution window and current task after
+#     each event, and sweeps both layers' queue walkers and every task at
+#     each accounting pass and at the end of each run;
 #  5. a fleet incremental-parity gate (--parity runs the smoke campaign —
 #     16-host datacenter with churn and adversarial tenants, contract
 #     asserts included — then re-runs it with every occupied host

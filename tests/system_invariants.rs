@@ -1,31 +1,38 @@
-//! Whole-system invariant sweeps: drive diverse scenarios step by step and
-//! verify cross-layer consistency between events.
+//! Whole-system invariant runs: drive diverse scenarios under the online
+//! sanitizer, which checks every vCPU, pCPU, execution window and current
+//! task after each event, and sweeps both layers' queues and every task at
+//! each accounting pass and at the end of the run.
 
 use irs_sched::sim::SimTime;
 use irs_sched::workloads::presets;
-use irs_sched::{Scenario, Strategy, System, VmScenario};
+use irs_sched::{Scenario, Strategy, System, SystemConfig, VmScenario};
 
-fn sweep(mut sys: System, label: &str) {
-    let mut checked = 0u64;
-    let mut steps = 0u64;
-    while sys.step() {
-        steps += 1;
-        if steps.is_multiple_of(157) {
-            sys.check_invariants();
-            checked += 1;
-        }
-        if sys.now() > SimTime::from_millis(1500) {
-            break;
-        }
-    }
-    sys.check_invariants();
-    assert!(checked > 5, "{label}: sweep too short ({checked} checks)");
+/// Runs `scenario` checked until `end` (or its completion) and returns
+/// the virtual time it reached. A violation panics.
+fn checked_run(scenario: Scenario, end: SimTime) -> SimTime {
+    let cfg = SystemConfig {
+        check: true,
+        ..SystemConfig::default()
+    };
+    System::with_config(scenario.horizon(end), cfg)
+        .run()
+        .elapsed
+}
+
+/// A checked run of up to 1.5 s that lasts at least five accounting
+/// passes.
+fn sweep(scenario: Scenario, label: &str) {
+    let elapsed = checked_run(scenario, SimTime::from_millis(1500));
+    assert!(
+        elapsed > SimTime::from_millis(150),
+        "{label}: the run ended at {elapsed}, before five accounting sweeps"
+    );
 }
 
 #[test]
 fn invariants_hold_under_irs_blocking() {
     sweep(
-        System::new(Scenario::fig5_style("fluidanimate", 2, Strategy::Irs, 5)),
+        Scenario::fig5_style("fluidanimate", 2, Strategy::Irs, 5),
         "irs blocking",
     );
 }
@@ -33,7 +40,7 @@ fn invariants_hold_under_irs_blocking() {
 #[test]
 fn invariants_hold_under_irs_spinning() {
     sweep(
-        System::new(Scenario::fig5_style("MG", 4, Strategy::Irs, 5)),
+        Scenario::fig5_style("MG", 4, Strategy::Irs, 5),
         "irs spinning 4-inter",
     );
 }
@@ -41,7 +48,7 @@ fn invariants_hold_under_irs_spinning() {
 #[test]
 fn invariants_hold_under_ple() {
     sweep(
-        System::new(Scenario::fig5_style("CG", 2, Strategy::Ple, 5)),
+        Scenario::fig5_style("CG", 2, Strategy::Ple, 5),
         "ple spinning",
     );
 }
@@ -49,7 +56,7 @@ fn invariants_hold_under_ple() {
 #[test]
 fn invariants_hold_under_relaxed_co() {
     sweep(
-        System::new(Scenario::fig5_style("streamcluster", 2, Strategy::RelaxedCo, 5)),
+        Scenario::fig5_style("streamcluster", 2, Strategy::RelaxedCo, 5),
         "relaxed-co blocking",
     );
 }
@@ -57,7 +64,7 @@ fn invariants_hold_under_relaxed_co() {
 #[test]
 fn invariants_hold_under_strict_co() {
     sweep(
-        System::new(Scenario::fig5_style("UA", 2, Strategy::StrictCo, 5)),
+        Scenario::fig5_style("UA", 2, Strategy::StrictCo, 5),
         "strict co-scheduling",
     );
 }
@@ -68,7 +75,7 @@ fn invariants_hold_unpinned() {
     for vm in &mut s.vms {
         vm.pinning = None;
     }
-    sweep(System::new(s), "unpinned stacking");
+    sweep(s, "unpinned stacking");
 }
 
 /// Regression: relaxed-co's accounting pass emits a batch of schedule
@@ -77,21 +84,15 @@ fn invariants_hold_unpinned() {
 /// and re-dispatch a vCPU named by a *stale* stop action later in the same
 /// batch. Unguarded, that stale stop closed the fresh execution window and
 /// froze the task forever (observed with bodytrack/Relaxed-Co/seed 2,
-/// unpinned, at the 58th accounting boundary). Invariants are checked on
-/// every step through the window where the freeze occurred.
+/// unpinned, at the 58th accounting boundary). The checked run covers the
+/// window where the freeze occurred.
 #[test]
 fn invariants_hold_under_relaxed_co_unpinned() {
     let mut s = Scenario::fig5_style("bodytrack", 4, Strategy::RelaxedCo, 2);
     for vm in &mut s.vms {
         vm.pinning = None;
     }
-    let mut sys = System::new(s);
-    while sys.step() {
-        sys.check_invariants();
-        if sys.now() > SimTime::from_millis(2000) {
-            break;
-        }
-    }
+    checked_run(s, SimTime::from_secs(2));
 }
 
 /// Companion to the sweep above: the previously-frozen configuration must
@@ -112,7 +113,7 @@ fn relaxed_co_unpinned_completes() {
 #[test]
 fn invariants_hold_for_pipelines() {
     sweep(
-        System::new(Scenario::fig5_style("dedup", 2, Strategy::Irs, 5)),
+        Scenario::fig5_style("dedup", 2, Strategy::Irs, 5),
         "pipeline",
     );
 }
@@ -125,15 +126,14 @@ fn invariants_hold_for_servers() {
                 .pin_one_to_one()
                 .measured(),
         )
-        .vm(VmScenario::new(presets::hog::cpu_hogs(2), 4).pin_one_to_one())
-        .horizon(SimTime::from_secs(2));
-    sweep(System::new(s), "open-loop server");
+        .vm(VmScenario::new(presets::hog::cpu_hogs(2), 4).pin_one_to_one());
+    sweep(s, "open-loop server");
 }
 
 #[test]
 fn invariants_hold_for_pull_oracle() {
     sweep(
-        System::new(Scenario::fig5_style("blackscholes", 2, Strategy::IrsPull, 5)),
+        Scenario::fig5_style("blackscholes", 2, Strategy::IrsPull, 5),
         "pull oracle",
     );
 }
