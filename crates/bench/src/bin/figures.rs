@@ -2,9 +2,9 @@
 //! optionally CSV).
 //!
 //! ```text
-//! figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick]
-//!                         [--check] [--check-perf] [--smoke] [--hosts N]
-//!                         [--parity] [--csv DIR]
+//! figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--check]
+//!                         [--check-perf] [--smoke] [--hosts N] [--parity]
+//!                         [--csv DIR]
 //! ```
 //!
 //! Every experiment is one entry of the [`registry`]: its name, the alias
@@ -296,7 +296,7 @@ fn usage() -> ! {
         .collect::<Vec<_>>()
         .join(", ");
     eprintln!(
-        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
+        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--check] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
          experiments:\n\
          \u{20} {}\n\
          \u{20} {}\n\
@@ -326,7 +326,6 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => opts = Opts { seeds: 1, ..opts },
             "--seeds" => {
                 // Every data point is a mean over the seeds: zero has none.
                 let n = it.next().unwrap_or_else(|| usage());

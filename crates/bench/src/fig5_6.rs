@@ -16,13 +16,12 @@ const N_INTERS: [usize; 3] = [1, 2, 4];
 const FIG5_TITLE: &str = "Fig 5 — improvement on PARSEC performance (blocking)";
 const FIG6_TITLE: &str = "Fig 6 — improvement on NPB performance (spinning)";
 
-/// The interference running in the background VM.
+/// The interference running in the background VM of [`fig5`] and
+/// [`fig6`]. A real application's panel is a [`RealAppGrid`]'s instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interference {
     /// CPU hogs (the paper's micro-benchmark).
     Micro,
-    /// A real parallel application, repeated for the whole run.
-    RealApp(&'static str),
 }
 
 impl Interference {
@@ -30,7 +29,6 @@ impl Interference {
     pub fn label(&self) -> String {
         match self {
             Interference::Micro => "w/ Microbenchmark".to_string(),
-            Interference::RealApp(name) => format!("w/ {name}"),
         }
     }
 }
@@ -175,26 +173,21 @@ impl<'a> RealAppGrid<'a> {
     }
 }
 
-/// One panel of Fig 5/6: improvement (%) for every benchmark in `benches`,
-/// with series `{1,2,4}-inter × {PLE, Relaxed-Co, IRS}`, from one batch.
+/// One micro-benchmark panel of Fig 5/6: improvement (%) for every
+/// benchmark in `benches`, with series `{1,2,4}-inter × {PLE, Relaxed-Co,
+/// IRS}`, from one batch.
 pub fn improvement_panel(title: &str, benches: &[&str], inter: Interference, opts: Opts) -> Table {
-    match inter {
-        Interference::Micro => {
-            let blocks = N_INTERS.map(|n_inter| {
-                let make = move |bench: &str, strategy, seed| {
-                    Scenario::fig5_style(bench, n_inter, strategy, seed)
-                };
-                (format!("{n_inter}-inter. "), make)
-            });
-            let title = format!("{title} ({})", inter.label());
-            improvement_table(title, benches, &blocks, opts)
-        }
-        Interference::RealApp(bg) => RealAppGrid::run(benches, bg, opts).improvement(title),
-    }
+    let blocks = N_INTERS.map(|n_inter| {
+        let make =
+            move |bench: &str, strategy, seed| Scenario::fig5_style(bench, n_inter, strategy, seed);
+        (format!("{n_inter}-inter. "), make)
+    });
+    let title = format!("{title} ({})", inter.label());
+    improvement_table(title, benches, &blocks, opts)
 }
 
-/// Fig 5: PARSEC (blocking) improvement, one panel per interference type
-/// (micro-benchmark, streamcluster, fluidanimate).
+/// Fig 5: PARSEC (blocking) improvement under the micro-benchmark; the
+/// streamcluster and fluidanimate panels are [`fig5_of`] a grid.
 pub fn fig5(opts: Opts, inter: Interference) -> Table {
     improvement_panel(FIG5_TITLE, &presets::PARSEC_NAMES, inter, opts)
 }
@@ -204,8 +197,8 @@ pub fn fig5_of(grid: &RealAppGrid) -> Table {
     grid.improvement(FIG5_TITLE)
 }
 
-/// Fig 6: NPB (spinning) improvement, one panel per interference type
-/// (micro-benchmark, UA, LU).
+/// Fig 6: NPB (spinning) improvement under the micro-benchmark; the UA
+/// and LU panels are [`fig6_of`] a grid.
 pub fn fig6(opts: Opts, inter: Interference) -> Table {
     improvement_panel(FIG6_TITLE, &presets::NPB_NAMES, inter, opts)
 }

@@ -7,7 +7,7 @@
 //!
 //! Figure functions are deterministic given [`Opts`]: every data point is
 //! the mean over `opts.seeds` seeded repetitions (the paper averages five
-//! runs; `--quick` drops to one for smoke testing). Each figure lists every
+//! runs; `--seeds 1` drops to one for smoke testing). Each figure lists every
 //! distinct run it needs once and sends them to [`irs_core::runner::grid`]
 //! as one batch, so a baseline shared by several strategies runs once per
 //! cell. Only `fig1b`, which steps a `System` itself to time a migration,

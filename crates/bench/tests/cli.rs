@@ -37,6 +37,7 @@ fn malformed_command_lines() {
     assert_usage_error(&["fig99"]);
     assert_usage_error(&["fig2", "--tickless"]);
     assert_usage_error(&["fig2", "--fork-smoke"]);
+    assert_usage_error(&["fig2", "--quick"]);
 }
 
 /// `--hosts`, `--parity` and `--smoke` only mean something to the fleet
@@ -70,8 +71,8 @@ fn a_checked_run_prints_the_same_table() {
         );
         out.stdout
     };
-    let plain = run(&["fig2", "--quick"]);
-    let checked = run(&["fig2", "--quick", "--check"]);
+    let plain = run(&["fig2", "--seeds", "1"]);
+    let checked = run(&["fig2", "--seeds", "1", "--check"]);
     assert!(!plain.is_empty(), "fig2 printed no table");
     assert_eq!(
         String::from_utf8_lossy(&checked),
@@ -88,7 +89,7 @@ fn a_run_leaves_its_directory_empty() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the temporary directory");
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["serving", "--smoke", "--quick", "--jobs", "1"])
+        .args(["serving", "--smoke", "--seeds", "1", "--jobs", "1"])
         .current_dir(&dir)
         .output()
         .expect("figures binary runs");

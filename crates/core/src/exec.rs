@@ -14,7 +14,7 @@ use crate::system::System;
 use irs_guest::TaskId;
 use irs_sim::SimTime;
 use irs_sync::{AcquireOutcome, BarrierOutcome, EpochPoll, PopOutcome, PushOutcome, WaitMode};
-use irs_workloads::Step;
+use irs_workloads::Op;
 use irs_xen::{RunState, VcpuRef};
 
 /// Futex grace: how long a blocking wait spins before actually sleeping
@@ -122,7 +122,7 @@ impl System {
     /// Arms a PLE window for a spinner, when the hypervisor
     /// answers pause-loop exits.
     fn arm_ple(&mut self, vm: usize, vcpu: usize) {
-        if !self.hv.config().ple {
+        if self.hv.config().mode != irs_xen::HvMode::Ple {
             return;
         }
         self.domains[vm].ple_gen[vcpu] += 1;
@@ -160,12 +160,17 @@ impl System {
             if !still_ours {
                 return;
             }
-            let step = {
+            let op = {
                 let d = &mut self.domains[vm];
-                d.tasks[task].runner.next(&mut self.rng, &mut d.space)
+                d.tasks[task].runner.next(&mut d.space)
             };
-            match step {
-                Step::Compute { ns } => {
+            let Some(op) = op else {
+                self.finish_task(vm, task);
+                return;
+            };
+            match op {
+                Op::Compute { mean_ns, jitter } => {
+                    let ns = self.rng.jittered(mean_ns, jitter);
                     let penalty = std::mem::take(&mut self.domains[vm].tasks[task].penalty_ns);
                     let total = ns + penalty;
                     self.set_activity(
@@ -189,7 +194,7 @@ impl System {
                     );
                     return;
                 }
-                Step::Acquire(l) => {
+                Op::Lock(l) => {
                     let outcome = self.domains[vm].space.lock(l).acquire(TaskId(task));
                     match outcome {
                         AcquireOutcome::Acquired => continue,
@@ -199,13 +204,13 @@ impl System {
                         }
                     }
                 }
-                Step::Release(l) => {
+                Op::Unlock(l) => {
                     let outcome = self.domains[vm].space.lock(l).release(TaskId(task));
                     if let Some(next) = outcome.next_holder {
                         self.grant(vm, next.0);
                     }
                 }
-                Step::Arrive(b) => {
+                Op::Barrier(b) => {
                     let outcome = self.domains[vm].space.barrier(b).arrive(TaskId(task));
                     match outcome {
                         BarrierOutcome::Released { waiters } => {
@@ -219,7 +224,7 @@ impl System {
                         }
                     }
                 }
-                Step::Push(c) => {
+                Op::Push(c) => {
                     // The pushed item carries the producer's open request
                     // stamp (if any) downstream, so latency spans tiers in
                     // a pipeline service.
@@ -242,7 +247,7 @@ impl System {
                         }
                     }
                 }
-                Step::Pop(c) => {
+                Op::Pop(c) => {
                     let outcome = self.domains[vm].space.channel(c).pop(TaskId(task));
                     match outcome {
                         PopOutcome::Popped {
@@ -264,11 +269,11 @@ impl System {
                         }
                     }
                 }
-                Step::Sleep { ns } => {
+                Op::Sleep { ns } => {
                     self.sleep_task_until(vm, task, self.now + SimTime::from_nanos(ns));
                     return;
                 }
-                Step::SafepointPoll(e) => {
+                Op::SafepointPoll(e) => {
                     let outcome = self.domains[vm]
                         .space
                         .epoch(e)
@@ -286,7 +291,7 @@ impl System {
                         }
                     }
                 }
-                Step::AwaitArrival(a) => {
+                Op::AwaitArrival(a) => {
                     // Open-loop source: the next request exists at its
                     // scheduled arrival instant regardless of when the
                     // serving task gets here — queueing delay while the
@@ -299,10 +304,10 @@ impl System {
                         return;
                     }
                 }
-                Step::RequestStart => {
+                Op::RequestStart => {
                     self.domains[vm].tasks[task].req_open = Some(self.now);
                 }
-                Step::RequestDone => {
+                Op::RequestDone => {
                     let d = &mut self.domains[vm];
                     if let Some(t0) = d.tasks[task].req_open.take() {
                         let us = self.now.saturating_sub(t0).as_nanos() as f64 / 1e3;
@@ -310,35 +315,38 @@ impl System {
                     }
                     d.requests += 1;
                 }
-                Step::Done => {
-                    self.set_activity(vm, task, Activity::Done);
-                    let d = &mut self.domains[vm];
-                    d.live_tasks -= 1;
-                    if d.live_tasks == 0 {
-                        d.completed_at = Some(self.now);
-                    }
-                    let vcpu = d.os.task(TaskId(task)).cpu;
-                    self.fill_views(vm);
-                    let d = &mut self.domains[vm];
-                    let acts = d.os.exit_current(vcpu, &d.view_buf);
-                    self.apply_guest_actions(vm, acts);
-                    // The task never polls its gang epochs again: leave
-                    // them, releasing any safepoint only it held up. This
-                    // comes after the exit, since a grant's wake can
-                    // preempt the exiting task.
-                    let epochs = self.domains[vm].tasks[task]
-                        .runner
-                        .program()
-                        .epochs_polled();
-                    let now = self.now.as_nanos();
-                    for e in epochs {
-                        let released = self.domains[vm].space.epoch(e).leave(TaskId(task), now);
-                        for w in released {
-                            self.grant(vm, w.0);
-                        }
-                    }
-                    return;
+                Op::LoopStart { .. } | Op::LoopEnd | Op::Jump { .. } | Op::StealOrExit(_) => {
+                    unreachable!("the runner resolves control flow")
                 }
+            }
+        }
+    }
+
+    /// `task`'s program has ended: it exits, and leaves its gang epochs.
+    fn finish_task(&mut self, vm: usize, task: usize) {
+        self.set_activity(vm, task, Activity::Done);
+        let d = &mut self.domains[vm];
+        d.live_tasks -= 1;
+        if d.live_tasks == 0 {
+            d.completed_at = Some(self.now);
+        }
+        let vcpu = d.os.task(TaskId(task)).cpu;
+        self.fill_views(vm);
+        let d = &mut self.domains[vm];
+        let acts = d.os.exit_current(vcpu, &d.view_buf);
+        self.apply_guest_actions(vm, acts);
+        // The task never polls its gang epochs again: leave them,
+        // releasing any safepoint only it held up. This comes after the
+        // exit, since a grant's wake can preempt the exiting task.
+        let epochs = self.domains[vm].tasks[task]
+            .runner
+            .program()
+            .epochs_polled();
+        let now = self.now.as_nanos();
+        for e in epochs {
+            let released = self.domains[vm].space.epoch(e).leave(TaskId(task), now);
+            for w in released {
+                self.grant(vm, w.0);
             }
         }
     }

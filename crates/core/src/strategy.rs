@@ -1,8 +1,12 @@
 //! The scheduling strategies compared throughout the evaluation.
 
 use irs_sim::SimTime;
-use irs_xen::XenConfig;
+use irs_xen::{HvMode, XenConfig};
 use std::fmt;
+
+/// Half-width of the slice perturbation every strategy but strict
+/// co-scheduling runs with.
+const SLICE_JITTER: SimTime = SimTime::from_millis(2);
 
 /// A hypervisor/guest scheduling strategy (§5.1 "Scheduling strategies").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,29 +46,23 @@ impl Strategy {
 
     /// Hypervisor configuration implementing this strategy.
     ///
-    /// All strategies run with a small slice perturbation
-    /// ([`XenConfig::slice_jitter`]) so co-located deterministic workloads
-    /// do not phase-lock, mirroring real-host timer noise.
+    /// Every strategy but strict co-scheduling runs with a small slice
+    /// perturbation ([`XenConfig::slice_jitter`]) so co-located
+    /// deterministic workloads do not phase-lock, mirroring real-host
+    /// timer noise. Gang rotation replaces per-pCPU slice scheduling, and
+    /// the perturbation would only desynchronize the rotation.
     pub fn xen_config(self) -> XenConfig {
-        let base = XenConfig {
-            slice_jitter: SimTime::from_millis(2),
-            ..XenConfig::default()
+        let (mode, slice_jitter) = match self {
+            Strategy::Vanilla => (HvMode::Credit, SLICE_JITTER),
+            Strategy::Ple => (HvMode::Ple, SLICE_JITTER),
+            Strategy::RelaxedCo => (HvMode::RelaxedCo, SLICE_JITTER),
+            Strategy::StrictCo => (HvMode::StrictCo, SimTime::ZERO),
+            Strategy::Irs | Strategy::IrsPull => (HvMode::Sa, SLICE_JITTER),
         };
-        match self {
-            Strategy::Vanilla => base,
-            Strategy::Ple => XenConfig { ple: true, ..base },
-            Strategy::RelaxedCo => XenConfig {
-                relaxed_co: true,
-                ..base
-            },
-            Strategy::StrictCo => XenConfig {
-                strict_co: true,
-                // Gang rotation replaces per-pCPU slice scheduling; the
-                // perturbation would only desynchronize the rotation.
-                slice_jitter: SimTime::ZERO,
-                ..base
-            },
-            Strategy::Irs | Strategy::IrsPull => XenConfig { sa: true, ..base },
+        XenConfig {
+            mode,
+            slice_jitter,
+            ..XenConfig::default()
         }
     }
 
@@ -101,17 +99,21 @@ mod tests {
 
     #[test]
     fn configs_match_strategies() {
-        assert!(!Strategy::Vanilla.xen_config().sa);
-        assert!(Strategy::RelaxedCo.xen_config().relaxed_co);
-        assert!(Strategy::Irs.xen_config().sa);
-        assert!(Strategy::IrsPull.xen_config().sa);
+        assert_eq!(Strategy::Vanilla.xen_config().mode, HvMode::Credit);
+        assert_eq!(Strategy::RelaxedCo.xen_config().mode, HvMode::RelaxedCo);
+        assert_eq!(Strategy::Irs.xen_config().mode, HvMode::Sa);
+        assert_eq!(Strategy::IrsPull.xen_config().mode, HvMode::Sa);
         // PLE is decided once: only `Ple` answers pause-loop exits, so
         // only its runs arm PLE windows.
         for s in Strategy::ALL
             .into_iter()
             .chain([Strategy::StrictCo, Strategy::IrsPull])
         {
-            assert_eq!(s.xen_config().ple, s == Strategy::Ple, "{s}");
+            assert_eq!(
+                s.xen_config().mode == HvMode::Ple,
+                s == Strategy::Ple,
+                "{s}"
+            );
         }
     }
 

@@ -57,7 +57,8 @@ pub struct SystemConfig {
 }
 
 /// Fixed salt separating the open-loop arrival streams from the workload
-/// RNG (both are forked from the scenario seed).
+/// RNG (both are forked from the scenario seed). Every open-loop request,
+/// `ab`'s accept queue included, arrives on one of these streams.
 const ARRIVAL_STREAM_SALT: u64 = 0x6f70_656e_5f6c_6f6f; // "open_loo"
 
 /// Most VMs an [`Event`] can address: its `vm` field is a `u16`.
@@ -194,25 +195,19 @@ impl System {
             };
             let mut os = GuestOs::new(guest_sa, vm.n_vcpus);
             let mut bundle = vm.bundle;
-            // Gang epochs must be balanced: each epoch's participant count
-            // has to equal the number of threads polling it, or a release
-            // either never fires (too few pollers) or a generation tears
-            // (too many). Checked here — with the arrival/epoch id ranges —
-            // so the interpreter itself can never fault.
+            // Every id a program or the open-loop source names must exist,
+            // and gang epochs must be balanced: each epoch's participant
+            // count has to equal the number of threads polling it, or a
+            // release either never fires (too few pollers) or a generation
+            // tears (too many). Checked here so the interpreter itself can
+            // never fault.
+            if let Some(id) = bundle.unallocated_id() {
+                panic!("vm{vm_index} names unallocated {id}");
+            }
             let mut polls = vec![0usize; bundle.space.n_epochs()];
             for prog in &bundle.threads {
                 for e in prog.epochs_polled() {
-                    assert!(
-                        e.0 < polls.len(),
-                        "vm{vm_index} thread polls unallocated {e}"
-                    );
                     polls[e.0] += 1;
-                }
-                for a in prog.arrivals_awaited() {
-                    assert!(
-                        a.0 < bundle.space.n_arrivals(),
-                        "vm{vm_index} thread awaits unallocated {a}"
-                    );
                 }
             }
             for (i, &n) in polls.iter().enumerate() {
@@ -225,8 +220,9 @@ impl System {
             }
             // Arrival processes draw from their own streams, forked from
             // the scenario seed with a fixed per-(vm, arrival) salt:
-            // decorrelated from the workload RNG and untouched by `--jobs`,
-            // so arrival schedules are bit-reproducible.
+            // decorrelated from the workload RNG, so a VM's arrival
+            // schedule depends on neither the strategy nor `--jobs`, and
+            // both arms of a comparison are offered the same requests.
             for i in 0..bundle.space.n_arrivals() {
                 let mut parent = SimRng::seed_from(scenario.seed ^ ARRIVAL_STREAM_SALT);
                 let child = parent.fork(((vm_index as u64) << 32) | i as u64);
@@ -250,7 +246,7 @@ impl System {
                         }
                     };
                     TaskRt {
-                        runner: ProgramRunner::from_shared(prog),
+                        runner: ProgramRunner::new(prog),
                         penalty_ns: 0,
                         req_open: None,
                     }
@@ -369,12 +365,7 @@ impl System {
             self.queue.schedule(slice, Event::GangRotate);
         }
         for vm in 0..self.domains.len() {
-            if let Some(ol) = self.domains[vm].open_loop {
-                let first =
-                    SimTime::from_nanos(self.rng.exponential(ol.mean_interarrival.as_nanos() as f64) as u64);
-                self.queue
-                    .schedule(first, Event::RequestArrive { vm: vm as u16 });
-            }
+            self.schedule_next_request(vm);
         }
         self.refresh_slice_timers();
     }
@@ -827,6 +818,17 @@ impl System {
         self.apply_hv_actions(acts);
     }
 
+    /// Schedules `vm`'s next open-loop request at the next instant of its
+    /// arrival process; a VM without an open-loop source has none.
+    fn schedule_next_request(&mut self, vm: usize) {
+        let d = &mut self.domains[vm];
+        if let Some(ol) = d.open_loop {
+            let at = SimTime::from_nanos(d.space.arrival(ol.arrival).next_arrival_ns());
+            self.queue
+                .schedule(at, Event::RequestArrive { vm: vm as u16 });
+        }
+    }
+
     fn on_request_arrive(&mut self, vm: usize) {
         let Some(ol) = self.domains[vm].open_loop else {
             return;
@@ -846,11 +848,7 @@ impl System {
                 self.domains[vm].dropped_requests += 1;
             }
         }
-        let gap = self.rng.exponential(ol.mean_interarrival.as_nanos() as f64);
-        self.queue.schedule(
-            self.now + SimTime::from_nanos(gap.max(1.0) as u64),
-            Event::RequestArrive { vm: vm as u16 },
-        );
+        self.schedule_next_request(vm);
     }
 
     fn on_wake_timer(&mut self, vm: usize, task: usize) {

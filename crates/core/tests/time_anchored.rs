@@ -3,15 +3,16 @@
 //! engine.
 //!
 //! Covers the contracts the serving campaign stands on: construction-time
-//! rejection of unbalanced gang epochs, an exiting thread leaving its gang
+//! rejection of unbalanced gang epochs and of ids a workload names but
+//! never allocated, an exiting thread leaving its gang
 //! epochs, forked-vs-scratch bit-identity with epoch and arrival-process
 //! state in the snapshot, and explicit accounting of requests truncated at
 //! the horizon.
 
 use irs_core::{Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
-use irs_sync::{ArrivalDist, SyncSpace, WaitMode};
-use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
+use irs_sync::{SyncSpace, WaitMode};
+use irs_workloads::{presets, OpenLoop, ProgramBuilder, WorkloadBundle};
 
 fn with_hogs(s: Scenario, n_inter: usize) -> Scenario {
     if n_inter == 0 {
@@ -138,18 +139,66 @@ fn an_exited_thread_leaves_its_gang_epoch() {
     assert_eq!(r.measured().makespan, Some(SimTime::from_millis(6)));
 }
 
+/// Builds a one-VM system around `bundle`, which must die in
+/// construction rather than fault mid-run.
+fn build_one(bundle: WorkloadBundle) {
+    let _ = System::new(
+        Scenario::new(1, Strategy::Vanilla, 1)
+            .vm(VmScenario::new(bundle, 1).measured())
+            .horizon(SimTime::from_millis(10)),
+    );
+}
+
 #[test]
-#[should_panic(expected = "unallocated")]
+#[should_panic(expected = "vm0 names unallocated arrival3")]
 fn out_of_range_arrival_is_rejected_at_construction() {
     let prog = ProgramBuilder::new()
         .forever(|b| b.await_arrival(irs_sync::ArrivalId(3)).compute_us(100, 0.0))
         .build();
-    let vm = WorkloadBundle::server("bad-arrival", vec![prog], SyncSpace::new(), 0.0, None);
-    let _ = System::new(
-        Scenario::new(1, Strategy::Vanilla, 1)
-            .vm(VmScenario::new(vm, 1).measured())
-            .horizon(SimTime::from_millis(10)),
-    );
+    build_one(WorkloadBundle::server(
+        "bad-arrival",
+        vec![prog],
+        SyncSpace::new(),
+        0.0,
+        None,
+    ));
+}
+
+#[test]
+#[should_panic(expected = "vm0 names unallocated lock0")]
+fn unallocated_lock_is_rejected_at_construction() {
+    let l = irs_sync::LockId(0);
+    let prog = ProgramBuilder::new()
+        .forever(|b| b.lock(l).compute_us(100, 0.0).unlock(l))
+        .build();
+    build_one(WorkloadBundle::parallel(
+        "bad-lock",
+        vec![prog],
+        SyncSpace::new(),
+        0.0,
+    ));
+}
+
+#[test]
+#[should_panic(expected = "vm0 names unallocated chan1")]
+fn out_of_range_open_loop_channel_is_rejected_at_construction() {
+    let mut space = SyncSpace::new();
+    let queue = space.new_channel(16);
+    let arrival = space.new_arrival(1_000_000);
+    let prog = ProgramBuilder::new()
+        .forever(|b| b.pop(queue).compute_us(100, 0.0).request_done())
+        .build();
+    let source = OpenLoop {
+        channel: irs_sync::ChannelId(1),
+        arrival,
+    };
+    build_one(WorkloadBundle::server(
+        "bad-source",
+        vec![prog],
+        space,
+        0.0,
+        Some(source),
+    ));
 }
 
 #[test]
@@ -180,30 +229,5 @@ fn gang_epoch_stall_tracks_interference() {
     assert!(
         hammered_rps < calm_rps * 0.9,
         "interference must cost safepoint throughput (calm {calm_rps:.0} vs hammered {hammered_rps:.0} rps)"
-    );
-}
-
-#[test]
-fn arrival_dist_uniform_also_runs() {
-    // The uniform arrival distribution exercises the other draw path.
-    let mut space = SyncSpace::new();
-    let arr = space.new_arrival(ArrivalDist::Uniform {
-        lo_ns: 500_000,
-        hi_ns: 1_500_000,
-    });
-    let prog = ProgramBuilder::new()
-        .forever(|b| b.await_arrival(arr).compute_us(200, 0.1).request_done())
-        .build();
-    let vm = WorkloadBundle::server("uniform-loop", vec![prog], space, 0.0, None);
-    let r = Scenario::new(1, Strategy::Vanilla, 6)
-        .vm(VmScenario::new(vm, 1).measured())
-        .horizon(SimTime::from_millis(500))
-        .run();
-    // Mean gap 1 ms over 500 ms → ~500 requests.
-    let m = r.measured();
-    assert!(
-        (300..=700).contains(&(m.requests as usize)),
-        "got {} requests",
-        m.requests
     );
 }

@@ -21,7 +21,7 @@
 ///
 /// let mut a = SimRng::seed_from(7);
 /// let mut b = SimRng::seed_from(7);
-/// assert_eq!(a.uniform_u64(0, 100), b.uniform_u64(0, 100));
+/// assert_eq!(a.index(100), b.index(100));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -60,20 +60,6 @@ impl SimRng {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         SimRng::seed_from(z ^ (z >> 31))
-    }
-
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "uniform_u64 range is inverted: {lo} > {hi}");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.bounded(span + 1)
     }
 
     /// Uniform float in `[0, 1)`.
@@ -192,18 +178,6 @@ mod tests {
         let mut sibling = parent3.fork(6);
         let mut c3 = SimRng::seed_from(9).fork(5);
         assert_ne!(sibling.next_u64(), c3.next_u64());
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = SimRng::seed_from(42);
-        for _ in 0..1000 {
-            let v = rng.uniform_u64(10, 20);
-            assert!((10..=20).contains(&v));
-        }
-        assert_eq!(rng.uniform_u64(7, 7), 7);
-        // Degenerate full-range draw must not overflow.
-        let _ = rng.uniform_u64(0, u64::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (the coordinated-omission mistake closed-loop generators make).
 //!
 //! Consumer threads take successive arrivals via
-//! [`ArrivalProcess::next`]; the embedding simulation anchors each
+//! [`ArrivalProcess::next_arrival_ns`]; the embedding simulation anchors each
 //! request's latency measurement at the *arrival* instant, and sleeps
 //! the consumer when it catches up with the schedule.
 //!
@@ -21,51 +21,28 @@
 
 use irs_sim::SimRng;
 
-/// Inter-arrival distribution of an [`ArrivalProcess`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalDist {
-    /// Exponential inter-arrivals with the given mean (Poisson process).
-    Poisson {
-        /// Mean inter-arrival gap in nanoseconds.
-        mean_ns: u64,
-    },
-    /// Uniform inter-arrivals in `[lo_ns, hi_ns]`.
-    Uniform {
-        /// Minimum gap in nanoseconds.
-        lo_ns: u64,
-        /// Maximum gap in nanoseconds.
-        hi_ns: u64,
-    },
-}
-
-/// A seeded open-loop source of absolute arrival instants.
+/// A seeded open-loop source of absolute arrival instants: a Poisson
+/// process, whose inter-arrival gaps are exponential.
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
-    dist: ArrivalDist,
+    /// Mean inter-arrival gap in nanoseconds.
+    mean_ns: u64,
     rng: SimRng,
     next_at_ns: u64,
 }
 
 impl ArrivalProcess {
-    /// Creates a process with a placeholder seed. The embedder must
-    /// [`reseed`](Self::reseed) it from the scenario seed before use.
+    /// Creates a process with mean gap `mean_ns` and a placeholder seed.
+    /// The embedder must [`reseed`](Self::reseed) it from the scenario
+    /// seed before use.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate distribution (zero mean, inverted or
-    /// all-zero uniform range).
-    pub fn new(dist: ArrivalDist) -> Self {
-        match dist {
-            ArrivalDist::Poisson { mean_ns } => {
-                assert!(mean_ns > 0, "Poisson arrivals need a non-zero mean");
-            }
-            ArrivalDist::Uniform { lo_ns, hi_ns } => {
-                assert!(lo_ns <= hi_ns, "uniform arrival range is inverted");
-                assert!(hi_ns > 0, "uniform arrivals need a non-zero upper bound");
-            }
-        }
+    /// Panics on a zero mean.
+    pub fn new(mean_ns: u64) -> Self {
+        assert!(mean_ns > 0, "Poisson arrivals need a non-zero mean");
         let mut p = ArrivalProcess {
-            dist,
+            mean_ns,
             rng: SimRng::seed_from(0),
             next_at_ns: 0,
         };
@@ -85,10 +62,7 @@ impl ArrivalProcess {
     /// One inter-arrival gap, never zero (a zero gap would let a single
     /// instant carry unboundedly many arrivals).
     fn draw(&mut self) -> u64 {
-        let gap = match self.dist {
-            ArrivalDist::Poisson { mean_ns } => self.rng.exponential(mean_ns as f64).round() as u64,
-            ArrivalDist::Uniform { lo_ns, hi_ns } => self.rng.uniform_u64(lo_ns, hi_ns),
-        };
+        let gap = self.rng.exponential(self.mean_ns as f64).round() as u64;
         gap.max(1)
     }
 
@@ -108,7 +82,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_strictly_increasing() {
-        let mut p = ArrivalProcess::new(ArrivalDist::Poisson { mean_ns: 1_000 });
+        let mut p = ArrivalProcess::new(1_000);
         p.reseed(SimRng::seed_from(7));
         let mut last = p.next_arrival_ns();
         for _ in 0..100 {
@@ -120,8 +94,8 @@ mod tests {
 
     #[test]
     fn reseed_restarts_the_schedule_deterministically() {
-        let mut a = ArrivalProcess::new(ArrivalDist::Poisson { mean_ns: 5_000 });
-        let mut b = ArrivalProcess::new(ArrivalDist::Poisson { mean_ns: 5_000 });
+        let mut a = ArrivalProcess::new(5_000);
+        let mut b = ArrivalProcess::new(5_000);
         a.reseed(SimRng::seed_from(42));
         b.reseed(SimRng::seed_from(42));
         for _ in 0..50 {
@@ -134,24 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_gaps_stay_in_band() {
-        let mut p = ArrivalProcess::new(ArrivalDist::Uniform {
-            lo_ns: 100,
-            hi_ns: 200,
-        });
-        p.reseed(SimRng::seed_from(3));
-        let mut last = 0;
-        for _ in 0..200 {
-            let at = p.next_arrival_ns();
-            let gap = at - last;
-            assert!((100..=200).contains(&gap), "gap {gap} out of band");
-            last = at;
-        }
-    }
-
-    #[test]
     fn poisson_mean_gap_is_close() {
-        let mut p = ArrivalProcess::new(ArrivalDist::Poisson { mean_ns: 250 });
+        let mut p = ArrivalProcess::new(250);
         p.reseed(SimRng::seed_from(9));
         let n = 20_000;
         let mut last = 0;
@@ -168,12 +126,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero mean")]
     fn zero_mean_panics() {
-        ArrivalProcess::new(ArrivalDist::Poisson { mean_ns: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn inverted_uniform_panics() {
-        ArrivalProcess::new(ArrivalDist::Uniform { lo_ns: 5, hi_ns: 1 });
+        ArrivalProcess::new(0);
     }
 }

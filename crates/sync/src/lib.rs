@@ -23,8 +23,8 @@
 //!   between deadlines pass free, a pending deadline parks every participant
 //!   until the last one arrives.
 //! * [`ArrivalProcess`] — a seeded open-loop source of absolute request
-//!   arrival instants (Poisson or uniform inter-arrivals) for latency-SLO
-//!   serving workloads.
+//!   arrival instants (Poisson inter-arrivals) for open-loop servers: the
+//!   latency-SLO serving tiers and `ab`'s accept queue.
 //!
 //! Primitives are pure state machines over [`TaskId`](irs_guest::TaskId)s: operations return
 //! outcomes (`Acquired` / `MustWait(mode)` / grants) that the embedding
@@ -60,7 +60,7 @@ mod lock;
 mod pool;
 mod space;
 
-pub use arrival::{ArrivalDist, ArrivalProcess};
+pub use arrival::ArrivalProcess;
 pub use barrier::{Barrier, BarrierOutcome};
 pub use channel::{Channel, OfferOutcome, PopOutcome, PushOutcome};
 pub use epoch::{Epoch, EpochPoll};

@@ -1,6 +1,6 @@
 //! The per-VM container of synchronization objects.
 
-use crate::arrival::{ArrivalDist, ArrivalProcess};
+use crate::arrival::ArrivalProcess;
 use crate::barrier::Barrier;
 use crate::channel::Channel;
 use crate::epoch::Epoch;
@@ -103,10 +103,11 @@ impl SyncSpace {
         EpochId(self.epochs.len() - 1)
     }
 
-    /// Allocates an open-loop arrival process. The embedding simulation
-    /// reseeds it from the scenario seed before any task runs.
-    pub fn new_arrival(&mut self, dist: ArrivalDist) -> ArrivalId {
-        self.arrivals.push(ArrivalProcess::new(dist));
+    /// Allocates an open-loop Poisson arrival process with mean gap
+    /// `mean_ns`. The embedding simulation reseeds it from the scenario
+    /// seed before any task runs.
+    pub fn new_arrival(&mut self, mean_ns: u64) -> ArrivalId {
+        self.arrivals.push(ArrivalProcess::new(mean_ns));
         ArrivalId(self.arrivals.len() - 1)
     }
 
@@ -159,6 +160,21 @@ impl SyncSpace {
     /// Number of locks allocated.
     pub fn n_locks(&self) -> usize {
         self.locks.len()
+    }
+
+    /// Number of barriers allocated.
+    pub fn n_barriers(&self) -> usize {
+        self.barriers.len()
+    }
+
+    /// Number of channels allocated.
+    pub fn n_channels(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Number of work pools allocated.
+    pub fn n_pools(&self) -> usize {
+        self.pools.len()
     }
 
     /// Number of epochs allocated.
@@ -226,7 +242,7 @@ mod tests {
     fn epoch_and_arrival_allocation() {
         let mut s = SyncSpace::new();
         let e = s.new_epoch(1_000_000, 4, WaitMode::Block);
-        let a = s.new_arrival(crate::ArrivalDist::Poisson { mean_ns: 500 });
+        let a = s.new_arrival(500);
         assert_eq!(s.n_epochs(), 1);
         assert_eq!(s.n_arrivals(), 1);
         assert_eq!(s.epoch_ref(e).participants(), 4);

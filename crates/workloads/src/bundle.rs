@@ -1,8 +1,8 @@
 //! Workload bundles: the unit a scenario assigns to a VM.
 
-use crate::program::Program;
-use irs_sim::SimTime;
-use irs_sync::{ChannelId, SyncSpace};
+use crate::program::{Op, Program};
+use irs_sync::{ArrivalId, ChannelId, SyncSpace};
+use std::fmt::Display;
 
 /// What kind of workload a bundle is — determines the completion criterion
 /// and which metrics are meaningful.
@@ -18,14 +18,15 @@ pub enum WorkloadKind {
     Interference,
 }
 
-/// Open-loop request arrivals for a server bundle (the `ab` model): a
-/// Poisson process pushing requests into a channel that worker threads pop.
+/// Open-loop request arrivals for a server bundle (the `ab` model): the
+/// instants of an arrival process of the bundle's [`SyncSpace`], each
+/// offered to a channel that worker threads pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenLoop {
-    /// Channel the generator pushes into and the workers pop from.
+    /// Channel the generator offers into and the workers pop from.
     pub channel: ChannelId,
-    /// Mean inter-arrival time of requests.
-    pub mean_interarrival: SimTime,
+    /// Arrival process whose instants the requests arrive at.
+    pub arrival: ArrivalId,
 }
 
 /// A named workload: one program per thread, the synchronization objects
@@ -130,6 +131,33 @@ impl WorkloadBundle {
     pub fn n_threads(&self) -> usize {
         self.threads.len()
     }
+
+    /// The first id that a thread program or the open-loop source names
+    /// but [`space`](Self::space) never allocated (`"lock3"`), if any.
+    pub fn unallocated_id(&self) -> Option<String> {
+        let s = &self.space;
+        let missing = |allocated: bool, id: &dyn Display| (!allocated).then(|| id.to_string());
+        let in_ops = self
+            .threads
+            .iter()
+            .flat_map(Program::ops)
+            .filter_map(|op| match op {
+                Op::Lock(l) | Op::Unlock(l) => missing(l.0 < s.n_locks(), l),
+                Op::Barrier(b) => missing(b.0 < s.n_barriers(), b),
+                Op::Push(c) | Op::Pop(c) => missing(c.0 < s.n_channels(), c),
+                Op::StealOrExit(p) => missing(p.0 < s.n_pools(), p),
+                Op::SafepointPoll(e) => missing(e.0 < s.n_epochs(), e),
+                Op::AwaitArrival(a) => missing(a.0 < s.n_arrivals(), a),
+                _ => None,
+            });
+        let in_source = self.open_loop.iter().flat_map(|ol| {
+            [
+                missing(ol.channel.0 < s.n_channels(), &ol.channel),
+                missing(ol.arrival.0 < s.n_arrivals(), &ol.arrival),
+            ]
+        });
+        in_ops.chain(in_source.flatten()).next()
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +179,20 @@ mod tests {
         let p = ProgramBuilder::new().compute_us(1, 0.0).build();
         let b = WorkloadBundle::parallel("x", vec![p], SyncSpace::new(), 7.0);
         assert_eq!(b.memory_intensity, 1.0);
+    }
+
+    #[test]
+    fn unallocated_ids_are_named() {
+        let mut space = SyncSpace::new();
+        let l = space.new_lock(irs_sync::WaitMode::Block);
+        let ok = ProgramBuilder::new().lock(l).unlock(l).build();
+        let b = WorkloadBundle::parallel("x", vec![ok.clone()], space.clone(), 0.0);
+        assert_eq!(b.unallocated_id(), None);
+        let stray = ProgramBuilder::new()
+            .barrier(irs_sync::BarrierId(0))
+            .build();
+        let b = WorkloadBundle::parallel("x", vec![ok, stray], space, 0.0);
+        assert_eq!(b.unallocated_id().as_deref(), Some("barrier0"));
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //!   work-steal loops, bounded/infinite loops, request markers, sleeps,
 //!   gang-epoch safepoint polls, and deterministic open-loop arrival
 //!   waits (`await_arrival`).
-//! * [`ProgramRunner`] — resumable interpreter; yields [`Step`]s to the
-//!   embedding simulation, which models time, blocking, and spinning.
+//! * [`ProgramRunner`] — resumable interpreter; resolves loops, jumps and
+//!   work stealing itself and hands every other [`Op`] to the embedding
+//!   simulation as written, which models time (drawing compute jitter),
+//!   blocking, and spinning.
 //! * [`WorkloadBundle`] — a named set of thread programs plus their
-//!   [`SyncSpace`](irs_sync::SyncSpace), memory intensity, and (for servers) the open-loop
-//!   arrival process.
+//!   [`SyncSpace`](irs_sync::SyncSpace), memory intensity, and (for `ab`)
+//!   the open-loop source: an arrival process of that space feeding a
+//!   channel.
 //! * [`presets`] — the catalog: 12 PARSEC-like, 9 NPB-like, 3 server, the
 //!   hog micro-benchmark and the fleet's adversarial tenants.
 //!
@@ -32,16 +35,19 @@
 //! use irs_sim::SimRng;
 //! use irs_sync::WaitMode;
 //! use irs_workloads::presets;
-//! use irs_workloads::{ProgramRunner, Step};
+//! use irs_workloads::{Op, ProgramRunner};
 //!
 //! let mut bundle = presets::parsec::streamcluster(4, WaitMode::Block);
 //! assert_eq!(bundle.threads.len(), 4);
-//! let mut rng = SimRng::seed_from(1);
 //! let mut runner = ProgramRunner::new(bundle.threads[0].clone());
-//! // The first step of a streamcluster thread is a compute segment.
-//! match runner.next(&mut rng, &mut bundle.space) {
-//!     Step::Compute { ns } => assert!(ns > 0),
-//!     other => panic!("unexpected first step {other:?}"),
+//! // The first instruction of a streamcluster thread is a compute
+//! // segment; whoever runs it draws the segment's jitter.
+//! match runner.next(&mut bundle.space) {
+//!     Some(Op::Compute { mean_ns, jitter }) => {
+//!         let ns = SimRng::seed_from(1).jittered(mean_ns, jitter);
+//!         assert!(ns > 0);
+//!     }
+//!     other => panic!("unexpected first instruction {other:?}"),
 //! }
 //! ```
 
@@ -56,4 +62,4 @@ mod runner;
 
 pub use bundle::{OpenLoop, WorkloadBundle, WorkloadKind};
 pub use program::{Op, Program, ProgramBuilder};
-pub use runner::{ProgramRunner, Step};
+pub use runner::ProgramRunner;

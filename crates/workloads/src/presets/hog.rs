@@ -24,18 +24,17 @@ pub fn cpu_hogs(n: usize) -> WorkloadBundle {
 mod tests {
     use super::*;
     use crate::bundle::WorkloadKind;
-    use crate::runner::{ProgramRunner, Step};
-    use irs_sim::SimRng;
+    use crate::program::Op;
+    use crate::runner::ProgramRunner;
 
     #[test]
     fn hogs_never_finish() {
         let mut b = cpu_hogs(2);
         assert_eq!(b.kind, WorkloadKind::Interference);
         assert_eq!(b.n_threads(), 2);
-        let mut rng = SimRng::seed_from(1);
         let mut r = ProgramRunner::new(b.threads[0].clone());
         for _ in 0..1000 {
-            assert!(matches!(r.next(&mut rng, &mut b.space), Step::Compute { .. }));
+            assert!(matches!(r.next(&mut b.space), Some(Op::Compute { .. })));
         }
     }
 

@@ -62,18 +62,15 @@ pub fn ua(n: usize, mode: WaitMode) -> WorkloadBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{ProgramRunner, Step};
-    use irs_sim::SimRng;
+    use crate::program::Op;
+    use crate::runner::ProgramRunner;
 
     fn solo_work_ns(bundle: &mut WorkloadBundle) -> u64 {
-        let mut rng = SimRng::seed_from(7);
         let mut r = ProgramRunner::new(bundle.threads[0].clone());
         let mut total = 0u64;
-        loop {
-            match r.next(&mut rng, &mut bundle.space) {
-                Step::Compute { ns } => total += ns,
-                Step::Done => break,
-                _ => {}
+        while let Some(op) = r.next(&mut bundle.space) {
+            if let Op::Compute { mean_ns, .. } = op {
+                total += mean_ns;
             }
         }
         total

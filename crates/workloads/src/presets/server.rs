@@ -4,7 +4,7 @@
 use crate::bundle::{OpenLoop, WorkloadBundle};
 use crate::program::ProgramBuilder;
 use irs_sim::SimTime;
-use irs_sync::{ArrivalDist, SyncSpace, WaitMode};
+use irs_sync::{SyncSpace, WaitMode};
 
 /// JVM safepoint cadence for [`specjbb`]: how often the epoch deadline
 /// gathers every warehouse thread (GC/deopt/bias-revocation pace of a
@@ -94,7 +94,7 @@ pub fn serving_tiers(frontends: usize, backends: usize, offered_load: f64) -> Wo
     let queue = space.new_channel(256);
     let mut threads = Vec::with_capacity(frontends + backends);
     for _ in 0..frontends {
-        let arrival = space.new_arrival(ArrivalDist::Poisson { mean_ns });
+        let arrival = space.new_arrival(mean_ns);
         threads.push(
             ProgramBuilder::new()
                 .forever(|b| {
@@ -118,6 +118,8 @@ pub fn serving_tiers(frontends: usize, backends: usize, offered_load: f64) -> Wo
 /// Apache-`ab`-like open loop: `workers` independent threads popping
 /// requests from a shared accept queue (no synchronization between
 /// requests, matching "threads servicing client requests are independent").
+/// Requests arrive on the instants of a Poisson arrival process in the
+/// bundle's space, as the serving tiers' do.
 ///
 /// The paper uses 1000 connections against `MaxClient` 512, i.e. far more
 /// threads than vCPUs — which is why IRS helps `ab` little (§5.3): the
@@ -135,6 +137,8 @@ pub fn apache_ab(workers: usize, capacity_vcpus: usize, offered_load: f64) -> Wo
     let service_us = 2_000u64;
     let mut space = SyncSpace::new();
     let accept_queue = space.new_channel(4096);
+    let capacity_rps = capacity_vcpus as f64 * 1e6 / service_us as f64;
+    let arrival = space.new_arrival((1e9 / (capacity_rps * offered_load)).round() as u64);
     let threads = (0..workers)
         .map(|_| {
             ProgramBuilder::new()
@@ -146,9 +150,6 @@ pub fn apache_ab(workers: usize, capacity_vcpus: usize, offered_load: f64) -> Wo
                 .build()
         })
         .collect();
-    let capacity_rps = capacity_vcpus as f64 * 1e6 / service_us as f64;
-    let mean_interarrival =
-        SimTime::from_nanos((1e9 / (capacity_rps * offered_load)).round() as u64);
     WorkloadBundle::server(
         "ab",
         threads,
@@ -156,7 +157,7 @@ pub fn apache_ab(workers: usize, capacity_vcpus: usize, offered_load: f64) -> Wo
         0.2,
         Some(OpenLoop {
             channel: accept_queue,
-            mean_interarrival,
+            arrival,
         }),
     )
 }
@@ -224,12 +225,21 @@ mod tests {
 
     #[test]
     fn ab_shape_and_rate() {
-        let b = apache_ab(512, 4, 0.6);
+        let mut b = apache_ab(512, 4, 0.6);
         assert_eq!(b.n_threads(), 512);
         let ol = b.open_loop.expect("ab is open loop");
+        assert_eq!(b.unallocated_id(), None, "the source names its own space");
         // Capacity 2000 rps × 0.6 = 1200 rps → ~833 µs inter-arrival.
-        let us = ol.mean_interarrival.as_micros();
-        assert!((830..=840).contains(&us), "got {us} µs");
+        let a = b.space.arrival(ol.arrival);
+        a.reseed(irs_sim::SimRng::seed_from(1));
+        let n = 10_000;
+        let first = a.next_arrival_ns();
+        let mut last = first;
+        for _ in 0..n {
+            last = a.next_arrival_ns();
+        }
+        let us = (last - first) as f64 / n as f64 / 1_000.0;
+        assert!((800.0..=870.0).contains(&us), "got {us} µs");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use irs_sync::{ArrivalId, BarrierId, ChannelId, EpochId, LockId, PoolId};
 
 /// One instruction of a thread program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Execute for `mean_ns` nanoseconds ± `jitter` (multiplicative).
     Compute {
@@ -94,6 +94,11 @@ impl Program {
         self.ops.get(pc)
     }
 
+    /// Every instruction, in program order.
+    pub(crate) fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -114,20 +119,6 @@ impl Program {
             if let Op::SafepointPoll(e) = op {
                 if !out.contains(e) {
                     out.push(*e);
-                }
-            }
-        }
-        out
-    }
-
-    /// Distinct arrival processes this program awaits
-    /// ([`Op::AwaitArrival`]), in first-reference order.
-    pub fn arrivals_awaited(&self) -> Vec<ArrivalId> {
-        let mut out = Vec::new();
-        for op in &self.ops {
-            if let Op::AwaitArrival(a) = op {
-                if !out.contains(a) {
-                    out.push(*a);
                 }
             }
         }

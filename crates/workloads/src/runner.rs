@@ -1,48 +1,8 @@
 //! The resumable program interpreter.
 
 use crate::program::{Op, Program};
-use irs_sim::SimRng;
-use irs_sync::{ArrivalId, BarrierId, ChannelId, EpochId, LockId, SyncSpace};
+use irs_sync::SyncSpace;
 use std::sync::Arc;
-
-/// An externally visible step of a running program.
-///
-/// Control flow (loops, jumps, work stealing) is resolved inside the
-/// runner; the embedding simulation only ever sees steps that take time or
-/// touch the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Execute for `ns` nanoseconds of CPU time.
-    Compute {
-        /// Resolved (jittered) segment length.
-        ns: u64,
-    },
-    /// Attempt to acquire this lock.
-    Acquire(LockId),
-    /// Release this lock.
-    Release(LockId),
-    /// Arrive at this barrier.
-    Arrive(BarrierId),
-    /// Push into this channel.
-    Push(ChannelId),
-    /// Pop from this channel.
-    Pop(ChannelId),
-    /// Sleep for `ns` nanoseconds (off-CPU, not waiting on anyone).
-    Sleep {
-        /// Sleep length.
-        ns: u64,
-    },
-    /// Poll this gang-epoch safepoint.
-    SafepointPoll(EpochId),
-    /// Take the next open-loop request from this arrival process.
-    AwaitArrival(ArrivalId),
-    /// Request-start marker (timestamp me).
-    RequestStart,
-    /// Request-completion marker (account my latency).
-    RequestDone,
-    /// Program finished.
-    Done,
-}
 
 /// Interpreter state for one task's program.
 ///
@@ -56,7 +16,6 @@ pub struct ProgramRunner {
     program: Arc<Program>,
     pc: usize,
     loop_stack: Vec<LoopFrame>,
-    done: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,20 +25,14 @@ struct LoopFrame {
 }
 
 impl ProgramRunner {
-    /// Creates a runner positioned at the program start.
-    pub fn new(program: Program) -> Self {
-        Self::from_shared(Arc::new(program))
-    }
-
-    /// Creates a runner over an already-shared program, positioned at the
-    /// start. Use this when many tasks run the same program: the op vector
+    /// Creates a runner positioned at the program start. Pass an
+    /// `Arc<Program>` when many tasks run the same program: the op vector
     /// is reference-counted, not cloned per task.
-    pub fn from_shared(program: Arc<Program>) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>) -> Self {
         ProgramRunner {
-            program,
+            program: program.into(),
             pc: 0,
             loop_stack: Vec::new(),
-            done: false,
         }
     }
 
@@ -88,23 +41,17 @@ impl ProgramRunner {
         &self.program
     }
 
-    /// Advances to the next externally visible step.
+    /// The next instruction a task carries out, as written, or `None`
+    /// once the program has ended (every later call returns `None` too).
     ///
-    /// `rng` resolves compute jitter; `space` is needed because work-steal
-    /// loops claim chunks inline (stealing is non-blocking and has no
-    /// scheduling consequence, so it never surfaces as a step).
-    ///
-    /// After [`Step::Done`] every further call returns `Done`.
-    pub fn next(&mut self, rng: &mut SimRng, space: &mut SyncSpace) -> Step {
-        if self.done {
-            return Step::Done;
-        }
+    /// Control flow ([`Op::LoopStart`], [`Op::LoopEnd`], [`Op::Jump`],
+    /// [`Op::StealOrExit`]) is resolved here and never returned. `space`
+    /// is needed because work-steal loops claim chunks inline: stealing
+    /// is non-blocking and has no scheduling consequence.
+    pub fn next(&mut self, space: &mut SyncSpace) -> Option<Op> {
         loop {
-            let Some(op) = self.program.op(self.pc) else {
-                self.done = true;
-                return Step::Done;
-            };
-            match *op {
+            let op = *self.program.op(self.pc)?;
+            match op {
                 Op::LoopStart { count } => {
                     if count == 0 {
                         self.pc = self.program.matching_loop_end(self.pc) + 1;
@@ -133,58 +80,15 @@ impl ProgramRunner {
                     self.pc = target;
                 }
                 Op::StealOrExit(pool) => {
-                    if space.pool(pool).steal() {
-                        self.pc += 1;
+                    self.pc = if space.pool(pool).steal() {
+                        self.pc + 1
                     } else {
-                        self.done = true;
-                        return Step::Done;
-                    }
-                }
-                Op::Compute { mean_ns, jitter } => {
-                    self.pc += 1;
-                    return Step::Compute {
-                        ns: rng.jittered(mean_ns, jitter),
+                        self.program.len()
                     };
                 }
-                Op::Lock(l) => {
+                _ => {
                     self.pc += 1;
-                    return Step::Acquire(l);
-                }
-                Op::Unlock(l) => {
-                    self.pc += 1;
-                    return Step::Release(l);
-                }
-                Op::Barrier(b) => {
-                    self.pc += 1;
-                    return Step::Arrive(b);
-                }
-                Op::Push(c) => {
-                    self.pc += 1;
-                    return Step::Push(c);
-                }
-                Op::Pop(c) => {
-                    self.pc += 1;
-                    return Step::Pop(c);
-                }
-                Op::Sleep { ns } => {
-                    self.pc += 1;
-                    return Step::Sleep { ns };
-                }
-                Op::SafepointPoll(e) => {
-                    self.pc += 1;
-                    return Step::SafepointPoll(e);
-                }
-                Op::AwaitArrival(a) => {
-                    self.pc += 1;
-                    return Step::AwaitArrival(a);
-                }
-                Op::RequestStart => {
-                    self.pc += 1;
-                    return Step::RequestStart;
-                }
-                Op::RequestDone => {
-                    self.pc += 1;
-                    return Step::RequestDone;
+                    return Some(op);
                 }
             }
         }
@@ -195,10 +99,12 @@ impl ProgramRunner {
 mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
+    use irs_sim::SimRng;
     use irs_sync::WaitMode;
 
-    fn rng() -> SimRng {
-        SimRng::seed_from(42)
+    /// Instructions returned until the program ends.
+    fn count(r: &mut ProgramRunner, space: &mut SyncSpace) -> usize {
+        std::iter::from_fn(|| r.next(space)).count()
     }
 
     #[test]
@@ -211,12 +117,15 @@ mod tests {
             .unlock(l)
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        assert_eq!(r.next(&mut rng, &mut space), Step::Compute { ns: 10_000 });
-        assert_eq!(r.next(&mut rng, &mut space), Step::Acquire(l));
-        assert_eq!(r.next(&mut rng, &mut space), Step::Release(l));
-        assert_eq!(r.next(&mut rng, &mut space), Step::Done);
-        assert_eq!(r.next(&mut rng, &mut space), Step::Done, "done is sticky");
+        let compute = Op::Compute {
+            mean_ns: 10_000,
+            jitter: 0.0,
+        };
+        assert_eq!(r.next(&mut space), Some(compute));
+        assert_eq!(r.next(&mut space), Some(Op::Lock(l)));
+        assert_eq!(r.next(&mut space), Some(Op::Unlock(l)));
+        assert_eq!(r.next(&mut space), None);
+        assert_eq!(r.next(&mut space), None, "the end is sticky");
     }
 
     #[test]
@@ -225,13 +134,7 @@ mod tests {
         let p = ProgramBuilder::new()
             .repeat(3, |b| b.compute_us(1, 0.0))
             .build();
-        let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        let mut computes = 0;
-        while r.next(&mut rng, &mut space) != Step::Done {
-            computes += 1;
-        }
-        assert_eq!(computes, 3);
+        assert_eq!(count(&mut ProgramRunner::new(p), &mut space), 3);
     }
 
     #[test]
@@ -240,13 +143,7 @@ mod tests {
         let p = ProgramBuilder::new()
             .repeat(4, |b| b.repeat(5, |b| b.compute_us(1, 0.0)))
             .build();
-        let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        let mut computes = 0;
-        while r.next(&mut rng, &mut space) != Step::Done {
-            computes += 1;
-        }
-        assert_eq!(computes, 20);
+        assert_eq!(count(&mut ProgramRunner::new(p), &mut space), 20);
     }
 
     #[test]
@@ -257,9 +154,14 @@ mod tests {
             .compute_us(2, 0.0)
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        assert_eq!(r.next(&mut rng, &mut space), Step::Compute { ns: 2_000 });
-        assert_eq!(r.next(&mut rng, &mut space), Step::Done);
+        assert_eq!(
+            r.next(&mut space),
+            Some(Op::Compute {
+                mean_ns: 2_000,
+                jitter: 0.0
+            })
+        );
+        assert_eq!(r.next(&mut space), None);
     }
 
     #[test]
@@ -268,46 +170,49 @@ mod tests {
         let pool = space.new_pool(7);
         let p = ProgramBuilder::new().steal_loop(pool, 100, 0.0).build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        let mut chunks = 0;
-        while r.next(&mut rng, &mut space) != Step::Done {
-            chunks += 1;
-        }
-        assert_eq!(chunks, 7);
+        assert_eq!(count(&mut r, &mut space), 7);
         assert!(!space.pool(pool).steal(), "the loop left no chunk behind");
+        assert_eq!(
+            r.next(&mut space),
+            None,
+            "an exhausted pool ends the program"
+        );
     }
 
     #[test]
     fn two_runners_share_a_pool() {
         let mut space = SyncSpace::new();
         let pool = space.new_pool(10);
-        let p = ProgramBuilder::new().steal_loop(pool, 100, 0.0).build();
-        let mut a = ProgramRunner::new(p.clone());
+        let p = std::sync::Arc::new(ProgramBuilder::new().steal_loop(pool, 100, 0.0).build());
+        let mut a = ProgramRunner::new(std::sync::Arc::clone(&p));
         let mut b = ProgramRunner::new(p);
-        let mut rng = rng();
         let mut total = 0;
         // Interleave: the pool arbitrates, totals must equal the pool size.
         loop {
-            let sa = a.next(&mut rng, &mut space);
-            let sb = b.next(&mut rng, &mut space);
-            if sa == Step::Done && sb == Step::Done {
+            let sa = a.next(&mut space);
+            let sb = b.next(&mut space);
+            if sa.is_none() && sb.is_none() {
                 break;
             }
-            total += usize::from(sa != Step::Done) + usize::from(sb != Step::Done);
+            total += usize::from(sa.is_some()) + usize::from(sb.is_some());
         }
         assert_eq!(total, 10);
     }
 
     #[test]
     fn jitter_is_resolved_per_step() {
+        // The runner returns each segment as written; whoever executes it
+        // draws the jitter once per segment.
         let mut space = SyncSpace::new();
         let p = ProgramBuilder::new()
             .repeat(50, |b| b.compute_us(1_000, 0.5))
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
+        let mut rng = SimRng::seed_from(42);
         let mut seen = std::collections::HashSet::new();
-        while let Step::Compute { ns } = r.next(&mut rng, &mut space) {
+        while let Some(Op::Compute { mean_ns, jitter }) = r.next(&mut space) {
+            assert_eq!((mean_ns, jitter), (1_000_000, 0.5), "returned as written");
+            let ns = rng.jittered(mean_ns, jitter);
             assert!((500_000..=1_500_000).contains(&ns));
             seen.insert(ns);
         }
@@ -323,33 +228,31 @@ mod tests {
             .request_done()
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        assert_eq!(r.next(&mut rng, &mut space), Step::RequestStart);
-        assert!(matches!(r.next(&mut rng, &mut space), Step::Compute { .. }));
-        assert_eq!(r.next(&mut rng, &mut space), Step::RequestDone);
+        assert_eq!(r.next(&mut space), Some(Op::RequestStart));
+        assert!(matches!(r.next(&mut space), Some(Op::Compute { .. })));
+        assert_eq!(r.next(&mut space), Some(Op::RequestDone));
     }
 
     #[test]
     fn time_anchored_steps_surface() {
         let mut space = SyncSpace::new();
         let e = space.new_epoch(1_000_000, 1, WaitMode::Block);
-        let a = space.new_arrival(irs_sync::ArrivalDist::Poisson { mean_ns: 1_000 });
+        let a = space.new_arrival(1_000);
         let p = ProgramBuilder::new()
             .safepoint_poll(e)
             .await_arrival(a)
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
-        assert_eq!(r.next(&mut rng, &mut space), Step::SafepointPoll(e));
-        assert_eq!(r.next(&mut rng, &mut space), Step::AwaitArrival(a));
-        assert_eq!(r.next(&mut rng, &mut space), Step::Done);
+        assert_eq!(r.next(&mut space), Some(Op::SafepointPoll(e)));
+        assert_eq!(r.next(&mut space), Some(Op::AwaitArrival(a)));
+        assert_eq!(r.next(&mut space), None);
     }
 
     #[test]
     fn empty_program_is_immediately_done() {
         let mut space = SyncSpace::new();
         let mut r = ProgramRunner::new(Program::new(vec![]));
-        assert_eq!(r.next(&mut rng(), &mut space), Step::Done);
+        assert_eq!(r.next(&mut space), None);
     }
 
     #[test]
@@ -359,9 +262,8 @@ mod tests {
             .forever(|b| b.compute_us(1, 0.0))
             .build();
         let mut r = ProgramRunner::new(p);
-        let mut rng = rng();
         for _ in 0..10_000 {
-            assert!(matches!(r.next(&mut rng, &mut space), Step::Compute { .. }));
+            assert!(matches!(r.next(&mut space), Some(Op::Compute { .. })));
         }
     }
 }

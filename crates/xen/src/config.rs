@@ -23,11 +23,39 @@ pub const PLE_WINDOW: SimTime = SimTime::from_micros(25);
 /// co-scheduling leader/laggard swap.
 pub(crate) const CO_SKEW_THRESHOLD: SimTime = SimTime::from_millis(30);
 
+/// The one strategy mechanism the hypervisor runs on top of the credit
+/// scheduler, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HvMode {
+    /// The plain credit scheduler (vanilla Xen 4.5).
+    #[default]
+    Credit,
+    /// Scheduler-activation (IRS) sender, with the
+    /// [`SA_COMPLETION_LIMIT`] force path (paper §3.1, §4.1).
+    Sa,
+    /// Pause-loop-exiting response: yield a vCPU whose guest spun for
+    /// [`PLE_WINDOW`]. The *detection* is modelled by the embedding
+    /// simulation (it knows when a task spins); this mode selects the
+    /// hypervisor's response.
+    Ple,
+    /// Relaxed co-scheduling (the paper's reimplementation of VMware's
+    /// scheme, §5.1). Every accounting period the hypervisor measures
+    /// per-vCPU *progress*, where — crucially, and deliberately — **idle
+    /// (blocked) time counts as progress**. If the skew between the most-
+    /// and least-progressed sibling exceeds 30 ms (`CO_SKEW_THRESHOLD`), the
+    /// leading vCPU is stopped for one period and the most-lagging runnable
+    /// sibling is boosted.
+    RelaxedCo,
+    /// Strict (gang) co-scheduling — the VMware ESX 2.x baseline of §2.1:
+    /// whole VMs rotate on gang slices; see [`crate::Hypervisor::gang_rotate`].
+    StrictCo,
+}
+
 /// Configuration of the hypervisor and its credit scheduler.
 ///
 /// Defaults mirror Xen 4.5's credit scheduler as described in the paper:
-/// 30 ms time slice, no slice perturbation, placement salt 0 and none
-/// of the strategy mechanisms. The credit tick
+/// 30 ms time slice, no slice perturbation, placement salt 0 and no
+/// strategy mechanism ([`HvMode::Credit`]). The credit tick
 /// ([`TICK_PERIOD`]), the accounting period ([`ACCOUNTING_PERIOD`]),
 /// BOOST on wake, and the load-based wake placement and idle stealing of
 /// unpinned vCPUs are fixed; pinned vCPUs never move.
@@ -36,10 +64,10 @@ pub(crate) const CO_SKEW_THRESHOLD: SimTime = SimTime::from_millis(30);
 ///
 /// ```
 /// use irs_sim::SimTime;
-/// use irs_xen::XenConfig;
+/// use irs_xen::{HvMode, XenConfig};
 ///
 /// let cfg = XenConfig {
-///     sa: true,
+///     mode: HvMode::Sa,
 ///     ..XenConfig::default()
 /// };
 /// assert_eq!(cfg.time_slice, SimTime::from_millis(30));
@@ -63,25 +91,8 @@ pub struct XenConfig {
     /// §5.6 CPU-stacking pathology: with no idle pCPU to steal from,
     /// initially co-located sibling vCPUs stay co-located.
     pub placement_salt: u64,
-    /// Scheduler-activation (IRS) sender, with the
-    /// [`SA_COMPLETION_LIMIT`] force path (paper §3.1, §4.1).
-    pub sa: bool,
-    /// Pause-loop-exiting response: yield a vCPU whose guest spun for
-    /// [`PLE_WINDOW`]. The *detection* is modelled by the embedding
-    /// simulation (it knows when a task spins); this switch controls the
-    /// hypervisor's response.
-    pub ple: bool,
-    /// Relaxed co-scheduling (the paper's reimplementation of VMware's
-    /// scheme, §5.1). Every accounting period the hypervisor measures
-    /// per-vCPU *progress*, where — crucially, and deliberately — **idle
-    /// (blocked) time counts as progress**. If the skew between the most-
-    /// and least-progressed sibling exceeds 30 ms (`CO_SKEW_THRESHOLD`), the
-    /// leading vCPU is stopped for one period and the most-lagging runnable
-    /// sibling is boosted.
-    pub relaxed_co: bool,
-    /// Strict (gang) co-scheduling — the VMware ESX 2.x baseline of §2.1:
-    /// whole VMs rotate on gang slices; see [`crate::Hypervisor::gang_rotate`].
-    pub strict_co: bool,
+    /// The strategy mechanism on top of the credit scheduler.
+    pub mode: HvMode,
 }
 
 impl Default for XenConfig {
@@ -90,10 +101,7 @@ impl Default for XenConfig {
             time_slice: SimTime::from_millis(30),
             slice_jitter: SimTime::ZERO,
             placement_salt: 0,
-            sa: false,
-            ple: false,
-            relaxed_co: false,
-            strict_co: false,
+            mode: HvMode::Credit,
         }
     }
 }
@@ -108,9 +116,7 @@ mod tests {
         assert_eq!(cfg.time_slice, SimTime::from_millis(30));
         assert_eq!(TICK_PERIOD, SimTime::from_millis(10));
         assert_eq!(ACCOUNTING_PERIOD, SimTime::from_millis(30));
-        assert!(!cfg.sa);
-        assert!(!cfg.ple);
-        assert!(!cfg.relaxed_co);
+        assert_eq!(cfg.mode, HvMode::Credit);
     }
 
     #[test]

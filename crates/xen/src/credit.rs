@@ -22,7 +22,7 @@
 //! defers the switch (see [`crate::sa`]).
 
 use crate::actions::{HvAction, SchedOp, ScheduleReason};
-use crate::config::{ACCOUNTING_PERIOD, TICK_PERIOD};
+use crate::config::{HvMode, ACCOUNTING_PERIOD, TICK_PERIOD};
 use crate::hypervisor::Hypervisor;
 use crate::ids::{PcpuId, VcpuRef};
 use crate::runstate::RunState;
@@ -122,7 +122,7 @@ impl Hypervisor {
                 }
             }
         }
-        if self.cfg.relaxed_co {
+        if self.cfg.mode == HvMode::RelaxedCo {
             self.relaxed_co_balance(now, &mut out);
         }
         for p in 0..self.pcpus.len() {
@@ -197,7 +197,7 @@ impl Hypervisor {
         let Some(next) = self.pick_local(pcpu) else {
             return out;
         };
-        if self.cfg.sa
+        if self.cfg.mode == HvMode::Sa
             && self.vms[cur.vm.0].sa_capable
             && !self.vc(cur).sa_pending
         {
@@ -222,7 +222,7 @@ impl Hypervisor {
         }
         self.stats.wakes += 1;
 
-        let target = if !self.cfg.strict_co && self.vc(v).affinity.is_none() {
+        let target = if self.cfg.mode != HvMode::StrictCo && self.vc(v).affinity.is_none() {
             self.pick_pcpu(v)
         } else {
             self.vc(v).affinity.unwrap_or(self.vc(v).home)
@@ -332,7 +332,7 @@ impl Hypervisor {
     /// No-op unless PLE is configured and `v` is currently running.
     pub fn ple_exit(&mut self, v: VcpuRef, now: SimTime) -> Vec<HvAction> {
         let mut out = self.out_buf();
-        if !self.cfg.ple {
+        if self.cfg.mode != HvMode::Ple {
             return out;
         }
         let home = self.vc(v).home;
@@ -415,7 +415,7 @@ impl Hypervisor {
 
         // Involuntary preemption of a runnable vCPU — the SA hook point.
         if allow_sa
-            && self.cfg.sa
+            && self.cfg.mode == HvMode::Sa
             && self.vms[c.vm.0].sa_capable
             && !self.vc(c).sa_pending
         {
@@ -548,7 +548,7 @@ impl Hypervisor {
                 continue;
             }
             // Strict co-scheduling: only the gang VM's vCPUs are eligible.
-            if self.cfg.strict_co && Some(v.vm) != self.gang_current {
+            if self.cfg.mode == HvMode::StrictCo && Some(v.vm) != self.gang_current {
                 continue;
             }
             let key = (vc.priority, vc.yield_bias);
@@ -565,7 +565,7 @@ impl Hypervisor {
     fn steal_for(&mut self, pcpu: PcpuId) -> Option<VcpuRef> {
         // Gang mode owns placement: stealing would smuggle a foreign VM's
         // vCPU into the current gang slot.
-        if self.cfg.strict_co {
+        if self.cfg.mode == HvMode::StrictCo {
             return None;
         }
         let mut best: Option<(CreditPriority, bool, u64, VcpuRef)> = None;
@@ -720,7 +720,7 @@ mod tests {
     #[test]
     fn force_preempt_opens_an_sa_round_for_capable_vms() {
         let cfg = XenConfig {
-            sa: true,
+            mode: HvMode::Sa,
             ..XenConfig::default()
         };
         let mut hv = Hypervisor::new(cfg, 1);
@@ -931,7 +931,7 @@ mod tests {
     #[test]
     fn ple_exit_yields_the_spinner() {
         let cfg = XenConfig {
-            ple: true,
+            mode: HvMode::Ple,
             ..XenConfig::default()
         };
         let mut hv = Hypervisor::new(cfg, 1);

@@ -70,7 +70,9 @@ mod vcpu;
 mod vm;
 
 pub use actions::{HvAction, ScheduleReason, SchedOp};
-pub use config::{XenConfig, ACCOUNTING_PERIOD, PLE_WINDOW, SA_COMPLETION_LIMIT, TICK_PERIOD};
+pub use config::{
+    HvMode, XenConfig, ACCOUNTING_PERIOD, PLE_WINDOW, SA_COMPLETION_LIMIT, TICK_PERIOD,
+};
 pub use hypervisor::{Hypervisor, VcpuProbe};
 pub use ids::{PcpuId, VcpuRef, VmId};
 pub use pcpu::DispatchInfo;

@@ -103,7 +103,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::actions::SchedOp;
-    use crate::config::XenConfig;
+    use crate::config::{HvMode, XenConfig};
     use crate::ids::PcpuId;
     use crate::vm::VmSpec;
 
@@ -114,7 +114,7 @@ mod tests {
     fn co_hv(n_pcpus: usize) -> Hypervisor {
         Hypervisor::new(
             XenConfig {
-                relaxed_co: true,
+                mode: HvMode::RelaxedCo,
                 ..XenConfig::default()
             },
             n_pcpus,

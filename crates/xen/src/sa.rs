@@ -16,7 +16,7 @@
 //!    completion limit (§4.1's security note).
 
 use crate::actions::{HvAction, ScheduleReason};
-use crate::config::SA_COMPLETION_LIMIT;
+use crate::config::{HvMode, SA_COMPLETION_LIMIT};
 use crate::hypervisor::Hypervisor;
 use crate::ids::{PcpuId, VcpuRef};
 use crate::runstate::RunState;
@@ -37,7 +37,7 @@ impl Hypervisor {
         now: SimTime,
         out: &mut Vec<HvAction>,
     ) {
-        debug_assert!(self.cfg.sa, "send_sa requires SA configuration");
+        debug_assert_eq!(self.cfg.mode, HvMode::Sa, "send_sa requires SA mode");
         {
             let vc = self.vc_mut(vcpu);
             debug_assert!(!vc.sa_pending);
@@ -126,7 +126,7 @@ mod tests {
     fn sa_hv() -> Hypervisor {
         Hypervisor::new(
             XenConfig {
-                sa: true,
+                mode: HvMode::Sa,
                 ..XenConfig::default()
             },
             1,

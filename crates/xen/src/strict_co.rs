@@ -15,6 +15,7 @@
 //! paper's comparison.
 
 use crate::actions::{HvAction, ScheduleReason};
+use crate::config::HvMode;
 use crate::hypervisor::Hypervisor;
 use crate::ids::{PcpuId, VmId};
 use crate::runstate::RunState;
@@ -29,7 +30,7 @@ impl Hypervisor {
 
     /// True when the hypervisor runs in strict co-scheduling mode.
     pub fn is_gang_mode(&self) -> bool {
-        self.cfg.strict_co
+        self.cfg.mode == HvMode::StrictCo
     }
 
     /// Rotates the gang slot to the next VM with runnable work and
@@ -43,7 +44,10 @@ impl Hypervisor {
     ///
     /// Panics if strict co-scheduling is not configured.
     pub fn gang_rotate(&mut self, now: SimTime) -> Vec<HvAction> {
-        assert!(self.cfg.strict_co, "gang_rotate requires strict_co mode");
+        assert!(
+            self.cfg.mode == HvMode::StrictCo,
+            "gang_rotate requires strict co-scheduling"
+        );
         let mut out = self.out_buf();
         let n_vms = self.vms.len();
         if n_vms == 0 {
@@ -117,7 +121,7 @@ mod tests {
     fn gang_hv() -> Hypervisor {
         let mut hv = Hypervisor::new(
             XenConfig {
-                strict_co: true,
+                mode: HvMode::StrictCo,
                 ..XenConfig::default()
             },
             4,

@@ -9,7 +9,7 @@
 //! keeps the original arbitrary-target probing.
 
 use irs_sim::SimTime;
-use irs_xen::{Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, VmId, VmSpec, XenConfig};
+use irs_xen::{HvMode, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, VmId, VmSpec, XenConfig};
 use proptest::prelude::*;
 
 /// One randomly chosen external stimulus.
@@ -50,15 +50,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build(pinned: bool, sa: bool) -> Hypervisor {
+/// The two modes whose handlers the ops reach: SA rounds and PLE exits.
+fn mode_strategy() -> impl Strategy<Value = HvMode> {
+    prop_oneof![Just(HvMode::Sa), Just(HvMode::Ple)]
+}
+
+fn build(pinned: bool, mode: HvMode) -> Hypervisor {
     let cfg = XenConfig {
-        sa,
-        ple: true,
+        mode,
         ..XenConfig::default()
     };
     let mut hv = Hypervisor::new(cfg, 4);
     for vm in 0..3 {
-        let mut spec = VmSpec::new(4).sa_capable(sa && vm == 0);
+        let mut spec = VmSpec::new(4).sa_capable(mode == HvMode::Sa && vm == 0);
         if pinned {
             spec = spec.pin((0..4).map(PcpuId).collect());
         }
@@ -150,8 +154,11 @@ proptest! {
 
     /// Invariants hold after every operation, pinned configuration.
     #[test]
-    fn invariants_pinned(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut hv = build(true, true);
+    fn invariants_pinned(
+        mode in mode_strategy(),
+        ops in prop::collection::vec(op_strategy(), 1..200),
+    ) {
+        let mut hv = build(true, mode);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -163,8 +170,11 @@ proptest! {
 
     /// Invariants hold with migration (stealing + placement) enabled.
     #[test]
-    fn invariants_unpinned(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut hv = build(false, true);
+    fn invariants_unpinned(
+        mode in mode_strategy(),
+        ops in prop::collection::vec(op_strategy(), 1..200),
+    ) {
+        let mut hv = build(false, mode);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -176,8 +186,11 @@ proptest! {
 
     /// Credits stay within [floor, cap] no matter the interleaving.
     #[test]
-    fn credits_bounded(ops in prop::collection::vec(op_strategy(), 1..150)) {
-        let mut hv = build(true, false);
+    fn credits_bounded(
+        mode in mode_strategy(),
+        ops in prop::collection::vec(op_strategy(), 1..150),
+    ) {
+        let mut hv = build(true, mode);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -193,8 +206,11 @@ proptest! {
     /// Runstate accounting is conservative: per-vCPU residencies sum to
     /// elapsed time, and running time never exceeds wall time.
     #[test]
-    fn runstate_accounting_conserves_time(ops in prop::collection::vec(op_strategy(), 1..150)) {
-        let mut hv = build(true, true);
+    fn runstate_accounting_conserves_time(
+        mode in mode_strategy(),
+        ops in prop::collection::vec(op_strategy(), 1..150),
+    ) {
+        let mut hv = build(true, mode);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -217,8 +233,11 @@ proptest! {
 
     /// No pCPU idles while it has runnable (unparked) work queued.
     #[test]
-    fn no_idle_with_queued_work(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut hv = build(true, false);
+    fn no_idle_with_queued_work(
+        mode in mode_strategy(),
+        ops in prop::collection::vec(op_strategy(), 1..200),
+    ) {
+        let mut hv = build(true, mode);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {
@@ -246,7 +265,8 @@ proptest! {
     /// clears every pending flag, and leaves the machine consistent.
     #[test]
     fn pending_rounds_always_resolvable(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut hv = build(false, true);
+        // Only the SA mode opens rounds.
+        let mut hv = build(false, HvMode::Sa);
         let mut stale = Vec::new();
         let mut now = SimTime::ZERO;
         for op in ops {

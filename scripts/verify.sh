@@ -84,7 +84,7 @@ done
 end
 
 begin "figures perf (regression gate; writes BENCH_runner.json)"
-./target/release/figures perf --quick --jobs 2 --check-perf
+./target/release/figures perf --seeds 1 --jobs 2 --check-perf
 end
 
 wall=$(echo "$start $(date +%s.%N)" | awk '{printf "%.3f", $2 - $1}')

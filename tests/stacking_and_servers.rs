@@ -113,6 +113,28 @@ fn ab_open_loop_is_stable() {
     }
 }
 
+/// Fig 8's `ab` cells compare service, not load: both arms of a cell are
+/// offered one arrival schedule, so every request either strategy saw
+/// (completed, still open at the horizon, or dropped) adds up to the same
+/// count.
+#[test]
+fn both_arms_of_an_ab_cell_get_one_schedule() {
+    let offered = |strategy| {
+        let r = Scenario::new(4, strategy, 1)
+            .vm(
+                VmScenario::new(presets::server::apache_ab(512, 4, 0.45), 4)
+                    .pin_one_to_one()
+                    .measured(),
+            )
+            .vm(VmScenario::new(presets::hog::cpu_hogs(3), 4).pin_one_to_one())
+            .horizon(SimTime::from_secs(10))
+            .run();
+        let m = r.measured();
+        m.requests + m.requests_truncated + m.dropped_requests
+    };
+    assert_eq!(offered(Strategy::Vanilla), offered(Strategy::Irs));
+}
+
 /// §2.1: strict co-scheduling eliminates LHP within the VM (its makespan is
 /// the clean time-shared bound) but fragments the machine — every pCPU
 /// except the hog's idles during the hog VM's gang slot.
