@@ -142,9 +142,8 @@ pub fn ablate_pull(opts: Opts) -> Table {
 /// 30 ms, VMware ~50 ms — §3.1). Vanilla's LHP cost scales with the slice;
 /// IRS's cost does not, so the IRS advantage should grow with the slice.
 pub fn ablate_slice(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Extension — hypervisor slice length sweep (streamcluster, 2-inter)",
-    );
+    let mut table =
+        Table::new("Extension — hypervisor slice length sweep (streamcluster, 2-inter)");
     let slices = [
         ("6ms (KVM)", 6u64),
         ("30ms (Xen)", 30),
@@ -180,9 +179,8 @@ pub fn ablate_slice(opts: Opts) -> Table {
 /// (§5.1 enables pv spinlocks but OpenMP's user-level spinning bypasses
 /// them; this asks what happens if the waiters *did* halt).
 pub fn ablate_pv_spin(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Extension — paravirtual spin-then-halt on spinning waiters (makespan ms)",
-    );
+    let mut table =
+        Table::new("Extension — paravirtual spin-then-halt on spinning waiters (makespan ms)");
     let strategies = [Strategy::Vanilla, Strategy::Irs];
     let cells: Vec<(&str, usize)> = ["MG", "CG", "UA"]
         .into_iter()

@@ -9,9 +9,8 @@ use irs_metrics::{Series, Table};
 /// vanilla and IRS. With `n_inter` hogs the foreground's fair share of the
 /// whole 4-pCPU machine is `4 - n_inter/2` pCPUs.
 pub fn fairness(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Fairness — foreground CPU consumption relative to fair share (must be <= ~1)",
-    );
+    let mut table =
+        Table::new("Fairness — foreground CPU consumption relative to fair share (must be <= ~1)");
     let strategies = [Strategy::Vanilla, Strategy::Irs];
     let cells: Vec<(&str, usize)> = ["streamcluster", "UA"]
         .into_iter()

@@ -9,8 +9,8 @@ use irs_core::{Scenario, Strategy, System, VmScenario};
 use irs_guest::TaskId;
 use irs_metrics::{slowdown, Series, Summary, Table};
 use irs_sim::SimTime;
-use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
 use irs_sync::SyncSpace;
+use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
 
 /// Fig 1(a): slowdown of fluidanimate (blocking), ua (spinning), and
 /// raytrace (work stealing) under one co-located CPU hog, relative to
@@ -50,14 +50,11 @@ fn fig1b_scenario(n_vms: usize, seed: u64) -> Scenario {
     let prog = ProgramBuilder::new()
         .forever(|b| b.compute_us(10_000, 0.0))
         .build();
-    let victim =
-        WorkloadBundle::interference("victim", vec![prog], SyncSpace::new(), 0.0);
+    let victim = WorkloadBundle::interference("victim", vec![prog], SyncSpace::new(), 0.0);
     let mut s = Scenario::new(2, Strategy::Vanilla, seed)
-        .vm(
-            VmScenario::new(victim, 2)
-                .pin(vec![irs_xen::PcpuId(0), irs_xen::PcpuId(1)])
-                .measured(),
-        )
+        .vm(VmScenario::new(victim, 2)
+            .pin(vec![irs_xen::PcpuId(0), irs_xen::PcpuId(1)])
+            .measured())
         .horizon(SimTime::from_secs(60));
     for _ in 0..n_vms {
         s = s.vm(VmScenario::new(presets::hog::cpu_hogs(1), 1).pin(vec![irs_xen::PcpuId(0)]));

@@ -33,9 +33,8 @@ pub const FIG2_BENCHMARKS: [&str; 14] = [
 
 /// Fig 2: utilization of the parallel VM relative to its fair share.
 pub fn fig2(opts: Opts) -> Table {
-    let mut table = Table::new(
-        "Fig 2 — CPU utilization relative to fair share (blocking waits, 1 hog)",
-    );
+    let mut table =
+        Table::new("Fig 2 — CPU utilization relative to fair share (blocking waits, 1 hog)");
     let ctors =
         FIG2_BENCHMARKS.map(|bench| move |seed| System::new(Scenario::fig2_style(bench, seed)));
     let utils = runner::grid(opts.base_seed, opts.seeds, opts.jobs, &ctors, |r| {

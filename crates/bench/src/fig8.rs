@@ -13,7 +13,9 @@ pub const HORIZON: SimTime = SimTime::from_secs(10);
 
 fn specjbb_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
     Scenario::new(4, strategy, seed)
-        .vm(VmScenario::new(presets::server::specjbb(4), 4).pin_one_to_one().measured())
+        .vm(VmScenario::new(presets::server::specjbb(4), 4)
+            .pin_one_to_one()
+            .measured())
         .vm(VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one())
         .horizon(HORIZON)
 }
@@ -22,11 +24,9 @@ fn ab_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
     // 512 worker threads (MaxClient), open loop at 45% of 4-vCPU capacity —
     // stable even at 4-inter, where the VM's effective capacity halves.
     Scenario::new(4, strategy, seed)
-        .vm(
-            VmScenario::new(presets::server::apache_ab(512, 4, 0.45), 4)
-                .pin_one_to_one()
-                .measured(),
-        )
+        .vm(VmScenario::new(presets::server::apache_ab(512, 4, 0.45), 4)
+            .pin_one_to_one()
+            .measured())
         .vm(VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one())
         .horizon(HORIZON)
 }

@@ -67,7 +67,10 @@ pub fn spec(opts: Opts, smoke: bool, hosts: Option<usize>) -> CampaignSpec {
     if smoke {
         CampaignSpec {
             fleet,
-            policies: vec![PlacementPolicy::FirstFit, PlacementPolicy::InterferenceAware],
+            policies: vec![
+                PlacementPolicy::FirstFit,
+                PlacementPolicy::InterferenceAware,
+            ],
             mixes: vec![AdversaryMix::CLEAN, AdversaryMix::BLEND],
             overcommit_sweep: vec![],
             assert_contract: true,
@@ -144,8 +147,14 @@ pub fn assert_incremental_parity(opts: Opts, smoke: bool, hosts: Option<usize>) 
         render(&outcome.report),
         "incremental SLO tables diverged from full re-simulation"
     );
-    assert_eq!(full.events, outcome.report.events, "logical events diverged");
-    assert_eq!(full.host_runs, outcome.report.host_runs, "host runs diverged");
+    assert_eq!(
+        full.events, outcome.report.events,
+        "logical events diverged"
+    );
+    assert_eq!(
+        full.host_runs, outcome.report.host_runs,
+        "host runs diverged"
+    );
     assert!(
         outcome.report.runs_elided > 0,
         "parity held but incrementality elided nothing"

@@ -35,18 +35,14 @@ fn io_bundle() -> WorkloadBundle {
 fn scenario(strategy: Strategy, seed: u64) -> Scenario {
     let fg = presets::by_name("streamcluster", 4, irs_sync::WaitMode::Block).unwrap();
     Scenario::new(4, strategy, seed)
-        .vm(
-            VmScenario::new(fg.into_background(), 4)
-                .pin_one_to_one()
-                // The parallel VM carries the IRS guest when the strategy
-                // is IRS, even though the I/O VM is the one measured.
-                .irs_guest(strategy.sa_capable_guest()),
-        )
-        .vm(
-            VmScenario::new(io_bundle(), 1)
-                .pin(vec![PcpuId(0)])
-                .measured(),
-        )
+        .vm(VmScenario::new(fg.into_background(), 4)
+            .pin_one_to_one()
+            // The parallel VM carries the IRS guest when the strategy
+            // is IRS, even though the I/O VM is the one measured.
+            .irs_guest(strategy.sa_capable_guest()))
+        .vm(VmScenario::new(io_bundle(), 1)
+            .pin(vec![PcpuId(0)])
+            .measured())
         .horizon(SimTime::from_secs(10))
 }
 

@@ -21,12 +21,12 @@ pub mod ablations;
 pub mod chaos;
 pub mod fairness;
 pub mod fig1;
+pub mod fig10_11;
+pub mod fig12_13;
 pub mod fig2;
 pub mod fig5_6;
 pub mod fig7_9;
 pub mod fig8;
-pub mod fig10_11;
-pub mod fig12_13;
 pub mod fleet;
 pub mod io_latency;
 pub mod perf;

@@ -216,7 +216,9 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 pub fn perf(opts: Opts) -> PerfReport {
     // Best-of-N for the micro-benchmark too: its loop already runs to a
     // minimum wall, so take the fastest of the repeated windows.
-    let queue_ops = (0..MEASURE_PASSES).map(|_| queue_ops_per_sec()).fold(0.0, f64::max);
+    let queue_ops = (0..MEASURE_PASSES)
+        .map(|_| queue_ops_per_sec())
+        .fold(0.0, f64::max);
     let per = opts.seeds.max(1) as usize;
     let base_runs = MIX.len() * per;
     let job = |i: usize| {

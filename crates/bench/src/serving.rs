@@ -52,11 +52,12 @@ pub fn serving_scenario(
     seed: u64,
     horizon: SimTime,
 ) -> Scenario {
-    let s = Scenario::new(4, strategy, seed).vm(
-        VmScenario::new(presets::server::serving_tiers(2, 2, OFFERED_LOAD), 4)
-            .pin_one_to_one()
-            .measured(),
-    );
+    let s = Scenario::new(4, strategy, seed).vm(VmScenario::new(
+        presets::server::serving_tiers(2, 2, OFFERED_LOAD),
+        4,
+    )
+    .pin_one_to_one()
+    .measured());
     let s = if n_inter == 0 {
         s
     } else {
@@ -74,8 +75,11 @@ pub fn serving_scenario(
 /// table is load-bearing, and a NaN cell here would mean the load
 /// generator never ran.
 pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
-    let (horizon, inters): (SimTime, Vec<usize>) =
-        if smoke { (SMOKE_HORIZON, vec![0, 2]) } else { (HORIZON, vec![0, 1, 2, 3]) };
+    let (horizon, inters): (SimTime, Vec<usize>) = if smoke {
+        (SMOKE_HORIZON, vec![0, 2])
+    } else {
+        (HORIZON, vec![0, 1, 2, 3])
+    };
 
     // One constructor per (interference level, arm), in presentation
     // order. Each run keeps its measured VM's result, elapsed time and
@@ -104,7 +108,10 @@ pub fn serving(opts: Opts, smoke: bool) -> ServingOutcome {
     ));
     let mut series: Vec<Series> = ["p50", "p99", "p999", "goodput rps", "req-trunc"]
         .iter()
-        .flat_map(|m| ARMS.iter().map(move |(_, a)| Series::new(format!("{a} {m}"))))
+        .flat_map(|m| {
+            ARMS.iter()
+                .map(move |(_, a)| Series::new(format!("{a} {m}")))
+        })
         .collect();
     let mut events = 0u64;
     let mut requests = 0u64;

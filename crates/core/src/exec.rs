@@ -297,7 +297,8 @@ impl System {
                     // serving task gets here — queueing delay while the
                     // task lags counts toward the request's latency
                     // (no coordinated omission).
-                    let at = SimTime::from_nanos(self.domains[vm].space.arrival(a).next_arrival_ns());
+                    let at =
+                        SimTime::from_nanos(self.domains[vm].space.arrival(a).next_arrival_ns());
                     self.domains[vm].tasks[task].req_open = Some(at);
                     if at > self.now {
                         self.sleep_task_until(vm, task, at);

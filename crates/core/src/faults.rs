@@ -100,7 +100,10 @@ impl FaultConfig {
     /// Heavy upcall loss: a third of SA notifications never reach the guest,
     /// so those rounds can only resolve through the completion-limit force.
     pub fn upcall_storm() -> Self {
-        FaultConfig { upcall_loss: 0.33, ..FaultConfig::default() }
+        FaultConfig {
+            upcall_loss: 0.33,
+            ..FaultConfig::default()
+        }
     }
 
     /// Acks dropped or deferred past the completion limit: the guest behaves,
@@ -126,12 +129,19 @@ impl FaultConfig {
     /// Deadline timer jitter only: completion limits land anywhere in
     /// ±90% of the nominal span, racing the guest's ~22 µs ack latency.
     pub fn jittery_timer() -> Self {
-        FaultConfig { deadline_jitter: 0.9, ..FaultConfig::default() }
+        FaultConfig {
+            deadline_jitter: 0.9,
+            ..FaultConfig::default()
+        }
     }
 
     /// Two pCPUs lose capacity to forced maintenance preemptions.
     pub fn degraded_host() -> Self {
-        FaultConfig { degraded_pcpus: 2, degrade_prob: 0.5, ..FaultConfig::default() }
+        FaultConfig {
+            degraded_pcpus: 2,
+            degrade_prob: 0.5,
+            ..FaultConfig::default()
+        }
     }
 
     /// Everything at once, at moderated rates.
@@ -217,7 +227,10 @@ impl FaultState {
         FaultState {
             cfg,
             rng,
-            wedge_until: vcpu_counts.iter().map(|&n| vec![SimTime::ZERO; n]).collect(),
+            wedge_until: vcpu_counts
+                .iter()
+                .map(|&n| vec![SimTime::ZERO; n])
+                .collect(),
             stats: FaultStats::default(),
         }
     }
@@ -344,7 +357,10 @@ mod tests {
 
     #[test]
     fn wedge_window_opens_and_closes() {
-        let cfg = FaultConfig { wedge_prob: 1.0, ..FaultConfig::wedged_guest() };
+        let cfg = FaultConfig {
+            wedge_prob: 1.0,
+            ..FaultConfig::wedged_guest()
+        };
         let window = cfg.wedge_window;
         let mut st = FaultState::new(cfg, 3, &[2]);
         let t0 = SimTime::from_millis(10);
@@ -362,8 +378,22 @@ mod tests {
     fn jitter_draws_only_when_enabled() {
         // With jitter off the deadline passes through without consuming
         // randomness: interleaving other draws must not shift the stream.
-        let mut a = FaultState::new(FaultConfig { upcall_loss: 0.5, ..FaultConfig::default() }, 9, &[1]);
-        let mut b = FaultState::new(FaultConfig { upcall_loss: 0.5, ..FaultConfig::default() }, 9, &[1]);
+        let mut a = FaultState::new(
+            FaultConfig {
+                upcall_loss: 0.5,
+                ..FaultConfig::default()
+            },
+            9,
+            &[1],
+        );
+        let mut b = FaultState::new(
+            FaultConfig {
+                upcall_loss: 0.5,
+                ..FaultConfig::default()
+            },
+            9,
+            &[1],
+        );
         let dl = SimTime::from_micros(500);
         let seq_a: Vec<bool> = (0..50).map(|_| a.drop_upcall()).collect();
         let seq_b: Vec<bool> = (0..50)

@@ -36,7 +36,9 @@ pub fn default_jobs() -> usize {
     if configured > 0 {
         return configured;
     }
-    thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Resolves a per-call worker request: `0` means [`default_jobs`].

@@ -188,7 +188,11 @@ where
     F: Fn(usize) -> Scenario + Sync,
 {
     debug_assert!(
-        groups.iter().map(|(k, _)| k).collect::<std::collections::BTreeSet<_>>().len()
+        groups
+            .iter()
+            .map(|(k, _)| k)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
             == groups.len(),
         "cache keys must be unique within one call"
     );
@@ -370,7 +374,10 @@ mod tests {
             .sum();
         // What actually ran: each group's full run once (warmup included).
         let executed: u64 = out.results.iter().map(|r| r.events).sum();
-        assert_eq!(executed, logical - out.fork_warmup_saved - out.events_elided);
+        assert_eq!(
+            executed,
+            logical - out.fork_warmup_saved - out.events_elided
+        );
     }
 
     #[test]
@@ -395,7 +402,11 @@ mod tests {
             .sum();
         assert_eq!(second.fork_warmup_saved + second.events_elided, logical);
         for (a, b) in first.results.iter().zip(&second.results) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "hit must be bit-identical");
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "hit must be bit-identical"
+            );
         }
     }
 

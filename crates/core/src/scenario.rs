@@ -202,12 +202,10 @@ impl Scenario {
         assert!((1..=3).contains(&n_vms), "n_vms must be 1..=3");
         let fg = presets::by_name(benchmark, 4, presets::wait_mode(benchmark))
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-        let mut s = Scenario::new(4, strategy, seed)
-            .vm(VmScenario::new(fg, 4).pin_one_to_one().measured());
+        let mut s =
+            Scenario::new(4, strategy, seed).vm(VmScenario::new(fg, 4).pin_one_to_one().measured());
         for _ in 0..n_vms {
-            s = s.vm(
-                VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one(),
-            );
+            s = s.vm(VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one());
         }
         s
     }

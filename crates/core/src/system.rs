@@ -433,8 +433,8 @@ impl System {
         // Strict co-scheduling: rotate early rather than idle the machine
         // when the gang VM went fully idle and another VM has work.
         if self.hv.is_gang_mode() && self.hv.gang_vm_fully_idle() {
-            let other_wants = (0..self.domains.len())
-                .any(|vm| self.hv.vm_wants_cpu(irs_xen::VmId(vm)));
+            let other_wants =
+                (0..self.domains.len()).any(|vm| self.hv.vm_wants_cpu(irs_xen::VmId(vm)));
             if other_wants {
                 let acts = self.hv.gang_rotate(self.now);
                 self.apply_hv_actions(acts);
@@ -758,7 +758,11 @@ impl System {
             self.trace.emit(now, || TraceEvent::StaleAck { vm, vcpu });
             return;
         }
-        let op = if yield_op { SchedOp::Yield } else { SchedOp::Block };
+        let op = if yield_op {
+            SchedOp::Yield
+        } else {
+            SchedOp::Block
+        };
         let acts = self.hv.sched_op(v, op, now);
         self.apply_hv_actions(acts);
     }
@@ -787,8 +791,10 @@ impl System {
             if let Some(f) = self.faults.as_mut() {
                 f.stats.degrade_preemptions += 1;
             }
-            self.trace
-                .emit(now, || TraceEvent::PcpuFault { kind: "degrade", pcpu: p });
+            self.trace.emit(now, || TraceEvent::PcpuFault {
+                kind: "degrade",
+                pcpu: p,
+            });
             self.apply_hv_actions(acts);
         }
     }

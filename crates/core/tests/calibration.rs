@@ -29,10 +29,30 @@ fn fig1a_slowdowns() {
 #[test]
 fn fig5_streamcluster_irs() {
     for n_inter in [1usize, 2, 4] {
-        let base = makespan_ms(Scenario::fig5_style("streamcluster", n_inter, Strategy::Vanilla, 1));
-        let irs = makespan_ms(Scenario::fig5_style("streamcluster", n_inter, Strategy::Irs, 1));
-        let ple = makespan_ms(Scenario::fig5_style("streamcluster", n_inter, Strategy::Ple, 1));
-        let co = makespan_ms(Scenario::fig5_style("streamcluster", n_inter, Strategy::RelaxedCo, 1));
+        let base = makespan_ms(Scenario::fig5_style(
+            "streamcluster",
+            n_inter,
+            Strategy::Vanilla,
+            1,
+        ));
+        let irs = makespan_ms(Scenario::fig5_style(
+            "streamcluster",
+            n_inter,
+            Strategy::Irs,
+            1,
+        ));
+        let ple = makespan_ms(Scenario::fig5_style(
+            "streamcluster",
+            n_inter,
+            Strategy::Ple,
+            1,
+        ));
+        let co = makespan_ms(Scenario::fig5_style(
+            "streamcluster",
+            n_inter,
+            Strategy::RelaxedCo,
+            1,
+        ));
         println!(
             "fig5 streamcluster {n_inter}-inter: vanilla {base:.0} ms | IRS {:+.1}% | PLE {:+.1}% | Co {:+.1}%",
             improvement_pct(base, irs),
@@ -99,7 +119,10 @@ fn trace_captures_the_sa_round_trip() {
         assert!(sys.step());
     }
     let dump = sys.trace_dump();
-    assert!(dump.contains("VIRQ_SA_UPCALL"), "trace must show the upcall");
+    assert!(
+        dump.contains("VIRQ_SA_UPCALL"),
+        "trace must show the upcall"
+    );
     assert!(dump.contains("migrate"), "trace must show migrator moves");
     assert!(dump.contains("xen"), "hypervisor actions recorded");
     assert!(dump.contains("guest"), "guest actions recorded");

@@ -53,14 +53,19 @@ fn wedged_guest_drives_the_timeout_force_path() {
         st == RunState::Runnable || st == RunState::Running,
         "forced victim must stay runnable, got {st:?}"
     );
-    assert!(!sys.hypervisor().is_sa_pending(victim), "round must be closed");
+    assert!(
+        !sys.hypervisor().is_sa_pending(victim),
+        "round must be closed"
+    );
 
     // Run to quiescence; the sanitizer (check: true) panics on any
     // invariant violation, so completing is itself the assertion.
     let r = sys.run();
     assert!(r.hv.sa_timeouts > 0);
     assert!(r.hv.sa_sent > r.hv.sa_acked, "wedges must cost some acks");
-    let f = r.faults.expect("fault stats present when faults configured");
+    let f = r
+        .faults
+        .expect("fault stats present when faults configured");
     assert!(f.wedges > 0, "wedge schedule never fired");
     assert!(
         r.measured().makespan.is_some(),
@@ -81,7 +86,10 @@ fn total_upcall_loss_resolves_every_round_by_timeout() {
     };
     let r = System::with_config(short_fig5(Strategy::Irs, 3), cfg_with(faults)).run();
     assert!(r.hv.sa_sent > 0, "scenario produced no SA rounds");
-    assert!(r.hv.sa_timeouts > 0, "lost upcalls must drive the force path");
+    assert!(
+        r.hv.sa_timeouts > 0,
+        "lost upcalls must drive the force path"
+    );
     // Voluntary acks + timeouts cover all but in-flight rounds (at most
     // one open per pCPU at termination).
     assert!(r.hv.sa_sent - r.hv.sa_timeouts - r.hv.sa_acked <= 4);
@@ -102,10 +110,16 @@ fn delayed_acks_past_the_limit_are_discarded_as_stale() {
     let r = System::with_config(short_fig5(Strategy::Irs, 5), cfg_with(faults)).run();
     let f = r.faults.unwrap();
     assert!(f.acks_delayed > 0);
-    assert!(f.stale_acks_discarded > 0, "delayed acks must lose to the timeout");
+    assert!(
+        f.stale_acks_discarded > 0,
+        "delayed acks must lose to the timeout"
+    );
     // Delayed acks still in flight at termination never get discarded.
     assert!(f.stale_acks_discarded <= f.acks_delayed);
-    assert_eq!(r.hv.sa_acked, 0, "an 800 µs delay can never beat a 500 µs limit");
+    assert_eq!(
+        r.hv.sa_acked, 0,
+        "an 800 µs delay can never beat a 500 µs limit"
+    );
     assert!(r.hv.sa_timeouts > 0);
 }
 
@@ -149,8 +163,7 @@ fn all_strategies_survive_all_presets_checked() {
     ];
     for strategy in Strategy::ALL {
         for preset in &presets {
-            let r =
-                System::with_config(short_fig5(strategy, 7), cfg_with(preset.clone())).run();
+            let r = System::with_config(short_fig5(strategy, 7), cfg_with(preset.clone())).run();
             assert!(r.events > 0, "{strategy}: no events processed");
         }
     }

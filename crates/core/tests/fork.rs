@@ -34,7 +34,10 @@ fn assert_fork_identity(make: impl Fn() -> Scenario, faults: Option<FaultConfig>
     let mut warm = System::with_config(make(), cfg);
     warm.run_until(SimTime::from_millis(40));
     let snap = warm.snapshot();
-    assert!(snap.events_processed() > 0, "[{label}] shared an empty warmup");
+    assert!(
+        snap.events_processed() > 0,
+        "[{label}] shared an empty warmup"
+    );
     for jobs in [1usize, 2] {
         let branches = parallel::ordered_map(jobs, 2, |_| snap.resume().run());
         for b in &branches {
@@ -48,7 +51,11 @@ fn assert_fork_identity(make: impl Fn() -> Scenario, faults: Option<FaultConfig>
     }
     // The warmup system is itself a branch: finishing it must agree too.
     let warm_result = warm.run();
-    assert_eq!(format!("{warm_result:?}"), want, "[{label}] warmup finish diverged");
+    assert_eq!(
+        format!("{warm_result:?}"),
+        want,
+        "[{label}] warmup finish diverged"
+    );
 }
 
 /// The acceptance matrix: 4 strategies × fault profiles. Every strategy

@@ -18,19 +18,13 @@ fn build() -> System {
     let prog = ProgramBuilder::new()
         .forever(|b| b.compute_us(10_000, 0.0))
         .build();
-    let bundle = WorkloadBundle::interference(
-        "busy",
-        vec![prog.clone(), prog],
-        SyncSpace::new(),
-        0.0,
-    );
+    let bundle =
+        WorkloadBundle::interference("busy", vec![prog.clone(), prog], SyncSpace::new(), 0.0);
     let scenario = Scenario::new(2, Strategy::Irs, 3)
-        .vm(
-            VmScenario::new(bundle, 2)
-                .pin(vec![PcpuId(0), PcpuId(1)])
-                .measured()
-                .irs_guest(true),
-        )
+        .vm(VmScenario::new(bundle, 2)
+            .pin(vec![PcpuId(0), PcpuId(1)])
+            .measured()
+            .irs_guest(true))
         .vm(VmScenario::new(presets::hog::cpu_hogs(1), 1).pin(vec![PcpuId(0)]))
         .horizon(SimTime::from_secs(20));
     System::with_config(
@@ -139,18 +133,12 @@ fn vanilla_round_for_comparison_has_no_deferral() {
     let prog = ProgramBuilder::new()
         .forever(|b| b.compute_us(10_000, 0.0))
         .build();
-    let bundle = WorkloadBundle::interference(
-        "busy",
-        vec![prog.clone(), prog],
-        SyncSpace::new(),
-        0.0,
-    );
+    let bundle =
+        WorkloadBundle::interference("busy", vec![prog.clone(), prog], SyncSpace::new(), 0.0);
     let scenario = Scenario::new(2, Strategy::Vanilla, 3)
-        .vm(
-            VmScenario::new(bundle, 2)
-                .pin(vec![PcpuId(0), PcpuId(1)])
-                .measured(),
-        )
+        .vm(VmScenario::new(bundle, 2)
+            .pin(vec![PcpuId(0), PcpuId(1)])
+            .measured())
         .vm(VmScenario::new(presets::hog::cpu_hogs(1), 1).pin(vec![PcpuId(0)]))
         .horizon(SimTime::from_secs(20));
     let cfg = SystemConfig {

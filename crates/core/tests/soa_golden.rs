@@ -35,7 +35,10 @@ const BATTERY: [(&str, usize, Strategy); 6] = [
 /// covering the injector paths.
 fn render() -> String {
     let mut out = String::new();
-    let mut emit = |label: &str, bench: &str, n_inter: usize, strategy: Strategy,
+    let mut emit = |label: &str,
+                    bench: &str,
+                    n_inter: usize,
+                    strategy: Strategy,
                     faults: Option<FaultConfig>| {
         let cfg = SystemConfig {
             check: true,

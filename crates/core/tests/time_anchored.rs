@@ -23,20 +23,19 @@ fn with_hogs(s: Scenario, n_inter: usize) -> Scenario {
 }
 
 fn serving_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
-    let s = Scenario::new(4, strategy, seed).vm(
-        VmScenario::new(presets::server::serving_tiers(2, 2, 0.6), 4)
-            .pin_one_to_one()
-            .measured(),
-    );
+    let s = Scenario::new(4, strategy, seed).vm(VmScenario::new(
+        presets::server::serving_tiers(2, 2, 0.6),
+        4,
+    )
+    .pin_one_to_one()
+    .measured());
     with_hogs(s, n_inter).horizon(SimTime::from_secs(2))
 }
 
 fn specjbb_scenario(n_inter: usize, strategy: Strategy, seed: u64) -> Scenario {
-    let s = Scenario::new(4, strategy, seed).vm(
-        VmScenario::new(presets::server::specjbb(4), 4)
-            .pin_one_to_one()
-            .measured(),
-    );
+    let s = Scenario::new(4, strategy, seed).vm(VmScenario::new(presets::server::specjbb(4), 4)
+        .pin_one_to_one()
+        .measured());
     with_hogs(s, n_inter).horizon(SimTime::from_secs(2))
 }
 

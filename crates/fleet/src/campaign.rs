@@ -345,15 +345,20 @@ fn run_cell(
         cfg.tenant_vcpus <= capacity,
         "tenant vCPUs exceed host capacity"
     );
-    assert!(cfg.warmup < cfg.epoch_horizon, "warmup must precede horizon");
+    assert!(
+        cfg.warmup < cfg.epoch_horizon,
+        "warmup must precede horizon"
+    );
     // One RNG per cell, salted with the cell coordinates; all churn is
     // drawn sequentially from it.
-    let cell_salt = fnv1a64(&[
-        &[policy.id()][..],
-        mix.name.as_bytes(),
-        &capacity.to_le_bytes(),
-    ]
-    .concat());
+    let cell_salt = fnv1a64(
+        &[
+            &[policy.id()][..],
+            mix.name.as_bytes(),
+            &capacity.to_le_bytes(),
+        ]
+        .concat(),
+    );
     let mut rng = SimRng::seed_from(cfg.seed).fork(cell_salt);
 
     let mut index = PlacementIndex::new(cfg.hosts, capacity);
@@ -719,7 +724,10 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
             // placement capacity), so the sweep shares the same cache.
             let cell = run_cell(&cell_cfg, policy, &mix, &solo, &mut cache);
             if spec.assert_contract {
-                assert_cell_contract(&format!("{}/{}/oc{oc:.2}", policy.label(), mix.name), &cell.arms);
+                assert_cell_contract(
+                    &format!("{}/{}/oc{oc:.2}", policy.label(), mix.name),
+                    &cell.arms,
+                );
             }
             add_cell_points(&mut series, &format!("oc {oc:.2}"), &cell);
             absorb(&mut report, &mut col, &cell);

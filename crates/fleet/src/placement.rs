@@ -228,7 +228,11 @@ impl PlacementIndex {
                 }
                 let mut i = 1;
                 while i < self.base {
-                    i = if self.seg[2 * i] <= limit { 2 * i } else { 2 * i + 1 };
+                    i = if self.seg[2 * i] <= limit {
+                        2 * i
+                    } else {
+                        2 * i + 1
+                    };
                 }
                 Some(i - self.base)
             }

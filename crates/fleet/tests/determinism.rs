@@ -28,7 +28,10 @@ fn spec(jobs: usize) -> CampaignSpec {
             // tests/incremental.rs pins incremental-vs-full parity.
             incremental: false,
         },
-        policies: vec![PlacementPolicy::FirstFit, PlacementPolicy::InterferenceAware],
+        policies: vec![
+            PlacementPolicy::FirstFit,
+            PlacementPolicy::InterferenceAware,
+        ],
         mixes: vec![AdversaryMix::BLEND],
         overcommit_sweep: vec![],
         // The contract is asserted by the full-size campaign; this fleet

@@ -59,7 +59,10 @@ fn assert_parity(full: &FleetReport, inc: &FleetReport, label: &str) {
         "SLO tables diverged under {label}"
     );
     assert_eq!(full.events, inc.events, "logical events diverged ({label})");
-    assert_eq!(full.host_runs, inc.host_runs, "host runs diverged ({label})");
+    assert_eq!(
+        full.host_runs, inc.host_runs,
+        "host runs diverged ({label})"
+    );
     assert_eq!(full.tenants_placed, inc.tenants_placed, "{label}");
     assert_eq!(full.tenants_rejected, inc.tenants_rejected, "{label}");
 }

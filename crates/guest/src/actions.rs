@@ -115,15 +115,28 @@ mod tests {
     #[test]
     fn actions_render() {
         assert_eq!(
-            GuestAction::RunTask { vcpu: 1, task: TaskId(3) }.to_string(),
+            GuestAction::RunTask {
+                vcpu: 1,
+                task: TaskId(3)
+            }
+            .to_string(),
             "run task3 on v1"
         );
         assert_eq!(
-            GuestAction::Hypercall { vcpu: 0, op: SchedOp::Block }.to_string(),
+            GuestAction::Hypercall {
+                vcpu: 0,
+                op: SchedOp::Block
+            }
+            .to_string(),
             "v0 hypercall SCHEDOP_block"
         );
         assert_eq!(
-            GuestAction::TaskMigrated { task: TaskId(2), from: 0, to: 3 }.to_string(),
+            GuestAction::TaskMigrated {
+                task: TaskId(2),
+                from: 0,
+                to: 3
+            }
+            .to_string(),
             "migrate task2: v0 -> v3"
         );
     }

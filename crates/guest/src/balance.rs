@@ -472,7 +472,10 @@ mod tests {
         assert_eq!(g.current(0), Some(a));
         assert!(acts.iter().any(|x| matches!(
             x,
-            GuestAction::Hypercall { vcpu: 1, op: irs_xen::SchedOp::Block }
+            GuestAction::Hypercall {
+                vcpu: 1,
+                op: irs_xen::SchedOp::Block
+            }
         )));
         let _ = b;
     }
@@ -489,7 +492,9 @@ mod tests {
         assert_eq!(g.task(queued).cpu, 1, "queued task pulled to idle vCPU");
         assert_eq!(g.current(1), Some(queued));
         assert_eq!(g.stats().pull_migrations, 1);
-        assert!(!acts.iter().any(|x| matches!(x, GuestAction::Hypercall { .. })));
+        assert!(!acts
+            .iter()
+            .any(|x| matches!(x, GuestAction::Hypercall { .. })));
         let _ = b;
     }
 

@@ -366,12 +366,7 @@ impl GuestOs {
     /// # Panics
     ///
     /// Panics if the task is not queued on its recorded runqueue.
-    pub(crate) fn migrate_queued(
-        &mut self,
-        task: TaskId,
-        to: usize,
-        out: &mut Vec<GuestAction>,
-    ) {
+    pub(crate) fn migrate_queued(&mut self, task: TaskId, to: usize, out: &mut Vec<GuestAction>) {
         let from = self.tasks[task.0].cpu;
         let vr = self.tasks[task.0].vruntime;
         let removed = self.rqs[from].dequeue(vr, task);
@@ -536,7 +531,15 @@ mod tests {
         // vCPUs 1 and 2 have no work: they block in the hypervisor.
         let blocks = acts
             .iter()
-            .filter(|a| matches!(a, GuestAction::Hypercall { op: SchedOp::Block, .. }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    GuestAction::Hypercall {
+                        op: SchedOp::Block,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(blocks, 2);
     }
@@ -643,7 +646,9 @@ mod tests {
         g.check_invariants().unwrap();
         assert_eq!(g.task(a).state, TaskState::Blocked);
         assert_eq!(g.current(0), Some(b));
-        assert!(acts.iter().any(|x| matches!(x, GuestAction::RunTask { .. })));
+        assert!(acts
+            .iter()
+            .any(|x| matches!(x, GuestAction::RunTask { .. })));
         assert!(!acts
             .iter()
             .any(|x| matches!(x, GuestAction::Hypercall { .. })));
@@ -660,7 +665,10 @@ mod tests {
         assert_eq!(g.current(0), None);
         assert!(acts.iter().any(|x| matches!(
             x,
-            GuestAction::Hypercall { vcpu: 0, op: SchedOp::Block }
+            GuestAction::Hypercall {
+                vcpu: 0,
+                op: SchedOp::Block
+            }
         )));
     }
 

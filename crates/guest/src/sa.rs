@@ -103,8 +103,10 @@ impl GuestOs {
             match target {
                 Some(dest) if dest != source => {
                     let was_idle = self.rqs[dest].is_idle();
-                    let vr = self.rqs[dest]
-                        .migration_vruntime(self.tasks[task.0].vruntime, self.rqs[source].min_vruntime);
+                    let vr = self.rqs[dest].migration_vruntime(
+                        self.tasks[task.0].vruntime,
+                        self.rqs[source].min_vruntime,
+                    );
                     self.tasks[task.0].vruntime = vr;
                     self.tasks[task.0].preempt_migrated =
                         self.sa.as_ref().is_some_and(|sa| sa.pingpong_tagging);
@@ -155,7 +157,8 @@ impl GuestOs {
         let mut out = self.out_buf();
         assert!(self.rqs[dst].current.is_none(), "pull target must be idle");
         let cur = self.stop_current(src, TaskState::Ready, &mut out);
-        let vr = self.rqs[dst].migration_vruntime(self.tasks[cur.0].vruntime, self.rqs[src].min_vruntime);
+        let vr = self.rqs[dst]
+            .migration_vruntime(self.tasks[cur.0].vruntime, self.rqs[src].min_vruntime);
         self.tasks[cur.0].vruntime = vr;
         self.rqs[dst].enqueue(vr, cur);
         self.stats.pull_migrations += 1;
@@ -426,7 +429,10 @@ mod tests {
         g.account_runtime(0, SimTime::from_millis(10));
         g.tick(0, &[VcpuView::running()]);
         let out = g.sa_upcall(0);
-        assert!(g.migrator_pending.contains(&b), "upcall ran after the switch");
+        assert!(
+            g.migrator_pending.contains(&b),
+            "upcall ran after the switch"
+        );
         assert!(!g.migrator_pending.contains(&a), "a was spared migration");
         assert_eq!(out.op, SchedOp::Yield);
         g.check_invariants().unwrap();

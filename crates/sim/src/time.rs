@@ -227,7 +227,10 @@ mod tests {
 
     #[test]
     fn saturating_ops_clamp() {
-        assert_eq!(SimTime::MAX.saturating_add(SimTime::from_nanos(1)), SimTime::MAX);
+        assert_eq!(
+            SimTime::MAX.saturating_add(SimTime::from_nanos(1)),
+            SimTime::MAX
+        );
         assert_eq!(
             SimTime::from_nanos(5).saturating_sub(SimTime::from_nanos(9)),
             SimTime::ZERO

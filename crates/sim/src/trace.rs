@@ -207,14 +207,20 @@ impl fmt::Display for TraceEvent {
                 write!(f, "vm{vm}.v{vcpu} acks SA with {op}")
             }
             TraceEvent::SaTimeout { vm, vcpu } => {
-                write!(f, "SA completion limit hit for vm{vm}.v{vcpu}; forcing preemption")
+                write!(
+                    f,
+                    "SA completion limit hit for vm{vm}.v{vcpu}; forcing preemption"
+                )
             }
             TraceEvent::CreditTick {
                 vm,
                 vcpu,
                 burned,
                 credits,
-            } => write!(f, "tick burns {burned} credits of vm{vm}.v{vcpu} (now {credits})"),
+            } => write!(
+                f,
+                "tick burns {burned} credits of vm{vm}.v{vcpu} (now {credits})"
+            ),
             TraceEvent::TaskRun { vm, vcpu, task } => {
                 write!(f, "vm{vm}: task{task} runs on v{vcpu}")
             }
@@ -426,7 +432,10 @@ mod tests {
             vcpu: 2,
             op: "SCHEDOP_block",
         });
-        ring.emit(SimTime::from_micros(5), || TraceEvent::SaTimeout { vm: 1, vcpu: 2 });
+        ring.emit(SimTime::from_micros(5), || TraceEvent::SaTimeout {
+            vm: 1,
+            vcpu: 2,
+        });
         ring.emit(SimTime::from_micros(6), || TraceEvent::CreditTick {
             vm: 1,
             vcpu: 2,

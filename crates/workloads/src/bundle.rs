@@ -117,11 +117,7 @@ impl WorkloadBundle {
             self.kind == WorkloadKind::Parallel,
             "only parallel bundles can become background interference"
         );
-        self.threads = self
-            .threads
-            .drain(..)
-            .map(|p| p.repeat_forever())
-            .collect();
+        self.threads = self.threads.drain(..).map(|p| p.repeat_forever()).collect();
         self.kind = WorkloadKind::Interference;
         self.name = format!("{}(bg)", self.name);
         self

@@ -74,7 +74,11 @@ pub(crate) fn lock_parallel(
         0 => 1,
         n => iters / n,
     };
-    let inner = if barrier_every > 0 { barrier_every } else { iters };
+    let inner = if barrier_every > 0 {
+        barrier_every
+    } else {
+        iters
+    };
     // A final join barrier so the makespan is set by the slowest thread
     // even when no periodic barrier exists.
     let join = space.new_barrier(n_threads, mode);

@@ -80,7 +80,10 @@ impl Program {
                     assert!(depth >= 0, "LoopEnd without LoopStart at op {i}");
                 }
                 Op::Jump { target } => {
-                    assert!(*target <= ops.len(), "jump target {target} out of range at op {i}");
+                    assert!(
+                        *target <= ops.len(),
+                        "jump target {target} out of range at op {i}"
+                    );
                 }
                 _ => {}
             }
@@ -336,7 +339,10 @@ mod tests {
         let p = ProgramBuilder::new().compute_us(1, 0.0).build();
         let wrapped = p.repeat_forever();
         assert_eq!(wrapped.len(), 3);
-        assert!(matches!(wrapped.op(0), Some(Op::LoopStart { count: u64::MAX })));
+        assert!(matches!(
+            wrapped.op(0),
+            Some(Op::LoopStart { count: u64::MAX })
+        ));
         assert!(matches!(wrapped.op(2), Some(Op::LoopEnd)));
     }
 

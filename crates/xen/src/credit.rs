@@ -161,12 +161,7 @@ impl Hypervisor {
 
     /// The running vCPU on `pcpu` exhausted its slice. `generation` guards
     /// against stale timers: pass the value from [`crate::DispatchInfo`].
-    pub fn slice_expired(
-        &mut self,
-        pcpu: PcpuId,
-        generation: u64,
-        now: SimTime,
-    ) -> Vec<HvAction> {
+    pub fn slice_expired(&mut self, pcpu: PcpuId, generation: u64, now: SimTime) -> Vec<HvAction> {
         let mut out = self.out_buf();
         if self.pcpus[pcpu.0].dispatch_gen != generation {
             return out; // a context switch beat the timer
@@ -197,9 +192,7 @@ impl Hypervisor {
         let Some(next) = self.pick_local(pcpu) else {
             return out;
         };
-        if self.cfg.mode == HvMode::Sa
-            && self.vms[cur.vm.0].sa_capable
-            && !self.vc(cur).sa_pending
+        if self.cfg.mode == HvMode::Sa && self.vms[cur.vm.0].sa_capable && !self.vc(cur).sa_pending
         {
             self.send_sa(pcpu, cur, now, &mut out);
             return out;
@@ -370,14 +363,11 @@ impl Hypervisor {
         self.stats.schedules += 1;
 
         let cur = self.pcpus[pcpu.0].current;
-        let cur_running =
-            cur.is_some_and(|c| self.vc(c).state() == RunState::Running);
+        let cur_running = cur.is_some_and(|c| self.vc(c).state() == RunState::Running);
 
         if !cur_running {
             // Idle path (or the caller already stopped the previous vCPU).
-            let candidate = self
-                .pick_local(pcpu)
-                .or_else(|| self.steal_for(pcpu));
+            let candidate = self.pick_local(pcpu).or_else(|| self.steal_for(pcpu));
             if let Some(next) = candidate {
                 self.remove_queued(next, pcpu);
                 self.dispatch(pcpu, next, now, reason, out);
@@ -528,9 +518,7 @@ impl Hypervisor {
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 29;
         let offset = h % (2 * jitter);
-        SimTime::from_nanos(
-            (self.cfg.time_slice.as_nanos() + offset).saturating_sub(jitter),
-        )
+        SimTime::from_nanos((self.cfg.time_slice.as_nanos() + offset).saturating_sub(jitter))
     }
 
     // ==================================================================
@@ -626,7 +614,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::config::XenConfig;
-    
+
     use crate::vm::VmSpec;
 
     fn t(ms: u64) -> SimTime {
@@ -648,12 +636,18 @@ mod tests {
         let second = hv.pcpu_current(PcpuId(0)).unwrap();
         assert_ne!(first, second);
         assert_eq!(
-            [first.vm, second.vm].iter().collect::<std::collections::HashSet<_>>(),
+            [first.vm, second.vm]
+                .iter()
+                .collect::<std::collections::HashSet<_>>(),
             [a, b].iter().collect()
         );
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, HvAction::VcpuStopped { state: RunState::Runnable, .. })));
+        assert!(acts.iter().any(|x| matches!(
+            x,
+            HvAction::VcpuStopped {
+                state: RunState::Runnable,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -701,9 +695,13 @@ mod tests {
         hv.check_invariants().unwrap();
         assert_ne!(hv.pcpu_current(PcpuId(0)), Some(first));
         assert_eq!(hv.vcpu_state(first), RunState::Runnable);
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, HvAction::VcpuStopped { state: RunState::Runnable, .. })));
+        assert!(acts.iter().any(|x| matches!(
+            x,
+            HvAction::VcpuStopped {
+                state: RunState::Runnable,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -802,7 +800,9 @@ mod tests {
         hv.check_invariants().unwrap();
         // Alone on the pCPU: yields but is redispatched immediately.
         assert_eq!(hv.pcpu_current(PcpuId(0)), Some(va));
-        assert!(acts.iter().any(|x| matches!(x, HvAction::VcpuStarted { .. })));
+        assert!(acts
+            .iter()
+            .any(|x| matches!(x, HvAction::VcpuStarted { .. })));
     }
 
     #[test]

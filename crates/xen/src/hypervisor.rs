@@ -219,7 +219,10 @@ impl Hypervisor {
     ///
     /// Panics if called after `start`.
     pub fn block_before_start(&mut self, v: VcpuRef) {
-        assert!(!self.started, "block_before_start() only applies before start()");
+        assert!(
+            !self.started,
+            "block_before_start() only applies before start()"
+        );
         self.runstate_epoch[v.vm.0] += 1;
         self.vc_mut(v)
             .clock
@@ -379,7 +382,10 @@ impl Hypervisor {
     /// [`VcpuRef`] resolution per vCPU, and the clocks stream out of the
     /// contiguous arena.
     #[inline]
-    pub fn vm_clocks(&self, vm: VmId) -> impl Iterator<Item = &crate::runstate::RunstateClock> + '_ {
+    pub fn vm_clocks(
+        &self,
+        vm: VmId,
+    ) -> impl Iterator<Item = &crate::runstate::RunstateClock> + '_ {
         self.vm_vcpus(vm).iter().map(|v| &v.clock)
     }
 

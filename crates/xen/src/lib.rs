@@ -64,12 +64,12 @@ mod pcpu;
 pub mod relaxed_co;
 mod runstate;
 pub mod sa;
-pub mod strict_co;
 mod stats;
+pub mod strict_co;
 mod vcpu;
 mod vm;
 
-pub use actions::{HvAction, ScheduleReason, SchedOp};
+pub use actions::{HvAction, SchedOp, ScheduleReason};
 pub use config::{
     HvMode, XenConfig, ACCOUNTING_PERIOD, PLE_WINDOW, SA_COMPLETION_LIMIT, TICK_PERIOD,
 };

@@ -25,7 +25,6 @@ impl Hypervisor {
     /// Runs the skew check for every multi-vCPU VM. Called from the 30 ms
     /// accounting pass when relaxed-co is configured.
     pub(crate) fn relaxed_co_balance(&mut self, now: SimTime, out: &mut Vec<HvAction>) {
-
         // Last period's parks expire first: every vCPU gets a fresh chance.
         for v in &mut self.vcpus {
             v.parked = false;
@@ -43,7 +42,10 @@ impl Hypervisor {
                 .iter()
                 .map(|v| {
                     let info = v.clock.info(now);
-                    (v.vref, (info.running + info.blocked).saturating_sub(v.co_baseline))
+                    (
+                        v.vref,
+                        (info.running + info.blocked).saturating_sub(v.co_baseline),
+                    )
                 })
                 .collect();
             // Only a vCPU that wants CPU can meaningfully be stopped.
@@ -86,9 +88,7 @@ impl Hypervisor {
                 if self.vc(laggard).state() == RunState::Runnable {
                     let preempt = match self.pcpus[lag_home.0].current {
                         None => true,
-                        Some(cur) => {
-                            CreditPriority::Boost < self.vc(cur).priority
-                        }
+                        Some(cur) => CreditPriority::Boost < self.vc(cur).priority,
                     };
                     if preempt {
                         self.do_schedule(lag_home, now, ScheduleReason::CoPark, false, out);
@@ -216,7 +216,13 @@ mod tests {
         assert!(hv.vc(v0).parked);
         // pcpu0 has only the parked v0 queued: scheduling leaves it idle.
         let mut out2 = Vec::new();
-        hv.do_schedule(PcpuId(0), t(61), ScheduleReason::Accounting, false, &mut out2);
+        hv.do_schedule(
+            PcpuId(0),
+            t(61),
+            ScheduleReason::Accounting,
+            false,
+            &mut out2,
+        );
         assert_eq!(hv.pcpu_current(PcpuId(0)), None);
         hv.check_invariants().unwrap();
     }

@@ -94,9 +94,7 @@ impl Hypervisor {
         };
         self.pcpus[pcpu.0].sa_wait = None;
 
-        if self.pcpus[pcpu.0].current == Some(vcpu)
-            && self.vc(vcpu).state() == RunState::Running
-        {
+        if self.pcpus[pcpu.0].current == Some(vcpu) && self.vc(vcpu).state() == RunState::Running {
             self.vc_mut(vcpu).yield_bias = true;
             self.stats.preemptions += 1;
             self.stop_current(pcpu, RunState::Runnable, now, &mut out);
@@ -185,7 +183,9 @@ mod tests {
         assert_eq!(hv.vcpu_state(vfg), RunState::Runnable);
         assert!(!hv.is_sa_pending(vfg));
         assert_eq!(hv.stats().sa_acked, 1);
-        assert!(acts.iter().any(|a| matches!(a, HvAction::VcpuStarted { .. })));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, HvAction::VcpuStarted { .. })));
     }
 
     #[test]
@@ -244,7 +244,9 @@ mod tests {
         assert!(!acts.iter().any(|a| matches!(a, HvAction::SaUpcall { .. })));
         assert_eq!(hv.stats().sa_sent, 0);
         // The preemption happened immediately instead.
-        assert!(acts.iter().any(|a| matches!(a, HvAction::VcpuStarted { .. })));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, HvAction::VcpuStarted { .. })));
     }
 
     #[test]

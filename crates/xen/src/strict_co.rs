@@ -169,7 +169,7 @@ mod tests {
     fn no_cross_vm_preemption_within_a_slot() {
         let mut hv = gang_hv();
         hv.gang_rotate(t(0)); // VM 0's slot
-        // VM 1's vCPU waking mid-slot must wait (priority inversion).
+                              // VM 1's vCPU waking mid-slot must wait (priority inversion).
         let v1 = VcpuRef::new(VmId(1), 0);
         hv.sched_op(v1, SchedOp::Block, t(1)); // it is queued, not running: no-op
         let before = hv.pcpu_current(PcpuId(0));

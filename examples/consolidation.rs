@@ -18,7 +18,12 @@ fn main() {
     println!("UA (foreground, spinning) + LU (background, repeating), 2 threads each\n");
     let seeds = 3u64;
     let mut base = (0.0, 0.0);
-    for strategy in [Strategy::Vanilla, Strategy::Ple, Strategy::RelaxedCo, Strategy::Irs] {
+    for strategy in [
+        Strategy::Vanilla,
+        Strategy::Ple,
+        Strategy::RelaxedCo,
+        Strategy::Irs,
+    ] {
         let mut fg = 0.0;
         let mut bg = 0.0;
         let mut cpu = 0.0;

@@ -16,7 +16,12 @@ fn main() {
         "{:<10} {:>12} {:>8} {:>8} {:>10} {:>12}",
         "strategy", "makespan", "LHP", "LWP", "SA sent", "migrations"
     );
-    for strategy in [Strategy::Vanilla, Strategy::Ple, Strategy::RelaxedCo, Strategy::Irs] {
+    for strategy in [
+        Strategy::Vanilla,
+        Strategy::Ple,
+        Strategy::RelaxedCo,
+        Strategy::Irs,
+    ] {
         let mut ms = 0.0;
         let mut lhp = 0;
         let mut lwp = 0;

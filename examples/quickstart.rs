@@ -57,6 +57,10 @@ fn main() {
     println!(
         "\nInside one IRS run: {} scheduler activations sent, {} acknowledged, \
          {} timed out;\nthe guest migrator moved {} threads ({} onto idle vCPUs).",
-        r.hv.sa_sent, r.hv.sa_acked, r.hv.sa_timeouts, m.guest.sa_migrations, m.guest.sa_idle_targets
+        r.hv.sa_sent,
+        r.hv.sa_acked,
+        r.hv.sa_timeouts,
+        m.guest.sa_migrations,
+        m.guest.sa_idle_targets
     );
 }

@@ -12,7 +12,10 @@ fn main() {
     let horizon = SimTime::from_secs(10);
     println!("10 s of virtual time per run, one CPU hog on pCPU0\n");
 
-    for (name, open_loop) in [("specjbb (4 warehouses)", false), ("ab (512 workers)", true)] {
+    for (name, open_loop) in [
+        ("specjbb (4 warehouses)", false),
+        ("ab (512 workers)", true),
+    ] {
         println!("{name}:");
         for strategy in [Strategy::Vanilla, Strategy::Irs] {
             let bundle = if open_loop {

@@ -9,7 +9,9 @@ fn irs_respects_fair_share() {
     for n_inter in [1usize, 2, 4] {
         let fair_pcpus = 4.0 - n_inter as f64 / 2.0;
         let r = Scenario::fig5_style("streamcluster", n_inter, Strategy::Irs, 1).run();
-        let util = r.measured().utilization_vs_fair_share(fair_pcpus, r.elapsed);
+        let util = r
+            .measured()
+            .utilization_vs_fair_share(fair_pcpus, r.elapsed);
         assert!(
             util <= 1.05,
             "{n_inter}-inter: foreground exceeded fair share ({util:.2})"
@@ -83,7 +85,12 @@ fn pingpong_tagging_is_active_and_not_harmful() {
     let mut triggered = 0u64;
     let mut on_total = 0.0;
     let mut off_total = 0.0;
-    for (bench, seed) in [("fluidanimate", 1u64), ("fluidanimate", 2), ("bodytrack", 1), ("canneal", 2)] {
+    for (bench, seed) in [
+        ("fluidanimate", 1u64),
+        ("fluidanimate", 2),
+        ("bodytrack", 1),
+        ("canneal", 2),
+    ] {
         let with = Scenario::fig5_style(bench, 2, Strategy::Irs, seed).run();
         triggered += with.measured().guest.pingpong_preempts;
         on_total += with.measured().makespan_ms();

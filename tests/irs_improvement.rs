@@ -145,7 +145,10 @@ fn eight_vcpu_scaling() {
     };
     let one = imp(1);
     let eight = imp(8);
-    assert!(one > 20.0, "1 of 8 interfered: large gain expected ({one:+.1}%)");
+    assert!(
+        one > 20.0,
+        "1 of 8 interfered: large gain expected ({one:+.1}%)"
+    );
     assert!(
         eight < 12.0,
         "all 8 interfered: nowhere to migrate ({eight:+.1}%)"
@@ -157,10 +160,11 @@ fn eight_vcpu_scaling() {
 /// is itself a parallel program that suffers LHP/LWP.
 #[test]
 fn real_interference_also_benefits() {
-    let base = Scenario::real_interference("streamcluster", "fluidanimate", 2, Strategy::Vanilla, 1)
-        .run()
-        .measured()
-        .makespan_ms();
+    let base =
+        Scenario::real_interference("streamcluster", "fluidanimate", 2, Strategy::Vanilla, 1)
+            .run()
+            .measured()
+            .makespan_ms();
     let irs = Scenario::real_interference("streamcluster", "fluidanimate", 2, Strategy::Irs, 1)
         .run()
         .measured()

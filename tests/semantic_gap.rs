@@ -48,18 +48,12 @@ fn victim_scenario(n_vms: usize, seed: u64) -> Scenario {
     let prog = ProgramBuilder::new()
         .forever(|b| b.compute_us(10_000, 0.0))
         .build();
-    let victim = WorkloadBundle::interference(
-        "victim",
-        vec![prog],
-        irs_sched::sync::SyncSpace::new(),
-        0.0,
-    );
+    let victim =
+        WorkloadBundle::interference("victim", vec![prog], irs_sched::sync::SyncSpace::new(), 0.0);
     let mut s = Scenario::new(2, Strategy::Vanilla, seed)
-        .vm(
-            VmScenario::new(victim, 2)
-                .pin(vec![PcpuId(0), PcpuId(1)])
-                .measured(),
-        )
+        .vm(VmScenario::new(victim, 2)
+            .pin(vec![PcpuId(0), PcpuId(1)])
+            .measured())
         .horizon(SimTime::from_secs(30));
     for _ in 0..n_vms {
         s = s.vm(VmScenario::new(presets::hog::cpu_hogs(1), 1).pin(vec![PcpuId(0)]));
@@ -104,7 +98,10 @@ fn migration_latency_staircase() {
     let one = latency(1);
     let two = latency(2);
     let three = latency(3);
-    assert!(alone < 2.0, "uncontended migration should be ~a tick, got {alone:.1} ms");
+    assert!(
+        alone < 2.0,
+        "uncontended migration should be ~a tick, got {alone:.1} ms"
+    );
     assert!(one > alone, "one VM must add scheduling delay");
     assert!(
         two > one + 5.0,
@@ -141,10 +138,11 @@ fn vanilla_guest_cannot_rescue_the_stranded_task() {
 #[test]
 fn utilization_shapes() {
     let r = Scenario::fig2_style("streamcluster", 1).run();
-    let util = r
-        .measured()
-        .utilization_vs_fair_share(3.5, r.elapsed);
-    assert!(util < 0.8, "blocking run must under-use its share, got {util:.2}");
+    let util = r.measured().utilization_vs_fair_share(3.5, r.elapsed);
+    assert!(
+        util < 0.8,
+        "blocking run must under-use its share, got {util:.2}"
+    );
 
     let r = Scenario::fig5_style("UA", 1, Strategy::Vanilla, 1).run(); // spinning
     let util = r.measured().utilization_vs_fair_share(3.5, r.elapsed);

@@ -36,7 +36,10 @@ fn stacking_hurts_vanilla() {
 #[test]
 fn irs_mitigates_stacking() {
     let mean = |bench: &str, strategy: Strategy| -> f64 {
-        (1..=6u64).map(|s| unpinned(bench, strategy, s)).sum::<f64>() / 6.0
+        (1..=6u64)
+            .map(|s| unpinned(bench, strategy, s))
+            .sum::<f64>()
+            / 6.0
     };
     for bench in ["streamcluster", "MG"] {
         let van = mean(bench, Strategy::Vanilla);
@@ -57,11 +60,9 @@ fn irs_mitigates_stacking() {
 
 fn server_run(strategy: Strategy, seed: u64) -> irs_sched::RunResult {
     Scenario::new(4, strategy, seed)
-        .vm(
-            VmScenario::new(presets::server::specjbb(4), 4)
-                .pin_one_to_one()
-                .measured(),
-        )
+        .vm(VmScenario::new(presets::server::specjbb(4), 4)
+            .pin_one_to_one()
+            .measured())
         .vm(VmScenario::new(presets::hog::cpu_hogs(1), 4).pin_one_to_one())
         .horizon(SimTime::from_secs(8))
         .run()
@@ -93,11 +94,9 @@ fn irs_improves_server_tail_latency() {
 fn ab_open_loop_is_stable() {
     for strategy in [Strategy::Vanilla, Strategy::Irs] {
         let r = Scenario::new(4, strategy, 7)
-            .vm(
-                VmScenario::new(presets::server::apache_ab(256, 4, 0.6), 4)
-                    .pin_one_to_one()
-                    .measured(),
-            )
+            .vm(VmScenario::new(presets::server::apache_ab(256, 4, 0.6), 4)
+                .pin_one_to_one()
+                .measured())
             .vm(VmScenario::new(presets::hog::cpu_hogs(1), 4).pin_one_to_one())
             .horizon(SimTime::from_secs(5))
             .run();
@@ -121,11 +120,9 @@ fn ab_open_loop_is_stable() {
 fn both_arms_of_an_ab_cell_get_one_schedule() {
     let offered = |strategy| {
         let r = Scenario::new(4, strategy, 1)
-            .vm(
-                VmScenario::new(presets::server::apache_ab(512, 4, 0.45), 4)
-                    .pin_one_to_one()
-                    .measured(),
-            )
+            .vm(VmScenario::new(presets::server::apache_ab(512, 4, 0.45), 4)
+                .pin_one_to_one()
+                .measured())
             .vm(VmScenario::new(presets::hog::cpu_hogs(3), 4).pin_one_to_one())
             .horizon(SimTime::from_secs(10))
             .run();
@@ -153,7 +150,11 @@ fn strict_co_trades_lhp_for_fragmentation() {
         gang_ms > solo * 1.7 && gang_ms < solo * 2.4,
         "gang makespan {gang_ms:.0} vs solo {solo:.0}"
     );
-    assert!(r.hv.gang_rotations > 50, "rotations: {}", r.hv.gang_rotations);
+    assert!(
+        r.hv.gang_rotations > 50,
+        "rotations: {}",
+        r.hv.gang_rotations
+    );
     // Fragmentation: during the hog VM's slots three pCPUs idle.
     let total_cpu: f64 = r.vms.iter().map(|v| v.cpu_time.as_secs_f64()).sum();
     let idle_frac = 1.0 - total_cpu / (4.0 * r.elapsed.as_secs_f64());

@@ -121,11 +121,9 @@ fn invariants_hold_for_pipelines() {
 #[test]
 fn invariants_hold_for_servers() {
     let s = Scenario::new(4, Strategy::Irs, 5)
-        .vm(
-            VmScenario::new(presets::server::apache_ab(64, 4, 0.5), 4)
-                .pin_one_to_one()
-                .measured(),
-        )
+        .vm(VmScenario::new(presets::server::apache_ab(64, 4, 0.5), 4)
+            .pin_one_to_one()
+            .measured())
         .vm(VmScenario::new(presets::hog::cpu_hogs(2), 4).pin_one_to_one());
     sweep(s, "open-loop server");
 }
@@ -141,7 +139,12 @@ fn invariants_hold_for_pull_oracle() {
 /// Parallel workloads complete and release every task; nothing leaks.
 #[test]
 fn every_task_terminates() {
-    for strategy in [Strategy::Vanilla, Strategy::Irs, Strategy::Ple, Strategy::RelaxedCo] {
+    for strategy in [
+        Strategy::Vanilla,
+        Strategy::Irs,
+        Strategy::Ple,
+        Strategy::RelaxedCo,
+    ] {
         let r = Scenario::fig5_style("EP", 2, strategy, 5).run();
         assert!(
             r.measured().makespan.is_some(),
