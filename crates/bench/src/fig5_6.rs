@@ -207,3 +207,30 @@ pub fn fig6(opts: Opts, inter: Interference) -> Table {
 pub fn fig6_of(grid: &RealAppGrid) -> Table {
     grid.improvement(FIG6_TITLE)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn weighted_speedup_averages_speedups() {
+        // Cells per block: vanilla and then each strategy, over benches A
+        // and B. Every strategy runs A's foreground twice as fast and
+        // gives B's background twice the work rate, so each point is
+        // (2 + 1) / 2 of vanilla.
+        let mut block = vec![(10.0, 1.0), (8.0, 1.0)];
+        for _ in STRATEGIES {
+            block.extend([(5.0, 1.0), (8.0, 2.0)]);
+        }
+        let grid = RealAppGrid {
+            benches: &["A", "B"],
+            background: "bg",
+            cells: N_INTERS.iter().flat_map(|_| block.clone()).collect(),
+        };
+        let table = grid.weighted_speedup("t");
+        assert_eq!(table.series().len(), N_INTERS.len() * STRATEGIES.len());
+        for series in table.series() {
+            assert_eq!(series.values(), [150.0, 150.0], "{}", series.name());
+        }
+    }
+}

@@ -128,6 +128,15 @@ impl<K> ForkCache<K> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The held result for `key`, if any, without counting a hit or a
+    /// miss.
+    pub fn get(&self, key: &K) -> Option<&Arc<RunResult>>
+    where
+        K: Ord,
+    {
+        self.entries.get(key).map(|e| &e.result)
+    }
 }
 
 /// Outcome of one [`run_forked_grid_cached`] call.
@@ -362,7 +371,7 @@ mod tests {
             .map(|&(key, n)| {
                 let mut sys = System::new(quick(key));
                 sys.run_until(SimTime::from_millis(40));
-                (n as u64 - 1) * sys.snapshot().events_processed()
+                (n as u64 - 1) * sys.snapshot().resume().events_processed()
             })
             .sum();
         assert!(want_saved > 0, "a 40 ms warmup must have processed events");

@@ -195,28 +195,11 @@ impl System {
             };
             let mut os = GuestOs::new(guest_sa, vm.n_vcpus);
             let mut bundle = vm.bundle;
-            // Every id a program or the open-loop source names must exist,
-            // and gang epochs must be balanced: each epoch's participant
-            // count has to equal the number of threads polling it, or a
-            // release either never fires (too few pollers) or a generation
-            // tears (too many). Checked here so the interpreter itself can
-            // never fault.
-            if let Some(id) = bundle.unallocated_id() {
-                panic!("vm{vm_index} names unallocated {id}");
-            }
-            let mut polls = vec![0usize; bundle.space.n_epochs()];
-            for prog in &bundle.threads {
-                for e in prog.epochs_polled() {
-                    polls[e.0] += 1;
-                }
-            }
-            for (i, &n) in polls.iter().enumerate() {
-                let want = bundle.space.epoch_ref(irs_sync::EpochId(i)).participants();
-                assert_eq!(
-                    n, want,
-                    "vm{vm_index} gang epoch{i} unbalanced: {n} polling thread(s) \
-                     for {want} participant(s)"
-                );
+            // Every id a program or the open-loop source names must exist
+            // and every gang epoch must be balanced. Checked here so the
+            // interpreter itself can never fault.
+            if let Err(problem) = bundle.check() {
+                panic!("vm{vm_index} {problem}");
             }
             // Arrival processes draw from their own streams, forked from
             // the scenario seed with a fixed per-(vm, arrival) salt:
@@ -1290,17 +1273,6 @@ impl Snapshot {
     /// programs) already is, via `Arc`.
     pub fn resume(&self) -> System {
         self.0.clone()
-    }
-
-    /// Virtual time at which the snapshot was taken.
-    pub fn now(&self) -> SimTime {
-        self.0.now
-    }
-
-    /// Events the snapshotted run had processed — i.e. the work a resumed
-    /// branch does *not* re-execute.
-    pub fn events_processed(&self) -> u64 {
-        self.0.events_processed
     }
 
     /// Coarse, deterministic estimate of this snapshot's resident bytes,

@@ -33,11 +33,11 @@ fn assert_fork_identity(make: impl Fn() -> Scenario, faults: Option<FaultConfig>
 
     let mut warm = System::with_config(make(), cfg);
     warm.run_until(SimTime::from_millis(40));
-    let snap = warm.snapshot();
     assert!(
-        snap.events_processed() > 0,
+        warm.events_processed() > 0,
         "[{label}] shared an empty warmup"
     );
+    let snap = warm.snapshot();
     for jobs in [1usize, 2] {
         let branches = parallel::ordered_map(jobs, 2, |_| snap.resume().run());
         for b in &branches {
@@ -149,9 +149,7 @@ fn snapshot_boundaries_are_arbitrary() {
     mid.run_until(SimTime::from_millis(30));
     let snap = mid.snapshot();
     let resumed = snap.resume();
-    assert_eq!(resumed.now(), snap.now());
     assert_eq!(resumed.now(), mid.now());
-    assert_eq!(resumed.events_processed(), snap.events_processed());
     assert_eq!(resumed.events_processed(), mid.events_processed());
     assert_eq!(format!("{:?}", resumed.run()), want);
     // Completed snapshot: resuming is a no-op finish.

@@ -23,12 +23,15 @@
 //!
 //! * **Dirty-host carry-over** — each host tracks whether churn
 //!   (arrival or departure; telemetry feeds only placement) touched it
-//!   this epoch. Clean hosts carry their previous epoch's
-//!   `Arc<RunResult>` per arm and skip simulation entirely.
-//! * **Composition-keyed result memo** — groups not resolved by carry go
-//!   through [`irs_core::runner::run_forked_grid_cached`], whose
-//!   [`ForkCache`] runs each composition once per arm and keeps its
-//!   result, keyed by (arm, composition), for every later epoch and cell.
+//!   this epoch. A group with a clean member ran last epoch, so its
+//!   result is already in the memo: it is read back with
+//!   [`ForkCache::get`], which moves no cache counter, and skips
+//!   simulation entirely. Carry is an accounting class, not a second
+//!   store.
+//! * **Composition-keyed result memo** — the other groups go through
+//!   [`irs_core::runner::run_forked_grid_cached`], whose [`ForkCache`]
+//!   runs each composition once per arm and keeps its result, keyed by
+//!   (arm, composition), for every later epoch and cell.
 //!
 //! With `incremental` off — the reference `figures fleet --parity`
 //! compares against — every occupied host is simulated from scratch. Both
@@ -362,13 +365,12 @@ fn run_cell(
     let mut rng = SimRng::seed_from(cfg.seed).fork(cell_salt);
 
     let mut index = PlacementIndex::new(cfg.hosts, capacity);
-    // Churn dirtiness and per-arm carried results. A host whose tenant
-    // set did not change re-runs the exact same scenario next epoch
-    // (seeds depend only on composition), so its previous result stands
-    // in verbatim; any arrival or departure clears the carry. Telemetry
-    // updates feed only placement and never dirty a host.
+    // Churn dirtiness. A host whose tenant set did not change re-runs the
+    // exact same scenario next epoch (seeds depend only on composition),
+    // so its previous result stands in verbatim; any arrival or departure
+    // dirties it. Telemetry updates feed only placement and never dirty a
+    // host.
     let mut dirty = vec![false; cfg.hosts];
-    let mut carry: Vec<[Option<Arc<RunResult>>; 2]> = vec![[None, None]; cfg.hosts];
     let mut active: Vec<Tenant> = Vec::new();
     let mut out = CellOutcome {
         arms: [ArmSamples::default(), ArmSamples::default()],
@@ -387,7 +389,6 @@ fn run_cell(
             if !stays {
                 index.remove_tenant(t.host, cfg.tenant_vcpus);
                 dirty[t.host] = true;
-                carry[t.host] = [None, None];
             }
             stays
         });
@@ -407,7 +408,6 @@ fn run_cell(
                 Some(host) => {
                     index.add_tenant(host, cfg.tenant_vcpus);
                     dirty[host] = true;
-                    carry[host] = [None, None];
                     active.push(Tenant {
                         kind,
                         host,
@@ -450,13 +450,17 @@ fn run_cell(
             let runs: Vec<Arc<RunResult>> = if cfg.incremental {
                 // Clean-host carry first (free), then the
                 // composition-keyed memo, which runs what it has not seen.
+                // A clean host ran its composition last epoch, which put
+                // the result in the memo (by induction from epoch 0, when
+                // every occupied host is dirty).
                 let mut shared: Vec<Option<Arc<RunResult>>> = vec![None; comps.len()];
                 for (g, slot) in shared.iter_mut().enumerate() {
-                    let carried = members[g]
-                        .iter()
-                        .filter(|&&h| !dirty[h])
-                        .find_map(|&h| carry[h][arm].clone());
-                    if let Some(r) = carried {
+                    if members[g].iter().any(|&h| !dirty[h]) {
+                        let r = Arc::clone(
+                            cache
+                                .get(&memo_key(arm, comps[g]))
+                                .expect("a clean host's composition is memoized"),
+                        );
                         let n = sizes[g] as u64;
                         out.hosts_carried += n;
                         out.runs_elided += n;
@@ -517,7 +521,6 @@ fn run_cell(
                         &r,
                         &mut steal_frac[host],
                     );
-                    carry[host][arm] = Some(r);
                 }
             }
         }
@@ -528,7 +531,7 @@ fn run_cell(
             index.set_steal(h, 0.5 * index.steal(h) + 0.5 * frac);
         }
         // Next epoch's churn defines dirtiness afresh: every host that
-        // ran this epoch now has a current carry for both arms.
+        // ran this epoch now has a memoized result for both arms.
         dirty.fill(false);
     }
     out

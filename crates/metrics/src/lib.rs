@@ -2,11 +2,11 @@
 //!
 //! Small, dependency-free statistics used across the reproduction:
 //!
-//! * [`Summary`] — mean / std-dev / min / max over f64 samples.
+//! * [`Summary`] — the mean of f64 samples.
 //! * [`percentile`] — nearest-rank percentiles for latency distributions
 //!   (the 99th-percentile `ab` latency of Fig 8).
-//! * [`improvement_pct`] / [`slowdown`] / [`weighted_speedup`] — the
-//!   derived quantities every figure of the paper reports.
+//! * [`improvement_pct`] / [`slowdown`] — the derived quantities the
+//!   paper's figures report.
 //! * [`Table`] and [`Series`] — fixed-width text (and CSV) rendering so the
 //!   `figures` binary prints the same rows/series the paper plots.
 
@@ -17,5 +17,5 @@
 mod stats;
 mod table;
 
-pub use stats::{improvement_pct, percentile, slowdown, weighted_speedup, Summary};
+pub use stats::{improvement_pct, percentile, slowdown, Summary};
 pub use table::{Series, Table};

@@ -1,6 +1,6 @@
 //! Summary statistics and paper-derived quantities.
 
-/// Mean / standard deviation / extrema of a sample set.
+/// The mean of a sample set.
 ///
 /// # Example
 ///
@@ -9,48 +9,22 @@
 ///
 /// let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(s.mean, 2.5);
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 4.0);
-/// assert_eq!(s.n, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Arithmetic mean (0 for an empty sample).
     pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Smallest sample (0 for an empty sample).
-    pub min: f64,
-    /// Largest sample (0 for an empty sample).
-    pub max: f64,
-    /// Sample count.
-    pub n: usize,
 }
 
 impl Summary {
     /// Summarizes `samples`.
     pub fn of(samples: &[f64]) -> Summary {
-        if samples.is_empty() {
-            return Summary {
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                n: 0,
-            };
-        }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Summary {
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
-            n: samples.len(),
-        }
+        let mean = if samples.is_empty() {
+            0.0
+        } else {
+            samples.iter().sum::<f64>() / samples.len() as f64
+        };
+        Summary { mean }
     }
 }
 
@@ -100,45 +74,13 @@ pub fn slowdown(reference_cost: f64, cost: f64) -> f64 {
     cost / reference_cost
 }
 
-/// The paper's system-efficiency metric (§5.4): the average of per-
-/// application speedups, where each speedup is `vanilla_cost / cost` for
-/// cost metrics. A weighted speedup of 1.0 matches vanilla Xen/Linux;
-/// Figs 7 and 9 report it in percent (×100).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn weighted_speedup(vanilla_costs: &[f64], costs: &[f64]) -> f64 {
-    assert_eq!(
-        vanilla_costs.len(),
-        costs.len(),
-        "speedup needs matched samples"
-    );
-    assert!(!costs.is_empty(), "speedup of zero applications");
-    let sum: f64 = vanilla_costs
-        .iter()
-        .zip(costs)
-        .map(|(&v, &c)| if c > 0.0 { v / c } else { 0.0 })
-        .sum();
-    sum / costs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn summary_of_empty_is_zeroed() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn summary_std_dev() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.0).abs() < 1e-12);
+        assert_eq!(Summary::of(&[]).mean, 0.0);
     }
 
     #[test]
@@ -203,18 +145,5 @@ mod tests {
     fn slowdown_is_a_ratio() {
         assert!((slowdown(10.0, 25.0) - 2.5).abs() < 1e-12);
         assert_eq!(slowdown(0.0, 25.0), 0.0);
-    }
-
-    #[test]
-    fn weighted_speedup_averages_speedups() {
-        // App A twice as fast, app B unchanged: (2.0 + 1.0)/2 = 1.5.
-        let ws = weighted_speedup(&[10.0, 8.0], &[5.0, 8.0]);
-        assert!((ws - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "matched samples")]
-    fn weighted_speedup_rejects_mismatch() {
-        weighted_speedup(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -1,7 +1,7 @@
 //! Workload bundles: the unit a scenario assigns to a VM.
 
 use crate::program::{Op, Program};
-use irs_sync::{ArrivalId, ChannelId, SyncSpace};
+use irs_sync::{ArrivalId, ChannelId, EpochId, SyncSpace};
 use std::fmt::Display;
 
 /// What kind of workload a bundle is — determines the completion criterion
@@ -33,7 +33,7 @@ pub struct OpenLoop {
 /// they share, and the modelling knobs the embedder needs.
 #[derive(Debug)]
 pub struct WorkloadBundle {
-    /// Human-readable benchmark name (e.g. `"streamcluster"`).
+    /// Human-readable workload name, as its preset spells it.
     pub name: String,
     /// One program per thread; thread `i` starts on vCPU `i % n_vcpus`.
     pub threads: Vec<Program>,
@@ -128,31 +128,58 @@ impl WorkloadBundle {
         self.threads.len()
     }
 
-    /// The first id that a thread program or the open-loop source names
-    /// but [`space`](Self::space) never allocated (`"lock3"`), if any.
-    pub fn unallocated_id(&self) -> Option<String> {
+    /// The first problem that would fault the interpreter mid-run, in one
+    /// walk over every op: an id that a thread program or the open-loop
+    /// source names but [`space`](Self::space) never allocated
+    /// (`"names unallocated lock3"`), or a gang epoch whose participant
+    /// count differs from the number of threads polling it (`"gang epoch0
+    /// unbalanced: …"`), so that a release never fires (too few pollers)
+    /// or a generation tears (too many).
+    pub fn check(&self) -> Result<(), String> {
         let s = &self.space;
-        let missing = |allocated: bool, id: &dyn Display| (!allocated).then(|| id.to_string());
-        let in_ops = self
-            .threads
-            .iter()
-            .flat_map(Program::ops)
-            .filter_map(|op| match op {
-                Op::Lock(l) | Op::Unlock(l) => missing(l.0 < s.n_locks(), l),
-                Op::Barrier(b) => missing(b.0 < s.n_barriers(), b),
-                Op::Push(c) | Op::Pop(c) => missing(c.0 < s.n_channels(), c),
-                Op::StealOrExit(p) => missing(p.0 < s.n_pools(), p),
-                Op::SafepointPoll(e) => missing(e.0 < s.n_epochs(), e),
-                Op::AwaitArrival(a) => missing(a.0 < s.n_arrivals(), a),
-                _ => None,
-            });
-        let in_source = self.open_loop.iter().flat_map(|ol| {
-            [
-                missing(ol.channel.0 < s.n_channels(), &ol.channel),
-                missing(ol.arrival.0 < s.n_arrivals(), &ol.arrival),
-            ]
-        });
-        in_ops.chain(in_source.flatten()).next()
+        let unallocated = |id: &dyn Display| Err(format!("names unallocated {id}"));
+        // Each thread counts once per epoch, however often it polls.
+        let mut pollers = vec![0usize; s.n_epochs()];
+        let mut last_poller = vec![usize::MAX; s.n_epochs()];
+        for (t, program) in self.threads.iter().enumerate() {
+            for op in program.ops() {
+                let (allocated, id): (bool, &dyn Display) = match op {
+                    Op::Lock(l) | Op::Unlock(l) => (l.0 < s.n_locks(), l),
+                    Op::Barrier(b) => (b.0 < s.n_barriers(), b),
+                    Op::Push(c) | Op::Pop(c) => (c.0 < s.n_channels(), c),
+                    Op::StealOrExit(p) => (p.0 < s.n_pools(), p),
+                    Op::SafepointPoll(e) => (e.0 < s.n_epochs(), e),
+                    Op::AwaitArrival(a) => (a.0 < s.n_arrivals(), a),
+                    _ => continue,
+                };
+                if !allocated {
+                    return unallocated(id);
+                }
+                if let Op::SafepointPoll(e) = op {
+                    if last_poller[e.0] != t {
+                        last_poller[e.0] = t;
+                        pollers[e.0] += 1;
+                    }
+                }
+            }
+        }
+        if let Some(ol) = &self.open_loop {
+            if ol.channel.0 >= s.n_channels() {
+                return unallocated(&ol.channel);
+            }
+            if ol.arrival.0 >= s.n_arrivals() {
+                return unallocated(&ol.arrival);
+            }
+        }
+        for (i, &n) in pollers.iter().enumerate() {
+            let want = s.epoch_ref(EpochId(i)).participants();
+            if n != want {
+                return Err(format!(
+                    "gang epoch{i} unbalanced: {n} polling thread(s) for {want} participant(s)"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -183,12 +210,29 @@ mod tests {
         let l = space.new_lock(irs_sync::WaitMode::Block);
         let ok = ProgramBuilder::new().lock(l).unlock(l).build();
         let b = WorkloadBundle::parallel("x", vec![ok.clone()], space.clone(), 0.0);
-        assert_eq!(b.unallocated_id(), None);
+        assert_eq!(b.check(), Ok(()));
         let stray = ProgramBuilder::new()
             .barrier(irs_sync::BarrierId(0))
             .build();
         let b = WorkloadBundle::parallel("x", vec![ok, stray], space, 0.0);
-        assert_eq!(b.unallocated_id().as_deref(), Some("barrier0"));
+        assert_eq!(b.check(), Err("names unallocated barrier0".to_string()));
+    }
+
+    #[test]
+    fn epoch_pollers_are_counted_once_per_thread() {
+        let mut space = SyncSpace::new();
+        let e = space.new_epoch(1_000_000, 2, irs_sync::WaitMode::Block);
+        let twice = ProgramBuilder::new()
+            .safepoint_poll(e)
+            .safepoint_poll(e)
+            .build();
+        let b = WorkloadBundle::server("x", vec![twice.clone()], space.clone(), 0.0, None);
+        assert_eq!(
+            b.check(),
+            Err("gang epoch0 unbalanced: 1 polling thread(s) for 2 participant(s)".to_string())
+        );
+        let b = WorkloadBundle::server("x", vec![twice.clone(), twice], space, 0.0, None);
+        assert_eq!(b.check(), Ok(()));
     }
 
     #[test]

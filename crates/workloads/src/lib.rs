@@ -37,7 +37,7 @@
 //! use irs_workloads::presets;
 //! use irs_workloads::{Op, ProgramRunner};
 //!
-//! let mut bundle = presets::parsec::streamcluster(4, WaitMode::Block);
+//! let mut bundle = presets::by_name("streamcluster", 4, WaitMode::Block).unwrap();
 //! assert_eq!(bundle.threads.len(), 4);
 //! let mut runner = ProgramRunner::new(bundle.threads[0].clone());
 //! // The first instruction of a streamcluster thread is a compute

@@ -228,7 +228,7 @@ mod tests {
         let mut b = apache_ab(512, 4, 0.6);
         assert_eq!(b.n_threads(), 512);
         let ol = b.open_loop.expect("ab is open loop");
-        assert_eq!(b.unallocated_id(), None, "the source names its own space");
+        assert_eq!(b.check(), Ok(()), "the source names its own space");
         // Capacity 2000 rps × 0.6 = 1200 rps → ~833 µs inter-arrival.
         let a = b.space.arrival(ol.arrival);
         a.reseed(irs_sim::SimRng::seed_from(1));

@@ -494,9 +494,10 @@ impl Hypervisor {
         self.dispatch_epoch += 1;
         // Yield flags are one-shot (Xen clears CSCHED_FLAG_VCPU_YIELD once
         // the scheduler has acted on it): anyone still queued after this
-        // completed decision competes normally next time.
-        let queued: Vec<VcpuRef> = self.pcpus[pcpu.0].runq.iter().copied().collect();
-        for v in queued {
+        // completed decision competes normally next time. The walk goes by
+        // index, so it allocates nothing.
+        for i in 0..self.pcpus[pcpu.0].runq.len() {
+            let v = self.pcpus[pcpu.0].runq[i];
             self.vc_mut(v).yield_bias = false;
         }
         out.push(HvAction::VcpuStarted { vcpu: next, pcpu });

@@ -2,8 +2,9 @@
 # Tier-1 verification in 7 steps:
 #  1. release build of the whole workspace;
 #  2. the full test suite;
-#  3. the lint gates: clippy, and rustdoc with warnings denied (a broken
-#     or private intra-doc link fails the build);
+#  3. the lint gates: rustfmt's check (any unformatted line fails it),
+#     clippy, and rustdoc with warnings denied (a broken or private
+#     intra-doc link fails the build);
 #  4. `figures all --check` at its default three seeds on two workers,
 #     with stdout byte-compared against figures_output.txt and every CSV
 #     against results_csv/. The online invariant sanitizer is armed for
@@ -57,7 +58,8 @@ begin "cargo test --workspace -q"
 cargo test --workspace -q
 end
 
-begin "cargo clippy --workspace --all-targets -- -D warnings; cargo doc --workspace --no-deps"
+begin "cargo fmt --check; cargo clippy --workspace --all-targets -- -D warnings; cargo doc --workspace --no-deps"
+cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 end
