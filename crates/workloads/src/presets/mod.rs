@@ -81,6 +81,7 @@ const CATALOG: [(&str, Shape, f64); 21] = [
     // condition variables and barriers). Pipelines with more than one
     // thread per vCPU gain little, work stealing is already resilient, and
     // memory-intensive codes regress under 4-inter migration churn.
+
     // Embarrassingly parallel option pricing; a barrier per coarse iteration.
     ("blackscholes", Barrier { iters: 30, grain_us: 60_000, jitter: 0.05 }, 0.2),
     // 4-stage pipeline with `n` threads per stage (the paper: "4 threads for each pipeline stage"), so 4×`n` threads on `n` vCPUs.
@@ -108,6 +109,7 @@ const CATALOG: [(&str, Shape, f64); 21] = [
     // NPB (OpenMP; spinning under `OMP_WAIT_POLICY=active` in Fig 6,
     // blocking under `passive` in Fig 2). Every kernel is barrier-iterative;
     // barrier granularity and memory intensity separate their columns.
+
     // Block-tridiagonal solver; coarse iterations.
     ("BT", Barrier { iters: 12, grain_us: 130_000, jitter: 0.06 }, 0.5),
     // Lower-upper decomposition; the coarsest-grained kernel (§5.1's coarse-grained background interference).
