@@ -40,8 +40,8 @@
 //! let mut bundle = presets::by_name("streamcluster", 4, WaitMode::Block).unwrap();
 //! assert_eq!(bundle.threads.len(), 4);
 //! let mut runner = ProgramRunner::new(bundle.threads[0].clone());
-//! // The first instruction of a streamcluster thread is a compute
-//! // segment; whoever runs it draws the segment's jitter.
+//! // A barrier benchmark's thread starts with a compute segment;
+//! // whoever runs it draws the segment's jitter.
 //! match runner.next(&mut bundle.space) {
 //!     Some(Op::Compute { mean_ns, jitter }) => {
 //!         let ns = SimRng::seed_from(1).jittered(mean_ns, jitter);
