@@ -303,13 +303,12 @@ impl Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::WorkloadKind;
     use crate::program::Op;
     use crate::runner::ProgramRunner;
     use irs_sync::{BarrierId, BarrierOutcome};
 
     /// Rough single-thread work estimate (ns), ignoring waiting.
-    fn solo_work_ns(bundle: &mut WorkloadBundle, thread: usize) -> u64 {
+    pub(super) fn solo_work_ns(bundle: &mut WorkloadBundle, thread: usize) -> u64 {
         let mut r = ProgramRunner::new(bundle.threads[thread].clone());
         let mut total = 0u64;
         while let Some(op) = r.next(&mut bundle.space) {
@@ -320,9 +319,22 @@ mod tests {
         total
     }
 
+    /// Asserts that one thread of `name`, built as the paper runs it, does
+    /// 1–3 s of work, which keeps simulated experiments comparable across
+    /// benchmarks.
+    pub(super) fn assert_work_in_the_1_to_3s_band(name: &str) {
+        let mut b = by_name(name, 4, wait_mode(name)).unwrap();
+        let work = solo_work_ns(&mut b, 0);
+        assert!(
+            (1_000_000_000..3_000_000_000).contains(&work),
+            "{name}: {} ms per thread",
+            work / 1_000_000
+        );
+    }
+
     /// The catalog rows whose threads all meet at a barrier: every shape
     /// but pipelines and work stealing.
-    fn barrier_rows() -> impl Iterator<Item = &'static str> {
+    pub(super) fn barrier_rows() -> impl Iterator<Item = &'static str> {
         CATALOG
             .iter()
             .filter(|(_, shape, _)| !matches!(shape, Pipeline { .. } | WorkSteal { .. }))
@@ -335,7 +347,6 @@ mod tests {
             let b = by_name(name, 4, WaitMode::Block)
                 .unwrap_or_else(|| panic!("{name} missing from catalog"));
             assert!(b.n_threads() >= 4, "{name} has too few threads");
-            assert_eq!(b.kind, WorkloadKind::Parallel, "{name}");
             assert_eq!(b.name, *name);
             let lower = by_name(&name.to_ascii_lowercase(), 4, WaitMode::Block).unwrap();
             assert_eq!(lower.name, *name, "names match case-insensitively");
@@ -362,20 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_work_is_in_the_1_to_3s_band() {
-        // Keeps simulated experiments comparable across benchmarks.
-        for name in barrier_rows() {
-            let mut b = by_name(name, 4, wait_mode(name)).unwrap();
-            let work = solo_work_ns(&mut b, 0);
-            assert!(
-                (1_000_000_000..3_000_000_000).contains(&work),
-                "{name}: {} ms per thread",
-                work / 1_000_000
-            );
-        }
-    }
-
-    #[test]
     fn mode_parameter_controls_wait_mode() {
         for name in barrier_rows() {
             for mode in [WaitMode::Spin, WaitMode::Block] {
@@ -388,34 +385,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn granularity_ordering_matches_the_paper() {
-        // §5.1's coarse- and fine-grained backgrounds: LU's barrier
-        // interval is coarser than UA's, which is coarser than IS's.
-        let grain = |name: &str| match CATALOG.iter().find(|(n, ..)| *n == name) {
-            Some((_, Barrier { grain_us, .. } | Lock { grain_us, .. }, _)) => *grain_us,
-            _ => panic!("{name} has no barrier interval"),
-        };
-        assert!(grain("LU") > grain("UA") && grain("UA") > grain("IS"));
-    }
-
-    #[test]
-    fn raytrace_threads_share_one_pool() {
-        let mut b = by_name("raytrace", 4, WaitMode::Block).unwrap();
-        // One thread alone would do all 6000 chunks.
-        let work = solo_work_ns(&mut b, 0);
-        assert!(work > 5_000_000_000, "pool fully consumed by one thread");
-        // The pool is now empty: the remaining threads finish immediately.
-        let rest = solo_work_ns(&mut b, 1);
-        assert_eq!(rest, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two threads")]
-    fn x264_rejects_single_thread() {
-        by_name("x264", 1, WaitMode::Block);
     }
 
     #[test]
@@ -433,16 +402,12 @@ mod tests {
 
     #[test]
     fn pipeline_thread_count_is_stages_times_workers() {
-        let mut pipelines = Vec::new();
-        for (name, shape, _) in &CATALOG {
-            if let Pipeline { stages, .. } = shape {
-                // The paper: "4 threads for each pipeline stage".
-                let b = by_name(name, 4, WaitMode::Block).unwrap();
-                assert_eq!(b.n_threads(), 4 * stages, "{name}");
-                pipelines.push(*name);
-            }
-        }
-        assert_eq!(pipelines, ["dedup", "ferret"]);
+        let shape = Pipeline {
+            stages: 4,
+            items: 160,
+            stage_us: 1_000,
+        };
+        assert_eq!(shape.build("t", 4, WaitMode::Block, 0.5).n_threads(), 16);
     }
 
     #[test]
@@ -454,5 +419,83 @@ mod tests {
             stage_us: 1_000,
         };
         shape.build("t", 4, WaitMode::Block, 0.5);
+    }
+}
+
+/// Checks of the PARSEC rows, the columns of Fig 5.
+#[cfg(test)]
+mod parsec {
+    mod tests {
+        use super::super::tests::{assert_work_in_the_1_to_3s_band, barrier_rows, solo_work_ns};
+        use super::super::*;
+        use crate::bundle::WorkloadKind;
+
+        #[test]
+        fn per_thread_work_is_in_the_1_to_3s_band() {
+            for name in barrier_rows().filter(|name| PARSEC_NAMES.contains(name)) {
+                assert_work_in_the_1_to_3s_band(name);
+            }
+        }
+
+        #[test]
+        fn raytrace_threads_share_one_pool() {
+            let mut b = by_name("raytrace", 4, WaitMode::Block).unwrap();
+            // One thread alone would do all 6000 chunks.
+            let work = solo_work_ns(&mut b, 0);
+            assert!(work > 5_000_000_000, "pool fully consumed by one thread");
+            // The pool is now empty: the remaining threads finish immediately.
+            let rest = solo_work_ns(&mut b, 1);
+            assert_eq!(rest, 0);
+        }
+
+        #[test]
+        fn pipelines_have_threads_per_stage() {
+            // The paper: "4 threads for each pipeline stage".
+            let threads = |name| by_name(name, 4, WaitMode::Block).unwrap().n_threads();
+            assert_eq!(threads("dedup"), 16);
+            assert_eq!(threads("ferret"), 20);
+        }
+
+        #[test]
+        fn all_are_parallel_kind() {
+            // The PARSEC rows use every shape the catalog has.
+            for name in PARSEC_NAMES {
+                let b = by_name(name, 4, WaitMode::Block).unwrap();
+                assert_eq!(b.kind, WorkloadKind::Parallel, "{name}");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "at least two threads")]
+        fn x264_rejects_single_thread() {
+            by_name("x264", 1, WaitMode::Block);
+        }
+    }
+}
+
+/// Checks of the NPB rows, the columns of Fig 6.
+#[cfg(test)]
+mod npb {
+    mod tests {
+        use super::super::tests::assert_work_in_the_1_to_3s_band;
+        use super::super::*;
+
+        #[test]
+        fn all_kernels_are_in_the_1_to_3s_band() {
+            for name in NPB_NAMES {
+                assert_work_in_the_1_to_3s_band(name);
+            }
+        }
+
+        #[test]
+        fn granularity_ordering_matches_the_paper() {
+            // §5.1's coarse- and fine-grained backgrounds: LU's barrier
+            // interval is coarser than UA's, which is coarser than IS's.
+            let grain = |name: &str| match CATALOG.iter().find(|(n, ..)| *n == name) {
+                Some((_, Barrier { grain_us, .. } | Lock { grain_us, .. }, _)) => *grain_us,
+                _ => panic!("{name} has no barrier interval"),
+            };
+            assert!(grain("LU") > grain("UA") && grain("UA") > grain("IS"));
+        }
     }
 }
