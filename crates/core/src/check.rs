@@ -2,12 +2,13 @@
 //! simulator's cross-layer bookkeeping.
 //!
 //! When enabled (per-run via [`crate::SystemConfig::check`] or process-wide
-//! via [`set_check_enabled`]), it checks nine families of invariants
-//! (eighteen named checks) at three points:
+//! via [`set_check_enabled`]), it checks ten families of invariants
+//! (nineteen named checks) at three points:
 //!
 //! * after *every* event [`System::step`](crate::System::step) dispatches:
-//!   every vCPU, every pCPU, each vCPU's execution window, and each vCPU's
-//!   current task (double run, state, `cpu`, vruntime and activity);
+//!   every vCPU, every pCPU, each vCPU's execution window, each vCPU's
+//!   current task (double run, state, `cpu`, vruntime and activity), and
+//!   each VM's live view cache;
 //! * at every accounting pass (`Event::HvAccounting`, each 30 ms of
 //!   virtual time) and once at the end of [`System::run`](crate::System::run),
 //!   a full *sweep*: the hypervisor's and each guest's own queue walker,
@@ -58,6 +59,13 @@
 //!    nowhere) (`task-queue-membership`); and on each vCPU an execution
 //!    window is open exactly when a guest-current task sits on a running
 //!    vCPU, and belongs to that task (`exec-window`).
+//! 10. **View cache** — while a VM's cached guest views are live (built
+//!     under the hypervisor's current runstate epoch for the VM, and
+//!     `now` before their deadline), every steal tracker of the VM is
+//!     quiescent at `now` and the cache equals a rebuild from the
+//!     runstates and the trackers' estimates (`views-cache`). This is the
+//!     premise on which `System::fill_views` returns the cache untouched
+//!     and a quiet guest tick skips the refill.
 //!
 //! The per-event check makes one pass per entity kind: every vCPU (probed
 //! in bulk by [`irs_xen::Hypervisor::vcpu_probes`]), every pCPU, then each
@@ -72,13 +80,13 @@
 //! ([`crate::System::trace_dump`]) so the decision sequence that led to
 //! the corruption is visible.
 
-use crate::domain::Activity;
+use crate::domain::{Activity, Domain};
 use crate::events::Event;
 use crate::system::System;
-use irs_guest::{TaskId, TaskState};
+use irs_guest::{TaskId, TaskState, VcpuView};
 use irs_sim::SimTime;
 use irs_xen::credit::{CREDITS_PER_ACCT, CREDIT_CAP, CREDIT_FLOOR};
-use irs_xen::{PcpuId, RunState, VcpuProbe, VcpuRef, SA_COMPLETION_LIMIT, TICK_PERIOD};
+use irs_xen::{PcpuId, RunState, VcpuProbe, VcpuRef, VmId, SA_COMPLETION_LIMIT, TICK_PERIOD};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide sanitizer switch (see [`set_check_enabled`]).
@@ -187,6 +195,9 @@ impl Checker {
                 let executing = window == Some(t.0);
                 task_activity(step, vm, t.0, task.state, d.task_activity[t.0], executing);
             }
+        }
+        for (vm, d) in sys.domains.iter().enumerate() {
+            views_cache(step, vm, d);
         }
         if ev == Event::HvAccounting {
             self.sweep(step);
@@ -460,6 +471,50 @@ fn task_activity(
         step.fail(
             "task-activity",
             format!("vm{vm} task{t} executes with activity {activity:?}"),
+        );
+    }
+}
+
+/// Checks `vm`'s cached guest views while they are live — built under the
+/// VM's current runstate epoch, with `now` before their deadline, so
+/// `System::fill_views` would hand them out untouched: every steal tracker
+/// is quiescent at `now`, and each cached view is the vCPU's runstate and
+/// its tracker's estimate, bit for bit.
+fn views_cache(step: Step, vm: usize, d: &Domain) {
+    let (sys, now) = (step.sys, step.sys.now());
+    let hv = sys.hypervisor();
+    if d.views_epoch != hv.runstate_epoch(VmId(vm)) || now >= d.views_deadline {
+        return;
+    }
+    if let Some(v) = d.steal.iter().position(|t| !t.quiescent_at(now)) {
+        step.fail(
+            "views-cache",
+            format!(
+                "vm{vm} v{v}'s steal tracker is due a sample before the cache deadline {}",
+                d.views_deadline
+            ),
+        );
+    }
+    let rebuild = || {
+        hv.vm_clocks(VmId(vm))
+            .zip(&d.steal)
+            .map(|(clock, tracker)| VcpuView {
+                state: clock.state(),
+                steal_frac: tracker.ewma,
+            })
+    };
+    let same = d.view_buf.len() == d.steal.len()
+        && rebuild()
+            .zip(&d.view_buf)
+            .all(|(a, b)| a.state == b.state && a.steal_frac.to_bits() == b.steal_frac.to_bits());
+    if !same {
+        let rebuilt: Vec<VcpuView> = rebuild().collect();
+        step.fail(
+            "views-cache",
+            format!(
+                "vm{vm} cached views {:?} differ from a rebuild {rebuilt:?}",
+                d.view_buf
+            ),
         );
     }
 }
@@ -857,6 +912,27 @@ mod tests {
             },
         );
         assert!(msg.contains("at the end of the run"), "{msg}");
+    }
+
+    /// The first VM whose view cache is live at `s`'s instant.
+    fn live_views(s: &System) -> Option<usize> {
+        let epoch = |vm| s.hypervisor().runstate_epoch(VmId(vm));
+        s.domains
+            .iter()
+            .enumerate()
+            .position(|(vm, d)| d.views_epoch == epoch(vm) && s.now() < d.views_deadline)
+    }
+
+    #[test]
+    fn views_cache_trips() {
+        let (mut sys, mut c) =
+            armed(|s| s.now() >= SimTime::from_millis(50) && live_views(s).is_some());
+        let vm = live_views(&sys).expect("a view cache is live");
+        c.check(&sys, Event::HvTick);
+        sys.domains[vm].view_buf[0].steal_frac += 0.25;
+        assert_trips("views-cache", "differ from a rebuild", || {
+            c.check(&sys, Event::HvTick)
+        });
     }
 
     #[test]

@@ -540,10 +540,10 @@ impl System {
     /// clone of this `System`. That covers the hypervisor (credit arena,
     /// runqueues, SA rounds, runstate clocks), every guest kernel (CFS
     /// state, task arrays, sync space; programs stay `Arc`-shared), the
-    /// timer-wheel event queue (buckets, occupancy bitmaps, overflow list,
-    /// cursor, sequence counter), the workload RNG, the fault-injection
-    /// stream (RNG position, wedge windows, stats) and the sanitizer's
-    /// rolling baseline.
+    /// event queue (wheel buckets, occupancy bitmaps, overflow list,
+    /// cursor, FIFO tick lane, sequence counter), the workload RNG, the
+    /// fault-injection stream (RNG position, wedge windows, stats) and the
+    /// sanitizer's rolling baseline.
     ///
     /// Not captured: trace-ring *contents* (cloning a ring keeps only its
     /// configuration, so a resumed system starts with empty rings). See
@@ -612,17 +612,29 @@ impl System {
         }
     }
 
+    /// The guest's 1 ms tick on a running vCPU. A quiet one
+    /// ([`GuestOs::tick_if_quiet`]) has no action to apply and skips the
+    /// guest's tick body.
     fn on_guest_tick(&mut self, vm: usize, vcpu: usize, gen: u64) {
         if self.domains[vm].tick_gen[vcpu] != gen {
             return; // the vCPU stopped running since this was armed
         }
         self.domains[vm].last_tick[vcpu] = self.now;
         self.sync_exec(vm, vcpu);
-        self.fill_views(vm);
-        let d = &mut self.domains[vm];
-        let acts = d.os.tick(vcpu, &d.view_buf);
-        self.apply_guest_actions(vm, acts);
-        self.queue.schedule(
+        if !self.domains[vm].os.tick_if_quiet(vcpu) {
+            self.fill_views(vm);
+            let d = &mut self.domains[vm];
+            let acts = d.os.tick(vcpu, &d.view_buf);
+            self.apply_guest_actions(vm, acts);
+        } else if self.now >= self.domains[vm].views_deadline {
+            // A quiet tick reads no views, but the full tick's refill
+            // samples every steal tracker the instant one leaves its
+            // quiescent window, and later steal fractions depend on where
+            // those samples fall. Before `views_deadline` every tracker is
+            // quiescent and the refill would change no tracker.
+            self.fill_views(vm);
+        }
+        self.queue.schedule_in_order(
             self.now + irs_guest::TICK_PERIOD,
             Event::GuestTick {
                 vm: vm as u16,
@@ -953,7 +965,7 @@ impl System {
         self.domains[vm].tick_gen[vcpu] += 1;
         let gen = self.domains[vm].tick_gen[vcpu];
         let due = (self.domains[vm].last_tick[vcpu] + irs_guest::TICK_PERIOD).max(self.now);
-        self.queue.schedule(
+        self.queue.schedule_in_order(
             due,
             Event::GuestTick {
                 vm: vm as u16,

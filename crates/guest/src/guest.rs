@@ -129,6 +129,7 @@ impl GuestOs {
     /// The embedding simulation calls this whenever it checkpoints task
     /// progress (at stops, ticks, and task program events); the guest only
     /// maintains vruntime, never wall time.
+    #[inline]
     pub fn account_runtime(&mut self, vcpu: usize, delta: SimTime) {
         if delta.is_zero() {
             return;
@@ -174,6 +175,28 @@ impl GuestOs {
             }
         }
         out
+    }
+
+    /// The scheduler tick for `vcpu` when it provably has nothing to do:
+    /// counts the tick and returns `true` when no stopper request is
+    /// pending, `vcpu`'s runqueue is empty and, on a balance tick, every
+    /// runqueue is empty. Then [`GuestOs::tick`] would return no action
+    /// and change nothing but the tick count, so the embedder need not
+    /// call it. Otherwise changes nothing and returns `false`; the
+    /// embedder runs the full tick.
+    #[inline]
+    pub fn tick_if_quiet(&mut self, vcpu: usize) -> bool {
+        if !self.stopper_pending.is_empty() || self.rqs[vcpu].nr_queued() > 0 {
+            return false;
+        }
+        let count = self.tick_counts[vcpu] + 1;
+        if count.is_multiple_of(BALANCE_INTERVAL_TICKS)
+            && self.rqs.iter().any(|rq| rq.nr_queued() > 0)
+        {
+            return false;
+        }
+        self.tick_counts[vcpu] = count;
+        true
     }
 
     /// Idle balancing on a vCPU that just woke with nothing to run: pull
@@ -403,16 +426,19 @@ impl GuestOs {
     }
 
     /// The current task of `vcpu`, if any.
+    #[inline]
     pub fn current(&self, vcpu: usize) -> Option<TaskId> {
         self.rqs[vcpu].current
     }
 
     /// Read access to a task.
+    #[inline]
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0]
     }
 
     /// Read access to a runqueue.
+    #[inline]
     pub fn rq(&self, vcpu: usize) -> &Runqueue {
         &self.rqs[vcpu]
     }
@@ -634,6 +660,31 @@ mod tests {
             assert!(out.is_empty(), "unexpected actions: {out:?}");
         }
         assert_eq!(g.current(0), Some(a));
+    }
+
+    #[test]
+    fn only_a_tick_with_nothing_queued_is_quiet() {
+        // v0 runs a with nothing queued: quiet, and counted.
+        let mut g = GuestOs::new(None, 2);
+        let a = g.spawn(0);
+        g.spawn(1);
+        g.spawn(1);
+        g.start();
+        assert!(g.tick_if_quiet(0));
+        assert_eq!(g.tick_counts[0], 1);
+        // v1 has a task queued behind its current one.
+        assert!(!g.tick_if_quiet(1));
+        assert_eq!(
+            g.tick_counts[1], 0,
+            "a tick that is not quiet changes nothing"
+        );
+        // v0's balance tick sees v1's queued task.
+        g.tick_counts[0] = BALANCE_INTERVAL_TICKS - 1;
+        assert!(!g.tick_if_quiet(0));
+        g.tick_counts[0] = 0;
+        // A pending stopper request needs the full tick.
+        g.request_stop_migration(a, 1);
+        assert!(!g.tick_if_quiet(0));
     }
 
     #[test]

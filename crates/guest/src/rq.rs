@@ -45,6 +45,7 @@ impl Runqueue {
     }
 
     /// The queued task with the smallest vruntime, if any.
+    #[inline]
     pub fn leftmost(&self) -> Option<(u64, TaskId)> {
         self.tree.first().copied()
     }
@@ -59,6 +60,7 @@ impl Runqueue {
     }
 
     /// Number of ready (queued, not running) tasks.
+    #[inline]
     pub fn nr_queued(&self) -> usize {
         self.tree.len()
     }
@@ -100,6 +102,7 @@ impl Runqueue {
 
     /// Raises the watermark to at least `vruntime` (called as the running
     /// task accrues vruntime, so sleepers re-enter at a fair point).
+    #[inline]
     pub fn update_min_vruntime(&mut self, vruntime: u64) {
         // min_vruntime may not exceed the leftmost queued key, or a queued
         // task would be re-placed unfairly far ahead.

@@ -55,13 +55,40 @@ fn views(i: usize) -> Vec<VcpuView> {
     }
 }
 
+/// A 4-vCPU IRS guest with 8 tasks, booted, its boot buffer returned to
+/// its pool as an embedder would.
 fn build() -> GuestOs {
     let mut g = GuestOs::new(Some(GuestSaConfig::default()), 4);
     for i in 0..8 {
         g.spawn(i % 4);
     }
-    g.start();
+    let boot = g.start();
+    g.recycle_actions(boot);
     g
+}
+
+/// Applies `op` as an embedder does: every action buffer an entry point
+/// returns goes back to the guest's pool.
+fn apply(g: &mut GuestOs, op: Op, vs: &[VcpuView]) {
+    let acts = match op {
+        Op::Tick(v) => g.tick(v as usize, vs),
+        Op::AccountAndTick(v, us) => {
+            g.account_runtime(v as usize, SimTime::from_micros(us as u64));
+            g.tick(v as usize, vs)
+        }
+        Op::BlockCurrent(v) => g.block_current(v as usize, vs),
+        Op::Wake(t) => g.wake(TaskId(t as usize), vs),
+        Op::SaUpcall(v) => g.sa_upcall(v as usize).actions,
+        Op::MigratorRun(_) => g.migrator_run(vs),
+        Op::EnsureCurrent(v) => g.ensure_current(v as usize),
+        Op::IdleBalance(v) => g.idle_balance(v as usize, vs),
+        Op::StopMigrate(t, v) => g.request_stop_migration(TaskId(t as usize), v as usize),
+        Op::BlockQueued(t) => {
+            g.block_queued(TaskId(t as usize));
+            return;
+        }
+    };
+    g.recycle_actions(acts);
 }
 
 proptest! {
@@ -72,39 +99,40 @@ proptest! {
     fn invariants_hold(ops in prop::collection::vec(op_strategy(), 1..250)) {
         let mut g = build();
         for (i, op) in ops.into_iter().enumerate() {
+            apply(&mut g, op, &views(i));
+            g.check_invariants().unwrap();
+        }
+    }
+
+    /// A quiet tick is the full tick: at every tick op, whenever
+    /// `tick_if_quiet` holds on one clone, the full tick on another
+    /// returns no action and, once its buffer is recycled, leaves a guest
+    /// that renders identically, pool of spare buffers included.
+    #[test]
+    fn a_quiet_tick_is_the_full_tick(ops in prop::collection::vec(op_strategy(), 1..250)) {
+        let mut g = build();
+        for (i, op) in ops.into_iter().enumerate() {
             let vs = views(i);
-            match op {
-                Op::Tick(v) => {
-                    g.tick(v as usize, &vs);
-                }
+            let v = match op {
+                Op::Tick(v) => v as usize,
                 Op::AccountAndTick(v, us) => {
                     g.account_runtime(v as usize, SimTime::from_micros(us as u64));
-                    g.tick(v as usize, &vs);
+                    v as usize
                 }
-                Op::BlockCurrent(v) => {
-                    g.block_current(v as usize, &vs);
+                _ => {
+                    apply(&mut g, op, &vs);
+                    continue;
                 }
-                Op::Wake(t) => {
-                    g.wake(TaskId(t as usize), &vs);
-                }
-                Op::SaUpcall(v) => {
-                    g.sa_upcall(v as usize);
-                }
-                Op::MigratorRun(_) => {
-                    g.migrator_run(&vs);
-                }
-                Op::EnsureCurrent(v) => {
-                    g.ensure_current(v as usize);
-                }
-                Op::IdleBalance(v) => {
-                    g.idle_balance(v as usize, &vs);
-                }
-                Op::StopMigrate(t, v) => {
-                    g.request_stop_migration(TaskId(t as usize), v as usize);
-                }
-                Op::BlockQueued(t) => {
-                    g.block_queued(TaskId(t as usize));
-                }
+            };
+            let mut quiet = g.clone();
+            let was_quiet = quiet.tick_if_quiet(v);
+            let acts = g.tick(v, &vs);
+            if was_quiet {
+                prop_assert!(acts.is_empty(), "a quiet tick on v{} acted: {:?}", v, acts);
+            }
+            g.recycle_actions(acts);
+            if was_quiet {
+                prop_assert_eq!(format!("{quiet:?}"), format!("{g:?}"));
             }
             g.check_invariants().unwrap();
         }

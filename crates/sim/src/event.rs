@@ -1,4 +1,4 @@
-//! Discrete-event queue backed by a hierarchical timer wheel.
+//! Discrete-event queue backed by a hierarchical timer wheel and a FIFO lane.
 //!
 //! The two-level scheduler simulation constantly arms timers that become
 //! irrelevant before they fire: a vCPU's 30 ms slice-expiry timer dies when
@@ -10,10 +10,12 @@
 //! # Hot-path design
 //!
 //! `schedule`/`pop`/`peek_time` are the innermost loop of every simulation
-//! run. Most queued events are periodic timers (`HvTick`/`HvAccounting`/
-//! 1 ms guest CFS ticks), and a simulated host keeps only a few dozen
-//! events pending. The queue is a **hierarchical timer wheel** (kernel
-//! `timer.c` style) that makes the dominant event class O(1):
+//! run, and a simulated host keeps only a few dozen events pending. The
+//! most frequent event, the 1 ms guest CFS tick, is armed in time order
+//! and goes on a FIFO lane (below). Every other event — `HvTick`,
+//! `HvAccounting`, slice expiries, compute segments, SA rounds, arrivals —
+//! goes in a **hierarchical timer wheel** (kernel `timer.c` style) with
+//! O(1) amortized schedule and pop:
 //!
 //! * Sim time is bucketed into **ticks** of `2^TICK_SHIFT` ns (65.5 µs).
 //!   Sub-tick ordering is preserved — ticks choose the *bucket*, the full
@@ -27,7 +29,7 @@
 //!   list**, promoted wholesale when the wheel drains down to them.
 //! * A sorted **head** vector (descending `(time, seq)`, popped from the
 //!   back) holds every event at or before the wheel **cursor**. The head is
-//!   non-empty whenever any event is pending, which is what lets
+//!   non-empty whenever any wheel event is pending, which is what lets
 //!   [`EventQueue::peek_time`] take `&self`.
 //! * Every entry of a level-0 slot is due at the slot's own tick, so when
 //!   the cursor reaches one the slot is sorted in place and swapped with
@@ -38,13 +40,28 @@
 //! entry strictly downward: `schedule` and `pop` are O(1) amortized. Pop
 //! order is earliest `(time, insertion seq)` first, because every drain
 //! sorts by that total key.
+//!
+//! # The FIFO lane
+//!
+//! A timer class that is armed in time order — each firing re-arms one
+//! fixed period ahead of a clock that never runs backwards, like the 1 ms
+//! guest CFS tick — needs none of the wheel's filing. Such events go on a
+//! **lane** beside the wheel ([`EventQueue::schedule_in_order`]): a deque
+//! kept sorted by `(time, seq)`, which an in-order schedule appends to and
+//! an out-of-order one enters by a sorted insert. Lane entries draw their
+//! `seq` from the same counter as wheel entries, and `pop`/`peek_time`
+//! take the smaller of the lane's front and the head's last entry under
+//! the same total key, so which of the two an event was filed in never
+//! changes the pop order.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Wheel tick resolution: `2^16` ns = 65.5 µs per tick. One level-0
-/// rotation spans ~4.2 ms, so most 1 ms guest ticks file directly into
-/// level 0 and fire without a cascade; the rest, and the 10 ms `HvTick`
-/// through the 30 ms slice timers, cascade once. Sub-tick deadlines cost nothing in
+/// rotation spans ~4.2 ms, so most timers due within a millisecond or two
+/// (compute segments, SA rounds, PLE windows) file directly into level 0
+/// and fire without a cascade; the rest, and the 10 ms `HvTick` through
+/// the 30 ms slice timers, cascade once. Sub-tick deadlines cost nothing in
 /// fidelity: the full `(SimTime, seq)` key orders events within a bucket,
 /// ticks only pick the bucket.
 const TICK_SHIFT: u32 = 16;
@@ -94,8 +111,8 @@ struct Entry<E> {
 /// # Snapshots
 ///
 /// `EventQueue<E: Clone>` is `Clone`, and the clone is a *complete* state
-/// copy: sequence counter, cursor, occupancy bitmaps, head batch, and
-/// overflow list all carry over. A clone is therefore observationally
+/// copy: sequence counter, cursor, occupancy bitmaps, head batch, overflow
+/// list and FIFO lane all carry over. A clone is therefore observationally
 /// identical to the original under every subsequent operation sequence —
 /// pops return the same `(time, seq)` order. This is the foundation of
 /// `System::snapshot()` (DESIGN.md §2.7).
@@ -103,7 +120,7 @@ struct Entry<E> {
 pub struct EventQueue<E> {
     /// Entries at or before the cursor, sorted by `(at, seq)`
     /// **descending** so the global minimum pops from the back in O(1).
-    /// Invariant: non-empty whenever `len > 0`.
+    /// Invariant: non-empty whenever `wheel_len > 0`.
     head: Vec<Entry<E>>,
     /// `LEVELS * SLOTS` buckets, level-major. Entries here are strictly
     /// after the cursor.
@@ -115,9 +132,15 @@ pub struct EventQueue<E> {
     /// Current wheel position, in ticks. Only moves forward, and only to
     /// the tick of the earliest pending event.
     cursor: u64,
+    /// The `seq` of the next event scheduled, on the wheel or the lane.
     next_seq: u64,
-    /// Pending events (head + wheel + overflow).
-    len: usize,
+    /// Pending wheel events (head + wheel + overflow); the lane counts
+    /// its own.
+    wheel_len: usize,
+    /// The FIFO lane: events scheduled through
+    /// [`EventQueue::schedule_in_order`], sorted by `(at, seq)`
+    /// **ascending**, so the lane's minimum pops from the front.
+    lane: VecDeque<Entry<E>>,
 }
 
 impl<E> EventQueue<E> {
@@ -136,7 +159,8 @@ impl<E> EventQueue<E> {
             overflow: Vec::new(),
             cursor: 0,
             next_seq: 0,
-            len: 0,
+            wheel_len: 0,
+            lane: VecDeque::new(),
         }
     }
 
@@ -154,7 +178,7 @@ impl<E> EventQueue<E> {
             payload,
         };
         self.next_seq += 1;
-        self.len += 1;
+        self.wheel_len += 1;
         if Self::tick_of(at) <= self.cursor {
             // At or before the wheel position: sorted insert into the head.
             // Rare (the cursor trails the minimum), and cheap when it does
@@ -170,12 +194,47 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Schedules `payload` to fire at instant `at` on the FIFO lane. It
+    /// pops exactly where [`EventQueue::schedule`] would have put it —
+    /// `seq` comes from the same counter — but costs one append when `at`
+    /// is at or after the lane's latest entry. An earlier `at` is still
+    /// legal and takes a sorted insert, so use this for events armed
+    /// mostly in time order: the guest ticks append 95–97% of the time in
+    /// Figs 5, 6 and 13 and 71% in the serving campaign (DESIGN.md §2.6).
+    #[inline]
+    pub fn schedule_in_order(&mut self, at: SimTime, payload: E) {
+        let entry = Entry {
+            at,
+            seq: self.next_seq,
+            payload,
+        };
+        self.next_seq += 1;
+        if self.lane.back().is_none_or(|last| last.at <= at) {
+            self.lane.push_back(entry);
+        } else {
+            // The new `seq` exceeds every pending one, so the entry goes
+            // after every lane entry due at or before `at`.
+            let i = self.lane.partition_point(|e| e.at <= at);
+            self.lane.insert(i, entry);
+        }
+    }
+
     /// Removes and returns the earliest event as `(time, payload)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some(first) = self.lane.front() {
+            let lane_first = self
+                .head
+                .last()
+                .is_none_or(|h| (first.at, first.seq) < (h.at, h.seq));
+            if lane_first {
+                let entry = self.lane.pop_front()?;
+                return Some((entry.at, entry.payload));
+            }
+        }
         let entry = self.head.pop()?;
-        self.len -= 1;
-        if self.head.is_empty() && self.len > 0 {
+        self.wheel_len -= 1;
+        if self.head.is_empty() && self.wheel_len > 0 {
             self.advance();
         }
         Some((entry.at, entry.payload))
@@ -184,17 +243,21 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest event, without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head.last().map(|e| e.at)
+        let head = self.head.last().map(|e| e.at);
+        match (self.lane.front().map(|e| e.at), head) {
+            (Some(l), Some(h)) => Some(l.min(h)),
+            (l, h) => l.or(h),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, on the wheel and the lane.
     pub fn len(&self) -> usize {
-        self.len
+        self.wheel_len + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Sorted insert into the descending head. O(log n) search plus the
@@ -238,14 +301,15 @@ impl<E> EventQueue<E> {
 
     /// Moves the cursor forward to the earliest pending event and makes its
     /// slot the head. Precondition: the head is empty and an event is
-    /// pending somewhere in the wheel or overflow.
+    /// pending somewhere in the wheel or overflow (the lane is no part of
+    /// the wheel).
     ///
     /// Each iteration either drains the lowest occupied slot (cascading
     /// upper-level entries strictly downward) or promotes the nearest
     /// overflow window into the wheel, so every entry is touched at most
     /// `LEVELS + 1` times over its life — O(1) amortized.
     fn advance(&mut self) {
-        debug_assert!(self.head.is_empty() && self.len > 0);
+        debug_assert!(self.head.is_empty() && self.wheel_len > 0);
         while self.head.is_empty() {
             // The lowest occupied slot of the lowest occupied level is the
             // earliest window with pending entries (lower levels sit
@@ -281,7 +345,7 @@ impl<E> EventQueue<E> {
                     .iter()
                     .map(|e| Self::tick_of(e.at) >> WHEEL_BITS)
                     .min()
-                    .expect("len says an event is pending");
+                    .expect("wheel_len says an event is pending");
                 self.cursor = w << WHEEL_BITS;
                 for e in std::mem::take(&mut self.overflow) {
                     if Self::tick_of(e.at) >> WHEEL_BITS == w {
@@ -488,7 +552,7 @@ mod tests {
     fn raw_place(q: &mut EventQueue<u32>, at: SimTime, payload: u32) {
         let seq = q.next_seq;
         q.next_seq += 1;
-        q.len += 1;
+        q.wheel_len += 1;
         q.place(Entry { at, seq, payload });
     }
 
@@ -533,6 +597,40 @@ mod tests {
         }
         assert_eq!(q.len(), c.len());
         assert_eq!(drain(&mut q), drain(&mut c));
+    }
+
+    #[test]
+    fn lane_and_wheel_ties_pop_in_schedule_order() {
+        // A lane entry and a wheel entry due at one instant pop in the
+        // order they were scheduled, whichever came first: a guest tick
+        // on the lane armed before an SA round on the wheel runs first.
+        let mut q = EventQueue::new();
+        let t = tick_ns(3) + 7;
+        q.schedule_in_order(SimTime::from_nanos(t), 0);
+        q.schedule(SimTime::from_nanos(t), 1);
+        q.schedule_in_order(SimTime::from_nanos(t), 2);
+        q.schedule(SimTime::from_nanos(t), 3);
+        q.schedule(SimTime::from_nanos(5), 4);
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        assert_eq!(drain(&mut q), vec![(5, 4), (t, 0), (t, 1), (t, 2), (t, 3)]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn lane_takes_schedules_out_of_time_order() {
+        // Appends are the fast path; an earlier instant is a sorted insert
+        // behind every lane entry due at or before it.
+        let mut q = EventQueue::new();
+        for (at, p) in [(300, 0), (100, 1), (300, 2), (200, 3)] {
+            q.schedule_in_order(SimTime::from_nanos(at), p);
+        }
+        q.schedule(SimTime::from_nanos(200), 4);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(100)));
+        let mut c = q.clone();
+        let want = vec![(100, 1), (200, 3), (200, 4), (300, 0), (300, 2)];
+        assert_eq!(drain(&mut q), want);
+        assert_eq!(drain(&mut c), want);
     }
 
     #[test]

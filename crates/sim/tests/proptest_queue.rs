@@ -1,13 +1,15 @@
 //! Property tests for the event queue: it must behave as a stable total
-//! order over (time, insertion sequence).
+//! order over (time, insertion sequence), whether an event was filed in
+//! the timer wheel (`schedule`) or on the FIFO lane (`schedule_in_order`).
 
 use irs_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 /// Reference model of the queue's observable semantics: a flat list popped
 /// by minimum `(time, insertion sequence)`. The real queue (a hierarchical
-/// timer wheel) must be indistinguishable from this under any operation
-/// interleaving.
+/// timer wheel beside a FIFO lane) must be indistinguishable from this
+/// under any operation interleaving, whichever of the two each event was
+/// scheduled on.
 #[derive(Default, Clone)]
 struct ModelQueue {
     pending: Vec<(u64, u64, u32)>, // (time, seq, payload)
@@ -62,45 +64,56 @@ fn wheel_time_strategy() -> impl Strategy<Value = u64> {
 }
 
 /// One step of the equivalence-test interleaving: `(op, a)` where `op`
-/// selects schedule (5 in 12, so interleavings build up deep queues), pop
-/// (3 in 12), peek (2 in 12), snapshot or restore (1 in 12 each, so a
-/// sequence routinely clones mid-cascade and rewinds across it), and `a`
-/// picks a schedule time.
+/// selects a wheel schedule (4 in 14) or a lane schedule (3 in 14, so
+/// interleavings build up deep queues on both), pop (3 in 14), peek (2 in
+/// 14), snapshot or restore (1 in 14 each, so a sequence routinely clones
+/// mid-cascade and rewinds across it), and `a` picks a schedule time. The
+/// times come from one small set for both lanes, so a lane schedule often
+/// lands before the lane's latest entry or at an instant wheel entries
+/// already hold.
 fn step_strategy() -> impl Strategy<Value = (u8, u64)> {
-    (0u8..12, wheel_time_strategy())
+    (0u8..14, wheel_time_strategy())
 }
 
 proptest! {
-    /// The wheel is observationally equivalent to the reference model
-    /// (time order + FIFO ties) under arbitrary interleavings of
-    /// schedule / pop / peek / snapshot / restore.
+    /// The queue is observationally equivalent to the reference model
+    /// (time order + FIFO ties) under arbitrary interleavings of wheel
+    /// schedule / lane schedule / pop / peek / snapshot / restore.
     #[test]
     fn queue_matches_reference_model(ops in prop::collection::vec(step_strategy(), 1..400)) {
         let mut real = EventQueue::new();
         let mut model = ModelQueue::default();
         // Snapshot for the snapshot/restore ops: a clone of the real queue
-        // (the wheel's `Clone` is the snapshot primitive under test —
-        // sequence counter, occupancy bitmaps, overflow list, cursor), the
-        // model state, and the next payload at snapshot time.
+        // (the queue's `Clone` is the snapshot primitive under test —
+        // sequence counter, occupancy bitmaps, overflow list, cursor, FIFO
+        // lane), the model state, and the next payload at snapshot time.
         let mut snap: Option<(EventQueue<u32>, ModelQueue, u32)> = None;
         let mut payload = 0u32;
         for (op, a) in ops {
             match op {
-                0..=4 => {
+                0..=3 => {
                     // Times repeat heavily (the strategy samples a small
                     // set per scale) to exercise FIFO ties at every level.
                     real.schedule(SimTime::from_nanos(a), payload);
                     model.schedule(a, payload);
                     payload += 1;
                 }
-                5..=7 => {
+                4..=6 => {
+                    // The lane takes any time: at or after its latest
+                    // entry (an append), before it (a sorted insert), or
+                    // tied with wheel entries (ordered by seq).
+                    real.schedule_in_order(SimTime::from_nanos(a), payload);
+                    model.schedule(a, payload);
+                    payload += 1;
+                }
+                7..=9 => {
                     let got = real.pop().map(|(t, p)| (t.as_nanos(), p));
                     prop_assert_eq!(got, model.pop());
                 }
-                8 | 9 => {
+                10 | 11 => {
                     prop_assert_eq!(real.peek_time().map(|t| t.as_nanos()), model.peek_time());
                 }
-                10 => {
+                12 => {
                     // Snapshot: clone both queues at an arbitrary instant —
                     // mid-cascade, with overflow pending. Overwrites any
                     // prior snapshot.
@@ -207,16 +220,22 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// len is consistent under an arbitrary interleaving of schedules and
-    /// pops.
+    /// len is consistent under an arbitrary interleaving of wheel and
+    /// lane schedules and pops.
     #[test]
-    fn len_is_consistent(ops in prop::collection::vec(0u8..2, 1..300)) {
+    fn len_is_consistent(ops in prop::collection::vec(0u8..3, 1..300)) {
         let mut q = EventQueue::new();
         let mut expected_len = 0usize;
         for (i, op) in ops.iter().enumerate() {
             match op {
                 0 => {
                     q.schedule(SimTime::from_nanos(i as u64 % 17), i);
+                    expected_len += 1;
+                }
+                1 => {
+                    // Cycles through 0..23 out of order: appends, sorted
+                    // inserts and ties with the wheel's times.
+                    q.schedule_in_order(SimTime::from_nanos(i as u64 * 7 % 23), i);
                     expected_len += 1;
                 }
                 _ => {

@@ -359,6 +359,7 @@ impl Hypervisor {
     }
 
     /// Current runstate of a vCPU (the cheap form of the hypercall).
+    #[inline]
     pub fn vcpu_state(&self, v: VcpuRef) -> RunState {
         self.vc(v).state()
     }

@@ -73,6 +73,7 @@ impl RunstateClock {
     }
 
     /// Current state.
+    #[inline]
     pub fn state(&self) -> RunState {
         self.state
     }
@@ -107,6 +108,7 @@ impl RunstateClock {
 
     /// Snapshot of cumulative residencies at instant `now`, including the
     /// open interval in the current state.
+    #[inline]
     pub fn info(&self, now: SimTime) -> RunstateInfo {
         let open = now.saturating_sub(self.since);
         let mut info = RunstateInfo {
