@@ -364,7 +364,7 @@ fn run_cell(
     );
     let mut rng = SimRng::seed_from(cfg.seed).fork(cell_salt);
 
-    let mut index = PlacementIndex::new(cfg.hosts, capacity);
+    let mut index = PlacementIndex::new(cfg.hosts, capacity, cfg.tenant_vcpus);
     // Churn dirtiness. A host whose tenant set did not change re-runs the
     // exact same scenario next epoch (seeds depend only on composition),
     // so its previous result stands in verbatim; any arrival or departure
@@ -387,7 +387,7 @@ fn run_cell(
         active.retain(|t| {
             let stays = t.departs_at > epoch;
             if !stays {
-                index.remove_tenant(t.host, cfg.tenant_vcpus);
+                index.remove_tenant(t.host);
                 dirty[t.host] = true;
             }
             stays
@@ -404,9 +404,9 @@ fn run_cell(
             while life < 32 && !rng.chance(cfg.depart_chance) {
                 life += 1;
             }
-            match index.place(policy, cfg.tenant_vcpus) {
+            match index.place(policy) {
                 Some(host) => {
-                    index.add_tenant(host, cfg.tenant_vcpus);
+                    index.add_tenant(host);
                     dirty[host] = true;
                     active.push(Tenant {
                         kind,

@@ -14,8 +14,9 @@
 //! * [`TenantKind`] / [`AdversaryMix`] — who rents VMs, and which of the
 //!   arrivals are hostile (boost gamer, cycle stealer, tick evader from
 //!   `irs_workloads::presets::adversarial`).
-//! * [`PlacementPolicy`] / [`HostState`] — first-fit, worst-fit/spread,
-//!   and interference-aware placement over a per-host steal-time EWMA.
+//! * [`PlacementPolicy`] / [`PlacementIndex`] — first-fit,
+//!   worst-fit/spread, and interference-aware placement over a per-host
+//!   steal-time EWMA, all answered from one segment tree over the hosts.
 //! * [`run_campaign`] — the grid driver: result reuse across
 //!   equal-composition hosts (one run per composition, memoized across
 //!   epochs and cells), parallel host fan-out via `irs_core::parallel`
@@ -35,5 +36,5 @@ mod tenant;
 pub use campaign::{
     run_campaign, CampaignSpec, FleetConfig, FleetReport, FLEET_STRATEGIES, SLOWDOWN_CAP,
 };
-pub use placement::{HostState, PlacementIndex, PlacementPolicy};
+pub use placement::{PlacementIndex, PlacementPolicy};
 pub use tenant::{AdversaryMix, Tenant, TenantKind};

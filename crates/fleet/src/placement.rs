@@ -7,27 +7,11 @@
 //! index (lowest for first-fit and worst-fit, highest for
 //! interference-aware), so placement traces are deterministic.
 //!
-//! Two implementations answer the same query: the O(hosts) linear scan
-//! on a `&[HostState]` slice ([`PlacementPolicy::place`], the reference
-//! semantics) and the indexed [`PlacementIndex`] the campaign actually
-//! uses, which keeps per-policy candidate structures (a min-used segment
-//! tree for first-fit, ordered sets for worst-fit and
-//! interference-aware) so a 1000-host fleet places in O(log hosts)
-//! instead of rescanning the fleet per arrival. The equivalence tests at
-//! the bottom of this module pin both to identical decisions.
-
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
-
-/// Aggregate per-host state the policies decide on.
-#[derive(Debug, Clone, Default)]
-pub struct HostState {
-    /// vCPUs of currently placed tenants.
-    pub used_vcpus: usize,
-    /// Exponentially weighted steal-time fraction observed on this host
-    /// over past epochs (0 = idle or interference-free).
-    pub steal_ewma: f64,
-}
+//! [`PlacementIndex`] answers every policy from one segment tree over
+//! the hosts, so a 1000-host fleet places in O(log hosts) instead of
+//! rescanning the fleet per arrival. The tests at the bottom of this
+//! module keep that O(hosts) scan as the reference semantics and drive
+//! both through random churn, asserting identical decisions.
 
 /// The placement policies the campaign compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,41 +43,6 @@ impl PlacementPolicy {
             PlacementPolicy::InterferenceAware => "interf-aware",
         }
     }
-
-    /// Picks a host for a tenant needing `need` vCPUs under a per-host
-    /// vCPU `capacity` (pCPUs × overcommit). Returns `None` when the
-    /// fleet is full (the arrival is rejected).
-    pub fn place(self, hosts: &[HostState], capacity: usize, need: usize) -> Option<usize> {
-        let fits = |h: &HostState| h.used_vcpus + need <= capacity;
-        match self {
-            PlacementPolicy::FirstFit => hosts.iter().position(fits),
-            PlacementPolicy::WorstFit => hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| fits(h))
-                // max_by_key returns the *last* max; enumerate in reverse
-                // so ties resolve to the lowest index.
-                .rev()
-                .max_by_key(|(_, h)| capacity - h.used_vcpus)
-                .map(|(i, _)| i),
-            PlacementPolicy::InterferenceAware => hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| fits(h))
-                .rev()
-                // Least steal first; break steal ties by most-free.
-                // `min_by` keeps the *first* minimum, so over the
-                // reversed iterator full ties resolve to the highest
-                // index. Total order via bit patterns is safe: EWMAs are
-                // finite and non-negative.
-                .min_by(|(_, a), (_, b)| {
-                    a.steal_ewma
-                        .total_cmp(&b.steal_ewma)
-                        .then(a.used_vcpus.cmp(&b.used_vcpus))
-                })
-                .map(|(i, _)| i),
-        }
-    }
 }
 
 /// Maps a steal EWMA to an order-preserving integer key: for the finite,
@@ -108,71 +57,134 @@ fn steal_key(ewma: f64) -> u64 {
     }
 }
 
-/// Indexed candidate structure answering every [`PlacementPolicy`] query
-/// without scanning the fleet.
+/// A host's place in the interference-aware order, packed so that one
+/// integer compare decides it: the steal key in the high 64 bits, then
+/// `used` (least first, so most free), then `u32::MAX − host`, so that a
+/// full tie goes to the highest index. [`PlacementIndex::new`] checks
+/// that `used` and `host` fit in 32 bits.
+type SpreadKey = u128;
+
+fn spread_key(steal: f64, used: usize, host: usize) -> SpreadKey {
+    (u128::from(steal_key(steal)) << 64) | ((used as u128) << 32) | u128::from(!(host as u32))
+}
+
+/// The host a [`SpreadKey`] belongs to.
+fn spread_host(key: SpreadKey) -> usize {
+    !(key as u32) as usize
+}
+
+/// The key of a host without room and of every padding leaf. It sorts
+/// above every real key, whose steal key is the bit pattern of a finite
+/// float and so below `u64::MAX`.
+const NO_ROOM: SpreadKey = u128::MAX;
+
+/// One segment tree over the hosts that answers every
+/// [`PlacementPolicy`] for tenants of one fixed size.
 ///
-/// Maintains, in parallel:
+/// Each node keeps two aggregates of the hosts below it:
 ///
-/// * a **min-used segment tree** over host index — first-fit descends it
-///   to the lowest-index host with room in O(log hosts);
-/// * an ordered `(used, host)` set — worst-fit reads its first element
-///   (most-free, ties to the lowest index);
-/// * an ordered `(steal key, used, Reverse(host))` set —
-///   interference-aware takes the first *fitting* element (least steal,
-///   then most-free, then — matching the reference scan's tie-break —
-///   highest index; typically the first few entries).
+/// * the **least `used`** — first-fit descends to the lowest index whose
+///   `used` fits under `capacity − need`, worst-fit to the lowest index
+///   whose `used` equals the root's least;
+/// * the **least interference-aware key among hosts with room** — the
+///   least `(steal, used, highest index)`, packed into one integer; the
+///   root's is the interference-aware pick. A host without room and
+///   each padding leaf carry a sentinel above every real key.
 ///
-/// Decisions are identical to the linear reference scan — the module
-/// tests drive both against random fleets and assert equality.
+/// Because "has room" depends on the tenant size, `need` is fixed when
+/// the index is built; a campaign places tenants of exactly one size.
+/// Every update — an arrival, a departure or a host's telemetry —
+/// re-keys one leaf and its path to the root, and none allocates.
 #[derive(Debug, Clone)]
 pub struct PlacementIndex {
-    /// Per-host vCPU capacity (pCPUs × overcommit).
-    capacity: usize,
-    used: Vec<usize>,
+    /// vCPUs of one tenant.
+    need: usize,
+    /// The most vCPUs a host may hold and still take a tenant,
+    /// `capacity − need`; `None` when a tenant outgrows a host.
+    limit: Option<usize>,
+    /// Per-host steal EWMA.
     steal: Vec<f64>,
-    /// Min-used segment tree: `seg[1]` is the root, leaves start at
-    /// `base`; hosts beyond the fleet pad with `usize::MAX`.
-    seg: Vec<usize>,
+    /// First leaf: host `h` is node `base + h`, and node 1 is the root.
     base: usize,
-    by_free: BTreeSet<(usize, usize)>,
-    by_steal: BTreeSet<(u64, usize, Reverse<usize>)>,
+    /// Least `used` below each node; a leaf holds its host's `used`, a
+    /// padding leaf `usize::MAX`.
+    min_used: Vec<usize>,
+    /// Least [`SpreadKey`] among the hosts with room below each node,
+    /// [`NO_ROOM`] where none has room.
+    best: Vec<SpreadKey>,
 }
 
 impl PlacementIndex {
-    /// An empty fleet of `hosts` hosts with per-host vCPU `capacity`.
-    pub fn new(hosts: usize, capacity: usize) -> Self {
-        let base = hosts.next_power_of_two().max(1);
-        let mut seg = vec![usize::MAX; 2 * base];
+    /// An empty fleet of `hosts` hosts with per-host vCPU `capacity`,
+    /// taking tenants of `need` vCPUs each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` or `capacity` does not fit in 32 bits.
+    pub fn new(hosts: usize, capacity: usize, need: usize) -> Self {
+        assert!(
+            u32::try_from(hosts).is_ok() && u32::try_from(capacity).is_ok(),
+            "hosts and capacity must fit in 32 bits"
+        );
+        let base = hosts.next_power_of_two();
+        let mut min_used = vec![usize::MAX; 2 * base];
+        min_used[base..base + hosts].fill(0);
+        let mut index = PlacementIndex {
+            need,
+            limit: capacity.checked_sub(need),
+            steal: vec![0.0; hosts],
+            base,
+            min_used,
+            best: vec![NO_ROOM; 2 * base],
+        };
         for h in 0..hosts {
-            seg[base + h] = 0;
+            index.best[base + h] = index.key(h);
         }
         for i in (1..base).rev() {
-            seg[i] = seg[2 * i].min(seg[2 * i + 1]);
+            index.pull(i);
         }
-        PlacementIndex {
-            capacity,
-            used: vec![0; hosts],
-            steal: vec![0.0; hosts],
-            seg,
-            base,
-            by_free: (0..hosts).map(|h| (0, h)).collect(),
-            by_steal: (0..hosts).map(|h| (0, 0, Reverse(h))).collect(),
+        index
+    }
+
+    /// `host`'s interference-aware key, from its leaf's `used`.
+    fn key(&self, host: usize) -> SpreadKey {
+        let used = self.min_used[self.base + host];
+        match self.limit {
+            Some(limit) if used <= limit => spread_key(self.steal[host], used, host),
+            _ => NO_ROOM,
         }
     }
 
-    /// Number of hosts indexed.
-    pub fn hosts(&self) -> usize {
-        self.used.len()
+    /// Recomputes node `i`'s aggregates from its children.
+    fn pull(&mut self, i: usize) {
+        self.min_used[i] = self.min_used[2 * i].min(self.min_used[2 * i + 1]);
+        self.best[i] = self.best[2 * i].min(self.best[2 * i + 1]);
     }
 
-    /// Per-host vCPU capacity the index was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Sets `host`'s `used` and re-keys its path to the root.
+    fn set_used(&mut self, host: usize, used: usize) {
+        let mut i = self.base + host;
+        self.min_used[i] = used;
+        self.best[i] = self.key(host);
+        while i > 1 {
+            i /= 2;
+            self.pull(i);
+        }
     }
 
-    /// vCPUs currently placed on `host`.
-    pub fn used(&self, host: usize) -> usize {
-        self.used[host]
+    /// Records a tenant placed on `host`.
+    pub fn add_tenant(&mut self, host: usize) {
+        self.set_used(host, self.min_used[self.base + host] + self.need);
+    }
+
+    /// Records a tenant leaving `host`.
+    pub fn remove_tenant(&mut self, host: usize) {
+        let used = self.min_used[self.base + host];
+        assert!(
+            used >= self.need,
+            "departure exceeds placed vCPUs on host {host}"
+        );
+        self.set_used(host, used - self.need);
     }
 
     /// `host`'s current steal EWMA.
@@ -180,72 +192,40 @@ impl PlacementIndex {
         self.steal[host]
     }
 
-    /// Re-keys `host` across all three structures.
-    fn rekey(&mut self, host: usize, new_used: usize, new_steal: f64) {
-        let (old_used, old_steal) = (self.used[host], self.steal[host]);
-        self.by_free.remove(&(old_used, host));
-        self.by_steal
-            .remove(&(steal_key(old_steal), old_used, Reverse(host)));
-        self.used[host] = new_used;
-        self.steal[host] = new_steal;
-        self.by_free.insert((new_used, host));
-        self.by_steal
-            .insert((steal_key(new_steal), new_used, Reverse(host)));
-        let mut i = self.base + host;
-        self.seg[i] = new_used;
-        while i > 1 {
-            i /= 2;
-            self.seg[i] = self.seg[2 * i].min(self.seg[2 * i + 1]);
-        }
-    }
-
-    /// Records a placement of `vcpus` on `host`.
-    pub fn add_tenant(&mut self, host: usize, vcpus: usize) {
-        self.rekey(host, self.used[host] + vcpus, self.steal[host]);
-    }
-
-    /// Records a departure of `vcpus` from `host`.
-    pub fn remove_tenant(&mut self, host: usize, vcpus: usize) {
-        let u = self.used[host];
-        assert!(u >= vcpus, "departure exceeds placed vCPUs on host {host}");
-        self.rekey(host, u - vcpus, self.steal[host]);
-    }
-
-    /// Updates `host`'s steal EWMA (the telemetry feedback path).
+    /// Updates `host`'s steal EWMA (the telemetry feedback path) and
+    /// re-keys its path to the root.
     pub fn set_steal(&mut self, host: usize, ewma: f64) {
-        self.rekey(host, self.used[host], ewma);
+        self.steal[host] = ewma;
+        self.set_used(host, self.min_used[self.base + host]);
     }
 
-    /// Picks a host for a tenant needing `need` vCPUs — same contract and
-    /// identical decisions as [`PlacementPolicy::place`] over equivalent
-    /// [`HostState`]s.
-    pub fn place(&self, policy: PlacementPolicy, need: usize) -> Option<usize> {
-        let limit = self.capacity.checked_sub(need)?;
-        match policy {
-            PlacementPolicy::FirstFit => {
-                if self.seg[1] > limit {
-                    return None;
-                }
-                let mut i = 1;
-                while i < self.base {
-                    i = if self.seg[2 * i] <= limit {
-                        2 * i
-                    } else {
-                        2 * i + 1
-                    };
-                }
-                Some(i - self.base)
-            }
-            PlacementPolicy::WorstFit => match self.by_free.first() {
-                Some(&(used, host)) if used <= limit => Some(host),
-                _ => None,
-            },
-            PlacementPolicy::InterferenceAware => self
-                .by_steal
-                .iter()
-                .find(|&&(_, used, _)| used <= limit)
-                .map(|&(_, _, Reverse(host))| host),
+    /// The lowest host index whose `used` is at most `bound`, which the
+    /// root's least `used` must be.
+    fn first_within(&self, bound: usize) -> usize {
+        let mut i = 1;
+        while i < self.base {
+            i = if self.min_used[2 * i] <= bound {
+                2 * i
+            } else {
+                2 * i + 1
+            };
         }
+        i - self.base
+    }
+
+    /// Picks a host for the next tenant under `policy`. Returns `None`
+    /// when no host has room (the arrival is rejected).
+    pub fn place(&self, policy: PlacementPolicy) -> Option<usize> {
+        let limit = self.limit?;
+        let least = self.min_used[1];
+        if least > limit {
+            return None;
+        }
+        Some(match policy {
+            PlacementPolicy::FirstFit => self.first_within(limit),
+            PlacementPolicy::WorstFit => self.first_within(least),
+            PlacementPolicy::InterferenceAware => spread_host(self.best[1]),
+        })
     }
 }
 
@@ -253,6 +233,50 @@ impl PlacementIndex {
 mod tests {
     use super::*;
     use irs_sim::SimRng;
+
+    /// Aggregate per-host state the reference scan decides on.
+    #[derive(Debug, Clone, Default)]
+    struct HostState {
+        /// vCPUs of currently placed tenants.
+        used_vcpus: usize,
+        /// Steal-time EWMA (0 = idle or interference-free).
+        steal_ewma: f64,
+    }
+
+    impl PlacementPolicy {
+        /// The reference semantics: an O(hosts) scan picking a host for a
+        /// tenant needing `need` vCPUs under a per-host vCPU `capacity`.
+        fn place(self, hosts: &[HostState], capacity: usize, need: usize) -> Option<usize> {
+            let fits = |h: &HostState| h.used_vcpus + need <= capacity;
+            match self {
+                PlacementPolicy::FirstFit => hosts.iter().position(fits),
+                PlacementPolicy::WorstFit => hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| fits(h))
+                    // max_by_key returns the *last* max; enumerate in
+                    // reverse so ties resolve to the lowest index.
+                    .rev()
+                    .max_by_key(|(_, h)| capacity - h.used_vcpus)
+                    .map(|(i, _)| i),
+                PlacementPolicy::InterferenceAware => hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| fits(h))
+                    .rev()
+                    // Least steal first; break steal ties by most-free.
+                    // `min_by` keeps the *first* minimum, so over the
+                    // reversed iterator full ties resolve to the highest
+                    // index. EWMAs are finite and non-negative.
+                    .min_by(|(_, a), (_, b)| {
+                        a.steal_ewma
+                            .total_cmp(&b.steal_ewma)
+                            .then(a.used_vcpus.cmp(&b.used_vcpus))
+                    })
+                    .map(|(i, _)| i),
+            }
+        }
+    }
 
     fn hosts(used: &[usize], steal: &[f64]) -> Vec<HostState> {
         used.iter()
@@ -313,65 +337,110 @@ mod tests {
     ];
 
     /// The index must make exactly the decision the linear reference scan
-    /// makes, at every point of a randomized churn trace.
+    /// makes, at every step of random churn: placements, departures and
+    /// whole-fleet telemetry updates, on fleets from one host to the
+    /// benchmark's 1000, with a tenant that fills a host and one that
+    /// fits nowhere.
     #[test]
     fn index_matches_linear_scan_over_random_churn() {
-        let (n, capacity, need) = (13, 6, 2);
-        let mut rng = SimRng::seed_from(42);
-        let mut idx = PlacementIndex::new(n, capacity);
-        let mut mirror = vec![HostState::default(); n];
-        for step in 0..600 {
-            // Random churn: placements, departures, telemetry updates.
-            match rng.index(3) {
-                0 => {
-                    let h = rng.index(n);
-                    if mirror[h].used_vcpus + need <= capacity {
-                        idx.add_tenant(h, need);
-                        mirror[h].used_vcpus += need;
+        // (hosts, capacity, need)
+        let shapes = [
+            (1, 6, 2),
+            (2, 6, 2),
+            (13, 6, 2),
+            (64, 6, 2),
+            (1000, 6, 2),
+            (13, 4, 4),
+            (13, 3, 4),
+        ];
+        let mut full_ties = 0;
+        for (salt, &(n, capacity, need)) in shapes.iter().enumerate() {
+            // Telemetry gives every host of one residue class the same
+            // fraction, drawn from a few values including 0, so equal and
+            // zero EWMAs persist; `n` classes give each host its own.
+            for (mode, classes) in [1, 3, n].into_iter().enumerate() {
+                let mut rng = SimRng::seed_from(42).fork((3 * salt + mode) as u64);
+                let mut idx = PlacementIndex::new(n, capacity, need);
+                let mut mirror = vec![HostState::default(); n];
+                for step in 0..3 * n.max(200) {
+                    match rng.index(8) {
+                        // Placements, at a policy's pick or anywhere with
+                        // room, so that the fleet fills.
+                        0..=3 => {
+                            let h = match idx.place(ALL_POLICIES[rng.index(3)]) {
+                                Some(h) if rng.chance(0.5) => h,
+                                _ => rng.index(n),
+                            };
+                            if mirror[h].used_vcpus + need <= capacity {
+                                idx.add_tenant(h);
+                                mirror[h].used_vcpus += need;
+                            }
+                        }
+                        4..=6 => {
+                            let h = rng.index(n);
+                            if mirror[h].used_vcpus >= need {
+                                idx.remove_tenant(h);
+                                mirror[h].used_vcpus -= need;
+                            }
+                        }
+                        // End-of-epoch telemetry, as the campaign feeds it.
+                        _ => {
+                            let vals: Vec<f64> = (0..classes)
+                                .map(|_| [0.0, 0.0, 0.25, 0.5, rng.unit_f64()][rng.index(5)])
+                                .collect();
+                            for (h, m) in mirror.iter_mut().enumerate() {
+                                m.steal_ewma = 0.5 * m.steal_ewma + 0.5 * vals[h % classes];
+                                idx.set_steal(h, m.steal_ewma);
+                            }
+                        }
+                    }
+                    for p in ALL_POLICIES {
+                        let pick = idx.place(p);
+                        assert_eq!(
+                            pick,
+                            p.place(&mirror, capacity, need),
+                            "{} diverged at step {step} on {n} hosts, {classes} classes",
+                            p.label()
+                        );
+                        if let Some(h) = pick {
+                            assert!(h < n, "{} picked padding leaf {h}", p.label());
+                            assert!(mirror[h].used_vcpus + need <= capacity);
+                        }
+                    }
+                    if let Some(h) = idx.place(PlacementPolicy::InterferenceAware) {
+                        let tied = |m: &HostState| {
+                            m.used_vcpus == mirror[h].used_vcpus
+                                && m.steal_ewma == mirror[h].steal_ewma
+                        };
+                        full_ties += usize::from(mirror[..h].iter().any(tied));
                     }
                 }
-                1 => {
-                    let h = rng.index(n);
-                    if mirror[h].used_vcpus >= need {
-                        idx.remove_tenant(h, need);
-                        mirror[h].used_vcpus -= need;
-                    }
-                }
-                _ => {
-                    let h = rng.index(n);
-                    let s = rng.unit_f64() * 0.8;
-                    idx.set_steal(h, s);
-                    mirror[h].steal_ewma = s;
-                }
-            }
-            for p in ALL_POLICIES {
-                assert_eq!(
-                    idx.place(p, need),
-                    p.place(&mirror, capacity, need),
-                    "{} diverged at step {step}",
-                    p.label()
-                );
             }
         }
+        assert!(
+            full_ties > 0,
+            "no full interference-aware tie was exercised"
+        );
     }
 
     #[test]
     fn index_handles_degenerate_shapes() {
         // Empty fleet: everything rejects.
-        let idx = PlacementIndex::new(0, 4);
+        let idx = PlacementIndex::new(0, 4, 2);
         for p in ALL_POLICIES {
-            assert_eq!(idx.place(p, 2), None);
+            assert_eq!(idx.place(p), None);
         }
         // Need exceeding capacity: rejected, not underflowed.
-        let idx = PlacementIndex::new(3, 4);
+        let idx = PlacementIndex::new(3, 4, 5);
         for p in ALL_POLICIES {
-            assert_eq!(idx.place(p, 5), None);
+            assert_eq!(idx.place(p), None);
         }
         // Single host.
-        let mut idx = PlacementIndex::new(1, 4);
-        assert_eq!(idx.place(PlacementPolicy::FirstFit, 2), Some(0));
-        idx.add_tenant(0, 4);
-        assert_eq!(idx.place(PlacementPolicy::FirstFit, 2), None);
+        let mut idx = PlacementIndex::new(1, 4, 2);
+        assert_eq!(idx.place(PlacementPolicy::FirstFit), Some(0));
+        idx.add_tenant(0);
+        idx.add_tenant(0);
+        assert_eq!(idx.place(PlacementPolicy::FirstFit), None);
     }
 
     #[test]

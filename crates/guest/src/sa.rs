@@ -48,7 +48,7 @@ impl GuestOs {
     /// mirroring footnote 1 of the paper (the background VM "ignores the SA
     /// notification").
     pub fn sa_upcall(&mut self, vcpu: usize) -> SaOutcome {
-        let mut actions = Vec::new();
+        let mut actions = self.out_buf();
         if self.sa.is_none() {
             return SaOutcome {
                 op: SchedOp::Yield,
@@ -261,6 +261,21 @@ mod tests {
         assert!(outcome.actions.is_empty());
         assert_eq!(g.current(0), Some(a), "nothing descheduled");
         assert_eq!(g.stats().sa_upcalls, 0);
+    }
+
+    #[test]
+    fn upcall_takes_its_buffer_from_the_pool() {
+        let mut g = irs_guest(1);
+        g.spawn(0);
+        g.spawn(0);
+        let boot = g.start();
+        g.recycle_actions(boot);
+        let spares = g.spare_bufs.len();
+        assert!(spares >= 1);
+        let outcome = g.sa_upcall(0);
+        assert!(!outcome.actions.is_empty());
+        g.recycle_actions(outcome.actions);
+        assert_eq!(g.spare_bufs.len(), spares, "the round left an extra buffer");
     }
 
     #[test]
